@@ -7,6 +7,7 @@ package scream
 // mutate-and-compare probes.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -142,25 +143,12 @@ func TestAPIDefensiveCopies(t *testing.T) {
 // running on the clone perturbs nothing in the source.
 func TestMeshCloneRunEquivalence(t *testing.T) {
 	m := flowTestMesh(t)
-	frame, err := m.FlowFrameTime(Timing{})
+	spec := flowTestSpec("greedy")
+	a, err := RunWith(context.Background(), spec, RunOptions{Mesh: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := 0.5 / frame.Seconds()
-	opts := func() FlowOptions {
-		return FlowOptions{
-			Arrivals:       flowTestArrivals(t, m, rate),
-			Horizon:        300 * Millisecond,
-			Seed:           7,
-			MaxService:     8,
-			FramesPerEpoch: 8,
-		}
-	}
-	a, err := RunFlow(m, opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunFlow(m.Clone(), opts())
+	b, err := RunWith(context.Background(), spec, RunOptions{Mesh: m.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}

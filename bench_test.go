@@ -9,6 +9,7 @@ package scream
 // full-size sweeps.
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -232,39 +233,12 @@ func BenchmarkFigEngineSerial(b *testing.B) {
 // iteration. Reported metrics give the per-second simulation throughput of
 // the epoch driver (epochs, delivered packets).
 func BenchmarkFlowEpoch(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
-	}
-	rate := 1.0 / frame.Seconds()
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		if arrivals[u], err = NewCBR(rate); err != nil {
-			b.Fatal(err)
-		}
-	}
+	m, spec := benchFlowSpec(b, "greedy")
 	var last *FlowResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      FlowGreedy,
-			Arrivals:       arrivals,
-			Horizon:        200 * Millisecond,
-			Seed:           int64(i),
-			MaxService:     8,
-			FramesPerEpoch: 8,
-		})
+		spec.Seed = int64(i)
+		res, err := RunWith(context.Background(), spec, RunOptions{Mesh: m})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,14 +249,11 @@ func BenchmarkFlowEpoch(b *testing.B) {
 	b.ReportMetric(last.GoodputPps, "goodput_pps")
 }
 
-// benchFlowEpochObs is BenchmarkFlowEpoch's scenario with observability in a
-// chosen state; the Enabled/Disabled pair quantifies the overhead of the
-// metrics substrate on the epoch driver's hot path. Enabled carries the full
-// load — a live registry in every layer plus a v2 span tracer emitting to a
-// discarded stream. Disabled must stay within the benchguard gate of
-// BenchmarkFlowEpoch itself — the nil-check branches are the entire cost of
-// shipping the instrumentation.
-func benchFlowEpochObs(b *testing.B, enabled bool) {
+// benchFlowSpec is the flow-epoch benchmarks' 16-node mesh and scenario: CBR
+// sources at 1.0x the static capacity, given as an absolute rate computed
+// here so the timed loop does not rebuild FlowFrameTime.
+func benchFlowSpec(b *testing.B, scheduler string) (*Mesh, ScenarioSpec) {
+	b.Helper()
 	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -291,41 +262,38 @@ func benchFlowEpochObs(b *testing.B, enabled bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
+	return m, ScenarioSpec{
+		Topology:       TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30},
+		Traffic:        TrafficSpec{Kind: "cbr", RatePps: 1.0 / frame.Seconds()},
+		Scheduler:      scheduler,
+		HorizonSec:     0.2,
+		MaxService:     8,
+		FramesPerEpoch: 8,
 	}
-	rate := 1.0 / frame.Seconds()
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		if arrivals[u], err = NewCBR(rate); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var reg *ObsRegistry
-	var trace *ObsTracer
+}
+
+// benchFlowEpochObs is BenchmarkFlowEpoch's scenario with observability in a
+// chosen state; the Enabled/Disabled pair quantifies the overhead of the
+// metrics substrate on the epoch driver's hot path. Enabled carries the full
+// load — a live registry in every layer plus a v2 span tracer emitting to a
+// discarded stream. Disabled must stay within the benchguard gate of
+// BenchmarkFlowEpoch itself — the nil-check branches are the entire cost of
+// shipping the instrumentation.
+func benchFlowEpochObs(b *testing.B, enabled bool) {
+	m, spec := benchFlowSpec(b, "greedy")
+	o := RunOptions{Mesh: m}
 	if enabled {
-		reg = NewObsRegistry()
-		trace = NewObsTracer(io.Discard)
+		reg := NewObsRegistry()
+		o.Metrics = reg
+		o.Trace = NewObsTracer(io.Discard)
 		EnableRuntimeMetrics(reg)
 		defer EnableRuntimeMetrics(nil) // detach the process globals for the other benchmarks
 	}
 	var last *FlowResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      FlowGreedy,
-			Arrivals:       arrivals,
-			Horizon:        200 * Millisecond,
-			Seed:           int64(i),
-			MaxService:     8,
-			FramesPerEpoch: 8,
-			Metrics:        reg,
-			Trace:          trace,
-		})
+		spec.Seed = int64(i)
+		res, err := RunWith(context.Background(), spec, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,39 +378,12 @@ func BenchmarkFanZhangSchedule64(b *testing.B) {
 // scheduler: the epoch driver re-ranks by backlog snapshot each epoch, so
 // this measures the full backlog -> ordering -> schedule loop under load.
 func BenchmarkMaxWeightEpoch(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
-	}
-	rate := 1.0 / frame.Seconds()
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		if arrivals[u], err = NewCBR(rate); err != nil {
-			b.Fatal(err)
-		}
-	}
+	m, spec := benchFlowSpec(b, "maxweight")
 	var last *FlowResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      FlowMaxWeight,
-			Arrivals:       arrivals,
-			Horizon:        200 * Millisecond,
-			Seed:           int64(i),
-			MaxService:     8,
-			FramesPerEpoch: 8,
-		})
+		spec.Seed = int64(i)
+		res, err := RunWith(context.Background(), spec, RunOptions{Mesh: m})
 		if err != nil {
 			b.Fatal(err)
 		}

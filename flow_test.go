@@ -1,6 +1,7 @@
 package scream
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -14,24 +15,20 @@ func flowTestMesh(t *testing.T) *Mesh {
 	return m
 }
 
-func flowTestArrivals(t *testing.T, m *Mesh, rate float64) []Arrival {
-	t.Helper()
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
+// flowTestSpec is the root flow tests' scenario, run on flowTestMesh:
+// Poisson sources at half the mesh's static capacity, 8-packet quota,
+// 8-frame schedule reuse, 300 ms, seed 7.
+func flowTestSpec(scheduler string) ScenarioSpec {
+	return ScenarioSpec{
+		Topology:       TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30},
+		Traffic:        TrafficSpec{Kind: "poisson", Load: 0.5},
+		Scheduler:      scheduler,
+		P:              0.8,
+		HorizonSec:     0.3,
+		Seed:           7,
+		MaxService:     8,
+		FramesPerEpoch: 8,
 	}
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		a, err := NewPoisson(rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals[u] = a
-	}
-	return arrivals
 }
 
 func TestRunFlow(t *testing.T) {
@@ -43,29 +40,17 @@ func TestRunFlow(t *testing.T) {
 	if frame <= 0 {
 		t.Fatalf("frame time %v", frame)
 	}
-	rate := 0.5 / frame.Seconds()
-	for _, sched := range []FlowScheduler{FlowGreedy, FlowFDD, FlowPDD, FlowTDMA} {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      sched,
-			P:              0.8,
-			Arrivals:       flowTestArrivals(t, m, rate),
-			Horizon:        300 * Millisecond,
-			Seed:           7,
-			MaxService:     8,
-			FramesPerEpoch: 8,
-		})
+	for _, sched := range []string{"greedy", "fdd", "pdd", "tdma"} {
+		res, err := RunWith(context.Background(), flowTestSpec(sched), RunOptions{Mesh: m})
 		if err != nil {
-			t.Fatalf("scheduler %d: %v", sched, err)
+			t.Fatalf("scheduler %s: %v", sched, err)
 		}
 		if res.Delivered == 0 {
-			t.Errorf("scheduler %d delivered nothing (offered %d)", sched, res.Offered)
+			t.Errorf("scheduler %s delivered nothing (offered %d)", sched, res.Offered)
 		}
 		if got := res.Delivered + res.Dropped + res.FinalBacklog; got != res.Offered {
-			t.Errorf("scheduler %d: conservation %d != offered %d", sched, got, res.Offered)
+			t.Errorf("scheduler %s: conservation %d != offered %d", sched, got, res.Offered)
 		}
-	}
-	if _, err := RunFlow(m, FlowOptions{Scheduler: 99, Arrivals: flowTestArrivals(t, m, rate), Horizon: Millisecond}); err == nil {
-		t.Error("unknown scheduler should fail")
 	}
 }
 
@@ -75,64 +60,36 @@ func TestRunFlow(t *testing.T) {
 func TestRunFlowDynamics(t *testing.T) {
 	m := flowTestMesh(t)
 	before := m.Network.Channel.RxPowerMW(0, 1)
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate := 0.5 / frame.Seconds()
-	for _, sched := range []FlowScheduler{FlowGreedy, FlowFDD, FlowPDD, FlowTDMA} {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      sched,
-			P:              0.8,
-			Arrivals:       flowTestArrivals(t, m, rate),
-			Horizon:        400 * Millisecond,
-			Seed:           7,
-			MaxService:     8,
-			FramesPerEpoch: 8,
-			Dynamics: &DynamicsOptions{
-				FailRate:     8,
-				MeanDowntime: 40 * Millisecond,
-				Mobility:     MobilityWaypoint,
-				SpeedMps:     10,
-				Pause:        20 * Millisecond,
-				MoveInterval: 10 * Millisecond,
-			},
-		})
+	for _, sched := range []string{"greedy", "fdd", "pdd", "tdma"} {
+		spec := flowTestSpec(sched)
+		spec.HorizonSec = 0.4
+		spec.Dynamics = &DynamicsSpec{
+			FailRate:        8,
+			MeanDowntimeSec: 0.04,
+			Mobility:        "waypoint",
+			SpeedMps:        10,
+			PauseSec:        0.02,
+			MoveIntervalSec: 0.01,
+		}
+		res, err := RunWith(context.Background(), spec, RunOptions{Mesh: m})
 		if err != nil {
-			t.Fatalf("scheduler %d: %v", sched, err)
+			t.Fatalf("scheduler %s: %v", sched, err)
 		}
 		if res.FailEvents == 0 || res.MoveEvents == 0 {
-			t.Errorf("scheduler %d: dynamics inert (%d fail, %d move events)", sched, res.FailEvents, res.MoveEvents)
+			t.Errorf("scheduler %s: dynamics inert (%d fail, %d move events)", sched, res.FailEvents, res.MoveEvents)
 		}
 		if res.Delivered == 0 {
-			t.Errorf("scheduler %d delivered nothing under dynamics (offered %d)", sched, res.Offered)
+			t.Errorf("scheduler %s delivered nothing under dynamics (offered %d)", sched, res.Offered)
 		}
 		if got := res.Delivered + res.Dropped + res.LostOnFailure + res.FinalBacklog; got != res.Offered {
-			t.Errorf("scheduler %d: conservation %d != offered %d", sched, got, res.Offered)
+			t.Errorf("scheduler %s: conservation %d != offered %d", sched, got, res.Offered)
 		}
 	}
 	if got := m.Network.Channel.RxPowerMW(0, 1); got != before {
-		t.Fatalf("RunFlow with dynamics mutated the mesh channel: %v -> %v", before, got)
+		t.Fatalf("a dynamics run mutated the mesh channel: %v -> %v", before, got)
 	}
 	if m.Network.IsDown(1) {
-		t.Fatal("RunFlow with dynamics marked a mesh node down")
-	}
-	// Scripted bursts work through the public API too.
-	res, err := RunFlow(m, FlowOptions{
-		Arrivals:       flowTestArrivals(t, m, rate),
-		Horizon:        300 * Millisecond,
-		Seed:           3,
-		MaxService:     8,
-		FramesPerEpoch: 8,
-		Dynamics: &DynamicsOptions{
-			Script: []DynamicsEvent{{At: 100 * Millisecond, Kind: NodeFail, Node: 1}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FailEvents != 1 {
-		t.Fatalf("scripted burst not applied: %d fail events", res.FailEvents)
+		t.Fatal("a dynamics run marked a mesh node down")
 	}
 }
 

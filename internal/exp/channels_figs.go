@@ -64,41 +64,6 @@ func channelsCurveNames() []string {
 	}
 }
 
-// channelsFlowSchedulers builds the four epoch schedulers for a channel
-// count. The C=1 column uses the single-channel builders so it reproduces
-// FigFlowLoad's code path exactly.
-func channelsFlowSchedulers(s *Scenario, tm core.Timing, channels int, seed int64) ([]flow.Scheduler, error) {
-	if channels <= 1 {
-		return flowSchedulers(s, tm, seed)
-	}
-	cs, err := phys.NewChannelSet(s.Net.Channel, channels)
-	if err != nil {
-		return nil, err
-	}
-	fdd, err := flow.NewProtocolScheduler(flow.ProtocolSchedulerConfig{
-		Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links,
-		Timing: tm, Variant: core.FDD, Seed: seed,
-		Channels: channels, Radios: channelsRadios,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pdd, err := flow.NewProtocolScheduler(flow.ProtocolSchedulerConfig{
-		Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links,
-		Timing: tm, Variant: core.PDD, P: 0.8, Seed: seed + 1,
-		Channels: channels, Radios: channelsRadios,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return []flow.Scheduler{
-		flow.NewGreedyMultiScheduler(cs, channelsRadios, s.Links, sched.ByHeadIDDesc),
-		fdd,
-		pdd,
-		flow.NewTDMAMultiScheduler(s.Links, channels, channelsRadios),
-	}, nil
-}
-
 // channelsScheduleLengths runs each scheduler once against the scenario's
 // static demand vector and returns the four schedule lengths, verifying
 // every multi-channel schedule against the naive per-channel model.
@@ -155,7 +120,7 @@ func channelsScheduleLengths(s *Scenario, tm core.Timing, channels int, seed int
 	if err := verify("PDD", pdd); err != nil {
 		return nil, err
 	}
-	tdma, _, err := flow.NewTDMAMultiScheduler(s.Links, channels, channelsRadios).Build(s.Demands, 0)
+	tdma, _, err := flow.NewTDMAScheduler(s.Links, channels, channelsRadios).Build(s.Demands, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +155,9 @@ func RunChannelsCell(channels int, seed int64, quick bool) ([]float64, error) {
 		horizonFrames = 900
 	}
 	horizon := des.Time(horizonFrames) * frame
-	schedulers, err := channelsFlowSchedulers(s, tm, channels, seed)
+	// The C=1 column builds the single-channel schedulers whatever the radio
+	// count, so it reproduces FigFlowLoad's code path exactly.
+	schedulers, err := flowSchedulers(s, tm, seed, channels, channelsRadios)
 	if err != nil {
 		return nil, err
 	}

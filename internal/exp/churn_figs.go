@@ -17,7 +17,6 @@ import (
 	"scream/internal/des"
 	"scream/internal/dynam"
 	"scream/internal/flow"
-	"scream/internal/sched"
 	"scream/internal/stats"
 	"scream/internal/traffic"
 )
@@ -64,7 +63,7 @@ func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 	}
 	curves := []curve{
 		{"greedy", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewGreedyScheduler(s.Net.Channel, s.Links, sched.ByHeadIDDesc), nil
+			return flow.NewGreedyScheduler(s.Net.Channel, 1, 1, s.Links), nil
 		}},
 		{"fdd", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
 			return flow.NewProtocolScheduler(flow.ProtocolSchedulerConfig{
@@ -79,7 +78,7 @@ func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 			})
 		}},
 		{"tdma", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewTDMAScheduler(s.Links), nil
+			return flow.NewTDMAScheduler(s.Links, 1, 1), nil
 		}},
 	}
 	vals := make([]float64, len(curves))

@@ -43,10 +43,12 @@ func FlowLoads(quick bool) []float64 {
 
 // flowSchedulers builds the figure's four curves for one scenario through
 // the flow-scheduler registry: the centralized greedy upper bound, the two
-// distributed protocols at their real control cost, and the TDMA floor.
-func flowSchedulers(s *Scenario, tm core.Timing, seed int64) ([]flow.Scheduler, error) {
+// distributed protocols at their real control cost, and the TDMA floor, over
+// channels orthogonal channels with radios radios per node.
+func flowSchedulers(s *Scenario, tm core.Timing, seed int64, channels, radios int) ([]flow.Scheduler, error) {
 	base := flow.SchedulerEnv{
 		Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links, Timing: tm,
+		Channels: channels, Radios: radios,
 	}
 	var out []flow.Scheduler
 	for _, name := range []string{"greedy", "fdd", "pdd", "tdma"} {
@@ -94,7 +96,7 @@ func RunFlowCell(load float64, seed int64, quick bool) ([]float64, error) {
 		horizonFrames = 400
 	}
 	horizon := des.Time(horizonFrames) * frame
-	schedulers, err := flowSchedulers(s, tm, seed)
+	schedulers, err := flowSchedulers(s, tm, seed, 1, 1)
 	if err != nil {
 		return nil, err
 	}

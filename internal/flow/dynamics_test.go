@@ -127,7 +127,7 @@ func TestFlowChurnRecoveryVsStaticTDMA(t *testing.T) {
 	adaptive := runDynamic(t, tbA, wA, tbA.greedy(), load, horizon, 42)
 
 	tbS, wS := dynTestbed(t, base, dynam.Config{Script: script})
-	static := runDynamic(t, tbS, wS, NewTDMAScheduler(tbS.links), load, horizon, 42)
+	static := runDynamic(t, tbS, wS, NewTDMAScheduler(tbS.links, 1, 1), load, horizon, 42)
 
 	if adaptive.FailEvents != 1 || static.FailEvents != 1 {
 		t.Fatalf("burst not applied: %d/%d fail events", adaptive.FailEvents, static.FailEvents)

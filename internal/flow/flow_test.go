@@ -9,7 +9,6 @@ import (
 	"scream/internal/des"
 	"scream/internal/phys"
 	"scream/internal/route"
-	"scream/internal/sched"
 	"scream/internal/topo"
 	"scream/internal/traffic"
 )
@@ -93,7 +92,7 @@ func (tb *testbed) cbrAt(t testing.TB, rate float64) []traffic.Arrival {
 }
 
 func (tb *testbed) greedy() Scheduler {
-	return NewGreedyScheduler(tb.net.Channel, tb.links, sched.ByHeadIDDesc)
+	return NewGreedyScheduler(tb.net.Channel, 1, 1, tb.links)
 }
 
 func runAtLoad(t testing.TB, tb *testbed, s Scheduler, load float64, horizon des.Time, seed int64) *Result {
@@ -340,16 +339,21 @@ func TestFlowGreedyBeatsTDMA(t *testing.T) {
 	tb := newReuseTestbed(t)
 	horizon := 300 * des.Millisecond
 	greedy := runAtLoad(t, tb, tb.greedy(), 3, horizon, 3)
-	tdma := runAtLoad(t, tb, NewTDMAScheduler(tb.links), 3, horizon, 3)
+	tdma := runAtLoad(t, tb, NewTDMAScheduler(tb.links, 1, 1), 3, horizon, 3)
 	if greedy.GoodputPps < 1.2*tdma.GoodputPps {
 		t.Errorf("greedy %.0f pps vs TDMA %.0f pps at saturation; spatial reuse should win clearly", greedy.GoodputPps, tdma.GoodputPps)
 	}
 }
 
-// TestTDMAScheduler checks the baseline's frame structure directly.
+// TestTDMAScheduler checks the baseline's frame structure directly: at one
+// channel every position is a singleton slot with no recorded channel
+// assignment, whatever the radio budget.
 func TestTDMAScheduler(t *testing.T) {
 	tb := newTestbed(t, 3, 3)
-	s := NewTDMAScheduler(tb.links)
+	s := NewTDMAScheduler(tb.links, 1, 2)
+	if s.Name != "tdma" {
+		t.Errorf("single-channel TDMA named %q, want %q", s.Name, "tdma")
+	}
 	demands := make([]int, len(tb.links))
 	total := 0
 	for i := range demands {
@@ -369,6 +373,9 @@ func TestTDMAScheduler(t *testing.T) {
 	for i := 0; i < sc.Length(); i++ {
 		if len(sc.Slot(i)) != 1 {
 			t.Fatalf("TDMA slot %d has %d links, want 1", i, len(sc.Slot(i)))
+		}
+		if sc.SlotChannels(i) != nil {
+			t.Fatalf("TDMA slot %d records channels %v, want none", i, sc.SlotChannels(i))
 		}
 	}
 	if err := sc.Verify(tb.net.Channel, tb.links, demands); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scream/internal/core"
+	"scream/internal/sched"
 	"scream/internal/traffic"
 )
 
@@ -31,6 +32,11 @@ func (tb *testbed) zipfArrivals(t testing.TB, meanRate float64, seed int64) []tr
 		arr[u] = p
 	}
 	return arr
+}
+
+// maxWeight is the testbed's max-weight epoch scheduler.
+func (tb *testbed) maxWeight() Scheduler {
+	return NewCentralizedScheduler("maxweight", tb.net.Channel, tb.links, sched.GreedyMaxWeight)
 }
 
 // TestMaxWeightBeatsStaticGreedyUnderZipfBacklog pins the queue-aware
@@ -64,7 +70,7 @@ func TestMaxWeightBeatsStaticGreedyUnderZipfBacklog(t *testing.T) {
 	}
 	var mwTotal, greedyTotal float64
 	for seed := int64(1); seed <= 3; seed++ {
-		mw := run(NewMaxWeightScheduler(tb.net.Channel, tb.links), seed)
+		mw := run(tb.maxWeight(), seed)
 		gr := run(tb.greedy(), seed)
 		t.Logf("seed %d: maxweight %.1f pkt/s, static greedy %.1f pkt/s", seed, mw, gr)
 		mwTotal += mw
@@ -105,8 +111,8 @@ func TestFanZhangSchedulerRunsAndBeatsTDMA(t *testing.T) {
 		}
 		return res.GoodputPps
 	}
-	fz := run(NewFanZhangScheduler(tb.net.Channel, tb.links))
-	tdma := run(NewTDMAScheduler(tb.links))
+	fz := run(NewCentralizedScheduler("fanzhang", tb.net.Channel, tb.links, sched.ApproxFanZhang))
+	tdma := run(NewTDMAScheduler(tb.links, 1, 1))
 	t.Logf("fanzhang %.1f pkt/s, tdma %.1f pkt/s", fz, tdma)
 	if fz <= tdma {
 		t.Errorf("fanzhang goodput %.1f should beat TDMA %.1f under saturation", fz, tdma)
@@ -117,7 +123,7 @@ func TestFanZhangSchedulerRunsAndBeatsTDMA(t *testing.T) {
 // rebind the scheduler must build against the new link set without error.
 func TestMaxWeightSchedulerRebinds(t *testing.T) {
 	tb := newTestbed(t, 4, 4)
-	s := NewMaxWeightScheduler(tb.net.Channel, tb.links)
+	s := tb.maxWeight()
 	demands := make([]int, len(tb.links))
 	for i := range demands {
 		demands[i] = 1

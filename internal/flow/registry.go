@@ -38,8 +38,6 @@ type SchedulerEnv struct {
 	Sens *graph.Graph
 	// Links is the link set schedules are built over.
 	Links []phys.Link
-	// Ordering is the greedy admission order (0 = sched.ByHeadIDDesc).
-	Ordering sched.Ordering
 	// K is the SCREAM length for the distributed protocols; 0 derives the
 	// interference diameter from Sens.
 	K int
@@ -76,13 +74,6 @@ type SchedulerDef struct {
 	MultiChannel bool
 	// New builds the scheduler for an environment.
 	New func(env SchedulerEnv) (Scheduler, error)
-}
-
-func (e SchedulerEnv) ordering() sched.Ordering {
-	if e.Ordering == 0 {
-		return sched.ByHeadIDDesc
-	}
-	return e.Ordering
 }
 
 // engine returns the interference engine schedulers build against: Engine
@@ -152,10 +143,7 @@ func SchedulerDefs() []SchedulerDef {
 			Doc:          backendDoc("greedy("),
 			MultiChannel: true,
 			New: func(env SchedulerEnv) (Scheduler, error) {
-				if env.Channels > 1 {
-					return NewGreedyMultiEngineScheduler(env.engine(), env.Channels, env.Radios, env.Links, env.ordering()), nil
-				}
-				return NewGreedyScheduler(env.engine(), env.Links, env.ordering()), nil
+				return NewGreedyScheduler(env.engine(), env.Channels, env.Radios, env.Links), nil
 			},
 		},
 		{
@@ -166,7 +154,7 @@ func SchedulerDefs() []SchedulerDef {
 				if env.Channels > 1 {
 					return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", "maxweight")
 				}
-				return NewMaxWeightScheduler(env.engine(), env.Links), nil
+				return NewCentralizedScheduler("maxweight", env.engine(), env.Links, sched.GreedyMaxWeight), nil
 			},
 		},
 		{
@@ -177,7 +165,7 @@ func SchedulerDefs() []SchedulerDef {
 				if env.Channels > 1 {
 					return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", "fanzhang")
 				}
-				return NewFanZhangScheduler(env.engine(), env.Links), nil
+				return NewCentralizedScheduler("fanzhang", env.engine(), env.Links, sched.ApproxFanZhang), nil
 			},
 		},
 		{
@@ -212,10 +200,7 @@ func SchedulerDefs() []SchedulerDef {
 			Doc:          "static frame serving every backlogged link one singleton slot per scan: the no-spatial-reuse floor, zero control cost",
 			MultiChannel: true,
 			New: func(env SchedulerEnv) (Scheduler, error) {
-				if env.Channels > 1 {
-					return NewTDMAMultiScheduler(env.Links, env.Channels, env.Radios), nil
-				}
-				return NewTDMAScheduler(env.Links), nil
+				return NewTDMAScheduler(env.Links, env.Channels, env.Radios), nil
 			},
 		},
 	}

@@ -50,19 +50,21 @@ func FrameTime(ch phys.Engine, forest *route.Forest, links []phys.Link, tm core.
 	return des.Time(s.Length()) * tm.HandshakeSlot(), nil
 }
 
-// NewGreedyScheduler returns the centralized GreedyPhysical baseline as an
-// epoch scheduler. Its control cost is idealized to zero: a genie gathers the
-// backlog and disseminates the schedule for free, which makes it the upper
-// bound the distributed protocols are judged against (their re-scheduling
-// pays real SCREAM/election/handshake time). It is adaptive under topology
-// dynamics: Rebind re-targets it at the repaired link set (the channel is
-// the same object, mutated in place by the dynamics world).
-func NewGreedyScheduler(ch phys.Engine, links []phys.Link, ord sched.Ordering) Scheduler {
+// NewCentralizedScheduler wraps a centralized schedule construction as an
+// epoch scheduler: every epoch runs build over eng, the current link set and
+// the backlog snapshot. Its control cost is idealized to zero — a genie
+// gathers the backlog and disseminates the schedule for free — which makes
+// the centralized disciplines the upper bound the distributed protocols are
+// judged against (their re-scheduling pays real SCREAM/election/handshake
+// time). It is adaptive under topology dynamics: Rebind re-targets it at the
+// repaired link set (the engine is the same object, mutated in place by the
+// dynamics world).
+func NewCentralizedScheduler(name string, eng phys.Engine, links []phys.Link, build func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error)) Scheduler {
 	cur := links
 	return Scheduler{
-		Name: fmt.Sprintf("greedy(%v)", ord),
+		Name: name,
 		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := sched.GreedyPhysical(ch, cur, demands, ord)
+			s, err := build(eng, cur, demands)
 			return s, 0, err
 		},
 		Rebind: func(t Topology) error {
@@ -72,95 +74,56 @@ func NewGreedyScheduler(ch phys.Engine, links []phys.Link, ord sched.Ordering) S
 	}
 }
 
-// NewMaxWeightScheduler returns the max-weight backlog×rate scheduler as an
-// epoch scheduler: every epoch re-ranks the links by the product of their
-// backlog snapshot and rate proxy (sched.MaxWeightOrder) and runs the greedy
-// admission engine in that order — the queue-aware discipline of
-// heavy-traffic scheduling, against GreedyPhysical's static link order.
-// Control cost is idealized to zero, the same genie as NewGreedyScheduler,
-// so the two are directly comparable. It is adaptive under topology
-// dynamics: Rebind re-targets it at the repaired link set.
-func NewMaxWeightScheduler(ch phys.Engine, links []phys.Link) Scheduler {
-	cur := links
-	return Scheduler{
-		Name: "maxweight",
-		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := sched.GreedyMaxWeight(ch, cur, demands)
-			return s, 0, err
-		},
-		Rebind: func(t Topology) error {
-			cur = t.Links
-			return nil
-		},
+// NewGreedyScheduler returns the GreedyPhysical baseline (head-ID order, the
+// order FDD emulates) as a centralized epoch scheduler over channels
+// orthogonal copies of eng with numRadios radios per node. One channel (or
+// fewer) selects the single-channel engine whatever the radio count.
+func NewGreedyScheduler(eng phys.Engine, channels, numRadios int, links []phys.Link) Scheduler {
+	ord := sched.ByHeadIDDesc
+	name := fmt.Sprintf("greedy(%v,C=%d)", ord, channels)
+	if channels <= 1 {
+		// GreedyPhysicalMultiEngine at C=1, R=1 is GreedyPhysical.
+		name, channels, numRadios = fmt.Sprintf("greedy(%v)", ord), 1, 1
 	}
+	return NewCentralizedScheduler(name, eng, links,
+		func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error) {
+			return sched.GreedyPhysicalMultiEngine(eng, channels, numRadios, links, demands, ord)
+		})
 }
 
-// NewFanZhangScheduler returns the Fan-Zhang-style length-class
-// approximation scheduler as an epoch scheduler: every epoch partitions the
-// backlogged links into geometric length classes and schedules each class
-// separately (sched.ApproxFanZhang), at zero (genie) control cost. Adaptive
-// under topology dynamics via Rebind, like the other centralized baselines.
-func NewFanZhangScheduler(ch phys.Engine, links []phys.Link) Scheduler {
-	cur := links
-	return Scheduler{
-		Name: "fanzhang",
-		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := sched.ApproxFanZhang(ch, cur, demands)
-			return s, 0, err
-		},
-		Rebind: func(t Topology) error {
-			cur = t.Links
-			return nil
-		},
-	}
-}
-
-// NewGreedyMultiScheduler is NewGreedyScheduler over cs.NumChannels()
-// orthogonal channels and numRadios radios per node: every epoch re-runs
-// sched.GreedyPhysicalMulti against the backlog snapshot at zero (genie)
-// control cost. With one channel and one radio it builds exactly the
-// schedules NewGreedyScheduler would.
-func NewGreedyMultiScheduler(cs *phys.ChannelSet, numRadios int, links []phys.Link, ord sched.Ordering) Scheduler {
-	return NewGreedyMultiEngineScheduler(cs.Base(), cs.NumChannels(), numRadios, links, ord)
-}
-
-// NewGreedyMultiEngineScheduler is NewGreedyMultiScheduler over any
-// interference engine: channels orthogonal copies of eng, numRadios radios
-// per node.
-func NewGreedyMultiEngineScheduler(eng phys.Engine, channels, numRadios int, links []phys.Link, ord sched.Ordering) Scheduler {
-	cur := links
-	return Scheduler{
-		Name: fmt.Sprintf("greedy(%v,C=%d)", ord, channels),
-		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := sched.GreedyPhysicalMultiEngine(eng, channels, numRadios, cur, demands, ord)
-			return s, 0, err
-		},
-		Rebind: func(t Topology) error {
-			cur = t.Links
-			return nil
-		},
-	}
-}
-
-// NewTDMAMultiScheduler generalizes the TDMA frame to multiple channels:
-// the frame structure keeps the single-channel scan order, but consecutive
-// backlogged links pack into one slot — one link per channel — until the
-// slot's channels run out or an endpoint's radio budget is exhausted, at
-// which point the slot flushes. One transmission per channel per slot is
-// always SINR-feasible within its channel, so the baseline still needs no
-// interference information; each link gets at most one placement per frame
-// (a frame position is a link's, channels only let positions overlap in
-// time). With one channel and one radio it emits exactly NewTDMAScheduler's
-// singleton slots.
-func NewTDMAMultiScheduler(links []phys.Link, channels, numRadios int) Scheduler {
+// NewTDMAScheduler returns the classical TDMA baseline: frames that give
+// every backlogged link exactly one position, repeated until the snapshot is
+// served. No control traffic is needed (the frame structure is static) and
+// there is no spatial reuse — the schedule the paper's improvement metric is
+// measured against, run dynamically.
+//
+// With one channel every position is a singleton slot. With more, the frame
+// keeps the single-channel scan order but consecutive backlogged links pack
+// into one slot — one link per channel — until the slot's channels run out
+// or an endpoint's radio budget is exhausted, at which point the slot
+// flushes. One transmission per channel per slot is always SINR-feasible
+// within its channel, so the baseline still needs no interference
+// information.
+func NewTDMAScheduler(links []phys.Link, channels, numRadios int) Scheduler {
 	if channels < 1 {
 		channels = 1
 	}
 	if numRadios < 1 {
 		numRadios = 1
 	}
+	name := "tdma"
+	// A link's position in its slot is its channel. Single-channel schedules
+	// record no assignment, so they encode without a "chans" key.
+	var chanIdx []int
+	if channels > 1 {
+		name = fmt.Sprintf("tdma(C=%d)", channels)
+		chanIdx = make([]int, channels)
+		for c := range chanIdx {
+			chanIdx[c] = c
+		}
+	}
 	return Scheduler{
-		Name: fmt.Sprintf("tdma(C=%d)", channels),
+		Name: name,
 		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
 			if len(demands) != len(links) {
 				return nil, 0, fmt.Errorf("flow: %d demands for %d links", len(demands), len(links))
@@ -174,30 +137,29 @@ func NewTDMAMultiScheduler(links []phys.Link, channels, numRadios int) Scheduler
 				left += d
 			}
 			s := sched.NewSchedule()
-			var slotLinks []phys.Link
-			var slotChans []int
-			radios := make(map[int]int)
+			// The slot under construction lives on the stack: Append* copy it.
+			var buf [8]phys.Link
+			slot := buf[:0]
 			flush := func() {
-				if len(slotLinks) == 0 {
+				switch {
+				case len(slot) == 0:
 					return
+				case chanIdx == nil:
+					s.AppendSlot(slot)
+				default:
+					s.AppendSlotAssigned(slot, chanIdx[:len(slot)])
 				}
-				s.AppendSlotAssigned(slotLinks, slotChans)
-				slotLinks, slotChans = slotLinks[:0], slotChans[:0]
-				clear(radios)
+				slot = slot[:0]
 			}
 			for left > 0 {
-				for i := range links {
+				for i, l := range links {
 					if remaining[i] <= 0 {
 						continue
 					}
-					l := links[i]
-					if len(slotLinks) >= channels || radios[l.From] >= numRadios || radios[l.To] >= numRadios {
+					if len(slot) >= channels || radiosUsed(slot, l.From) >= numRadios || radiosUsed(slot, l.To) >= numRadios {
 						flush()
 					}
-					slotChans = append(slotChans, len(slotLinks))
-					slotLinks = append(slotLinks, l)
-					radios[l.From]++
-					radios[l.To]++
+					slot = append(slot, l)
 					remaining[i]--
 					left--
 				}
@@ -208,40 +170,15 @@ func NewTDMAMultiScheduler(links []phys.Link, channels, numRadios int) Scheduler
 	}
 }
 
-// NewTDMAScheduler returns the classical single-slot TDMA baseline: frames
-// that give every backlogged link exactly one singleton slot, repeated until
-// the snapshot is served. One transmission per slot is always SINR-feasible,
-// no control traffic is needed (the frame structure is static), and there is
-// no spatial reuse — the schedule the paper's improvement metric is measured
-// against, run dynamically.
-func NewTDMAScheduler(links []phys.Link) Scheduler {
-	return Scheduler{
-		Name: "tdma",
-		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			if len(demands) != len(links) {
-				return nil, 0, fmt.Errorf("flow: %d demands for %d links", len(demands), len(links))
-			}
-			s := sched.NewSchedule()
-			remaining := append([]int(nil), demands...)
-			left := 0
-			for _, d := range remaining {
-				if d < 0 {
-					return nil, 0, fmt.Errorf("flow: negative demand %d", d)
-				}
-				left += d
-			}
-			for left > 0 {
-				for i := range links {
-					if remaining[i] > 0 {
-						s.AppendSlot([]phys.Link{links[i]})
-						remaining[i]--
-						left--
-					}
-				}
-			}
-			return s, 0, nil
-		},
+// radiosUsed counts the links of slot that node u is an endpoint of.
+func radiosUsed(slot []phys.Link, u int) int {
+	n := 0
+	for _, l := range slot {
+		if l.From == u || l.To == u {
+			n++
+		}
 	}
+	return n
 }
 
 // ProtocolSchedulerConfig parameterizes a distributed epoch scheduler.

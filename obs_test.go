@@ -2,6 +2,7 @@ package scream
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,41 +13,34 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// obsFlowOptions is the pinned scenario shared by the conservation and
-// golden-trace tests: 4x4 grid, FDD (so the analytic/measured protocol
-// cross-check exercises real SCREAMs and handshakes), bounded queues so
-// drops occur, CBR arrivals for an arrival count independent of RNG draws.
-func obsFlowOptions(t *testing.T, m *Mesh) FlowOptions {
-	t.Helper()
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate := 1.5 / frame.Seconds() // overloaded: exercises the queue cap
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
-	}
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		a, err := NewCBR(rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals[u] = a
-	}
-	return FlowOptions{
-		Scheduler:      FlowFDD,
-		Arrivals:       arrivals,
-		Horizon:        300 * Millisecond,
+// obsFlowSpec is the pinned scenario shared by the conservation and
+// golden-trace tests, run on flowTestMesh: FDD (so the analytic/measured
+// protocol cross-check exercises real SCREAMs and handshakes), bounded
+// queues so drops occur, CBR arrivals for an arrival count independent of
+// RNG draws, overloaded at 1.5x the static capacity to exercise the queue
+// cap.
+func obsFlowSpec() ScenarioSpec {
+	return ScenarioSpec{
+		Topology:       TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30},
+		Traffic:        TrafficSpec{Kind: "cbr", Load: 1.5},
+		Scheduler:      "fdd",
+		HorizonSec:     0.3,
 		Seed:           7,
 		MaxQueue:       8,
 		MaxService:     8,
 		FramesPerEpoch: 8,
 	}
+}
+
+// runObs runs spec on the mesh m with the given hooks.
+func runObs(t *testing.T, m *Mesh, spec ScenarioSpec, o RunOptions) *FlowResult {
+	t.Helper()
+	o.Mesh = m
+	res, err := RunWith(context.Background(), spec, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func counter(t *testing.T, r *ObsRegistry, name string) int64 {
@@ -67,12 +61,7 @@ func counter(t *testing.T, r *ObsRegistry, name string) int64 {
 func TestObsConservation(t *testing.T) {
 	m := flowTestMesh(t)
 	reg := NewObsRegistry()
-	opts := obsFlowOptions(t, m)
-	opts.Metrics = reg
-	res, err := RunFlow(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runObs(t, m, obsFlowSpec(), RunOptions{Metrics: reg})
 
 	offered := counter(t, reg, "scream_flow_offered_total")
 	delivered := counter(t, reg, "scream_flow_delivered_total")
@@ -108,11 +97,7 @@ func TestObsConservation(t *testing.T) {
 func TestObsTimingCrossCheck(t *testing.T) {
 	m := flowTestMesh(t)
 	reg := NewObsRegistry()
-	opts := obsFlowOptions(t, m)
-	opts.Metrics = reg
-	if _, err := RunFlow(m, opts); err != nil {
-		t.Fatal(err)
-	}
+	runObs(t, m, obsFlowSpec(), RunOptions{Metrics: reg})
 
 	screamsMeasured := counter(t, reg, "scream_core_screams_measured_total")
 	screamsAnalytic := counter(t, reg, "scream_core_screams_total")
@@ -142,18 +127,9 @@ func TestObsTimingCrossCheck(t *testing.T) {
 // identical Result — metrics are write-only and can never feed back.
 func TestObsDisabledIdenticalResults(t *testing.T) {
 	m := flowTestMesh(t)
-	base, err := RunFlow(m, obsFlowOptions(t, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := obsFlowOptions(t, m)
-	opts.Metrics = NewObsRegistry()
+	base := runObs(t, m, obsFlowSpec(), RunOptions{})
 	var buf bytes.Buffer
-	opts.Trace = NewObsTracer(&buf)
-	instrumented, err := RunFlow(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	instrumented := runObs(t, m, obsFlowSpec(), RunOptions{Metrics: NewObsRegistry(), Trace: NewObsTracer(&buf)})
 	if *base != *instrumented {
 		t.Fatalf("observability changed the result:\nbase:         %+v\ninstrumented: %+v", *base, *instrumented)
 	}
@@ -168,13 +144,11 @@ func TestObsTraceGolden(t *testing.T) {
 	m := flowTestMesh(t)
 	emit := func() []byte {
 		var buf bytes.Buffer
-		opts := obsFlowOptions(t, m)
-		opts.Horizon = 60 * Millisecond // a few epochs; keeps the golden file small
-		opts.Trace = NewObsTracer(&buf)
-		if _, err := RunFlow(m, opts); err != nil {
-			t.Fatal(err)
-		}
-		if err := opts.Trace.Flush(); err != nil {
+		spec := obsFlowSpec()
+		spec.HorizonSec = 0.06 // a few epochs; keeps the golden file small
+		tr := NewObsTracer(&buf)
+		runObs(t, m, spec, RunOptions{Trace: tr})
+		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

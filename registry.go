@@ -1,13 +1,9 @@
 package scream
 
 // The public scheduler registry: one name-addressable table unifying every
-// flow-scheduler variant. It replaces the parallel constant/constructor
-// surfaces that had accumulated (FlowGreedy/FlowMaxWeight/..., per-CLI switch
-// statements): CLIs, the screamd daemon and library callers all resolve
-// schedulers by name through SchedulerByName, and enumerate them through
-// Schedulers. The legacy FlowScheduler constants remain as thin aliases into
-// this registry (see FlowOptions.Scheduler), so existing callers keep
-// working unchanged.
+// flow-scheduler variant. CLIs, the screamd daemon and library callers all
+// resolve schedulers by name — the value of ScenarioSpec.Scheduler — through
+// SchedulerByName, and enumerate them through Schedulers.
 
 import (
 	"fmt"
@@ -28,41 +24,18 @@ type SchedulerInfo struct {
 	// Distributed marks schedulers that pay real (non-genie) control cost
 	// in simulated time (FDD, PDD).
 	Distributed bool `json:"distributed"`
-	// MultiChannel marks schedulers that accept FlowOptions.Channels > 1.
+	// MultiChannel marks schedulers that accept ScenarioSpec.Channels > 1.
 	MultiChannel bool `json:"multi_channel"`
 }
 
-// flowSchedulerIDs maps registry names onto the legacy FlowScheduler
-// constants, which remain the internal representation of FlowOptions.
-var flowSchedulerIDs = map[string]FlowScheduler{
-	"greedy":    FlowGreedy,
-	"maxweight": FlowMaxWeight,
-	"fanzhang":  FlowFanZhang,
-	"fdd":       FlowFDD,
-	"pdd":       FlowPDD,
-	"tdma":      FlowTDMA,
-}
-
-// registryName returns the registry key of a FlowScheduler constant (the
-// zero value is FlowGreedy, matching RunFlow's historical default).
-func (s FlowScheduler) registryName() (string, bool) {
-	if s == 0 {
-		return "greedy", true
+func schedulerInfo(d flow.SchedulerDef) SchedulerInfo {
+	return SchedulerInfo{
+		Name:         d.Name,
+		Display:      d.Display,
+		Doc:          d.Doc,
+		Distributed:  d.Distributed,
+		MultiChannel: d.MultiChannel,
 	}
-	for name, id := range flowSchedulerIDs {
-		if id == s {
-			return name, true
-		}
-	}
-	return "", false
-}
-
-// String returns the scheduler's registry name ("greedy", "fdd", ...).
-func (s FlowScheduler) String() string {
-	if name, ok := s.registryName(); ok {
-		return name
-	}
-	return fmt.Sprintf("FlowScheduler(%d)", int(s))
 }
 
 // Schedulers enumerates the registered flow schedulers in reporting order.
@@ -72,31 +45,18 @@ func Schedulers() []SchedulerInfo {
 	defs := flow.SchedulerDefs()
 	infos := make([]SchedulerInfo, len(defs))
 	for i, d := range defs {
-		infos[i] = SchedulerInfo{
-			Name:         d.Name,
-			Display:      d.Display,
-			Doc:          d.Doc,
-			Distributed:  d.Distributed,
-			MultiChannel: d.MultiChannel,
-		}
+		infos[i] = schedulerInfo(d)
 	}
 	return infos
 }
 
 // SchedulerByName resolves a registry name ("greedy", "maxweight",
-// "fanzhang", "fdd", "pdd", "tdma") to the FlowScheduler selector used by
-// FlowOptions and ScenarioSpec. Unknown names return an error listing every
-// valid name.
-func SchedulerByName(name string) (FlowScheduler, error) {
-	if _, err := flow.SchedulerDefByName(name); err != nil {
-		return 0, fmt.Errorf("scream: %w", err)
+// "fanzhang", "fdd", "pdd", "tdma") to its description. Unknown names return
+// an error listing every valid name.
+func SchedulerByName(name string) (SchedulerInfo, error) {
+	d, err := flow.SchedulerDefByName(name)
+	if err != nil {
+		return SchedulerInfo{}, fmt.Errorf("scream: %w", err)
 	}
-	id, ok := flowSchedulerIDs[name]
-	if !ok {
-		// A scheduler registered in internal/flow but missing here is a
-		// programming error: the registry and the legacy constants must
-		// cover the same family.
-		return 0, fmt.Errorf("scream: scheduler %q has no FlowScheduler constant", name)
-	}
-	return id, nil
+	return schedulerInfo(d), nil
 }

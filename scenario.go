@@ -16,6 +16,11 @@ import (
 	"fmt"
 	"math"
 	"os"
+
+	"scream/internal/dynam"
+	"scream/internal/flow"
+	"scream/internal/obs"
+	"scream/internal/phys"
 )
 
 // TopologySpec describes the mesh deployment of a scenario.
@@ -169,9 +174,9 @@ func (i InterferenceSpec) engineName() string {
 }
 
 // ScenarioSpec is a complete, serializable flow-simulation scenario: the JSON
-// document screamd accepts on /api/v1/run and flowsim loads with -scenario.
-// The zero values of the run knobs keep FlowOptions' defaults (FramesPerEpoch
-// 0 = 1, MaxService 0 = unbounded, ...).
+// document screamd accepts on /api/v1/run and flowsim loads with -scenario,
+// and the only description of a run Run and RunWith accept. The zero value
+// of each run knob selects its default.
 type ScenarioSpec struct {
 	// Name is a free-form label echoed in daemon session listings.
 	Name     string       `json:"name,omitempty"`
@@ -187,14 +192,26 @@ type ScenarioSpec struct {
 	// HorizonSec is the simulated duration in seconds. Required.
 	HorizonSec float64 `json:"horizon_sec"`
 	// Seed drives all randomness: deployment draw, arrivals, protocol coins.
-	Seed           int64   `json:"seed,omitempty"`
-	FramesPerEpoch int     `json:"frames_per_epoch,omitempty"`
-	MaxService     int     `json:"max_service,omitempty"`
-	MaxQueue       int     `json:"max_queue,omitempty"`
-	IdleWaitSec    float64 `json:"idle_wait_sec,omitempty"`
+	Seed int64 `json:"seed,omitempty"`
+	// FramesPerEpoch replays each epoch's schedule this many times before
+	// re-scheduling, amortizing control cost (0 = 1).
+	FramesPerEpoch int `json:"frames_per_epoch,omitempty"`
+	// MaxService caps per-link demand per epoch (0 = full backlog).
+	MaxService int `json:"max_service,omitempty"`
+	// MaxQueue caps each link queue in packets (0 = unbounded).
+	MaxQueue int `json:"max_queue,omitempty"`
+	// IdleWaitSec is the backlog re-check period when the network is empty
+	// (0 = one handshake slot).
+	IdleWaitSec float64 `json:"idle_wait_sec,omitempty"`
 	// Channels is the orthogonal data channel count (0 or 1 =
-	// single-channel).
-	Channels int           `json:"channels,omitempty"`
+	// single-channel). With more, every scheduler packs each slot across the
+	// channel set — per-channel SINR feasibility, per-node radio budget from
+	// the topology's num_radios — and the distributed schedulers pay their
+	// control traffic on channel 0.
+	Channels int `json:"channels,omitempty"`
+	// Dynamics drives node churn and mobility during the run (nil or inert =
+	// a static topology). The run operates on a clone of the deployment, so
+	// a Mesh passed in RunOptions is never mutated.
 	Dynamics *DynamicsSpec `json:"dynamics,omitempty"`
 	// Interference selects the interference engine (nil = the exact dense
 	// engine).
@@ -287,7 +304,8 @@ func (s ScenarioSpec) SchedulerName() string {
 }
 
 // Validate checks the spec for structural errors: unknown kinds, missing
-// required knobs, contradictory load settings. Run validates implicitly.
+// required knobs, contradictory load settings, and counts or durations out
+// of range (each error names the allowed range). Run validates implicitly.
 func (s ScenarioSpec) Validate() error {
 	t := s.Topology
 	switch t.Kind {
@@ -328,21 +346,57 @@ func (s ScenarioSpec) Validate() error {
 		return fmt.Errorf("scream: scenario: traffic needs load or rate_pps > 0")
 	}
 	name := s.SchedulerName()
-	if _, err := SchedulerByName(name); err != nil {
+	info, err := SchedulerByName(name)
+	if err != nil {
 		return err
 	}
 	if name == "pdd" && (s.P <= 0 || s.P > 1) {
 		return fmt.Errorf("scream: scenario: pdd needs p in (0, 1], got %g", s.P)
 	}
-	if s.HorizonSec <= 0 {
-		return fmt.Errorf("scream: scenario: horizon_sec must be > 0")
+	if !(s.HorizonSec > 0 && s.HorizonSec <= maxSimSec) {
+		return fmt.Errorf("scream: scenario: horizon_sec must be in (0, %g], got %g", maxSimSec, s.HorizonSec)
 	}
-	if s.Channels < 0 {
-		return fmt.Errorf("scream: scenario: channels must be non-negative")
+	for _, c := range []struct {
+		field string
+		v     int
+	}{
+		{"frames_per_epoch", s.FramesPerEpoch},
+		{"max_service", s.MaxService},
+		{"max_queue", s.MaxQueue},
+		{"channels", s.Channels},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("scream: scenario: %s must be >= 0, got %d", c.field, c.v)
+		}
 	}
-	if s.Dynamics != nil {
-		if _, err := s.Dynamics.options(); err != nil {
-			return err
+	d := s.Dynamics
+	if d == nil {
+		d = &DynamicsSpec{} // an absent block is the inert one
+	}
+	switch d.Mobility {
+	case "", "none", "waypoint", "drift":
+	default:
+		return fmt.Errorf("scream: scenario: unknown mobility model %q (valid: none, waypoint, drift)", d.Mobility)
+	}
+	for _, c := range []struct {
+		field  string
+		v, max float64
+	}{
+		{"idle_wait_sec", s.IdleWaitSec, maxSimSec},
+		{"traffic.mean_on_sec", s.Traffic.MeanOnSec, maxSimSec},
+		{"traffic.mean_off_sec", s.Traffic.MeanOffSec, maxSimSec},
+		{"dynamics.fail_rate", d.FailRate, math.MaxFloat64},
+		{"dynamics.mean_downtime_sec", d.MeanDowntimeSec, maxSimSec},
+		{"dynamics.speed_mps", d.SpeedMps, math.MaxFloat64},
+		{"dynamics.pause_sec", d.PauseSec, maxSimSec},
+		{"dynamics.move_interval_sec", d.MoveIntervalSec, maxSimSec},
+	} {
+		switch {
+		case c.v >= 0 && c.v <= c.max:
+		case c.max == math.MaxFloat64:
+			return fmt.Errorf("scream: scenario: %s must be finite and >= 0, got %g", c.field, c.v)
+		default:
+			return fmt.Errorf("scream: scenario: %s must be in [0, %g], got %g", c.field, c.max, c.v)
 		}
 	}
 	if s.Interference != nil {
@@ -362,7 +416,9 @@ func (s ScenarioSpec) Validate() error {
 			if s.Topology.Radio != nil && s.Topology.Radio.ShadowSigmaDB > 0 {
 				return fmt.Errorf("scream: scenario: the spatial engine does not support shadowing; use the dense engine")
 			}
-			if def, err := flowSchedulerDistributed(name); err == nil && def {
+			// The distributed protocols simulate real radios over the exact
+			// channel.
+			if info.Distributed {
 				return fmt.Errorf("scream: scenario: scheduler %q requires the dense interference engine", name)
 			}
 		}
@@ -370,17 +426,9 @@ func (s ScenarioSpec) Validate() error {
 	return nil
 }
 
-// flowSchedulerDistributed reports whether the named scheduler is one of the
-// distributed protocols (which simulate real radios over the exact channel
-// and therefore reject a non-dense engine).
-func flowSchedulerDistributed(name string) (bool, error) {
-	for _, s := range Schedulers() {
-		if s.Name == name {
-			return s.Distributed, nil
-		}
-	}
-	return false, fmt.Errorf("scream: unknown scheduler %q", name)
-}
+// maxSimSec is the longest duration, in seconds, simulated time (int64
+// nanoseconds) can hold.
+const maxSimSec = float64(math.MaxInt64 / int64(Second))
 
 // Mesh builds the scenario's deployment (topology, routing forest, demands).
 // The returned mesh is exclusively the caller's: nothing in the spec aliases
@@ -512,34 +560,28 @@ func (s ScenarioSpec) arrivals(m *Mesh, tm Timing) ([]Arrival, error) {
 	return arrivals, nil
 }
 
-// options converts a dynamics spec to DynamicsOptions, mapping an inert spec
-// (no churn, no mobility) to nil so the run takes the identical static path.
-func (d *DynamicsSpec) options() (*DynamicsOptions, error) {
+// config converts a validated dynamics block to the world configuration. It
+// reports false for a nil or inert block (no churn, no mobility), which takes
+// the identical static path.
+func (d *DynamicsSpec) config(horizon SimTime, seed int64) (dynam.Config, bool) {
 	if d == nil {
-		return nil, nil
+		return dynam.Config{}, false
 	}
-	mob := MobilityNone
-	switch d.Mobility {
-	case "", "none":
-	case "waypoint":
-		mob = MobilityWaypoint
-	case "drift":
-		mob = MobilityDrift
-	default:
-		return nil, fmt.Errorf("scream: scenario: unknown mobility model %q (valid: none, waypoint, drift)", d.Mobility)
-	}
-	if d.FailRate == 0 && mob == MobilityNone {
-		return nil, nil
-	}
-	return &DynamicsOptions{
+	cfg := dynam.Config{
 		FailRate:     d.FailRate,
 		MeanDowntime: secsToSim(d.MeanDowntimeSec),
 		FailGateways: d.FailGateways,
-		Mobility:     mob,
-		SpeedMps:     d.SpeedMps,
-		Pause:        secsToSim(d.PauseSec),
 		MoveInterval: secsToSim(d.MoveIntervalSec),
-	}, nil
+		Horizon:      horizon,
+		Seed:         seed,
+	}
+	switch d.Mobility {
+	case "waypoint":
+		cfg.Mobility = dynam.RandomWaypoint{SpeedMps: d.SpeedMps, Pause: secsToSim(d.PauseSec)}
+	case "drift":
+		cfg.Mobility = dynam.Drift{SpeedMps: d.SpeedMps}
+	}
+	return cfg, cfg.FailRate != 0 || cfg.Mobility != nil
 }
 
 // secsToSim converts wall-clock-style seconds to simulated ticks.
@@ -548,13 +590,28 @@ func secsToSim(x float64) SimTime { return SimTime(x * float64(Second)) }
 // RunOptions carries the non-serializable hooks of RunWith — everything a
 // scenario run can take beyond the spec itself.
 type RunOptions struct {
-	// OnEpoch streams per-epoch progress (see FlowOptions.OnEpoch).
+	// OnEpoch, when non-nil, is called synchronously after every built
+	// epoch's data phase with a progress snapshot — the streaming hook. The
+	// callback must treat the update as read-only; it cannot change any
+	// result.
 	OnEpoch func(EpochUpdate)
-	// Metrics/Trace are the observability sinks (see FlowOptions).
+	// Metrics, when non-nil, receives live counters from every layer the run
+	// touches (core protocol, flow driver, dynamics). When nil, the run falls
+	// back to the process-default registry installed by
+	// EnableRuntimeMetrics — still nil by default, costing nothing. Metrics
+	// are write-only; enabling them never changes a result.
 	Metrics *ObsRegistry
-	Trace   *ObsTracer
-	// Perf opts into wall-clock sampling of the schedule-build and
-	// epoch-drive hot paths (see FlowOptions.Perf).
+	// Trace, when non-nil, receives structured JSONL events — the schema-v2
+	// span hierarchy (run ▸ epoch ▸ schedule_build ▸ slot) plus point events
+	// (protocol handshakes, churn and repair) — timestamped in simulated
+	// ticks.
+	Trace *ObsTracer
+	// Perf opts into wall-clock sampling of the run's hot paths: each
+	// schedule build and each epoch drive is timed into scream_perf_*
+	// histograms in the effective registry, and span_end trace lines gain a
+	// sampled wall_ns field. Samples are write-only — simulated results stay
+	// bit-identical — but the trace bytes stop being deterministic, so
+	// golden-trace comparisons must keep this off.
 	Perf bool
 	// Mesh, when non-nil, skips building spec.Topology and runs on the given
 	// mesh instead — the daemon's preloaded-scenario path, where each session
@@ -570,7 +627,8 @@ func Run(ctx context.Context, spec ScenarioSpec) (*FlowResult, error) {
 }
 
 // RunWith is Run with hooks: epoch streaming, observability sinks, and an
-// optional pre-built mesh.
+// optional pre-built mesh. The context is checked once per driver cycle, and
+// cancellation aborts the run with an error wrapping ctx.Err().
 func RunWith(ctx context.Context, spec ScenarioSpec, o RunOptions) (*FlowResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -588,30 +646,100 @@ func RunWith(ctx context.Context, spec ScenarioSpec, o RunOptions) (*FlowResult,
 	if err != nil {
 		return nil, err
 	}
-	scheduler, err := SchedulerByName(spec.SchedulerName())
-	if err != nil {
-		return nil, err
+	// Effective observability sinks: an explicit per-run registry wins
+	// (test isolation); otherwise the process default installed by
+	// EnableRuntimeMetrics, which is nil unless a CLI opted in.
+	metrics := o.Metrics
+	if metrics == nil {
+		metrics = obs.Default()
 	}
-	dyn, err := spec.Dynamics.options()
-	if err != nil {
-		return nil, err
+	horizon := secsToSim(spec.HorizonSec)
+	// The network view the run operates on: the mesh's own for static runs,
+	// an exclusively-owned clone when dynamics mutate it. Schedulers must be
+	// built over the same view the dynamics world mutates.
+	net := m.Network
+	var (
+		world      *dynam.World
+		repairCost SimTime
+	)
+	if dcfg, ok := spec.Dynamics.config(horizon, spec.Seed); ok {
+		net = m.Network.Clone()
+		world, err = dynam.NewWorld(net, m.Forest, dcfg)
+		if err != nil {
+			return nil, fmt.Errorf("scream: %w", err)
+		}
+		world.SetObs(metrics, o.Trace)
+		k := spec.K
+		if k == 0 {
+			k = net.InterferenceDiameter()
+		}
+		repairCost = tm.RepairCost(k)
 	}
-	return RunFlowContext(ctx, m, FlowOptions{
+	// The interference engine the centralized schedulers build against: nil
+	// keeps the dense channel (the default, bit-identical to every run before
+	// engines existed). A spatial mesh gets a fresh index over the run's
+	// network view; under dynamics the world keeps it in lockstep with churn
+	// and mobility, and the epoch scheduler re-reads it on every build.
+	var engine phys.Engine
+	if m.EngineName() == EngineSpatial {
+		idx, err := net.SpatialEngine(m.interf.CutoffM, m.interf.BucketM)
+		if err != nil {
+			return nil, fmt.Errorf("scream: %w", err)
+		}
+		if world != nil {
+			world.AttachSpatial(idx)
+		}
+		engine = idx
+	}
+	def, err := flow.SchedulerDefByName(spec.SchedulerName())
+	if err != nil {
+		return nil, fmt.Errorf("scream: %w", err)
+	}
+	scheduler, err := def.New(flow.SchedulerEnv{
+		Channel:  net.Channel,
+		Engine:   engine,
+		Sens:     net.Sens,
+		Links:    m.Links,
+		K:        spec.K,
+		Timing:   tm,
+		P:        spec.P,
+		Seed:     spec.Seed,
+		Channels: max(spec.Channels, 1),
+		Radios:   m.radios,
+		Metrics:  metrics,
+		Trace:    o.Trace,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scream: %w", err)
+	}
+	cfg := flow.Config{
+		Forest:         m.Forest,
+		Links:          m.Links,
 		Scheduler:      scheduler,
-		P:              spec.P,
-		K:              spec.K,
+		Timing:         tm,
 		Arrivals:       arrivals,
-		Horizon:        secsToSim(spec.HorizonSec),
+		Horizon:        horizon,
 		Seed:           spec.Seed,
 		MaxQueue:       spec.MaxQueue,
 		MaxService:     spec.MaxService,
 		FramesPerEpoch: spec.FramesPerEpoch,
 		IdleWait:       secsToSim(spec.IdleWaitSec),
-		Dynamics:       dyn,
-		Channels:       spec.Channels,
-		Metrics:        o.Metrics,
+		Dynamics:       world,
+		RepairCost:     repairCost,
+		Metrics:        metrics,
 		Trace:          o.Trace,
-		Perf:           o.Perf,
 		OnEpoch:        o.OnEpoch,
-	})
+	}
+	if o.Perf {
+		cfg.Perf = obs.NewPerf(metrics, scheduler.Name)
+		o.Trace.EnableWallClock(nil) // nil-safe; WallNow
+	}
+	if ctx != nil && ctx.Done() != nil {
+		cfg.Ctx = ctx
+	}
+	res, err := flow.Run(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("scream: %w", err)
+	}
+	return res, nil
 }

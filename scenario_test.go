@@ -3,6 +3,7 @@ package scream
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,7 +93,23 @@ func TestScenarioValidate(t *testing.T) {
 		{"unknown scheduler", func(s *ScenarioSpec) { s.Scheduler = "astrology" }, "astrology"},
 		{"pdd without p", func(s *ScenarioSpec) { s.Scheduler = "pdd" }, "pdd needs p"},
 		{"no horizon", func(s *ScenarioSpec) { s.HorizonSec = 0 }, "horizon_sec"},
+		{"NaN horizon", func(s *ScenarioSpec) { s.HorizonSec = math.NaN() }, "horizon_sec must be in (0, 9.223372036e+09]"},
+		{"overflowing horizon", func(s *ScenarioSpec) { s.HorizonSec = 1e300 }, "horizon_sec must be in (0, 9.223372036e+09]"},
+		{"negative max_queue", func(s *ScenarioSpec) { s.MaxQueue = -5 }, "max_queue must be >= 0"},
+		{"negative max_service", func(s *ScenarioSpec) { s.MaxService = -2 }, "max_service must be >= 0"},
+		{"negative frames_per_epoch", func(s *ScenarioSpec) { s.FramesPerEpoch = -3 }, "frames_per_epoch must be >= 0"},
+		{"negative channels", func(s *ScenarioSpec) { s.Channels = -1 }, "channels must be >= 0"},
+		{"negative idle_wait_sec", func(s *ScenarioSpec) { s.IdleWaitSec = -1 }, "idle_wait_sec must be in [0, 9.223372036e+09]"},
+		{"infinite idle_wait_sec", func(s *ScenarioSpec) { s.IdleWaitSec = math.Inf(1) }, "idle_wait_sec must be in [0,"},
+		{"overflowing mean_on_sec", func(s *ScenarioSpec) { s.Traffic.MeanOnSec = 1e10 }, "traffic.mean_on_sec must be in [0,"},
+		{"NaN mean_off_sec", func(s *ScenarioSpec) { s.Traffic.MeanOffSec = math.NaN() }, "traffic.mean_off_sec must be in [0,"},
 		{"bad mobility", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{Mobility: "teleport"} }, "teleport"},
+		{"negative fail_rate", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{FailRate: -1} }, "dynamics.fail_rate must be finite and >= 0"},
+		{"infinite fail_rate", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{FailRate: math.Inf(1)} }, "dynamics.fail_rate must be finite and >= 0"},
+		{"negative downtime", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{FailRate: 1, MeanDowntimeSec: -0.1} }, "dynamics.mean_downtime_sec must be in [0,"},
+		{"negative speed", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{Mobility: "drift", SpeedMps: -5} }, "dynamics.speed_mps must be finite and >= 0"},
+		{"negative pause", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{Mobility: "waypoint", PauseSec: -1} }, "dynamics.pause_sec must be in [0,"},
+		{"overflowing move interval", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{Mobility: "drift", MoveIntervalSec: 1e300} }, "dynamics.move_interval_sec must be in [0,"},
 	}
 	for _, tc := range bad {
 		spec := testSpec()
