@@ -26,7 +26,9 @@ type Backend interface {
 	// Scream runs one full SCREAM primitive (K slots): every node i with
 	// vars[i] == true screams in the first slot; listeners that detect
 	// activity relay in subsequent slots. It returns each node's final
-	// relay value — the network-wide OR when K >= ID(G_S).
+	// relay value — the network-wide OR when K >= ID(G_S). The returned
+	// slice is read-only and only valid until the next Scream call
+	// (implementations may return a slice they own).
 	Scream(vars []bool) []bool
 	// HandshakeSlot runs one data + ACK handshake slot for all the given
 	// links concurrently and reports per-link two-way success. The
@@ -62,8 +64,9 @@ func RunScreamSlots(k int, vars []bool, slot func(screamers []bool) []bool) []bo
 // and SCREAM detection via aggregate-energy carrier sensing over the
 // sensitivity graph. In Fast mode (the default), the SCREAM result is
 // computed as the plain OR of the inputs, which is exact whenever
-// K >= ID(G_S) — the precondition the constructor enforces; strict mode runs
-// the slot-by-slot relay flood instead.
+// K >= ID(G_S) — the precondition the constructor enforces — and
+// LeaderElect settles elections in one pass; strict mode runs the
+// slot-by-slot relay flood and the bitwise election instead.
 type IdealBackend struct {
 	ch      *phys.Channel
 	sensAdj [][]int // sensitivity-graph in-neighbors: who node v can hear
@@ -71,9 +74,16 @@ type IdealBackend struct {
 	timing  Timing
 	strict  bool
 	elapsed des.Time
+	// screamCost is what one SCREAM primitive bills: k slots.
+	screamCost des.Time
 
 	screams    int // SCREAM primitives run
 	handshakes int // handshake slots run
+
+	// Fast-mode SCREAM results: every node ends with the same OR, so
+	// Scream returns one of these two read-only length-n slices. They are
+	// never written after construction, so clones share them.
+	allFalse, allTrue []bool
 
 	// Incremental handshake engine. The protocols build each slot by
 	// repeatedly handshaking a slowly-mutating link set (the allocated
@@ -125,7 +135,12 @@ func NewIdealBackend(ch *phys.Channel, sens *graph.Graph, k int, timing Timing, 
 			adj[v] = append(adj[v], u)
 		}
 	}
-	return &IdealBackend{ch: ch, sensAdj: adj, k: k, timing: timing, strict: strict}, nil
+	outs := make([]bool, 2*n)
+	for i := n; i < 2*n; i++ {
+		outs[i] = true
+	}
+	return &IdealBackend{ch: ch, sensAdj: adj, k: k, timing: timing, strict: strict,
+		screamCost: des.Time(k) * timing.ScreamSlot(), allFalse: outs[:n:n], allTrue: outs[n:]}, nil
 }
 
 // NewIdealBackendAmong builds an ideal backend for a network where only the
@@ -176,24 +191,16 @@ func (b *IdealBackend) Timing() Timing { return b.timing }
 // Scream implements Backend.
 func (b *IdealBackend) Scream(vars []bool) []bool {
 	b.screams++
-	b.elapsed += des.Time(b.k) * b.timing.ScreamSlot()
+	b.elapsed += b.screamCost
 	if !b.strict {
 		// K >= ID and the sensitivity graph is strongly connected, so the
 		// flood saturates: every node ends with the OR of all inputs.
-		any := false
 		for _, v := range vars {
 			if v {
-				any = true
-				break
+				return b.allTrue
 			}
 		}
-		out := make([]bool, len(vars))
-		if any {
-			for i := range out {
-				out[i] = true
-			}
-		}
-		return out
+		return b.allFalse
 	}
 	return RunScreamSlots(b.k, vars, func(screamers []bool) []bool {
 		det := make([]bool, len(screamers))
@@ -218,7 +225,8 @@ func (b *IdealBackend) Scream(vars []bool) []bool {
 // deployment (the flow-epoch schedulers) skip re-validating the sensitivity
 // graph on every run.
 func (b *IdealBackend) Clone() *IdealBackend {
-	return &IdealBackend{ch: b.ch, sensAdj: b.sensAdj, k: b.k, timing: b.timing, strict: b.strict}
+	return &IdealBackend{ch: b.ch, sensAdj: b.sensAdj, k: b.k, timing: b.timing, strict: b.strict,
+		screamCost: b.screamCost, allFalse: b.allFalse, allTrue: b.allTrue}
 }
 
 // HandshakeSlot implements Backend.

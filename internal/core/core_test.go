@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,8 +29,28 @@ func gridFixture(t testing.TB, dim int, seed int64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return forestFixture(t, net, []int{0}, rand.New(rand.NewSource(seed)))
+}
+
+// uniformFixture is an unplanned deployment: 36 nodes placed uniformly with
+// heterogeneous transmit power, gateways at the first and last node.
+func uniformFixture(t testing.TB, seed int64) *fixture {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	f, err := route.BuildForest(net.Comm, []int{0}, rng)
+	net, err := topo.NewUniform(topo.UniformConfig{
+		N: 36, Side: 180, MinTxDBm: 16, MaxTxDBm: 22, Params: topo.DefaultParams(),
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return forestFixture(t, net, []int{0, net.NumNodes() - 1}, rng)
+}
+
+// forestFixture routes net to the gateways and aggregates uniform per-node
+// demands in [1, 10] onto the forest links.
+func forestFixture(t testing.TB, net *topo.Network, gateways []int, rng *rand.Rand) *fixture {
+	t.Helper()
+	f, err := route.BuildForest(net.Comm, gateways, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,6 +357,128 @@ func TestLeaderElectStrictBackend(t *testing.T) {
 	}
 }
 
+// bitwiseBackend forwards the four Backend methods to an IdealBackend. It
+// hides the concrete type, so LeaderElect runs the bitwise loop over the
+// same fast SCREAMs its one-pass election stands in for.
+type bitwiseBackend struct{ b *IdealBackend }
+
+func (w bitwiseBackend) NumNodes() int                          { return w.b.NumNodes() }
+func (w bitwiseBackend) Scream(vars []bool) []bool              { return w.b.Scream(vars) }
+func (w bitwiseBackend) HandshakeSlot(links []phys.Link) []bool { return w.b.HandshakeSlot(links) }
+func (w bitwiseBackend) Elapsed() des.Time                      { return w.b.Elapsed() }
+
+func TestLeaderElectFastMatchesBitwise(t *testing.T) {
+	fx := gridFixture(t, 4, 21)
+	fast, loop := fx.backend(t, 0, false), fx.backend(t, 0, false)
+	n := fast.NumNodes()
+	rng := rand.New(rand.NewSource(22))
+	idKinds := []struct {
+		name string
+		id   func(i int) uint64
+	}{
+		{"unique", func(i int) uint64 { return uint64(i) }},
+		{"duplicate", func(int) uint64 { return uint64(rng.Intn(4)) }},
+		// Wider than idBits: the masked low bits decide the election, the
+		// full ID only breaks ties among them.
+		{"wide", func(int) uint64 { return rng.Uint64() }},
+		{"wide_ties", func(int) uint64 { return uint64(rng.Intn(8))<<40 | uint64(rng.Intn(2)) }},
+	}
+	for _, idBits := range []int{-1, 0, 1, IDBitsFor(n), 64} {
+		for _, kind := range idKinds {
+			for trial := 0; trial < 40; trial++ {
+				ids := make([]uint64, n)
+				part := make([]bool, n)
+				density := rng.Float64()
+				for i := range ids {
+					ids[i] = kind.id(i)
+					// Trial 0 is the empty set, trial 1 everyone.
+					part[i] = trial == 1 || (trial > 1 && rng.Float64() < density)
+				}
+				want := LeaderElect(bitwiseBackend{loop}, idBits, ids, part)
+				got := LeaderElect(fast, idBits, ids, part)
+				if got != want {
+					t.Fatalf("idBits=%d %s trial %d: one-pass winner %d, bitwise winner %d (ids %v, part %v)",
+						idBits, kind.name, trial, got, want, ids, part)
+				}
+				if trial == 0 && got != -1 {
+					t.Fatalf("idBits=%d %s: empty election won by %d", idBits, kind.name, got)
+				}
+				if fast.ScreamCount() != loop.ScreamCount() || fast.Elapsed() != loop.Elapsed() {
+					t.Fatalf("idBits=%d %s trial %d: one-pass billed %d screams / %v, bitwise %d / %v",
+						idBits, kind.name, trial, fast.ScreamCount(), fast.Elapsed(), loop.ScreamCount(), loop.Elapsed())
+				}
+			}
+		}
+	}
+}
+
+// TestLeaderElectTieBreak pins the documented outcome on hand-built IDs:
+// the largest low idBits bits win, then the highest full ID, then the
+// highest node index.
+func TestLeaderElectTieBreak(t *testing.T) {
+	fx := gridFixture(t, 4, 24)
+	n := fx.net.NumNodes()
+	cases := []struct {
+		name   string
+		idBits int
+		ids    map[int]uint64 // participants and their IDs
+		want   int
+	}{
+		{"duplicate max, higher index wins", 64, map[int]uint64{1: 5, 4: 7, 9: 7, 12: 3}, 9},
+		{"masked tie, higher full ID wins", 2, map[int]uint64{2: 1<<8 | 3, 6: 2<<8 | 3, 11: 3}, 6},
+		{"mask decides over the full ID", 2, map[int]uint64{3: 2<<8 | 1, 8: 1<<8 | 3}, 8},
+		{"no bits screamed, full ID then index", 0, map[int]uint64{0: 9, 5: 4, 13: 9}, 13},
+	}
+	for _, c := range cases {
+		ids := make([]uint64, n)
+		part := make([]bool, n)
+		for i, id := range c.ids {
+			ids[i], part[i] = id, true
+		}
+		for _, b := range []struct {
+			name string
+			b    Backend
+		}{
+			{"fast", fx.backend(t, 0, false)},
+			{"strict", fx.backend(t, 0, true)},
+			{"bitwise", bitwiseBackend{fx.backend(t, 0, false)}},
+		} {
+			if got := LeaderElect(b.b, c.idBits, ids, part); got != c.want {
+				t.Errorf("%s, %s backend: winner %d, want %d", c.name, b.name, got, c.want)
+			}
+		}
+	}
+}
+
+// TestFastPathsAllocateNothing gates the fast-mode control plane at zero
+// allocations. allocs/op is deterministic, so a regression fails here
+// instead of hiding in benchmark noise.
+func TestFastPathsAllocateNothing(t *testing.T) {
+	fx := gridFixture(t, 4, 23)
+	b := fx.backend(t, 0, false)
+	n := b.NumNodes()
+	none, one := make([]bool, n), make([]bool, n)
+	one[n/2] = true
+	ids := make([]uint64, n)
+	part := make([]bool, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+		part[i] = i%3 != 0
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Scream(all false)", func() { b.Scream(none) }},
+		{"Scream(one true)", func() { b.Scream(one) }},
+		{"LeaderElect", func() { LeaderElect(b, IDBitsFor(n), ids, part) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, allocs)
+		}
+	}
+}
+
 func TestFDDVerifiesAndTerminates(t *testing.T) {
 	fx := gridFixture(t, 5, 12)
 	res, err := Run(Config{
@@ -406,47 +550,19 @@ func TestTheorem4FDDEqualsGreedyPhysical(t *testing.T) {
 }
 
 func TestTheorem4HoldsOnUniformTopology(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	p := topo.DefaultParams()
-	net, err := topo.NewUniform(topo.UniformConfig{
-		N: 36, Side: 180, MinTxDBm: 16, MaxTxDBm: 22, Params: p,
-	}, rng)
+	fx := uniformFixture(t, 77)
+	res, err := Run(Config{Variant: FDD, Links: fx.links, Demands: fx.demands, Backend: fx.backend(t, 0, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := route.BuildForest(net.Comm, []int{0, 35}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeDemand, err := traffic.Uniform(net.NumNodes(), 1, 10, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := f.AggregateDemand(nodeDemand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	links := f.Links()
-	demands := make([]int, len(links))
-	for i, l := range links {
-		demands[i] = agg[l.From]
-	}
-	b, err := NewIdealBackend(net.Channel, net.Sens, net.InterferenceDiameter(), DefaultTiming(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{Variant: FDD, Links: links, Demands: demands, Backend: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sched.GreedyPhysical(net.Channel, links, demands, sched.ByHeadIDDesc)
+	want, err := sched.GreedyPhysical(fx.net.Channel, fx.links, fx.demands, sched.ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Schedule.Equal(want) {
 		t.Fatal("Theorem 4 equality failed on heterogeneous uniform topology")
 	}
-	if err := res.Schedule.Verify(net.Channel, links, demands); err != nil {
+	if err := res.Schedule.Verify(fx.net.Channel, fx.links, fx.demands); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -627,20 +743,56 @@ func TestExecTimeGrowsWithKAndSMBytes(t *testing.T) {
 	}
 }
 
+// TestStrictBackendFullProtocol runs whole protocols in lockstep on a fast
+// backend (OR shortcut, one-pass elections) and on a strict one (every
+// SCREAM flooded slot by slot, every election bit by bit). The two runs must
+// be indistinguishable: the same Result and the same backend accounting.
 func TestStrictBackendFullProtocol(t *testing.T) {
-	// The whole FDD protocol must work identically when every SCREAM is
-	// simulated slot-by-slot over the sensitivity graph.
-	fx := gridFixture(t, 4, 56)
-	fast, err := Run(Config{Variant: FDD, Links: fx.links, Demands: fx.demands, Backend: fx.backend(t, 0, false)})
-	if err != nil {
-		t.Fatal(err)
+	fixtures := []struct {
+		name string
+		seed int64
+		fx   *fixture
+	}{
+		{"grid4_s56", 56, gridFixture(t, 4, 56)},
+		{"grid5_s57", 57, gridFixture(t, 5, 57)},
+		{"uniform_s77", 77, uniformFixture(t, 77)},
+		{"uniform_s78", 78, uniformFixture(t, 78)},
 	}
-	strict, err := Run(Config{Variant: FDD, Links: fx.links, Demands: fx.demands, Backend: fx.backend(t, 0, true)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fast.Schedule.Equal(strict.Schedule) {
-		t.Error("strict and fast backends must produce identical schedules")
+	for _, f := range fixtures {
+		for _, variant := range []Variant{FDD, PDD} {
+			for _, c := range []struct{ channels, radios int }{{1, 1}, {2, 2}} {
+				name := fmt.Sprintf("%s/%v/C%dR%d", f.name, variant, c.channels, c.radios)
+				t.Run(name, func(t *testing.T) {
+					run := func(strict bool) (*Result, *IdealBackend) {
+						b := f.fx.backend(t, 0, strict)
+						cfg := Config{
+							Variant: variant, Links: f.fx.links, Demands: f.fx.demands, Backend: b,
+							NumChannels: c.channels, NumRadios: c.radios,
+						}
+						if variant == PDD {
+							cfg.Probability = 0.5
+							cfg.RNG = rand.New(rand.NewSource(f.seed))
+						}
+						res, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res, b
+					}
+					fast, fb := run(false)
+					strict, sb := run(true)
+					if !reflect.DeepEqual(fast, strict) {
+						t.Errorf("results differ: fast rounds=%d steps=%d elections=%d screams=%d exec=%v, strict rounds=%d steps=%d elections=%d screams=%d exec=%v",
+							fast.Rounds, fast.Steps, fast.Elections, fast.Screams, fast.ExecTime,
+							strict.Rounds, strict.Steps, strict.Elections, strict.Screams, strict.ExecTime)
+					}
+					if fb.ScreamCount() != sb.ScreamCount() || fb.HandshakeCount() != sb.HandshakeCount() || fb.Elapsed() != sb.Elapsed() {
+						t.Errorf("backend accounting differs: fast %d screams, %d handshakes, %v; strict %d, %d, %v",
+							fb.ScreamCount(), fb.HandshakeCount(), fb.Elapsed(), sb.ScreamCount(), sb.HandshakeCount(), sb.Elapsed())
+					}
+				})
+			}
+		}
 	}
 }
 

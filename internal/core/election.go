@@ -1,5 +1,7 @@
 package core
 
+import "scream/internal/des"
+
 // LeaderElect runs the paper's bitwise leader election (Section III-B) over
 // the given backend: id_bits iterations from the most significant bit; in
 // each iteration a network-wide OR (one SCREAM primitive) is taken over the
@@ -13,7 +15,16 @@ package core
 // there are no participants. The paper's pseudocode returns `votedout`; the
 // accompanying text makes clear the intended return is "am I the leader",
 // i.e. NOT votedout — which is what this implementation reports.
+//
+// On a fast-mode IdealBackend every SCREAM is the exact network-wide OR, so
+// the outcome is fixed in advance: the participant with the largest low
+// idBits of its ID stands. LeaderElect then settles the election in one
+// pass and bills the idBits SCREAMs without running them; every other
+// backend runs the bitwise loop.
 func LeaderElect(b Backend, idBits int, ids []uint64, participating []bool) int {
+	if ib, ok := b.(*IdealBackend); ok && !ib.strict {
+		return ib.elect(idBits, ids, participating)
+	}
 	n := b.NumNodes()
 	votedout := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -35,19 +46,48 @@ func LeaderElect(b Backend, idBits int, ids []uint64, participating []bool) int 
 			}
 		}
 	}
-	winner := -1
 	for i := 0; i < n; i++ {
-		if participating[i] && !votedout[i] {
-			if winner >= 0 {
-				// Duplicate IDs among participants: deterministically
-				// prefer the higher node index to keep the run going.
-				if ids[i] > ids[winner] || (ids[i] == ids[winner] && i > winner) {
-					winner = i
-				}
+		vars[i] = participating[i] && !votedout[i]
+	}
+	// Everyone left standing holds the same low idBits bits.
+	return highest(ids, 0, vars)
+}
+
+// elect is LeaderElect's one-pass form for a fast-mode backend. The bitwise
+// loop leaves standing exactly the participants whose ID is largest in its
+// low idBits bits (the higher bits are never screamed), and both forms
+// break ties among those with highest. The pass charges idBits SCREAMs, as
+// the loop would.
+func (b *IdealBackend) elect(idBits int, ids []uint64, participating []bool) int {
+	var mask uint64
+	if idBits > 0 {
+		mask = ^uint64(0)
+		if idBits < 64 {
+			mask = 1<<uint(idBits) - 1
+		}
+		b.screams += idBits
+		b.elapsed += des.Time(idBits) * b.screamCost
+	}
+	return highest(ids, mask, participating[:len(b.sensAdj)])
+}
+
+// highest returns the i with standing[i] that is largest by
+// (ids[i]&mask, ids[i], i), or -1 when nobody stands. The full ID and
+// then the node index break ties, so duplicate IDs among participants
+// still yield one deterministic leader and the run goes on.
+func highest(ids []uint64, mask uint64, standing []bool) int {
+	winner := -1
+	for i, s := range standing {
+		if !s {
+			continue
+		}
+		if winner >= 0 {
+			mi, mw := ids[i]&mask, ids[winner]&mask
+			if mi < mw || (mi == mw && ids[i] < ids[winner]) {
 				continue
 			}
-			winner = i
 		}
+		winner = i
 	}
 	return winner
 }

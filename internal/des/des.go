@@ -4,10 +4,7 @@
 // need event-driven execution (the mote experiment, the packet-level radio).
 package des
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is simulated time in nanoseconds since the start of the run.
 type Time int64
@@ -35,23 +32,57 @@ type event struct {
 	fn  func()
 }
 
+// before orders events by (at, seq). seq is unique, so this is a total
+// order: any correct min-heap pops events in the same sequence.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap over events, typed so that pushing and
+// popping never box an event into an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q := *h
+	last := len(q) - 1
+	ev := q[0]
+	q[0] = q[last]
+	// Clear the vacated slot so the backing array does not keep a fired
+	// closure (and everything it captures) alive.
+	q[last] = event{}
+	q = q[:last]
+	*h = q
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < last && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := l + 1; r < last && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	return ev
 }
 
 // Engine is a single-threaded event loop. Events scheduled for the same
@@ -78,7 +109,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.heap, event{at: t, seq: e.seq, fn: fn})
+	e.heap.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -92,7 +123,7 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.heap).(event)
+	ev := e.heap.pop()
 	e.now = ev.at
 	ev.fn()
 	return true

@@ -163,3 +163,70 @@ func TestClockMonotone(t *testing.T) {
 	e.At(0, check)
 	e.Run()
 }
+
+// TestPopOrderMatchesReference checks the run order against an independent
+// reference: a stable sort by time over all events in scheduling order.
+// Scheduling and stepping interleave at random, events schedule further
+// events, and timestamps collide often. TestDeterminismUnderRandomLoad
+// only shows runs repeat, which a wrong but deterministic queue also does.
+func TestPopOrderMatchesReference(t *testing.T) {
+	type scheduled struct {
+		id int
+		at Time
+	}
+	rng := rand.New(rand.NewSource(11))
+	e := New()
+	var all []scheduled
+	var ran []int
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		id := len(all)
+		all = append(all, scheduled{id, at})
+		e.At(at, func() {
+			if e.Now() != at {
+				t.Fatalf("event %d ran at %v, scheduled for %v", id, e.Now(), at)
+			}
+			ran = append(ran, id)
+			if len(all) < 5000 && rng.Intn(2) == 0 {
+				for k := rng.Intn(3); k >= 0; k-- {
+					schedule(e.Now() + Time(rng.Intn(4)))
+				}
+			}
+		})
+	}
+	for len(all) < 2000 {
+		if rng.Intn(3) == 0 {
+			e.Step()
+		} else {
+			schedule(e.Now() + Time(rng.Intn(8)))
+		}
+	}
+	e.Run()
+
+	want := append([]scheduled(nil), all...)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(ran) != len(want) {
+		t.Fatalf("ran %d events, scheduled %d", len(ran), len(want))
+	}
+	for i, w := range want {
+		if ran[i] != w.id {
+			t.Fatalf("event %d in run order is %d, reference says %d (at %v)", i, ran[i], w.id, w.at)
+		}
+	}
+}
+
+func TestAtStepAllocatesNothing(t *testing.T) {
+	e := New()
+	fn := func() {}
+	// A standing backlog gives every push and pop a few levels to sift.
+	for i := 0; i < 64; i++ {
+		e.At(Time(1e6+i), fn)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.At(e.Now()+1, fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("At + Step: %v allocs/op, want 0", allocs)
+	}
+}

@@ -518,6 +518,8 @@ func (m *Mesh) Scream(vars []bool, opts ProtocolOptions) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
+	// b serves this call alone, so the slice it returns (which it may own)
+	// can go to the caller without a copy.
 	return b.Scream(vars), nil
 }
 

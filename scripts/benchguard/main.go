@@ -12,7 +12,7 @@
 //
 //	for i in 1 2 3; do \
 //	    go test -run '^$' -bench 'GreedyPhysical|FDDRun|PDDRun|FlowEpoch|SlotState' \
-//	        -benchtime 1x ./...; done | \
+//	        -benchtime 1x -benchmem ./...; done | \
 //	    go run ./scripts/benchguard -out BENCH_PR.json \
 //	    -baseline BENCH_BASELINE.json -max-regress 0.30 -summary "$GITHUB_STEP_SUMMARY"
 //

@@ -12,6 +12,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkFlowEpoch        	    3330	    659820 ns/op	       731.0 delivered_pkts
 BenchmarkGreedyPhysical64 	    4713	    519689 ns/op
 BenchmarkSlotStateVsNaive/grid64/incremental         	 2916570	       435.6 ns/op
+BenchmarkFDDRun64-2              	       1	  14508091 ns/op	  207450 B/op	    1664 allocs/op
 PASS
 `
 
@@ -35,6 +36,9 @@ func TestParseBench(t *testing.T) {
 		"BenchmarkFlowEpoch":                           659820,
 		"BenchmarkGreedyPhysical64":                    519689,
 		"BenchmarkSlotStateVsNaive/grid64/incremental": 435.6,
+		// A -benchmem line: the trailing B/op and allocs/op columns must
+		// not disturb the ns/op parse.
+		"BenchmarkFDDRun64": 14508091,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d results, want %d: %v", len(got), len(want), got)
