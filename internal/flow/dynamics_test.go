@@ -298,44 +298,3 @@ func TestFlowControlUnavailable(t *testing.T) {
 		t.Fatalf("conservation violated: %d != offered %d", got, res.Offered)
 	}
 }
-
-// TestFifoCompaction pins the satellite fix: under sustained push/pop with
-// bounded occupancy, the backing array stays bounded instead of growing with
-// the total number of packets ever enqueued, and draining resets the buffer.
-func TestFifoCompaction(t *testing.T) {
-	var q fifo
-	const occupancy = 100
-	for i := 0; i < occupancy; i++ {
-		q.push(packet{})
-	}
-	for i := 0; i < 200000; i++ {
-		q.pop()
-		q.push(packet{})
-	}
-	if q.len() != occupancy {
-		t.Fatalf("occupancy drifted to %d", q.len())
-	}
-	if c := cap(q.buf); c > 8*occupancy+128 {
-		t.Fatalf("backing array grew to %d entries for %d live packets", c, occupancy)
-	}
-	for q.len() > 0 {
-		q.pop()
-	}
-	if q.head != 0 || len(q.buf) != 0 {
-		t.Fatalf("drained queue not reset: head=%d len=%d", q.head, len(q.buf))
-	}
-	// drop() empties in O(1) and the queue remains usable.
-	for i := 0; i < 10; i++ {
-		q.push(packet{})
-	}
-	if n := q.drop(); n != 10 {
-		t.Fatalf("drop returned %d, want 10", n)
-	}
-	if q.len() != 0 {
-		t.Fatal("drop left packets behind")
-	}
-	q.push(packet{created: 7})
-	if q.peek().created != 7 {
-		t.Fatal("queue unusable after drop")
-	}
-}

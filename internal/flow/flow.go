@@ -1,6 +1,6 @@
 // Package flow is the flow-level dynamic traffic simulator: it runs the
-// schedules the SCREAM protocols (and baselines) produce over simulated time
-// on the des engine, under continuous packet arrivals.
+// schedules the SCREAM protocols (and baselines) produce over simulated time,
+// under continuous packet arrivals.
 //
 // The static problem the rest of the repository reproduces asks for one
 // schedule for one fixed demand vector. This package asks the question the
@@ -20,13 +20,19 @@
 //     *data phases* that drain the queues slot by slot according to the
 //     produced schedule;
 //   - a metrics layer: delivered goodput, per-packet end-to-end delay
-//     percentiles (stats.Percentile), peak backlog and control-overhead
-//     fraction.
+//     percentiles (one in-place sort per run), peak backlog and
+//     control-overhead fraction.
 //
-// Runs are deterministic: all randomness derives from Config.Seed, arrivals
-// execute as des events in a fixed order, and the epoch driver is
-// sequential. The experiment harness exploits this to fan flow cells across
-// workers with bit-identical output (exp.FigFlowLoad).
+// Runs are deterministic: all randomness derives from Config.Seed and the
+// epoch driver is sequential. Arrivals need no event per packet: an arrival
+// calendar (one record per source, a min-heap on next arrival) runs each due
+// source's arrivals as one batch whenever the driver moves its clock. An
+// arrival touches only its own source's queue and totals that do not depend
+// on order, aliveness changes only at epoch boundaries, and forwarded packets
+// are queued only after the advance that reaches their slot's end, so the
+// batches leave every queue, counter and peak as one event per arrival in
+// time order would. The experiment harness exploits this determinism to fan
+// flow cells across workers with bit-identical output (exp.FigFlowLoad).
 package flow
 
 import (
@@ -279,43 +285,190 @@ type packet struct {
 	enqueued des.Time // arrival at the current queue (eligibility gate)
 }
 
-// fifo is a slice-backed FIFO with an amortized-compaction head index, so
-// sustained runs do not retain every popped packet's backing array.
+// fifo is a ring-buffer FIFO. Its capacity is zero or a power of two,
+// doubling from 1 when a push finds it full, so a queue holds at most twice
+// its peak occupancy and a push stores one pointer-free packet, never a
+// slice header.
 type fifo struct {
 	buf  []packet
-	head int
+	head int // index of the oldest packet
+	n    int // packets queued
 }
 
-func (q *fifo) len() int      { return len(q.buf) - q.head }
-func (q *fifo) peek() packet  { return q.buf[q.head] }
-func (q *fifo) push(p packet) { q.buf = append(q.buf, p) }
+func (q *fifo) len() int     { return q.n }
+func (q *fifo) peek() packet { return q.buf[q.head] }
+
+func (q *fifo) push(p packet) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.n++
+}
+
 func (q *fifo) pop() packet {
 	p := q.buf[q.head]
-	q.head++
-	switch {
-	case q.head == len(q.buf):
-		// Drained: reuse the buffer from the start (keeps append from
-		// crawling rightward through a mostly-dead backing array).
-		q.buf = q.buf[:0]
-		q.head = 0
-	case q.head > 64 && q.head*2 >= len(q.buf):
-		// The dead prefix passed half the buffer: compact. Amortized O(1) —
-		// at least head pops happened since the last compaction.
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 	return p
+}
+
+// grow doubles the full ring, unwrapping it to the front of the new buffer.
+func (q *fifo) grow() {
+	buf := make([]packet, max(1, 2*len(q.buf)))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // drop empties the queue (a failed node loses everything it held) and
 // returns how many packets were lost. Capacity is retained for reuse after
 // the node recovers.
 func (q *fifo) drop() int {
-	n := q.len()
-	q.buf = q.buf[:0]
-	q.head = 0
+	n := q.n
+	q.head, q.n = 0, 0
 	return n
+}
+
+// plane is one run's data plane: a FIFO per node, the totals every
+// admission updates, and the arrival calendar that feeds the source queues.
+type plane struct {
+	queues   []fifo
+	maxQueue int // per-queue cap, 0 = unbounded
+	// alive is the aliveness vector arrivals consult (nil: every node is
+	// up). It changes only at epoch boundaries, never inside an advance.
+	alive []bool
+	m     *flowObs
+
+	backlog, peak    int
+	offered, dropped int
+
+	// The calendar: one record per source and a binary min-heap on
+	// (next arrival, source index) over them.
+	srcs    []source
+	due     []due
+	horizon des.Time
+}
+
+// source is one node's arrival process on the calendar.
+type source struct {
+	node int
+	arr  traffic.Arrival
+	rng  *rand.Rand
+}
+
+// due is a calendar entry: the next arrival time of srcs[src].
+type due struct {
+	at  des.Time
+	src int
+}
+
+func (a due) before(b due) bool { return a.at < b.at || a.at == b.at && a.src < b.src }
+
+func newPlane(n, maxQueue int, m *flowObs) *plane {
+	return &plane{queues: make([]fifo, n), maxQueue: maxQueue, m: m}
+}
+
+// enqueue admits pk to node u's queue, or drops it at a full queue.
+func (p *plane) enqueue(u int, pk packet) {
+	if p.maxQueue > 0 && p.queues[u].len() >= p.maxQueue {
+		p.dropped++
+		p.m.dropped.Inc()
+		return
+	}
+	p.queues[u].push(pk)
+	p.backlog++
+	if p.backlog > p.peak {
+		p.peak = p.backlog
+	}
+}
+
+// arrive offers a packet generated at node u at time at. A dead router
+// generates nothing; its process keeps ticking so traffic resumes when the
+// node recovers.
+func (p *plane) arrive(u int, at des.Time) {
+	if p.alive != nil && !p.alive[u] {
+		return
+	}
+	p.offered++
+	p.m.offered.Inc()
+	p.enqueue(u, packet{created: at, enqueued: at})
+}
+
+// next draws the arrival that follows one at time at, at least one tick
+// later. ok is false at or beyond the horizon, where the source stops.
+func (s *source) next(at, horizon des.Time) (des.Time, bool) {
+	t := s.arr.Next(at, s.rng)
+	if t <= at {
+		t = at + 1
+	}
+	return t, t < horizon
+}
+
+// schedule puts every non-nil arrival process on the calendar, each with
+// its own RNG stream seeded DeriveSeed(seed, node), and draws its first
+// arrival from time zero.
+func (p *plane) schedule(arrivals []traffic.Arrival, seed int64, horizon des.Time) {
+	p.horizon = horizon
+	for u, a := range arrivals {
+		if a == nil {
+			continue
+		}
+		s := source{node: u, arr: a, rng: rand.New(rand.NewSource(DeriveSeed(seed, int64(u))))}
+		if at, ok := s.next(0, horizon); ok {
+			p.srcs = append(p.srcs, s)
+			p.due = append(p.due, due{at: at, src: len(p.srcs) - 1})
+		}
+	}
+	for i := len(p.due)/2 - 1; i >= 0; i-- {
+		p.down(i)
+	}
+}
+
+// advance runs every arrival due at or before t. It takes the earliest due
+// source, runs all of that source's arrivals up to and including t in time
+// order, and then fixes its heap position (see the package comment for why
+// these batches match one event per arrival).
+func (p *plane) advance(t des.Time) {
+	for len(p.due) > 0 && p.due[0].at <= t {
+		d := &p.due[0]
+		s := &p.srcs[d.src]
+		ok := true
+		for ok && d.at <= t {
+			p.arrive(s.node, d.at)
+			d.at, ok = s.next(d.at, p.horizon)
+		}
+		if !ok {
+			// The source stopped at the horizon: take it off the heap.
+			last := len(p.due) - 1
+			p.due[0] = p.due[last]
+			p.due = p.due[:last]
+		}
+		if len(p.due) > 0 {
+			p.down(0)
+		}
+	}
+}
+
+// down sifts the entry at index i down to its place in the heap.
+func (p *plane) down(i int) {
+	h := p.due
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // splitmix64 decorrelates derived seeds (one per arrival process) from the
@@ -400,11 +553,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	eng := des.New()
-	queues := make([]fifo, n)
 	res := &Result{}
 	delay := stats.NewSample(1024)
-	backlog, peak := 0, 0
 
 	// Per-run registry wins (test isolation); otherwise the process default
 	// installed by the CLI's observability opt-in, which is nil by default.
@@ -413,6 +563,7 @@ func Run(cfg Config) (*Result, error) {
 		mreg = obs.Default()
 	}
 	m := newFlowObs(mreg)
+	pl := newPlane(n, cfg.MaxQueue, &m)
 	// The run span is the root of the trace. Its begin line carries the
 	// static run parameters plus the per-primitive slot costs
 	// (scream_slot, hs_slot) — the constants `screamtrace validate` needs to
@@ -426,54 +577,16 @@ func Run(cfg Config) (*Result, error) {
 			obs.I("hs_slot", int64(tm.HandshakeSlot())))
 	}
 
-	// enqueue admits p to node u's queue, honoring the cap. It reports
-	// whether the packet was admitted.
-	enqueue := func(u int, p packet) bool {
-		if cfg.MaxQueue > 0 && queues[u].len() >= cfg.MaxQueue {
-			res.Dropped++
-			m.dropped.Inc()
-			return false
-		}
-		queues[u].push(p)
-		backlog++
-		if backlog > peak {
-			peak = backlog
-		}
-		return true
-	}
-
-	// Arrival processes run as des events: each source schedules its next
-	// arrival when the current one fires, so arrivals interleave with the
-	// epoch driver's RunUntil calls in timestamp order.
-	for u := 0; u < n; u++ {
-		a := cfg.Arrivals[u]
-		if a == nil {
-			continue
-		}
-		u := u
-		rng := rand.New(rand.NewSource(DeriveSeed(cfg.Seed, int64(u))))
-		var fire func()
-		schedule := func() {
-			t := a.Next(eng.Now(), rng)
-			if t <= eng.Now() {
-				t = eng.Now() + 1
-			}
-			if t >= cfg.Horizon {
-				return
-			}
-			eng.At(t, fire)
-		}
-		fire = func() {
-			if dyn == nil || dyn.IsAlive(u) {
-				// A dead router generates nothing; the process keeps ticking
-				// so traffic resumes when the node recovers.
-				res.Offered++
-				m.offered.Inc()
-				enqueue(u, packet{created: eng.Now(), enqueued: eng.Now()})
-			}
-			schedule()
-		}
-		schedule()
+	// Arrivals run off the calendar: every clock move first runs the
+	// arrivals due by its target. The driver only ever moves the clock
+	// forward, and forwards are queued after the advance that reaches their
+	// slot's end, so an arrival at exactly that instant still queues ahead
+	// of them.
+	pl.schedule(cfg.Arrivals, cfg.Seed, cfg.Horizon)
+	var clock des.Time
+	runUntil := func(t des.Time) {
+		pl.advance(t)
+		clock = t
 	}
 
 	slotDur := tm.HandshakeSlot()
@@ -512,23 +625,23 @@ func Run(cfg Config) (*Result, error) {
 		res.RecoverEvents += len(chg.Recovered)
 		res.MoveEvents += len(chg.Moved)
 		for _, u := range chg.Failed {
-			lost := queues[u].drop()
+			lost := pl.queues[u].drop()
 			res.LostOnFailure += lost
 			m.lostOnFailure.Add(int64(lost))
-			backlog -= lost
+			pl.backlog -= lost
 		}
 		if !firstEventSeen {
 			firstEventSeen = true
-			if sec := eng.Now().Seconds(); sec > 0 {
+			if sec := clock.Seconds(); sec > 0 {
 				baseRate = float64(res.Delivered) / sec
 			}
 			res.PreEventGoodputPps = baseRate
 			if baseRate == 0 {
 				recovered, res.Recovered = true, true // nothing to recover
 			}
-			peakOutage = backlog
+			peakOutage = pl.backlog
 		}
-		lastEventAt = eng.Now()
+		lastEventAt = clock
 		deliveredAtEvent = res.Delivered
 		if baseRate > 0 {
 			recovered, res.Recovered, res.RecoveryTime = false, false, 0
@@ -538,10 +651,10 @@ func Run(cfg Config) (*Result, error) {
 		if !firstEventSeen || recovered {
 			return
 		}
-		if backlog > peakOutage {
-			peakOutage = backlog
+		if pl.backlog > peakOutage {
+			peakOutage = pl.backlog
 		}
-		window := eng.Now() - lastEventAt
+		window := clock - lastEventAt
 		if window <= 0 {
 			return
 		}
@@ -574,13 +687,13 @@ func Run(cfg Config) (*Result, error) {
 	// Per-cycle snapshot of the control phase, consumed by the OnEpoch
 	// callback after the data phase.
 	var update EpochUpdate
-	for eng.Now() < cfg.Horizon {
+	for clock < cfg.Horizon {
 		// Cancellation gate: one channel poll per driver cycle. Batch runs
 		// (nil Ctx) skip it entirely.
 		if cfg.Ctx != nil {
 			select {
 			case <-cfg.Ctx.Done():
-				return nil, fmt.Errorf("flow: run canceled after %v simulated: %w", eng.Now(), cfg.Ctx.Err())
+				return nil, fmt.Errorf("flow: run canceled after %v simulated: %w", clock, cfg.Ctx.Err())
 			default:
 			}
 		}
@@ -588,10 +701,11 @@ func Run(cfg Config) (*Result, error) {
 		// due by now, drop dead queues, re-home the routes, and charge the
 		// repair dissemination cost in simulated time.
 		if dyn != nil {
-			chg, err := dyn.AdvanceTo(eng.Now())
+			chg, err := dyn.AdvanceTo(clock)
 			if err != nil {
 				return nil, err
 			}
+			pl.alive = dyn.Alive()
 			if chg != nil {
 				applyChange(chg)
 				// Rebinding is a pure function of the world state, so a
@@ -605,31 +719,31 @@ func Run(cfg Config) (*Result, error) {
 					// the successful rebind, not while the control plane is
 					// down.
 					if !pendingRebind && cfg.RepairCost > 0 {
-						t0 := eng.Now()
+						t0 := clock
 						rEnd := t0 + cfg.RepairCost
 						if rEnd > cfg.Horizon {
 							rEnd = cfg.Horizon
 						}
-						eng.RunUntil(rEnd)
-						res.RepairTime += eng.Now() - t0
-						m.repairTicks.Add(int64(eng.Now() - t0))
+						runUntil(rEnd)
+						res.RepairTime += clock - t0
+						m.repairTicks.Add(int64(clock - t0))
 					}
 				}
 			}
 		}
-		now := eng.Now()
+		now := clock
 		if now >= cfg.Horizon {
 			break
 		}
-		if backlog == 0 {
+		if pl.backlog == 0 {
 			// Empty network: let arrivals accumulate for one idle tick.
 			step := idle
 			if now+step > cfg.Horizon {
 				step = cfg.Horizon - now
 			}
-			eng.RunUntil(now + step)
-			res.IdleTime += eng.Now() - now
-			m.idleTicks.Add(int64(eng.Now() - now))
+			runUntil(now + step)
+			res.IdleTime += clock - now
+			m.idleTicks.Add(int64(clock - now))
 			continue
 		}
 
@@ -654,9 +768,9 @@ func Run(cfg Config) (*Result, error) {
 				if now+step > cfg.Horizon {
 					step = cfg.Horizon - now
 				}
-				eng.RunUntil(now + step)
-				res.IdleTime += eng.Now() - now
-				m.idleTicks.Add(int64(eng.Now() - now))
+				runUntil(now + step)
+				res.IdleTime += clock - now
+				m.idleTicks.Add(int64(clock - now))
 				continue
 			}
 		} else {
@@ -664,7 +778,7 @@ func Run(cfg Config) (*Result, error) {
 				demands = make([]int, len(links))
 			}
 			for i, l := range links {
-				demands[i] = queues[l.From].len()
+				demands[i] = pl.queues[l.From].len()
 				if cfg.MaxService > 0 && demands[i] > cfg.MaxService {
 					demands[i] = cfg.MaxService
 				}
@@ -683,7 +797,7 @@ func Run(cfg Config) (*Result, error) {
 			var buildSpan obs.SpanID
 			if cfg.Trace != nil {
 				epochSpan = cfg.Trace.Begin("epoch", int64(now),
-					obs.N("epoch", res.Epochs), obs.N("backlog", backlog),
+					obs.N("epoch", res.Epochs), obs.N("backlog", pl.backlog),
 					obs.N("demand", demand))
 				buildSpan = cfg.Trace.Begin("schedule_build", int64(now),
 					obs.S("sched", cfg.Scheduler.Name))
@@ -707,14 +821,14 @@ func Run(cfg Config) (*Result, error) {
 			if cEnd > cfg.Horizon {
 				cEnd = cfg.Horizon
 			}
-			eng.RunUntil(cEnd)
-			res.ControlTime += eng.Now() - now
+			runUntil(cEnd)
+			res.ControlTime += clock - now
 			m.epochs.Inc()
-			m.controlTicks.Add(int64(eng.Now() - now))
+			m.controlTicks.Add(int64(clock - now))
 			m.schedSlots.Set(int64(s.Length()))
 			if cfg.Trace != nil {
-				cfg.Trace.End(buildSpan, int64(eng.Now()),
-					obs.N("slots", s.Length()), obs.I("ctrl", int64(eng.Now()-now)))
+				cfg.Trace.End(buildSpan, int64(clock),
+					obs.N("slots", s.Length()), obs.I("ctrl", int64(clock-now)))
 			}
 			if cfg.OnEpoch != nil {
 				built = true
@@ -722,7 +836,7 @@ func Run(cfg Config) (*Result, error) {
 					Epoch:    res.Epochs - 1,
 					Demand:   demand,
 					Slots:    s.Length(),
-					Control:  eng.Now() - now,
+					Control:  clock - now,
 					Schedule: s,
 				}
 			}
@@ -743,11 +857,11 @@ func Run(cfg Config) (*Result, error) {
 	data:
 		for r := 0; r < frames; r++ {
 			for i := 0; i < s.Length(); i++ {
-				t0 := eng.Now()
+				t0 := clock
 				if t0+slotDur > cfg.Horizon {
 					break data // the slot would not complete before the horizon
 				}
-				eng.RunUntil(t0 + slotDur)
+				runUntil(t0 + slotDur)
 				res.DataTime += slotDur
 				m.dataTicks.Add(int64(slotDur))
 				for _, l := range s.Slot(i) {
@@ -763,53 +877,53 @@ func Run(cfg Config) (*Result, error) {
 							continue
 						}
 					}
-					q := &queues[l.From]
+					q := &pl.queues[l.From]
 					if q.len() == 0 || q.peek().enqueued > t0 {
 						continue // allocation outran the queue; idle slot share
 					}
 					p := q.pop()
-					backlog--
+					pl.backlog--
 					res.Transmissions++
 					m.transmissions.Inc()
 					if forest.IsGateway(l.To) {
 						res.Delivered++
 						m.delivered.Inc()
-						m.delay.Observe((eng.Now() - p.created).Seconds())
-						delay.Add((eng.Now() - p.created).Seconds())
+						m.delay.Observe((clock - p.created).Seconds())
+						delay.Add((clock - p.created).Seconds())
 					} else {
-						p.enqueued = eng.Now()
-						enqueue(l.To, p)
+						p.enqueued = clock
+						pl.enqueue(l.To, p)
 					}
 				}
 			}
 		}
 		checkRecovery()
-		m.backlog.Set(int64(backlog))
-		m.backlogPeak.Max(int64(peak))
+		m.backlog.Set(int64(pl.backlog))
+		m.backlogPeak.Max(int64(pl.peak))
 		if builtEpoch {
 			// The epoch's data phase is drained: close the span with the
 			// cumulative run counters (monotone across epoch ends — one of
 			// the invariants `screamtrace validate` replays offline).
 			if cfg.Trace != nil {
-				cfg.Trace.End(epochSpan, int64(eng.Now()),
-					obs.N("offered", res.Offered), obs.N("delivered", res.Delivered),
-					obs.N("dropped", res.Dropped), obs.N("backlog", backlog))
+				cfg.Trace.End(epochSpan, int64(clock),
+					obs.N("offered", pl.offered), obs.N("delivered", res.Delivered),
+					obs.N("dropped", pl.dropped), obs.N("backlog", pl.backlog))
 			}
 			cfg.Perf.Epoch(perfStart)
 		}
 		if built {
 			// The data phase is over: complete the snapshot with the state
 			// the epoch left behind and hand it to the streaming caller.
-			update.Now = eng.Now()
-			update.Backlog = backlog
-			update.Offered = res.Offered
+			update.Now = clock
+			update.Backlog = pl.backlog
+			update.Offered = pl.offered
 			update.Delivered = res.Delivered
-			update.Dropped = res.Dropped
+			update.Dropped = pl.dropped
 			update.Transmissions = res.Transmissions
 			cfg.OnEpoch(update)
 		}
 
-		if eng.Now() == now {
+		if clock == now {
 			if dyn != nil {
 				if _, ok := dyn.NextEventAt(); ok {
 					// Nothing schedulable right now, but the topology will
@@ -819,9 +933,9 @@ func Run(cfg Config) (*Result, error) {
 					if now+step > cfg.Horizon {
 						step = cfg.Horizon - now
 					}
-					eng.RunUntil(now + step)
-					res.IdleTime += eng.Now() - now
-					m.idleTicks.Add(int64(eng.Now() - now))
+					runUntil(now + step)
+					res.IdleTime += clock - now
+					m.idleTicks.Add(int64(clock - now))
 					continue
 				}
 			}
@@ -829,20 +943,24 @@ func Run(cfg Config) (*Result, error) {
 			// out the clock instead of re-scheduling forever.
 			res.IdleTime += cfg.Horizon - now
 			m.idleTicks.Add(int64(cfg.Horizon - now))
-			eng.RunUntil(cfg.Horizon)
+			runUntil(cfg.Horizon)
 		}
 	}
 
-	res.Elapsed = eng.Now()
-	res.FinalBacklog = backlog
-	res.PeakBacklog = peak
-	m.backlog.Set(int64(backlog))
-	m.backlogPeak.Max(int64(peak))
+	res.Elapsed = clock
+	res.Offered = pl.offered
+	res.Dropped = pl.dropped
+	res.FinalBacklog = pl.backlog
+	res.PeakBacklog = pl.peak
+	m.backlog.Set(int64(pl.backlog))
+	m.backlogPeak.Max(int64(pl.peak))
 	res.PeakBacklogDuringOutage = peakOutage
 	if delay.N() > 0 {
+		// The mean sums in delivery order, so read it before the sort.
 		res.DelayMean = des.FromSeconds(delay.Mean())
-		res.DelayP50 = des.FromSeconds(delay.Percentile(50))
-		res.DelayP95 = des.FromSeconds(delay.Percentile(95))
+		q := delay.SortedPercentiles(50, 95)
+		res.DelayP50 = des.FromSeconds(q[0])
+		res.DelayP95 = des.FromSeconds(q[1])
 	}
 	if sec := res.Elapsed.Seconds(); sec > 0 {
 		res.GoodputPps = float64(res.Delivered) / sec
@@ -853,10 +971,10 @@ func Run(cfg Config) (*Result, error) {
 	// (offered == delivered + dropped + lost + backlog — the PR 7 invariant,
 	// now checkable offline from the trace alone) and the delay percentiles.
 	if cfg.Trace != nil {
-		cfg.Trace.End(runSpan, int64(eng.Now()),
+		cfg.Trace.End(runSpan, int64(clock),
 			obs.N("offered", res.Offered), obs.N("delivered", res.Delivered),
 			obs.N("dropped", res.Dropped), obs.N("lost", res.LostOnFailure),
-			obs.N("backlog", backlog), obs.N("epochs", res.Epochs),
+			obs.N("backlog", pl.backlog), obs.N("epochs", res.Epochs),
 			obs.I("delay_p50", int64(res.DelayP50)), obs.I("delay_p95", int64(res.DelayP95)))
 	}
 	return res, nil

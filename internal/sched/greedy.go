@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"scream/internal/graph"
 	"scream/internal/phys"
@@ -48,25 +49,25 @@ func orderEdges(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) 
 	}
 	switch ord {
 	case ByDemandDesc:
-		sort.SliceStable(idx, func(a, b int) bool {
-			if demands[idx[a]] != demands[idx[b]] {
-				return demands[idx[a]] > demands[idx[b]]
+		slices.SortStableFunc(idx, func(a, b int) int {
+			if c := cmp.Compare(demands[b], demands[a]); c != 0 {
+				return c
 			}
-			return links[idx[a]].From > links[idx[b]].From
+			return cmp.Compare(links[b].From, links[a].From)
 		})
 	case ByLengthDesc:
-		sort.SliceStable(idx, func(a, b int) bool {
+		slices.SortStableFunc(idx, func(a, b int) int {
 			// Longer link <=> smaller direct gain.
-			ga := ch.Gain(links[idx[a]].From, links[idx[a]].To)
-			gb := ch.Gain(links[idx[b]].From, links[idx[b]].To)
-			if ga != gb {
-				return ga < gb
+			ga := ch.Gain(links[a].From, links[a].To)
+			gb := ch.Gain(links[b].From, links[b].To)
+			if c := cmp.Compare(ga, gb); c != 0 {
+				return c
 			}
-			return links[idx[a]].From > links[idx[b]].From
+			return cmp.Compare(links[b].From, links[a].From)
 		})
 	default: // ByHeadIDDesc
-		sort.SliceStable(idx, func(a, b int) bool {
-			return links[idx[a]].From > links[idx[b]].From
+		slices.SortStableFunc(idx, func(a, b int) int {
+			return cmp.Compare(links[b].From, links[a].From)
 		})
 	}
 	return idx

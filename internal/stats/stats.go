@@ -88,6 +88,30 @@ func (s *Sample) Percentile(p float64) float64 {
 	sorted := make([]float64, n)
 	copy(sorted, s.xs)
 	sort.Float64s(sorted)
+	return percentileSorted(sorted, p)
+}
+
+// SortedPercentiles returns Percentile(p) for each p from one in-place sort
+// of the observations, without copying them (0s for an empty sample). The
+// sort reorders the sample, so Mean, an insertion-order sum, may change in
+// its last bits afterwards: read it first when the result must match an
+// unsorted Mean exactly.
+func (s *Sample) SortedPercentiles(ps ...float64) []float64 {
+	out := make([]float64, len(ps))
+	if len(s.xs) == 0 {
+		return out
+	}
+	sort.Float64s(s.xs)
+	for i, p := range ps {
+		out[i] = percentileSorted(s.xs, p)
+	}
+	return out
+}
+
+// percentileSorted interpolates the p-th percentile of a non-empty,
+// ascending sample (see Percentile).
+func percentileSorted(sorted []float64, p float64) float64 {
+	n := len(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}

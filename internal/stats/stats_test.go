@@ -333,3 +333,40 @@ func TestPercentileMonotone(t *testing.T) {
 		prev = got
 	}
 }
+
+// TestSortedPercentilesMatchPercentile: the one-sort summary gives, bit for
+// bit, the copy-and-sort Percentile at every p, on random samples with heavy
+// ties, and a Mean read before it equals the untouched sample's.
+func TestSortedPercentilesMatchPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	ps := []float64{0, 0.1, 50, 95, 99.9, 100}
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(300)
+		values := make([]float64, 1+rng.Intn(8))
+		for i := range values {
+			values[i] = rng.ExpFloat64() * 1e-3
+		}
+		ref, s := NewSample(n), NewSample(n)
+		for i := 0; i < n; i++ {
+			x := values[rng.Intn(len(values))]
+			ref.Add(x)
+			s.Add(x)
+		}
+		mean := s.Mean()
+		got := s.SortedPercentiles(ps...)
+		if math.Float64bits(mean) != math.Float64bits(ref.Mean()) {
+			t.Fatalf("trial %d: mean read first %v, untouched sample %v", trial, mean, ref.Mean())
+		}
+		if len(got) != len(ps) || s.N() != n {
+			t.Fatalf("trial %d: %d percentiles for %d ps, N %d for %d observations", trial, len(got), len(ps), s.N(), n)
+		}
+		for i, p := range ps {
+			if want := ref.Percentile(p); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d (n=%d): p%v = %v, Percentile %v", trial, n, p, got[i], want)
+			}
+		}
+	}
+	if got := NewSample(0).SortedPercentiles(50, 95); got[0] != 0 || got[1] != 0 {
+		t.Errorf("empty sample: %v, want zeros", got)
+	}
+}

@@ -1,19 +1,19 @@
 // Command benchguard turns `go test -bench` output into a committed JSON
 // baseline and guards CI against performance regressions.
 //
-// It reads benchmark output on stdin (or -in), extracts ns/op per benchmark,
-// and writes them as JSON (-out). With -baseline it compares the fresh
-// numbers against the committed file, prints a Markdown delta table (also
-// appended to -summary, e.g. $GITHUB_STEP_SUMMARY), and exits non-zero when
-// any baseline benchmark regressed by more than -max-regress or disappeared.
+// It reads benchmark output on stdin (or -in), extracts ns/op and, from
+// -benchmem runs, allocs/op per benchmark, and writes them as JSON (-out).
+// With -baseline it compares the fresh numbers against the committed file,
+// prints a Markdown delta table (also appended to -summary, e.g.
+// $GITHUB_STEP_SUMMARY), and exits non-zero when any baseline benchmark
+// disappeared, regressed by more than -max-regress in ns/op, or rose by
+// more than maxAllocRegress in allocs/op.
 //
-// Typical CI usage (the sweep is run a few times; benchguard keeps each
-// benchmark's minimum, which tames single-iteration noise):
+// Typical CI usage (scripts/bench_sweep.sh runs the tracked sweep a few
+// times; benchguard keeps each benchmark's minimum, which tames
+// single-iteration noise):
 //
-//	for i in 1 2 3; do \
-//	    go test -run '^$' -bench 'GreedyPhysical|FDDRun|PDDRun|FlowEpoch|SlotState' \
-//	        -benchtime 1x -benchmem ./...; done | \
-//	    go run ./scripts/benchguard -out BENCH_PR.json \
+//	scripts/bench_sweep.sh 3 | go run ./scripts/benchguard -out BENCH_PR.json \
 //	    -baseline BENCH_BASELINE.json -max-regress 0.30 -summary "$GITHUB_STEP_SUMMARY"
 //
 // Refreshing the committed baseline is the same command with
@@ -36,8 +36,24 @@ import (
 // benchLine matches e.g. "BenchmarkGreedyPhysical64-8   123   456789 ns/op ..."
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
+// allocsField matches the allocs/op column -benchmem appends.
+var allocsField = regexp.MustCompile(`\s([0-9]+) allocs/op`)
+
+// maxAllocRegress is the largest allowed fractional allocs/op rise.
+// Allocation counts are deterministic at -benchtime 1x, up to rare runtime
+// noise that the minimum over repeated sweeps removes, so this gate is tight
+// where the timing gate is a coarse tripwire.
+const maxAllocRegress = 0.01
+
+// result is one benchmark's numbers. AllocsOp is nil when the input carried
+// no allocs/op column for it (a run without -benchmem).
+type result struct {
+	NsOp     float64 `json:"ns_op"`
+	AllocsOp *int64  `json:"allocs_op,omitempty"`
+}
+
+func parseBench(r io.Reader) (map[string]result, error) {
+	out := make(map[string]result)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -51,27 +67,38 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		}
 		// The input may hold several repetitions of the suite (CI runs the
 		// -benchtime 1x sweep a few times to tame single-iteration noise);
-		// keep the minimum, the least-disturbed measurement.
-		if cur, ok := out[m[1]]; !ok || ns < cur {
-			out[m[1]] = ns
+		// keep the minimum, the least-disturbed measurement, of each number.
+		cur, seen := out[m[1]]
+		if !seen || ns < cur.NsOp {
+			cur.NsOp = ns
 		}
+		if a := allocsField.FindStringSubmatch(sc.Text()); a != nil {
+			allocs, err := strconv.ParseInt(a[1], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad allocs/op in %q: %w", sc.Text(), err)
+			}
+			if cur.AllocsOp == nil || allocs < *cur.AllocsOp {
+				cur.AllocsOp = &allocs
+			}
+		}
+		out[m[1]] = cur
 	}
 	return out, sc.Err()
 }
 
-func readJSON(path string) (map[string]float64, error) {
+func readJSON(path string) (map[string]result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64)
+	out := make(map[string]result)
 	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return out, nil
 }
 
-func writeJSON(path string, results map[string]float64) error {
+func writeJSON(path string, results map[string]result) error {
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
 		return err
@@ -80,11 +107,13 @@ func writeJSON(path string, results map[string]float64) error {
 }
 
 // compare renders the delta table and returns the names of benchmarks that
-// regressed beyond maxRegress (or vanished from the fresh results).
-func compare(baseline, fresh map[string]float64, maxRegress float64) (table string, failures []string) {
+// vanished from the fresh results, regressed beyond maxRegress in ns/op, or
+// rose beyond maxAllocRegress in allocs/op (or lost the allocs/op column the
+// baseline has).
+func compare(baseline, fresh map[string]result, maxRegress float64) (table string, failures []string) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "| benchmark | baseline ns/op | current ns/op | delta |\n")
-	fmt.Fprintf(&b, "|---|---:|---:|---:|\n")
+	fmt.Fprintf(&b, "| benchmark | baseline ns/op | current ns/op | delta | baseline allocs/op | current allocs/op | delta |\n")
+	fmt.Fprintf(&b, "|---|---:|---:|---:|---:|---:|---:|\n")
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
 		names = append(names, name)
@@ -94,17 +123,32 @@ func compare(baseline, fresh map[string]float64, maxRegress float64) (table stri
 		base := baseline[name]
 		cur, ok := fresh[name]
 		if !ok {
-			fmt.Fprintf(&b, "| %s | %.0f | MISSING | — |\n", name, base)
+			fmt.Fprintf(&b, "| %s | %.0f | MISSING | — | %s | MISSING | — |\n", name, base.NsOp, allocs(base.AllocsOp))
 			failures = append(failures, name+" (missing from results)")
 			continue
 		}
-		delta := (cur - base) / base
+		delta := (cur.NsOp - base.NsOp) / base.NsOp
 		marker := ""
 		if delta > maxRegress {
 			marker = " ❌"
 			failures = append(failures, fmt.Sprintf("%s (+%.1f%% > +%.0f%% allowed)", name, delta*100, maxRegress*100))
 		}
-		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %+.1f%%%s |\n", name, base, cur, delta*100, marker)
+		allocDelta := "—"
+		if base.AllocsOp != nil {
+			switch {
+			case cur.AllocsOp == nil:
+				allocDelta = "MISSING ❌"
+				failures = append(failures, name+" (no allocs/op: run with -benchmem)")
+			case float64(*cur.AllocsOp) > float64(*base.AllocsOp)*(1+maxAllocRegress):
+				allocDelta = fmt.Sprintf("%+d ❌", *cur.AllocsOp-*base.AllocsOp)
+				failures = append(failures, fmt.Sprintf("%s (allocs/op %d -> %d, more than +%g%% allowed)",
+					name, *base.AllocsOp, *cur.AllocsOp, maxAllocRegress*100))
+			default:
+				allocDelta = fmt.Sprintf("%+d", *cur.AllocsOp-*base.AllocsOp)
+			}
+		}
+		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %+.1f%%%s | %s | %s | %s |\n",
+			name, base.NsOp, cur.NsOp, delta*100, marker, allocs(base.AllocsOp), allocs(cur.AllocsOp), allocDelta)
 	}
 	var extras []string
 	for name := range fresh {
@@ -114,9 +158,17 @@ func compare(baseline, fresh map[string]float64, maxRegress float64) (table stri
 	}
 	sort.Strings(extras)
 	for _, name := range extras {
-		fmt.Fprintf(&b, "| %s | — | %.0f | new |\n", name, fresh[name])
+		fmt.Fprintf(&b, "| %s | — | %.0f | new | — | %s | new |\n", name, fresh[name].NsOp, allocs(fresh[name].AllocsOp))
 	}
 	return b.String(), failures
+}
+
+// allocs renders an optional allocs/op count for the table.
+func allocs(n *int64) string {
+	if n == nil {
+		return "—"
+	}
+	return strconv.FormatInt(*n, 10)
 }
 
 func run() error {
@@ -176,7 +228,8 @@ func run() error {
 	if len(failures) > 0 {
 		return fmt.Errorf("benchmark regression: %s", strings.Join(failures, "; "))
 	}
-	fmt.Printf("all %d tracked benchmarks within +%.0f%% of baseline\n", len(base), *maxRegress*100)
+	fmt.Printf("all %d tracked benchmarks within +%.0f%% ns/op and +%g%% allocs/op of baseline\n",
+		len(base), *maxRegress*100, maxAllocRegress*100)
 	return nil
 }
 
