@@ -439,8 +439,8 @@ func BenchmarkMaxWeightEpoch(b *testing.B) {
 // BenchmarkSlotStateMultiChannel measures the multi-channel slot engine on
 // the greedy hot path: a full GreedyPhysicalMulti schedule construction over
 // the 64-node grid at 4 channels / 2 radios, against the single-channel fast
-// path (C=1, R=1 delegates to the slab-allocated single-channel SlotState
-// engine — the path every pre-multi-channel figure still runs).
+// path (C=1 delegates to the slab-allocated single-channel SlotState engine
+// for any radio count — the path every single-channel figure runs).
 func BenchmarkSlotStateMultiChannel(b *testing.B) {
 	radio := DefaultRadioParams()
 	radio.NumRadios = 2

@@ -10,7 +10,8 @@ type Observer struct {
 	ControllerElected func(round, node int)
 	// StateChange fires on every node state transition (from != to).
 	StateChange func(round, node int, from, to State)
-	// SlotSealed fires when a slot's membership is final.
+	// SlotSealed fires when a slot's membership is final. links is the
+	// slot as the result's schedule holds it and must not be modified.
 	SlotSealed func(round int, links []phys.Link)
 }
 

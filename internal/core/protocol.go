@@ -106,15 +106,15 @@ type Config struct {
 	// (controller_elected, handshake, slot_sealed) timestamped in simulated
 	// ticks. Like Metrics, tracing is write-only.
 	Trace *obs.Tracer
-	// NumChannels is the number of orthogonal data channels (0 or 1 runs
-	// the paper's single-channel protocol unchanged). With C > 1 each round
-	// seals a multi-channel slot built in C sequential channel phases;
-	// control traffic (SCREAMs, elections) rides the designated control
-	// channel (channel 0) at unchanged cost, while data handshakes are
-	// evaluated per channel. See DESIGN.md "Multi-channel scheduling".
+	// NumChannels is the number of orthogonal data channels C; a count of
+	// 1 or less is one channel, which is the paper's protocol. Each round
+	// seals a slot built in C sequential channel phases; control traffic
+	// (SCREAMs, elections) rides the designated control channel (channel 0)
+	// at unchanged cost, while data handshakes are evaluated per channel.
+	// See DESIGN.md "Multi-channel scheduling".
 	NumChannels int
 	// NumRadios bounds how many channels a node may be active on per slot
-	// (0 means 1). Only consulted when NumChannels > 1.
+	// (0 means 1). It is ignored on one channel, where it cannot bind.
 	NumRadios int
 }
 
@@ -135,11 +135,10 @@ type Result struct {
 	ExecTime des.Time
 }
 
-// protoRun is the validated, initialized per-run state shared by the
-// single-channel and multi-channel protocol loops: the owner/link mapping,
-// election identities, round budget, node states and the counted primitive
-// wrappers. Both loops consume it; only the slot-construction structure
-// differs.
+// protoRun is the validated, initialized state of one protocol run: the
+// owner/link mapping, election identities, round budget, node states and the
+// counted primitive wrappers. run drives it through the protocol loop, the
+// same for every channel count.
 type protoRun struct {
 	cfg         Config
 	n           int
@@ -273,12 +272,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	before := snapshotBackend(cfg.Backend)
-	var res *Result
-	if cfg.NumChannels > 1 {
-		res, err = p.runMulti()
-	} else {
-		res, err = p.runSingle()
-	}
+	res, err := p.run()
 	if err != nil {
 		return nil, err
 	}
@@ -287,8 +281,29 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runSingle is the paper's single-channel protocol loop.
-func (p *protoRun) runSingle() (*Result, error) {
+// run is the protocol loop. Each round elects a controller, builds one slot
+// in C = max(NumChannels, 1) sequential channel phases and seals it. Phase ch
+// runs the greedy augmentation loop of Section III — SelectActive,
+// handshake, verification SCREAM, still-dormant SCREAM — on channel ch among
+// the still-dormant nodes; nodes discarded on an earlier channel of the slot
+// are revived at the next phase (a crowded channel is not a crowded slot).
+// With C = 1 this is exactly the paper's single-channel protocol.
+//
+// Control traffic — every SCREAM and election — rides the designated control
+// channel (channel 0) at unchanged per-primitive cost; the protocol is
+// lock-step, so control and data never overlap in time and channel 0 carries
+// data placements during data phases like any other channel. The
+// controller's own link rides channel 0 from the start of the slot. All
+// channels share one physical propagation environment (interference is
+// per-channel only), so the backend's HandshakeSlot evaluates each phase's
+// links unchanged: a handshake slot never contains links from two channels.
+//
+// With C > 1 the per-node radio budget gates activation: an active node whose
+// own or whose parent's radios are all committed to other channels of this
+// slot cannot tune to the phase's channel and is discarded without a
+// handshake. With C = 1 there is no gate: an active node that conflicts with
+// the slot joins the handshake and fails there, as in the paper.
+func (p *protoRun) run() (*Result, error) {
 	cfg := p.cfg
 	n := p.n
 	linkOf := p.linkOf
@@ -296,19 +311,25 @@ func (p *protoRun) runSingle() (*Result, error) {
 	res := p.res
 	state := p.state
 	remaining := p.remaining
-	setState := p.setState
-	scream := p.scream
-	screamConsensus := p.screamConsensus
-	elect := p.elect
+	channels := max(cfg.NumChannels, 1)
+	numRadios := int32(max(cfg.NumRadios, 1))
 
-	// Scratch buffers for the admission loop, reused across steps: the
-	// backend's incremental engine makes each handshake O(k·Δ), so the
-	// step loop itself must not churn allocations either.
-	vars := make([]bool, n)
-	part := make([]bool, n)
+	// Scratch buffers, reused across steps and rounds and cut from shared
+	// backing arrays: the backend's incremental engine makes each handshake
+	// O(k·Δ), so the step loop itself must not churn allocations either.
+	// chanOf[u] is the channel u's link rides in the slot under
+	// construction, -1 until u is allocated or takes control of the slot
+	// (neither state is left before the seal), and radios[u] how many of
+	// the slot's placements have endpoint u. The seal's buffers are copied
+	// by the schedule, so they serve every round.
+	flags := make([]bool, 3*n)
+	vars, part, hsOK := flags[:n], flags[n:2*n], flags[2*n:]
+	counts := make([]int32, 2*n)
+	chanOf, radios := counts[:n], counts[n:]
 	hsLinks := make([]phys.Link, 0, n)
 	hsOwners := make([]int, 0, n)
-	hsOK := make([]bool, n)
+	var slot []phys.Link
+	var slotChans []int
 	released := true
 	controller := -1
 
@@ -322,12 +343,12 @@ func (p *protoRun) runSingle() (*Result, error) {
 			for u := 0; u < n; u++ {
 				part[u] = state[u] != Complete
 			}
-			winner := elect(part)
+			winner := p.elect(part)
 			// Controller-existence SCREAM: the winner (if any) screams.
 			for u := range vars {
 				vars[u] = u == winner
 			}
-			exists, err := screamConsensus(vars, "controller existence")
+			exists, err := p.screamConsensus(vars, "controller existence")
 			if err != nil {
 				return nil, err
 			}
@@ -341,134 +362,178 @@ func (p *protoRun) runSingle() (*Result, error) {
 				cfg.Observer.ControllerElected(p.round, controller)
 			}
 			p.traceEmit("controller_elected", obs.N("node", controller))
-			setState(controller, Control)
+			p.setState(controller, Control)
 		}
 
 		slotSpan := p.beginSlot()
 
-		// GreedyScheduleSlot: reset non-complete, non-control nodes.
+		// GreedyScheduleSlot: reset non-complete, non-control nodes and the
+		// slot's channel bookkeeping. The controller's link occupies channel
+		// 0 (the control channel it already owns the floor on).
 		for u := 0; u < n; u++ {
 			if state[u] != Complete && state[u] != Control {
-				setState(u, Dormant)
+				p.setState(u, Dormant)
 			}
+			chanOf[u] = -1
+			radios[u] = 0
 		}
+		ctrlLink := cfg.Links[linkOf[controller]]
+		chanOf[controller] = 0
+		radios[ctrlLink.From]++
+		radios[ctrlLink.To]++
 
-		for {
-			// SelectActive.
-			switch cfg.Variant {
-			case PDD:
+		for ch := 0; ch < channels; ch++ {
+			if ch > 0 {
+				// Revive the nodes discarded on earlier channels of this
+				// slot; stop early when nobody is left to try.
+				anyLeft := false
 				for u := 0; u < n; u++ {
-					if state[u] == Dormant && cfg.RNG.Float64() < cfg.Probability {
-						setState(u, Active)
+					if state[u] == Tried {
+						p.setState(u, Dormant)
+					}
+					if state[u] == Dormant {
+						anyLeft = true
 					}
 				}
-			case FDD:
-				for u := 0; u < n; u++ {
-					part[u] = state[u] == Dormant
-				}
-				if winner := elect(part); winner >= 0 {
-					setState(winner, Active)
+				if !anyLeft {
+					break
 				}
 			}
 
-			// Handshake slot over every tentatively or firmly scheduled link.
-			hsLinks = hsLinks[:0]
-			hsOwners = hsOwners[:0]
-			for u := 0; u < n; u++ {
-				if state[u] == Active || state[u] == Allocated || state[u] == Control {
-					hsLinks = append(hsLinks, cfg.Links[linkOf[u]])
-					hsOwners = append(hsOwners, u)
-				}
-			}
-			res.Steps++
-			outcome := b.HandshakeSlot(hsLinks)
-
-			// Verification SCREAM: previously scheduled edges veto when
-			// their handshake failed under the newcomers' interference.
-			// hsOK is only ever read for this step's owners, so stale
-			// entries from earlier steps need no clearing.
-			for u := range vars {
-				vars[u] = false
-			}
-			for i, u := range hsOwners {
-				hsOK[u] = outcome[i]
-				if (state[u] == Allocated || state[u] == Control) && !outcome[i] {
-					vars[u] = true
-				}
-			}
-			veto, err := screamConsensus(vars, "handshake veto")
-			if err != nil {
-				return nil, err
-			}
-			if cfg.Trace != nil {
-				okCount := 0
-				for _, ok := range outcome {
-					if ok {
-						okCount++
+			for {
+				// SelectActive.
+				switch cfg.Variant {
+				case PDD:
+					for u := 0; u < n; u++ {
+						if state[u] == Dormant && cfg.RNG.Float64() < cfg.Probability {
+							p.setState(u, Active)
+						}
+					}
+				case FDD:
+					for u := 0; u < n; u++ {
+						part[u] = state[u] == Dormant
+					}
+					if winner := p.elect(part); winner >= 0 {
+						p.setState(winner, Active)
 					}
 				}
-				p.traceEmit("handshake",
-					obs.N("links", len(hsLinks)), obs.N("ok", okCount), obs.B("veto", veto))
-			}
 
-			// Actives join or are discarded.
-			for u := 0; u < n; u++ {
-				if state[u] != Active {
-					continue
+				if channels > 1 {
+					// Radio gating: an active node whose endpoints cannot
+					// spare a radio for this channel is discarded without a
+					// handshake.
+					for u := 0; u < n; u++ {
+						if state[u] != Active {
+							continue
+						}
+						l := cfg.Links[linkOf[u]]
+						if radios[l.From] >= numRadios || radios[l.To] >= numRadios {
+							p.setState(u, Tried)
+						}
+					}
 				}
-				if !veto && hsOK[u] {
-					setState(u, Allocated)
-				} else {
-					setState(u, Tried)
-				}
-			}
 
-			// Still-actives SCREAM: dormant nodes keep the slot open.
-			if cfg.ASAPSeal {
-				// Extension: local decision replaced by the same SCREAM,
-				// but run only when some node is still dormant, saving
-				// the final empty round-trip.
+				// Handshake slot over this channel's links: the actives
+				// trying it plus the links already allocated on it.
+				hsLinks = hsLinks[:0]
+				hsOwners = hsOwners[:0]
+				for u := 0; u < n; u++ {
+					if state[u] == Active || chanOf[u] == int32(ch) {
+						hsLinks = append(hsLinks, cfg.Links[linkOf[u]])
+						hsOwners = append(hsOwners, u)
+					}
+				}
+				res.Steps++
+				outcome := b.HandshakeSlot(hsLinks)
+
+				// Verification SCREAM: edges scheduled on this channel veto
+				// when the newcomers' interference broke their handshake.
+				// hsOK is only ever read for this step's owners, so stale
+				// entries from earlier steps need no clearing.
+				for u := range vars {
+					vars[u] = false
+				}
+				for i, u := range hsOwners {
+					hsOK[u] = outcome[i]
+					if (state[u] == Allocated || state[u] == Control) && !outcome[i] {
+						vars[u] = true
+					}
+				}
+				veto, err := p.screamConsensus(vars, "handshake veto")
+				if err != nil {
+					return nil, err
+				}
+				if cfg.Trace != nil {
+					okCount := 0
+					for _, ok := range outcome {
+						if ok {
+							okCount++
+						}
+					}
+					p.traceEmit("handshake",
+						obs.N("links", len(hsLinks)), obs.N("ok", okCount), obs.B("veto", veto))
+				}
+
+				// Actives join this channel or are discarded; the same scan
+				// raises the still-dormant SCREAM's variables.
 				still := false
 				for u := 0; u < n; u++ {
-					if state[u] == Dormant {
-						still = true
+					if state[u] == Active {
+						if !veto && hsOK[u] {
+							p.setState(u, Allocated)
+							chanOf[u] = int32(ch)
+							l := cfg.Links[linkOf[u]]
+							radios[l.From]++
+							radios[l.To]++
+						} else {
+							p.setState(u, Tried)
+						}
+					}
+					vars[u] = state[u] == Dormant
+					still = still || vars[u]
+				}
+
+				// Still-actives SCREAM: dormant nodes keep the phase open.
+				if cfg.ASAPSeal {
+					// Extension: the same SCREAM, run only when some node is
+					// still dormant, saving the final empty round-trip.
+					if !still {
 						break
 					}
+					p.scream(vars)
+					continue
+				}
+				still, err = p.screamConsensus(vars, "still-dormant")
+				if err != nil {
+					return nil, err
 				}
 				if !still {
 					break
 				}
-				for u := 0; u < n; u++ {
-					vars[u] = state[u] == Dormant
-				}
-				scream(vars)
-				continue
-			}
-			for u := 0; u < n; u++ {
-				vars[u] = state[u] == Dormant
-			}
-			still, err := screamConsensus(vars, "still-dormant")
-			if err != nil {
-				return nil, err
-			}
-			if !still {
-				break
 			}
 		}
 
-		// Seal the slot: allocated and control links transmit in it.
-		var slot []phys.Link
+		// Seal the slot: allocated and control links transmit in it, each
+		// on its assigned channel. One channel records no assignment.
+		slot, slotChans = slot[:0], slotChans[:0]
 		for u := 0; u < n; u++ {
 			if state[u] == Allocated || state[u] == Control {
 				li := linkOf[u]
 				slot = append(slot, cfg.Links[li])
+				if channels > 1 {
+					slotChans = append(slotChans, int(chanOf[u]))
+				}
 				remaining[li]--
 			}
 		}
-		res.Schedule.AppendSlot(slot)
+		if channels > 1 {
+			res.Schedule.AppendSlotAssigned(slot, slotChans)
+		} else {
+			res.Schedule.AppendSlot(slot)
+		}
 		res.Rounds++
 		if cfg.Observer.SlotSealed != nil {
-			cfg.Observer.SlotSealed(p.round, slot)
+			cfg.Observer.SlotSealed(p.round, res.Schedule.Slot(res.Rounds-1))
 		}
 		p.endSlot(slotSpan, len(slot))
 
@@ -478,7 +543,7 @@ func (p *protoRun) runSingle() (*Result, error) {
 		for u := range vars {
 			vars[u] = u == controller && ctrlDone
 		}
-		rel, err := screamConsensus(vars, "control release")
+		rel, err := p.screamConsensus(vars, "control release")
 		if err != nil {
 			return nil, err
 		}
@@ -488,14 +553,14 @@ func (p *protoRun) runSingle() (*Result, error) {
 		for u := 0; u < n; u++ {
 			li := linkOf[u]
 			if li >= 0 && remaining[li] == 0 {
-				setState(u, Complete)
+				p.setState(u, Complete)
 				continue
 			}
 			if u == controller && !released {
 				continue // stays CONTROL
 			}
 			if state[u] != Complete {
-				setState(u, Dormant)
+				p.setState(u, Dormant)
 			}
 		}
 		if released {

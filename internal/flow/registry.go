@@ -100,23 +100,20 @@ func (e SchedulerEnv) requireDense(name string) error {
 }
 
 func (e SchedulerEnv) protocolConfig(v core.Variant) ProtocolSchedulerConfig {
-	cfg := ProtocolSchedulerConfig{
-		Channel: e.Channel,
-		Sens:    e.Sens,
-		Links:   e.Links,
-		K:       e.K,
-		Timing:  e.Timing,
-		Variant: v,
-		P:       e.P,
-		Seed:    e.Seed,
-		Metrics: e.Metrics,
-		Trace:   e.Trace,
+	return ProtocolSchedulerConfig{
+		Channel:  e.Channel,
+		Sens:     e.Sens,
+		Links:    e.Links,
+		K:        e.K,
+		Timing:   e.Timing,
+		Variant:  v,
+		P:        e.P,
+		Seed:     e.Seed,
+		Metrics:  e.Metrics,
+		Trace:    e.Trace,
+		Channels: e.Channels,
+		Radios:   e.Radios,
 	}
-	if e.Channels > 1 {
-		cfg.Channels = e.Channels
-		cfg.Radios = e.Radios
-	}
-	return cfg
 }
 
 // backendDoc pulls the doc string of the static scheduler-family member the

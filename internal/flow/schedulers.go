@@ -77,17 +77,16 @@ func NewCentralizedScheduler(name string, eng phys.Engine, links []phys.Link, bu
 // NewGreedyScheduler returns the GreedyPhysical baseline (head-ID order, the
 // order FDD emulates) as a centralized epoch scheduler over channels
 // orthogonal copies of eng with numRadios radios per node. One channel (or
-// fewer) selects the single-channel engine whatever the radio count.
+// fewer) is GreedyPhysical whatever the radio count.
 func NewGreedyScheduler(eng phys.Engine, channels, numRadios int, links []phys.Link) Scheduler {
 	ord := sched.ByHeadIDDesc
 	name := fmt.Sprintf("greedy(%v,C=%d)", ord, channels)
 	if channels <= 1 {
-		// GreedyPhysicalMultiEngine at C=1, R=1 is GreedyPhysical.
-		name, channels, numRadios = fmt.Sprintf("greedy(%v)", ord), 1, 1
+		name, channels = fmt.Sprintf("greedy(%v)", ord), 1
 	}
 	return NewCentralizedScheduler(name, eng, links,
 		func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error) {
-			return sched.GreedyPhysicalMultiEngine(eng, channels, numRadios, links, demands, ord)
+			return sched.GreedyPhysicalMulti(eng, channels, numRadios, links, demands, ord)
 		})
 }
 
@@ -192,8 +191,9 @@ type ProtocolSchedulerConfig struct {
 	P       float64 // PDD activation probability
 	Seed    int64   // per-epoch RNG seeds derive from this
 	// Channels is the number of orthogonal data channels each epoch's
-	// protocol run schedules over (0 or 1 = the single-channel protocol);
-	// Radios is the per-node radio budget (0 = 1). See core.Config.
+	// protocol run schedules over (0 or 1 = one channel); Radios is the
+	// per-node radio budget (0 = 1), ignored on one channel. See
+	// core.Config.
 	Channels int
 	Radios   int
 	// Metrics and Trace, when non-nil, are forwarded into every epoch's

@@ -2,42 +2,6 @@ package phys
 
 import "fmt"
 
-// ChannelSet models C orthogonal frequency channels over one physical
-// deployment. All channels share the deployment's propagation — the same
-// gain matrix, transmit powers, noise floor and SINR threshold, i.e. the
-// same *Channel — but interference only accumulates within a channel:
-// concurrent transmissions on different channels do not interfere (the
-// multicoloring setting of Vieira et al., arXiv:1504.01647). Channel 0 is
-// the designated control channel: SCREAM floods and elections ride it, data
-// rides the full set.
-//
-// A ChannelSet is a thin immutable view; it is safe for concurrent use
-// whenever the underlying Channel is.
-type ChannelSet struct {
-	base *Channel
-	num  int
-}
-
-// NewChannelSet returns a set of num orthogonal channels over base.
-func NewChannelSet(base *Channel, num int) (*ChannelSet, error) {
-	if base == nil {
-		return nil, fmt.Errorf("phys: nil base channel")
-	}
-	if num <= 0 {
-		return nil, fmt.Errorf("phys: channel count must be positive, got %d", num)
-	}
-	return &ChannelSet{base: base, num: num}, nil
-}
-
-// Base returns the shared physical channel every frequency channel sees.
-func (cs *ChannelSet) Base() *Channel { return cs.base }
-
-// NumChannels returns the number of orthogonal channels in the set.
-func (cs *ChannelSet) NumChannels() int { return cs.num }
-
-// NumNodes returns the number of nodes the underlying channel models.
-func (cs *ChannelSet) NumNodes() int { return cs.base.NumNodes() }
-
 // Placement is one link scheduled on one channel of a multi-channel slot.
 type Placement struct {
 	Link    Link
@@ -47,22 +11,25 @@ type Placement struct {
 // String implements fmt.Stringer.
 func (p Placement) String() string { return fmt.Sprintf("%v@ch%d", p.Link, p.Channel) }
 
-// FeasibleAssignment is the naive reference feasibility check for a
-// multi-channel slot: the links assigned to each channel must form a
-// FeasibleSet of the base channel (SINR inequalities and primary conflicts
-// accumulate per channel only), and no node may be an endpoint of more than
-// numRadios placements — a node with R radios can tune at most R channels in
+// FeasibleAssignment is the naive reference feasibility check for a slot
+// over channels orthogonal frequency channels of base. All channels share
+// base's propagation — the same gain matrix, transmit powers, noise floor and
+// SINR threshold — but interference accumulates within a channel only (the
+// multicoloring setting of Vieira et al., arXiv:1504.01647). So every channel
+// index must lie in [0, channels), the links assigned to each channel must
+// form a FeasibleSet of base, and no node may be an endpoint of more than
+// numRadios placements: a node with R radios can tune at most R channels in
 // one slot, and each placement occupies one radio at each endpoint.
 // MultiSlotState is the incremental counterpart the property tests compare
 // against this function.
-func (cs *ChannelSet) FeasibleAssignment(placements []Placement, numRadios int) bool {
+func FeasibleAssignment(base *Channel, channels int, placements []Placement, numRadios int) bool {
 	if numRadios <= 0 {
 		numRadios = 1
 	}
 	radios := make(map[int]int)
-	perChan := make([][]Link, cs.num)
+	perChan := make([][]Link, max(channels, 0))
 	for _, p := range placements {
-		if p.Channel < 0 || p.Channel >= cs.num {
+		if p.Channel < 0 || p.Channel >= channels {
 			return false
 		}
 		perChan[p.Channel] = append(perChan[p.Channel], p.Link)
@@ -75,7 +42,7 @@ func (cs *ChannelSet) FeasibleAssignment(placements []Placement, numRadios int) 
 		}
 	}
 	for _, links := range perChan {
-		if len(links) > 0 && !cs.base.FeasibleSet(links) {
+		if len(links) > 0 && !base.FeasibleSet(links) {
 			return false
 		}
 	}
@@ -85,75 +52,31 @@ func (cs *ChannelSet) FeasibleAssignment(placements []Placement, numRadios int) 
 // MultiSlotState is the incremental feasibility engine for one multi-channel
 // slot under construction: a vector of per-channel SlotStates (interference
 // sums accumulate within a channel only) plus a per-node radio-occupancy
-// count enforcing that no node is active on more than NumRadios channels in
-// the slot. CanAdd/Add/Remove are O(k_ch) against the links already on the
-// probed channel; Mark/Rollback undo is exact on every channel at once.
+// count enforcing that no node is active on more than numRadios channels in
+// the slot. CanAdd and Add are O(k_ch) against the links already on the
+// probed channel.
 //
-// A MultiSlotState is not safe for concurrent use and must not be copied
-// after Init (its per-channel SlotStates carry inline storage).
+// A MultiSlotState is not safe for concurrent use.
 type MultiSlotState struct {
-	base      Engine
-	num       int
-	numRadios int
+	numRadios int32
 	states    []SlotState
-	radios    []int32 // radios[u]: placements in this slot with endpoint u
-
-	order  []Placement // admission order across channels
-	marked int         // len(order) at the last Mark; -1 when none
-	saved  []int32     // radios snapshot taken by Mark
+	radios    []int32     // radios[u]: placements in this slot with endpoint u
+	order     []Placement // admission order across channels
 }
 
-// NewMultiSlotState returns an empty multi-channel slot over cs with the
-// given per-node radio budget (numRadios <= 0 means 1).
-func NewMultiSlotState(cs *ChannelSet, numRadios int) *MultiSlotState {
-	s := new(MultiSlotState)
-	s.Init(cs, numRadios)
-	return s
-}
-
-// NewMultiSlotStateEngine returns an empty multi-channel slot over channels
-// orthogonal copies of engine e with the given per-node radio budget.
-func NewMultiSlotStateEngine(e Engine, channels, numRadios int) *MultiSlotState {
-	s := new(MultiSlotState)
-	s.InitEngine(e, channels, numRadios)
-	return s
-}
-
-// Init (re-)binds s to cs as an empty slot, mirroring SlotState.Init so
-// callers can slab-allocate multi-channel slots too.
-func (s *MultiSlotState) Init(cs *ChannelSet, numRadios int) {
-	s.InitEngine(cs.base, cs.num, numRadios)
-}
-
-// InitEngine (re-)binds s to channels orthogonal copies of engine e as an
-// empty slot. Interference accumulates within each channel only; the
-// per-node radio budget caps how many channels a node may be active on.
-func (s *MultiSlotState) InitEngine(e Engine, channels, numRadios int) {
-	if numRadios <= 0 {
-		numRadios = 1
+// NewMultiSlotState returns an empty slot over channels orthogonal copies of
+// engine e with the given per-node radio budget (numRadios <= 0 means 1).
+func NewMultiSlotState(e Engine, channels, numRadios int) *MultiSlotState {
+	s := &MultiSlotState{
+		numRadios: int32(max(numRadios, 1)),
+		states:    make([]SlotState, channels),
+		radios:    make([]int32, e.NumNodes()),
 	}
-	if s.base != nil {
-		*s = MultiSlotState{}
-	}
-	s.base = e
-	s.num = channels
-	s.numRadios = numRadios
-	s.states = make([]SlotState, channels)
 	for i := range s.states {
 		s.states[i].InitEngine(e)
 	}
-	s.radios = make([]int32, e.NumNodes())
-	s.marked = -1
+	return s
 }
-
-// NumRadios returns the per-node radio budget the slot enforces.
-func (s *MultiSlotState) NumRadios() int { return s.numRadios }
-
-// Len returns the number of placements currently in the slot.
-func (s *MultiSlotState) Len() int { return len(s.order) }
-
-// ChannelLen returns the number of links currently on channel ch.
-func (s *MultiSlotState) ChannelLen(ch int) int { return s.states[ch].Len() }
 
 // Placements returns a copy of the slot's placements in admission order.
 func (s *MultiSlotState) Placements() []Placement {
@@ -163,12 +86,12 @@ func (s *MultiSlotState) Placements() []Placement {
 }
 
 // CanAdd reports whether placing l on channel ch keeps the slot feasible:
-// both endpoints must have a free radio (fewer than NumRadios placements in
+// both endpoints must have a free radio (fewer than numRadios placements in
 // this slot already touch them) and l must clear the single-channel CanAdd
 // against the links currently on ch. For a feasible current slot this is
 // exactly FeasibleAssignment(Placements() + {l, ch}).
 func (s *MultiSlotState) CanAdd(l Link, ch int) bool {
-	if s.radios[l.From] >= int32(s.numRadios) || s.radios[l.To] >= int32(s.numRadios) {
+	if s.radios[l.From] >= s.numRadios || s.radios[l.To] >= s.numRadios {
 		return false
 	}
 	return s.states[ch].CanAdd(l)
@@ -182,58 +105,4 @@ func (s *MultiSlotState) Add(l Link, ch int) {
 	s.radios[l.From]++
 	s.radios[l.To]++
 	s.order = append(s.order, Placement{Link: l, Channel: ch})
-}
-
-// Remove deletes the first occurrence of l on channel ch, reporting whether
-// it was present. Like SlotState.Remove it invalidates an outstanding Mark.
-func (s *MultiSlotState) Remove(l Link, ch int) bool {
-	if !s.states[ch].Remove(l) {
-		return false
-	}
-	s.radios[l.From]--
-	s.radios[l.To]--
-	for i, p := range s.order {
-		if p.Link == l && p.Channel == ch {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.marked = -1
-	return true
-}
-
-// Mark snapshots the slot — every channel's interference sums and the radio
-// counts — so a later Rollback undoes any Adds performed after it exactly.
-// One mark is outstanding at a time; Remove and Reset invalidate it.
-func (s *MultiSlotState) Mark() {
-	s.marked = len(s.order)
-	s.saved = append(s.saved[:0], s.radios...)
-	for i := range s.states {
-		s.states[i].Mark()
-	}
-}
-
-// Rollback restores the slot to the state captured by the last Mark. It
-// panics if no valid mark is outstanding.
-func (s *MultiSlotState) Rollback() {
-	if s.marked < 0 || s.marked > len(s.order) {
-		panic("phys: MultiSlotState.Rollback without a valid Mark")
-	}
-	for i := range s.states {
-		s.states[i].Rollback()
-	}
-	copy(s.radios, s.saved)
-	s.order = s.order[:s.marked]
-}
-
-// Reset empties the slot for reuse and invalidates any outstanding Mark.
-func (s *MultiSlotState) Reset() {
-	for i := range s.states {
-		s.states[i].Reset()
-	}
-	for i := range s.radios {
-		s.radios[i] = 0
-	}
-	s.order = s.order[:0]
-	s.marked = -1
 }

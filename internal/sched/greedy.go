@@ -164,35 +164,23 @@ func greedyPhysicalOrdered(ch phys.Engine, links []phys.Link, demands []int, ord
 	return s, nil
 }
 
-// GreedyPhysicalMulti generalizes GreedyPhysical to cs.NumChannels()
-// orthogonal channels and numRadios radios per node: edges are considered in
-// the given order; each edge is placed first-fit over (slot, channel) pairs —
+// GreedyPhysicalMulti generalizes GreedyPhysical to channels orthogonal
+// copies of eng and numRadios radios per node: edges are considered in the
+// given order; each edge is placed first-fit over (slot, channel) pairs —
 // slots in order, the channels of each slot in ascending order — wherever the
 // multi-channel slot stays feasible (per-channel SINR, per-node radio
 // budget), appending new slots as needed. With more than one radio per node
 // an edge may ride several channels of the same slot, each placement serving
-// one demand unit. With one channel and one radio it takes exactly
-// GreedyPhysical's decisions and returns its identical single-channel
-// schedule. The returned schedule always satisfies VerifyMulti against the
-// same inputs.
-func GreedyPhysicalMulti(cs *phys.ChannelSet, numRadios int, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
-	return GreedyPhysicalMultiEngine(cs.Base(), cs.NumChannels(), numRadios, links, demands, ord)
-}
-
-// GreedyPhysicalMultiEngine is GreedyPhysicalMulti over any interference
-// engine: channels orthogonal copies of eng, numRadios radios per node.
-// GreedyPhysicalMulti delegates here with the dense channel.
-func GreedyPhysicalMultiEngine(eng phys.Engine, channels, numRadios int, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
+// one demand unit. On one channel it is GreedyPhysical, whatever the radio
+// count: a node is an endpoint of at most one link of a feasible
+// single-channel slot, so the budget cannot bind. The returned schedule
+// always satisfies VerifyMulti against the same inputs.
+func GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
 	if channels <= 0 {
 		return nil, fmt.Errorf("sched: channel count must be positive, got %d", channels)
 	}
-	if numRadios <= 0 {
-		numRadios = 1
-	}
-	if channels == 1 && numRadios == 1 {
-		// The single-channel fast path: the slab-allocated SlotState engine,
-		// bit-identical to the schedules shipped before multi-channel
-		// support existed.
+	if channels == 1 {
+		// The slab-allocated single-channel SlotState engine.
 		return greedyPhysical(eng, links, demands, ord, false)
 	}
 	if len(links) != len(demands) {
@@ -212,7 +200,7 @@ func GreedyPhysicalMultiEngine(eng phys.Engine, channels, numRadios int, links [
 		remaining := demands[ei]
 		for slot := 0; remaining > 0; slot++ {
 			if slot == len(slots) {
-				slots = append(slots, phys.NewMultiSlotStateEngine(eng, channels, numRadios))
+				slots = append(slots, phys.NewMultiSlotState(eng, channels, numRadios))
 			}
 			for ch := 0; ch < channels && remaining > 0; ch++ {
 				if slots[slot].CanAdd(l, ch) {

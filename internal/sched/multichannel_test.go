@@ -1,10 +1,10 @@
 package sched
 
 // Tests for multi-channel scheduling: GreedyPhysicalMulti must collapse to
-// GreedyPhysical on one channel and one radio, stay VerifyMulti-feasible and
-// get strictly shorter as channels are added, handle degenerate channel
-// counts (more channels than feasible links), and round-trip its channel
-// assignment through JSON.
+// GreedyPhysical on one channel whatever the radio count, stay
+// VerifyMulti-feasible and get strictly shorter as channels are added,
+// handle degenerate channel counts (more channels than feasible links), and
+// round-trip its channel assignment through JSON.
 
 import (
 	"encoding/json"
@@ -13,47 +13,40 @@ import (
 	"scream/internal/phys"
 )
 
-func multiMesh(t testing.TB, dim int, seed int64, channels int) (*phys.ChannelSet, []phys.Link, []int) {
-	t.Helper()
-	net, links, demands := testMesh(t, dim, seed)
-	cs, err := phys.NewChannelSet(net.Channel, channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs, links, demands
-}
-
-// TestGreedyMultiSingleChannelMatchesGreedy: the C=1, R=1 fast path must
-// reproduce GreedyPhysical exactly, slot for slot, with no channel
-// assignment recorded (so downstream encodings stay byte-identical).
+// TestGreedyMultiSingleChannelMatchesGreedy: the one-channel fast path must
+// reproduce GreedyPhysical exactly, slot for slot, for any radio count, with
+// no channel assignment recorded (so downstream encodings stay
+// byte-identical).
 func TestGreedyMultiSingleChannelMatchesGreedy(t *testing.T) {
-	cs, links, demands := multiMesh(t, 5, 3, 1)
-	want, err := GreedyPhysical(cs.Base(), links, demands, ByHeadIDDesc)
+	net, links, demands := testMesh(t, 5, 3)
+	want, err := GreedyPhysical(net.Channel, links, demands, ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, err := GreedyPhysicalMulti(cs, 1, links, demands, ByHeadIDDesc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("single-channel multi schedule differs: %d vs %d slots", got.Length(), want.Length())
-	}
-	for i := 0; i < got.Length(); i++ {
-		if got.SlotChannels(i) != nil {
-			t.Fatalf("slot %d recorded a channel assignment on the single-channel path", i)
-		}
 	}
 	wj, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gj, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(wj) != string(gj) {
-		t.Fatalf("single-channel JSON differs:\n%s\n%s", wj, gj)
+	for _, radios := range []int{1, 2, 3} {
+		got, err := GreedyPhysicalMulti(net.Channel, 1, radios, links, demands, ByHeadIDDesc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("R=%d: single-channel multi schedule differs: %d vs %d slots", radios, got.Length(), want.Length())
+		}
+		for i := 0; i < got.Length(); i++ {
+			if got.SlotChannels(i) != nil {
+				t.Fatalf("R=%d: slot %d recorded a channel assignment on the single-channel path", radios, i)
+			}
+		}
+		gj, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(wj) != string(gj) {
+			t.Fatalf("R=%d: single-channel JSON differs:\n%s\n%s", radios, wj, gj)
+		}
 	}
 }
 
@@ -62,13 +55,13 @@ func TestGreedyMultiSingleChannelMatchesGreedy(t *testing.T) {
 // strictly shorten it (until the per-node serialization bound dominates).
 func TestGreedyMultiFeasibleAndShorter(t *testing.T) {
 	lengths := make([]int, 0, 3)
+	net, links, demands := testMesh(t, 6, 5)
 	for _, c := range []int{1, 2, 4} {
-		cs, links, demands := multiMesh(t, 6, 5, c)
-		s, err := GreedyPhysicalMulti(cs, 2, links, demands, ByHeadIDDesc)
+		s, err := GreedyPhysicalMulti(net.Channel, c, 2, links, demands, ByHeadIDDesc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.VerifyMulti(cs, 2, links, demands); err != nil {
+		if err := s.VerifyMulti(net.Channel, c, 2, links, demands); err != nil {
 			t.Fatalf("C=%d: %v", c, err)
 		}
 		if used := s.NumChannelsUsed(); used > c {
@@ -88,12 +81,12 @@ func TestGreedyMultiFeasibleAndShorter(t *testing.T) {
 // schedulable links, the schedule degenerates gracefully — radios (not
 // channels) bind, unused channels stay empty, and VerifyMulti still holds.
 func TestGreedyMultiMoreChannelsThanLinks(t *testing.T) {
-	cs, links, demands := multiMesh(t, 3, 9, 16) // 8 forest links, 16 channels
-	s, err := GreedyPhysicalMulti(cs, 2, links, demands, ByHeadIDDesc)
+	net, links, demands := testMesh(t, 3, 9) // 8 forest links, 16 channels
+	s, err := GreedyPhysicalMulti(net.Channel, 16, 2, links, demands, ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.VerifyMulti(cs, 2, links, demands); err != nil {
+	if err := s.VerifyMulti(net.Channel, 16, 2, links, demands); err != nil {
 		t.Fatal(err)
 	}
 	if used := s.NumChannelsUsed(); used > 2*len(links) {
@@ -102,7 +95,7 @@ func TestGreedyMultiMoreChannelsThanLinks(t *testing.T) {
 	// With every link able to ride 2 channels per slot, total demand must be
 	// served in at most ceil(maxPerNodeLoad / 1) slots; sanity-bound it by
 	// the single-channel length instead of a closed form.
-	single, err := GreedyPhysical(cs.Base(), links, demands, ByHeadIDDesc)
+	single, err := GreedyPhysical(net.Channel, links, demands, ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}

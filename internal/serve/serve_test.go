@@ -381,6 +381,7 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		"{not json",
 		`{"horizon_secs": 1}`,
 		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "scheduler": "astrology", "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "scheduler": "maxweight", "channels": 2, "horizon_sec": 1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {

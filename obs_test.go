@@ -138,45 +138,60 @@ func TestObsDisabledIdenticalResults(t *testing.T) {
 // TestObsTraceGolden pins the schema-v2 JSONL span trace of the pinned
 // scenario byte-for-byte: same seed, single-threaded driver, simulated
 // timestamps — the trace must be fully deterministic (wall-clock sampling
-// stays off), and the golden file documents the schema in the repository.
+// stays off), and the golden files document the schema in the repository.
+// Besides the FDD scenario, PDD (p = 0.5) pins the randomized variant's
+// handshake sequence on one channel, and FDD on two channels pins the
+// per-channel phases and the radio gate of the same protocol loop.
 // Regenerate with: go test -run TestObsTraceGolden -update
 func TestObsTraceGolden(t *testing.T) {
 	m := flowTestMesh(t)
-	emit := func() []byte {
-		var buf bytes.Buffer
-		spec := obsFlowSpec()
-		spec.HorizonSec = 0.06 // a few epochs; keeps the golden file small
-		tr := NewObsTracer(&buf)
-		runObs(t, m, spec, RunOptions{Trace: tr})
-		if err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	got := emit()
-	if again := emit(); !bytes.Equal(got, again) {
-		t.Fatal("identical runs produced different traces")
-	}
-	events, err := tracecheck.Parse(bytes.NewReader(got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := tracecheck.Validate(events); len(vs) > 0 {
-		t.Fatalf("golden scenario trace violates invariants: %v", vs)
-	}
+	for _, tc := range []struct {
+		golden string
+		edit   func(*ScenarioSpec)
+	}{
+		{"flow_trace_v2.jsonl", func(*ScenarioSpec) {}},
+		{"flow_trace_v2_pdd.jsonl", func(s *ScenarioSpec) { s.Scheduler, s.P = "pdd", 0.5 }},
+		{"flow_trace_v2_fdd_c2.jsonl", func(s *ScenarioSpec) { s.Channels = 2 }},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			emit := func() []byte {
+				var buf bytes.Buffer
+				spec := obsFlowSpec()
+				spec.HorizonSec = 0.06 // a few epochs; keeps the golden file small
+				tc.edit(&spec)
+				tr := NewObsTracer(&buf)
+				runObs(t, m, spec, RunOptions{Trace: tr})
+				if err := tr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			got := emit()
+			if again := emit(); !bytes.Equal(got, again) {
+				t.Fatal("identical runs produced different traces")
+			}
+			events, err := tracecheck.Parse(bytes.NewReader(got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vs := tracecheck.Validate(events); len(vs) > 0 {
+				t.Fatalf("golden scenario trace violates invariants: %v", vs)
+			}
 
-	golden := filepath.Join("testdata", "flow_trace_v2.jsonl")
-	if *updateGolden {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("trace diverges from %s (%d vs %d bytes); run with -update after intended schema changes",
-			golden, len(got), len(want))
+			golden := filepath.Join("testdata", tc.golden)
+			if *updateGolden {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trace diverges from %s (%d vs %d bytes); run with -update after intended schema changes",
+					golden, len(got), len(want))
+			}
+		})
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"scream/internal/dynam"
 	"scream/internal/flow"
@@ -368,6 +369,15 @@ func (s ScenarioSpec) Validate() error {
 		if c.v < 0 {
 			return fmt.Errorf("scream: scenario: %s must be >= 0, got %d", c.field, c.v)
 		}
+	}
+	if s.Channels > 1 && !info.MultiChannel {
+		var multi []string
+		for _, d := range Schedulers() {
+			if d.MultiChannel {
+				multi = append(multi, d.Name)
+			}
+		}
+		return fmt.Errorf("scream: scenario: scheduler %q is single-channel only; channels > 1 needs one of %s", name, strings.Join(multi, ", "))
 	}
 	d := s.Dynamics
 	if d == nil {

@@ -99,6 +99,8 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative max_service", func(s *ScenarioSpec) { s.MaxService = -2 }, "max_service must be >= 0"},
 		{"negative frames_per_epoch", func(s *ScenarioSpec) { s.FramesPerEpoch = -3 }, "frames_per_epoch must be >= 0"},
 		{"negative channels", func(s *ScenarioSpec) { s.Channels = -1 }, "channels must be >= 0"},
+		{"multi-channel maxweight", func(s *ScenarioSpec) { s.Scheduler, s.Channels = "maxweight", 2 }, `scheduler "maxweight" is single-channel only; channels > 1 needs one of greedy, fdd, pdd, tdma`},
+		{"multi-channel fanzhang", func(s *ScenarioSpec) { s.Scheduler, s.Channels = "fanzhang", 4 }, `scheduler "fanzhang" is single-channel only; channels > 1 needs one of greedy, fdd, pdd, tdma`},
 		{"negative idle_wait_sec", func(s *ScenarioSpec) { s.IdleWaitSec = -1 }, "idle_wait_sec must be in [0, 9.223372036e+09]"},
 		{"infinite idle_wait_sec", func(s *ScenarioSpec) { s.IdleWaitSec = math.Inf(1) }, "idle_wait_sec must be in [0,"},
 		{"overflowing mean_on_sec", func(s *ScenarioSpec) { s.Traffic.MeanOnSec = 1e10 }, "traffic.mean_on_sec must be in [0,"},

@@ -42,10 +42,6 @@ import (
 type (
 	// Link is a directed data transmission (From sends, To ACKs).
 	Link = phys.Link
-	// ChannelSet is a set of orthogonal frequency channels over one
-	// deployment: interference accumulates per channel only. See
-	// Mesh.ChannelSet and the multi-channel schedulers.
-	ChannelSet = phys.ChannelSet
 	// Placement is one link scheduled on one channel of a slot.
 	Placement = phys.Placement
 	// Schedule is an STDMA schedule: slots of concurrent links.

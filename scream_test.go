@@ -85,6 +85,14 @@ func TestMeshMultiChannelSchedule(t *testing.T) {
 	if multi.Length() >= single.Length() {
 		t.Fatalf("4-channel greedy (%d slots) not shorter than single-channel (%d)", multi.Length(), single.Length())
 	}
+	for _, c := range []int{0, -1} {
+		if _, err := m.GreedyScheduleChannels(c, ByHeadIDDesc); err == nil {
+			t.Fatalf("GreedyScheduleChannels accepted %d channels", c)
+		}
+		if err := m.VerifyChannels(multi, c); err == nil {
+			t.Fatalf("VerifyChannels accepted %d channels", c)
+		}
+	}
 	res, err := m.RunFDD(ProtocolOptions{Channels: 4})
 	if err != nil {
 		t.Fatal(err)
