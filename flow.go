@@ -9,9 +9,9 @@ package scream
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scream/internal/flow"
+	"scream/internal/rng"
 	"scream/internal/traffic"
 )
 
@@ -46,7 +46,7 @@ func NewBursty(peakRate float64, meanOn, meanOff SimTime) (Arrival, error) {
 // mean 1 — combine with NewPoisson to concentrate a mesh's offered load on a
 // few hotspot routers.
 func HotspotRates(n int, s, v float64, max uint64, seed int64) ([]float64, error) {
-	return traffic.HotspotRates(n, s, v, max, rand.New(rand.NewSource(seed)))
+	return traffic.HotspotRates(n, s, v, max, rng.New(seed))
 }
 
 // FlowFrameTime returns the mesh's capacity reference: the duration of one

@@ -74,8 +74,9 @@ type IdealBackend struct {
 	timing  Timing
 	strict  bool
 	elapsed des.Time
-	// screamCost is what one SCREAM primitive bills: k slots.
-	screamCost des.Time
+	// screamCost is what one SCREAM primitive bills: k slots; hsCost is
+	// what one handshake slot bills.
+	screamCost, hsCost des.Time
 
 	screams    int // SCREAM primitives run
 	handshakes int // handshake slots run
@@ -140,7 +141,8 @@ func NewIdealBackend(ch *phys.Channel, sens *graph.Graph, k int, timing Timing, 
 		outs[i] = true
 	}
 	return &IdealBackend{ch: ch, sensAdj: adj, k: k, timing: timing, strict: strict,
-		screamCost: des.Time(k) * timing.ScreamSlot(), allFalse: outs[:n:n], allTrue: outs[n:]}, nil
+		screamCost: des.Time(k) * timing.ScreamSlot(), hsCost: timing.HandshakeSlot(),
+		allFalse: outs[:n:n], allTrue: outs[n:]}, nil
 }
 
 // NewIdealBackendAmong builds an ideal backend for a network where only the
@@ -190,8 +192,7 @@ func (b *IdealBackend) Timing() Timing { return b.timing }
 
 // Scream implements Backend.
 func (b *IdealBackend) Scream(vars []bool) []bool {
-	b.screams++
-	b.elapsed += b.screamCost
+	b.bill(1)
 	if !b.strict {
 		// K >= ID and the sensitivity graph is strongly connected, so the
 		// flood saturates: every node ends with the OR of all inputs.
@@ -219,6 +220,15 @@ func (b *IdealBackend) Scream(vars []bool) []bool {
 	})
 }
 
+// bill charges m SCREAM primitives. The fast paths — Scream itself, the
+// one-pass election and the protocol loop's word-tested SCREAMs — settle
+// SCREAMs without flooding and bill them here, at the k slots each flood
+// would take.
+func (b *IdealBackend) bill(m int) {
+	b.screams += m
+	b.elapsed += des.Time(m) * b.screamCost
+}
+
 // Clone returns a fresh backend sharing the immutable channel, sensitivity
 // adjacency and timing but with zeroed counters, elapsed time and engine
 // state. It lets callers that run many protocol instances over one
@@ -226,13 +236,13 @@ func (b *IdealBackend) Scream(vars []bool) []bool {
 // graph on every run.
 func (b *IdealBackend) Clone() *IdealBackend {
 	return &IdealBackend{ch: b.ch, sensAdj: b.sensAdj, k: b.k, timing: b.timing, strict: b.strict,
-		screamCost: b.screamCost, allFalse: b.allFalse, allTrue: b.allTrue}
+		screamCost: b.screamCost, hsCost: b.hsCost, allFalse: b.allFalse, allTrue: b.allTrue}
 }
 
 // HandshakeSlot implements Backend.
 func (b *IdealBackend) HandshakeSlot(links []phys.Link) []bool {
 	b.handshakes++
-	b.elapsed += b.timing.HandshakeSlot()
+	b.elapsed += b.hsCost
 	return b.incrementalOutcome(links)
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "scream/internal/des"
-
 // LeaderElect runs the paper's bitwise leader election (Section III-B) over
 // the given backend: id_bits iterations from the most significant bit; in
 // each iteration a network-wide OR (one SCREAM primitive) is taken over the
@@ -65,8 +63,7 @@ func (b *IdealBackend) elect(idBits int, ids []uint64, participating []bool) int
 		if idBits < 64 {
 			mask = 1<<uint(idBits) - 1
 		}
-		b.screams += idBits
-		b.elapsed += des.Time(idBits) * b.screamCost
+		b.bill(idBits)
 	}
 	return highest(ids, mask, participating[:len(b.sensAdj)])
 }

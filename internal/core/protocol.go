@@ -145,20 +145,49 @@ type protoRun struct {
 	linkOf      []int // owner node -> link index, -1 for none
 	totalDemand int
 	idBits      int
-	ids         []uint64
+	ids         []uint64 // node IDs; nil when elections take the top set bit
 	maxRounds   int
+
+	// fast is the backend when it is a fast-mode IdealBackend, whose every
+	// SCREAM is the exact network-wide OR: a SCREAM over a node set is then
+	// a word test and, when topElect holds (IDs unmasked by IDBits), an
+	// election takes the set's top bit. Every other backend, and a masked
+	// election, gets the set as a []bool in flags at this one boundary.
+	fast     *IdealBackend
+	topElect bool
+	flags    []bool
 
 	res       *Result
 	state     []State
+	in        [Terminate + 1]nodeSet // in[s]: the nodes in state s
 	remaining []int
 	round     int
+
+	// Step scratch. chanSets holds one node set per channel: the nodes
+	// whose link rides that channel in the slot under construction (the
+	// controller on channel 0, each allocated node on its own). radios
+	// counts the slot's placements with endpoint u. scratch serves one
+	// short-lived set at a time. A step's links and owners, and a seal's
+	// links and channels, are never more than n, so they fill the n-slot
+	// buffers cut for them without regrowing; the schedule copies the seal's.
+	chanSets, scratch nodeSet
+	radios            []int
+	links             []phys.Link
+	owners            []int
 }
 
 // newProtoRun validates the link/demand configuration and initializes the
-// shared run state.
+// shared run state. Every per-node int slice shares one backing array and
+// every node set another, so a run's allocations do not grow with the sets
+// it keeps.
 func newProtoRun(cfg Config) (*protoRun, error) {
 	n := cfg.Backend.NumNodes()
-	linkOf := make([]int, n)
+	m := len(cfg.Demands)
+	channels := max(cfg.NumChannels, 1)
+	ints := make([]int, 3*n+m)
+	linkOf, remaining := ints[:n], ints[n:n+m]
+	radios, owners := ints[n+m:2*n+m], ints[2*n+m:2*n+m:3*n+m]
+	copy(remaining, cfg.Demands)
 	for i := range linkOf {
 		linkOf[i] = -1
 	}
@@ -181,45 +210,119 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 	if idBits == 0 {
 		idBits = IDBitsFor(n)
 	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 10*totalDemand + 100
 	}
-
 	p := &protoRun{
 		cfg: cfg, n: n, linkOf: linkOf, totalDemand: totalDemand,
-		idBits: idBits, ids: ids, maxRounds: maxRounds,
+		idBits: idBits, maxRounds: maxRounds,
 		res:       &Result{Schedule: sched.NewSchedule()},
 		state:     make([]State, n),
-		remaining: append([]int(nil), cfg.Demands...),
+		remaining: remaining,
+		radios:    radios, links: make([]phys.Link, 0, n), owners: owners,
 	}
-	for u := 0; u < n; u++ {
-		if linkOf[u] >= 0 && p.remaining[linkOf[u]] > 0 {
-			p.state[u] = Dormant
-		} else {
-			p.state[u] = Complete
+	if ib, ok := cfg.Backend.(*IdealBackend); ok && !ib.strict {
+		p.fast = ib
+		// IDs are the node indices, so an election whose idBits cover n-1
+		// is won by the largest participant.
+		p.topElect = idBits >= IDBitsFor(n)
+	}
+	if !p.topElect {
+		p.ids = make([]uint64, n)
+		for i := range p.ids {
+			p.ids[i] = uint64(i)
 		}
+	}
+	if p.fast == nil || !p.topElect {
+		p.flags = make([]bool, n)
+	}
+
+	w := wordsFor(n)
+	words := make([]uint64, (len(p.in)+1+channels)*w)
+	cut := func(k int) nodeSet {
+		s := nodeSet(words[: k*w : k*w])
+		words = words[k*w:]
+		return s
+	}
+	for s := range p.in {
+		p.in[s] = cut(1)
+	}
+	p.scratch, p.chanSets = cut(1), cut(channels)
+
+	for u := 0; u < n; u++ {
+		s := Complete
+		if linkOf[u] >= 0 && remaining[linkOf[u]] > 0 {
+			s = Dormant
+		}
+		p.state[u] = s
+		p.in[s].add(u)
 	}
 	return p, nil
 }
 
 func (p *protoRun) setState(u int, to State) {
-	if p.state[u] == to {
+	from := p.state[u]
+	if from == to {
 		return
 	}
 	if p.cfg.Observer.StateChange != nil {
-		p.cfg.Observer.StateChange(p.round, u, p.state[u], to)
+		p.cfg.Observer.StateChange(p.round, u, from, to)
 	}
+	p.in[from].remove(u)
+	p.in[to].add(u)
 	p.state[u] = to
 }
 
-func (p *protoRun) scream(vars []bool) []bool {
+// onChan returns the set of nodes whose link rides channel ch in the slot
+// under construction.
+func (p *protoRun) onChan(ch int) nodeSet {
+	w := len(p.scratch)
+	return p.chanSets[ch*w : (ch+1)*w]
+}
+
+// chanOf returns the channel u's link rides in the slot under construction.
+func (p *protoRun) chanOf(u int) int {
+	for ch := 0; ; ch++ {
+		if p.onChan(ch).has(u) {
+			return ch
+		}
+	}
+}
+
+// only returns the scratch set holding just u, or no node when u < 0.
+func (p *protoRun) only(u int) nodeSet {
+	clear(p.scratch)
+	if u >= 0 {
+		p.scratch.add(u)
+	}
+	return p.scratch
+}
+
+// pending returns the scratch set of nodes that are not COMPLETE.
+func (p *protoRun) pending() nodeSet {
+	s := p.scratch
+	for i, w := range p.in[Complete] {
+		s[i] = ^w
+	}
+	if r := p.n & 63; r != 0 {
+		s[len(s)-1] &= 1<<uint(r) - 1
+	}
+	return s
+}
+
+// scream runs one SCREAM in which the members of vars scream, and returns
+// the OR node 0 computed together with every node's view. On a fast-mode
+// IdealBackend the OR is a word test and views is nil: the flood saturates,
+// so all nodes agree by construction.
+func (p *protoRun) scream(vars nodeSet) (bool, []bool) {
 	p.res.Screams++
-	return p.cfg.Backend.Scream(vars)
+	if p.fast != nil {
+		p.fast.bill(1)
+		return vars.any(), nil
+	}
+	views := p.cfg.Backend.Scream(vars.bools(p.flags))
+	return views[0], views
 }
 
 // screamConsensus runs a SCREAM whose result steers control flow. With
@@ -228,10 +331,9 @@ func (p *protoRun) scream(vars []bool) []bool {
 // has genuinely broken, which we surface as an error instead of
 // silently picking a view (this is what the failure-injection tests
 // observe when K < ID or the skew guard is violated).
-func (p *protoRun) screamConsensus(vars []bool, what string) (bool, error) {
-	result := p.scream(vars)
-	v := result[0]
-	for i, r := range result {
+func (p *protoRun) screamConsensus(vars nodeSet, what string) (bool, error) {
+	v, views := p.scream(vars)
+	for i, r := range views {
 		if r != v {
 			return false, fmt.Errorf("core: SCREAM divergence on %s: node 0 sees %v, node %d sees %v (K too small or skew guard violated)", what, v, i, r)
 		}
@@ -239,10 +341,16 @@ func (p *protoRun) screamConsensus(vars []bool, what string) (bool, error) {
 	return v, nil
 }
 
-func (p *protoRun) elect(participating []bool) int {
+// elect runs one leader election among the members of part and returns the
+// winner, or -1 when part is empty.
+func (p *protoRun) elect(part nodeSet) int {
 	p.res.Elections++
 	p.res.Screams += ElectionScreams(p.idBits)
-	return LeaderElect(p.cfg.Backend, p.idBits, p.ids, participating)
+	if p.topElect {
+		p.fast.bill(p.idBits)
+		return part.top()
+	}
+	return LeaderElect(p.cfg.Backend, p.idBits, p.ids, part.bools(p.flags))
 }
 
 // Run executes the distributed protocol to completion and returns the
@@ -303,33 +411,21 @@ func Run(cfg Config) (*Result, error) {
 // slot cannot tune to the phase's channel and is discarded without a
 // handshake. With C = 1 there is no gate: an active node that conflicts with
 // the slot joins the handshake and fails there, as in the paper.
+//
+// Each step touches only node sets and their members, which every loop
+// visits in ascending node order: PDD's coin flips, Observer events and trace
+// lines follow that order (DESIGN.md, "The protocol loop").
 func (p *protoRun) run() (*Result, error) {
 	cfg := p.cfg
-	n := p.n
 	linkOf := p.linkOf
 	b := cfg.Backend
 	res := p.res
 	state := p.state
 	remaining := p.remaining
 	channels := max(cfg.NumChannels, 1)
-	numRadios := int32(max(cfg.NumRadios, 1))
-
-	// Scratch buffers, reused across steps and rounds and cut from shared
-	// backing arrays: the backend's incremental engine makes each handshake
-	// O(k·Δ), so the step loop itself must not churn allocations either.
-	// chanOf[u] is the channel u's link rides in the slot under
-	// construction, -1 until u is allocated or takes control of the slot
-	// (neither state is left before the seal), and radios[u] how many of
-	// the slot's placements have endpoint u. The seal's buffers are copied
-	// by the schedule, so they serve every round.
-	flags := make([]bool, 3*n)
-	vars, part, hsOK := flags[:n], flags[n:2*n], flags[2*n:]
-	counts := make([]int32, 2*n)
-	chanOf, radios := counts[:n], counts[n:]
-	hsLinks := make([]phys.Link, 0, n)
-	hsOwners := make([]int, 0, n)
-	var slot []phys.Link
-	var slotChans []int
+	numRadios := max(cfg.NumRadios, 1)
+	dormant, active, tried := p.in[Dormant], p.in[Active], p.in[Tried]
+	radios := p.radios
 	released := true
 	controller := -1
 
@@ -340,15 +436,9 @@ func (p *protoRun) run() (*Result, error) {
 
 		if released {
 			// Controller election among all nodes with pending demand.
-			for u := 0; u < n; u++ {
-				part[u] = state[u] != Complete
-			}
-			winner := p.elect(part)
+			winner := p.elect(p.pending())
 			// Controller-existence SCREAM: the winner (if any) screams.
-			for u := range vars {
-				vars[u] = u == winner
-			}
-			exists, err := p.screamConsensus(vars, "controller existence")
+			exists, err := p.screamConsensus(p.only(winner), "controller existence")
 			if err != nil {
 				return nil, err
 			}
@@ -367,35 +457,26 @@ func (p *protoRun) run() (*Result, error) {
 
 		slotSpan := p.beginSlot()
 
-		// GreedyScheduleSlot: reset non-complete, non-control nodes and the
-		// slot's channel bookkeeping. The controller's link occupies channel
+		// GreedyScheduleSlot: reset the slot's channel bookkeeping. Every
+		// node is already COMPLETE, CONTROL or DORMANT here, as the previous
+		// round's transitions left it. The controller's link occupies channel
 		// 0 (the control channel it already owns the floor on).
-		for u := 0; u < n; u++ {
-			if state[u] != Complete && state[u] != Control {
-				p.setState(u, Dormant)
-			}
-			chanOf[u] = -1
-			radios[u] = 0
-		}
+		clear(p.chanSets)
+		clear(radios)
+		p.onChan(0).add(controller)
 		ctrlLink := cfg.Links[linkOf[controller]]
-		chanOf[controller] = 0
 		radios[ctrlLink.From]++
 		radios[ctrlLink.To]++
 
 		for ch := 0; ch < channels; ch++ {
+			onCh := p.onChan(ch)
 			if ch > 0 {
 				// Revive the nodes discarded on earlier channels of this
 				// slot; stop early when nobody is left to try.
-				anyLeft := false
-				for u := 0; u < n; u++ {
-					if state[u] == Tried {
-						p.setState(u, Dormant)
-					}
-					if state[u] == Dormant {
-						anyLeft = true
-					}
+				for u := tried.next(0); u >= 0; u = tried.next(u + 1) {
+					p.setState(u, Dormant)
 				}
-				if !anyLeft {
+				if !dormant.any() {
 					break
 				}
 			}
@@ -404,16 +485,13 @@ func (p *protoRun) run() (*Result, error) {
 				// SelectActive.
 				switch cfg.Variant {
 				case PDD:
-					for u := 0; u < n; u++ {
-						if state[u] == Dormant && cfg.RNG.Float64() < cfg.Probability {
+					for u := dormant.next(0); u >= 0; u = dormant.next(u + 1) {
+						if cfg.RNG.Float64() < cfg.Probability {
 							p.setState(u, Active)
 						}
 					}
 				case FDD:
-					for u := 0; u < n; u++ {
-						part[u] = state[u] == Dormant
-					}
-					if winner := p.elect(part); winner >= 0 {
+					if winner := p.elect(dormant); winner >= 0 {
 						p.setState(winner, Active)
 					}
 				}
@@ -422,10 +500,7 @@ func (p *protoRun) run() (*Result, error) {
 					// Radio gating: an active node whose endpoints cannot
 					// spare a radio for this channel is discarded without a
 					// handshake.
-					for u := 0; u < n; u++ {
-						if state[u] != Active {
-							continue
-						}
+					for u := active.next(0); u >= 0; u = active.next(u + 1) {
 						l := cfg.Links[linkOf[u]]
 						if radios[l.From] >= numRadios || radios[l.To] >= numRadios {
 							p.setState(u, Tried)
@@ -435,75 +510,67 @@ func (p *protoRun) run() (*Result, error) {
 
 				// Handshake slot over this channel's links: the actives
 				// trying it plus the links already allocated on it.
-				hsLinks = hsLinks[:0]
-				hsOwners = hsOwners[:0]
-				for u := 0; u < n; u++ {
-					if state[u] == Active || chanOf[u] == int32(ch) {
-						hsLinks = append(hsLinks, cfg.Links[linkOf[u]])
-						hsOwners = append(hsOwners, u)
-					}
+				members := p.scratch
+				members.union(active, onCh)
+				hsLinks, hsOwners := p.links[:0], p.owners[:0]
+				for u := members.next(0); u >= 0; u = members.next(u + 1) {
+					hsLinks = append(hsLinks, cfg.Links[linkOf[u]])
+					hsOwners = append(hsOwners, u)
 				}
 				res.Steps++
 				outcome := b.HandshakeSlot(hsLinks)
 
 				// Verification SCREAM: edges scheduled on this channel veto
 				// when the newcomers' interference broke their handshake.
-				// hsOK is only ever read for this step's owners, so stale
-				// entries from earlier steps need no clearing.
-				for u := range vars {
-					vars[u] = false
-				}
+				vetoes := p.scratch
+				clear(vetoes)
+				okCount := 0
 				for i, u := range hsOwners {
-					hsOK[u] = outcome[i]
-					if (state[u] == Allocated || state[u] == Control) && !outcome[i] {
-						vars[u] = true
+					switch {
+					case outcome[i]:
+						okCount++
+					case state[u] == Allocated || state[u] == Control:
+						vetoes.add(u)
 					}
 				}
-				veto, err := p.screamConsensus(vars, "handshake veto")
+				veto, err := p.screamConsensus(vetoes, "handshake veto")
 				if err != nil {
 					return nil, err
 				}
 				if cfg.Trace != nil {
-					okCount := 0
-					for _, ok := range outcome {
-						if ok {
-							okCount++
-						}
-					}
 					p.traceEmit("handshake",
 						obs.N("links", len(hsLinks)), obs.N("ok", okCount), obs.B("veto", veto))
 				}
 
-				// Actives join this channel or are discarded; the same scan
-				// raises the still-dormant SCREAM's variables.
-				still := false
-				for u := 0; u < n; u++ {
-					if state[u] == Active {
-						if !veto && hsOK[u] {
-							p.setState(u, Allocated)
-							chanOf[u] = int32(ch)
-							l := cfg.Links[linkOf[u]]
-							radios[l.From]++
-							radios[l.To]++
-						} else {
-							p.setState(u, Tried)
-						}
+				// Actives join this channel or are discarded. The step's
+				// owners ascend and include every active, so this visits the
+				// actives in ascending order.
+				for i, u := range hsOwners {
+					if state[u] != Active {
+						continue
 					}
-					vars[u] = state[u] == Dormant
-					still = still || vars[u]
+					if !veto && outcome[i] {
+						p.setState(u, Allocated)
+						onCh.add(u)
+						l := cfg.Links[linkOf[u]]
+						radios[l.From]++
+						radios[l.To]++
+					} else {
+						p.setState(u, Tried)
+					}
 				}
 
-				// Still-actives SCREAM: dormant nodes keep the phase open.
+				// Still-dormant SCREAM: dormant nodes keep the phase open.
 				if cfg.ASAPSeal {
 					// Extension: the same SCREAM, run only when some node is
 					// still dormant, saving the final empty round-trip.
-					if !still {
+					if !dormant.any() {
 						break
 					}
-					p.scream(vars)
+					p.scream(dormant)
 					continue
 				}
-				still, err = p.screamConsensus(vars, "still-dormant")
+				still, err := p.screamConsensus(dormant, "still-dormant")
 				if err != nil {
 					return nil, err
 				}
@@ -515,16 +582,16 @@ func (p *protoRun) run() (*Result, error) {
 
 		// Seal the slot: allocated and control links transmit in it, each
 		// on its assigned channel. One channel records no assignment.
-		slot, slotChans = slot[:0], slotChans[:0]
-		for u := 0; u < n; u++ {
-			if state[u] == Allocated || state[u] == Control {
-				li := linkOf[u]
-				slot = append(slot, cfg.Links[li])
-				if channels > 1 {
-					slotChans = append(slotChans, int(chanOf[u]))
-				}
-				remaining[li]--
+		inSlot := p.scratch
+		inSlot.union(p.in[Allocated], p.in[Control])
+		slot, slotChans := p.links[:0], p.owners[:0]
+		for u := inSlot.next(0); u >= 0; u = inSlot.next(u + 1) {
+			li := linkOf[u]
+			slot = append(slot, cfg.Links[li])
+			if channels > 1 {
+				slotChans = append(slotChans, p.chanOf(u))
 			}
+			remaining[li]--
 		}
 		if channels > 1 {
 			res.Schedule.AppendSlotAssigned(slot, slotChans)
@@ -539,29 +606,31 @@ func (p *protoRun) run() (*Result, error) {
 
 		// Control-release SCREAM: the controller announces whether its
 		// demand is now satisfied.
-		ctrlDone := remaining[linkOf[controller]] == 0
-		for u := range vars {
-			vars[u] = u == controller && ctrlDone
+		releaser := -1
+		if remaining[linkOf[controller]] == 0 {
+			releaser = controller
 		}
-		rel, err := p.screamConsensus(vars, "control release")
+		rel, err := p.screamConsensus(p.only(releaser), "control release")
 		if err != nil {
 			return nil, err
 		}
 		released = rel
 
-		// State transitions for the next round.
-		for u := 0; u < n; u++ {
-			li := linkOf[u]
-			if li >= 0 && remaining[li] == 0 {
+		// State transitions for the next round. Only the slot's members and
+		// the nodes tried for it move: every other node is COMPLETE, or
+		// DORMANT with demand left.
+		movers := p.scratch
+		movers.union(p.in[Allocated], p.in[Control])
+		movers.union(movers, tried)
+		for u := movers.next(0); u >= 0; u = movers.next(u + 1) {
+			if remaining[linkOf[u]] == 0 {
 				p.setState(u, Complete)
 				continue
 			}
 			if u == controller && !released {
 				continue // stays CONTROL
 			}
-			if state[u] != Complete {
-				p.setState(u, Dormant)
-			}
+			p.setState(u, Dormant)
 		}
 		if released {
 			controller = -1

@@ -23,11 +23,11 @@ package dynam
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"scream/internal/des"
 	"scream/internal/geom"
+	"scream/internal/rng"
 )
 
 // Kind is the type of a topology event.
@@ -126,7 +126,7 @@ func sortEvents(ev []Event) {
 
 // generateChurn draws node u's alternating up/down process.
 func generateChurn(cfg Config, u int, out []Event) []Event {
-	rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, int64(2*u))))
+	rng := rng.New(deriveSeed(cfg.Seed, int64(2*u)))
 	t := des.Time(0)
 	for {
 		up := des.FromSeconds(rng.ExpFloat64() / cfg.FailRate)
@@ -168,7 +168,7 @@ func generateMoves(cfg Config, u int, start geom.Point, region geom.Rect, out []
 	if len(samples) == 0 {
 		return out
 	}
-	rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, int64(2*u+1))))
+	rng := rng.New(deriveSeed(cfg.Seed, int64(2*u+1)))
 	traj := cfg.Mobility.Trajectory(start, region, samples, rng)
 	prev := start
 	for i, p := range traj {

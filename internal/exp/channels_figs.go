@@ -12,11 +12,11 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scream/internal/core"
 	"scream/internal/des"
 	"scream/internal/flow"
+	"scream/internal/rng"
 	"scream/internal/sched"
 	"scream/internal/stats"
 	"scream/internal/traffic"
@@ -93,7 +93,7 @@ func channelsScheduleLengths(s *Scenario, tm core.Timing, channels int, seed int
 		}
 		if variant == core.PDD {
 			cfg.Probability = p
-			cfg.RNG = rand.New(rand.NewSource(protoSeed))
+			cfg.RNG = rng.New(protoSeed)
 		}
 		res, err := core.Run(cfg)
 		if err != nil {

@@ -7,11 +7,11 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scream/internal/core"
 	"scream/internal/des"
 	"scream/internal/phys"
+	"scream/internal/rng"
 	"scream/internal/route"
 	"scream/internal/sched"
 	"scream/internal/stats"
@@ -83,7 +83,7 @@ func GridScenario(density float64, seed int64) (*Scenario, error) {
 // quadrant gateways, demands uniform in [1,10].
 func UniformScenario(density float64, seed int64) (*Scenario, error) {
 	side := topo.SideForDensity(64, density)
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	net, err := topo.NewUniform(topo.UniformConfig{
 		N: 64, Side: side,
 		MinTxDBm: gridPowerDBm, MaxTxDBm: gridPowerDBm + 6,
@@ -96,7 +96,7 @@ func UniformScenario(density float64, seed int64) (*Scenario, error) {
 }
 
 func finishScenario(net *topo.Network, seed int64) (*Scenario, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	gws, err := topo.QuadrantGateways(net)
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func RunProtocol(s *Scenario, variant core.Variant, p float64, timing core.Timin
 	}
 	if variant == core.PDD {
 		cfg.Probability = p
-		cfg.RNG = rand.New(rand.NewSource(seed))
+		cfg.RNG = rng.New(seed)
 	}
 	res, err := core.Run(cfg)
 	if err != nil {

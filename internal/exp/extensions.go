@@ -2,9 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scream/internal/mote"
+	"scream/internal/rng"
 	"scream/internal/route"
 	"scream/internal/sched"
 	"scream/internal/stats"
@@ -33,7 +33,7 @@ func AblationBalancedRouting(opts Options) (*stats.Figure, error) {
 		// One RNG feeds demand draw, then the plain forest, then the
 		// balanced forest — the same consumption order for every cell, so
 		// results are a pure function of (xi, si).
-		rng := rand.New(rand.NewSource(222 + int64(si)))
+		rng := rng.New(222 + int64(si))
 		nodeDemand, err := traffic.Uniform(s.Net.NumNodes(), 1, 10, rng)
 		if err != nil {
 			return nil, err

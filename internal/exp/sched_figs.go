@@ -13,11 +13,11 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scream/internal/core"
 	"scream/internal/des"
 	"scream/internal/flow"
+	"scream/internal/rng"
 	"scream/internal/stats"
 	"scream/internal/traffic"
 )
@@ -117,7 +117,7 @@ func RunSchedCell(load float64, seed int64, quick bool) ([]float64, error) {
 		meanRate := load / frame.Seconds()
 		horizon := des.Time(horizonFrames) * frame
 		mult, err := traffic.HotspotRates(s.Net.NumNodes(), schedZipfS, 1, schedZipfMax,
-			rand.New(rand.NewSource(flow.DeriveSeed(seed, int64(100+ti)))))
+			rng.New(flow.DeriveSeed(seed, int64(100+ti))))
 		if err != nil {
 			return nil, err
 		}

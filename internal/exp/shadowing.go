@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scream/internal/core"
 	"scream/internal/phys"
+	"scream/internal/rng"
 	"scream/internal/sched"
 	"scream/internal/stats"
 	"scream/internal/topo"
@@ -55,7 +55,7 @@ func shadowedGridScenario(density, sigma float64, seed int64) (*Scenario, error)
 	// radio than the headline figures.
 	power := phys.DBm(gridPowerDBm + 6).MilliWatts()
 	for attempt := 0; attempt < 25; attempt++ {
-		rng := rand.New(rand.NewSource(seed + int64(1000*attempt)))
+		rng := rng.New(seed + int64(1000*attempt))
 		net, err := topo.NewGrid(topo.GridConfig{
 			Rows: 8, Cols: 8, Step: step, TxPowerMW: power, Params: p,
 		}, rng)

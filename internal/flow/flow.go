@@ -47,6 +47,7 @@ import (
 	"scream/internal/graph"
 	"scream/internal/obs"
 	"scream/internal/phys"
+	"scream/internal/rng"
 	"scream/internal/route"
 	"scream/internal/sched"
 	"scream/internal/stats"
@@ -414,7 +415,7 @@ func (p *plane) schedule(arrivals []traffic.Arrival, seed int64, horizon des.Tim
 		if a == nil {
 			continue
 		}
-		s := source{node: u, arr: a, rng: rand.New(rand.NewSource(DeriveSeed(seed, int64(u))))}
+		s := source{node: u, arr: a, rng: rng.New(DeriveSeed(seed, int64(u)))}
 		if at, ok := s.next(0, horizon); ok {
 			p.srcs = append(p.srcs, s)
 			p.due = append(p.due, due{at: at, src: len(p.srcs) - 1})

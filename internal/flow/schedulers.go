@@ -3,13 +3,13 @@ package flow
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"scream/internal/core"
 	"scream/internal/des"
 	"scream/internal/graph"
 	"scream/internal/obs"
 	"scream/internal/phys"
+	"scream/internal/rng"
 	"scream/internal/route"
 	"scream/internal/sched"
 )
@@ -262,7 +262,7 @@ func NewProtocolScheduler(cfg ProtocolSchedulerConfig) (Scheduler, error) {
 			}
 			if cfg.Variant == core.PDD {
 				run.Probability = cfg.P
-				run.RNG = rand.New(rand.NewSource(DeriveSeed(cfg.Seed, int64(epoch))))
+				run.RNG = rng.New(DeriveSeed(cfg.Seed, int64(epoch)))
 			}
 			res, err := core.Run(run)
 			if err != nil {

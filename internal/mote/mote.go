@@ -15,10 +15,10 @@ package mote
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scream/internal/des"
 	"scream/internal/phys"
+	"scream/internal/rng"
 )
 
 // Config parameterizes the mote experiment.
@@ -119,7 +119,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(cfg.Seed)
 	eng := des.New()
 	airtime := des.Time(cfg.SMBytes) * cfg.ByteTime
 

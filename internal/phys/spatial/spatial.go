@@ -155,11 +155,7 @@ func New(cfg Config) (*Index, error) {
 	if bucket == 0 {
 		bucket = cutoff / 2
 	}
-	nx, ny := gridDims(region, bucket)
-	for nx*ny > maxBuckets {
-		bucket *= 2
-		nx, ny = gridDims(region, bucket)
-	}
+	nx, ny, bucket := gridDims(region, bucket)
 
 	idx := &Index{
 		pos:          append([]geom.Point(nil), cfg.Pos...),
@@ -209,16 +205,19 @@ func boundingBox(pos []geom.Point) geom.Rect {
 	return r
 }
 
-func gridDims(region geom.Rect, bucket float64) (nx, ny int) {
-	nx = int(math.Ceil(region.Width()/bucket)) + 1
-	ny = int(math.Ceil(region.Height()/bucket)) + 1
-	if nx < 1 {
-		nx = 1
+// gridDims returns the bucket grid over region, doubling the bucket edge
+// until the grid has at most maxBuckets buckets, and the edge it settles on.
+// The cap is checked on the float quotients: converting a huge quotient to
+// int first would overflow and defeat the check.
+func gridDims(region geom.Rect, bucket float64) (nx, ny int, edge float64) {
+	for {
+		fx := math.Ceil(region.Width()/bucket) + 1
+		fy := math.Ceil(region.Height()/bucket) + 1
+		if !(fx*fy > maxBuckets) {
+			return max(int(fx), 1), max(int(fy), 1), bucket
+		}
+		bucket *= 2
 	}
-	if ny < 1 {
-		ny = 1
-	}
-	return nx, ny
 }
 
 // bucketDistLB returns the minimum possible distance between two points

@@ -12,9 +12,9 @@ package gapharness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"scream/internal/phys"
+	"scream/internal/rng"
 	"scream/internal/sched"
 	"scream/internal/topo"
 )
@@ -46,7 +46,7 @@ func RandomInstance(topoKind string, numLinks, maxDemand int, seed int64) (*Inst
 	if numLinks <= 0 || maxDemand <= 0 {
 		return nil, fmt.Errorf("gapharness: need positive numLinks and maxDemand")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	var net *topo.Network
 	var err error
 	switch topoKind {

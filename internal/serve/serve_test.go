@@ -382,6 +382,16 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		`{"horizon_secs": 1}`,
 		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "scheduler": "astrology", "horizon_sec": 1}`,
 		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "scheduler": "maxweight", "channels": 2, "horizon_sec": 1}`,
+		// Specs whose fault needs no mesh to find: rejected before a session
+		// starts, not reported in a 200 stream.
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "gateways": [999]}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "gateways": [-1]}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "demand_lo": 5, "demand_hi": 3}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "zipf", "load": 0.5, "zipf_s": 1}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "scheduler": "fdd", "k": -1, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 1, "cols": 1, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "uniform", "nodes": 2, "side_m": 50}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "bursty", "load": 0.5, "peak_factor": -1}, "horizon_sec": 1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {

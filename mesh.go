@@ -1,6 +1,7 @@
 package scream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"scream/internal/core"
 	"scream/internal/phys"
 	"scream/internal/radio"
+	"scream/internal/rng"
 	"scream/internal/route"
 	"scream/internal/sched"
 	"scream/internal/topo"
@@ -138,7 +140,7 @@ type Mesh struct {
 // NewGridMesh builds a planned grid mesh per the paper's Section VI setup.
 func NewGridMesh(cfg GridMeshConfig) (*Mesh, error) {
 	cfg.Radio = cfg.Radio.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(cfg.Seed)
 	var power float64
 	if cfg.TxPowerDBm != 0 {
 		power = phys.DBm(cfg.TxPowerDBm).MilliWatts()
@@ -158,7 +160,7 @@ func NewGridMesh(cfg GridMeshConfig) (*Mesh, error) {
 // until the communication graph is connected.
 func NewUniformMesh(cfg UniformMeshConfig) (*Mesh, error) {
 	cfg.Radio = cfg.Radio.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(cfg.Seed)
 	net, err := topo.NewUniform(topo.UniformConfig{
 		N: cfg.N, Side: cfg.SideMeters,
 		MinTxDBm: phys.DBm(cfg.MinTxDBm), MaxTxDBm: phys.DBm(cfg.MaxTxDBm),
@@ -194,19 +196,17 @@ func NewLineMesh(cfg LineMeshConfig) (*Mesh, error) {
 	if gws == nil {
 		gws = []int{0}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(cfg.Seed)
 	return finishMesh(net, gws, cfg.DemandLo, cfg.DemandHi, cfg.Radio.NumRadios, false, rng)
 }
 
+// The per-node static demand range a zero DemandLo or DemandHi selects.
+const defaultDemandLo, defaultDemandHi = 1, 10
+
 func finishMesh(net *topo.Network, gateways []int, lo, hi, radios int, balanced bool, rng *rand.Rand) (*Mesh, error) {
-	if lo == 0 {
-		lo = 1
-	}
+	lo, hi = cmp.Or(lo, defaultDemandLo), cmp.Or(hi, defaultDemandHi)
 	if radios <= 0 {
 		radios = 1
-	}
-	if hi == 0 {
-		hi = 10
 	}
 	if gateways == nil {
 		var err error
@@ -451,7 +451,7 @@ func (m *Mesh) backend(opts ProtocolOptions) (Backend, error) {
 	}
 	if opts.PacketLevel {
 		return radio.New(m.Network.Channel, m.Network.Params.CSThresholdMW, k, tm,
-			tm.SkewBound, rand.New(rand.NewSource(opts.Seed+1)))
+			tm.SkewBound, rng.New(opts.Seed+1))
 	}
 	return core.NewIdealBackend(m.Network.Channel, m.Network.Sens, k, tm, false)
 }
@@ -467,7 +467,7 @@ func (m *Mesh) RunPDD(p float64, opts ProtocolOptions) (*Result, error) {
 	return m.run(core.Config{
 		Variant:     core.PDD,
 		Probability: p,
-		RNG:         rand.New(rand.NewSource(opts.Seed)),
+		RNG:         rng.New(opts.Seed),
 		ASAPSeal:    opts.ASAPSeal,
 	}, opts)
 }

@@ -11,6 +11,7 @@ package scream
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -330,6 +331,23 @@ func (s ScenarioSpec) Validate() error {
 	default:
 		return fmt.Errorf("scream: scenario: unknown topology kind %q (valid: grid, uniform, line)", t.Kind)
 	}
+	// Gateways and demands are drawn when the mesh is built, but their
+	// ranges follow from the spec alone.
+	nodes := t.Nodes
+	if t.Kind == "grid" {
+		nodes = t.Rows * t.Cols
+	}
+	if len(t.Gateways) == 0 && t.Kind != "line" && nodes < 4 {
+		return fmt.Errorf("scream: scenario: %s topology has %d nodes, fewer than its 4 default gateways; deploy at least 4 nodes or list topology.gateways", t.Kind, nodes)
+	}
+	for i, g := range t.Gateways {
+		if g < 0 || g >= nodes {
+			return fmt.Errorf("scream: scenario: topology.gateways[%d] = %d is not a node; want 0..%d", i, g, nodes-1)
+		}
+	}
+	if lo, hi := cmp.Or(t.DemandLo, defaultDemandLo), cmp.Or(t.DemandHi, defaultDemandHi); lo < 1 || lo > hi {
+		return fmt.Errorf("scream: scenario: topology demand range needs 1 <= demand_lo <= demand_hi (0 selects %d and %d), got [%d, %d]", defaultDemandLo, defaultDemandHi, lo, hi)
+	}
 	switch s.Traffic.Kind {
 	case "cbr", "poisson", "bursty", "zipf":
 	case "":
@@ -345,6 +363,9 @@ func (s ScenarioSpec) Validate() error {
 	}
 	if s.Traffic.Load == 0 && s.Traffic.RatePps == 0 {
 		return fmt.Errorf("scream: scenario: traffic needs load or rate_pps > 0")
+	}
+	if zs := s.Traffic.ZipfS; s.Traffic.Kind == "zipf" && zs != 0 && !(zs > 1 && zs <= math.MaxFloat64) {
+		return fmt.Errorf("scream: scenario: traffic.zipf_s must be finite and > 1 (0 selects %g), got %g", defaultZipfS, zs)
 	}
 	name := s.SchedulerName()
 	info, err := SchedulerByName(name)
@@ -365,6 +386,7 @@ func (s ScenarioSpec) Validate() error {
 		{"max_service", s.MaxService},
 		{"max_queue", s.MaxQueue},
 		{"channels", s.Channels},
+		{"k", s.K},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("scream: scenario: %s must be >= 0, got %d", c.field, c.v)
@@ -395,6 +417,7 @@ func (s ScenarioSpec) Validate() error {
 		{"idle_wait_sec", s.IdleWaitSec, maxSimSec},
 		{"traffic.mean_on_sec", s.Traffic.MeanOnSec, maxSimSec},
 		{"traffic.mean_off_sec", s.Traffic.MeanOffSec, maxSimSec},
+		{"traffic.peak_factor", s.Traffic.PeakFactor, math.MaxFloat64},
 		{"dynamics.fail_rate", d.FailRate, math.MaxFloat64},
 		{"dynamics.mean_downtime_sec", d.MeanDowntimeSec, maxSimSec},
 		{"dynamics.speed_mps", d.SpeedMps, math.MaxFloat64},
@@ -435,6 +458,9 @@ func (s ScenarioSpec) Validate() error {
 	}
 	return nil
 }
+
+// defaultZipfS is the Zipf exponent a zero TrafficSpec.ZipfS selects.
+const defaultZipfS = 1.5
 
 // maxSimSec is the longest duration, in seconds, simulated time (int64
 // nanoseconds) can hold.
@@ -510,10 +536,7 @@ func (s ScenarioSpec) arrivals(m *Mesh, tm Timing) ([]Arrival, error) {
 		mult[i] = 1
 	}
 	if s.Traffic.Kind == "zipf" {
-		zs := s.Traffic.ZipfS
-		if zs == 0 {
-			zs = 1.5
-		}
+		zs := cmp.Or(s.Traffic.ZipfS, defaultZipfS)
 		zmax := s.Traffic.ZipfMax
 		if zmax == 0 {
 			zmax = 32

@@ -112,6 +112,20 @@ func TestScenarioValidate(t *testing.T) {
 		{"negative speed", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{Mobility: "drift", SpeedMps: -5} }, "dynamics.speed_mps must be finite and >= 0"},
 		{"negative pause", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{Mobility: "waypoint", PauseSec: -1} }, "dynamics.pause_sec must be in [0,"},
 		{"overflowing move interval", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{Mobility: "drift", MoveIntervalSec: 1e300} }, "dynamics.move_interval_sec must be in [0,"},
+		// Checks that need no mesh, which used to fail only inside Run.
+		{"gateway past the last node", func(s *ScenarioSpec) { s.Topology.Gateways = []int{0, 999} }, "topology.gateways[1] = 999 is not a node; want 0..15"},
+		{"negative gateway", func(s *ScenarioSpec) { s.Topology.Gateways = []int{-1} }, "topology.gateways[0] = -1 is not a node; want 0..15"},
+		{"inverted demand range", func(s *ScenarioSpec) { s.Topology.DemandLo, s.Topology.DemandHi = 5, 3 }, "1 <= demand_lo <= demand_hi (0 selects 1 and 10), got [5, 3]"},
+		{"demand_lo above the default hi", func(s *ScenarioSpec) { s.Topology.DemandLo = 20 }, "got [20, 10]"},
+		{"negative demand_lo", func(s *ScenarioSpec) { s.Topology.DemandLo = -3 }, "got [-3, 10]"},
+		{"zipf_s of 1", func(s *ScenarioSpec) { s.Traffic.Kind, s.Traffic.ZipfS = "zipf", 1 }, "traffic.zipf_s must be finite and > 1 (0 selects 1.5), got 1"},
+		{"NaN zipf_s", func(s *ScenarioSpec) { s.Traffic.Kind, s.Traffic.ZipfS = "zipf", math.NaN() }, "traffic.zipf_s must be finite and > 1"},
+		{"negative k", func(s *ScenarioSpec) { s.Scheduler, s.K = "fdd", -1 }, "k must be >= 0, got -1"},
+		{"1x1 grid without gateways", func(s *ScenarioSpec) { s.Topology.Rows, s.Topology.Cols = 1, 1 }, "grid topology has 1 nodes, fewer than its 4 default gateways"},
+		{"2-node uniform without gateways", func(s *ScenarioSpec) {
+			s.Topology = TopologySpec{Kind: "uniform", Nodes: 2, SideMeters: 50}
+		}, "uniform topology has 2 nodes, fewer than its 4 default gateways"},
+		{"negative peak_factor", func(s *ScenarioSpec) { s.Traffic.Kind, s.Traffic.PeakFactor = "bursty", -1 }, "traffic.peak_factor must be finite and >= 0, got -1"},
 	}
 	for _, tc := range bad {
 		spec := testSpec()
@@ -130,6 +144,26 @@ func TestScenarioValidate(t *testing.T) {
 	spec.Scheduler = "astrology"
 	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "greedy") {
 		t.Errorf("unknown-scheduler error should list valid names, got %v", err)
+	}
+}
+
+// TestRunTinySpatialBucket: a spatial bucket edge far below the
+// deployment's scale coarsens instead of overflowing the bucket grid, and the
+// run completes with every packet accounted for.
+func TestRunTinySpatialBucket(t *testing.T) {
+	spec, err := ParseScenario([]byte(`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30},
+		"traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 0.3, "seed": 7,
+		"interference": {"engine": "spatial", "bucket_m": 1e-300}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered == 0 || res.Offered != res.Delivered+res.Dropped+res.LostOnFailure+res.FinalBacklog {
+		t.Errorf("offered %d, delivered %d, dropped %d, lost %d, backlog %d",
+			res.Offered, res.Delivered, res.Dropped, res.LostOnFailure, res.FinalBacklog)
 	}
 }
 
