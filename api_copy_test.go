@@ -30,13 +30,13 @@ func TestAPIDefensiveCopies(t *testing.T) {
 		}},
 		{"mesh does not alias the caller's gateway slice", func(t *testing.T) {
 			gws := []int{0, 15}
-			m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1, Gateways: gws})
+			m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30, Gateways: gws}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			gws[0] = 7
 			if got := m.Gateways(); got[0] != 0 {
-				t.Errorf("mutating the config slice re-routed the mesh gateways: %v", got)
+				t.Errorf("mutating the spec slice re-routed the mesh gateways: %v", got)
 			}
 		}},
 		{"Schedulers returns a fresh slice", func(t *testing.T) {

@@ -249,12 +249,32 @@ func BenchmarkFlowEpoch(b *testing.B) {
 	b.ReportMetric(last.GoodputPps, "goodput_pps")
 }
 
+// BenchmarkRunGoldenSpec is the library's end-to-end path: Run on the
+// checked-in golden scenario (testdata/scenario_grid.json), building its mesh
+// through NewMesh every iteration. Loading the spec is outside the timer.
+func BenchmarkRunGoldenSpec(b *testing.B) {
+	spec, err := LoadScenario("testdata/scenario_grid.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var last *FlowResult
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	b.ReportMetric(last.GoodputPps, "goodput_pps")
+}
+
 // benchFlowSpec is the flow-epoch benchmarks' 16-node mesh and scenario: CBR
 // sources at 1.0x the static capacity, given as an absolute rate computed
 // here so the timed loop does not rebuild FlowFrameTime.
 func benchFlowSpec(b *testing.B, scheduler string) (*Mesh, ScenarioSpec) {
 	b.Helper()
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,9 +298,7 @@ func benchFlowSpec(b *testing.B, scheduler string) (*Mesh, ScenarioSpec) {
 // schedule reuse, 2 s of simulated time per iteration. Arrivals, queues and
 // the delay summary, not schedule builds, carry most of its cost.
 func BenchmarkFlowEpochSaturated(b *testing.B) {
-	radio := DefaultRadioParams()
-	radio.NumRadios = 2
-	m, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Radio: radio, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30, Radio: &RadioSpec{NumRadios: 2}}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -358,7 +376,7 @@ func BenchmarkFlowEpochObsEnabled(b *testing.B) { benchFlowEpochObs(b, true) }
 // Micro-benchmarks for the primitives themselves.
 
 func BenchmarkGreedyPhysical64(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -386,7 +404,7 @@ func benchDemands64(m *Mesh) []int {
 // grid; compare against BenchmarkGreedyPhysical64 to read off the ordering
 // overhead.
 func BenchmarkMaxWeightSchedule64(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,7 +421,7 @@ func BenchmarkMaxWeightSchedule64(b *testing.B) {
 // construction (length-class partition + per-class first-fit) on the same
 // grid and demands as BenchmarkMaxWeightSchedule64.
 func BenchmarkFanZhangSchedule64(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,13 +460,11 @@ func BenchmarkMaxWeightEpoch(b *testing.B) {
 // path (C=1 delegates to the slab-allocated single-channel SlotState engine
 // for any radio count — the path every single-channel figure runs).
 func BenchmarkSlotStateMultiChannel(b *testing.B) {
-	radio := DefaultRadioParams()
-	radio.NumRadios = 2
-	multi, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1, Radio: radio})
+	multi, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30, Radio: &RadioSpec{NumRadios: 2}}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	single, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1})
+	single, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -469,7 +485,7 @@ func BenchmarkSlotStateMultiChannel(b *testing.B) {
 }
 
 func BenchmarkFDDRun64(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -482,7 +498,7 @@ func BenchmarkFDDRun64(b *testing.B) {
 }
 
 func BenchmarkPDDRun64(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,7 +511,7 @@ func BenchmarkPDDRun64(b *testing.B) {
 }
 
 func BenchmarkScreamPrimitive(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -48,22 +48,16 @@ func main() {
 }
 
 func run(topology string, rows, cols int, step float64, n int, side, minTx, maxTx, txPower float64, protos string, p float64, seed int64, packet bool, k int) error {
-	var (
-		mesh *scream.Mesh
-		err  error
-	)
+	var t scream.TopologySpec
 	switch topology {
 	case "grid":
-		mesh, err = scream.NewGridMesh(scream.GridMeshConfig{
-			Rows: rows, Cols: cols, StepMeters: step, TxPowerDBm: txPower, Seed: seed,
-		})
+		t = scream.TopologySpec{Kind: "grid", Rows: rows, Cols: cols, StepMeters: step, TxPowerDBm: txPower}
 	case "uniform":
-		mesh, err = scream.NewUniformMesh(scream.UniformMeshConfig{
-			N: n, SideMeters: side, MinTxDBm: minTx, MaxTxDBm: maxTx, Seed: seed,
-		})
+		t = scream.TopologySpec{Kind: "uniform", Nodes: n, SideMeters: side, MinTxDBm: minTx, MaxTxDBm: maxTx}
 	default:
 		return fmt.Errorf("unknown topology %q", topology)
 	}
+	mesh, err := scream.NewMesh(t, seed)
 	if err != nil {
 		return err
 	}

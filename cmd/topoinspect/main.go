@@ -35,18 +35,16 @@ func main() {
 }
 
 func run(topology string, rows, cols int, step float64, n int, side float64, seed int64) error {
-	var (
-		mesh *scream.Mesh
-		err  error
-	)
+	var t scream.TopologySpec
 	switch topology {
 	case "grid":
-		mesh, err = scream.NewGridMesh(scream.GridMeshConfig{Rows: rows, Cols: cols, StepMeters: step, Seed: seed})
+		t = scream.TopologySpec{Kind: "grid", Rows: rows, Cols: cols, StepMeters: step}
 	case "uniform":
-		mesh, err = scream.NewUniformMesh(scream.UniformMeshConfig{N: n, SideMeters: side, MinTxDBm: 16, MaxTxDBm: 22, Seed: seed})
+		t = scream.TopologySpec{Kind: "uniform", Nodes: n, SideMeters: side, MinTxDBm: 16, MaxTxDBm: 22}
 	default:
 		return fmt.Errorf("unknown topology %q", topology)
 	}
+	mesh, err := scream.NewMesh(t, seed)
 	if err != nil {
 		return err
 	}

@@ -5,12 +5,12 @@ package scream
 // scheduler registry (Schedulers/SchedulerByName): CLIs (flowsim -engine,
 // figgen), the screamd daemon's /api/v1/engines endpoint and scenario specs
 // (ScenarioSpec.Interference) all enumerate and resolve engines through this
-// one table, backed by phys.Engines.
+// one table. Engines are constructed from a deployment, not from a name (see
+// Mesh.UseEngine), so the table carries metadata only.
 
 import (
 	"fmt"
-
-	"scream/internal/phys"
+	"strings"
 )
 
 // EngineInfo describes one registered interference engine. The JSON shape is
@@ -32,31 +32,48 @@ type EngineInfo struct {
 const (
 	// EngineDense is the exact dense n x n RX-power matrix — the reference
 	// model and the default everywhere an engine is not named.
-	EngineDense = phys.EngineDense
+	EngineDense = "dense"
 	// EngineSpatial is the grid-bucket spatial index: exact near-field
 	// queries within a cutoff radius, a conservative per-bucket far-field
 	// bound beyond it, O(n) memory.
-	EngineSpatial = phys.EngineSpatial
+	EngineSpatial = "spatial"
 )
+
+// engines is the registry table in reporting order (the exact default
+// first). Nothing writes to it: Engines hands out copies.
+var engines = [...]EngineInfo{
+	{
+		Name:  EngineDense,
+		Doc:   "exact dense n*n RX-power matrix; the reference model (O(n^2) memory)",
+		Exact: true,
+	},
+	{
+		Name:  EngineSpatial,
+		Doc:   "grid-bucket index: exact near-field, conservative far-field bound (O(n) memory)",
+		Exact: false,
+	},
+}
 
 // Engines enumerates the registered interference engines in reporting order
 // (the exact default first). The returned slice is freshly allocated on every
 // call: mutating it never affects the registry.
 func Engines() []EngineInfo {
-	defs := phys.Engines()
-	infos := make([]EngineInfo, len(defs))
-	for i, d := range defs {
-		infos[i] = EngineInfo{Name: d.Name, Doc: d.Doc, Exact: d.Exact}
-	}
-	return infos
+	return append([]EngineInfo(nil), engines[:]...)
 }
 
 // EngineByName resolves a registry name ("dense", "spatial") to its engine
 // description. Unknown names return an error listing every valid name.
 func EngineByName(name string) (EngineInfo, error) {
-	d, err := phys.EngineByName(name)
-	if err != nil {
-		return EngineInfo{}, fmt.Errorf("scream: %w", err)
+	for _, e := range engines {
+		if e.Name == name {
+			return e, nil
+		}
 	}
-	return EngineInfo{Name: d.Name, Doc: d.Doc, Exact: d.Exact}, nil
+	// Scenario validation resolves the engine on every run, so the name list
+	// is built only on a miss.
+	valid := make([]string, len(engines))
+	for i, e := range engines {
+		valid[i] = e.Name
+	}
+	return EngineInfo{}, fmt.Errorf("scream: unknown engine %q (valid: %s)", name, strings.Join(valid, ", "))
 }

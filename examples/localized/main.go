@@ -26,9 +26,9 @@ func main() {
 	)
 	found := false
 	for _, slack := range []float64{1.02, 1.03, 1.05, 1.08} {
-		mesh, err := scream.NewLineMesh(scream.LineMeshConfig{
-			N: nodes, StepMeters: step, RangeSlack: slack, Seed: 1,
-		})
+		mesh, err := scream.NewMesh(scream.TopologySpec{
+			Kind: "line", Nodes: nodes, StepMeters: step, RangeSlack: slack,
+		}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,9 +15,9 @@ import (
 
 func main() {
 	// 64 routers, 35 m apart (a city-block deployment), demands U[1,10].
-	mesh, err := scream.NewGridMesh(scream.GridMeshConfig{
-		Rows: 8, Cols: 8, StepMeters: 35, Seed: 7,
-	})
+	mesh, err := scream.NewMesh(scream.TopologySpec{
+		Kind: "grid", Rows: 8, Cols: 8, StepMeters: 35,
+	}, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,9 @@
 // screams from a 3-sample moving average of RSSI. The demo sweeps the SCREAM
 // size and prints the detection error (Figure 4) plus an RSSI trace excerpt
 // (Figure 5).
+//
+// It has no Example test pinning its output: it builds no mesh, its sweep
+// takes most of a second, and internal/mote tests the experiment it drives.
 package main
 
 import (

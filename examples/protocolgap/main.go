@@ -31,9 +31,9 @@ func main() {
 		"TX power", "TD", "protocol", "SINR-violating", "physical", "verified")
 
 	for _, power := range []float64{14, 17, 20, 23} {
-		mesh, err := scream.NewGridMesh(scream.GridMeshConfig{
-			Rows: 8, Cols: 8, StepMeters: 30, TxPowerDBm: power, Seed: 3,
-		})
+		mesh, err := scream.NewMesh(scream.TopologySpec{
+			Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30, TxPowerDBm: power,
+		}, 3)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,9 +13,9 @@ import (
 func main() {
 	// A 5x5 backbone grid, 30 m spacing, four gateways placed by quadrant,
 	// per-node demands drawn from [1, 10].
-	mesh, err := scream.NewGridMesh(scream.GridMeshConfig{
-		Rows: 5, Cols: 5, StepMeters: 30, Seed: 42,
-	})
+	mesh, err := scream.NewMesh(scream.TopologySpec{
+		Kind: "grid", Rows: 5, Cols: 5, StepMeters: 30,
+	}, 42)
 	if err != nil {
 		log.Fatal(err)
 	}

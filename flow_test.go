@@ -8,7 +8,7 @@ import (
 
 func flowTestMesh(t *testing.T) *Mesh {
 	t.Helper()
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,36 +107,38 @@ func TestHotspotRatesRoot(t *testing.T) {
 	}
 }
 
-// TestRadioParamsCSThreshold pins the carrier-sense sentinel semantics:
-// DefaultRadioParams (NaN) derives beta * noise; any finite value — now
-// including a literal 0 dBm — is used as given.
-func TestRadioParamsCSThreshold(t *testing.T) {
-	if !math.IsNaN(DefaultRadioParams().CSThresholdDBm) {
-		t.Fatal("DefaultRadioParams should leave CSThresholdDBm explicitly unset (NaN)")
-	}
-
-	derived := flowTestMesh(t)
-	p := derived.Network.Params
-	if got, want := p.CSThresholdMW, p.NoiseMW*p.Beta; math.Abs(got-want)/want > 1e-12 {
-		t.Errorf("NaN sentinel: CS threshold %v, want beta*noise %v", got, want)
-	}
-
-	radio := DefaultRadioParams()
-	radio.CSThresholdDBm = 0 // a literal 0 dBm = 1 mW, previously unexpressible
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1, Radio: radio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Network.Params.CSThresholdMW; math.Abs(got-1) > 1e-12 {
-		t.Errorf("explicit 0 dBm: CS threshold %v mW, want 1", got)
-	}
-
-	radio.CSThresholdDBm = -80
-	m, err = NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1, Radio: radio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := m.Network.Params.CSThresholdMW, 1e-8; math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("explicit -80 dBm: CS threshold %v mW, want %v", got, want)
+// TestRadioSpecCSThreshold pins the carrier-sense threshold: nil derives
+// beta * noise from the physics in effect, and any value, a literal 0 dBm
+// included, is used as given. Both apply on top of the default physics when
+// the five physics fields are all zero.
+func TestRadioSpecCSThreshold(t *testing.T) {
+	dbm := func(v float64) *float64 { return &v }
+	def := flowTestMesh(t).Network.Params
+	for _, tc := range []struct {
+		name  string
+		radio *RadioSpec
+		want  float64 // mW
+	}{
+		{"nil radio", nil, def.NoiseMW * def.Beta},
+		{"0 dBm", &RadioSpec{CSThresholdDBm: dbm(0)}, 1},
+		{"-70 dBm", &RadioSpec{CSThresholdDBm: dbm(-70)}, 1e-7},
+		{"-80 dBm on explicit physics", &RadioSpec{PathLossExponent: 3, RefLossDB: 40, NoiseDBm: -96, BetaDB: 10, CSThresholdDBm: dbm(-80)}, 1e-8},
+		{"nil on explicit physics", &RadioSpec{PathLossExponent: 3, RefLossDB: 40, NoiseDBm: -90, BetaDB: 10}, 1e-8},
+	} {
+		m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30, Radio: tc.radio}, 1)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		p := m.Network.Params
+		if got := p.CSThresholdMW; math.Abs(got-tc.want)/tc.want > 1e-9 {
+			t.Errorf("%s: CS threshold %v mW, want %v", tc.name, got, tc.want)
+		}
+		if p.NoiseMW == def.NoiseMW {
+			p.CSThresholdMW = def.CSThresholdMW
+			if p != def {
+				t.Errorf("%s: physics %+v, want the defaults %+v", tc.name, p, def)
+			}
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // mesh and checks the quality ordering the paper establishes:
 // optimal-ish centralized == FDD <= PDD(any p) <= linear.
 func TestEndToEndAllSchedulersAgreeOnQuality(t *testing.T) {
-	mesh, err := NewGridMesh(GridMeshConfig{Rows: 6, Cols: 6, StepMeters: 32, Seed: 11})
+	mesh, err := NewMesh(TopologySpec{Kind: "grid", Rows: 6, Cols: 6, StepMeters: 32}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,9 @@ func TestEndToEndAllSchedulersAgreeOnQuality(t *testing.T) {
 // TestEndToEndPacketLevelPDD runs PDD over the packet-level radio backend —
 // randomized protocol + skewed clocks + energy detection, full stack.
 func TestEndToEndPacketLevelPDD(t *testing.T) {
-	mesh, err := NewGridMesh(GridMeshConfig{
-		Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}, DemandHi: 3, Seed: 17,
-	})
+	mesh, err := NewMesh(TopologySpec{
+		Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}, DemandHi: 3,
+	}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,9 @@ func TestEndToEndPacketLevelPDD(t *testing.T) {
 // greedy on every single one (Theorem 4 is not a statistical claim).
 func TestEndToEndUniformMeshesAcrossSeeds(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		mesh, err := NewUniformMesh(UniformMeshConfig{
-			N: 36, SideMeters: 200, MinTxDBm: 14, MaxTxDBm: 20, Seed: seed,
-		})
+		mesh, err := NewMesh(TopologySpec{
+			Kind: "uniform", Nodes: 36, SideMeters: 200, MinTxDBm: 14, MaxTxDBm: 20,
+		}, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -114,7 +114,7 @@ func TestEndToEndUniformMeshesAcrossSeeds(t *testing.T) {
 // at moderate power must contain SINR-violating slots (the aggregation
 // blindness the physical model fixes).
 func TestEndToEndProtocolModelComparison(t *testing.T) {
-	mesh, err := NewGridMesh(GridMeshConfig{Rows: 6, Cols: 6, StepMeters: 30, TxPowerDBm: 17, Seed: 23})
+	mesh, err := NewMesh(TopologySpec{Kind: "grid", Rows: 6, Cols: 6, StepMeters: 30, TxPowerDBm: 17}, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,9 @@ func TestEndToEndProtocolModelComparison(t *testing.T) {
 // TestEndToEndOptimalOnTinyMesh cross-checks greedy against the exact DP on
 // a mesh small enough for exhaustive search.
 func TestEndToEndOptimalOnTinyMesh(t *testing.T) {
-	mesh, err := NewGridMesh(GridMeshConfig{
-		Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}, DemandLo: 1, DemandHi: 1, Seed: 29,
-	})
+	mesh, err := NewMesh(TopologySpec{
+		Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}, DemandLo: 1, DemandHi: 1,
+	}, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestEndToEndOptimalOnTinyMesh(t *testing.T) {
 // execution time strictly rises while the schedule stays identical — the
 // protocols compensate for skew with time, never with quality.
 func TestEndToEndSkewSweepMonotone(t *testing.T) {
-	mesh, err := NewGridMesh(GridMeshConfig{Rows: 5, Cols: 5, StepMeters: 30, Seed: 31})
+	mesh, err := NewMesh(TopologySpec{Kind: "grid", Rows: 5, Cols: 5, StepMeters: 30}, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +203,9 @@ func TestEndToEndSkewSweepMonotone(t *testing.T) {
 // across the whole stack.
 func TestEndToEndReproducibility(t *testing.T) {
 	build := func() (*Mesh, *Result) {
-		mesh, err := NewUniformMesh(UniformMeshConfig{
-			N: 30, SideMeters: 200, MinTxDBm: 14, MaxTxDBm: 20, Seed: 37,
-		})
+		mesh, err := NewMesh(TopologySpec{
+			Kind: "uniform", Nodes: 30, SideMeters: 200, MinTxDBm: 14, MaxTxDBm: 20,
+		}, 37)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestEndToEndReproducibility(t *testing.T) {
 // TestEndToEndCustomLinkSet drives the arbitrary-link-set escape hatch the
 // paper mentions (scheduling a general link set, not a forest).
 func TestEndToEndCustomLinkSet(t *testing.T) {
-	mesh, err := NewGridMesh(GridMeshConfig{Rows: 5, Cols: 5, StepMeters: 30, Seed: 43})
+	mesh, err := NewMesh(TopologySpec{Kind: "grid", Rows: 5, Cols: 5, StepMeters: 30}, 43)
 	if err != nil {
 		t.Fatal(err)
 	}

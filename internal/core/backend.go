@@ -187,9 +187,6 @@ func (b *IdealBackend) NumNodes() int { return len(b.sensAdj) }
 // K returns the SCREAM length in slots.
 func (b *IdealBackend) K() int { return b.k }
 
-// Timing returns the slot timing model.
-func (b *IdealBackend) Timing() Timing { return b.timing }
-
 // Scream implements Backend.
 func (b *IdealBackend) Scream(vars []bool) []bool {
 	b.bill(1)

@@ -131,9 +131,6 @@ func NewWorld(net *topo.Network, forest *route.Forest, cfg Config) (*World, erro
 // detach.
 func (w *World) AttachSpatial(idx *spatial.Index) { w.spatial = idx }
 
-// Spatial returns the attached spatial index, or nil.
-func (w *World) Spatial() *spatial.Index { return w.spatial }
-
 // Alive returns the live aliveness view. The slice is owned by the world;
 // callers must treat it as read-only and must not retain it across
 // AdvanceTo calls they expect to be stale-proof.
@@ -167,9 +164,6 @@ func (w *World) AliveGateways() []int {
 	}
 	return out
 }
-
-// EventsTotal returns the number of events on the timeline.
-func (w *World) EventsTotal() int { return len(w.timeline) }
 
 // NextEventAt returns the timestamp of the next unapplied event.
 func (w *World) NextEventAt() (des.Time, bool) {

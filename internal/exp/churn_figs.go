@@ -66,16 +66,16 @@ func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 			return flow.NewGreedyScheduler(s.Net.Channel, 1, 1, s.Links), nil
 		}},
 		{"fdd", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewProtocolScheduler(flow.ProtocolSchedulerConfig{
+			return flow.NewProtocolScheduler(flow.SchedulerEnv{
 				Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links,
-				Timing: tm, Variant: core.FDD, Seed: seed,
-			})
+				Timing: tm, Seed: seed,
+			}, core.FDD)
 		}},
 		{"pdd", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewProtocolScheduler(flow.ProtocolSchedulerConfig{
+			return flow.NewProtocolScheduler(flow.SchedulerEnv{
 				Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links,
-				Timing: tm, Variant: core.PDD, P: 0.8, Seed: seed + 1,
-			})
+				Timing: tm, P: 0.8, Seed: seed + 1,
+			}, core.PDD)
 		}},
 		{"tdma", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
 			return flow.NewTDMAScheduler(s.Links, 1, 1), nil

@@ -277,10 +277,10 @@ func TestFlowControlUnavailable(t *testing.T) {
 		{At: 40 * frame, Kind: dynam.Fail, Node: 1}, // severs node 2 from the gateway
 		{At: 120 * frame, Kind: dynam.Recover, Node: 1},
 	}})
-	fdd, err := NewProtocolScheduler(ProtocolSchedulerConfig{
+	fdd, err := NewProtocolScheduler(SchedulerEnv{
 		Channel: tbD.net.Channel, Sens: tbD.net.Sens, Links: tbD.links,
-		Timing: tm, Variant: core.FDD, Seed: 3,
-	})
+		Timing: tm, Seed: 3,
+	}, core.FDD)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package flow
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scream/internal/core"
@@ -242,15 +244,14 @@ func TestFlowProtocolSchedulers(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewProtocolScheduler(ProtocolSchedulerConfig{
+			s, err := NewProtocolScheduler(SchedulerEnv{
 				Channel: tb.net.Channel,
 				Sens:    tb.net.Sens,
 				Links:   tb.links,
 				Timing:  tm,
-				Variant: tc.variant,
 				P:       tc.p,
 				Seed:    17,
-			})
+			}, tc.variant)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,6 +286,32 @@ func TestFlowProtocolSchedulers(t *testing.T) {
 	}
 }
 
+// TestProtocolSchedulerNeedsDenseEngine: the distributed protocols simulate
+// real reception, so a conservative engine is an error whether the scheduler
+// comes from the registry or the constructor; the dense channel is not.
+func TestProtocolSchedulerNeedsDenseEngine(t *testing.T) {
+	tb := newTestbed(t, 3, 3)
+	idx, err := tb.net.SpatialEngine(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := SchedulerEnv{Channel: tb.net.Channel, Engine: idx, Sens: tb.net.Sens, Links: tb.links, P: 0.5}
+	for _, name := range []string{"fdd", "pdd"} {
+		def, err := SchedulerDefByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("scheduler %q requires the dense interference engine", name)
+		if _, err := def.New(env); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s on the spatial engine: error %v, want %q", name, err, want)
+		}
+	}
+	env.Engine = tb.net.Channel
+	if _, err := NewProtocolScheduler(env, core.FDD); err != nil {
+		t.Errorf("fdd on the dense channel: %v", err)
+	}
+}
+
 // TestFlowFramesPerEpoch: replaying the schedule amortizes control cost —
 // more frames per epoch must cut the control fraction and raise goodput for
 // a distributed scheduler.
@@ -293,14 +320,13 @@ func TestFlowFramesPerEpoch(t *testing.T) {
 	tm := core.DefaultTiming()
 	frame := tb.frameTime(t, tm)
 	run := func(frames int) *Result {
-		s, err := NewProtocolScheduler(ProtocolSchedulerConfig{
+		s, err := NewProtocolScheduler(SchedulerEnv{
 			Channel: tb.net.Channel,
 			Sens:    tb.net.Sens,
 			Links:   tb.links,
 			Timing:  tm,
-			Variant: core.FDD,
 			Seed:    23,
-		})
+		}, core.FDD)
 		if err != nil {
 			t.Fatal(err)
 		}

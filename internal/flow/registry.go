@@ -85,37 +85,6 @@ func (e SchedulerEnv) engine() phys.Engine {
 	return e.Channel
 }
 
-// requireDense returns an error unless the environment's engine is the
-// dense channel. The distributed protocols (and anything else that
-// simulates real reception) need exact interference, not a conservative
-// bound.
-func (e SchedulerEnv) requireDense(name string) error {
-	if e.Engine == nil {
-		return nil
-	}
-	if _, ok := e.Engine.(*phys.Channel); ok {
-		return nil
-	}
-	return fmt.Errorf("flow: scheduler %q requires the dense interference engine", name)
-}
-
-func (e SchedulerEnv) protocolConfig(v core.Variant) ProtocolSchedulerConfig {
-	return ProtocolSchedulerConfig{
-		Channel:  e.Channel,
-		Sens:     e.Sens,
-		Links:    e.Links,
-		K:        e.K,
-		Timing:   e.Timing,
-		Variant:  v,
-		P:        e.P,
-		Seed:     e.Seed,
-		Metrics:  e.Metrics,
-		Trace:    e.Trace,
-		Channels: e.Channels,
-		Radios:   e.Radios,
-	}
-}
-
 // backendDoc pulls the doc string of the static scheduler-family member the
 // flow scheduler wraps (sched.Backends is the source of truth for the
 // centralized single-channel family).
@@ -172,10 +141,7 @@ func SchedulerDefs() []SchedulerDef {
 			Distributed:  true,
 			MultiChannel: true,
 			New: func(env SchedulerEnv) (Scheduler, error) {
-				if err := env.requireDense("fdd"); err != nil {
-					return Scheduler{}, err
-				}
-				return NewProtocolScheduler(env.protocolConfig(core.FDD))
+				return NewProtocolScheduler(env, core.FDD)
 			},
 		},
 		{
@@ -185,10 +151,7 @@ func SchedulerDefs() []SchedulerDef {
 			Distributed:  true,
 			MultiChannel: true,
 			New: func(env SchedulerEnv) (Scheduler, error) {
-				if err := env.requireDense("pdd"); err != nil {
-					return Scheduler{}, err
-				}
-				return NewProtocolScheduler(env.protocolConfig(core.PDD))
+				return NewProtocolScheduler(env, core.PDD)
 			},
 		},
 		{

@@ -3,11 +3,10 @@ package flow
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"scream/internal/core"
 	"scream/internal/des"
-	"scream/internal/graph"
-	"scream/internal/obs"
 	"scream/internal/phys"
 	"scream/internal/rng"
 	"scream/internal/route"
@@ -180,89 +179,71 @@ func radiosUsed(slot []phys.Link, u int) int {
 	return n
 }
 
-// ProtocolSchedulerConfig parameterizes a distributed epoch scheduler.
-type ProtocolSchedulerConfig struct {
-	Channel *phys.Channel
-	Sens    *graph.Graph // sensitivity graph (who hears whom)
-	Links   []phys.Link
-	K       int // SCREAM length; 0 derives ID(G_S) from Sens
-	Timing  core.Timing
-	Variant core.Variant
-	P       float64 // PDD activation probability
-	Seed    int64   // per-epoch RNG seeds derive from this
-	// Channels is the number of orthogonal data channels each epoch's
-	// protocol run schedules over (0 or 1 = one channel); Radios is the
-	// per-node radio budget (0 = 1), ignored on one channel. See
-	// core.Config.
-	Channels int
-	Radios   int
-	// Metrics and Trace, when non-nil, are forwarded into every epoch's
-	// core.Config — each protocol run then publishes its counters and
-	// emits its trace events. See core.Config.Metrics/Trace.
-	Metrics *obs.Registry
-	Trace   *obs.Tracer
-}
-
-// NewProtocolScheduler returns FDD or PDD as an epoch scheduler. Every epoch
-// re-runs the full distributed protocol on a fresh ideal backend against the
-// backlog snapshot, and the returned control cost is the protocol's real
-// simulated execution time (core.Result.ExecTime) — the price the network
-// pays, in SCREAMs, elections and handshakes, for re-planning.
+// NewProtocolScheduler returns variant v (FDD or PDD) as an epoch scheduler.
+// The protocols simulate real reception, so env's engine must be the exact
+// dense channel. Every epoch re-runs the full distributed protocol on a
+// fresh ideal backend against the backlog snapshot, and the returned control
+// cost is the protocol's real simulated execution time (core.Result.ExecTime)
+// — the price the network pays, in SCREAMs, elections and handshakes, for
+// re-planning.
 //
 // The scheduler is adaptive under topology dynamics: Rebind rebuilds the
 // backend over the refreshed sensitivity graph with the SCREAM length
 // re-validated against the interference diameter restricted to the alive
-// nodes (cfg.K acts as a floor). When the alive sensitivity graph is
+// nodes (env.K acts as a floor). When the alive sensitivity graph is
 // disconnected, Rebind returns ErrControlUnavailable and the epoch driver
 // keeps the previous schedule until connectivity returns.
-func NewProtocolScheduler(cfg ProtocolSchedulerConfig) (Scheduler, error) {
-	tm := cfg.Timing
+func NewProtocolScheduler(env SchedulerEnv, v core.Variant) (Scheduler, error) {
+	if _, dense := env.engine().(*phys.Channel); !dense {
+		return Scheduler{}, fmt.Errorf("flow: scheduler %q requires the dense interference engine", strings.ToLower(v.String()))
+	}
+	tm := env.Timing
 	if tm == (core.Timing{}) {
 		tm = core.DefaultTiming()
 	}
-	k := cfg.K
+	k := env.K
 	if k == 0 {
-		k = cfg.Sens.Diameter()
+		k = env.Sens.Diameter()
 		if k <= 0 {
 			return Scheduler{}, fmt.Errorf("flow: sensitivity graph not strongly connected")
 		}
 	}
-	name := cfg.Variant.String()
-	if cfg.Variant == core.PDD {
-		if cfg.P <= 0 || cfg.P > 1 {
-			return Scheduler{}, fmt.Errorf("flow: PDD needs probability in (0,1], got %v", cfg.P)
+	name := v.String()
+	if v == core.PDD {
+		if env.P <= 0 || env.P > 1 {
+			return Scheduler{}, fmt.Errorf("flow: PDD needs probability in (0,1], got %v", env.P)
 		}
-		name = fmt.Sprintf("PDD(p=%.2f)", cfg.P)
+		name = fmt.Sprintf("PDD(p=%.2f)", env.P)
 	}
-	if cfg.Channels > 1 {
-		name = fmt.Sprintf("%s(C=%d)", name, cfg.Channels)
+	if env.Channels > 1 {
+		name = fmt.Sprintf("%s(C=%d)", name, env.Channels)
 	}
 	// Build (and validate) the backend once; every epoch clones it, which
 	// shares the sensitivity adjacency but gives the run fresh time
 	// accounting and engine state, instead of re-deriving the adjacency and
 	// re-checking the interference diameter per epoch.
-	proto, err := core.NewIdealBackend(cfg.Channel, cfg.Sens, k, tm, false)
+	proto, err := core.NewIdealBackend(env.Channel, env.Sens, k, tm, false)
 	if err != nil {
 		return Scheduler{}, err
 	}
-	links := cfg.Links
+	links := env.Links
 	return Scheduler{
 		Name: name,
 		Build: func(demands []int, epoch int) (*sched.Schedule, des.Time, error) {
 			b := proto.Clone()
 			run := core.Config{
-				Variant:     cfg.Variant,
+				Variant:     v,
 				Links:       links,
 				Demands:     demands,
 				Backend:     b,
-				NumChannels: cfg.Channels,
-				NumRadios:   cfg.Radios,
-				Metrics:     cfg.Metrics,
-				Trace:       cfg.Trace,
+				NumChannels: env.Channels,
+				NumRadios:   env.Radios,
+				Metrics:     env.Metrics,
+				Trace:       env.Trace,
 			}
-			if cfg.Variant == core.PDD {
-				run.Probability = cfg.P
-				run.RNG = rng.New(DeriveSeed(cfg.Seed, int64(epoch)))
+			if v == core.PDD {
+				run.Probability = env.P
+				run.RNG = rng.New(DeriveSeed(env.Seed, int64(epoch)))
 			}
 			res, err := core.Run(run)
 			if err != nil {
@@ -271,9 +252,9 @@ func NewProtocolScheduler(cfg ProtocolSchedulerConfig) (Scheduler, error) {
 			return res.Schedule, res.ExecTime, nil
 		},
 		Rebind: func(t Topology) error {
-			// cfg.K is a floor; the backend raises the SCREAM length to the
+			// env.K is a floor; the backend raises the SCREAM length to the
 			// interference diameter among the alive nodes when needed.
-			b, err := core.NewIdealBackendAmong(cfg.Channel, t.Sens, t.Alive, cfg.K, tm)
+			b, err := core.NewIdealBackendAmong(env.Channel, t.Sens, t.Alive, env.K, tm)
 			if err != nil {
 				if errors.Is(err, core.ErrSensDisconnected) {
 					return ErrControlUnavailable

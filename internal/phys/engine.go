@@ -1,10 +1,5 @@
 package phys
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Engine is the interference-model abstraction the feasibility machinery
 // (SlotState, MultiSlotState, the greedy scheduler family) runs against. Two
 // implementations exist: the dense *Channel, whose cached n*n RX-power
@@ -47,54 +42,3 @@ func (c *Channel) SignalMW(u, v int) float64 { return c.RxPowerMW(u, v) }
 // InterfMW returns node u's interference contribution at node v. The dense
 // channel is exact, so this too is RxPowerMW.
 func (c *Channel) InterfMW(u, v int) float64 { return c.RxPowerMW(u, v) }
-
-// EngineInfo describes one interference engine for registry listings (CLI
-// flags, the service API, scream.Engines). It mirrors sched.Backend, but
-// carries metadata only: engines are constructed from a deployment, not from
-// a name, so construction lives with the deployment types.
-type EngineInfo struct {
-	// Name is the stable identifier used in scenario specs and CLI flags.
-	Name string
-	// Doc is a one-line description of the engine's model and trade-off.
-	Doc string
-	// Exact reports whether the engine answers every interference query
-	// exactly (true) or may conservatively over-estimate far-field
-	// interference (false).
-	Exact bool
-}
-
-// Engine registry names.
-const (
-	EngineDense   = "dense"
-	EngineSpatial = "spatial"
-)
-
-// Engines lists the interference engines in presentation order: the exact
-// default first. Callers may mutate the returned slice.
-func Engines() []EngineInfo {
-	return []EngineInfo{
-		{
-			Name:  EngineDense,
-			Doc:   "exact dense n*n RX-power matrix; the reference model (O(n^2) memory)",
-			Exact: true,
-		},
-		{
-			Name:  EngineSpatial,
-			Doc:   "grid-bucket index: exact near-field, conservative far-field bound (O(n) memory)",
-			Exact: false,
-		},
-	}
-}
-
-// EngineByName returns the registry entry for name, or an error naming the
-// valid choices.
-func EngineByName(name string) (EngineInfo, error) {
-	valid := make([]string, 0, 2)
-	for _, e := range Engines() {
-		if e.Name == name {
-			return e, nil
-		}
-		valid = append(valid, e.Name)
-	}
-	return EngineInfo{}, fmt.Errorf("phys: unknown engine %q (valid: %s)", name, strings.Join(valid, ", "))
-}

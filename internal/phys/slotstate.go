@@ -3,11 +3,11 @@ package phys
 // SlotState is the incremental SINR feasibility engine: it maintains, for
 // one slot under construction, the running data-sub-slot and ACK-sub-slot
 // interference sums of every admitted link plus an endpoint-occupancy count
-// per node, over an interference Engine. CanAdd, Add and Remove are all O(k)
-// for a slot holding k links, against the O(k^2) of re-running
-// Channel.FeasibleSet (and O(k^2) per handshake evaluation via
-// Channel.HandshakeOutcome) from scratch; those naive routines remain the
-// reference implementations the property tests compare against.
+// per node, over an interference Engine. CanAdd and Add are O(k) for a slot
+// holding k links, against the O(k^2) of re-running Channel.FeasibleSet (and
+// O(k^2) per handshake evaluation via Channel.HandshakeOutcome) from
+// scratch; those naive routines remain the reference implementations the
+// property tests compare against.
 //
 // Two code paths serve the two engine families. When the engine is the
 // dense *Channel, every loop reads the channel's flat cached RX-power matrix
@@ -21,7 +21,7 @@ package phys
 // recomputed per query (in index order), so individual float64 sums may
 // differ from the naive path in the last ulp; every admission margin in the
 // model is orders of magnitude wider, and the property tests fuzz
-// add/remove sequences to assert the decisions always agree.
+// add/rollback sequences to assert the decisions always agree.
 //
 // A SlotState is not safe for concurrent use.
 type SlotState struct {
@@ -70,36 +70,12 @@ func NewSlotState(c *Channel) *SlotState {
 	return s
 }
 
-// NewSlotStateDataOnly returns a slot state that ignores the ACK sub-slot
-// inequality. It exists for the ablation quantifying how much the paper's
-// link-layer-reliability extension of the interference model matters:
-// schedules it accepts may be infeasible under the full model.
-func NewSlotStateDataOnly(c *Channel) *SlotState {
-	s := new(SlotState)
-	s.InitDataOnly(c)
-	return s
-}
-
-// NewSlotStateEngine returns an empty slot bound to engine e. A dense
-// *Channel passed here takes the same matrix fast path as NewSlotState.
-func NewSlotStateEngine(e Engine) *SlotState {
-	s := new(SlotState)
-	s.InitEngine(e)
-	return s
-}
-
 // Init (re-)binds s to channel c as an empty slot. It exists so callers that
 // build many slots (greedy schedulers construct one per schedule slot) can
 // hold them in a flat []SlotState without a heap allocation per slot.
 func (s *SlotState) Init(c *Channel) {
 	s.initCommon(c)
 	s.rx = c.rxMatrix()
-}
-
-// InitDataOnly is Init with the ACK sub-slot inequality disabled.
-func (s *SlotState) InitDataOnly(c *Channel) {
-	s.Init(c)
-	s.ignoreAck = true
 }
 
 // InitEngine (re-)binds s to engine e as an empty slot. When e is the dense
@@ -252,53 +228,12 @@ func (s *SlotState) Add(l Link) {
 	}
 }
 
-// Remove deletes the first occurrence of l from the slot, subtracting its
-// contribution from every remaining sum in O(k). It reports whether l was
-// present. Removal cancels an earlier addition term-by-term, so a removed
-// link leaves the remaining sums within one rounding error of never having
-// been added; use Mark/Rollback when exact restoration matters. Remove
-// invalidates an outstanding Mark.
-func (s *SlotState) Remove(l Link) bool {
-	for i, m := range s.links {
-		if m == l {
-			s.removeAt(i)
-			return true
-		}
-	}
-	return false
-}
-
-func (s *SlotState) removeAt(idx int) {
-	l := s.links[idx]
-	s.links = append(s.links[:idx], s.links[idx+1:]...)
-	s.dataSum = append(s.dataSum[:idx], s.dataSum[idx+1:]...)
-	s.ackSum = append(s.ackSum[:idx], s.ackSum[idx+1:]...)
-	if rx := s.rx; rx != nil {
-		n := s.n
-		for i, m := range s.links {
-			s.dataSum[i] -= rx[l.From*n+m.To]
-			s.ackSum[i] -= rx[l.To*n+m.From]
-		}
-	} else {
-		eng := s.eng
-		for i, m := range s.links {
-			s.dataSum[i] -= eng.InterfMW(l.From, m.To)
-			s.ackSum[i] -= eng.InterfMW(l.To, m.From)
-		}
-	}
-	if s.busy != nil {
-		s.busy[l.From]--
-		s.busy[l.To]--
-	}
-	s.marked = -1
-}
-
 // Mark snapshots the current slot so a later Rollback can undo any Adds
 // performed after it — the protocols' tentative handshake pattern: mark,
 // admit the step's active links, evaluate Outcomes, and roll back if the
 // slot vetoes. Restoration is exact (the sums are copied, not re-derived).
 // Only one mark is outstanding at a time; a new Mark replaces the previous
-// one, and Remove or Reset invalidates it.
+// one, and Reset invalidates it.
 func (s *SlotState) Mark() {
 	s.marked = len(s.links)
 	s.savedData = append(s.savedData[:0], s.dataSum...)

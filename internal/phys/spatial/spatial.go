@@ -259,9 +259,6 @@ func (x *Index) NoiseMW() float64 { return x.noiseMW }
 // Beta implements phys.Engine.
 func (x *Index) Beta() float64 { return x.beta }
 
-// CutoffM returns the exact-interference radius the index was built with.
-func (x *Index) CutoffM() float64 { return x.cutoffM }
-
 // BucketM returns the bucket edge length the index was built with.
 func (x *Index) BucketM() float64 { return x.bucketM }
 

@@ -392,6 +392,17 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		`{"topology": {"kind": "grid", "rows": 1, "cols": 1, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
 		`{"topology": {"kind": "uniform", "nodes": 2, "side_m": 50}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
 		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "bursty", "load": 0.5, "peak_factor": -1}, "horizon_sec": 1}`,
+		// Power and radio fields with no finite, positive linear value, or
+		// out of range.
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "radio": {"beta_db": 12}}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "radio": {"path_loss_exponent": 3, "noise_dbm": -1e308}}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "radio": {"path_loss_exponent": 3, "ref_loss_db": -1e308}}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "radio": {"path_loss_exponent": 3, "beta_db": 1e308}}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "tx_dbm": 1e308}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "tx_dbm": -1e308}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "radio": {"cs_threshold_dbm": 1e308}}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "radio": {"num_radios": -2}}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30, "radio": {"path_loss_exponent": 3, "shadow_sigma_db": -3}}, "traffic": {"kind": "poisson", "load": 0.5}, "horizon_sec": 1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -3,8 +3,6 @@ package scream
 import (
 	"cmp"
 	"fmt"
-	"math"
-	"math/rand"
 
 	"scream/internal/core"
 	"scream/internal/phys"
@@ -15,110 +13,6 @@ import (
 	"scream/internal/topo"
 	"scream/internal/traffic"
 )
-
-// RadioParams describes the radio environment of a mesh.
-type RadioParams struct {
-	PathLossExponent float64 // alpha (paper simulates 3)
-	RefLossDB        float64 // path loss at 1 m
-	NoiseDBm         float64 // background noise floor
-	BetaDB           float64 // SINR threshold
-	// CSThresholdDBm is the carrier-sense (energy detect) threshold in
-	// dBm. math.NaN() means "explicitly unset": derive it as beta * noise
-	// (carrier sensing at decode sensitivity, the paper's rCS = rc), which
-	// is what DefaultRadioParams returns. Any finite value — including a
-	// literal 0 dBm, which the old 0-means-derive sentinel could not
-	// express — is used as given. Note that a RadioParams zero value
-	// therefore asks for a 0 dBm threshold; start from
-	// DefaultRadioParams() when you want the derived default.
-	CSThresholdDBm float64
-	ShadowSigmaDB  float64 // log-normal shadowing std dev; 0 disables
-	// NumRadios is the number of radio interfaces per node (0 means 1). In
-	// multi-channel scheduling a node can be active on at most NumRadios
-	// orthogonal channels per slot; each link placement occupies one radio
-	// at each endpoint. With one channel the value is irrelevant (a
-	// half-duplex node joins at most one transmission per slot regardless).
-	// A RadioParams whose other fields are all zero still gets the
-	// DefaultRadioParams environment: setting only NumRadios does not
-	// silently zero the physics.
-	NumRadios int
-}
-
-// withDefaults returns r with the propagation environment defaulted when
-// every physics field is zero. The all-zero convenience predates NumRadios,
-// so a caller setting only the radio count must not lose the default
-// physics.
-func (r RadioParams) withDefaults() RadioParams {
-	p := r
-	p.NumRadios = 0
-	if p == (RadioParams{}) {
-		d := DefaultRadioParams()
-		d.NumRadios = r.NumRadios
-		return d
-	}
-	return r
-}
-
-// DefaultRadioParams returns the environment used throughout the
-// reproduction: alpha = 3, 40 dB reference loss, -96 dBm noise, 10 dB beta,
-// and CSThresholdDBm = NaN — carrier sensing derived at decode sensitivity
-// (rCS = rc).
-func DefaultRadioParams() RadioParams {
-	return RadioParams{
-		PathLossExponent: 3,
-		RefLossDB:        40,
-		NoiseDBm:         -96,
-		BetaDB:           10,
-		CSThresholdDBm:   math.NaN(),
-	}
-}
-
-func (r RadioParams) toParams() topo.Params {
-	p := topo.DefaultParams()
-	p.PathLoss.Exponent = r.PathLossExponent
-	p.PathLoss.RefLossDB = r.RefLossDB
-	p.NoiseMW = phys.DBm(r.NoiseDBm).MilliWatts()
-	p.Beta = phys.DB(r.BetaDB).Linear()
-	if math.IsNaN(r.CSThresholdDBm) {
-		p.CSThresholdMW = p.NoiseMW * p.Beta
-	} else {
-		p.CSThresholdMW = phys.DBm(r.CSThresholdDBm).MilliWatts()
-	}
-	p.ShadowSigmaDB = r.ShadowSigmaDB
-	return p
-}
-
-// GridMeshConfig describes a planned grid deployment.
-type GridMeshConfig struct {
-	Rows, Cols int
-	StepMeters float64
-	TxPowerDBm float64 // 0 derives power from the grid step
-	Gateways   []int   // node IDs; nil places 4 quadrant gateways
-	DemandLo   int     // default 1
-	DemandHi   int     // default 10
-	Radio      RadioParams
-	Seed       int64
-	// BalancedRouting uses load-aware parent tie-breaking when building
-	// the routing forest (see route.BuildForestBalanced): min-hop paths,
-	// evener gateway load, usually a smaller TD.
-	BalancedRouting bool
-}
-
-// UniformMeshConfig describes an unplanned uniform deployment with
-// (optionally) heterogeneous transmit power.
-type UniformMeshConfig struct {
-	N          int
-	SideMeters float64
-	MinTxDBm   float64
-	MaxTxDBm   float64
-	Gateways   []int // node IDs; nil places 4 quadrant gateways
-	DemandLo   int
-	DemandHi   int
-	Radio      RadioParams
-	Seed       int64
-	// BalancedRouting uses load-aware parent tie-breaking (see
-	// GridMeshConfig.BalancedRouting).
-	BalancedRouting bool
-}
 
 // Mesh is a deployed wireless mesh backbone: topology, routing forest and
 // per-link aggregated demands — everything the schedulers consume.
@@ -137,84 +31,60 @@ type Mesh struct {
 	interf InterferenceSpec
 }
 
-// NewGridMesh builds a planned grid mesh per the paper's Section VI setup.
-func NewGridMesh(cfg GridMeshConfig) (*Mesh, error) {
-	cfg.Radio = cfg.Radio.withDefaults()
-	rng := rng.New(cfg.Seed)
-	var power float64
-	if cfg.TxPowerDBm != 0 {
-		power = phys.DBm(cfg.TxPowerDBm).MilliWatts()
-	}
-	net, err := topo.NewGrid(topo.GridConfig{
-		Rows: cfg.Rows, Cols: cfg.Cols, Step: cfg.StepMeters,
-		TxPowerMW: power,
-		Params:    cfg.Radio.toParams(),
-	}, rng)
-	if err != nil {
-		return nil, fmt.Errorf("scream: %w", err)
-	}
-	return finishMesh(net, cfg.Gateways, cfg.DemandLo, cfg.DemandHi, cfg.Radio.NumRadios, cfg.BalancedRouting, rng)
-}
-
-// NewUniformMesh builds an unplanned uniform mesh, re-drawing node positions
-// until the communication graph is connected.
-func NewUniformMesh(cfg UniformMeshConfig) (*Mesh, error) {
-	cfg.Radio = cfg.Radio.withDefaults()
-	rng := rng.New(cfg.Seed)
-	net, err := topo.NewUniform(topo.UniformConfig{
-		N: cfg.N, Side: cfg.SideMeters,
-		MinTxDBm: phys.DBm(cfg.MinTxDBm), MaxTxDBm: phys.DBm(cfg.MaxTxDBm),
-		Params: cfg.Radio.toParams(),
-	}, rng)
-	if err != nil {
-		return nil, fmt.Errorf("scream: %w", err)
-	}
-	return finishMesh(net, cfg.Gateways, cfg.DemandLo, cfg.DemandHi, cfg.Radio.NumRadios, cfg.BalancedRouting, rng)
-}
-
-// LineMeshConfig describes a line deployment (used by the Theorem 1
-// impossibility demonstration).
-type LineMeshConfig struct {
-	N          int
-	StepMeters float64
-	RangeSlack float64 // communication range = step * slack (default 1.05)
-	Gateways   []int   // nil places a single gateway at node 0
-	DemandLo   int
-	DemandHi   int
-	Radio      RadioParams
-	Seed       int64
-}
-
-// NewLineMesh builds a line mesh with power derived from the spacing.
-func NewLineMesh(cfg LineMeshConfig) (*Mesh, error) {
-	cfg.Radio = cfg.Radio.withDefaults()
-	net, err := topo.NewLine(cfg.N, cfg.StepMeters, cfg.Radio.toParams(), cfg.RangeSlack)
-	if err != nil {
-		return nil, fmt.Errorf("scream: %w", err)
-	}
-	gws := cfg.Gateways
-	if gws == nil {
-		gws = []int{0}
-	}
-	rng := rng.New(cfg.Seed)
-	return finishMesh(net, gws, cfg.DemandLo, cfg.DemandHi, cfg.Radio.NumRadios, false, rng)
-}
-
 // The per-node static demand range a zero DemandLo or DemandHi selects.
 const defaultDemandLo, defaultDemandHi = 1, 10
 
-func finishMesh(net *topo.Network, gateways []int, lo, hi, radios int, balanced bool, rng *rand.Rand) (*Mesh, error) {
-	lo, hi = cmp.Or(lo, defaultDemandLo), cmp.Or(hi, defaultDemandHi)
-	if radios <= 0 {
-		radios = 1
+// NewMesh builds the deployment t describes: the grid, uniform or line
+// network, its gateways (four quadrant gateways by default; node 0 for a
+// line), the per-node static demands and the routing forest. One stream
+// seeded with seed draws the placement (a line draws none), then the
+// demands, then the forest. NewMesh validates t first, so every error names
+// the allowed range, and it never aliases t's gateway slice.
+func NewMesh(t TopologySpec, seed int64) (*Mesh, error) {
+	if err := t.validate(); err != nil {
+		return nil, err
 	}
-	if gateways == nil {
-		var err error
+	params := t.Radio.params()
+	rng := rng.New(seed)
+	var (
+		net *topo.Network
+		err error
+	)
+	gateways, balanced := t.Gateways, t.BalancedRouting
+	switch t.Kind {
+	case "grid":
+		var power float64
+		if t.TxPowerDBm != 0 {
+			power = phys.DBm(t.TxPowerDBm).MilliWatts()
+		}
+		net, err = topo.NewGrid(topo.GridConfig{
+			Rows: t.Rows, Cols: t.Cols, Step: t.StepMeters,
+			TxPowerMW: power,
+			Params:    params,
+		}, rng)
+	case "uniform":
+		net, err = topo.NewUniform(topo.UniformConfig{
+			N: t.Nodes, Side: t.SideMeters,
+			MinTxDBm: phys.DBm(t.MinTxDBm), MaxTxDBm: phys.DBm(t.MaxTxDBm),
+			Params: params,
+		}, rng)
+	default: // "line", whose power follows from the spacing: it draws nothing
+		net, err = topo.NewLine(t.Nodes, t.StepMeters, params, t.RangeSlack)
+		if len(gateways) == 0 {
+			gateways = []int{0}
+		}
+		balanced = false
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scream: %w", err)
+	}
+	if len(gateways) == 0 {
 		gateways, err = topo.QuadrantGateways(net)
 		if err != nil {
 			return nil, fmt.Errorf("scream: %w", err)
 		}
 	}
+	lo, hi := cmp.Or(t.DemandLo, defaultDemandLo), cmp.Or(t.DemandHi, defaultDemandHi)
 	nodeDemand, err := traffic.Uniform(net.NumNodes(), lo, hi, rng)
 	if err != nil {
 		return nil, fmt.Errorf("scream: %w", err)
@@ -237,9 +107,10 @@ func finishMesh(net *topo.Network, gateways []int, lo, hi, radios int, balanced 
 	for i, l := range links {
 		demands[i] = agg[l.From]
 	}
-	// The gateway list is defensively copied: the caller keeps ownership of
-	// the slice it passed in, and mutating it later must not re-route the
-	// mesh's idea of its gateways.
+	radios := 1
+	if t.Radio != nil {
+		radios = max(t.Radio.NumRadios, 1)
+	}
 	return &Mesh{Network: net, Forest: f, Links: links, Demands: demands,
 		gateways: append([]int(nil), gateways...), radios: radios}, nil
 }
@@ -317,8 +188,8 @@ func (m *Mesh) InterferenceDiameter() int { return m.Network.InterferenceDiamete
 // NeighborDensity returns rho(G) (Definition 6).
 func (m *Mesh) NeighborDensity() float64 { return m.Network.NeighborDensity() }
 
-// NumRadios returns the per-node radio count (RadioParams.NumRadios,
-// normalized to at least 1).
+// NumRadios returns the per-node radio count (the topology's
+// radio.num_radios, normalized to at least 1).
 func (m *Mesh) NumRadios() int { return m.radios }
 
 // GreedySchedule runs the centralized GreedyPhysical baseline over the
@@ -432,7 +303,7 @@ type ProtocolOptions struct {
 	ASAPSeal bool
 	// Channels is the number of orthogonal data channels the protocol
 	// schedules over (0 or 1 = the paper's single-channel protocol). The
-	// per-node radio budget comes from the mesh's RadioParams.NumRadios.
+	// per-node radio budget comes from the mesh's radio.num_radios.
 	// Multi-channel runs require the ideal backend.
 	Channels int
 }

@@ -23,9 +23,12 @@ import (
 	"scream/internal/flow"
 	"scream/internal/obs"
 	"scream/internal/phys"
+	"scream/internal/topo"
 )
 
-// TopologySpec describes the mesh deployment of a scenario.
+// TopologySpec describes a mesh deployment: the only description NewMesh
+// and ScenarioSpec accept. The zero value of each optional knob selects its
+// default.
 type TopologySpec struct {
 	// Kind selects the deployment generator: "grid" (planned, Rows x Cols at
 	// StepMeters spacing), "uniform" (Nodes drawn uniformly in a SideMeters
@@ -60,57 +63,56 @@ type TopologySpec struct {
 	DemandLo int `json:"demand_lo,omitempty"`
 	DemandHi int `json:"demand_hi,omitempty"`
 	// BalancedRouting uses load-aware parent tie-breaking when building the
-	// routing forest.
+	// routing forest: min-hop paths, evener gateway load, usually a smaller
+	// total demand. A line ignores it.
 	BalancedRouting bool `json:"balanced_routing,omitempty"`
-	// Radio overrides the radio environment (nil = DefaultRadioParams).
+	// Radio overrides the radio environment (nil = the defaults RadioSpec
+	// lists).
 	Radio *RadioSpec `json:"radio,omitempty"`
 }
 
-// RadioSpec is the serializable radio environment. A nil RadioSpec — or one
-// that sets only NumRadios — keeps the paper's default environment
-// (DefaultRadioParams).
+// RadioSpec is the radio environment of a deployment. The five physics
+// fields form one group: when all five are zero the group takes the paper's
+// defaults together (path loss exponent 3, 40 dB reference loss at 1 m,
+// -96 dBm noise, 10 dB SINR threshold, no shadowing); otherwise every one is
+// used as given. CSThresholdDBm and NumRadios apply on top of whichever
+// physics is in effect.
 type RadioSpec struct {
 	PathLossExponent float64 `json:"path_loss_exponent,omitempty"`
 	RefLossDB        float64 `json:"ref_loss_db,omitempty"`
 	NoiseDBm         float64 `json:"noise_dbm,omitempty"`
 	BetaDB           float64 `json:"beta_db,omitempty"`
-	// CSThresholdDBm is the carrier-sense threshold; nil derives it at
-	// decode sensitivity (RadioParams' NaN sentinel, which JSON cannot
-	// carry). A pointer is used so an explicit 0 dBm stays expressible.
+	// CSThresholdDBm is the carrier-sense (energy detect) threshold; nil
+	// derives it at decode sensitivity, beta * noise (the paper's rCS = rc).
+	// A pointer keeps an explicit 0 dBm expressible.
 	CSThresholdDBm *float64 `json:"cs_threshold_dbm,omitempty"`
-	ShadowSigmaDB  float64  `json:"shadow_sigma_db,omitempty"`
-	// NumRadios is the per-node radio interface count (0 = 1).
+	ShadowSigmaDB  float64  `json:"shadow_sigma_db,omitempty"` // log-normal shadowing std dev; 0 disables
+	// NumRadios is the per-node radio interface count (0 = 1). In
+	// multi-channel scheduling a node is active on at most NumRadios
+	// channels per slot; with one channel the value is irrelevant.
 	NumRadios int `json:"num_radios,omitempty"`
 }
 
-// params converts the spec to RadioParams, mapping the nil threshold back to
-// the NaN "derive" sentinel and preserving the all-zero-means-default
-// convenience.
-func (r *RadioSpec) params() RadioParams {
-	if r == nil {
-		return DefaultRadioParams()
+// physicsSet reports whether any of the five physics fields is non-zero,
+// which turns off their defaults.
+func (r *RadioSpec) physicsSet() bool {
+	return r != nil && (r.PathLossExponent != 0 || r.RefLossDB != 0 ||
+		r.NoiseDBm != 0 || r.BetaDB != 0 || r.ShadowSigmaDB != 0)
+}
+
+// params returns the propagation environment r describes.
+func (r *RadioSpec) params() topo.Params {
+	p := topo.DefaultParams()
+	if r.physicsSet() {
+		p.PathLoss.Exponent = r.PathLossExponent
+		p.PathLoss.RefLossDB = r.RefLossDB
+		p.NoiseMW = phys.DBm(r.NoiseDBm).MilliWatts()
+		p.Beta = phys.DB(r.BetaDB).Linear()
+		p.CSThresholdMW = p.NoiseMW * p.Beta
+		p.ShadowSigmaDB = r.ShadowSigmaDB
 	}
-	p := RadioParams{
-		PathLossExponent: r.PathLossExponent,
-		RefLossDB:        r.RefLossDB,
-		NoiseDBm:         r.NoiseDBm,
-		BetaDB:           r.BetaDB,
-		ShadowSigmaDB:    r.ShadowSigmaDB,
-		NumRadios:        r.NumRadios,
-	}
-	if r.CSThresholdDBm == nil {
-		// Leave the physics fields' zero-ness intact: withDefaults (inside
-		// the mesh constructors) swaps in the default environment when every
-		// physics field is zero, and NaN would defeat that check.
-		if p.PathLossExponent == 0 && p.RefLossDB == 0 && p.NoiseDBm == 0 &&
-			p.BetaDB == 0 && p.ShadowSigmaDB == 0 {
-			d := DefaultRadioParams()
-			d.NumRadios = r.NumRadios
-			return d
-		}
-		p.CSThresholdDBm = math.NaN()
-	} else {
-		p.CSThresholdDBm = *r.CSThresholdDBm
+	if r != nil && r.CSThresholdDBm != nil {
+		p.CSThresholdMW = phys.DBm(*r.CSThresholdDBm).MilliWatts()
 	}
 	return p
 }
@@ -309,44 +311,8 @@ func (s ScenarioSpec) SchedulerName() string {
 // required knobs, contradictory load settings, and counts or durations out
 // of range (each error names the allowed range). Run validates implicitly.
 func (s ScenarioSpec) Validate() error {
-	t := s.Topology
-	switch t.Kind {
-	case "grid":
-		if t.Rows <= 0 || t.Cols <= 0 {
-			return fmt.Errorf("scream: scenario: grid topology needs rows and cols > 0")
-		}
-		if t.StepMeters <= 0 {
-			return fmt.Errorf("scream: scenario: grid topology needs step_m > 0")
-		}
-	case "uniform":
-		if t.Nodes <= 0 || t.SideMeters <= 0 {
-			return fmt.Errorf("scream: scenario: uniform topology needs nodes and side_m > 0")
-		}
-	case "line":
-		if t.Nodes <= 0 || t.StepMeters <= 0 {
-			return fmt.Errorf("scream: scenario: line topology needs nodes and step_m > 0")
-		}
-	case "":
-		return fmt.Errorf("scream: scenario: topology.kind is required (grid, uniform, line)")
-	default:
-		return fmt.Errorf("scream: scenario: unknown topology kind %q (valid: grid, uniform, line)", t.Kind)
-	}
-	// Gateways and demands are drawn when the mesh is built, but their
-	// ranges follow from the spec alone.
-	nodes := t.Nodes
-	if t.Kind == "grid" {
-		nodes = t.Rows * t.Cols
-	}
-	if len(t.Gateways) == 0 && t.Kind != "line" && nodes < 4 {
-		return fmt.Errorf("scream: scenario: %s topology has %d nodes, fewer than its 4 default gateways; deploy at least 4 nodes or list topology.gateways", t.Kind, nodes)
-	}
-	for i, g := range t.Gateways {
-		if g < 0 || g >= nodes {
-			return fmt.Errorf("scream: scenario: topology.gateways[%d] = %d is not a node; want 0..%d", i, g, nodes-1)
-		}
-	}
-	if lo, hi := cmp.Or(t.DemandLo, defaultDemandLo), cmp.Or(t.DemandHi, defaultDemandHi); lo < 1 || lo > hi {
-		return fmt.Errorf("scream: scenario: topology demand range needs 1 <= demand_lo <= demand_hi (0 selects %d and %d), got [%d, %d]", defaultDemandLo, defaultDemandHi, lo, hi)
+	if err := s.Topology.validate(); err != nil {
+		return err
 	}
 	switch s.Traffic.Kind {
 	case "cbr", "poisson", "bursty", "zipf":
@@ -459,6 +425,85 @@ func (s ScenarioSpec) Validate() error {
 	return nil
 }
 
+// validate checks the deployment before anything is built: unknown kinds,
+// missing sizes, gateways or demand ranges out of range, and radio values
+// with no finite, positive linear equivalent. Each error names the allowed
+// range.
+func (t TopologySpec) validate() error {
+	switch t.Kind {
+	case "grid":
+		if t.Rows <= 0 || t.Cols <= 0 {
+			return fmt.Errorf("scream: scenario: grid topology needs rows and cols > 0")
+		}
+		if t.StepMeters <= 0 {
+			return fmt.Errorf("scream: scenario: grid topology needs step_m > 0")
+		}
+	case "uniform":
+		if t.Nodes <= 0 || t.SideMeters <= 0 {
+			return fmt.Errorf("scream: scenario: uniform topology needs nodes and side_m > 0")
+		}
+	case "line":
+		if t.Nodes <= 0 || t.StepMeters <= 0 {
+			return fmt.Errorf("scream: scenario: line topology needs nodes and step_m > 0")
+		}
+	case "":
+		return fmt.Errorf("scream: scenario: topology.kind is required (grid, uniform, line)")
+	default:
+		return fmt.Errorf("scream: scenario: unknown topology kind %q (valid: grid, uniform, line)", t.Kind)
+	}
+	// Gateways and demands are drawn when the mesh is built, but their
+	// ranges follow from the spec alone.
+	nodes := t.Nodes
+	if t.Kind == "grid" {
+		nodes = t.Rows * t.Cols
+	}
+	if len(t.Gateways) == 0 && t.Kind != "line" && nodes < 4 {
+		return fmt.Errorf("scream: scenario: %s topology has %d nodes, fewer than its 4 default gateways; deploy at least 4 nodes or list topology.gateways", t.Kind, nodes)
+	}
+	for i, g := range t.Gateways {
+		if g < 0 || g >= nodes {
+			return fmt.Errorf("scream: scenario: topology.gateways[%d] = %d is not a node; want 0..%d", i, g, nodes-1)
+		}
+	}
+	if lo, hi := cmp.Or(t.DemandLo, defaultDemandLo), cmp.Or(t.DemandHi, defaultDemandHi); lo < 1 || lo > hi {
+		return fmt.Errorf("scream: scenario: topology demand range needs 1 <= demand_lo <= demand_hi (0 selects %d and %d), got [%d, %d]", defaultDemandLo, defaultDemandHi, lo, hi)
+	}
+	var r RadioSpec
+	if t.Radio != nil {
+		r = *t.Radio
+	}
+	cs := 0.0 // nil derives the threshold from the physics
+	if r.CSThresholdDBm != nil {
+		cs = *r.CSThresholdDBm
+	}
+	for _, c := range [...]struct {
+		field string
+		v     float64
+	}{
+		{"tx_dbm", t.TxPowerDBm},
+		{"min_tx_dbm", t.MinTxDBm},
+		{"max_tx_dbm", t.MaxTxDBm},
+		{"radio.ref_loss_db", r.RefLossDB},
+		{"radio.noise_dbm", r.NoiseDBm},
+		{"radio.beta_db", r.BetaDB},
+		{"radio.cs_threshold_dbm", cs},
+	} {
+		if lin := phys.DB(c.v).Linear(); !(lin > 0 && lin <= math.MaxFloat64) {
+			return fmt.Errorf("scream: scenario: topology.%s must convert to a finite linear value > 0, got %g", c.field, c.v)
+		}
+	}
+	if sd := r.ShadowSigmaDB; !(sd >= 0 && sd <= math.MaxFloat64) {
+		return fmt.Errorf("scream: scenario: topology.radio.shadow_sigma_db must be finite and >= 0, got %g", sd)
+	}
+	if r.NumRadios < 0 {
+		return fmt.Errorf("scream: scenario: topology.radio.num_radios must be >= 0 (0 selects 1), got %d", r.NumRadios)
+	}
+	if e := r.PathLossExponent; r.physicsSet() && !(e > 0 && e <= math.MaxFloat64) {
+		return fmt.Errorf("scream: scenario: topology.radio.path_loss_exponent must be finite and > 0 when any physics field is set, got %g", e)
+	}
+	return nil
+}
+
 // defaultZipfS is the Zipf exponent a zero TrafficSpec.ZipfS selects.
 const defaultZipfS = 1.5
 
@@ -473,35 +518,7 @@ func (s ScenarioSpec) Mesh() (*Mesh, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	t := s.Topology
-	radio := t.Radio.params()
-	gws := append([]int(nil), t.Gateways...)
-	var (
-		m   *Mesh
-		err error
-	)
-	switch t.Kind {
-	case "grid":
-		m, err = NewGridMesh(GridMeshConfig{
-			Rows: t.Rows, Cols: t.Cols, StepMeters: t.StepMeters,
-			TxPowerDBm: t.TxPowerDBm, Gateways: gws,
-			DemandLo: t.DemandLo, DemandHi: t.DemandHi,
-			Radio: radio, Seed: s.Seed, BalancedRouting: t.BalancedRouting,
-		})
-	case "uniform":
-		m, err = NewUniformMesh(UniformMeshConfig{
-			N: t.Nodes, SideMeters: t.SideMeters,
-			MinTxDBm: t.MinTxDBm, MaxTxDBm: t.MaxTxDBm, Gateways: gws,
-			DemandLo: t.DemandLo, DemandHi: t.DemandHi,
-			Radio: radio, Seed: s.Seed, BalancedRouting: t.BalancedRouting,
-		})
-	default: // "line" — Validate rejected everything else
-		m, err = NewLineMesh(LineMeshConfig{
-			N: t.Nodes, StepMeters: t.StepMeters, RangeSlack: t.RangeSlack,
-			Gateways: gws, DemandLo: t.DemandLo, DemandHi: t.DemandHi,
-			Radio: radio, Seed: s.Seed,
-		})
-	}
+	m, err := NewMesh(s.Topology, s.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -126,6 +126,24 @@ func TestScenarioValidate(t *testing.T) {
 			s.Topology = TopologySpec{Kind: "uniform", Nodes: 2, SideMeters: 50}
 		}, "uniform topology has 2 nodes, fewer than its 4 default gateways"},
 		{"negative peak_factor", func(s *ScenarioSpec) { s.Traffic.Kind, s.Traffic.PeakFactor = "bursty", -1 }, "traffic.peak_factor must be finite and >= 0, got -1"},
+		// Power and radio fields, which used to fail only inside Run or to
+		// run on infinite or silently replaced values.
+		{"beta_db without the other physics", func(s *ScenarioSpec) { s.Topology.Radio = &RadioSpec{BetaDB: 12} }, "topology.radio.path_loss_exponent must be finite and > 0 when any physics field is set, got 0"},
+		{"underflowing noise_dbm", func(s *ScenarioSpec) { s.Topology.Radio = &RadioSpec{NoiseDBm: -1e308} }, "topology.radio.noise_dbm must convert to a finite linear value > 0, got -1e+308"},
+		{"NaN noise_dbm", func(s *ScenarioSpec) { s.Topology.Radio = &RadioSpec{PathLossExponent: 3, NoiseDBm: math.NaN()} }, "topology.radio.noise_dbm must convert to a finite linear value > 0, got NaN"},
+		{"underflowing ref_loss_db", func(s *ScenarioSpec) { s.Topology.Radio = &RadioSpec{RefLossDB: -1e308} }, "topology.radio.ref_loss_db must convert to a finite linear value > 0, got -1e+308"},
+		{"overflowing beta_db", func(s *ScenarioSpec) { s.Topology.Radio = &RadioSpec{PathLossExponent: 3, BetaDB: 1e308} }, "topology.radio.beta_db must convert to a finite linear value > 0, got 1e+308"},
+		{"overflowing tx_dbm", func(s *ScenarioSpec) { s.Topology.TxPowerDBm = 1e308 }, "topology.tx_dbm must convert to a finite linear value > 0, got 1e+308"},
+		{"underflowing tx_dbm", func(s *ScenarioSpec) { s.Topology.TxPowerDBm = -1e308 }, "topology.tx_dbm must convert to a finite linear value > 0, got -1e+308"},
+		{"overflowing max_tx_dbm", func(s *ScenarioSpec) {
+			s.Topology = TopologySpec{Kind: "uniform", Nodes: 16, SideMeters: 100, MinTxDBm: 16, MaxTxDBm: 1e308}
+		}, "topology.max_tx_dbm must convert to a finite linear value > 0, got 1e+308"},
+		{"overflowing cs_threshold_dbm", func(s *ScenarioSpec) {
+			cs := 1e308
+			s.Topology.Radio = &RadioSpec{CSThresholdDBm: &cs}
+		}, "topology.radio.cs_threshold_dbm must convert to a finite linear value > 0, got 1e+308"},
+		{"negative num_radios", func(s *ScenarioSpec) { s.Topology.Radio = &RadioSpec{NumRadios: -2} }, "topology.radio.num_radios must be >= 0 (0 selects 1), got -2"},
+		{"negative shadow_sigma_db", func(s *ScenarioSpec) { s.Topology.Radio = &RadioSpec{ShadowSigmaDB: -3} }, "topology.radio.shadow_sigma_db must be finite and >= 0, got -3"},
 	}
 	for _, tc := range bad {
 		spec := testSpec()

@@ -6,7 +6,7 @@ import (
 
 func testGridMesh(t testing.TB) *Mesh {
 	t.Helper()
-	m, err := NewGridMesh(GridMeshConfig{Rows: 5, Cols: 5, StepMeters: 30, Seed: 1})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 5, Cols: 5, StepMeters: 30}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestNewGridMeshDefaults(t *testing.T) {
 }
 
 // TestNewGridMeshNumRadiosKeepsDefaultPhysics: setting only the radio count
-// must not defeat the all-zero RadioParams default — the mesh gets the
-// default propagation environment plus the requested radios.
+// must not defeat the default physics group — the mesh gets the default
+// propagation environment plus the requested radios.
 func TestNewGridMeshNumRadiosKeepsDefaultPhysics(t *testing.T) {
 	plain := testGridMesh(t)
-	m, err := NewGridMesh(GridMeshConfig{
-		Rows: 5, Cols: 5, StepMeters: 30, Seed: 1,
-		Radio: RadioParams{NumRadios: 2},
-	})
+	m, err := NewMesh(TopologySpec{
+		Kind: "grid", Rows: 5, Cols: 5, StepMeters: 30,
+		Radio: &RadioSpec{NumRadios: 2},
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestNewGridMeshNumRadiosKeepsDefaultPhysics(t *testing.T) {
 		t.Fatalf("NumRadios = %d, want 2", m.NumRadios())
 	}
 	if len(m.Links) != len(plain.Links) || m.TotalDemand() != plain.TotalDemand() {
-		t.Fatalf("radio-only RadioParams changed the topology: %d links TD %d, want %d links TD %d",
+		t.Fatalf("a radio-only RadioSpec changed the topology: %d links TD %d, want %d links TD %d",
 			len(m.Links), m.TotalDemand(), len(plain.Links), plain.TotalDemand())
 	}
 	for i, l := range plain.Links {
@@ -65,9 +65,7 @@ func TestNewGridMeshNumRadiosKeepsDefaultPhysics(t *testing.T) {
 // verified schedules through Mesh.GreedyScheduleChannels and the protocol
 // path through ProtocolOptions.Channels.
 func TestMeshMultiChannelSchedule(t *testing.T) {
-	radio := DefaultRadioParams()
-	radio.NumRadios = 2
-	m, err := NewGridMesh(GridMeshConfig{Rows: 5, Cols: 5, StepMeters: 30, Seed: 1, Radio: radio})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 5, Cols: 5, StepMeters: 30, Radio: &RadioSpec{NumRadios: 2}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestMeshMultiChannelSchedule(t *testing.T) {
 }
 
 func TestNewGridMeshExplicitGateway(t *testing.T) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}, Seed: 2})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +117,9 @@ func TestNewGridMeshExplicitGateway(t *testing.T) {
 }
 
 func TestNewUniformMesh(t *testing.T) {
-	m, err := NewUniformMesh(UniformMeshConfig{
-		N: 30, SideMeters: 200, MinTxDBm: 16, MaxTxDBm: 22, Seed: 3,
-	})
+	m, err := NewMesh(TopologySpec{
+		Kind: "uniform", Nodes: 30, SideMeters: 200, MinTxDBm: 16, MaxTxDBm: 22,
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +175,7 @@ func TestRunPDD(t *testing.T) {
 }
 
 func TestRunPacketLevel(t *testing.T) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}, DemandHi: 3, Seed: 4})
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}, DemandHi: 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,20 +251,20 @@ func TestHelpers(t *testing.T) {
 }
 
 func TestConfigValidationErrors(t *testing.T) {
-	if _, err := NewGridMesh(GridMeshConfig{Rows: 0, Cols: 3, StepMeters: 30}); err == nil {
+	if _, err := NewMesh(TopologySpec{Kind: "grid", Rows: 0, Cols: 3, StepMeters: 30}, 0); err == nil {
 		t.Error("bad grid config should fail")
 	}
-	if _, err := NewUniformMesh(UniformMeshConfig{N: 0, SideMeters: 100}); err == nil {
+	if _, err := NewMesh(TopologySpec{Kind: "uniform", Nodes: 0, SideMeters: 100}, 0); err == nil {
 		t.Error("bad uniform config should fail")
 	}
 }
 
 func TestBalancedRoutingMesh(t *testing.T) {
-	plain, err := NewGridMesh(GridMeshConfig{Rows: 6, Cols: 6, StepMeters: 30, Seed: 5})
+	plain, err := NewMesh(TopologySpec{Kind: "grid", Rows: 6, Cols: 6, StepMeters: 30}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bal, err := NewGridMesh(GridMeshConfig{Rows: 6, Cols: 6, StepMeters: 30, Seed: 5, BalancedRouting: true})
+	bal, err := NewMesh(TopologySpec{Kind: "grid", Rows: 6, Cols: 6, StepMeters: 30, BalancedRouting: true}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 set -eu
 
 repeats=${1:-3}
-pattern='GreedyPhysical|FDDRun|PDDRun|Fig6GridImprovement|FlowEpoch|SlotState|ForestRepair|MaxWeight|FanZhang|Spatial'
+pattern='GreedyPhysical|FDDRun|PDDRun|Fig6GridImprovement|FlowEpoch|RunGoldenSpec|SlotState|ForestRepair|MaxWeight|FanZhang|Spatial'
 
 i=0
 while [ "$i" -lt "$repeats" ]; do
