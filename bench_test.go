@@ -388,6 +388,27 @@ func BenchmarkGreedyPhysical64(b *testing.B) {
 	}
 }
 
+// BenchmarkGreedyPhysicalSpatial256 is one greedy schedule build on the
+// 16x16 grid of the greedy-spatial256 workload, through the spatial engine:
+// the admissions go through the phys.Engine interface, with exact
+// near-field and bucket-capped far-field interference terms. Each op also
+// builds the index, as every build on a spatial mesh does.
+func BenchmarkGreedyPhysicalSpatial256(b *testing.B) {
+	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 16, Cols: 16, StepMeters: 30}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.UseEngine(InterferenceSpec{Engine: EngineSpatial}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.GreedySchedule(ByHeadIDDesc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchDemands64 is the deterministic non-uniform demand vector of the
 // one-shot scheduler benchmarks: varied enough that the max-weight ordering
 // actually re-ranks and the general (non-unit) scheduling path is exercised.

@@ -371,7 +371,7 @@ func (b *IdealBackend) admit(l phys.Link) {
 	b.member[l.From] = true
 	b.memberLink[l.From] = l
 	b.posIdx[l.From] = b.slot.Len()
-	b.slot.Add(l)
+	b.slot.Add(phys.NewCandidate(b.ch, l))
 }
 
 // Elapsed implements Backend.

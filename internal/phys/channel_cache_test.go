@@ -60,8 +60,8 @@ func TestRxPowerCacheConcurrent(t *testing.T) {
 				// same path the concurrent schedulers take.
 				st := NewSlotState(ch)
 				a := rng.Intn(ch.NumNodes() - 1)
-				if l := (Link{a, a + 1}); st.CanAdd(l) {
-					st.Add(l)
+				if c := NewCandidate(ch, Link{a, a + 1}); st.CanAdd(c) {
+					st.Add(c)
 				}
 			}(int64(round*workers + w))
 		}

@@ -325,8 +325,8 @@ func TestSlotStateMatchesFeasibleSet(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				l = l.Reverse()
 			}
-			if sc.CanAdd(l) {
-				sc.Add(l)
+			if c := NewCandidate(ch, l); sc.CanAdd(c) {
+				sc.Add(c)
 				accepted = append(accepted, l)
 				if !ch.FeasibleSet(accepted) {
 					t.Fatalf("SlotState accepted infeasible set %v (trial %d)", accepted, trial)
@@ -342,14 +342,14 @@ func TestSlotStateMatchesFeasibleSet(t *testing.T) {
 func TestSlotStateRejectsConflict(t *testing.T) {
 	ch := lineChannel(t, 10, 30, 20)
 	sc := NewSlotState(ch)
-	if !sc.CanAdd(Link{0, 1}) {
+	if !sc.CanAdd(NewCandidate(ch, Link{0, 1})) {
 		t.Fatal("first link should be addable")
 	}
-	sc.Add(Link{0, 1})
-	if sc.CanAdd(Link{1, 2}) {
+	sc.Add(NewCandidate(ch, Link{0, 1}))
+	if sc.CanAdd(NewCandidate(ch, Link{1, 2})) {
 		t.Error("endpoint conflict must be rejected")
 	}
-	if sc.CanAdd(Link{2, 2}) {
+	if sc.CanAdd(NewCandidate(ch, Link{2, 2})) {
 		t.Error("self loop must be rejected")
 	}
 }
@@ -357,12 +357,12 @@ func TestSlotStateRejectsConflict(t *testing.T) {
 func TestSlotStateReset(t *testing.T) {
 	ch := lineChannel(t, 10, 30, 20)
 	sc := NewSlotState(ch)
-	sc.Add(Link{0, 1})
+	sc.Add(NewCandidate(ch, Link{0, 1}))
 	sc.Reset()
 	if sc.Len() != 0 {
 		t.Fatal("reset should clear links")
 	}
-	if !sc.CanAdd(Link{1, 2}) {
+	if !sc.CanAdd(NewCandidate(ch, Link{1, 2})) {
 		t.Error("node busy set should be cleared by Reset")
 	}
 }
@@ -370,7 +370,7 @@ func TestSlotStateReset(t *testing.T) {
 func TestSlotStateLinksCopy(t *testing.T) {
 	ch := lineChannel(t, 10, 30, 20)
 	sc := NewSlotState(ch)
-	sc.Add(Link{0, 1})
+	sc.Add(NewCandidate(ch, Link{0, 1}))
 	links := sc.Links()
 	links[0] = Link{5, 6}
 	if sc.Links()[0] != (Link{0, 1}) {

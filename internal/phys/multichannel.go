@@ -85,24 +85,24 @@ func (s *MultiSlotState) Placements() []Placement {
 	return out
 }
 
-// CanAdd reports whether placing l on channel ch keeps the slot feasible:
+// CanAdd reports whether placing c on channel ch keeps the slot feasible:
 // both endpoints must have a free radio (fewer than numRadios placements in
-// this slot already touch them) and l must clear the single-channel CanAdd
+// this slot already touch them) and c must clear the single-channel CanAdd
 // against the links currently on ch. For a feasible current slot this is
-// exactly FeasibleAssignment(Placements() + {l, ch}).
-func (s *MultiSlotState) CanAdd(l Link, ch int) bool {
-	if s.radios[l.From] >= s.numRadios || s.radios[l.To] >= s.numRadios {
+// exactly FeasibleAssignment(Placements() + {c.Link, ch}).
+func (s *MultiSlotState) CanAdd(c Candidate, ch int) bool {
+	if s.radios[c.From] >= s.numRadios || s.radios[c.To] >= s.numRadios {
 		return false
 	}
-	return s.states[ch].CanAdd(l)
+	return s.states[ch].CanAdd(c)
 }
 
-// Add places l on channel ch, updating the channel's running sums and both
+// Add places c on channel ch, updating the channel's running sums and both
 // endpoints' radio counts. Like SlotState.Add it never rejects; callers gate
 // on CanAdd.
-func (s *MultiSlotState) Add(l Link, ch int) {
-	s.states[ch].Add(l)
-	s.radios[l.From]++
-	s.radios[l.To]++
-	s.order = append(s.order, Placement{Link: l, Channel: ch})
+func (s *MultiSlotState) Add(c Candidate, ch int) {
+	s.states[ch].Add(c)
+	s.radios[c.From]++
+	s.radios[c.To]++
+	s.order = append(s.order, Placement{Link: c.Link, Channel: ch})
 }

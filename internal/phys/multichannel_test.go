@@ -29,13 +29,13 @@ func TestMultiSlotStateMatchesNaiveFuzz(t *testing.T) {
 				l := randomLink(rng, 24)
 				c := rng.Intn(channels)
 				want := FeasibleAssignment(ch, channels, append(slices.Clone(mirror), Placement{l, c}), radios)
-				got := st.CanAdd(l, c)
+				got := st.CanAdd(NewCandidate(ch, l), c)
 				if got != want {
 					t.Fatalf("radios=%d trial %d op %d: CanAdd(%v, ch%d) = %v, naive reference = %v (slot %v)",
 						radios, trial, op, l, c, got, want, mirror)
 				}
 				if got {
-					st.Add(l, c)
+					st.Add(NewCandidate(ch, l), c)
 					mirror = append(mirror, Placement{l, c})
 					agreeAdds++
 				} else {
@@ -59,8 +59,8 @@ func TestMultiSlotStateMatchesNaiveFuzz(t *testing.T) {
 func TestMultiSlotStateRadioSaturation(t *testing.T) {
 	// Nodes 0..23 on a line; links into/out of node 12 share that endpoint.
 	ch := lineChannel(t, 24, 35, 20)
-	up := Link{From: 11, To: 12}   // child -> relay
-	down := Link{From: 12, To: 13} // relay -> parent
+	up := NewCandidate(ch, Link{From: 11, To: 12})   // child -> relay
+	down := NewCandidate(ch, Link{From: 12, To: 13}) // relay -> parent
 
 	one := NewMultiSlotState(ch, 2, 1)
 	if !one.CanAdd(up, 0) {
@@ -80,7 +80,7 @@ func TestMultiSlotStateRadioSaturation(t *testing.T) {
 		t.Fatal("relay with 2 radios rejected on a second channel")
 	}
 	two.Add(down, 1)
-	if two.CanAdd(Link{From: 12, To: 11}, 0) || two.CanAdd(Link{From: 13, To: 12}, 1) {
+	if two.CanAdd(NewCandidate(ch, Link{From: 12, To: 11}), 0) || two.CanAdd(NewCandidate(ch, Link{From: 13, To: 12}), 1) {
 		t.Fatal("third placement at a 2-radio node admitted")
 	}
 	if !FeasibleAssignment(ch, 2, two.Placements(), 2) {
@@ -102,13 +102,14 @@ func TestMultiSlotStateSingleChannelMatchesSlotState(t *testing.T) {
 		single := NewSlotState(ch)
 		for op := 0; op < 25; op++ {
 			l := randomLink(rng, 20)
-			gm, gs := multi.CanAdd(l, 0), single.CanAdd(l)
+			c := NewCandidate(ch, l)
+			gm, gs := multi.CanAdd(c, 0), single.CanAdd(c)
 			if gm != gs {
 				t.Fatalf("trial %d: multi CanAdd %v, single %v for %v", trial, gm, gs, l)
 			}
 			if gm {
-				multi.Add(l, 0)
-				single.Add(l)
+				multi.Add(c, 0)
+				single.Add(c)
 			}
 		}
 	}

@@ -163,8 +163,8 @@ func TestSlotStateOrderIndependence(t *testing.T) {
 			sc := NewSlotState(ch)
 			acceptedAll := true
 			for _, i := range order {
-				if sc.CanAdd(links[i]) {
-					sc.Add(links[i])
+				if c := NewCandidate(ch, links[i]); sc.CanAdd(c) {
+					sc.Add(c)
 				} else {
 					acceptedAll = false
 				}

@@ -1,5 +1,36 @@
 package phys
 
+// Candidate is a link with its exact data and ACK signal powers: the
+// favorable sides of its two SINR inequalities. A schedule build computes
+// each link's candidate once, with NewCandidate, and probes every slot with
+// it, so no admission test recomputes a signal (on a non-dense engine each
+// SignalMW is a path-loss evaluation). A SlotState must only be given
+// candidates built on the engine it is bound to.
+type Candidate struct {
+	Link
+	DataMW float64 // SignalMW(From, To): the data transmission at its receiver
+	AckMW  float64 // SignalMW(To, From): the ACK at the data sender
+}
+
+// NewCandidate returns l with its exact signal powers under e. On the dense
+// *Channel it reads the two RX-matrix entries SignalMW would return
+// directly, sparing two interface calls per link.
+func NewCandidate(e Engine, l Link) Candidate {
+	if c, ok := e.(*Channel); ok {
+		rx, n := c.rxMatrix(), len(c.txPowerMW)
+		return Candidate{Link: l, DataMW: rx[l.From*n+l.To], AckMW: rx[l.To*n+l.From]}
+	}
+	return Candidate{Link: l, DataMW: e.SignalMW(l.From, l.To), AckMW: e.SignalMW(l.To, l.From)}
+}
+
+// slotLink is the record SlotState keeps per admitted link: the candidate
+// and the running interference sums at its two receivers.
+type slotLink struct {
+	Candidate
+	dataSum float64 // interference at To from the other data senders
+	ackSum  float64 // interference at From from the other ACK senders
+}
+
 // SlotState is the incremental SINR feasibility engine: it maintains, for
 // one slot under construction, the running data-sub-slot and ACK-sub-slot
 // interference sums of every admitted link plus an endpoint-occupancy count
@@ -10,12 +41,12 @@ package phys
 // property tests compare against.
 //
 // Two code paths serve the two engine families. When the engine is the
-// dense *Channel, every loop reads the channel's flat cached RX-power matrix
-// directly (the rx field) — the original hot path, preserved byte-for-byte
-// for both determinism and the benchmark gate. Any other Engine goes through
-// the interface: SignalMW for the favorable side of each inequality,
-// InterfMW for interference terms, so a conservative engine (one that
-// over-estimates InterfMW) only ever rejects more than the dense path.
+// dense *Channel, every interference term is read from the channel's flat
+// cached RX-power matrix directly (the rx field) — the original hot path,
+// preserved for both determinism and the benchmark gate. Any other Engine
+// goes through InterfMW for interference terms, so a conservative engine
+// (one that over-estimates InterfMW) only ever rejects more than the dense
+// path. On both paths the signal sides come from the candidates.
 //
 // The sums are accumulated incrementally (in admission order) rather than
 // recomputed per query (in index order), so individual float64 sums may
@@ -32,9 +63,7 @@ type SlotState struct {
 	beta  float64
 	noise float64
 
-	links   []Link
-	dataSum []float64 // dataSum[i]: interference at links[i].To from the other data senders
-	ackSum  []float64 // ackSum[i]: interference at links[i].From from the other ACK senders
+	links []slotLink // the admitted links in admission order
 
 	// busy[u] counts slot links with u as an endpoint. Only Outcomes needs
 	// it (conflict detection over sets that may hold conflicting links), so
@@ -45,22 +74,19 @@ type SlotState struct {
 	ignoreAck bool
 
 	// Single-level undo support (Mark/Rollback).
-	marked    int
-	savedData []float64
-	savedAck  []float64
+	marked int
+	saved  []slotLink
 
 	// Scratch buffers for Outcomes.
 	dataOK []bool
 	out    []bool
 	failed []int
 
-	// Inline storage backing links/dataSum/ackSum while the slot is small:
-	// greedy schedulers build hundreds of mostly 1-4 link slots per
-	// schedule, which this keeps entirely off the heap. Because the slices
-	// alias this storage, an initialized SlotState must not be copied.
-	linksBuf [4]Link
-	dataBuf  [4]float64
-	ackBuf   [4]float64
+	// Inline storage backing links while the slot is small: greedy
+	// schedulers build hundreds of mostly 1-4 link slots per schedule, which
+	// this keeps entirely off the heap. Because links aliases this storage,
+	// an initialized SlotState must not be copied.
+	linksBuf [4]slotLink
 }
 
 // NewSlotState returns an empty slot bound to channel c.
@@ -108,8 +134,6 @@ func (s *SlotState) initCommon(e Engine) {
 	s.noise = e.NoiseMW()
 	s.marked = -1
 	s.links = s.linksBuf[:0]
-	s.dataSum = s.dataBuf[:0]
-	s.ackSum = s.ackBuf[:0]
 }
 
 // Len returns the number of links currently in the slot.
@@ -119,21 +143,23 @@ func (s *SlotState) Len() int { return len(s.links) }
 // order.
 func (s *SlotState) Links() []Link {
 	out := make([]Link, len(s.links))
-	copy(out, s.links)
+	for i := range s.links {
+		out[i] = s.links[i].Link
+	}
 	return out
 }
 
-// CanAdd reports whether adding l keeps the slot feasible: l must not share
-// an endpoint with any admitted link, l itself must clear both SINR
+// CanAdd reports whether adding c keeps the slot feasible: c must not share
+// an endpoint with any admitted link, c itself must clear both SINR
 // inequalities against the current slot, and every admitted link must
-// survive l's added data and ACK interference. For a feasible current slot
-// this is exactly FeasibleSet(Links() + l) on the dense engine, and a
+// survive c's added data and ACK interference. For a feasible current slot
+// this is exactly FeasibleSet(Links() + c.Link) on the dense engine, and a
 // conservative under-approximation of it on an over-estimating engine. O(k).
-func (s *SlotState) CanAdd(l Link) bool {
+func (s *SlotState) CanAdd(c Candidate) bool {
 	if m := slotMetrics.Load(); m != nil {
 		m.canAdd.Inc()
 	}
-	if l.From == l.To {
+	if c.From == c.To {
 		return false
 	}
 	beta, noise := s.beta, s.noise
@@ -143,101 +169,132 @@ func (s *SlotState) CanAdd(l Link) bool {
 		// the dominant path — a greedy scheduler probing successive full slots
 		// — this rejects after 2 loads per admitted link.
 		dataInterf, ackInterf := 0.0, 0.0
-		for _, m := range s.links {
-			if l.From == m.From || l.From == m.To || l.To == m.From || l.To == m.To {
+		for i := range s.links {
+			m := &s.links[i]
+			if c.From == m.From || c.From == m.To || c.To == m.From || c.To == m.To {
 				return false
 			}
-			dataInterf += rx[m.From*n+l.To]
-			ackInterf += rx[m.To*n+l.From]
+			dataInterf += rx[m.From*n+c.To]
+			ackInterf += rx[m.To*n+c.From]
 		}
-		if rx[l.From*n+l.To] < beta*(noise+dataInterf) {
+		if c.DataMW < beta*(noise+dataInterf) {
 			return false
 		}
-		if !s.ignoreAck && rx[l.To*n+l.From] < beta*(noise+ackInterf) {
+		if !s.ignoreAck && c.AckMW < beta*(noise+ackInterf) {
 			return false
 		}
-		// Existing links under the extra interference from l.
-		for i, m := range s.links {
-			if rx[m.From*n+m.To] < beta*(noise+s.dataSum[i]+rx[l.From*n+m.To]) {
+		// Existing links under the extra interference from c.
+		for i := range s.links {
+			m := &s.links[i]
+			if m.DataMW < beta*(noise+m.dataSum+rx[c.From*n+m.To]) {
 				return false
 			}
-			if !s.ignoreAck && rx[m.To*n+m.From] < beta*(noise+s.ackSum[i]+rx[l.To*n+m.From]) {
+			if !s.ignoreAck && m.AckMW < beta*(noise+m.ackSum+rx[c.To*n+m.From]) {
 				return false
 			}
 		}
 		return true
 	}
+	// Through the interface every term costs a call, so the cheapest exact
+	// test runs first: the integer primary-conflict scan, then the new link's
+	// data and ACK sums, each rejected as soon as a prefix fails (see
+	// clears), then the members.
+	for i := range s.links {
+		m := &s.links[i]
+		if c.From == m.From || c.From == m.To || c.To == m.From || c.To == m.To {
+			return false
+		}
+	}
+	if !s.clears(c.DataMW, c.To, false) {
+		return false
+	}
+	if !s.ignoreAck && !s.clears(c.AckMW, c.From, true) {
+		return false
+	}
 	eng := s.eng
-	dataInterf, ackInterf := 0.0, 0.0
-	for _, m := range s.links {
-		if l.From == m.From || l.From == m.To || l.To == m.From || l.To == m.To {
+	for i := range s.links {
+		m := &s.links[i]
+		if m.DataMW < beta*(noise+m.dataSum+eng.InterfMW(c.From, m.To)) {
 			return false
 		}
-		dataInterf += eng.InterfMW(m.From, l.To)
-		ackInterf += eng.InterfMW(m.To, l.From)
-	}
-	if eng.SignalMW(l.From, l.To) < beta*(noise+dataInterf) {
-		return false
-	}
-	if !s.ignoreAck && eng.SignalMW(l.To, l.From) < beta*(noise+ackInterf) {
-		return false
-	}
-	for i, m := range s.links {
-		if eng.SignalMW(m.From, m.To) < beta*(noise+s.dataSum[i]+eng.InterfMW(l.From, m.To)) {
-			return false
-		}
-		if !s.ignoreAck && eng.SignalMW(m.To, m.From) < beta*(noise+s.ackSum[i]+eng.InterfMW(l.To, m.From)) {
+		if !s.ignoreAck && m.AckMW < beta*(noise+m.ackSum+eng.InterfMW(c.To, m.From)) {
 			return false
 		}
 	}
 	return true
 }
 
-// Add inserts l into the slot, updating every running sum in O(k). Unlike
+// clears reports whether signal at node at clears beta against the noise
+// plus the interference of the members' data senders (ack false) or ACK
+// senders (ack true), summed in admission order exactly as Add sums it. The
+// test runs after every term, and a failing prefix settles the answer:
+// every term is finite and non-negative and rounded float addition is
+// monotone, so each partial sum is at most the full sum, and a signal below
+// beta times the noise plus a prefix is below beta times the noise plus the
+// whole.
+func (s *SlotState) clears(signal float64, at int, ack bool) bool {
+	eng, beta, noise := s.eng, s.beta, s.noise
+	if signal < beta*noise {
+		return false
+	}
+	interf := 0.0
+	for i := range s.links {
+		src := s.links[i].From
+		if ack {
+			src = s.links[i].To
+		}
+		interf += eng.InterfMW(src, at)
+		if signal < beta*(noise+interf) {
+			return false
+		}
+	}
+	return true
+}
+
+// Add inserts c into the slot, updating every running sum in O(k). Unlike
 // CanAdd, Add never rejects: the protocols tentatively admit links that may
 // conflict or fail their handshake (Outcomes reports which), and greedy
 // callers are expected to gate on CanAdd themselves.
-func (s *SlotState) Add(l Link) {
+func (s *SlotState) Add(c Candidate) {
 	if m := slotMetrics.Load(); m != nil {
 		m.adds.Inc()
 	}
 	dataInterf, ackInterf := 0.0, 0.0
 	if rx := s.rx; rx != nil {
 		n := s.n
-		for i, m := range s.links {
-			s.dataSum[i] += rx[l.From*n+m.To]
-			s.ackSum[i] += rx[l.To*n+m.From]
-			dataInterf += rx[m.From*n+l.To]
-			ackInterf += rx[m.To*n+l.From]
+		for i := range s.links {
+			m := &s.links[i]
+			m.dataSum += rx[c.From*n+m.To]
+			m.ackSum += rx[c.To*n+m.From]
+			dataInterf += rx[m.From*n+c.To]
+			ackInterf += rx[m.To*n+c.From]
 		}
 	} else {
 		eng := s.eng
-		for i, m := range s.links {
-			s.dataSum[i] += eng.InterfMW(l.From, m.To)
-			s.ackSum[i] += eng.InterfMW(l.To, m.From)
-			dataInterf += eng.InterfMW(m.From, l.To)
-			ackInterf += eng.InterfMW(m.To, l.From)
+		for i := range s.links {
+			m := &s.links[i]
+			m.dataSum += eng.InterfMW(c.From, m.To)
+			m.ackSum += eng.InterfMW(c.To, m.From)
+			dataInterf += eng.InterfMW(m.From, c.To)
+			ackInterf += eng.InterfMW(m.To, c.From)
 		}
 	}
-	s.links = append(s.links, l)
-	s.dataSum = append(s.dataSum, dataInterf)
-	s.ackSum = append(s.ackSum, ackInterf)
+	s.links = append(s.links, slotLink{Candidate: c, dataSum: dataInterf, ackSum: ackInterf})
 	if s.busy != nil {
-		s.busy[l.From]++
-		s.busy[l.To]++
+		s.busy[c.From]++
+		s.busy[c.To]++
 	}
 }
 
 // Mark snapshots the current slot so a later Rollback can undo any Adds
 // performed after it — the protocols' tentative handshake pattern: mark,
 // admit the step's active links, evaluate Outcomes, and roll back if the
-// slot vetoes. Restoration is exact (the sums are copied, not re-derived).
-// Only one mark is outstanding at a time; a new Mark replaces the previous
-// one, and Reset invalidates it.
+// slot vetoes. Restoration is exact (the records are copied, not
+// re-derived). Only one mark is outstanding at a time; a new Mark replaces
+// the previous one, and Reset invalidates it.
 func (s *SlotState) Mark() {
 	s.marked = len(s.links)
-	s.savedData = append(s.savedData[:0], s.dataSum...)
-	s.savedAck = append(s.savedAck[:0], s.ackSum...)
+	s.saved = append(s.saved[:0], s.links...)
 }
 
 // Rollback restores the slot to the state captured by the last Mark. It
@@ -255,9 +312,7 @@ func (s *SlotState) Rollback() {
 			s.busy[l.To]--
 		}
 	}
-	s.links = s.links[:s.marked]
-	s.dataSum = append(s.dataSum[:0], s.savedData...)
-	s.ackSum = append(s.ackSum[:0], s.savedAck...)
+	s.links = append(s.links[:0], s.saved...)
 }
 
 // Reset empties the slot for reuse and invalidates any outstanding Mark.
@@ -269,8 +324,6 @@ func (s *SlotState) Reset() {
 		}
 	}
 	s.links = s.links[:0]
-	s.dataSum = s.dataSum[:0]
-	s.ackSum = s.ackSum[:0]
 	s.marked = -1
 }
 
@@ -283,9 +336,8 @@ func (s *SlotState) Reset() {
 // calls.
 //
 // When every link decodes its data (the common case for slots built by
-// CanAdd-gated admission), the evaluation is O(k) straight off the running
-// sums; each data failure costs one O(k) correction pass for the silent
-// ACK.
+// CanAdd-gated admission), the evaluation is O(k) straight off the records;
+// each data failure costs one O(k) correction pass for the silent ACK.
 func (s *SlotState) Outcomes() []bool {
 	k := len(s.links)
 	if cap(s.out) < k {
@@ -304,61 +356,35 @@ func (s *SlotState) Outcomes() []bool {
 		}
 	}
 
-	if rx := s.rx; rx != nil {
-		n := s.n
-		// Data sub-slot. A primary-conflicted link never completes its
-		// handshake (but its sender still radiates, which the running sums
-		// already account for).
-		for i, l := range s.links {
-			if s.busy[l.From] > 1 || s.busy[l.To] > 1 {
-				dataOK[i] = false
-				s.failed = append(s.failed, i)
-				continue
-			}
-			dataOK[i] = rx[l.From*n+l.To] >= beta*(noise+s.dataSum[i])
-			if !dataOK[i] {
-				s.failed = append(s.failed, i)
-			}
-		}
-
-		// ACK sub-slot: links whose data was not decoded stay silent, so their
-		// contribution is deducted from the running all-receivers sums.
-		for i, l := range s.links {
-			if !dataOK[i] {
-				out[i] = false
-				continue
-			}
-			ackInterf := s.ackSum[i]
-			for _, j := range s.failed {
-				ackInterf -= rx[s.links[j].To*n+l.From]
-			}
-			out[i] = rx[l.To*n+l.From] >= beta*(noise+ackInterf)
-		}
-		return out
-	}
-
-	eng := s.eng
-	for i, l := range s.links {
-		if s.busy[l.From] > 1 || s.busy[l.To] > 1 {
-			dataOK[i] = false
-			s.failed = append(s.failed, i)
-			continue
-		}
-		dataOK[i] = eng.SignalMW(l.From, l.To) >= beta*(noise+s.dataSum[i])
+	// Data sub-slot. A primary-conflicted link never completes its
+	// handshake (but its sender still radiates, which the running sums
+	// already account for).
+	for i := range s.links {
+		l := &s.links[i]
+		dataOK[i] = s.busy[l.From] <= 1 && s.busy[l.To] <= 1 && l.DataMW >= beta*(noise+l.dataSum)
 		if !dataOK[i] {
 			s.failed = append(s.failed, i)
 		}
 	}
-	for i, l := range s.links {
+
+	// ACK sub-slot: links whose data was not decoded stay silent, so their
+	// contribution is deducted from the running all-receivers sums.
+	rx, n, eng := s.rx, s.n, s.eng
+	for i := range s.links {
+		l := &s.links[i]
 		if !dataOK[i] {
 			out[i] = false
 			continue
 		}
-		ackInterf := s.ackSum[i]
+		ackInterf := l.ackSum
 		for _, j := range s.failed {
-			ackInterf -= eng.InterfMW(s.links[j].To, l.From)
+			if rx != nil {
+				ackInterf -= rx[s.links[j].To*n+l.From]
+			} else {
+				ackInterf -= eng.InterfMW(s.links[j].To, l.From)
+			}
 		}
-		out[i] = eng.SignalMW(l.To, l.From) >= beta*(noise+ackInterf)
+		out[i] = l.AckMW >= beta*(noise+ackInterf)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ package phys
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -75,13 +76,13 @@ func TestSlotStateAddRemoveMatchesFeasibleSet(t *testing.T) {
 				l = l.Reverse()
 			}
 			want := ch.FeasibleSet(append(append([]Link(nil), mirror...), l))
-			got := st.CanAdd(l)
+			got := st.CanAdd(NewCandidate(ch, l))
 			if got != want {
 				t.Fatalf("trial %d op %d: CanAdd(%v) = %v, FeasibleSet(%v + it) = %v",
 					trial, op, l, got, mirror, want)
 			}
 			if got {
-				st.Add(l)
+				st.Add(NewCandidate(ch, l))
 				mirror = append(mirror, l)
 				agreeAdds++
 			} else {
@@ -135,7 +136,7 @@ func TestSlotStateOutcomesMatchHandshake(t *testing.T) {
 					a := rng.Intn(19)
 					l = Link{a, a + 1}
 				}
-				st.Add(l)
+				st.Add(NewCandidate(ch, l))
 				mirror = append(mirror, l)
 			}
 			got := st.Outcomes()
@@ -157,8 +158,9 @@ func TestSlotStateOutcomesMatchHandshake(t *testing.T) {
 }
 
 // TestSlotStateMarkRollback: Rollback must restore the exact pre-Mark state
-// — links, endpoint occupancy and bit-identical interference sums — no
-// matter what was tentatively admitted in between.
+// — the link records with their signals and bit-identical interference
+// sums, and endpoint occupancy — no matter what was tentatively admitted in
+// between.
 func TestSlotStateMarkRollback(t *testing.T) {
 	ch := lineChannel(t, 24, 35, 20)
 	rng := rand.New(rand.NewSource(53))
@@ -166,32 +168,26 @@ func TestSlotStateMarkRollback(t *testing.T) {
 		st := NewSlotState(ch)
 		for op := 0; op < 6; op++ {
 			a := rng.Intn(23)
-			if l := (Link{a, a + 1}); st.CanAdd(l) {
-				st.Add(l)
+			if c := NewCandidate(ch, Link{a, a + 1}); st.CanAdd(c) {
+				st.Add(c)
 			}
 		}
 		wantLinks := st.Links()
-		wantData := append([]float64(nil), st.dataSum...)
-		wantAck := append([]float64(nil), st.ackSum...)
+		want := append([]slotLink(nil), st.links...)
 
 		st.Mark()
 		for op := 0; op < 5; op++ {
-			st.Add(randomLink(rng, 24)) // unvetted: conflicts welcome
+			st.Add(NewCandidate(ch, randomLink(rng, 24))) // unvetted: conflicts welcome
 		}
 		st.Outcomes() // force lazy conflict-count state into existence
 		st.Rollback()
 
-		gotLinks := st.Links()
-		if len(gotLinks) != len(wantLinks) {
-			t.Fatalf("trial %d: %d links after rollback, want %d", trial, len(gotLinks), len(wantLinks))
+		if len(st.links) != len(want) {
+			t.Fatalf("trial %d: %d links after rollback, want %d", trial, len(st.links), len(want))
 		}
-		for i := range wantLinks {
-			if gotLinks[i] != wantLinks[i] {
-				t.Fatalf("trial %d: link[%d] = %v after rollback, want %v", trial, i, gotLinks[i], wantLinks[i])
-			}
-			if st.dataSum[i] != wantData[i] || st.ackSum[i] != wantAck[i] {
-				t.Fatalf("trial %d: sums[%d] = (%v, %v) after rollback, want exactly (%v, %v)",
-					trial, i, st.dataSum[i], st.ackSum[i], wantData[i], wantAck[i])
+		for i, w := range want {
+			if got := st.links[i]; !sameRecord(got, w) {
+				t.Fatalf("trial %d: record[%d] = %+v after rollback, want exactly %+v", trial, i, got, w)
 			}
 		}
 		for u, c := range st.busy {
@@ -219,6 +215,118 @@ func TestSlotStateMarkRollback(t *testing.T) {
 	}
 }
 
+// opaqueEngine hides the dense *Channel behind the Engine interface: a
+// SlotState bound to it takes the interface path while every query still
+// returns the dense engine's exact values.
+type opaqueEngine struct{ Engine }
+
+// TestSlotStateEnginePathMatchesDense drives a dense-path and an
+// interface-path SlotState over the same exact values through the same
+// random sequences of CanAdd, unvetted Add, Mark, Rollback, Outcomes and
+// Reset, with and without the ACK inequality. The two must give the same
+// CanAdd answers and Outcomes vectors and hold bit-identical records after
+// every step: the interface path's reordered tests and prefix early exits
+// may skip work, never change an answer or a sum.
+func TestSlotStateEnginePathMatchesDense(t *testing.T) {
+	ch := lineChannel(t, 24, 35, 20)
+	opaque := opaqueEngine{ch}
+	for _, dataOnly := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(61))
+		var dense, iface SlotState
+		admits, sinrRejects, rollbacks, failedOutcomes := 0, 0, 0, 0
+		for trial := 0; trial < 400; trial++ {
+			if dataOnly {
+				dense.InitEngineDataOnly(ch)
+				iface.InitEngineDataOnly(opaque)
+			} else {
+				dense.InitEngine(ch)
+				iface.InitEngine(opaque)
+			}
+			if dense.rx == nil || iface.rx != nil {
+				t.Fatal("the states do not take the two different paths")
+			}
+			marked := -1 // Len at the outstanding Mark
+			for op := 0; op < 40; op++ {
+				var l Link
+				if rng.Intn(3) > 0 {
+					a := rng.Intn(23)
+					l = Link{a, a + 1}
+					if rng.Intn(2) == 0 {
+						l = l.Reverse()
+					}
+				} else {
+					l = randomLink(rng, 24)
+				}
+				switch r := rng.Intn(20); {
+				case r < 12:
+					got, want := iface.CanAdd(NewCandidate(opaque, l)), dense.CanAdd(NewCandidate(ch, l))
+					if got != want {
+						t.Fatalf("dataOnly=%v trial %d op %d: CanAdd(%v) = %v on the interface path, %v on the dense path (slot %v)",
+							dataOnly, trial, op, l, got, want, dense.Links())
+					}
+					if got {
+						iface.Add(NewCandidate(opaque, l))
+						dense.Add(NewCandidate(ch, l))
+						admits++
+					} else if l.From != l.To && dense.Len() > 0 && !slices.ContainsFunc(dense.Links(), l.SharesEndpoint) {
+						sinrRejects++
+					}
+				case r < 14: // unvetted: conflicts, self loops and hopeless links welcome
+					iface.Add(NewCandidate(opaque, l))
+					dense.Add(NewCandidate(ch, l))
+				case r < 16:
+					iface.Mark()
+					dense.Mark()
+					marked = dense.Len()
+				case r < 18:
+					if marked >= 0 {
+						iface.Rollback()
+						dense.Rollback()
+						rollbacks++
+					}
+				case r < 19:
+					got, want := iface.Outcomes(), dense.Outcomes()
+					if !slices.Equal(got, want) {
+						t.Fatalf("dataOnly=%v trial %d op %d: Outcomes %v on the interface path, %v on the dense path (slot %v)",
+							dataOnly, trial, op, got, want, dense.Links())
+					}
+					if slices.Contains(want, false) {
+						failedOutcomes++
+					}
+				default:
+					iface.Reset()
+					dense.Reset()
+					marked = -1
+				}
+				if len(iface.links) != len(dense.links) {
+					t.Fatalf("dataOnly=%v trial %d op %d: %d links on the interface path, %d on the dense path",
+						dataOnly, trial, op, len(iface.links), len(dense.links))
+				}
+				for i := range dense.links {
+					if !sameRecord(iface.links[i], dense.links[i]) {
+						t.Fatalf("dataOnly=%v trial %d op %d: record[%d] = %+v on the interface path, %+v on the dense path",
+							dataOnly, trial, op, i, iface.links[i], dense.links[i])
+					}
+				}
+			}
+		}
+		if admits == 0 || sinrRejects == 0 || rollbacks == 0 || failedOutcomes == 0 {
+			t.Fatalf("dataOnly=%v: fuzz did not exercise every path: %d admits, %d SINR rejects, %d rollbacks, %d failing outcomes",
+				dataOnly, admits, sinrRejects, rollbacks, failedOutcomes)
+		}
+		t.Logf("dataOnly=%v: %d admits, %d SINR rejects, %d rollbacks, %d failing outcomes agreed",
+			dataOnly, admits, sinrRejects, rollbacks, failedOutcomes)
+	}
+}
+
+// sameRecord reports whether two slot records are identical, with every
+// float compared bit for bit.
+func sameRecord(a, b slotLink) bool {
+	bits := math.Float64bits
+	return a.Link == b.Link && bits(a.DataMW) == bits(b.DataMW) && bits(a.AckMW) == bits(b.AckMW) &&
+		bits(a.dataSum) == bits(b.dataSum) && bits(a.ackSum) == bits(b.ackSum)
+}
+
 // TestSlotStateRollbackWithoutMarkPanics documents the API contract.
 func TestSlotStateRollbackWithoutMarkPanics(t *testing.T) {
 	ch := lineChannel(t, 4, 35, 20)
@@ -236,8 +344,8 @@ func TestSlotStateRollbackWithoutMarkPanics(t *testing.T) {
 func buildSlotIncremental(ch *Channel, candidates []Link) int {
 	st := NewSlotState(ch)
 	for _, l := range candidates {
-		if st.CanAdd(l) {
-			st.Add(l)
+		if c := NewCandidate(ch, l); st.CanAdd(c) {
+			st.Add(c)
 		}
 	}
 	return st.Len()

@@ -50,14 +50,15 @@ func BenchmarkSpatialCanAdd10k(b *testing.B) {
 	var st phys.SlotState
 	st.InitEngine(idx)
 	for u := 64; u < n; u += 64 {
-		l := phys.Link{From: u, To: u - 1}
-		if st.CanAdd(l) {
-			st.Add(l)
+		if c := phys.NewCandidate(idx, phys.Link{From: u, To: u - 1}); st.CanAdd(c) {
+			st.Add(c)
 		}
 	}
-	probes := make([]phys.Link, 0, 97)
+	// The probes' candidates are built outside the timed loop, as a schedule
+	// build computes each link's signals once and probes every slot with them.
+	probes := make([]phys.Candidate, 0, 97)
 	for u := 33; len(probes) < cap(probes); u += 101 {
-		probes = append(probes, phys.Link{From: u % n, To: (u + 1) % n})
+		probes = append(probes, phys.NewCandidate(idx, phys.Link{From: u % n, To: (u + 1) % n}))
 	}
 	b.ResetTimer()
 	sink := false

@@ -93,13 +93,14 @@ func checkConservative(t *testing.T, pos []geom.Point, pw []float64, cutoffM flo
 	sSpat.InitEngine(idx)
 	sDense.InitEngine(ch)
 	for _, l := range links {
-		if sSpat.CanAdd(l) {
-			if !sDense.CanAdd(l) {
+		cs, cd := phys.NewCandidate(idx, l), phys.NewCandidate(ch, l)
+		if sSpat.CanAdd(cs) {
+			if !sDense.CanAdd(cd) {
 				t.Fatalf("cutoff=%g: spatial admitted %v into a slot the dense engine rejects (occupants %v)",
 					cutoffM, l, sDense.Links())
 			}
-			sSpat.Add(l)
-			sDense.Add(l)
+			sSpat.Add(cs)
+			sDense.Add(cd)
 		}
 	}
 
@@ -237,9 +238,8 @@ func TestSpatialConcurrentReaders(t *testing.T) {
 			var st phys.SlotState
 			st.InitEngine(idx)
 			for u := 1; u < n; u++ {
-				l := phys.Link{From: u, To: u - 1}
-				if st.CanAdd(l) {
-					st.Add(l)
+				if c := phys.NewCandidate(idx, phys.Link{From: u, To: u - 1}); st.CanAdd(c) {
+					st.Add(c)
 				}
 			}
 			if sink < 0 {

@@ -97,15 +97,15 @@ func greedyPhysical(ch phys.Engine, links []phys.Link, demands []int, ord Orderi
 	return greedyPhysicalOrdered(ch, links, demands, orderEdges(ch, links, demands, ord), dataOnly)
 }
 
-// singletonFeasible reports whether l alone can occupy a slot: both the
+// singletonFeasible reports whether c alone can occupy a slot: both the
 // data and the ACK transmission must clear beta against noise with no
 // interference. This is exactly Channel.FeasibleSet on a one-link set
 // (self-loops fail through their zero self-gain), phrased over the Engine
 // interface so any engine can answer it — and since SignalMW is exact on
 // every engine, all engines agree on it.
-func singletonFeasible(ch phys.Engine, l phys.Link) bool {
+func singletonFeasible(ch phys.Engine, c phys.Candidate) bool {
 	floor := ch.Beta() * ch.NoiseMW()
-	return ch.SignalMW(l.From, l.To) >= floor && ch.SignalMW(l.To, l.From) >= floor
+	return c.DataMW >= floor && c.AckMW >= floor
 }
 
 // greedyPhysicalOrdered runs the first-fit greedy admission pass over the
@@ -113,16 +113,6 @@ func singletonFeasible(ch phys.Engine, l phys.Link) bool {
 // absent from order are ignored — the Fan-Zhang class scheduler exploits
 // this to run the engine on one length class at a time.
 func greedyPhysicalOrdered(ch phys.Engine, links []phys.Link, demands []int, order []int, dataOnly bool) (*Schedule, error) {
-	for _, ei := range order {
-		l := links[ei]
-		if !singletonFeasible(ch, l) {
-			return nil, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", l)
-		}
-		if demands[ei] < 0 {
-			return nil, fmt.Errorf("sched: link %v has negative demand %d", l, demands[ei])
-		}
-	}
-
 	// Slot states live in fixed-size slabs: constructing a schedule touches
 	// hundreds of slots, so one heap allocation per slot (or copying the
 	// states around as a flat slice grows) would dominate the incremental
@@ -132,8 +122,17 @@ func greedyPhysicalOrdered(ch phys.Engine, links []phys.Link, demands []int, ord
 	var slabs []*[slabSize]phys.SlotState
 	var slots []*phys.SlotState
 	for _, ei := range order {
-		l := links[ei]
+		// The link's exact signals, computed once per build: they decide its
+		// singleton feasibility here and every admission probe below. Links
+		// are checked in order, so invalid input fails on its first bad link.
+		c := phys.NewCandidate(ch, links[ei])
+		if !singletonFeasible(ch, c) {
+			return nil, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", c.Link)
+		}
 		remaining := demands[ei]
+		if remaining < 0 {
+			return nil, fmt.Errorf("sched: link %v has negative demand %d", c.Link, remaining)
+		}
 		for slot := 0; remaining > 0; slot++ {
 			if slot == len(slots) {
 				if slot%slabSize == 0 {
@@ -147,8 +146,8 @@ func greedyPhysicalOrdered(ch phys.Engine, links []phys.Link, demands []int, ord
 				}
 				slots = append(slots, st)
 			}
-			if slots[slot].CanAdd(l) {
-				slots[slot].Add(l)
+			if slots[slot].CanAdd(c) {
+				slots[slot].Add(c)
 				remaining--
 			}
 		}
@@ -187,7 +186,7 @@ func GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, links []phys.
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
 	for i, l := range links {
-		if !singletonFeasible(eng, l) {
+		if !singletonFeasible(eng, phys.NewCandidate(eng, l)) {
 			return nil, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", l)
 		}
 		if demands[i] < 0 {
@@ -196,15 +195,15 @@ func GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, links []phys.
 	}
 	var slots []*phys.MultiSlotState
 	for _, ei := range orderEdges(eng, links, demands, ord) {
-		l := links[ei]
+		c := phys.NewCandidate(eng, links[ei])
 		remaining := demands[ei]
 		for slot := 0; remaining > 0; slot++ {
 			if slot == len(slots) {
 				slots = append(slots, phys.NewMultiSlotState(eng, channels, numRadios))
 			}
 			for ch := 0; ch < channels && remaining > 0; ch++ {
-				if slots[slot].CanAdd(l, ch) {
-					slots[slot].Add(l, ch)
+				if slots[slot].CanAdd(c, ch) {
+					slots[slot].Add(c, ch)
 					remaining--
 				}
 			}

@@ -79,7 +79,7 @@ type scenario struct {
 type session struct {
 	id        int64
 	name      string
-	scenario  string // metric label: the scenario name, or "adhoc"
+	scenario  string // metric label: the preloaded scenario's name, or "adhoc"
 	scheduler string
 	started   time.Time
 	epochs    atomic.Int64
@@ -209,9 +209,10 @@ func (s *Server) ActiveSessions() int {
 	return len(s.sessions)
 }
 
-// admit registers a session under the admission cap. ok is false when the
-// server is at capacity or draining.
-func (s *Server) admit(name, scheduler string, cancel context.CancelFunc) (*session, bool) {
+// admit registers a session under the admission cap. name is the spec's
+// name, shown in the session listing; scenario is its metric label. ok is
+// false when the server is at capacity or draining.
+func (s *Server) admit(name, scenario, scheduler string, cancel context.CancelFunc) (*session, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || len(s.sessions) >= s.max {
@@ -219,14 +220,10 @@ func (s *Server) admit(name, scheduler string, cancel context.CancelFunc) (*sess
 		return nil, false
 	}
 	s.nextID++
-	scenarioLabel := name
-	if scenarioLabel == "" {
-		scenarioLabel = "adhoc"
-	}
 	sess := &session{
 		id:        s.nextID,
 		name:      name,
-		scenario:  scenarioLabel,
+		scenario:  scenario,
 		scheduler: scheduler,
 		started:   time.Now(),
 		cancel:    cancel,
@@ -324,9 +321,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a scenario spec (or ?scenario=<name>) to run")
 		return
 	}
+	// Only preloaded scenarios name a metric series. A POSTed body's name is
+	// the tenant's to choose, so it is labeled "adhoc": otherwise a tenant
+	// could mint one series per name, or count its runs in a preloaded
+	// scenario's series.
 	var (
-		spec scream.ScenarioSpec
-		mesh *scream.Mesh
+		spec  scream.ScenarioSpec
+		mesh  *scream.Mesh
+		label = "adhoc"
 	)
 	if name := r.URL.Query().Get("scenario"); name != "" {
 		sc, ok := s.scenarios[name]
@@ -337,7 +339,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		// Per-session sandbox: the shared prebuilt deployment is cloned, so
 		// this run can never observe (or disturb) a concurrent one.
-		spec, mesh = sc.spec.Clone(), sc.mesh.Clone()
+		spec, mesh, label = sc.spec.Clone(), sc.mesh.Clone(), name
 	} else {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		if err != nil {
@@ -355,7 +357,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// handler returns, or when CancelSessions force-drains the server.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	sess, ok := s.admit(spec.Name, spec.SchedulerName(), cancel)
+	sess, ok := s.admit(spec.Name, label, spec.SchedulerName(), cancel)
 	if !ok {
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("session limit reached (%d active)", s.max))

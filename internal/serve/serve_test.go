@@ -581,7 +581,8 @@ func TestTraceRetention(t *testing.T) {
 
 // TestMetricsJSONEndpoint: /api/v1/metrics is the JSON twin of /metrics —
 // after one run it carries the serve counters, the session duration
-// histogram, and the scenario-labeled outcome series.
+// histogram, and the scenario-labeled outcome series (a POSTed body is
+// labeled "adhoc").
 func TestMetricsJSONEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	postRun(t, ts.URL, testSpec(7))
@@ -600,7 +601,7 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	if got := snap.Counters["scream_serve_sessions_completed_total"]; got != 1 {
 		t.Errorf("completed counter %d, want 1", got)
 	}
-	if got := snap.Counters[`scream_serve_scenario_sessions_total{scenario="grid-seed-7",outcome="completed"}`]; got != 1 {
+	if got := snap.Counters[`scream_serve_scenario_sessions_total{scenario="adhoc",outcome="completed"}`]; got != 1 {
 		t.Errorf("scenario-labeled counter %d, want 1", got)
 	}
 	h, ok := snap.Histograms["scream_serve_session_duration_seconds"]
@@ -612,9 +613,9 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	}
 }
 
-// TestScenarioOutcomeMetrics: the labeled session counters attribute runs to
-// their scenario — "adhoc" for unnamed POSTed specs — and canceled runs land
-// in outcome="failed".
+// TestScenarioOutcomeMetrics: the labeled session counters label every
+// POSTed spec "adhoc", named or not, and canceled runs land in
+// outcome="failed".
 func TestScenarioOutcomeMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	adhoc := testSpec(3)
@@ -638,7 +639,7 @@ func TestScenarioOutcomeMetrics(t *testing.T) {
 
 	for name, want := range map[string]int64{
 		`scream_serve_scenario_sessions_total{scenario="adhoc",outcome="completed"}`: 1,
-		`scream_serve_scenario_sessions_total{scenario="long",outcome="failed"}`:     1,
+		`scream_serve_scenario_sessions_total{scenario="adhoc",outcome="failed"}`:    1,
 	} {
 		if got, _ := s.reg.CounterValue(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -647,6 +648,37 @@ func TestScenarioOutcomeMetrics(t *testing.T) {
 	h, ok := s.reg.HistogramValue("scream_serve_session_duration_seconds")
 	if !ok || h.Count() != 2 {
 		t.Errorf("duration histogram count %v (present %v), want 2", h, ok)
+	}
+}
+
+// TestScenarioLabelOnlyFromPreload: a POSTed body named after a preloaded
+// scenario is counted as "adhoc", never in that scenario's series; only a
+// ?scenario= run is. Tenant-chosen names therefore cannot mint new series.
+func TestScenarioLabelOnlyFromPreload(t *testing.T) {
+	spec := testSpec(7)
+	s, ts := newTestServer(t, Config{Scenarios: []scream.ScenarioSpec{spec}})
+	spec.HorizonSec = 0.05 // same name, different run
+	postRun(t, ts.URL, spec)
+	invented := testSpec(3)
+	invented.Name = "tenant-invented"
+	postRun(t, ts.URL, invented)
+	resp, err := http.Post(ts.URL+"/api/v1/run?scenario=grid-seed-7", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeStream(t, resp)
+	resp.Body.Close()
+
+	for name, want := range map[string]int64{
+		`scream_serve_scenario_sessions_total{scenario="adhoc",outcome="completed"}`:       2,
+		`scream_serve_scenario_sessions_total{scenario="grid-seed-7",outcome="completed"}`: 1,
+	} {
+		if got, _ := s.reg.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got, ok := s.reg.CounterValue(`scream_serve_scenario_sessions_total{scenario="tenant-invented",outcome="completed"}`); ok {
+		t.Errorf("a POSTed name became a metric series (value %d)", got)
 	}
 }
 

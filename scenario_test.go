@@ -1,9 +1,12 @@
 package scream
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,6 +185,57 @@ func TestRunTinySpatialBucket(t *testing.T) {
 	if res.Delivered == 0 || res.Offered != res.Delivered+res.Dropped+res.LostOnFailure+res.FinalBacklog {
 		t.Errorf("offered %d, delivered %d, dropped %d, lost %d, backlog %d",
 			res.Offered, res.Delivered, res.Dropped, res.LostOnFailure, res.FinalBacklog)
+	}
+}
+
+// TestRunSpatialGolden pins a short greedy run on the spatial engine byte for
+// byte: every epoch's streamed schedule, one JSON line each, then the JSON
+// result. The deployment is a 16x16 grid at a 30 m step under the default
+// cutoff, so admissions exercise both the exact near-field and the bucket-cap
+// far-field interference branches.
+// Regenerate with: go test -run TestRunSpatialGolden -update
+func TestRunSpatialGolden(t *testing.T) {
+	spec := ScenarioSpec{
+		Name:           "greedy-spatial256",
+		Topology:       TopologySpec{Kind: "grid", Rows: 16, Cols: 16, StepMeters: 30},
+		Traffic:        TrafficSpec{Kind: "poisson", Load: 0.9},
+		Scheduler:      "greedy",
+		HorizonSec:     0.1,
+		Seed:           1,
+		FramesPerEpoch: 1,
+		MaxService:     16,
+		Interference:   &InterferenceSpec{Engine: "spatial"},
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	res, err := RunWith(context.Background(), spec, RunOptions{OnEpoch: func(u EpochUpdate) {
+		if err := enc.Encode(u.Schedule); err != nil {
+			t.Fatal(err)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered == 0 {
+		t.Fatal("golden spatial run delivered nothing")
+	}
+
+	golden := filepath.Join("testdata", "run_greedy_spatial256.jsonl")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("spatial run diverges from %s (%d vs %d bytes); run with -update only after an intended change",
+			golden, buf.Len(), len(want))
 	}
 }
 
