@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -59,13 +60,13 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "obs: serving /metrics and /debug/pprof on http://%s\n", addr)
 	}
-	if err := run(*fig, *quick, *seeds, *workers, *ascii); err != nil {
+	if err := run(os.Stdout, *fig, *quick, *seeds, *workers, *ascii); err != nil {
 		fmt.Fprintln(os.Stderr, "figgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(which string, quick bool, seeds, workers int, ascii bool) error {
+func run(w io.Writer, which string, quick bool, seeds, workers int, ascii bool) error {
 	opts := scream.ExperimentOptions{Quick: quick, Seeds: seeds, Workers: workers}
 	figures := map[string][]runner{
 		"4":        {{"Fig4", scream.Fig4}},
@@ -115,16 +116,16 @@ func run(which string, quick bool, seeds, workers int, ascii bool) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.name, err)
 		}
-		fmt.Printf("## %s (generated in %v)\n", r.name, time.Since(start).Round(time.Millisecond))
-		if err := f.WriteTSV(os.Stdout); err != nil {
+		fmt.Fprintf(w, "## %s (generated in %v)\n", r.name, time.Since(start).Round(time.Millisecond))
+		if err := f.WriteTSV(w); err != nil {
 			return err
 		}
 		if ascii {
-			if err := f.RenderASCII(os.Stdout, 72, 16); err != nil {
+			if err := f.RenderASCII(w, 72, 16); err != nil {
 				return err
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

@@ -32,37 +32,35 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// One short link every `sep` nodes, all with unit demand.
-		var links []scream.Link
+		// The mesh schedules one short link every `sep` nodes, all with unit
+		// demand, instead of its routing forest.
+		mesh.Links, mesh.Demands = nil, nil
 		for i := 0; i+1 < nodes; i += sep {
-			links = append(links, scream.Link{From: i, To: i + 1})
-		}
-		demands := make([]int, len(links))
-		for i := range demands {
-			demands[i] = 1
+			mesh.Links = append(mesh.Links, scream.Link{From: i, To: i + 1})
+			mesh.Demands = append(mesh.Demands, 1)
 		}
 		k := sep - 2 // the scheduler sees strictly less than the link spacing
 
-		local, err := mesh.LocalizedGreedyFor(links, demands, k, scream.ByHeadIDDesc)
+		local, err := mesh.LocalizedGreedy(k, scream.ByHeadIDDesc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		global, err := mesh.GreedyScheduleFor(links, demands, scream.ByHeadIDDesc)
+		global, err := mesh.GreedySchedule(scream.ByHeadIDDesc)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		fmt.Printf("\nrange slack %.2f: %d links on a %d-node line, k = %d hops\n",
-			slack, len(links), nodes, k)
+			slack, len(mesh.Links), nodes, k)
 		fmt.Printf("  localized greedy: %2d slots — ", local.Length())
-		if err := mesh.VerifyFor(links, demands, local); err != nil {
+		if err := mesh.Verify(local); err != nil {
 			fmt.Printf("INFEASIBLE: %v\n", err)
 			found = true
 		} else {
 			fmt.Println("feasible (this slack has enough SINR margin)")
 		}
 		fmt.Printf("  global greedy:    %2d slots — ", global.Length())
-		if err := mesh.VerifyFor(links, demands, global); err != nil {
+		if err := mesh.Verify(global); err != nil {
 			log.Fatalf("global greedy must never be infeasible: %v", err)
 		}
 		fmt.Println("feasible (always)")

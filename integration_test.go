@@ -151,11 +151,10 @@ func TestEndToEndOptimalOnTinyMesh(t *testing.T) {
 	}
 	// OptimalLength scores unit demands; compare greedy on the same
 	// unit-demand workload (the mesh's own demands are subtree-aggregated).
-	unit := make([]int, len(mesh.Links))
-	for i := range unit {
-		unit[i] = 1
+	for i := range mesh.Demands {
+		mesh.Demands[i] = 1
 	}
-	greedy, err := mesh.GreedyScheduleFor(mesh.Links, unit, ByHeadIDDesc)
+	greedy, err := mesh.GreedySchedule(ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +246,12 @@ func TestEndToEndCustomLinkSet(t *testing.T) {
 	for i := range demands {
 		demands[i] = 1 + rng.Intn(3)
 	}
-	s, err := mesh.GreedyScheduleFor(links, demands, ByDemandDesc)
+	mesh.Links, mesh.Demands = links, demands
+	s, err := mesh.GreedySchedule(ByDemandDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mesh.VerifyFor(links, demands, s); err != nil {
+	if err := mesh.Verify(s); err != nil {
 		t.Fatal(err)
 	}
 }

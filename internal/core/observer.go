@@ -14,25 +14,3 @@ type Observer struct {
 	// slot as the result's schedule holds it and must not be modified.
 	SlotSealed func(round int, links []phys.Link)
 }
-
-// TransitionLegal reports whether a node state transition is allowed by the
-// protocol's state machine (Figure 1, plus the per-slot reset edges that
-// the figure draws as "new slot considered").
-func TransitionLegal(from, to State) bool {
-	switch from {
-	case Dormant:
-		return to == Active || to == Control
-	case Active:
-		return to == Allocated || to == Tried
-	case Allocated:
-		return to == Dormant || to == Complete
-	case Tried:
-		return to == Dormant
-	case Control:
-		return to == Complete
-	case Complete:
-		return to == Terminate
-	default:
-		return false
-	}
-}

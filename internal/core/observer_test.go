@@ -17,7 +17,7 @@ func TestTransitionLegal(t *testing.T) {
 		{Complete, Terminate},
 	}
 	for _, tr := range legal {
-		if !TransitionLegal(tr.from, tr.to) {
+		if !transitionLegal(tr.from, tr.to) {
 			t.Errorf("%v -> %v should be legal", tr.from, tr.to)
 		}
 	}
@@ -31,7 +31,7 @@ func TestTransitionLegal(t *testing.T) {
 		{State(99), Dormant},
 	}
 	for _, tr := range illegal {
-		if TransitionLegal(tr.from, tr.to) {
+		if transitionLegal(tr.from, tr.to) {
 			t.Errorf("%v -> %v should be illegal", tr.from, tr.to)
 		}
 	}
@@ -50,7 +50,7 @@ func TestObserverTransitionsMatchFigure1(t *testing.T) {
 			ControllerElected: func(round, node int) { elected++ },
 			StateChange: func(round, node int, from, to State) {
 				transitions++
-				if !TransitionLegal(from, to) {
+				if !transitionLegal(from, to) {
 					t.Fatalf("%v: illegal transition %v -> %v at node %d round %d", variant, from, to, node, round)
 				}
 			},
@@ -159,5 +159,27 @@ func TestControllerIsHighestIDNonComplete(t *testing.T) {
 	}
 	if prevController < 0 {
 		t.Fatal("no controller was ever elected")
+	}
+}
+
+// transitionLegal reports whether a node state transition is allowed by the
+// protocol's state machine (Figure 1, plus the per-slot reset edges that
+// the figure draws as "new slot considered").
+func transitionLegal(from, to State) bool {
+	switch from {
+	case Dormant:
+		return to == Active || to == Control
+	case Active:
+		return to == Allocated || to == Tried
+	case Allocated:
+		return to == Dormant || to == Complete
+	case Tried:
+		return to == Dormant
+	case Control:
+		return to == Complete
+	case Complete:
+		return to == Terminate
+	default:
+		return false
 	}
 }

@@ -172,11 +172,11 @@ func TestWorldMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("no change at %v", stop)
 		}
 		// Channel must match a network built from scratch at current state.
-		ref := w.Network().Clone()
+		ref := w.net.Clone()
 		ref.RefreshGraphs()
 		for u := 0; u < net.NumNodes(); u++ {
 			for v := 0; v < net.NumNodes(); v++ {
-				got := w.Channel().RxPowerMW(u, v)
+				got := w.net.Channel.RxPowerMW(u, v)
 				want := ref.Channel.RxPowerMW(u, v)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("t=%v: channel(%d,%d) drifted", stop, u, v)
@@ -184,7 +184,7 @@ func TestWorldMatchesFreshBuild(t *testing.T) {
 			}
 		}
 		// Forest must match the canonical rebuild.
-		want, err := route.BuildForestPartial(w.Network().Comm, w.AliveGateways(), nil)
+		want, err := route.BuildForestPartial(w.net.Comm, w.AliveGateways(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +265,11 @@ func TestWorldAdvanceBatching(t *testing.T) {
 		if wa.IsAlive(u) != wb.IsAlive(u) {
 			t.Fatalf("aliveness of %d differs between step patterns", u)
 		}
-		if wa.Network().Nodes[u].Pos != wb.Network().Nodes[u].Pos {
+		if wa.net.Nodes[u].Pos != wb.net.Nodes[u].Pos {
 			t.Fatalf("position of %d differs between step patterns", u)
 		}
 		for v := 0; v < 16; v++ {
-			if math.Float64bits(wa.Channel().RxPowerMW(u, v)) != math.Float64bits(wb.Channel().RxPowerMW(u, v)) {
+			if math.Float64bits(wa.net.Channel.RxPowerMW(u, v)) != math.Float64bits(wb.net.Channel.RxPowerMW(u, v)) {
 				t.Fatalf("channel(%d,%d) differs between step patterns", u, v)
 			}
 		}

@@ -145,14 +145,8 @@ func (w *World) Forest() *route.Forest { return w.forest }
 // Links returns the current forest's links (owner order).
 func (w *World) Links() []phys.Link { return w.links }
 
-// Channel returns the live channel (mutated in place by events).
-func (w *World) Channel() *phys.Channel { return w.net.Channel }
-
 // Sens returns the current sensitivity graph.
 func (w *World) Sens() *graph.Graph { return w.net.Sens }
-
-// Network returns the underlying (exclusively owned) network.
-func (w *World) Network() *topo.Network { return w.net }
 
 // AliveGateways returns the configured gateways that are currently up.
 func (w *World) AliveGateways() []int {

@@ -19,7 +19,6 @@ import (
 	"scream/internal/rng"
 	"scream/internal/sched"
 	"scream/internal/stats"
-	"scream/internal/traffic"
 )
 
 // channelsRadios is the per-node radio count of the channels figure: two
@@ -149,41 +148,18 @@ func RunChannelsCell(channels int, seed int64, quick bool) ([]float64, error) {
 	if quick {
 		horizonFrames = 900
 	}
-	horizon := des.Time(horizonFrames) * frame
 	// The C=1 column builds the single-channel schedulers whatever the radio
 	// count, so it reproduces FigFlowLoad's code path exactly.
-	schedulers, err := flowSchedulers(s, tm, seed, channels, channelsRadios)
-	if err != nil {
-		return nil, err
+	run := flowRun{
+		s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed,
+		channels: channels, radios: channelsRadios, framesPerEpoch: channelsFramesPerEpoch,
+		rate: func(int) float64 { return rate },
 	}
-	vals := make([]float64, 0, 2*len(schedulers))
-	for ci, sc := range schedulers {
-		arrivals := make([]traffic.Arrival, s.Net.NumNodes())
-		for u := range arrivals {
-			if s.Forest.IsGateway(u) {
-				continue
-			}
-			p, err := traffic.NewPoisson(rate)
-			if err != nil {
-				return nil, err
-			}
-			arrivals[u] = p
+	vals := make([]float64, len(flowCurves), 2*len(flowCurves))
+	for ci, name := range flowCurves {
+		if vals[ci], err = run.goodput(name, int64(ci)); err != nil {
+			return nil, fmt.Errorf("channels cell C=%d seed=%d curve=%s: %w", channels, seed, name, err)
 		}
-		res, err := flow.Run(flow.Config{
-			Forest:         s.Forest,
-			Links:          s.Links,
-			Scheduler:      sc,
-			Timing:         tm,
-			Arrivals:       arrivals,
-			Horizon:        horizon,
-			Seed:           flow.DeriveSeed(seed, int64(ci)),
-			MaxService:     flowMaxService,
-			FramesPerEpoch: channelsFramesPerEpoch,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("channels cell C=%d seed=%d curve=%s: %w", channels, seed, sc.Name, err)
-		}
-		vals = append(vals, res.GoodputPps)
 	}
 	lengths, err := channelsScheduleLengths(s, tm, channels, seed)
 	if err != nil {

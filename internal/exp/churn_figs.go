@@ -18,7 +18,6 @@ import (
 	"scream/internal/dynam"
 	"scream/internal/flow"
 	"scream/internal/stats"
-	"scream/internal/traffic"
 )
 
 // churnLoad is the offered load of the churn figure in units of static
@@ -40,7 +39,7 @@ func ChurnRates(quick bool) []float64 {
 	return []float64{0, 0.5, 1, 2, 4}
 }
 
-// churnCurveNames are FigChurn's series, aligned with RunChurnCell's output.
+// churnCurveNames are FigChurn's series, aligned with flowCurves.
 func churnCurveNames() []string {
 	return []string{"Centralized", "FDD", "PDD p=0.8", "TDMA (static)"}
 }
@@ -57,32 +56,8 @@ func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 	if quick {
 		horizonFrames = 300
 	}
-	type curve struct {
-		name  string
-		build func(s *Scenario, tm core.Timing) (flow.Scheduler, error)
-	}
-	curves := []curve{
-		{"greedy", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewGreedyScheduler(s.Net.Channel, 1, 1, s.Links), nil
-		}},
-		{"fdd", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewProtocolScheduler(flow.SchedulerEnv{
-				Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links,
-				Timing: tm, Seed: seed,
-			}, core.FDD)
-		}},
-		{"pdd", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewProtocolScheduler(flow.SchedulerEnv{
-				Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links,
-				Timing: tm, P: 0.8, Seed: seed + 1,
-			}, core.PDD)
-		}},
-		{"tdma", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewTDMAScheduler(s.Links, 1, 1), nil
-		}},
-	}
-	vals := make([]float64, len(curves))
-	for ci, c := range curves {
+	vals := make([]float64, len(flowCurves))
+	for ci, name := range flowCurves {
 		// Every curve rebuilds the scenario from the cell seed: the dynamics
 		// world mutates the network in place, so curves must not share one.
 		s, err := GridScenario(flowDensity, 5300+seed)
@@ -104,39 +79,15 @@ func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc, err := c.build(s, tm)
-		if err != nil {
-			return nil, err
-		}
 		rate := churnLoad / frame.Seconds()
-		arrivals := make([]traffic.Arrival, s.Net.NumNodes())
-		for u := range arrivals {
-			if s.Forest.IsGateway(u) {
-				continue
-			}
-			p, err := traffic.NewPoisson(rate)
-			if err != nil {
-				return nil, err
-			}
-			arrivals[u] = p
+		run := flowRun{
+			s: s, tm: tm, horizon: horizon, seed: seed,
+			channels: 1, radios: 1, framesPerEpoch: flowFramesPerEpoch,
+			rate: func(int) float64 { return rate }, world: world,
 		}
-		res, err := flow.Run(flow.Config{
-			Forest:         s.Forest,
-			Links:          s.Links,
-			Scheduler:      sc,
-			Timing:         tm,
-			Arrivals:       arrivals,
-			Horizon:        horizon,
-			Seed:           flow.DeriveSeed(seed, int64(ci)),
-			MaxService:     flowMaxService,
-			FramesPerEpoch: flowFramesPerEpoch,
-			Dynamics:       world,
-			RepairCost:     tm.RepairCost(s.Net.InterferenceDiameter()),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("churn cell failures=%g seed=%d curve=%s: %w", failures, seed, c.name, err)
+		if vals[ci], err = run.goodput(name, int64(ci)); err != nil {
+			return nil, fmt.Errorf("churn cell failures=%g seed=%d curve=%s: %w", failures, seed, name, err)
 		}
-		vals[ci] = res.GoodputPps
 	}
 	return vals, nil
 }

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"fmt"
 	"testing"
 
 	"scream/internal/core"
+	"scream/internal/sched"
 )
 
 var quick = Options{Quick: true, Seeds: 2}
@@ -341,8 +343,32 @@ func TestShadowedPipelineTheorem4(t *testing.T) {
 	// FDD == GreedyPhysical must hold on irregular (shadowed) channels
 	// too: nothing in Theorem 4 depends on geometry.
 	for _, sigma := range []float64{2, 6} {
-		if err := VerifyShadowedPipeline(sigma, 3); err != nil {
+		if err := verifyShadowedPipeline(sigma, 3); err != nil {
 			t.Errorf("sigma %v: %v", sigma, err)
 		}
 	}
+}
+
+// verifyShadowedPipeline runs FDD end-to-end on a shadowed scenario and
+// verifies the schedule.
+func verifyShadowedPipeline(sigma float64, seed int64) error {
+	s, err := shadowedGridScenario(5000, sigma, seed)
+	if err != nil {
+		return err
+	}
+	imp, res, err := RunProtocol(s, core.FDD, 0, core.DefaultTiming(), 0, seed)
+	if err != nil {
+		return err
+	}
+	if imp < 0 {
+		return fmt.Errorf("exp: negative improvement %.1f under shadowing", imp)
+	}
+	want, err := sched.GreedyPhysical(s.Net.Channel, s.Links, s.Demands, sched.ByHeadIDDesc)
+	if err != nil {
+		return err
+	}
+	if !res.Schedule.Equal(want) {
+		return fmt.Errorf("exp: Theorem 4 equality failed under shadowing sigma=%g", sigma)
+	}
+	return nil
 }

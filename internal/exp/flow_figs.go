@@ -12,6 +12,7 @@ import (
 
 	"scream/internal/core"
 	"scream/internal/des"
+	"scream/internal/dynam"
 	"scream/internal/flow"
 	"scream/internal/stats"
 	"scream/internal/traffic"
@@ -41,41 +42,89 @@ func FlowLoads(quick bool) []float64 {
 	return []float64{0.3, 0.5, 0.7, 0.85, 1.0, 1.2, 1.5}
 }
 
-// flowSchedulers builds the figure's four curves for one scenario through
-// the flow-scheduler registry: the centralized greedy upper bound, the two
-// distributed protocols at their real control cost, and the TDMA floor, over
-// channels orthogonal channels with radios radios per node.
-func flowSchedulers(s *Scenario, tm core.Timing, seed int64, channels, radios int) ([]flow.Scheduler, error) {
-	base := flow.SchedulerEnv{
-		Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links, Timing: tm,
-		Channels: channels, Radios: radios,
-	}
-	var out []flow.Scheduler
-	for _, name := range []string{"greedy", "fdd", "pdd", "tdma"} {
-		def, err := flow.SchedulerDefByName(name)
-		if err != nil {
-			return nil, err
-		}
-		env := base
-		switch name {
-		case "fdd":
-			env.Seed = seed
-		case "pdd":
-			env.P = 0.8
-			env.Seed = seed + 1
-		}
-		sc, err := def.New(env)
-		if err != nil {
-			return nil, fmt.Errorf("flow figure: build %s: %w", name, err)
-		}
-		out = append(out, sc)
-	}
-	return out, nil
-}
+// flowCurves are the registry schedulers behind the four curves of
+// FigFlowLoad, FigChurn and FigChannels: the centralized greedy upper bound,
+// the two distributed protocols at their real control cost, and the TDMA
+// floor.
+var flowCurves = [...]string{"greedy", "fdd", "pdd", "tdma"}
 
-// flowCurveNames are FigFlowLoad's series, aligned with flowSchedulers.
+// flowCurveNames are FigFlowLoad's series, aligned with flowCurves.
 func flowCurveNames() []string {
 	return []string{"Centralized", "FDD", "PDD p=0.8", "TDMA"}
+}
+
+// flowRun is one cell of a flow figure: what all of its curves share.
+type flowRun struct {
+	s       *Scenario
+	tm      core.Timing
+	horizon des.Time
+	// seed is the cell seed: FDD runs on it, PDD on seed+1 at p = 0.8, and
+	// every curve's arrivals on a stream derived from it.
+	seed int64
+	// channels and radios shape the multi-channel schedulers (0 or 1 =
+	// single-channel).
+	channels, radios int
+	framesPerEpoch   int
+	// rate is node u's Poisson arrival rate in packets per second.
+	rate  func(u int) float64
+	world *dynam.World // nil for a static topology
+}
+
+// goodput runs one curve: the flow registry's scheduler name over the cell's
+// scenario, under Poisson arrivals at every non-gateway node drawn from
+// stream stream of the cell seed. It returns the delivered goodput in
+// packets per second.
+func (r flowRun) goodput(name string, stream int64) (float64, error) {
+	def, err := flow.SchedulerDefByName(name)
+	if err != nil {
+		return 0, err
+	}
+	s := r.s
+	env := flow.SchedulerEnv{
+		Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links, Timing: r.tm,
+		Channels: r.channels, Radios: r.radios,
+	}
+	switch name {
+	case "fdd":
+		env.Seed = r.seed
+	case "pdd":
+		env.P, env.Seed = 0.8, r.seed+1
+	}
+	sc, err := def.New(env)
+	if err != nil {
+		return 0, err
+	}
+	arrivals := make([]traffic.Arrival, s.Net.NumNodes())
+	for u := range arrivals {
+		if s.Forest.IsGateway(u) {
+			continue
+		}
+		p, err := traffic.NewPoisson(r.rate(u))
+		if err != nil {
+			return 0, err
+		}
+		arrivals[u] = p
+	}
+	cfg := flow.Config{
+		Forest:         s.Forest,
+		Links:          s.Links,
+		Scheduler:      sc,
+		Timing:         r.tm,
+		Arrivals:       arrivals,
+		Horizon:        r.horizon,
+		Seed:           flow.DeriveSeed(r.seed, stream),
+		MaxService:     flowMaxService,
+		FramesPerEpoch: r.framesPerEpoch,
+		Dynamics:       r.world,
+	}
+	if r.world != nil {
+		cfg.RepairCost = r.tm.RepairCost(s.Net.InterferenceDiameter())
+	}
+	res, err := flow.Run(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return res.GoodputPps, nil
 }
 
 // RunFlowCell runs one (load, seed) cell of the flow figure for every curve
@@ -95,39 +144,16 @@ func RunFlowCell(load float64, seed int64, quick bool) ([]float64, error) {
 	if quick {
 		horizonFrames = 400
 	}
-	horizon := des.Time(horizonFrames) * frame
-	schedulers, err := flowSchedulers(s, tm, seed, 1, 1)
-	if err != nil {
-		return nil, err
+	run := flowRun{
+		s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed,
+		channels: 1, radios: 1, framesPerEpoch: flowFramesPerEpoch,
+		rate: func(int) float64 { return rate },
 	}
-	vals := make([]float64, len(schedulers))
-	for ci, sc := range schedulers {
-		arrivals := make([]traffic.Arrival, s.Net.NumNodes())
-		for u := range arrivals {
-			if s.Forest.IsGateway(u) {
-				continue
-			}
-			p, err := traffic.NewPoisson(rate)
-			if err != nil {
-				return nil, err
-			}
-			arrivals[u] = p
+	vals := make([]float64, len(flowCurves))
+	for ci, name := range flowCurves {
+		if vals[ci], err = run.goodput(name, int64(ci)); err != nil {
+			return nil, fmt.Errorf("flow cell load=%g seed=%d curve=%s: %w", load, seed, name, err)
 		}
-		res, err := flow.Run(flow.Config{
-			Forest:         s.Forest,
-			Links:          s.Links,
-			Scheduler:      sc,
-			Timing:         tm,
-			Arrivals:       arrivals,
-			Horizon:        horizon,
-			Seed:           flow.DeriveSeed(seed, int64(ci)),
-			MaxService:     flowMaxService,
-			FramesPerEpoch: flowFramesPerEpoch,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("flow cell load=%g seed=%d curve=%s: %w", load, seed, sc.Name, err)
-		}
-		vals[ci] = res.GoodputPps
 	}
 	return vals, nil
 }

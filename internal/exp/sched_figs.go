@@ -74,21 +74,6 @@ func schedCurveNames() []string {
 	return names
 }
 
-// schedSchedulers builds the figure's epoch schedulers for a scenario by
-// enumerating the registry (single-channel, default head-ID ordering).
-func schedSchedulers(s *Scenario) ([]flow.Scheduler, error) {
-	env := flow.SchedulerEnv{Channel: s.Net.Channel, Links: s.Links}
-	var out []flow.Scheduler
-	for _, d := range schedFamily() {
-		sc, err := d.New(env)
-		if err != nil {
-			return nil, fmt.Errorf("sched figure: build %s: %w", d.Name, err)
-		}
-		out = append(out, sc)
-	}
-	return out, nil
-}
-
 // RunSchedCell runs one (load, seed) cell of the sched figure: for each
 // topology, the four schedulers against the same Zipf hotspot arrival
 // pattern, returning delivered goodput per (topology, scheduler) curve.
@@ -115,44 +100,22 @@ func RunSchedCell(load float64, seed int64, quick bool) ([]float64, error) {
 			return nil, err
 		}
 		meanRate := load / frame.Seconds()
-		horizon := des.Time(horizonFrames) * frame
 		mult, err := traffic.HotspotRates(s.Net.NumNodes(), schedZipfS, 1, schedZipfMax,
 			rng.New(flow.DeriveSeed(seed, int64(100+ti))))
 		if err != nil {
 			return nil, err
 		}
-		schedulers, err := schedSchedulers(s)
-		if err != nil {
-			return nil, err
+		run := flowRun{
+			s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed, framesPerEpoch: schedFramesPerEpoch,
+			rate: func(u int) float64 { return meanRate * mult[u] },
 		}
-		for ci, sc := range schedulers {
-			arrivals := make([]traffic.Arrival, s.Net.NumNodes())
-			for u := range arrivals {
-				if s.Forest.IsGateway(u) {
-					continue
-				}
-				p, err := traffic.NewPoisson(meanRate * mult[u])
-				if err != nil {
-					return nil, err
-				}
-				arrivals[u] = p
-			}
-			res, err := flow.Run(flow.Config{
-				Forest:         s.Forest,
-				Links:          s.Links,
-				Scheduler:      sc,
-				Timing:         tm,
-				Arrivals:       arrivals,
-				Horizon:        horizon,
-				Seed:           flow.DeriveSeed(seed, int64(10*ti+ci)),
-				MaxService:     flowMaxService,
-				FramesPerEpoch: schedFramesPerEpoch,
-			})
+		for ci, d := range schedFamily() {
+			g, err := run.goodput(d.Name, int64(10*ti+ci))
 			if err != nil {
 				return nil, fmt.Errorf("sched cell load=%g seed=%d topo=%s curve=%s: %w",
-					load, seed, kind, sc.Name, err)
+					load, seed, kind, d.Name, err)
 			}
-			vals = append(vals, res.GoodputPps)
+			vals = append(vals, g)
 		}
 	}
 	return vals, nil

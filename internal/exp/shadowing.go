@@ -3,10 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"scream/internal/core"
 	"scream/internal/phys"
 	"scream/internal/rng"
-	"scream/internal/sched"
 	"scream/internal/stats"
 	"scream/internal/topo"
 )
@@ -83,28 +81,4 @@ func shadowedGridScenario(density, sigma float64, seed int64) (*Scenario, error)
 		}
 	}
 	return nil, fmt.Errorf("exp: no connected shadowed grid after 25 draws (sigma=%g)", sigma)
-}
-
-// VerifyShadowedPipeline runs FDD end-to-end on a shadowed scenario and
-// verifies the schedule — used by tests and callable from the harness.
-func VerifyShadowedPipeline(sigma float64, seed int64) error {
-	s, err := shadowedGridScenario(5000, sigma, seed)
-	if err != nil {
-		return err
-	}
-	imp, res, err := RunProtocol(s, core.FDD, 0, core.DefaultTiming(), 0, seed)
-	if err != nil {
-		return err
-	}
-	if imp < 0 {
-		return fmt.Errorf("exp: negative improvement %.1f under shadowing", imp)
-	}
-	want, err := sched.GreedyPhysical(s.Net.Channel, s.Links, s.Demands, sched.ByHeadIDDesc)
-	if err != nil {
-		return err
-	}
-	if !res.Schedule.Equal(want) {
-		return fmt.Errorf("exp: Theorem 4 equality failed under shadowing sigma=%g", sigma)
-	}
-	return nil
 }

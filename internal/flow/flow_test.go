@@ -312,6 +312,24 @@ func TestProtocolSchedulerNeedsDenseEngine(t *testing.T) {
 	}
 }
 
+// TestSchedulerRegistryLookup: the registry hands out copies, and a hit by
+// name allocates nothing (scenario validation resolves the scheduler on every
+// run); only a miss builds the valid-name list.
+func TestSchedulerRegistryLookup(t *testing.T) {
+	defs := SchedulerDefs()
+	defs[0].Name = "clobbered"
+	if d, err := SchedulerDefByName("greedy"); err != nil || d.Name != "greedy" {
+		t.Fatalf("mutating SchedulerDefs() changed the registry: %+v, %v", d.SchedulerInfo, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := SchedulerDefByName("tdma"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("SchedulerDefByName allocates %v times per hit, want 0", allocs)
+	}
+}
+
 // TestFlowFramesPerEpoch: replaying the schedule amortizes control cost —
 // more frames per epoch must cut the control fraction and raise goodput for
 // a distributed scheduler.

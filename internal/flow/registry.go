@@ -6,8 +6,6 @@ package flow
 // (scream.Schedulers), the flowsim CLI's -scheduler flag, the figure
 // harness's scheduler-family sweeps and the screamd daemon's /schedulers
 // endpoint all iterate it instead of maintaining parallel switch statements.
-// The centralized single-channel members are backed by the static scheduler
-// family of sched.Backends(), whose doc strings they share.
 
 import (
 	"fmt"
@@ -58,20 +56,28 @@ type SchedulerEnv struct {
 	Trace   *obs.Tracer
 }
 
-// SchedulerDef is one registry entry: a named, documented epoch-scheduler
+// SchedulerInfo describes one registered epoch scheduler. The JSON shape is
+// served verbatim by screamd's /api/v1/schedulers endpoint (scream.SchedulerInfo
+// is this type).
+type SchedulerInfo struct {
+	// Name is the registry key: the value of flowsim -scheduler,
+	// ScenarioSpec.Scheduler and SchedulerByName.
+	Name string `json:"name"`
+	// Display is the human label used for figure series ("Greedy", "FDD").
+	Display string `json:"display"`
+	// Doc is a one-line description of the scheduling discipline.
+	Doc string `json:"doc"`
+	// Distributed marks schedulers that pay real (non-genie) control cost
+	// in simulated time (FDD, PDD).
+	Distributed bool `json:"distributed"`
+	// MultiChannel marks schedulers that accept ScenarioSpec.Channels > 1.
+	MultiChannel bool `json:"multi_channel"`
+}
+
+// SchedulerDef is one registry entry: a scheduler's description and its
 // constructor.
 type SchedulerDef struct {
-	// Name is the canonical registry key ("greedy", "fdd", ...): the value
-	// of flowsim -scheduler, ScenarioSpec.Scheduler and the daemon API.
-	Name string
-	// Display is the figure-series label ("Greedy", "FDD", ...).
-	Display string
-	// Doc is a one-line description for API listings and --help output.
-	Doc string
-	// Distributed marks schedulers that pay real (non-genie) control cost.
-	Distributed bool
-	// MultiChannel marks schedulers that accept Env.Channels > 1.
-	MultiChannel bool
+	SchedulerInfo
 	// New builds the scheduler for an environment.
 	New func(env SchedulerEnv) (Scheduler, error)
 }
@@ -85,106 +91,106 @@ func (e SchedulerEnv) engine() phys.Engine {
 	return e.Channel
 }
 
-// backendDoc pulls the doc string of the static scheduler-family member the
-// flow scheduler wraps (sched.Backends is the source of truth for the
-// centralized single-channel family).
-func backendDoc(prefix string) string {
-	for _, b := range sched.Backends() {
-		if strings.HasPrefix(b.Name, prefix) {
-			return b.Doc
+// singleChannel builds a centralized scheduler that has no multi-channel
+// form, rejecting env.Channels > 1.
+func singleChannel(name string, build func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error)) func(SchedulerEnv) (Scheduler, error) {
+	return func(env SchedulerEnv) (Scheduler, error) {
+		if env.Channels > 1 {
+			return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", name)
 		}
+		return NewCentralizedScheduler(name, env.engine(), env.Links, build), nil
 	}
-	return ""
 }
 
-// SchedulerDefs returns the registered epoch schedulers in reporting order:
-// the centralized baselines first (greedy, maxweight, fanzhang), then the
-// distributed protocols (fdd, pdd), then the no-reuse TDMA floor. The
-// returned slice is freshly allocated — callers may reorder or filter it.
-func SchedulerDefs() []SchedulerDef {
-	return []SchedulerDef{
-		{
+// schedulerDefs is the registry table in reporting order: the centralized
+// baselines first (greedy, maxweight, fanzhang), then the distributed
+// protocols (fdd, pdd), then the no-reuse TDMA floor. Nothing writes to it:
+// SchedulerDefs and SchedulerDefByName hand out copies.
+var schedulerDefs = [...]SchedulerDef{
+	{
+		SchedulerInfo: SchedulerInfo{
 			Name:         "greedy",
 			Display:      "Greedy",
-			Doc:          backendDoc("greedy("),
+			Doc:          "centralized GreedyPhysical in the paper's head-ID admission order (the order FDD emulates)",
 			MultiChannel: true,
-			New: func(env SchedulerEnv) (Scheduler, error) {
-				return NewGreedyScheduler(env.engine(), env.Channels, env.Radios, env.Links), nil
-			},
 		},
-		{
+		New: func(env SchedulerEnv) (Scheduler, error) {
+			return NewGreedyScheduler(env.engine(), env.Channels, env.Radios, env.Links), nil
+		},
+	},
+	{
+		SchedulerInfo: SchedulerInfo{
 			Name:    "maxweight",
 			Display: "MaxWeight",
-			Doc:     backendDoc("maxweight"),
-			New: func(env SchedulerEnv) (Scheduler, error) {
-				if env.Channels > 1 {
-					return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", "maxweight")
-				}
-				return NewCentralizedScheduler("maxweight", env.engine(), env.Links, sched.GreedyMaxWeight), nil
-			},
+			Doc:     "queue-aware greedy re-ranking links by backlog x Shannon-rate each build (arXiv:1106.1590)",
 		},
-		{
+		New: singleChannel("maxweight", sched.GreedyMaxWeight),
+	},
+	{
+		SchedulerInfo: SchedulerInfo{
 			Name:    "fanzhang",
 			Display: "FanZhang",
-			Doc:     backendDoc("fanzhang"),
-			New: func(env SchedulerEnv) (Scheduler, error) {
-				if env.Channels > 1 {
-					return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", "fanzhang")
-				}
-				return NewCentralizedScheduler("fanzhang", env.engine(), env.Links, sched.ApproxFanZhang), nil
-			},
+			Doc:     "Fan-Zhang length-class approximation: geometric classes first-fit on fresh slots, longest class first (arXiv:0910.5215)",
 		},
-		{
+		New: singleChannel("fanzhang", sched.ApproxFanZhang),
+	},
+	{
+		SchedulerInfo: SchedulerInfo{
 			Name:         "fdd",
 			Display:      "FDD",
 			Doc:          "fully deterministic distributed protocol re-run each epoch at real SCREAM/election/handshake control cost",
 			Distributed:  true,
 			MultiChannel: true,
-			New: func(env SchedulerEnv) (Scheduler, error) {
-				return NewProtocolScheduler(env, core.FDD)
-			},
 		},
-		{
+		New: func(env SchedulerEnv) (Scheduler, error) {
+			return NewProtocolScheduler(env, core.FDD)
+		},
+	},
+	{
+		SchedulerInfo: SchedulerInfo{
 			Name:         "pdd",
 			Display:      "PDD",
 			Doc:          "randomized (activation probability P) distributed protocol re-run each epoch at real control cost",
 			Distributed:  true,
 			MultiChannel: true,
-			New: func(env SchedulerEnv) (Scheduler, error) {
-				return NewProtocolScheduler(env, core.PDD)
-			},
 		},
-		{
+		New: func(env SchedulerEnv) (Scheduler, error) {
+			return NewProtocolScheduler(env, core.PDD)
+		},
+	},
+	{
+		SchedulerInfo: SchedulerInfo{
 			Name:         "tdma",
 			Display:      "TDMA",
 			Doc:          "static frame serving every backlogged link one singleton slot per scan: the no-spatial-reuse floor, zero control cost",
 			MultiChannel: true,
-			New: func(env SchedulerEnv) (Scheduler, error) {
-				return NewTDMAScheduler(env.Links, env.Channels, env.Radios), nil
-			},
 		},
-	}
+		New: func(env SchedulerEnv) (Scheduler, error) {
+			return NewTDMAScheduler(env.Links, env.Channels, env.Radios), nil
+		},
+	},
 }
 
-// SchedulerNames returns the registered scheduler names in registry order.
-func SchedulerNames() []string {
-	defs := SchedulerDefs()
-	names := make([]string, len(defs))
-	for i, d := range defs {
-		names[i] = d.Name
-	}
-	return names
+// SchedulerDefs returns the registered epoch schedulers in reporting order.
+// The returned slice is freshly allocated — callers may reorder or filter it.
+func SchedulerDefs() []SchedulerDef {
+	return append([]SchedulerDef(nil), schedulerDefs[:]...)
 }
 
 // SchedulerDefByName resolves a registry name. Unknown names return an error
 // listing every valid name, so a CLI or API caller sees their options.
 func SchedulerDefByName(name string) (SchedulerDef, error) {
-	for _, d := range SchedulerDefs() {
+	for _, d := range schedulerDefs {
 		if d.Name == name {
 			return d, nil
 		}
 	}
-	valid := SchedulerNames()
+	// Scenario validation resolves the scheduler on every run, so the name
+	// list is built only on a miss.
+	valid := make([]string, len(schedulerDefs))
+	for i, d := range schedulerDefs {
+		valid[i] = d.Name
+	}
 	sort.Strings(valid)
 	return SchedulerDef{}, fmt.Errorf("flow: unknown scheduler %q (valid: %s)", name, strings.Join(valid, ", "))
 }

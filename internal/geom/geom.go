@@ -81,9 +81,3 @@ func LatticePathHops(u, v Point, s float64) int {
 	dy := math.Abs(v.Y - u.Y)
 	return int(math.Ceil(dx/s-1e-9)) + int(math.Ceil(dy/s-1e-9))
 }
-
-// GridIndex maps a point to its cell (i, j) in a lattice of step s anchored at
-// the origin. Points on boundaries map to the lower-index cell.
-func GridIndex(p Point, s float64) (i, j int) {
-	return int(math.Floor(p.X / s)), int(math.Floor(p.Y / s))
-}

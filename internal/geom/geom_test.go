@@ -129,22 +129,3 @@ func TestLatticePathHopsTheorem2Bound(t *testing.T) {
 		}
 	}
 }
-
-func TestGridIndex(t *testing.T) {
-	tests := []struct {
-		p    Point
-		s    float64
-		i, j int
-	}{
-		{Point{0.5, 0.5}, 1, 0, 0},
-		{Point{1.5, 2.5}, 1, 1, 2},
-		{Point{10, 10}, 4, 2, 2},
-		{Point{-0.5, 0.5}, 1, -1, 0},
-	}
-	for _, tt := range tests {
-		i, j := GridIndex(tt.p, tt.s)
-		if i != tt.i || j != tt.j {
-			t.Errorf("GridIndex(%v, %v) = (%d,%d), want (%d,%d)", tt.p, tt.s, i, j, tt.i, tt.j)
-		}
-	}
-}

@@ -185,24 +185,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Eccentricity returns the maximum finite hop distance from u, or -1 if some
-// node is unreachable from u.
-func (g *Graph) Eccentricity(u int) int {
-	max := 0
-	for v, d := range g.BFS(u) {
-		if u == v {
-			continue
-		}
-		if d < 0 {
-			return -1
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // StronglyConnected reports whether every node can reach every other node.
 // It uses the standard two-pass (Kosaraju-style) reachability check from
 // node 0 in g and in the transpose of g.
@@ -226,17 +208,6 @@ func (g *Graph) Transpose() *Graph {
 		}
 	}
 	return t
-}
-
-// Undirected returns the symmetric closure of g.
-func (g *Graph) Undirected() *Graph {
-	u := New(len(g.adj))
-	for a, nbrs := range g.adj {
-		for _, b := range nbrs {
-			u.AddUndirected(a, b)
-		}
-	}
-	return u
 }
 
 func allReached(dist []int) bool {

@@ -133,21 +133,6 @@ func TestDiameterDisconnected(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	g := path(5)
-	if got := g.Eccentricity(2); got != 2 {
-		t.Errorf("center eccentricity = %d, want 2", got)
-	}
-	if got := g.Eccentricity(0); got != 4 {
-		t.Errorf("end eccentricity = %d, want 4", got)
-	}
-	d := New(3)
-	d.AddEdge(0, 1)
-	if got := d.Eccentricity(0); got != -1 {
-		t.Errorf("partial reachability should give -1, got %d", got)
-	}
-}
-
 func TestStronglyConnected(t *testing.T) {
 	if !ring(5).StronglyConnected() {
 		t.Error("ring should be strongly connected")
@@ -176,15 +161,6 @@ func TestTranspose(t *testing.T) {
 	tr := g.Transpose()
 	if !tr.HasEdge(1, 0) || !tr.HasEdge(2, 1) || tr.HasEdge(0, 1) {
 		t.Error("transpose edges wrong")
-	}
-}
-
-func TestUndirectedClosure(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	u := g.Undirected()
-	if !u.HasEdge(1, 0) || !u.HasEdge(0, 1) {
-		t.Error("undirected closure missing edges")
 	}
 }
 

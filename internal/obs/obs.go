@@ -69,13 +69,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // Max raises the gauge to n if n is larger (a running peak).
 func (g *Gauge) Max(n int64) {
 	if g == nil {

@@ -26,8 +26,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("y", "a gauge")
-	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	g.Max(4) // below current: no-op
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
@@ -50,7 +49,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	g.Add(1)
 	g.Max(9)
 	h.Observe(1.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {

@@ -30,11 +30,3 @@ type DB float64
 func (d DB) Linear() float64 {
 	return math.Pow(10, float64(d)/10)
 }
-
-// LinearToDB converts a linear ratio to decibels.
-func LinearToDB(x float64) DB {
-	if x <= 0 {
-		return DB(math.Inf(-1))
-	}
-	return DB(10 * math.Log10(x))
-}

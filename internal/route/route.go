@@ -258,13 +258,3 @@ func (f *Forest) AggregateDemand(nodeDemand []int) ([]int, error) {
 	}
 	return agg, nil
 }
-
-// TotalDemand returns the sum of per-edge aggregated demands — the TD term
-// of Theorem 5, equal to the length of a fully serialized (linear) schedule.
-func TotalDemand(agg []int) int {
-	total := 0
-	for _, d := range agg {
-		total += d
-	}
-	return total
-}

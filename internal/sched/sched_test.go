@@ -50,9 +50,6 @@ func TestScheduleBasics(t *testing.T) {
 	if s.Length() != 3 {
 		t.Errorf("Length = %d, want 3", s.Length())
 	}
-	if s.TotalTransmissions() != 2 {
-		t.Errorf("TotalTransmissions = %d, want 2", s.TotalTransmissions())
-	}
 	if len(s.Slot(1)) != 0 {
 		t.Error("middle slot should be empty")
 	}

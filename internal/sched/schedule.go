@@ -105,15 +105,6 @@ func (s *Schedule) NumChannelsUsed() int {
 	return max + 1
 }
 
-// TotalTransmissions returns the number of (link, slot) placements.
-func (s *Schedule) TotalTransmissions() int {
-	total := 0
-	for _, slot := range s.slots {
-		total += len(slot)
-	}
-	return total
-}
-
 // Equal reports whether two schedules are slot-for-slot identical, treating
 // each slot as a multiset of placements: the same links, with the same
 // multiplicity, on the same channels (order within a slot is irrelevant).

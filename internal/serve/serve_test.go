@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -19,6 +22,8 @@ import (
 	"scream/internal/obs"
 	"scream/internal/tracecheck"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func testSpec(seed int64) scream.ScenarioSpec {
 	return scream.ScenarioSpec{
@@ -102,12 +107,11 @@ func TestEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var sb strings.Builder
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			sb.WriteString(sc.Text() + "\n")
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return resp, sb.String()
+		return resp, string(body)
 	}
 
 	if resp, body := get("/healthz"); resp.StatusCode != 200 || !strings.Contains(body, "ok") {
@@ -117,13 +121,21 @@ func TestEndpoints(t *testing.T) {
 		t.Errorf("version: %q", body)
 	}
 
+	// The scheduler catalogue is pinned byte for byte: field names, field
+	// order, doc strings and entry order are all part of the API.
 	_, body := get("/api/v1/schedulers")
-	var infos []scream.SchedulerInfo
-	if err := json.Unmarshal([]byte(body), &infos); err != nil {
-		t.Fatalf("schedulers: %v", err)
+	golden := filepath.Join("testdata", "schedulers.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(infos) != len(scream.Schedulers()) {
-		t.Errorf("schedulers: %d entries, want %d", len(infos), len(scream.Schedulers()))
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != string(want) {
+		t.Errorf("schedulers body diverges from %s; run with -update only after an intended API change:\n%s", golden, body)
 	}
 
 	_, body = get("/api/v1/engines")

@@ -78,21 +78,9 @@ func (s *Sample) Max() float64 {
 	return max
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks. It returns 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]float64, n)
-	copy(sorted, s.xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// SortedPercentiles returns Percentile(p) for each p from one in-place sort
-// of the observations, without copying them (0s for an empty sample). The
+// SortedPercentiles returns the p-th percentile (0 <= p <= 100, linear
+// interpolation between closest ranks) for each p from one in-place sort of
+// the observations, without copying them (0s for an empty sample). The
 // sort reorders the sample, so Mean, an insertion-order sum, may change in
 // its last bits afterwards: read it first when the result must match an
 // unsorted Mean exactly.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,7 +41,7 @@ func TestEmptySample(t *testing.T) {
 	if !math.IsInf(s.Min(), 1) || !math.IsInf(s.Max(), -1) {
 		t.Error("empty sample Min/Max should be infinities")
 	}
-	if s.Percentile(50) != 0 {
+	if s.percentile(50) != 0 {
 		t.Error("empty percentile should be 0")
 	}
 }
@@ -67,7 +68,7 @@ func TestPercentile(t *testing.T) {
 		{0, 10}, {100, 50}, {50, 30}, {25, 20}, {75, 40}, {-5, 10}, {110, 50},
 	}
 	for _, tt := range tests {
-		if got := s.Percentile(tt.p); math.Abs(got-tt.want) > 1e-9 {
+		if got := s.percentile(tt.p); math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
@@ -77,7 +78,7 @@ func TestPercentileInterpolation(t *testing.T) {
 	s := NewSample(2)
 	s.Add(0)
 	s.Add(10)
-	if got := s.Percentile(50); math.Abs(got-5) > 1e-9 {
+	if got := s.percentile(50); math.Abs(got-5) > 1e-9 {
 		t.Errorf("median of {0,10} = %v, want 5", got)
 	}
 }
@@ -306,7 +307,7 @@ func TestPercentileTable(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.s.Percentile(tc.p); math.Abs(got-tc.want) > 1e-12 {
+			if got := tc.s.percentile(tc.p); math.Abs(got-tc.want) > 1e-12 {
 				t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
 			}
 		})
@@ -323,7 +324,7 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 100; p += 2.5 {
-		got := s.Percentile(p)
+		got := s.percentile(p)
 		if got < prev {
 			t.Fatalf("Percentile(%v) = %v < Percentile at previous p %v", p, got, prev)
 		}
@@ -361,7 +362,7 @@ func TestSortedPercentilesMatchPercentile(t *testing.T) {
 			t.Fatalf("trial %d: %d percentiles for %d ps, N %d for %d observations", trial, len(got), len(ps), s.N(), n)
 		}
 		for i, p := range ps {
-			if want := ref.Percentile(p); math.Float64bits(got[i]) != math.Float64bits(want) {
+			if want := ref.percentile(p); math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("trial %d (n=%d): p%v = %v, Percentile %v", trial, n, p, got[i], want)
 			}
 		}
@@ -369,4 +370,17 @@ func TestSortedPercentilesMatchPercentile(t *testing.T) {
 	if got := NewSample(0).SortedPercentiles(50, 95); got[0] != 0 || got[1] != 0 {
 		t.Errorf("empty sample: %v, want zeros", got)
 	}
+}
+
+// percentile returns the p-th percentile (0 <= p <= 100) using linear
+// interpolation between closest ranks. It returns 0 for an empty sample.
+func (s *Sample) percentile(p float64) float64 {
+	n := len(s.xs)
+	if n == 0 {
+		return 0
+	}
+	sorted := make([]float64, n)
+	copy(sorted, s.xs)
+	sort.Float64s(sorted)
+	return percentileSorted(sorted, p)
 }

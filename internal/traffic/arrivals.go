@@ -92,11 +92,6 @@ func NewBursty(peakRate float64, meanOn, meanOff des.Time) (*Bursty, error) {
 	return &Bursty{PeakRate: peakRate, MeanOn: meanOn, MeanOff: meanOff}, nil
 }
 
-// MeanRate returns the long-run arrival rate in packets per second.
-func (b *Bursty) MeanRate() float64 {
-	return b.PeakRate * b.MeanOn.Seconds() / (b.MeanOn + b.MeanOff).Seconds()
-}
-
 func expDuration(mean des.Time, rng *rand.Rand) des.Time {
 	d := des.Time(rng.ExpFloat64() * float64(mean))
 	if d <= 0 {

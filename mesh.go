@@ -261,29 +261,13 @@ func (m *Mesh) OptimalLength() (int, error) {
 	return sched.OptimalLength(m.Network.Channel, m.Links, unit)
 }
 
-// GreedyScheduleFor runs GreedyPhysical on an arbitrary link set over this
-// mesh's channel — an escape hatch for workloads that are not gateway
-// forests (the paper notes the protocols schedule arbitrary link sets "up
-// to straightforward modifications").
-func (m *Mesh) GreedyScheduleFor(links []Link, demands []int, ord Ordering) (*Schedule, error) {
-	eng, err := m.engine()
-	if err != nil {
-		return nil, err
-	}
-	return sched.GreedyPhysical(eng, links, demands, ord)
-}
-
-// LocalizedGreedyFor runs the k-hop-localized greedy of the Theorem 1
-// demonstration on an arbitrary link set. Its schedules may be infeasible —
-// that is the point of the theorem; check with VerifyFor.
-func (m *Mesh) LocalizedGreedyFor(links []Link, demands []int, k int, ord Ordering) (*Schedule, error) {
-	return sched.LocalizedGreedy(m.Network.Channel, m.Network.Comm, links, demands, k, ord)
-}
-
-// VerifyFor checks a schedule against the physical interference model for
-// an arbitrary link set and demands.
-func (m *Mesh) VerifyFor(links []Link, demands []int, s *Schedule) error {
-	return s.Verify(m.Network.Channel, links, demands)
+// LocalizedGreedy runs the k-hop-localized greedy of the Theorem 1
+// demonstration over the mesh's links and demands, which may be any link set
+// (the paper notes the protocols schedule arbitrary link sets "up to
+// straightforward modifications"). Its schedules may be infeasible — that is
+// the point of the theorem; check with Verify.
+func (m *Mesh) LocalizedGreedy(k int, ord Ordering) (*Schedule, error) {
+	return sched.LocalizedGreedy(m.Network.Channel, m.Network.Comm, m.Links, m.Demands, k, ord)
 }
 
 // ProtocolOptions tunes a distributed protocol run.

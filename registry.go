@@ -11,32 +11,12 @@ import (
 	"scream/internal/flow"
 )
 
-// SchedulerInfo describes one registered flow scheduler. The JSON shape is
-// served verbatim by screamd's /api/v1/schedulers endpoint.
-type SchedulerInfo struct {
-	// Name is the registry key: the value of flowsim -scheduler,
-	// ScenarioSpec.Scheduler and SchedulerByName.
-	Name string `json:"name"`
-	// Display is the human label used for figure series ("Greedy", "FDD").
-	Display string `json:"display"`
-	// Doc is a one-line description of the scheduling discipline.
-	Doc string `json:"doc"`
-	// Distributed marks schedulers that pay real (non-genie) control cost
-	// in simulated time (FDD, PDD).
-	Distributed bool `json:"distributed"`
-	// MultiChannel marks schedulers that accept ScenarioSpec.Channels > 1.
-	MultiChannel bool `json:"multi_channel"`
-}
-
-func schedulerInfo(d flow.SchedulerDef) SchedulerInfo {
-	return SchedulerInfo{
-		Name:         d.Name,
-		Display:      d.Display,
-		Doc:          d.Doc,
-		Distributed:  d.Distributed,
-		MultiChannel: d.MultiChannel,
-	}
-}
+// SchedulerInfo describes one registered flow scheduler: its registry Name,
+// figure-series Display label, one-line Doc, whether it is Distributed (pays
+// real control cost in simulated time) and whether it is MultiChannel
+// (accepts ScenarioSpec.Channels > 1). The JSON shape is served verbatim by
+// screamd's /api/v1/schedulers endpoint.
+type SchedulerInfo = flow.SchedulerInfo
 
 // Schedulers enumerates the registered flow schedulers in reporting order.
 // The returned slice is freshly allocated on every call: mutating it (or its
@@ -45,7 +25,7 @@ func Schedulers() []SchedulerInfo {
 	defs := flow.SchedulerDefs()
 	infos := make([]SchedulerInfo, len(defs))
 	for i, d := range defs {
-		infos[i] = schedulerInfo(d)
+		infos[i] = d.SchedulerInfo
 	}
 	return infos
 }
@@ -58,5 +38,5 @@ func SchedulerByName(name string) (SchedulerInfo, error) {
 	if err != nil {
 		return SchedulerInfo{}, fmt.Errorf("scream: %w", err)
 	}
-	return schedulerInfo(d), nil
+	return d.SchedulerInfo, nil
 }
