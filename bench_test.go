@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"scream/internal/sched"
+	"scream/internal/stats"
 )
 
 var benchOpts = ExperimentOptions{Quick: true, Seeds: 2}
@@ -67,7 +68,12 @@ func BenchmarkFig5RSSIMovingAverage(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			ma := fig.Lookup("RSSI MA")
+			var ma *stats.Series
+			for _, s := range fig.Series {
+				if s.Name == "RSSI MA" {
+					ma = s
+				}
+			}
 			above := 0
 			for _, p := range ma.Points {
 				if p.Y > -60 {

@@ -109,24 +109,27 @@ type IdealBackend struct {
 }
 
 // NewIdealBackend builds an ideal backend. sens is the sensitivity graph
-// (who hears whom); k is the SCREAM length in slots. Unless strict is set,
-// k must be at least the interference diameter of sens so that the fast OR
-// shortcut is exact.
+// (who hears whom); k is the SCREAM length in slots, and 0 derives it as the
+// interference diameter ID of sens. Unless strict is set, k must be at least
+// ID so that the fast OR shortcut is exact.
 func NewIdealBackend(ch *phys.Channel, sens *graph.Graph, k int, timing Timing, strict bool) (*IdealBackend, error) {
 	if sens.NumNodes() != ch.NumNodes() {
 		return nil, fmt.Errorf("core: sensitivity graph has %d nodes, channel %d", sens.NumNodes(), ch.NumNodes())
 	}
+	id := -1
+	if k == 0 || !strict {
+		if id = sens.Diameter(); id < 0 {
+			return nil, fmt.Errorf("core: sensitivity graph is not strongly connected (ID = inf); SCREAM cannot work")
+		}
+		if k == 0 {
+			k = id
+		}
+	}
 	if k <= 0 {
 		return nil, fmt.Errorf("core: SCREAM length k must be positive, got %d", k)
 	}
-	if !strict {
-		id := sens.Diameter()
-		if id < 0 {
-			return nil, fmt.Errorf("core: sensitivity graph is not strongly connected (ID = inf); SCREAM cannot work")
-		}
-		if k < id {
-			return nil, fmt.Errorf("core: k = %d is below the interference diameter %d; use strict mode to observe the failure", k, id)
-		}
+	if k < id {
+		return nil, fmt.Errorf("core: k = %d is below the interference diameter %d; use strict mode to observe the failure", k, id)
 	}
 	// In-neighbors: v detects activity when any u with edge u->v screams.
 	n := ch.NumNodes()

@@ -1,9 +1,9 @@
 package core
 
 // The protocol loop is one loop with two SCREAM boundaries: on a fast-mode
-// IdealBackend it settles SCREAMs as word tests on node sets and unmasked
-// elections as a set's top bit; every other backend gets []bool SCREAMs and
-// bitwise elections. These tests pin the two boundaries to each other, and
+// IdealBackend it settles SCREAMs as word tests on node sets and elections
+// as a set's top bit; every other backend gets []bool SCREAMs and bitwise
+// elections. These tests pin the two boundaries to each other, and
 // pin the loop's allocations.
 
 import (
@@ -75,11 +75,10 @@ func observe(t *testing.T, cfg Config, b *IdealBackend, wrap bool) observedRun {
 // TestOneLoopTwoBoundaries runs every protocol configuration on a fast
 // IdealBackend and on the same backend behind a forwarding wrapper. The two
 // runs must be indistinguishable: equal results, the same Observer events in
-// the same order, byte-identical traces and equal backend accounting. An
-// IDBits of 2 masks the 25 node IDs, so the fast run's elections must take
-// the scan, not the top set bit. Each step's coin flips must also visit the
-// dormant nodes in ascending order, which both boundaries share: a run of
-// DORMANT -> ACTIVE transitions must ascend.
+// the same order, byte-identical traces and equal backend accounting. Each
+// step's coin flips must also visit the dormant nodes in ascending order,
+// which both boundaries share: a run of DORMANT -> ACTIVE transitions must
+// ascend.
 func TestOneLoopTwoBoundaries(t *testing.T) {
 	fx := gridFixture(t, 5, 61)
 	k := fx.net.InterferenceDiameter()
@@ -87,39 +86,37 @@ func TestOneLoopTwoBoundaries(t *testing.T) {
 		for _, channels := range []int{1, 2, 4} {
 			for _, radios := range []int{1, 2} {
 				for _, asap := range []bool{false, true} {
-					for _, idBits := range []int{0, 2} {
-						name := fmt.Sprintf("%v/C%dR%d/asap=%v/idbits=%d", variant, channels, radios, asap, idBits)
-						t.Run(name, func(t *testing.T) {
-							run := func(wrap bool) observedRun {
-								cfg := Config{
-									Variant: variant, Links: fx.links, Demands: fx.demands,
-									NumChannels: channels, NumRadios: radios, ASAPSeal: asap, IDBits: idBits,
-								}
-								if variant == PDD {
-									cfg.Probability = 0.5
-									cfg.RNG = rand.New(rand.NewSource(int64(100*channels + radios)))
-								}
-								return observe(t, cfg, fx.backend(t, k, false), wrap)
+					name := fmt.Sprintf("%v/C%dR%d/asap=%v", variant, channels, radios, asap)
+					t.Run(name, func(t *testing.T) {
+						run := func(wrap bool) observedRun {
+							cfg := Config{
+								Variant: variant, Links: fx.links, Demands: fx.demands,
+								NumChannels: channels, NumRadios: radios, ASAPSeal: asap,
 							}
-							fast, wrapped := run(false), run(true)
-							if !reflect.DeepEqual(fast.res, wrapped.res) {
-								t.Errorf("results differ: fast %d rounds, %d steps, %d elections, %d screams, %v; wrapped %d, %d, %d, %d, %v",
-									fast.res.Rounds, fast.res.Steps, fast.res.Elections, fast.res.Screams, fast.res.ExecTime,
-									wrapped.res.Rounds, wrapped.res.Steps, wrapped.res.Elections, wrapped.res.Screams, wrapped.res.ExecTime)
+							if variant == PDD {
+								cfg.Probability = 0.5
+								cfg.RNG = rand.New(rand.NewSource(int64(100*channels + radios)))
 							}
-							if !reflect.DeepEqual(fast.events, wrapped.events) {
-								t.Errorf("Observer events differ: %d fast, %d wrapped", len(fast.events), len(wrapped.events))
-							}
-							if !bytes.Equal(fast.trace, wrapped.trace) {
-								t.Errorf("traces differ: %d bytes fast, %d wrapped", len(fast.trace), len(wrapped.trace))
-							}
-							if fast.screams != wrapped.screams || fast.handshakes != wrapped.handshakes || fast.elapsed != wrapped.elapsed {
-								t.Errorf("accounting differs: fast %d screams, %d handshakes, %d ticks; wrapped %d, %d, %d",
-									fast.screams, fast.handshakes, fast.elapsed, wrapped.screams, wrapped.handshakes, wrapped.elapsed)
-							}
-							checkActivationsAscend(t, fast.events)
-						})
-					}
+							return observe(t, cfg, fx.backend(t, k, false), wrap)
+						}
+						fast, wrapped := run(false), run(true)
+						if !reflect.DeepEqual(fast.res, wrapped.res) {
+							t.Errorf("results differ: fast %d rounds, %d steps, %d elections, %d screams, %v; wrapped %d, %d, %d, %d, %v",
+								fast.res.Rounds, fast.res.Steps, fast.res.Elections, fast.res.Screams, fast.res.ExecTime,
+								wrapped.res.Rounds, wrapped.res.Steps, wrapped.res.Elections, wrapped.res.Screams, wrapped.res.ExecTime)
+						}
+						if !reflect.DeepEqual(fast.events, wrapped.events) {
+							t.Errorf("Observer events differ: %d fast, %d wrapped", len(fast.events), len(wrapped.events))
+						}
+						if !bytes.Equal(fast.trace, wrapped.trace) {
+							t.Errorf("traces differ: %d bytes fast, %d wrapped", len(fast.trace), len(wrapped.trace))
+						}
+						if fast.screams != wrapped.screams || fast.handshakes != wrapped.handshakes || fast.elapsed != wrapped.elapsed {
+							t.Errorf("accounting differs: fast %d screams, %d handshakes, %d ticks; wrapped %d, %d, %d",
+								fast.screams, fast.handshakes, fast.elapsed, wrapped.screams, wrapped.handshakes, wrapped.elapsed)
+						}
+						checkActivationsAscend(t, fast.events)
+					})
 				}
 			}
 		}

@@ -58,14 +58,10 @@ func forestFixture(t testing.TB, net *topo.Network, gateways []int, rng *rand.Ra
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := f.AggregateDemand(nodeDemand)
+	links := f.Links()
+	demands, err := f.LinkDemands(links, nodeDemand)
 	if err != nil {
 		t.Fatal(err)
-	}
-	links := f.Links()
-	demands := make([]int, len(links))
-	for i, l := range links {
-		demands[i] = agg[l.From]
 	}
 	return &fixture{net: net, links: links, demands: demands}
 }
@@ -123,8 +119,16 @@ func TestIdealBackendConstruction(t *testing.T) {
 	if _, err := NewIdealBackend(fx.net.Channel, fx.net.Sens, id-1, DefaultTiming(), true); err != nil {
 		t.Errorf("strict mode should allow k < ID (to observe failure): %v", err)
 	}
-	if _, err := NewIdealBackend(fx.net.Channel, fx.net.Sens, 0, DefaultTiming(), true); err == nil {
-		t.Error("k = 0 must be rejected")
+	for _, strict := range []bool{false, true} {
+		b, err := NewIdealBackend(fx.net.Channel, fx.net.Sens, 0, DefaultTiming(), strict)
+		if err != nil {
+			t.Errorf("strict=%v: k = 0 must derive ID: %v", strict, err)
+		} else if b.K() != id {
+			t.Errorf("strict=%v: k = 0 derived %d, want ID = %d", strict, b.K(), id)
+		}
+	}
+	if _, err := NewIdealBackend(fx.net.Channel, fx.net.Sens, -1, DefaultTiming(), true); err == nil {
+		t.Error("k < 0 must be rejected")
 	}
 }
 
@@ -809,7 +813,10 @@ func TestKTooSmallBreaksProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	links := f.Links()
-	demands := traffic.Constant(len(links), 2)
+	demands := make([]int, len(links))
+	for i := range demands {
+		demands[i] = 2
+	}
 	b, err := NewIdealBackend(net.Channel, net.Sens, 2 /* << ID=11 */, DefaultTiming(), true)
 	if err != nil {
 		t.Fatal(err)

@@ -82,9 +82,6 @@ type Config struct {
 	Demands []int
 	// Backend executes SCREAMs and handshake slots (and accounts time).
 	Backend Backend
-	// IDBits is the ID width for leader election; 0 derives it from the
-	// node count (the paper's id_bits = ln n).
-	IDBits int
 	// Probability is PDD's activation probability p.
 	Probability float64
 	// RNG drives PDD's coin flips; required for PDD.
@@ -144,18 +141,17 @@ type protoRun struct {
 	n           int
 	linkOf      []int // owner node -> link index, -1 for none
 	totalDemand int
-	idBits      int
+	idBits      int      // leader-election ID width, the paper's id_bits = ln n
 	ids         []uint64 // node IDs; nil when elections take the top set bit
 	maxRounds   int
 
 	// fast is the backend when it is a fast-mode IdealBackend, whose every
 	// SCREAM is the exact network-wide OR: a SCREAM over a node set is then
-	// a word test and, when topElect holds (IDs unmasked by IDBits), an
-	// election takes the set's top bit. Every other backend, and a masked
-	// election, gets the set as a []bool in flags at this one boundary.
-	fast     *IdealBackend
-	topElect bool
-	flags    []bool
+	// a word test, and an election over the node indices takes the set's
+	// top bit. Every other backend gets the set as a []bool in flags at this
+	// one boundary.
+	fast  *IdealBackend
+	flags []bool
 
 	res       *Result
 	state     []State
@@ -206,17 +202,13 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 		totalDemand += cfg.Demands[i]
 	}
 
-	idBits := cfg.IDBits
-	if idBits == 0 {
-		idBits = IDBitsFor(n)
-	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 10*totalDemand + 100
 	}
 	p := &protoRun{
 		cfg: cfg, n: n, linkOf: linkOf, totalDemand: totalDemand,
-		idBits: idBits, maxRounds: maxRounds,
+		idBits: IDBitsFor(n), maxRounds: maxRounds,
 		res:       &Result{Schedule: sched.NewSchedule()},
 		state:     make([]State, n),
 		remaining: remaining,
@@ -224,17 +216,11 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 	}
 	if ib, ok := cfg.Backend.(*IdealBackend); ok && !ib.strict {
 		p.fast = ib
-		// IDs are the node indices, so an election whose idBits cover n-1
-		// is won by the largest participant.
-		p.topElect = idBits >= IDBitsFor(n)
-	}
-	if !p.topElect {
+	} else {
 		p.ids = make([]uint64, n)
 		for i := range p.ids {
 			p.ids[i] = uint64(i)
 		}
-	}
-	if p.fast == nil || !p.topElect {
 		p.flags = make([]bool, n)
 	}
 
@@ -346,7 +332,9 @@ func (p *protoRun) screamConsensus(vars nodeSet, what string) (bool, error) {
 func (p *protoRun) elect(part nodeSet) int {
 	p.res.Elections++
 	p.res.Screams += ElectionScreams(p.idBits)
-	if p.topElect {
+	if p.fast != nil {
+		// IDs are the node indices and idBits covers n-1, so the largest
+		// participant wins.
 		p.fast.bill(p.idBits)
 		return part.top()
 	}

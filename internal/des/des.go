@@ -99,9 +99,6 @@ func New() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error and panics (it would silently corrupt causality).
 func (e *Engine) At(t Time, fn func()) {

@@ -78,10 +78,10 @@ func TestStepAndPending(t *testing.T) {
 	}
 	e.At(1, func() {})
 	e.At(2, func() {})
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d", e.Pending())
+	if len(e.heap) != 2 {
+		t.Errorf("%d pending events, want 2", len(e.heap))
 	}
-	if !e.Step() || e.Pending() != 1 {
+	if !e.Step() || len(e.heap) != 1 {
 		t.Error("Step should consume one event")
 	}
 }

@@ -189,7 +189,7 @@ func TestWorldMatchesFreshBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for u := 0; u < net.NumNodes(); u++ {
-			if w.Forest().Parent(u) != want.Parent(u) || w.Forest().Depth(u) != want.Depth(u) || w.Forest().Gateway(u) != want.Gateway(u) {
+			if parentOf(w.Forest(), u) != parentOf(want, u) || w.Forest().Depth(u) != want.Depth(u) {
 				t.Fatalf("t=%v: forest differs from rebuild at node %d", stop, u)
 			}
 		}
@@ -201,6 +201,23 @@ func TestWorldMatchesFreshBuild(t *testing.T) {
 	if w.Forest().NumDetached() != 0 {
 		t.Fatalf("%d nodes still detached after full recovery", w.Forest().NumDetached())
 	}
+}
+
+// parentOf returns u's parent in f, or -1 for gateways and detached nodes.
+func parentOf(f *route.Forest, u int) int {
+	if l, ok := f.EdgeOf(u); ok {
+		return l.To
+	}
+	return -1
+}
+
+// gatewayOf returns the root of u's tree in f (u itself when u is a gateway
+// or detached).
+func gatewayOf(f *route.Forest, u int) int {
+	for p := parentOf(f, u); p >= 0; p = parentOf(f, u) {
+		u = p
+	}
+	return u
 }
 
 // TestWorldGatewayOutage: killing a gateway reroutes its tree to the
@@ -222,8 +239,8 @@ func TestWorldGatewayOutage(t *testing.T) {
 		t.Fatalf("alive gateways = %v, want [15]", got)
 	}
 	for u := 1; u < 16; u++ {
-		if !w.Forest().IsDetached(u) && w.Forest().Gateway(u) != 15 {
-			t.Fatalf("node %d routes to gateway %d after outage", u, w.Forest().Gateway(u))
+		if gw := gatewayOf(w.Forest(), u); w.Forest().Depth(u) >= 0 && gw != 15 {
+			t.Fatalf("node %d routes to gateway %d after outage", u, gw)
 		}
 	}
 	for _, l := range w.Links() {
@@ -277,7 +294,7 @@ func TestWorldAdvanceBatching(t *testing.T) {
 	// Forests may legitimately differ between batching patterns only through
 	// tie-break history; with canonical (nil-rng) repair they must not.
 	for u := 0; u < 16; u++ {
-		if wa.Forest().Parent(u) != wb.Forest().Parent(u) {
+		if parentOf(wa.Forest(), u) != parentOf(wb.Forest(), u) {
 			t.Fatalf("forest parent of %d differs between step patterns", u)
 		}
 	}

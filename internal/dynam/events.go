@@ -93,19 +93,12 @@ type Config struct {
 	Script []Event
 }
 
-// splitmix64 decorrelates derived per-node seeds from the user seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// deriveSeed uses a different mixing constant than flow.DeriveSeed so that
-// dynamics streams never collide with a run's arrival-process streams even
-// when both derive from the same user seed.
+// deriveSeed decorrelates derived per-node seeds from the user seed. It
+// uses a different mixing constant than flow.DeriveSeed so that dynamics
+// streams never collide with a run's arrival-process streams even when both
+// derive from the same user seed.
 func deriveSeed(base int64, stream int64) int64 {
-	return int64(splitmix64(uint64(base)*0xd1342543de82ef95 + uint64(stream)))
+	return int64(rng.SplitMix64(uint64(base)*0xd1342543de82ef95 + uint64(stream)))
 }
 
 // sortEvents orders a timeline deterministically: by time, then node, then

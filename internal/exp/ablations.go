@@ -155,9 +155,8 @@ func AblationFDDSeal(opts Options) (*stats.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		id := s.Net.InterferenceDiameter()
 		run := func(asapSeal bool) (*core.Result, error) {
-			b, err := core.NewIdealBackend(s.Net.Channel, s.Net.Sens, id, tm, false)
+			b, err := core.NewIdealBackend(s.Net.Channel, s.Net.Sens, 0, tm, false)
 			if err != nil {
 				return nil, err
 			}

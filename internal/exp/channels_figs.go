@@ -82,7 +82,7 @@ func channelsScheduleLengths(s *Scenario, tm core.Timing, channels int, seed int
 		return nil, err
 	}
 	proto := func(variant core.Variant, p float64, protoSeed int64) (*sched.Schedule, error) {
-		b, err := core.NewIdealBackend(s.Net.Channel, s.Net.Sens, s.Net.InterferenceDiameter(), tm, false)
+		b, err := core.NewIdealBackend(s.Net.Channel, s.Net.Sens, 0, tm, false)
 		if err != nil {
 			return nil, err
 		}

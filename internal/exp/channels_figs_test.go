@@ -21,7 +21,7 @@ func TestFigChannelsShapeAndMonotone(t *testing.T) {
 		t.Fatalf("got %d series, want %d", len(fig.Series), len(names))
 	}
 	for si, name := range names {
-		s := fig.Lookup(name)
+		s := lookup(fig, name)
 		if s == nil {
 			t.Fatalf("missing series %q", name)
 		}

@@ -98,8 +98,7 @@ func runGrid(fig *stats.Figure, xs []float64, names []string, opts Options, cell
 			for si := 0; si < seeds; si++ {
 				sample.Add(vals[xi*seeds+si][ci])
 			}
-			sum := sample.Summarize()
-			series[ci].Append(x, sum.Mean, sum.CI95)
+			series[ci].Append(x, sample.Mean(), sample.CI95())
 		}
 	}
 	return nil

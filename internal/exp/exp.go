@@ -109,14 +109,10 @@ func finishScenario(net *topo.Network, seed int64) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg, err := f.AggregateDemand(nodeDemand)
+	links := f.Links()
+	demands, err := f.LinkDemands(links, nodeDemand)
 	if err != nil {
 		return nil, err
-	}
-	links := f.Links()
-	demands := make([]int, len(links))
-	for i, l := range links {
-		demands[i] = agg[l.From]
 	}
 	return &Scenario{Net: net, Forest: f, Links: links, Demands: demands}, nil
 }
@@ -131,12 +127,10 @@ func RunCentralized(s *Scenario) (float64, error) {
 	return sched.ImprovementOverLinear(sc.Length(), s.TotalDemand()), nil
 }
 
-// RunProtocol runs FDD or PDD on the scenario over an ideal backend and
-// returns improvement over linear plus the full protocol result.
+// RunProtocol runs FDD or PDD on the scenario over an ideal backend of
+// SCREAM length k (0 derives the interference diameter) and returns
+// improvement over linear plus the full protocol result.
 func RunProtocol(s *Scenario, variant core.Variant, p float64, timing core.Timing, k int, seed int64) (float64, *core.Result, error) {
-	if k == 0 {
-		k = s.Net.InterferenceDiameter()
-	}
 	b, err := core.NewIdealBackend(s.Net.Channel, s.Net.Sens, k, timing, false)
 	if err != nil {
 		return 0, nil, err

@@ -6,9 +6,20 @@ import (
 
 	"scream/internal/core"
 	"scream/internal/sched"
+	"scream/internal/stats"
 )
 
 var quick = Options{Quick: true, Seeds: 2}
+
+// lookup returns fig's series with the given name, or nil.
+func lookup(fig *stats.Figure, name string) *stats.Series {
+	for _, s := range fig.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
+}
 
 func TestGridScenario(t *testing.T) {
 	s, err := GridScenario(10000, 1)
@@ -79,7 +90,7 @@ func TestFig4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fig.Lookup("detection error")
+	s := lookup(fig, "detection error")
 	if s == nil || len(s.Points) != 3 {
 		t.Fatal("missing detection error series")
 	}
@@ -97,7 +108,7 @@ func TestFig5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma := fig.Lookup("RSSI MA")
+	ma := lookup(fig, "RSSI MA")
 	if ma == nil || len(ma.Points) == 0 {
 		t.Fatal("missing RSSI MA series")
 	}
@@ -117,10 +128,10 @@ func TestFig6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cent := fig.Lookup("Centralized")
-	fdd := fig.Lookup("FDD")
-	pdd2 := fig.Lookup("PDD p=0.2")
-	pdd8 := fig.Lookup("PDD p=0.8")
+	cent := lookup(fig, "Centralized")
+	fdd := lookup(fig, "FDD")
+	pdd2 := lookup(fig, "PDD p=0.2")
+	pdd8 := lookup(fig, "PDD p=0.8")
 	if cent == nil || fdd == nil || pdd2 == nil || pdd8 == nil {
 		t.Fatal("missing series")
 	}
@@ -153,9 +164,9 @@ func TestFig7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cent := fig.Lookup("Centralized")
-	fdd := fig.Lookup("FDD")
-	pdd := fig.Lookup("PDD p=0.8")
+	cent := lookup(fig, "Centralized")
+	fdd := lookup(fig, "FDD")
+	pdd := lookup(fig, "PDD p=0.8")
 	if cent == nil || fdd == nil || pdd == nil {
 		t.Fatal("missing series")
 	}
@@ -172,7 +183,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"FDD Scream size (bytes)", "PDD Scream size (bytes)", "FDD Diameter", "PDD Diameter"} {
-		s := fig.Lookup(name)
+		s := lookup(fig, name)
 		if s == nil {
 			t.Fatalf("missing series %q", name)
 		}
@@ -184,8 +195,8 @@ func TestFig8Shape(t *testing.T) {
 		}
 	}
 	// PDD must be faster than FDD everywhere.
-	fddS := fig.Lookup("FDD Scream size (bytes)")
-	pddS := fig.Lookup("PDD Scream size (bytes)")
+	fddS := lookup(fig, "FDD Scream size (bytes)")
+	pddS := lookup(fig, "PDD Scream size (bytes)")
 	for i := range fddS.Points {
 		if pddS.Points[i].Y >= fddS.Points[i].Y {
 			t.Errorf("PDD should be faster than FDD at x=%v", fddS.Points[i].X)
@@ -201,8 +212,8 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fdd := fig.Lookup("FDD")
-	pdd := fig.Lookup("PDD p=0.2")
+	fdd := lookup(fig, "FDD")
+	pdd := lookup(fig, "PDD p=0.2")
 	if fdd == nil || pdd == nil {
 		t.Fatal("missing series")
 	}
@@ -224,7 +235,7 @@ func TestAblationPDDProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.Lookup("PDD improvement") == nil || fig.Lookup("PDD exec time (s)") == nil {
+	if lookup(fig, "PDD improvement") == nil || lookup(fig, "PDD exec time (s)") == nil {
 		t.Fatal("missing series")
 	}
 }
@@ -257,10 +268,10 @@ func TestAblationAckModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := fig.Lookup("schedule length (full model)")
-	data := fig.Lookup("data-only")
+	full := lookup(fig, "schedule length (full model)")
+	data := lookup(fig, "data-only")
 	if data == nil {
-		data = fig.Lookup("schedule length (data-only)")
+		data = lookup(fig, "schedule length (data-only)")
 	}
 	if full == nil || data == nil {
 		t.Fatal("missing series")
@@ -281,8 +292,8 @@ func TestAblationFDDSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normal := fig.Lookup("paper seal")
-	asap := fig.Lookup("ASAP seal")
+	normal := lookup(fig, "paper seal")
+	asap := lookup(fig, "ASAP seal")
 	for i := range normal.Points {
 		if asap.Points[i].Y >= normal.Points[i].Y {
 			t.Errorf("ASAP seal should be faster at %v", normal.Points[i].X)
@@ -295,8 +306,8 @@ func TestAblationBalancedRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdPlain := fig.Lookup("TD (random tie-break)")
-	tdBal := fig.Lookup("TD (balanced)")
+	tdPlain := lookup(fig, "TD (random tie-break)")
+	tdBal := lookup(fig, "TD (balanced)")
 	if tdPlain == nil || tdBal == nil {
 		t.Fatal("missing series")
 	}
@@ -328,7 +339,7 @@ func TestAblationShadowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fig.Lookup("GreedyPhysical improvement")
+	s := lookup(fig, "GreedyPhysical improvement")
 	if s == nil || len(s.Points) != 3 {
 		t.Fatal("missing improvement series")
 	}

@@ -50,14 +50,10 @@ func AblationBalancedRouting(opts Options) (*stats.Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			agg, err := f.AggregateDemand(nodeDemand)
+			links := f.Links()
+			demands, err := f.LinkDemands(links, nodeDemand)
 			if err != nil {
 				return nil, err
-			}
-			links := f.Links()
-			demands := make([]int, len(links))
-			for i, l := range links {
-				demands[i] = agg[l.From]
 			}
 			g, err := sched.GreedyPhysical(s.Net.Channel, links, demands, sched.ByHeadIDDesc)
 			if err != nil {

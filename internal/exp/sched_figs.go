@@ -9,7 +9,7 @@ package exp
 // MaxWeight re-ranks by backlog×rate each epoch (arXiv:1106.1590), FanZhang
 // is the length-class approximation scheduler (arXiv:0910.5215), and TDMA is
 // the no-reuse floor. The exact optimality gap of the same family on small
-// instances is pinned by internal/sched/gapharness.
+// instances is pinned by the gap harness in internal/sched's tests.
 
 import (
 	"fmt"
@@ -128,7 +128,7 @@ func RunSchedCell(load float64, seed int64, quick bool) ([]float64, error) {
 // backlog×rate re-ranking holds the skewed queues balanced and stays on top,
 // the static greedy order trails it, FanZhang pays its class-partition
 // premium, and TDMA floors the figure. The companion exact-gap numbers for
-// the same family are produced by the gapharness tests (see DESIGN.md).
+// the same family are produced by the gap harness tests (see DESIGN.md).
 func FigSched(opts Options) (*stats.Figure, error) {
 	fig := stats.NewFigure(
 		"Sched: Scheduler Family Goodput vs Offered Load (Zipf hotspot arrivals)",

@@ -26,7 +26,7 @@ func TestFigSchedShapeAndTDMAFloor(t *testing.T) {
 		t.Fatalf("got %d series, want %d", len(fig.Series), len(names))
 	}
 	for _, name := range names {
-		s := fig.Lookup(name)
+		s := lookup(fig, name)
 		if s == nil {
 			t.Fatalf("missing series %q", name)
 		}
@@ -43,9 +43,9 @@ func TestFigSchedShapeAndTDMAFloor(t *testing.T) {
 	// no-reuse TDMA floor on its topology.
 	last := len(loads) - 1
 	for _, topo := range schedTopos() {
-		floor := fig.Lookup(fmt.Sprintf("TDMA %s", topo)).Points[last].Y
+		floor := lookup(fig, fmt.Sprintf("TDMA %s", topo)).Points[last].Y
 		for _, sname := range []string{"Greedy", "MaxWeight", "FanZhang"} {
-			got := fig.Lookup(fmt.Sprintf("%s %s", sname, topo)).Points[last].Y
+			got := lookup(fig, fmt.Sprintf("%s %s", sname, topo)).Points[last].Y
 			if got <= floor {
 				t.Errorf("%s %s goodput %.1f at saturation does not beat TDMA floor %.1f",
 					sname, topo, got, floor)

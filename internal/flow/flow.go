@@ -472,18 +472,11 @@ func (p *plane) down(i int) {
 	h[i] = x
 }
 
-// splitmix64 decorrelates derived seeds (one per arrival process) from the
+// DeriveSeed mixes a base seed with a stream index into an independent seed,
+// decorrelating the derived streams (one per arrival process) from the
 // single user-facing Config.Seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// DeriveSeed mixes a base seed with a stream index into an independent seed.
 func DeriveSeed(base int64, stream int64) int64 {
-	return int64(splitmix64(uint64(base)*0x9e3779b9 + uint64(stream)))
+	return int64(rng.SplitMix64(uint64(base)*0x9e3779b9 + uint64(stream)))
 }
 
 // buildOwner maps every node to its link index in links (-1 for none) and
@@ -597,6 +590,14 @@ func Run(cfg Config) (*Result, error) {
 	idle := cfg.IdleWait
 	if idle <= 0 {
 		idle = slotDur
+	}
+	// idleFor lets arrivals accumulate for d, cut at the horizon, and books
+	// the interval as idle time.
+	idleFor := func(d des.Time) {
+		t0 := clock
+		runUntil(min(t0+d, cfg.Horizon))
+		res.IdleTime += clock - t0
+		m.idleTicks.Add(int64(clock - t0))
 	}
 
 	// Topology state: the static path keeps cfg.Forest/cfg.Links for the
@@ -738,13 +739,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if pl.backlog == 0 {
 			// Empty network: let arrivals accumulate for one idle tick.
-			step := idle
-			if now+step > cfg.Horizon {
-				step = cfg.Horizon - now
-			}
-			runUntil(now + step)
-			res.IdleTime += clock - now
-			m.idleTicks.Add(int64(clock - now))
+			idleFor(idle)
 			continue
 		}
 
@@ -765,13 +760,7 @@ func Run(cfg Config) (*Result, error) {
 			if s == nil || s.Length() == 0 {
 				// Control went down before any schedule existed (or the last
 				// one is empty): nothing can move until connectivity returns.
-				step := idle
-				if now+step > cfg.Horizon {
-					step = cfg.Horizon - now
-				}
-				runUntil(now + step)
-				res.IdleTime += clock - now
-				m.idleTicks.Add(int64(clock - now))
+				idleFor(idle)
 				continue
 			}
 		} else {
@@ -930,21 +919,13 @@ func Run(cfg Config) (*Result, error) {
 					// Nothing schedulable right now, but the topology will
 					// change again: idle-tick forward instead of running out
 					// the clock.
-					step := idle
-					if now+step > cfg.Horizon {
-						step = cfg.Horizon - now
-					}
-					runUntil(now + step)
-					res.IdleTime += clock - now
-					m.idleTicks.Add(int64(clock - now))
+					idleFor(idle)
 					continue
 				}
 			}
 			// Zero control cost and no slot fits before the horizon: run
 			// out the clock instead of re-scheduling forever.
-			res.IdleTime += cfg.Horizon - now
-			m.idleTicks.Add(int64(cfg.Horizon - now))
-			runUntil(cfg.Horizon)
+			idleFor(cfg.Horizon - now)
 		}
 	}
 

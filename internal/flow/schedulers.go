@@ -34,13 +34,9 @@ func FrameTime(ch phys.Engine, forest *route.Forest, links []phys.Link, tm core.
 	for _, g := range forest.Gateways() {
 		ones[g] = 0
 	}
-	agg, err := forest.AggregateDemand(ones)
+	demands, err := forest.LinkDemands(links, ones)
 	if err != nil {
 		return 0, err
-	}
-	demands := make([]int, len(links))
-	for i, l := range links {
-		demands[i] = agg[l.From]
 	}
 	s, err := sched.GreedyPhysical(ch, links, demands, sched.ByHeadIDDesc)
 	if err != nil {
@@ -201,13 +197,6 @@ func NewProtocolScheduler(env SchedulerEnv, v core.Variant) (Scheduler, error) {
 	if tm == (core.Timing{}) {
 		tm = core.DefaultTiming()
 	}
-	k := env.K
-	if k == 0 {
-		k = env.Sens.Diameter()
-		if k <= 0 {
-			return Scheduler{}, fmt.Errorf("flow: sensitivity graph not strongly connected")
-		}
-	}
 	name := v.String()
 	if v == core.PDD {
 		if env.P <= 0 || env.P > 1 {
@@ -222,7 +211,7 @@ func NewProtocolScheduler(env SchedulerEnv, v core.Variant) (Scheduler, error) {
 	// shares the sensitivity adjacency but gives the run fresh time
 	// accounting and engine state, instead of re-deriving the adjacency and
 	// re-checking the interference diameter per epoch.
-	proto, err := core.NewIdealBackend(env.Channel, env.Sens, k, tm, false)
+	proto, err := core.NewIdealBackend(env.Channel, env.Sens, env.K, tm, false)
 	if err != nil {
 		return Scheduler{}, err
 	}

@@ -58,11 +58,6 @@ func (r Rect) Diameter() float64 {
 	return math.Hypot(r.Width(), r.Height())
 }
 
-// Contains reports whether p lies in the closed rectangle r.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}

@@ -79,25 +79,6 @@ func TestRect(t *testing.T) {
 	}
 }
 
-func TestRectContains(t *testing.T) {
-	r := Rect{0, 0, 4, 2}
-	tests := []struct {
-		p    Point
-		want bool
-	}{
-		{Point{0, 0}, true}, // corner, closed region
-		{Point{4, 2}, true}, // opposite corner
-		{Point{2, 1}, true}, // interior
-		{Point{-0.1, 1}, false},
-		{Point{2, 2.1}, false},
-	}
-	for _, tt := range tests {
-		if got := r.Contains(tt.p); got != tt.want {
-			t.Errorf("Contains(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
 func TestLatticePathHops(t *testing.T) {
 	// On a unit lattice, the path from (0,0) to (3,4) needs 3+4 hops,
 	// matching (sin b + cos b) * len from Theorem 2's proof.

@@ -33,22 +33,9 @@ func (g *Graph) AddUndirected(u, v int) {
 	g.AddEdge(v, u)
 }
 
-// HasEdge reports whether the directed edge u -> v exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Neighbors returns the out-neighbors of u. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
-
-// OutDegree returns the out-degree of u.
-func (g *Graph) OutDegree(u int) int { return len(g.adj[u]) }
 
 // NumEdges returns the number of directed edges.
 func (g *Graph) NumEdges() int {

@@ -269,50 +269,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	}).h
 }
 
-// CounterValue returns the value of a registered counter, reporting whether
-// it exists. Intended for tests and snapshot-style assertions.
-func (r *Registry) CounterValue(name string) (int64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	m, ok := r.byName[name]
-	r.mu.Unlock()
-	if !ok || m.kind != kindCounter {
-		return 0, false
-	}
-	return m.c.Value(), true
-}
-
-// GaugeValue is CounterValue for gauges.
-func (r *Registry) GaugeValue(name string) (int64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	m, ok := r.byName[name]
-	r.mu.Unlock()
-	if !ok || m.kind != kindGauge {
-		return 0, false
-	}
-	return m.g.Value(), true
-}
-
-// HistogramValue returns a registered histogram handle (for Count/Sum/
-// Buckets inspection), reporting whether it exists.
-func (r *Registry) HistogramValue(name string) (*Histogram, bool) {
-	if r == nil {
-		return nil, false
-	}
-	r.mu.Lock()
-	m, ok := r.byName[name]
-	r.mu.Unlock()
-	if !ok || m.kind != kindHistogram {
-		return nil, false
-	}
-	return m.h, true
-}
-
 // snapshot returns the registered metrics sorted by (family, name), so all
 // labeled series of one family are adjacent and the exposition emits each
 // family's HELP/TYPE header exactly once.

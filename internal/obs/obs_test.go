@@ -17,8 +17,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	if v, ok := r.CounterValue("x_total"); !ok || v != 42 {
-		t.Fatalf("CounterValue = %d,%v want 42,true", v, ok)
+	if v, ok := r.TakeSnapshot().Counters["x_total"]; !ok || v != 42 {
+		t.Fatalf("snapshot x_total = %d,%v want 42,true", v, ok)
 	}
 	// Get-or-create returns the same handle.
 	if c2 := r.Counter("x_total", "ignored"); c2 != c {
@@ -122,12 +122,12 @@ func TestConcurrentWriters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if v, _ := r.CounterValue("hits_total"); v != workers*perWorker {
+	snap := r.TakeSnapshot()
+	if v := snap.Counters["hits_total"]; v != workers*perWorker {
 		t.Fatalf("hits_total = %d, want %d", v, workers*perWorker)
 	}
-	h, ok := r.HistogramValue("delay_seconds")
-	if !ok || h.Count() != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*perWorker)
+	if h := snap.Histograms["delay_seconds"]; h.Count != workers*perWorker {
+		t.Fatalf("histogram count = %d, want %d", h.Count, workers*perWorker)
 	}
 }
 

@@ -16,16 +16,16 @@ func TestPerfSampling(t *testing.T) {
 	start = p.Start()
 	p.Epoch(start) // 1.5 ms
 
-	h, ok := r.HistogramValue(`scream_perf_build_seconds{sched="greedy"}`)
-	if !ok || h.Count() != 1 {
-		t.Fatalf("build histogram count = %d, want 1", h.Count())
+	snap := r.TakeSnapshot()
+	h := snap.Histograms[`scream_perf_build_seconds{sched="greedy"}`]
+	if h.Count != 1 {
+		t.Fatalf("build histogram count = %d, want 1", h.Count)
 	}
-	if h.Sum() < 1e-3 || h.Sum() > 2e-3 {
-		t.Fatalf("build sum = %g s, want ~1.5ms", h.Sum())
+	if h.Sum < 1e-3 || h.Sum > 2e-3 {
+		t.Fatalf("build sum = %g s, want ~1.5ms", h.Sum)
 	}
-	h, ok = r.HistogramValue(`scream_perf_epoch_seconds{sched="greedy"}`)
-	if !ok || h.Count() != 1 {
-		t.Fatalf("epoch histogram count = %d, want 1", h.Count())
+	if h := snap.Histograms[`scream_perf_epoch_seconds{sched="greedy"}`]; h.Count != 1 {
+		t.Fatalf("epoch histogram count = %d, want 1", h.Count)
 	}
 }
 

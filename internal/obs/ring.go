@@ -23,7 +23,6 @@ type RingSink struct {
 	bytes   int      // total bytes across lines (incl. newlines)
 	partial []byte   // trailing incomplete line
 	dropped int64
-	total   int64
 }
 
 // DefaultRingBytes is the per-session capture budget used when a caller
@@ -55,7 +54,6 @@ func (s *RingSink) Write(p []byte) (int, error) {
 		line := append(s.partial, p[:i+1]...)
 		s.partial = nil
 		p = p[i+1:]
-		s.total++
 		if len(line) > s.cap {
 			s.dropped++
 			continue
@@ -90,12 +88,4 @@ func (s *RingSink) Dropped() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Lines returns how many complete lines were ever written (retained or
-// dropped).
-func (s *RingSink) Lines() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
 }

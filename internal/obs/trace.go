@@ -44,13 +44,12 @@ const TraceVersion = 2
 type SpanID int64
 
 // Field is one key/value pair of a trace event. Values are typed explicitly
-// (no reflection on the encode path) and encode as JSON numbers, strings or
+// (no reflection on the encode path) and encode as JSON integers, strings or
 // booleans.
 type Field struct {
 	key  string
-	kind uint8 // 'i' int64, 'f' float64, 's' string, 'b' bool
+	kind uint8 // 'i' int64, 's' string, 'b' bool
 	i    int64
-	f    float64
 	s    string
 }
 
@@ -83,10 +82,6 @@ func I(key string, v int64) Field { return Field{key: checkKey(key), kind: 'i', 
 
 // N returns an int field.
 func N(key string, v int) Field { return Field{key: checkKey(key), kind: 'i', i: int64(v)} }
-
-// F returns a float64 field (encoded with shortest round-trip formatting,
-// deterministic for a given value).
-func F(key string, v float64) Field { return Field{key: checkKey(key), kind: 'f', f: v} }
 
 // S returns a string field.
 func S(key string, v string) Field { return Field{key: checkKey(key), kind: 's', s: v} }
@@ -291,8 +286,6 @@ func (t *Tracer) finishLocked(buf []byte, fields []Field) {
 		switch f.kind {
 		case 'i':
 			buf = strconv.AppendInt(buf, f.i, 10)
-		case 'f':
-			buf = strconv.AppendFloat(buf, f.f, 'g', -1, 64)
 		case 's':
 			buf = strconv.AppendQuote(buf, f.s)
 		case 'b':

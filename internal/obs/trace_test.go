@@ -10,7 +10,7 @@ import (
 func TestTracerSchemaV2(t *testing.T) {
 	var sb strings.Builder
 	tr := NewTracer(&sb)
-	tr.Emit("epoch", I("t", 12345), N("epoch", 3), F("goodput", 1.5), S("sched", `say "hi"`), B("ok", true))
+	tr.Emit("epoch", I("t", 12345), N("epoch", 3), S("sched", `say "hi"`), B("ok", true))
 	tr.Emit("end", I("t", 99))
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestTracerSchemaV2(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2", len(lines))
 	}
-	want := `{"v":2,"ev":"epoch","t":12345,"epoch":3,"goodput":1.5,"sched":"say \"hi\"","ok":true}`
+	want := `{"v":2,"ev":"epoch","t":12345,"epoch":3,"sched":"say \"hi\"","ok":true}`
 	if lines[0] != want {
 		t.Fatalf("line 0:\n got %s\nwant %s", lines[0], want)
 	}
@@ -47,7 +47,7 @@ func TestTracerDeterministicBytes(t *testing.T) {
 		var sb strings.Builder
 		tr := NewTracer(&sb)
 		for i := 0; i < 100; i++ {
-			tr.Emit("tick", I("t", int64(i)*17), F("x", float64(i)/3), B("even", i%2 == 0))
+			tr.Emit("tick", I("t", int64(i)*17), N("x", i/3), B("even", i%2 == 0))
 		}
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ line`)
 
 	// Valid identifiers must not panic, for every constructor.
 	for _, f := range []Field{
-		I("t", 1), N("epoch_3", 2), F("x9", 0.5), S("_lead", "v"), B("Ok", true),
+		I("t", 1), N("epoch_3", 2), S("_lead", "v"), B("Ok", true),
 	} {
 		if f.key == "" {
 			t.Fatal("valid key rejected")

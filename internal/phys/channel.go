@@ -65,9 +65,6 @@ func (c *Channel) NoiseMW() float64 { return c.noiseMW }
 // Beta returns the linear SINR threshold.
 func (c *Channel) Beta() float64 { return c.beta }
 
-// TxPowerMW returns node u's transmit power in milliwatts.
-func (c *Channel) TxPowerMW(u int) float64 { return c.txPowerMW[u] }
-
 // Gain returns the linear gain from node u to node v. The gain from a node
 // to itself is not meaningful and returns 0.
 func (c *Channel) Gain(u, v int) float64 {
@@ -177,15 +174,6 @@ func (c *Channel) Clone() *Channel {
 	}
 }
 
-// GainRow returns a copy of node u's gain row (Gain(u, v) for every v).
-func (c *Channel) GainRow(u int) []float64 {
-	row := make([]float64, len(c.txPowerMW))
-	for v := range row {
-		row[v] = c.Gain(u, v)
-	}
-	return row
-}
-
 // SNR returns the interference-free signal-to-noise ratio of a transmission
 // from u to v.
 func (c *Channel) SNR(u, v int) float64 {
@@ -211,28 +199,6 @@ func (c *Channel) AggregatePowerMW(rx int, senders []int) float64 {
 		sum += c.RxPowerMW(s, rx)
 	}
 	return sum
-}
-
-// Detects reports whether node rx detects channel activity (carrier sense /
-// energy detection) above detectMW when the given senders transmit. This is
-// the collision-resilient primitive the SCREAM subroutine relies on: the
-// aggregate energy of overlapping screams only grows with more senders.
-func (c *Channel) Detects(rx int, senders []int, detectMW float64) bool {
-	return c.AggregatePowerMW(rx, senders) >= detectMW
-}
-
-// SINR returns the signal-to-interference-plus-noise ratio of a transmission
-// from u to v while each node in interferers also transmits. u and v are
-// skipped if present in interferers.
-func (c *Channel) SINR(u, v int, interferers []int) float64 {
-	interf := 0.0
-	for _, x := range interferers {
-		if x == u || x == v {
-			continue
-		}
-		interf += c.RxPowerMW(x, v)
-	}
-	return c.RxPowerMW(u, v) / (c.noiseMW + interf)
 }
 
 // BuildGainMatrix evaluates a path loss model over node positions given as

@@ -17,7 +17,7 @@ func TestRxPowerCacheExact(t *testing.T) {
 	ch := lineChannel(t, 16, 37.5, 17)
 	for u := 0; u < ch.NumNodes(); u++ {
 		for v := 0; v < ch.NumNodes(); v++ {
-			want := ch.TxPowerMW(u) * ch.Gain(u, v)
+			want := ch.txPowerMW[u] * ch.Gain(u, v)
 			if got := ch.RxPowerMW(u, v); got != want {
 				t.Fatalf("RxPowerMW(%d,%d) = %v, want exactly %v", u, v, got, want)
 			}
@@ -47,7 +47,7 @@ func TestRxPowerCacheConcurrent(t *testing.T) {
 				for i := 0; i < 500; i++ {
 					u := rng.Intn(ch.NumNodes())
 					v := rng.Intn(ch.NumNodes())
-					want := ch.TxPowerMW(u) * ch.Gain(u, v)
+					want := ch.txPowerMW[u] * ch.Gain(u, v)
 					if got := ch.RxPowerMW(u, v); got != want {
 						select {
 						case errs <- "stale or torn cache read":

@@ -47,8 +47,11 @@ func freshChannel(t *testing.T, ch *Channel) *Channel {
 	gain := make([][]float64, n)
 	pw := make([]float64, n)
 	for u := 0; u < n; u++ {
-		gain[u] = ch.GainRow(u)
-		pw[u] = ch.TxPowerMW(u)
+		gain[u] = make([]float64, n)
+		for v := range gain[u] {
+			gain[u][v] = ch.Gain(u, v)
+		}
+		pw[u] = ch.txPowerMW[u]
 	}
 	ref, err := NewChannel(pw, gain, ch.NoiseMW(), ch.Beta())
 	if err != nil {

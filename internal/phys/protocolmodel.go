@@ -68,9 +68,6 @@ func NewProtocolSlotChecker(p *ProtocolModel) *ProtocolSlotChecker {
 	return &ProtocolSlotChecker{p: p, busy: make([]bool, p.ch.NumNodes())}
 }
 
-// Len returns the number of links in the slot.
-func (s *ProtocolSlotChecker) Len() int { return len(s.links) }
-
 // CanAdd reports whether l can join the slot under the protocol model.
 func (s *ProtocolSlotChecker) CanAdd(l Link) bool {
 	if l.From == l.To || s.busy[l.From] || s.busy[l.To] {

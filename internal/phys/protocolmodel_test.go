@@ -101,7 +101,7 @@ func TestProtocolSlotCheckerMatchesFeasibleSet(t *testing.T) {
 				}
 			}
 		}
-		if sc.Len() != len(accepted) {
+		if len(sc.links) != len(accepted) {
 			t.Fatalf("Len mismatch")
 		}
 	}

@@ -31,10 +31,10 @@ func TestTinyBucketsCoarsen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if nb := idx.NumBuckets(); nb < 1 || nb > maxBuckets {
+			if nb := idx.nx * idx.ny; nb < 1 || nb > maxBuckets {
 				t.Errorf("%d buckets, want 1..%d", nb, maxBuckets)
 			}
-			if e := idx.BucketM(); !(e >= bucket && e > 0 && !math.IsInf(e, 0)) {
+			if e := idx.bucketM; !(e >= bucket && e > 0 && !math.IsInf(e, 0)) {
 				t.Errorf("bucket edge %v from requested %v", e, bucket)
 			}
 		})

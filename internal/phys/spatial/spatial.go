@@ -86,7 +86,6 @@ type Index struct {
 
 	bucketOf []int32   // node -> bucket id (by*nx + bx)
 	members  [][]int32 // bucket -> node ids currently hashed there (incl. removed)
-	powerMW  []float64 // bucket -> sum of live members' TX powers
 
 	cutoffM      float64
 	gainAtCutoff float64   // exact gain at the cutoff radius
@@ -170,7 +169,6 @@ func New(cfg Config) (*Index, error) {
 		ny:           ny,
 		bucketOf:     make([]int32, n),
 		members:      make([][]int32, nx*ny),
-		powerMW:      make([]float64, nx*ny),
 		cutoffM:      cutoff,
 		gainAtCutoff: cfg.PathLoss.Gain(cutoff),
 	}
@@ -189,7 +187,6 @@ func New(cfg Config) (*Index, error) {
 		b := idx.bucketIndex(idx.pos[u])
 		idx.bucketOf[u] = int32(b)
 		idx.members[b] = append(idx.members[b], int32(u))
-		idx.powerMW[b] += idx.txPowerMW[u]
 	}
 	return idx, nil
 }
@@ -259,12 +256,6 @@ func (x *Index) NoiseMW() float64 { return x.noiseMW }
 // Beta implements phys.Engine.
 func (x *Index) Beta() float64 { return x.beta }
 
-// BucketM returns the bucket edge length the index was built with.
-func (x *Index) BucketM() float64 { return x.bucketM }
-
-// NumBuckets returns the number of grid buckets.
-func (x *Index) NumBuckets() int { return x.nx * x.ny }
-
 // Gain implements phys.Engine: the exact path-loss gain between u and v
 // (0 for u == v and for silenced nodes, matching the dense channel after
 // RemoveNode).
@@ -315,45 +306,9 @@ func (x *Index) InterfMW(u, v int) float64 {
 	return x.txPowerMW[u] * x.pl.Gain(d)
 }
 
-// FarFieldBoundMW returns an upper bound on the total interference node v
-// would see if every live node transmitted at once: each bucket contributes
-// its aggregated live TX power times the gain cap for its delta (near
-// buckets are capped at the reference gain, the model's maximum). It is the
-// aggregated per-bucket bound of the package comment — an O(buckets)
-// prefilter, never a substitute for the per-pair sums.
-func (x *Index) FarFieldBoundMW(v int) float64 {
-	refGain := x.pl.Gain(0) // Gain clamps below RefDist: the model's max gain
-	bv := int(x.bucketOf[v])
-	bvx, bvy := bv%x.nx, bv/x.nx
-	sum := 0.0
-	for by := 0; by < x.ny; by++ {
-		dy := by - bvy
-		if dy < 0 {
-			dy = -dy
-		}
-		row := x.gainUB[dy*x.nx:]
-		for bx := 0; bx < x.nx; bx++ {
-			p := x.powerMW[by*x.nx+bx]
-			if p == 0 {
-				continue
-			}
-			dx := bx - bvx
-			if dx < 0 {
-				dx = -dx
-			}
-			ub := row[dx]
-			if ub == nearSentinel {
-				ub = refGain
-			}
-			sum += p * ub
-		}
-	}
-	return sum
-}
-
 // MoveNode updates node u's position, rehashing it into its new bucket.
-// The update is bucket-local: two member lists and two power sums change,
-// nothing else. Requires exclusive access, like Channel.MoveNode.
+// The update is bucket-local: two member lists change, nothing else.
+// Requires exclusive access, like Channel.MoveNode.
 func (x *Index) MoveNode(u int, p geom.Point) error {
 	if u < 0 || u >= len(x.pos) {
 		return fmt.Errorf("spatial: node %d out of range for %d nodes", u, len(x.pos))
@@ -367,16 +322,12 @@ func (x *Index) MoveNode(u int, p geom.Point) error {
 	x.dropMember(oldB, u)
 	x.members[newB] = append(x.members[newB], int32(u))
 	x.bucketOf[u] = int32(newB)
-	if !x.removed[u] {
-		x.powerMW[oldB] -= x.txPowerMW[u]
-		x.powerMW[newB] += x.txPowerMW[u]
-	}
 	return nil
 }
 
 // RemoveNode silences node u: its gain, signal and interference all become
-// 0 and its power leaves the bucket aggregate — the spatial counterpart of
-// Channel.RemoveNode. Idempotent. Requires exclusive access.
+// 0 — the spatial counterpart of Channel.RemoveNode. Idempotent. Requires
+// exclusive access.
 func (x *Index) RemoveNode(u int) error {
 	if u < 0 || u >= len(x.pos) {
 		return fmt.Errorf("spatial: node %d out of range for %d nodes", u, len(x.pos))
@@ -385,7 +336,6 @@ func (x *Index) RemoveNode(u int) error {
 		return nil
 	}
 	x.removed[u] = true
-	x.powerMW[x.bucketOf[u]] -= x.txPowerMW[u]
 	return nil
 }
 
@@ -400,7 +350,6 @@ func (x *Index) RestoreNode(u int) error {
 		return nil
 	}
 	x.removed[u] = false
-	x.powerMW[x.bucketOf[u]] += x.txPowerMW[u]
 	return nil
 }
 
@@ -425,7 +374,6 @@ func (x *Index) MemoryBytes() int {
 		len(x.txPowerMW)*8 +
 		len(x.removed) +
 		len(x.bucketOf)*4 +
-		len(x.powerMW)*8 +
 		len(x.gainUB)*8 +
 		len(x.members)*24 // slice headers
 	for _, m := range x.members {

@@ -233,7 +233,6 @@ func TestSpatialConcurrentReaders(t *testing.T) {
 				for v := 0; v < n; v++ {
 					sink += idx.SignalMW(u, v) + idx.InterfMW(u, v) + idx.Gain(u, v)
 				}
-				sink += idx.FarFieldBoundMW(u)
 			}
 			var st phys.SlotState
 			st.InitEngine(idx)

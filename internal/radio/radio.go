@@ -25,9 +25,6 @@ type Backend struct {
 	timing  core.Timing
 	offsets []des.Time // per-node clock offset, |offset| <= offset bound
 	eng     *des.Engine
-
-	screamSlots    int
-	handshakeSlots int
 }
 
 var _ core.Backend = (*Backend)(nil)
@@ -64,27 +61,11 @@ func New(ch *phys.Channel, csThresholdMW float64, k int, timing core.Timing, off
 	}, nil
 }
 
-// SetOffsets overrides the per-node clock offsets (used by tests to build
-// worst-case alignments).
-func (b *Backend) SetOffsets(offsets []des.Time) error {
-	if len(offsets) != len(b.offsets) {
-		return fmt.Errorf("radio: %d offsets for %d nodes", len(offsets), len(b.offsets))
-	}
-	copy(b.offsets, offsets)
-	return nil
-}
-
 // NumNodes implements core.Backend.
 func (b *Backend) NumNodes() int { return b.ch.NumNodes() }
 
 // Elapsed implements core.Backend.
 func (b *Backend) Elapsed() des.Time { return b.eng.Now() }
-
-// ScreamSlots returns how many SCREAM slots have been executed.
-func (b *Backend) ScreamSlots() int { return b.screamSlots }
-
-// HandshakeSlots returns how many handshake slots have been executed.
-func (b *Backend) HandshakeSlots() int { return b.handshakeSlots }
 
 // span is a transmission interval with the power it lands at one receiver.
 type span struct {
@@ -136,7 +117,6 @@ func (b *Backend) Scream(vars []bool) []bool {
 }
 
 func (b *Backend) screamSlot(screamers []bool) []bool {
-	b.screamSlots++
 	t0 := b.eng.Now()
 	slotDur := b.timing.ScreamSlot()
 	payload := b.timing.TxTime(b.timing.SMBytes)
@@ -169,7 +149,6 @@ func (b *Backend) screamSlot(screamers []bool) []bool {
 // HandshakeSlot implements core.Backend: a data sub-slot followed by an ACK
 // sub-slot, both with skewed per-node windows and worst-case SINR decoding.
 func (b *Backend) HandshakeSlot(links []phys.Link) []bool {
-	b.handshakeSlots++
 	t0 := b.eng.Now()
 	n := len(links)
 	ok := make([]bool, n)

@@ -138,9 +138,7 @@ func TestScreamFailsWhenGuardUnderProvisioned(t *testing.T) {
 			offsets[i] = actual
 		}
 	}
-	if err := b.SetOffsets(offsets); err != nil {
-		t.Fatal(err)
-	}
+	copy(b.offsets, offsets)
 	vars := make([]bool, net.NumNodes())
 	vars[0] = true
 	got := b.Scream(vars)
@@ -217,9 +215,6 @@ func TestElapsedAdvances(t *testing.T) {
 	if got, want := rb.Elapsed(), k*tm.ScreamSlot()+tm.HandshakeSlot(); got != want {
 		t.Errorf("after handshake elapsed = %v, want %v", got, want)
 	}
-	if rb.ScreamSlots() != int(k) || rb.HandshakeSlots() != 1 {
-		t.Errorf("slot counters wrong: %d screams, %d handshakes", rb.ScreamSlots(), rb.HandshakeSlots())
-	}
 }
 
 func TestFullFDDOnRadioMatchesIdeal(t *testing.T) {
@@ -237,14 +232,10 @@ func TestFullFDDOnRadioMatchesIdeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := f.AggregateDemand(nodeDemand)
+	links := f.Links()
+	demands, err := f.LinkDemands(links, nodeDemand)
 	if err != nil {
 		t.Fatal(err)
-	}
-	links := f.Links()
-	demands := make([]int, len(links))
-	for i, l := range links {
-		demands[i] = agg[l.From]
 	}
 
 	tm := core.DefaultTiming()
@@ -271,12 +262,4 @@ func TestFullFDDOnRadioMatchesIdeal(t *testing.T) {
 		t.Error("radio backend must accumulate execution time")
 	}
 	t.Logf("radio FDD: %d slots in simulated %v", radioRes.Schedule.Length(), radioRes.ExecTime)
-}
-
-func TestSetOffsetsValidation(t *testing.T) {
-	net := gridNet(t, 3)
-	rb := newBackend(t, net, 0, 1)
-	if err := rb.SetOffsets(make([]des.Time, 2)); err == nil {
-		t.Error("wrong offset count should fail")
-	}
 }

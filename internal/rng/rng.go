@@ -146,3 +146,13 @@ func (s *source) Uint64() uint64 {
 
 // Int63 implements rand.Source.
 func (s *source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+
+// SplitMix64 is the SplitMix64 finalizer: a bijective mix of x whose output
+// bits each depend on every input bit, which decorrelates seeds derived from
+// one base seed.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -139,3 +139,14 @@ func TestOneSeedingPath(t *testing.T) {
 		t.Fatalf("only %d files checked; the walk missed the module", checked)
 	}
 }
+
+// TestSplitMix64 pins the finalizer to the reference SplitMix64 sequence:
+// outputs for states 0, γ, 2γ (γ = 0x9e3779b97f4a7c15) from seed 0.
+func TestSplitMix64(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := SplitMix64(uint64(i) * gamma); got != want {
+			t.Errorf("SplitMix64(%d·γ) = %#x, want %#x", i, got, want)
+		}
+	}
+}

@@ -33,16 +33,13 @@ func BuildForestBalanced(comm *graph.Graph, gateways []int, nodeDemand []int, rn
 	f := &Forest{
 		parent:   make([]int, n),
 		depth:    make([]int, n),
-		gateway:  make([]int, n),
 		isGW:     make([]bool, n),
 		gateways: append([]int(nil), gateways...),
 	}
 	for u := 0; u < n; u++ {
 		f.parent[u] = -1
-		f.gateway[u] = -1
 	}
 	for _, g := range gateways {
-		f.gateway[g] = g
 		f.isGW[g] = true
 	}
 
@@ -93,29 +90,5 @@ func BuildForestBalanced(comm *graph.Graph, gateways []int, nodeDemand []int, rn
 			}
 		}
 	}
-	for u := 0; u < n; u++ {
-		v := u
-		for f.parent[v] >= 0 {
-			v = f.parent[v]
-		}
-		f.gateway[u] = v
-	}
 	return f, nil
-}
-
-// MaxGatewayLoad returns the largest total demand entering any single
-// gateway — the balance metric BuildForestBalanced minimizes greedily.
-func MaxGatewayLoad(f *Forest, agg []int) int {
-	children := f.Children()
-	max := 0
-	for _, g := range f.Gateways() {
-		total := 0
-		for _, c := range children[g] {
-			total += agg[c]
-		}
-		if total > max {
-			max = total
-		}
-	}
-	return max
 }

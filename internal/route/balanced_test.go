@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scream/internal/graph"
@@ -26,8 +27,8 @@ func TestBalancedForestKeepsMinHopDepths(t *testing.T) {
 		if f.Depth(u) != dist[u] {
 			t.Errorf("node %d depth %d, want min-hop %d", u, f.Depth(u), dist[u])
 		}
-		p := f.Parent(u)
-		if !g.HasEdge(u, p) || dist[p] != dist[u]-1 {
+		p := f.parent[u]
+		if !slices.Contains(g.Neighbors(u), p) || dist[p] != dist[u]-1 {
 			t.Errorf("node %d has invalid parent %d", u, p)
 		}
 	}
@@ -61,13 +62,30 @@ func TestBalancedForestImprovesGatewayBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plainTotal += MaxGatewayLoad(plain, aggP)
-		balTotal += MaxGatewayLoad(bal, aggB)
+		plainTotal += maxGatewayLoad(plain, aggP)
+		balTotal += maxGatewayLoad(bal, aggB)
 	}
 	if balTotal > plainTotal {
 		t.Errorf("balanced forests should not increase max gateway load: %d vs %d", balTotal, plainTotal)
 	}
 	t.Logf("max-gateway-load totals over 10 seeds: plain %d, balanced %d", plainTotal, balTotal)
+}
+
+// maxGatewayLoad returns the largest total demand entering any single
+// gateway: the balance metric BuildForestBalanced minimizes greedily.
+func maxGatewayLoad(f *Forest, agg []int) int {
+	children := f.Children()
+	max := 0
+	for _, g := range f.Gateways() {
+		total := 0
+		for _, c := range children[g] {
+			total += agg[c]
+		}
+		if total > max {
+			max = total
+		}
+	}
+	return max
 }
 
 func TestBalancedForestFlowConservation(t *testing.T) {

@@ -118,7 +118,6 @@ func (f *Forest) Repair(comm *graph.Graph, gateways []int, alive []bool, changed
 	out := &Forest{
 		parent:   append([]int(nil), f.parent...),
 		depth:    append([]int(nil), f.depth...),
-		gateway:  make([]int, n),
 		isGW:     append([]bool(nil), f.isGW...),
 		gateways: append([]int(nil), f.gateways...),
 	}
@@ -173,7 +172,6 @@ func (f *Forest) Repair(comm *graph.Graph, gateways []int, alive []bool, changed
 		out.parent[u] = pick
 		out.depth[u] = dist[u]
 	}
-	out.resolveGateways()
 	return out, stats, nil
 }
 

@@ -7,6 +7,7 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scream/internal/graph"
@@ -38,7 +39,7 @@ func sortedClone(g *graph.Graph) *graph.Graph {
 	out := graph.New(n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			if u != v && g.HasEdge(u, v) {
+			if u != v && slices.Contains(g.Neighbors(u), v) {
 				out.AddEdge(u, v)
 			}
 		}
@@ -68,14 +69,14 @@ func induced(g *graph.Graph, alive []bool) *graph.Graph {
 func assertForestsEqual(t *testing.T, got, want *Forest, what string) {
 	t.Helper()
 	for u := 0; u < want.NumNodes(); u++ {
-		if got.Parent(u) != want.Parent(u) {
-			t.Fatalf("%s: parent of %d: %d vs rebuild %d", what, u, got.Parent(u), want.Parent(u))
+		if got.parent[u] != want.parent[u] {
+			t.Fatalf("%s: parent of %d: %d vs rebuild %d", what, u, got.parent[u], want.parent[u])
 		}
 		if got.Depth(u) != want.Depth(u) {
 			t.Fatalf("%s: depth of %d: %d vs rebuild %d", what, u, got.Depth(u), want.Depth(u))
 		}
-		if got.Gateway(u) != want.Gateway(u) {
-			t.Fatalf("%s: gateway of %d: %d vs rebuild %d", what, u, got.Gateway(u), want.Gateway(u))
+		if gatewayOf(got, u) != gatewayOf(want, u) {
+			t.Fatalf("%s: gateway of %d: %d vs rebuild %d", what, u, gatewayOf(got, u), gatewayOf(want, u))
 		}
 		if got.IsGateway(u) != want.IsGateway(u) {
 			t.Fatalf("%s: gateway mark of %d differs", what, u)
@@ -207,18 +208,18 @@ func TestRepairRandomTieBreaksStayMinHop(t *testing.T) {
 			if got.Depth(v) != want.Depth(v) {
 				t.Fatalf("step %d: depth of %d: %d, rebuild %d", step, v, got.Depth(v), want.Depth(v))
 			}
-			if got.IsDetached(v) != want.IsDetached(v) {
+			if (got.Depth(v) < 0) != (want.Depth(v) < 0) {
 				t.Fatalf("step %d: detachment of %d differs from rebuild", step, v)
 			}
-			if p := got.Parent(v); p >= 0 {
-				if !comm.HasEdge(v, p) {
+			if p := got.parent[v]; p >= 0 {
+				if !slices.Contains(comm.Neighbors(v), p) {
 					t.Fatalf("step %d: parent %d of %d is not a neighbor", step, p, v)
 				}
 				if got.Depth(p) != got.Depth(v)-1 {
 					t.Fatalf("step %d: parent %d of %d is not one hop closer", step, p, v)
 				}
 			}
-			if got.Parent(v) != cur.Parent(v) {
+			if got.parent[v] != cur.parent[v] {
 				reparented++
 			}
 		}
@@ -257,7 +258,7 @@ func TestRepairPartitionFallback(t *testing.T) {
 			if !stats.Rebuilt {
 				t.Fatal("partition did not trigger the rebuild fallback")
 			}
-			if !got.IsDetached(0) {
+			if got.Depth(0) >= 0 {
 				t.Fatal("stranded node 0 not detached")
 			}
 			if got.NumDetached() != 3 { // 0 plus the two dead nodes
@@ -301,8 +302,8 @@ func TestRepairGatewayChangeFallsBack(t *testing.T) {
 		t.Fatal("dead gateway still marked as gateway")
 	}
 	for u := 1; u < n; u++ {
-		if !got.IsDetached(u) && got.Gateway(u) != 15 {
-			t.Fatalf("node %d routed to gateway %d, want 15", u, got.Gateway(u))
+		if got.Depth(u) >= 0 && gatewayOf(got, u) != 15 {
+			t.Fatalf("node %d routed to gateway %d, want 15", u, gatewayOf(got, u))
 		}
 	}
 }

@@ -16,14 +16,13 @@ import (
 // Forest is a gateway-rooted routing forest over nodes 0..n-1.
 //
 // A node may be *detached*: not a gateway and not attached to any tree
-// (parent, gateway and depth all -1). Detached nodes appear when a forest is
+// (parent and depth both -1). Detached nodes appear when a forest is
 // built or repaired over a partitioned network — their traffic is stranded
 // until the topology reconnects. BuildForest never detaches (it errors
 // instead); BuildForestPartial and Repair do.
 type Forest struct {
 	parent   []int  // -1 for gateways and detached nodes
 	depth    []int  // 0 for gateways, -1 for detached nodes
-	gateway  []int  // root gateway of each node's tree, -1 for detached
 	isGW     []bool // explicit gateway marks (parent == -1 is ambiguous)
 	gateways []int
 }
@@ -65,17 +64,14 @@ func buildForest(comm *graph.Graph, gateways []int, rng *rand.Rand, partial bool
 	f := &Forest{
 		parent:   make([]int, n),
 		depth:    make([]int, n),
-		gateway:  make([]int, n),
 		isGW:     isGW,
 		gateways: append([]int(nil), gateways...),
 	}
 	for u := 0; u < n; u++ {
 		f.parent[u] = -1
-		f.gateway[u] = -1
 		f.depth[u] = -1
 	}
 	for _, g := range gateways {
-		f.gateway[g] = g
 		f.depth[g] = 0
 	}
 	for u := 0; u < n; u++ {
@@ -104,54 +100,14 @@ func buildForest(comm *graph.Graph, gateways []int, rng *rand.Rand, partial bool
 		f.parent[u] = pick
 		f.depth[u] = dist[u]
 	}
-	f.resolveGateways()
 	return f, nil
-}
-
-// resolveGateways recomputes the gateway of every node by walking its parent
-// chain, memoizing along the way so the total work is O(n). Detached nodes
-// keep gateway -1.
-func (f *Forest) resolveGateways() {
-	const unresolved = -2
-	for u := range f.parent {
-		switch {
-		case f.depth[u] < 0:
-			f.gateway[u] = -1
-		case f.parent[u] < 0:
-			f.gateway[u] = u
-		default:
-			f.gateway[u] = unresolved
-		}
-	}
-	var chain []int
-	for u := range f.parent {
-		if f.gateway[u] != unresolved {
-			continue
-		}
-		chain = chain[:0]
-		v := u
-		for f.gateway[v] == unresolved {
-			chain = append(chain, v)
-			v = f.parent[v]
-		}
-		g := f.gateway[v]
-		for _, w := range chain {
-			f.gateway[w] = g
-		}
-	}
 }
 
 // NumNodes returns the number of nodes in the forest.
 func (f *Forest) NumNodes() int { return len(f.parent) }
 
-// Parent returns u's parent, or -1 if u is a gateway.
-func (f *Forest) Parent(u int) int { return f.parent[u] }
-
 // Depth returns u's hop distance to its gateway, or -1 when u is detached.
 func (f *Forest) Depth(u int) int { return f.depth[u] }
-
-// Gateway returns the root gateway of u's tree, or -1 when u is detached.
-func (f *Forest) Gateway(u int) int { return f.gateway[u] }
 
 // Gateways returns the gateway node IDs.
 func (f *Forest) Gateways() []int { return append([]int(nil), f.gateways...) }
@@ -163,10 +119,6 @@ func (f *Forest) IsGateway(u int) bool {
 	}
 	return f.parent[u] == -1
 }
-
-// IsDetached reports whether u is attached to no tree (unreachable from
-// every gateway when the forest was built or repaired).
-func (f *Forest) IsDetached(u int) bool { return f.depth[u] < 0 }
 
 // NumDetached returns the number of detached nodes.
 func (f *Forest) NumDetached() int {
@@ -257,4 +209,19 @@ func (f *Forest) AggregateDemand(nodeDemand []int) ([]int, error) {
 		agg[g] = 0
 	}
 	return agg, nil
+}
+
+// LinkDemands returns the demand each of links carries when every node u
+// generates nodeDemand[u]: entry i is the aggregated demand (AggregateDemand)
+// of links[i]'s owner, the node it leaves.
+func (f *Forest) LinkDemands(links []phys.Link, nodeDemand []int) ([]int, error) {
+	agg, err := f.AggregateDemand(nodeDemand)
+	if err != nil {
+		return nil, err
+	}
+	demands := make([]int, len(links))
+	for i, l := range links {
+		demands[i] = agg[l.From]
+	}
+	return demands, nil
 }

@@ -2,9 +2,11 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scream/internal/graph"
+	"scream/internal/phys"
 )
 
 // gridGraph builds an r x c undirected grid communication graph.
@@ -24,13 +26,24 @@ func gridGraph(r, c int) *graph.Graph {
 	return g
 }
 
+// gatewayOf returns the root gateway of u's tree, or -1 when u is detached.
+func gatewayOf(f *Forest, u int) int {
+	if f.depth[u] < 0 {
+		return -1
+	}
+	for f.parent[u] >= 0 {
+		u = f.parent[u]
+	}
+	return u
+}
+
 func TestBuildForestSingleGateway(t *testing.T) {
 	g := gridGraph(4, 4)
 	f, err := BuildForest(g, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.IsGateway(0) || f.Parent(0) != -1 || f.Depth(0) != 0 {
+	if !f.IsGateway(0) || f.parent[0] != -1 || f.Depth(0) != 0 {
 		t.Error("gateway bookkeeping wrong")
 	}
 	if f.NumNodes() != 16 {
@@ -42,18 +55,18 @@ func TestBuildForestSingleGateway(t *testing.T) {
 	}
 	// Every non-gateway's parent must be exactly one hop closer.
 	for u := 1; u < 16; u++ {
-		p := f.Parent(u)
+		p := f.parent[u]
 		if p < 0 {
 			t.Fatalf("node %d has no parent", u)
 		}
 		if f.Depth(p) != f.Depth(u)-1 {
 			t.Errorf("node %d depth %d but parent %d depth %d", u, f.Depth(u), p, f.Depth(p))
 		}
-		if !g.HasEdge(u, p) {
+		if !slices.Contains(g.Neighbors(u), p) {
 			t.Errorf("parent edge %d-%d not in communication graph", u, p)
 		}
-		if f.Gateway(u) != 0 {
-			t.Errorf("gateway(%d) = %d, want 0", u, f.Gateway(u))
+		if gatewayOf(f, u) != 0 {
+			t.Errorf("gateway(%d) = %d, want 0", u, gatewayOf(f, u))
 		}
 	}
 }
@@ -82,7 +95,7 @@ func TestBuildForestMultiGateway(t *testing.T) {
 		if f.Depth(u) != min {
 			t.Errorf("node %d depth %d, want min-gateway dist %d", u, f.Depth(u), min)
 		}
-		gw := f.Gateway(u)
+		gw := gatewayOf(f, u)
 		var gwDist int
 		if gw == 0 {
 			gwDist = dist0[u]
@@ -124,7 +137,7 @@ func TestRandomTieBreakReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < 25; u++ {
-		if f1.Parent(u) != f2.Parent(u) {
+		if f1.parent[u] != f2.parent[u] {
 			t.Fatalf("same seed gave different forests at node %d", u)
 		}
 	}
@@ -135,7 +148,7 @@ func TestRandomTieBreakReproducible(t *testing.T) {
 	}
 	same := true
 	for u := 0; u < 25; u++ {
-		if f1.Parent(u) != f3.Parent(u) {
+		if f1.parent[u] != f3.parent[u] {
 			same = false
 			break
 		}
@@ -159,7 +172,7 @@ func TestEdgeOfAndLinks(t *testing.T) {
 		t.Fatalf("want 8 links, got %d", len(links))
 	}
 	for _, l := range links {
-		if l.To != f.Parent(l.From) {
+		if l.To != f.parent[l.From] {
 			t.Errorf("link %v does not point at parent", l)
 		}
 	}
@@ -196,6 +209,18 @@ func TestAggregateDemandPath(t *testing.T) {
 		if agg[u] != w {
 			t.Errorf("agg[%d] = %d, want %d", u, agg[u], w)
 		}
+	}
+	// Per link, in the order given: the owners' aggregates.
+	links := []phys.Link{{From: 3, To: 2}, {From: 1, To: 0}}
+	demands, err := f.LinkDemands(links, []int{100, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(demands, []int{3, 6}) {
+		t.Errorf("LinkDemands = %v, want [3 6]", demands)
+	}
+	if _, err := f.LinkDemands(links, []int{1}); err == nil {
+		t.Error("LinkDemands: wrong demand length should fail")
 	}
 }
 
@@ -262,7 +287,7 @@ func TestAggregateConservation(t *testing.T) {
 		}
 		want := 0
 		for u := 0; u < 36; u++ {
-			if !f.IsGateway(u) && f.Gateway(u) == gw {
+			if !f.IsGateway(u) && gatewayOf(f, u) == gw {
 				want += demand[u]
 			}
 		}

@@ -83,7 +83,7 @@ func TestFamilyMatchesNaiveReferenceFuzzed(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
 		links, demands := fuzzInstance(rng, allLinks)
-		for _, b := range Backends() {
+		for _, b := range backends() {
 			got, err := b.Build(net.Channel, links, demands)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, b.Name, err)

@@ -64,9 +64,6 @@ func TestGreedyMultiFeasibleAndShorter(t *testing.T) {
 		if err := s.VerifyMulti(net.Channel, c, 2, links, demands); err != nil {
 			t.Fatalf("C=%d: %v", c, err)
 		}
-		if used := s.NumChannelsUsed(); used > c {
-			t.Fatalf("C=%d: schedule uses %d channels", c, used)
-		}
 		lengths = append(lengths, s.Length())
 	}
 	for i := 1; i < len(lengths); i++ {
@@ -88,9 +85,6 @@ func TestGreedyMultiMoreChannelsThanLinks(t *testing.T) {
 	}
 	if err := s.VerifyMulti(net.Channel, 16, 2, links, demands); err != nil {
 		t.Fatal(err)
-	}
-	if used := s.NumChannelsUsed(); used > 2*len(links) {
-		t.Fatalf("%d channels used for %d links with 2 radios", used, len(links))
 	}
 	// With every link able to ride 2 channels per slot, total demand must be
 	// served in at most ceil(maxPerNodeLoad / 1) slots; sanity-bound it by

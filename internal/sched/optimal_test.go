@@ -155,7 +155,7 @@ func TestOptimalLengthGeneralDemands(t *testing.T) {
 	if opt < unitOpt {
 		t.Errorf("general OPT %d below unit OPT %d", opt, unitOpt)
 	}
-	for _, b := range Backends() {
+	for _, b := range backends() {
 		s, err := b.Build(net.Channel, apart, demands)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)

@@ -28,14 +28,10 @@ func testMesh(t testing.TB, dim int, seed int64) (*topo.Network, []phys.Link, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := f.AggregateDemand(nodeDemand)
+	links := f.Links()
+	demands, err := f.LinkDemands(links, nodeDemand)
 	if err != nil {
 		t.Fatal(err)
-	}
-	links := f.Links()
-	demands := make([]int, len(links))
-	for i, l := range links {
-		demands[i] = agg[l.From]
 	}
 	return net, links, demands
 }

@@ -91,20 +91,6 @@ func (s *Schedule) SlotChannels(i int) []int {
 	return s.chans[i]
 }
 
-// NumChannelsUsed returns 1 + the highest channel index any link rides — the
-// channel count a radio plan needs to realize the schedule.
-func (s *Schedule) NumChannelsUsed() int {
-	max := 0
-	for _, slot := range s.chans {
-		for _, c := range slot {
-			if c > max {
-				max = c
-			}
-		}
-	}
-	return max + 1
-}
-
 // Equal reports whether two schedules are slot-for-slot identical, treating
 // each slot as a multiset of placements: the same links, with the same
 // multiplicity, on the same channels (order within a slot is irrelevant).

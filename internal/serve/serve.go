@@ -7,10 +7,12 @@
 // Every run is a session: admission-controlled (MaxSessions concurrent, 429
 // beyond), sandboxed (preloaded scenarios are cloned per session, so
 // concurrent runs never share mutable state), and individually cancelable
-// (client disconnect or server drain aborts the run via its context). The
-// daemon's own scream_serve_* metrics land in the same registry as the
-// simulation's flow/core/sched families and are exposed on /metrics
-// (Prometheus text) and /api/v1/metrics (JSON snapshot).
+// (client disconnect or server drain aborts the run via its context). A
+// panic inside a run ends that session's stream with an error event and
+// counts the session as failed. The daemon's own scream_serve_* metrics
+// land in the same registry as the simulation's flow/core/sched families
+// and are exposed on /metrics (Prometheus text) and /api/v1/metrics (JSON
+// snapshot).
 //
 // Each session's schema-v2 trace is captured in a bounded in-memory ring
 // (Config.TraceBytes per session, never disk) and served at
@@ -202,13 +204,6 @@ func (s *Server) CancelSessions() {
 	}
 }
 
-// ActiveSessions returns the number of currently running sessions.
-func (s *Server) ActiveSessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
-}
-
 // admit registers a session under the admission cap. name is the spec's
 // name, shown in the session listing; scenario is its metric label. ok is
 // false when the server is at capacity or draining.
@@ -376,7 +371,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	st := newStream(w, r)
 	st.send(startEvent{Type: "start", Session: sess.id, Name: spec.Name,
 		Scheduler: spec.SchedulerName(), Spec: &spec})
-	res, err := scream.RunWith(ctx, spec, scream.RunOptions{
+	res, err := runSession(ctx, spec, scream.RunOptions{
 		Mesh:    mesh,
 		Metrics: s.reg,
 		Trace:   tr,
@@ -398,6 +393,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.mCompleted.Inc()
 	s.outcomeCounter(sess.scenario, "completed").Inc()
 	st.send(resultEvent{Type: "result", Session: sess.id, Result: res})
+}
+
+// runSession is scream.RunWith with a panic in the run, or in its epoch
+// stream, returned as an error: the session then ends with an error event
+// and counts as failed, and the server keeps serving the others.
+func runSession(ctx context.Context, spec scream.ScenarioSpec, o scream.RunOptions) (res *scream.FlowResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("session panicked: %v", p)
+		}
+	}()
+	return scream.RunWith(ctx, spec, o)
 }
 
 // outcomeCounter is the per-scenario session counter for one outcome. The

@@ -316,9 +316,10 @@ func longSpec() scream.ScenarioSpec {
 func waitActive(t *testing.T, s *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.ActiveSessions() != n {
+	active := func() int64 { return s.reg.TakeSnapshot().Gauges["scream_serve_sessions_active"] }
+	for active() != int64(n) {
 		if time.Now().After(deadline) {
-			t.Fatalf("never reached %d active sessions (now %d)", n, s.ActiveSessions())
+			t.Fatalf("never reached %d active sessions (now %d)", n, active())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -351,7 +352,7 @@ func TestAdmissionCap(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-cap run: status %d, want 429", resp.StatusCode)
 	}
-	if v, _ := s.reg.CounterValue("scream_serve_sessions_rejected_total"); v != 1 {
+	if v := s.reg.TakeSnapshot().Counters["scream_serve_sessions_rejected_total"]; v != 1 {
 		t.Errorf("rejected counter %d, want 1", v)
 	}
 
@@ -649,17 +650,81 @@ func TestScenarioOutcomeMetrics(t *testing.T) {
 	s.CancelSessions()
 	<-done
 
+	snap := s.reg.TakeSnapshot()
 	for name, want := range map[string]int64{
 		`scream_serve_scenario_sessions_total{scenario="adhoc",outcome="completed"}`: 1,
 		`scream_serve_scenario_sessions_total{scenario="adhoc",outcome="failed"}`:    1,
 	} {
-		if got, _ := s.reg.CounterValue(name); got != want {
+		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	h, ok := s.reg.HistogramValue("scream_serve_session_duration_seconds")
-	if !ok || h.Count() != 2 {
-		t.Errorf("duration histogram count %v (present %v), want 2", h, ok)
+	if h, ok := snap.Histograms["scream_serve_session_duration_seconds"]; !ok || h.Count != 2 {
+		t.Errorf("duration histogram count %d (present %v), want 2", h.Count, ok)
+	}
+}
+
+// panicWriter is a ResponseWriter that panics on the first write of an epoch
+// event, as a faulty transport or encoder might mid-session; every other
+// write lands in the recorder.
+type panicWriter struct {
+	*httptest.ResponseRecorder
+	panicked bool
+}
+
+func (w *panicWriter) Write(p []byte) (int, error) {
+	if !w.panicked && bytes.Contains(p, []byte(`"type":"epoch"`)) {
+		w.panicked = true
+		panic("epoch write failed")
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSessionPanicIsAnErrorEvent: a panic inside a session ends its stream
+// with an error event and counts the session as failed, so every admitted
+// session stays accounted for: started = completed + failed + active.
+func TestSessionPanicIsAnErrorEvent(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &panicWriter{ResponseRecorder: httptest.NewRecorder()}
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("the session's panic escaped the handler: %v", p)
+			}
+		}()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/run", bytes.NewReader(body)))
+	}()
+	if !w.panicked {
+		t.Fatal("the run streamed no epoch, so nothing panicked")
+	}
+	var types []string
+	var last event
+	for _, line := range strings.Split(strings.TrimSpace(w.Body.String()), "\n") {
+		if err := json.Unmarshal([]byte(line), &last); err != nil {
+			t.Fatalf("bad stream line %q: %v", line, err)
+		}
+		types = append(types, last.Type)
+	}
+	if got := strings.Join(types, ","); got != "start,error" || !strings.Contains(last.Error, "epoch write failed") {
+		t.Errorf("stream %s ending %+v, want start,error naming the panic", got, last)
+	}
+	snap := s.reg.TakeSnapshot()
+	started := snap.Counters["scream_serve_sessions_started_total"]
+	completed := snap.Counters["scream_serve_sessions_completed_total"]
+	failed := snap.Counters["scream_serve_sessions_failed_total"]
+	active := snap.Gauges["scream_serve_sessions_active"]
+	if started != 1 || failed != 1 || started != completed+failed+active {
+		t.Errorf("started %d, completed %d, failed %d, active %d: want 1 = 0 + 1 + 0", started, completed, failed, active)
+	}
+	if got := snap.Counters[`scream_serve_scenario_sessions_total{scenario="adhoc",outcome="failed"}`]; got != 1 {
+		t.Errorf(`{outcome="failed"} = %d, want 1`, got)
 	}
 }
 
@@ -681,15 +746,16 @@ func TestScenarioLabelOnlyFromPreload(t *testing.T) {
 	decodeStream(t, resp)
 	resp.Body.Close()
 
+	snap := s.reg.TakeSnapshot()
 	for name, want := range map[string]int64{
 		`scream_serve_scenario_sessions_total{scenario="adhoc",outcome="completed"}`:       2,
 		`scream_serve_scenario_sessions_total{scenario="grid-seed-7",outcome="completed"}`: 1,
 	} {
-		if got, _ := s.reg.CounterValue(name); got != want {
+		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if got, ok := s.reg.CounterValue(`scream_serve_scenario_sessions_total{scenario="tenant-invented",outcome="completed"}`); ok {
+	if got, ok := snap.Counters[`scream_serve_scenario_sessions_total{scenario="tenant-invented",outcome="completed"}`]; ok {
 		t.Errorf("a POSTed name became a metric series (value %d)", got)
 	}
 }

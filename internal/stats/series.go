@@ -45,16 +45,6 @@ func (f *Figure) AddSeries(name string) *Series {
 	return s
 }
 
-// Lookup returns the series with the given name, or nil.
-func (f *Figure) Lookup(name string) *Series {
-	for _, s := range f.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // WriteTSV writes the figure as a tab-separated table: one row per x value,
 // one column pair (y, ci) per series. Rows follow the x values of the first
 // series; series are expected to share x grids (the harness guarantees this).

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -56,28 +55,6 @@ func (s *Sample) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Min returns the smallest observation, or +Inf for an empty sample.
-func (s *Sample) Min() float64 {
-	min := math.Inf(1)
-	for _, x := range s.xs {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
-// Max returns the largest observation, or -Inf for an empty sample.
-func (s *Sample) Max() float64 {
-	max := math.Inf(-1)
-	for _, x := range s.xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
 // SortedPercentiles returns the p-th percentile (0 <= p <= 100, linear
 // interpolation between closest ranks) for each p from one in-place sort of
 // the observations, without copying them (0s for an empty sample). The
@@ -125,33 +102,6 @@ func (s *Sample) CI95() float64 {
 		return 0
 	}
 	return tCritical95(n-1) * s.StdDev() / math.Sqrt(float64(n))
-}
-
-// Summary is a value-type snapshot of a sample.
-type Summary struct {
-	N    int
-	Mean float64
-	Std  float64
-	CI95 float64
-	Min  float64
-	Max  float64
-}
-
-// Summarize returns a snapshot of the sample's statistics.
-func (s *Sample) Summarize() Summary {
-	return Summary{
-		N:    s.N(),
-		Mean: s.Mean(),
-		Std:  s.StdDev(),
-		CI95: s.CI95(),
-		Min:  s.Min(),
-		Max:  s.Max(),
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("mean=%.3f ±%.3f (95%% CI, n=%d, sd=%.3f)", s.Mean, s.CI95, s.N, s.Std)
 }
 
 // tCritical95 returns the two-sided 0.05 critical value of the Student-t

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -25,21 +26,12 @@ func TestSampleBasics(t *testing.T) {
 	if got, want := s.Variance(), 32.0/7.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Variance = %v, want %v", got, want)
 	}
-	if got := s.Min(); got != 2 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := s.Max(); got != 9 {
-		t.Errorf("Max = %v", got)
-	}
 }
 
 func TestEmptySample(t *testing.T) {
 	var s Sample
 	if s.Mean() != 0 || s.Variance() != 0 || s.CI95() != 0 {
 		t.Error("empty sample should return zeros")
-	}
-	if !math.IsInf(s.Min(), 1) || !math.IsInf(s.Max(), -1) {
-		t.Error("empty sample Min/Max should be infinities")
 	}
 	if s.percentile(50) != 0 {
 		t.Error("empty percentile should be 0")
@@ -136,7 +128,7 @@ func TestMeanWithinMinMax(t *testing.T) {
 			s.Add(x)
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-6 && m <= s.Max()+1e-6
+		return m >= slices.Min(s.xs)-1e-6 && m <= slices.Max(s.xs)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -176,17 +168,6 @@ func TestTCriticalMonotone(t *testing.T) {
 	}
 }
 
-func TestSummaryString(t *testing.T) {
-	s := NewSample(3)
-	s.Add(1)
-	s.Add(2)
-	s.Add(3)
-	str := s.Summarize().String()
-	if !strings.Contains(str, "mean=2.000") || !strings.Contains(str, "n=3") {
-		t.Errorf("unexpected summary string: %q", str)
-	}
-}
-
 func TestFigureTSV(t *testing.T) {
 	fig := NewFigure("test fig", "x", "y")
 	a := fig.AddSeries("a")
@@ -205,17 +186,6 @@ func TestFigureTSV(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("TSV output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestFigureLookup(t *testing.T) {
-	fig := NewFigure("f", "x", "y")
-	s := fig.AddSeries("curve")
-	if fig.Lookup("curve") != s {
-		t.Error("Lookup should find the registered series")
-	}
-	if fig.Lookup("missing") != nil {
-		t.Error("Lookup of unknown series should be nil")
 	}
 }
 
@@ -328,8 +298,8 @@ func TestPercentileMonotone(t *testing.T) {
 		if got < prev {
 			t.Fatalf("Percentile(%v) = %v < Percentile at previous p %v", p, got, prev)
 		}
-		if got < s.Min() || got > s.Max() {
-			t.Fatalf("Percentile(%v) = %v outside [%v, %v]", p, got, s.Min(), s.Max())
+		if lo, hi := slices.Min(s.xs), slices.Max(s.xs); got < lo || got > hi {
+			t.Fatalf("Percentile(%v) = %v outside [%v, %v]", p, got, lo, hi)
 		}
 		prev = got
 	}

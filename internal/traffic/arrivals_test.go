@@ -48,23 +48,6 @@ func TestGeneratorEdgeCases(t *testing.T) {
 					}
 				}
 			}},
-		{"constant n=0", func() ([]int, error) { return Constant(0, 5), nil }, false,
-			func(t *testing.T, d []int) {
-				if len(d) != 0 {
-					t.Errorf("len = %d, want 0", len(d))
-				}
-			}},
-		{"constant zero demand", func() ([]int, error) { return Constant(3, 0), nil }, false,
-			func(t *testing.T, d []int) {
-				if len(d) != 3 {
-					t.Fatalf("len = %d, want 3", len(d))
-				}
-				for _, x := range d {
-					if x != 0 {
-						t.Errorf("got %d, want 0", x)
-					}
-				}
-			}},
 	}
 	for _, tc := range cases {
 		tc := tc

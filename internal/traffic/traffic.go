@@ -22,15 +22,6 @@ func Uniform(n, lo, hi int, rng *rand.Rand) ([]int, error) {
 	return d, nil
 }
 
-// Constant returns n copies of demand d.
-func Constant(n, d int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d
-	}
-	return out
-}
-
 // Zipf draws n integer demands from 1 + Zipf(s, v, max-1), modelling skewed
 // client populations (a few hotspot routers carry most client traffic).
 func Zipf(n int, s, v float64, max uint64, rng *rand.Rand) ([]int, error) {

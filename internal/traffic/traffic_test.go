@@ -48,18 +48,6 @@ func TestUniformErrors(t *testing.T) {
 	}
 }
 
-func TestConstant(t *testing.T) {
-	d := Constant(4, 7)
-	if len(d) != 4 {
-		t.Fatalf("len = %d", len(d))
-	}
-	for _, x := range d {
-		if x != 7 {
-			t.Errorf("got %d, want 7", x)
-		}
-	}
-}
-
 func TestZipf(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d, err := Zipf(2000, 1.5, 1, 10, rng)

@@ -98,14 +98,10 @@ func NewMesh(t TopologySpec, seed int64) (*Mesh, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scream: %w", err)
 	}
-	agg, err := f.AggregateDemand(nodeDemand)
+	links := f.Links()
+	demands, err := f.LinkDemands(links, nodeDemand)
 	if err != nil {
 		return nil, fmt.Errorf("scream: %w", err)
-	}
-	links := f.Links()
-	demands := make([]int, len(links))
-	for i, l := range links {
-		demands[i] = agg[l.From]
 	}
 	radios := 1
 	if t.Radio != nil {
@@ -297,6 +293,9 @@ func (m *Mesh) backend(opts ProtocolOptions) (Backend, error) {
 	if tm == (Timing{}) {
 		tm = DefaultTiming()
 	}
+	if !opts.PacketLevel {
+		return core.NewIdealBackend(m.Network.Channel, m.Network.Sens, opts.K, tm, false)
+	}
 	k := opts.K
 	if k == 0 {
 		k = m.InterferenceDiameter()
@@ -304,11 +303,8 @@ func (m *Mesh) backend(opts ProtocolOptions) (Backend, error) {
 			return nil, fmt.Errorf("scream: sensitivity graph not strongly connected")
 		}
 	}
-	if opts.PacketLevel {
-		return radio.New(m.Network.Channel, m.Network.Params.CSThresholdMW, k, tm,
-			tm.SkewBound, rng.New(opts.Seed+1))
-	}
-	return core.NewIdealBackend(m.Network.Channel, m.Network.Sens, k, tm, false)
+	return radio.New(m.Network.Channel, m.Network.Params.CSThresholdMW, k, tm,
+		tm.SkewBound, rng.New(opts.Seed+1))
 }
 
 // RunFDD runs the Fully Deterministic Distributed protocol.

@@ -45,7 +45,7 @@ func runObs(t *testing.T, m *Mesh, spec ScenarioSpec, o RunOptions) *FlowResult 
 
 func counter(t *testing.T, r *ObsRegistry, name string) int64 {
 	t.Helper()
-	v, ok := r.CounterValue(name)
+	v, ok := r.TakeSnapshot().Counters[name]
 	if !ok {
 		t.Fatalf("counter %q not registered", name)
 	}
@@ -82,7 +82,7 @@ func TestObsConservation(t *testing.T) {
 	}
 
 	// Backlog gauge was last sampled at the final epoch boundary.
-	if v, ok := reg.GaugeValue("scream_flow_backlog_packets"); !ok || v != int64(res.FinalBacklog) {
+	if v, ok := reg.TakeSnapshot().Gauges["scream_flow_backlog_packets"]; !ok || v != int64(res.FinalBacklog) {
 		t.Fatalf("backlog gauge %d (ok=%v), want %d", v, ok, res.FinalBacklog)
 	}
 }
@@ -103,7 +103,7 @@ func TestObsTimingCrossCheck(t *testing.T) {
 	screamsAnalytic := counter(t, reg, "scream_core_screams_total")
 	handshakes := counter(t, reg, "scream_core_handshake_slots_measured_total")
 	execTicks := counter(t, reg, "scream_core_exec_ticks_total")
-	k, ok := reg.GaugeValue("scream_core_scream_length_slots")
+	k, ok := reg.TakeSnapshot().Gauges["scream_core_scream_length_slots"]
 	if !ok || k <= 0 {
 		t.Fatalf("SCREAM length gauge missing or non-positive: %d (ok=%v)", k, ok)
 	}

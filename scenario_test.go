@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -294,4 +295,53 @@ func TestScenarioClone(t *testing.T) {
 		spec.Topology.Radio.NumRadios != 0 || spec.Dynamics.FailRate != 1 {
 		t.Fatalf("Clone shares memory with the original: %+v", spec)
 	}
+}
+
+// FuzzParseScenario: decoding and Validate never panic on any body, and a
+// spec that decodes survives its own JSON: the re-encoded document decodes
+// again to the same bytes and validates alike. Bytes are compared rather
+// than specs because a decoded "gateways":[] re-encodes as an absent list.
+// The seed corpus is the golden document plus four hostile bodies that
+// validate today and would exhaust memory or time if run; the target never
+// runs a spec.
+func FuzzParseScenario(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "scenario_grid.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	const grid = `"topology":{"kind":"grid","rows":4,"cols":4,"step_m":30},"horizon_sec":0.2`
+	for _, body := range []string{
+		`{` + grid + `,"traffic":{"kind":"poisson","rate_pps":1e18}}`,
+		`{` + grid + `,"traffic":{"kind":"poisson","load":0.5},"channels":1000000000}`,
+		`{"topology":{"kind":"uniform","nodes":200000,"side_m":100000},"traffic":{"kind":"poisson","load":0.5},"horizon_sec":0.2}`,
+		`{` + grid + `,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"waypoint","speed_mps":1e300}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec ScenarioSpec
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		verr := spec.Validate()
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("decoded spec does not encode: %v", err)
+		}
+		var again ScenarioSpec
+		if err := json.Unmarshal(enc, &again); err != nil {
+			t.Fatalf("re-encoded spec %s does not decode: %v", enc, err)
+		}
+		enc2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the document:\n%s\n%s", enc, enc2)
+		}
+		if verr2 := again.Validate(); fmt.Sprint(verr) != fmt.Sprint(verr2) {
+			t.Fatalf("validation differs after the round trip: %v, then %v", verr, verr2)
+		}
+	})
 }

@@ -31,7 +31,6 @@ import (
 	"scream/internal/core"
 	"scream/internal/des"
 	"scream/internal/exp"
-	"scream/internal/mote"
 	"scream/internal/phys"
 	"scream/internal/sched"
 	"scream/internal/stats"
@@ -58,10 +57,6 @@ type (
 	Backend = core.Backend
 	// SimTime is simulated time in nanoseconds.
 	SimTime = des.Time
-	// MoteConfig parameterizes the Mica2 SCREAM experiment (Section V).
-	MoteConfig = mote.Config
-	// MoteResult is the mote experiment outcome.
-	MoteResult = mote.Result
 	// Figure is a set of named measurement series with axes.
 	Figure = stats.Figure
 	// ExperimentOptions scales the figure-regeneration harness: Seeds per
@@ -97,13 +92,6 @@ const (
 // DefaultTiming returns the evaluation's slot timing model: 15-byte SCREAMs
 // at 54 Mb/s, 1000-byte data packets, 14-byte ACKs, 1 us clock skew bound.
 func DefaultTiming() Timing { return core.DefaultTiming() }
-
-// DefaultMoteConfig returns the Section V mote-experiment setup for a given
-// SCREAM size in bytes.
-func DefaultMoteConfig(smBytes int) MoteConfig { return mote.DefaultConfig(smBytes) }
-
-// RunMoteExperiment executes the Mica2 SCREAM-detection experiment.
-func RunMoteExperiment(cfg MoteConfig) (*MoteResult, error) { return mote.Run(cfg) }
 
 // LinearLength returns the serialized schedule length for the given demands.
 func LinearLength(demands []int) int { return sched.LinearLength(demands) }

@@ -226,18 +226,6 @@ func TestMeshLeaderElect(t *testing.T) {
 	}
 }
 
-func TestMoteFacade(t *testing.T) {
-	cfg := DefaultMoteConfig(24)
-	cfg.Screams = 50
-	res, err := RunMoteExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ErrorPercent > 10 {
-		t.Errorf("24-byte mote error = %.1f%%", res.ErrorPercent)
-	}
-}
-
 func TestHelpers(t *testing.T) {
 	if LinearLength([]int{2, 3}) != 5 {
 		t.Error("LinearLength broken")
