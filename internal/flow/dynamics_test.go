@@ -35,7 +35,12 @@ func dynTestbed(t testing.TB, tb *testbed, cfg dynam.Config) (*testbed, *dynam.W
 // subtrees — the most disruptive non-gateway failure burst the forest
 // offers.
 func burstVictims(f *route.Forest, count int) []int {
-	children := f.Children()
+	children := make([][]int, f.NumNodes())
+	for u := range children {
+		if l, ok := f.EdgeOf(u); ok {
+			children[l.To] = append(children[l.To], u)
+		}
+	}
 	size := make([]int, f.NumNodes())
 	// Subtree sizes by decreasing depth.
 	maxD := 0

@@ -20,8 +20,16 @@
 //     *data phases* that drain the queues slot by slot according to the
 //     produced schedule;
 //   - a metrics layer: delivered goodput, per-packet end-to-end delay
-//     percentiles (one in-place sort per run), peak backlog and
-//     control-overhead fraction.
+//     percentiles (selected in place once per run, not sorted), peak
+//     backlog and control-overhead fraction.
+//
+// A queue stores 8-byte words in fixed-size blocks that one pool per run
+// hands out and takes back (queue.go). A packet whose created and enqueued
+// times are equal, as every own arrival's are, is one word, its time; a
+// relayed packet is two, ^created then enqueued. Times are never negative,
+// so a packet's first word says which kind it is, and both decode to
+// exactly the packet pushed, in push order: how a queue is stored changes
+// no queue, delay, counter or trace, only the bytes a saturated run holds.
 //
 // Runs are deterministic: all randomness derives from Config.Seed and the
 // epoch driver is sequential. Arrivals need no event per packet: an arrival
@@ -280,61 +288,12 @@ type Result struct {
 	PeakBacklogDuringOutage int
 }
 
-// packet is one end-to-end data unit moving through the queue network.
-type packet struct {
-	created  des.Time // arrival at the source
-	enqueued des.Time // arrival at the current queue (eligibility gate)
-}
-
-// fifo is a ring-buffer FIFO. Its capacity is zero or a power of two,
-// doubling from 1 when a push finds it full, so a queue holds at most twice
-// its peak occupancy and a push stores one pointer-free packet, never a
-// slice header.
-type fifo struct {
-	buf  []packet
-	head int // index of the oldest packet
-	n    int // packets queued
-}
-
-func (q *fifo) len() int     { return q.n }
-func (q *fifo) peek() packet { return q.buf[q.head] }
-
-func (q *fifo) push(p packet) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
-	q.n++
-}
-
-func (q *fifo) pop() packet {
-	p := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return p
-}
-
-// grow doubles the full ring, unwrapping it to the front of the new buffer.
-func (q *fifo) grow() {
-	buf := make([]packet, max(1, 2*len(q.buf)))
-	k := copy(buf, q.buf[q.head:])
-	copy(buf[k:], q.buf[:q.head])
-	q.buf, q.head = buf, 0
-}
-
-// drop empties the queue (a failed node loses everything it held) and
-// returns how many packets were lost. Capacity is retained for reuse after
-// the node recovers.
-func (q *fifo) drop() int {
-	n := q.n
-	q.head, q.n = 0, 0
-	return n
-}
-
-// plane is one run's data plane: a FIFO per node, the totals every
-// admission updates, and the arrival calendar that feeds the source queues.
+// plane is one run's data plane: a FIFO per node with the pool its blocks
+// come from, the totals every admission updates, and the arrival calendar
+// that feeds the source queues.
 type plane struct {
-	queues   []fifo
+	queues   []queue
+	blocks   pool
 	maxQueue int // per-queue cap, 0 = unbounded
 	// alive is the aliveness vector arrivals consult (nil: every node is
 	// up). It changes only at epoch boundaries, never inside an advance.
@@ -367,7 +326,7 @@ type due struct {
 func (a due) before(b due) bool { return a.at < b.at || a.at == b.at && a.src < b.src }
 
 func newPlane(n, maxQueue int, m *flowObs) *plane {
-	return &plane{queues: make([]fifo, n), maxQueue: maxQueue, m: m}
+	return &plane{queues: make([]queue, n), maxQueue: maxQueue, m: m}
 }
 
 // enqueue admits pk to node u's queue, or drops it at a full queue.
@@ -377,7 +336,7 @@ func (p *plane) enqueue(u int, pk packet) {
 		p.m.dropped.Inc()
 		return
 	}
-	p.queues[u].push(pk)
+	p.queues[u].push(&p.blocks, pk)
 	p.backlog++
 	if p.backlog > p.peak {
 		p.peak = p.backlog
@@ -627,7 +586,7 @@ func Run(cfg Config) (*Result, error) {
 		res.RecoverEvents += len(chg.Recovered)
 		res.MoveEvents += len(chg.Moved)
 		for _, u := range chg.Failed {
-			lost := pl.queues[u].drop()
+			lost := pl.queues[u].drop(&pl.blocks)
 			res.LostOnFailure += lost
 			m.lostOnFailure.Add(int64(lost))
 			pl.backlog -= lost
@@ -871,7 +830,7 @@ func Run(cfg Config) (*Result, error) {
 					if q.len() == 0 || q.peek().enqueued > t0 {
 						continue // allocation outran the queue; idle slot share
 					}
-					p := q.pop()
+					p := q.pop(&pl.blocks)
 					pl.backlog--
 					res.Transmissions++
 					m.transmissions.Inc()
@@ -938,9 +897,10 @@ func Run(cfg Config) (*Result, error) {
 	m.backlogPeak.Max(int64(pl.peak))
 	res.PeakBacklogDuringOutage = peakOutage
 	if delay.N() > 0 {
-		// The mean sums in delivery order, so read it before the sort.
+		// The mean sums in delivery order, so read it before the selection
+		// reorders the sample.
 		res.DelayMean = des.FromSeconds(delay.Mean())
-		q := delay.SortedPercentiles(50, 95)
+		q := delay.Percentiles(50, 95)
 		res.DelayP50 = des.FromSeconds(q[0])
 		res.DelayP95 = des.FromSeconds(q[1])
 	}

@@ -501,15 +501,18 @@ func TestFlowIdlesWhenSilent(t *testing.T) {
 }
 
 func TestFifo(t *testing.T) {
-	var q fifo
+	var (
+		bp pool
+		q  queue
+	)
 	for i := 0; i < 500; i++ {
-		q.push(packet{created: des.Time(i)})
+		q.push(&bp, packet{created: des.Time(i)})
 	}
 	for i := 0; i < 500; i++ {
 		if q.len() != 500-i {
 			t.Fatalf("len = %d, want %d", q.len(), 500-i)
 		}
-		if p := q.pop(); p.created != des.Time(i) {
+		if p := q.pop(&bp); p.created != des.Time(i) {
 			t.Fatalf("pop %d: got %v, want FIFO order", i, p.created)
 		}
 	}

@@ -2,22 +2,57 @@ package flow
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"scream/internal/des"
 	"scream/internal/traffic"
 )
 
+// words returns q's words, oldest first, and the number of blocks holding
+// them, without disturbing q.
+func words(q *queue) (ws []des.Time, held int) {
+	for b := q.head; b != nil; b = b.next {
+		lo, hi := 0, len(b.w)
+		if b == q.head {
+			lo = q.r
+		}
+		if b == q.tail {
+			hi = q.w
+		}
+		ws = append(ws, b.w[lo:hi]...)
+		held++
+		if b == q.tail {
+			break
+		}
+	}
+	return ws, held
+}
+
 // queued returns q's packets, oldest first, without disturbing q.
-func queued(q *fifo) []packet {
-	out := make([]packet, q.len())
-	for i := range out {
-		out[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+func queued(q *queue) []packet {
+	ws, _ := words(q)
+	out := make([]packet, 0, q.len())
+	for i := 0; i < len(ws); i++ {
+		if x := ws[i]; x >= 0 {
+			out = append(out, packet{created: x, enqueued: x})
+		} else {
+			i++
+			out = append(out, packet{created: ^x, enqueued: ws[i]})
+		}
 	}
 	return out
+}
+
+// freeBlocks counts the blocks on p's free list.
+func (p *pool) freeBlocks() int {
+	n := 0
+	for b := p.free; b != nil; b = b.next {
+		n++
+	}
+	return n
 }
 
 // refSchedule drives p's arrivals the way the event-per-arrival driver did:
@@ -166,8 +201,8 @@ func checkCalendar(t *testing.T, mix arrivalMix, n, maxQueue int, seed int64, ho
 		for i := rng.Intn(4); i > 0; i-- {
 			u := 1 + rng.Intn(n-1)
 			for k := rng.Intn(4); k > 0 && cal.queues[u].len() > 0; k-- {
-				cal.queues[u].pop()
-				ref.queues[u].pop()
+				cal.queues[u].pop(&cal.blocks)
+				ref.queues[u].pop(&ref.blocks)
 				cal.backlog--
 				ref.backlog--
 			}
@@ -205,29 +240,144 @@ func comparePlanes(t *testing.T, cal, ref *plane, at string) {
 	}
 }
 
-// TestFifoCompaction checks the ring's observable invariants: FIFO order
-// across wrap-around and growth, capacity bounded by the next power of two
-// at or above the peak occupancy, and drop leaving an empty, usable queue.
+// TestTinyRatesOfferNothing: sources at 1e-12 pps draw their first arrival
+// about 30,000 years out, past the largest des.Time. Over 1 ms they must
+// offer nothing, not wrap to one packet per tick.
+func TestTinyRatesOfferNothing(t *testing.T) {
+	cbr, err := traffic.NewCBR(1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisson, err := traffic.NewPoisson(1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursty, err := traffic.NewBursty(1e-12, 10*des.Microsecond, 10*des.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newFlowObs(nil)
+	p := newPlane(4, 0, &m)
+	p.schedule([]traffic.Arrival{nil, cbr, poisson, bursty}, 1, des.Millisecond)
+	p.advance(des.Millisecond)
+	if p.offered != 0 || len(p.due) != 0 {
+		t.Errorf("offered %d packets, %d sources still on the calendar; want none", p.offered, len(p.due))
+	}
+}
+
+// TestQueueMatchesSliceFIFO drives the block queue and a slice-backed
+// reference FIFO through the same random own pushes, relay pushes (many of
+// them straddling a block end), pops, drops and a queue cap, and compares
+// every popped packet and every length. Each queue's blocks must also
+// account for every block the pool allocated.
+func TestQueueMatchesSliceFIFO(t *testing.T) {
+	const nq = 3
+	rng := rand.New(rand.NewSource(22))
+	var (
+		p        pool
+		qs       [nq]queue
+		ref      [nq][]packet
+		clock    des.Time
+		straddle int
+		popped   int
+	)
+	for step := 0; step < 300000; step++ {
+		u := rng.Intn(nq)
+		q := &qs[u]
+		capped := u == 0 && q.len() >= 40 // node 0 runs at a cap
+		switch k := rng.Intn(100); {
+		case k < 55 && !capped:
+			clock += des.Time(rng.Intn(3))
+			pk := packet{created: clock, enqueued: clock}
+			if rng.Intn(3) == 0 && clock > 0 {
+				// A relay: created earlier, enqueued now, two words.
+				pk.created = des.Time(rng.Int63n(int64(clock)))
+				if q.tail != nil && q.w == len(q.tail.w)-1 {
+					straddle++
+				}
+			}
+			q.push(&p, pk)
+			ref[u] = append(ref[u], pk)
+		case k < 99 && q.len() > 0:
+			if got, want := q.peek(), ref[u][0]; got != want {
+				t.Fatalf("step %d: queue %d peek = %v, want %v", step, u, got, want)
+			}
+			if got, want := q.pop(&p), ref[u][0]; got != want {
+				t.Fatalf("step %d: queue %d pop = %v, want %v", step, u, got, want)
+			}
+			ref[u] = ref[u][1:]
+			popped++
+		case k == 99:
+			if got := q.drop(&p); got != len(ref[u]) {
+				t.Fatalf("step %d: queue %d drop = %d, want %d", step, u, got, len(ref[u]))
+			}
+			ref[u] = ref[u][:0]
+		}
+		if q.len() != len(ref[u]) {
+			t.Fatalf("step %d: queue %d len = %d, want %d", step, u, q.len(), len(ref[u]))
+		}
+	}
+	held := 0
+	for u := range qs {
+		if got := queued(&qs[u]); !slices.Equal(got, ref[u]) {
+			t.Errorf("queue %d holds %v, want %v", u, got, ref[u])
+		}
+		_, h := words(&qs[u])
+		held += h
+	}
+	// The slabs hold 1, 2, 4, ... maxSlab, maxSlab, ... blocks.
+	allocated := 0
+	for s := 1; allocated < held+p.freeBlocks(); s = min(2*s, maxSlab) {
+		allocated += s
+	}
+	if total := held + p.freeBlocks(); total != allocated {
+		t.Errorf("%d blocks held + %d free is not a whole number of slabs", held, p.freeBlocks())
+	}
+	if straddle < 100 || popped < 100000 {
+		t.Fatalf("%d straddling relays, %d pops: the walk did not exercise the queue", straddle, popped)
+	}
+}
+
+// TestFifoCompaction checks the block queue's observable invariants: FIFO
+// order across block ends, a bound on the blocks held (every block but the
+// head and the tail is full, and those two hold a word each), and drop
+// leaving an empty, usable queue whose blocks the pool reuses.
 func TestFifoCompaction(t *testing.T) {
-	var q fifo
+	var (
+		p pool
+		q queue
+	)
 	rng := rand.New(rand.NewSource(1))
 	var pushed, popped des.Time
 	peak := 0
 	for i := 0; i < 200000; i++ {
-		// Random walk of the occupancy, so the head wraps at every size.
+		// Random walk of the occupancy, so the head crosses block ends at
+		// every size; every third packet is a two-word relay.
 		if q.len() == 0 || rng.Intn(100) < 51 && q.len() < 300 {
-			q.push(packet{created: pushed, enqueued: -pushed})
+			pk := packet{created: pushed, enqueued: pushed}
+			if pushed%3 == 0 {
+				pk.enqueued = 2 * pushed
+			}
+			q.push(&p, pk)
 			pushed++
 			peak = max(peak, q.len())
 		} else {
-			p := q.pop()
-			if p.created != popped || p.enqueued != -popped {
-				t.Fatalf("pop %d returned packet %v: FIFO order broken", popped, p)
+			pk := q.pop(&p)
+			want := packet{created: popped, enqueued: popped}
+			if popped%3 == 0 {
+				want.enqueued = 2 * popped
+			}
+			if pk != want {
+				t.Fatalf("pop %d returned packet %v: FIFO order broken", popped, pk)
 			}
 			popped++
 		}
-		if c := len(q.buf); c > 1<<bits.Len(uint(peak-1)) {
-			t.Fatalf("capacity %d exceeds the next power of two above peak %d", c, peak)
+		ws, held := words(&q)
+		switch {
+		case len(ws) == 0 && held != 0:
+			t.Fatalf("empty queue holds %d blocks", held)
+		case held >= 2 && len(ws) < (held-2)*(blockWords-1)+2:
+			t.Fatalf("%d words in %d blocks: a block other than the head and the tail is not full", len(ws), held)
 		}
 	}
 	if pushed-popped != des.Time(q.len()) {
@@ -237,38 +387,50 @@ func TestFifoCompaction(t *testing.T) {
 		t.Fatalf("peak occupancy %d: the walk did not exercise growth", peak)
 	}
 
-	capBefore := len(q.buf)
-	if n := q.drop(); n != int(pushed-popped) {
+	_, held := words(&q)
+	free := p.freeBlocks()
+	if n := q.drop(&p); n != int(pushed-popped) {
 		t.Fatalf("drop returned %d, want %d", n, pushed-popped)
 	}
-	if q.len() != 0 {
+	if q.len() != 0 || q.head != nil {
 		t.Fatal("drop left packets behind")
 	}
-	if len(q.buf) != capBefore {
-		t.Fatalf("drop changed capacity %d -> %d", capBefore, len(q.buf))
+	if got := p.freeBlocks(); got != free+held {
+		t.Fatalf("drop returned %d blocks to the pool, want %d", got-free, held)
 	}
-	for i := 0; i < 3*capBefore; i++ {
-		q.push(packet{created: des.Time(i)})
-		if p := q.pop(); p.created != des.Time(i) {
-			t.Fatalf("after drop: pop returned %v, want %d", p.created, i)
+	total := free + held
+	for i := 0; i < 3*blockWords; i++ {
+		q.push(&p, packet{created: des.Time(i), enqueued: des.Time(i)})
+		if pk := q.pop(&p); pk.created != des.Time(i) {
+			t.Fatalf("after drop: pop returned %v, want %d", pk.created, i)
 		}
 	}
-	q.push(packet{created: 7})
+	q.push(&p, packet{created: 7, enqueued: 7})
 	if q.len() != 1 || q.peek().created != 7 {
 		t.Fatal("queue unusable after drop")
 	}
+	if got := p.freeBlocks() + 1; got != total {
+		t.Fatalf("pool grew from %d to %d blocks after drop", total, got)
+	}
 }
 
-// TestRingAllocatesNothing: at steady state — capacity already grown to the
-// occupancy — push and pop allocate nothing.
-func TestRingAllocatesNothing(t *testing.T) {
-	var q fifo
+// TestQueueAllocatesNothing: at steady state, once the pool holds the
+// blocks the occupancy needs, push and pop allocate nothing.
+func TestQueueAllocatesNothing(t *testing.T) {
+	var (
+		p pool
+		q queue
+	)
 	for i := 0; i < 100; i++ {
-		q.push(packet{})
+		q.push(&p, packet{})
 	}
+	var clock des.Time
 	if allocs := testing.AllocsPerRun(1000, func() {
-		q.push(packet{})
-		q.pop()
+		clock++
+		q.push(&p, packet{created: clock, enqueued: clock})
+		q.push(&p, packet{created: clock, enqueued: clock + 1})
+		q.pop(&p)
+		q.pop(&p)
 	}); allocs != 0 {
 		t.Errorf("push + pop: %v allocs/op, want 0", allocs)
 	}
@@ -276,7 +438,8 @@ func TestRingAllocatesNothing(t *testing.T) {
 
 // TestAdvanceAllocatesNothing: once the source queues have grown to their
 // cap, advancing the calendar — draws, admissions, drops and heap fixes —
-// allocates nothing.
+// allocates nothing. Each round serves one packet per non-empty queue and
+// advances far enough for every source to refill its queue past the cap.
 func TestAdvanceAllocatesNothing(t *testing.T) {
 	const n, maxQueue = 9, 16
 	m := newFlowObs(nil)
@@ -289,19 +452,21 @@ func TestAdvanceAllocatesNothing(t *testing.T) {
 			t.Fatalf("node %d queue holds %d, want the cap %d", u, p.queues[u].len(), maxQueue)
 		}
 	}
-	offered := p.offered
+	offered, dropped := p.offered, p.dropped
 	allocs := testing.AllocsPerRun(200, func() {
 		for u := 1; u < n; u++ {
-			p.queues[u].pop()
-			p.backlog--
+			if p.queues[u].len() > 0 {
+				p.queues[u].pop(&p.blocks)
+				p.backlog--
+			}
 		}
-		now += 5 * des.Microsecond
+		now += 200 * des.Microsecond
 		p.advance(now)
 	})
 	if allocs != 0 {
 		t.Errorf("advance: %v allocs/op, want 0", allocs)
 	}
-	if p.offered == offered {
-		t.Fatal("no arrivals during the measured advances")
+	if p.offered == offered || p.dropped == dropped {
+		t.Fatal("no arrivals or no cap drops during the measured advances")
 	}
 }

@@ -186,21 +186,6 @@ func (c *Channel) LinkUp(u, v int) bool {
 	return c.SNR(u, v) >= c.beta
 }
 
-// AggregatePowerMW returns the total power received at node rx when every
-// node in senders transmits simultaneously. rx itself is skipped if present
-// in senders (a node does not hear its own signal as channel activity for
-// carrier-sensing purposes — it knows it is transmitting).
-func (c *Channel) AggregatePowerMW(rx int, senders []int) float64 {
-	sum := 0.0
-	for _, s := range senders {
-		if s == rx {
-			continue
-		}
-		sum += c.RxPowerMW(s, rx)
-	}
-	return sum
-}
-
 // BuildGainMatrix evaluates a path loss model over node positions given as
 // pairwise distances, producing the symmetric gain matrix. shadowDB, when
 // non-nil, supplies a symmetric per-pair shadowing term in dB that is added

@@ -12,9 +12,6 @@ type Link struct {
 // String implements fmt.Stringer.
 func (l Link) String() string { return fmt.Sprintf("%d->%d", l.From, l.To) }
 
-// Reverse returns the link with endpoints swapped.
-func (l Link) Reverse() Link { return Link{From: l.To, To: l.From} }
-
 // SharesEndpoint reports whether two links have a node in common. Links that
 // share an endpoint can never be scheduled in the same slot: radios are
 // half-duplex and single-channel, so a node cannot take part in two

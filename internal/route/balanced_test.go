@@ -74,7 +74,7 @@ func TestBalancedForestImprovesGatewayBalance(t *testing.T) {
 // maxGatewayLoad returns the largest total demand entering any single
 // gateway: the balance metric BuildForestBalanced minimizes greedily.
 func maxGatewayLoad(f *Forest, agg []int) int {
-	children := f.Children()
+	children := f.children()
 	max := 0
 	for _, g := range f.Gateways() {
 		total := 0
@@ -105,7 +105,7 @@ func TestBalancedForestFlowConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := 0
-	for _, c := range f.Children()[12] {
+	for _, c := range f.children()[12] {
 		in += agg[c]
 	}
 	for u := 0; u < 25; u++ {

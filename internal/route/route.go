@@ -155,17 +155,6 @@ func (f *Forest) Links() []phys.Link {
 	return links
 }
 
-// Children returns the children lists of every node.
-func (f *Forest) Children() [][]int {
-	ch := make([][]int, len(f.parent))
-	for u, p := range f.parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], u)
-		}
-	}
-	return ch
-}
-
 // AggregateDemand returns, for each node u, the demand on u's upstream edge:
 // the sum of nodeDemand over the subtree rooted at u. Gateways aggregate to
 // zero (they own no edge; their generated demand, if any, needs no wireless

@@ -178,13 +178,25 @@ func TestEdgeOfAndLinks(t *testing.T) {
 	}
 }
 
+// children returns the children lists of every node, the oracle the
+// aggregation tests check subtree sums against.
+func (f *Forest) children() [][]int {
+	ch := make([][]int, len(f.parent))
+	for u, p := range f.parent {
+		if p >= 0 {
+			ch[p] = append(ch[p], u)
+		}
+	}
+	return ch
+}
+
 func TestChildren(t *testing.T) {
 	g := gridGraph(1, 4) // path 0-1-2-3
 	f, err := BuildForest(g, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := f.Children()
+	ch := f.children()
 	if len(ch[0]) != 1 || ch[0][0] != 1 {
 		t.Errorf("children of 0 = %v", ch[0])
 	}
@@ -279,7 +291,7 @@ func TestAggregateConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := f.Children()
+	ch := f.children()
 	for _, gw := range f.Gateways() {
 		in := 0
 		for _, c := range ch[gw] {

@@ -136,7 +136,7 @@ func randomInstance(topoKind string, numLinks, maxDemand int, seed int64) (*inst
 		}
 		l := phys.Link{From: e.u, To: e.v}
 		if rng.Intn(2) == 0 {
-			l = l.Reverse()
+			l = phys.Link{From: l.To, To: l.From}
 		}
 		if !net.Channel.FeasibleSet([]phys.Link{l}) {
 			continue

@@ -190,7 +190,7 @@ func TestGreedyWithinSmallFactorOfOptimal(t *testing.T) {
 			}
 			dir := phys.Link{From: a, To: a + 1}
 			if rng.Intn(2) == 0 {
-				dir = dir.Reverse()
+				dir = phys.Link{From: dir.To, To: dir.From}
 			}
 			links = append(links, dir)
 			used[a], used[a+1] = true, true

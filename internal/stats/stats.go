@@ -6,6 +6,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -55,42 +56,120 @@ func (s *Sample) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// SortedPercentiles returns the p-th percentile (0 <= p <= 100, linear
-// interpolation between closest ranks) for each p from one in-place sort of
-// the observations, without copying them (0s for an empty sample). The
-// sort reorders the sample, so Mean, an insertion-order sum, may change in
-// its last bits afterwards: read it first when the result must match an
-// unsorted Mean exactly.
-func (s *Sample) SortedPercentiles(ps ...float64) []float64 {
+// Percentiles returns the p-th percentile (0 <= p <= 100, linear
+// interpolation between closest ranks) for each p, or 0s for an empty
+// sample. Instead of sorting, it selects in place just the order statistics
+// the ps read, in ascending rank, each among the observations above the
+// last, so the values equal, bit for bit, percentileSorted on a sorted copy.
+// The selection reorders the sample, so Mean, an insertion-order sum, may
+// change in its last bits afterwards: read it first when the result must
+// match an unsorted Mean exactly.
+func (s *Sample) Percentiles(ps ...float64) []float64 {
 	out := make([]float64, len(ps))
-	if len(s.xs) == 0 {
+	n := len(s.xs)
+	if n == 0 {
 		return out
 	}
-	sort.Float64s(s.xs)
+	// Every rank below from that a p reads holds its sorted value, and no
+	// value in s.xs[from:] is smaller than one before it.
+	for from := 0; ; {
+		k := n
+		for _, p := range ps {
+			lo, hi, _ := ranks(p, n)
+			for _, r := range [2]int{lo, hi} {
+				if r >= from && r < k {
+					k = r
+				}
+			}
+		}
+		if k == n {
+			break
+		}
+		from += selectRank(s.xs[from:], k-from)
+	}
 	for i, p := range ps {
 		out[i] = percentileSorted(s.xs, p)
 	}
 	return out
 }
 
-// percentileSorted interpolates the p-th percentile of a non-empty,
-// ascending sample (see Percentile).
-func percentileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
+// ranks returns the two neighbouring ranks whose values the p-th percentile
+// of n observations interpolates, and the weight of the upper one.
+func ranks(p float64, n int) (lo, hi int, frac float64) {
 	if p <= 0 {
-		return sorted[0]
+		return 0, 0, 0
 	}
 	if p >= 100 {
-		return sorted[n-1]
+		return n - 1, n - 1, 0
 	}
 	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo = int(math.Floor(rank))
+	return lo, int(math.Ceil(rank)), rank - float64(lo)
+}
+
+// percentileSorted interpolates the p-th percentile of a non-empty sample
+// that holds, at the ranks p reads, the values an ascending sort puts there.
+func percentileSorted(sorted []float64, p float64) float64 {
+	lo, hi, frac := ranks(p, len(sorted))
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// less is sort.Float64s's order: ascending, NaNs first.
+func less(a, b float64) bool { return a < b || a != a && b == b }
+
+// selectRank reorders xs so that xs[k] holds the value an ascending sort
+// puts there, with no larger value before it and no smaller one after, and
+// returns an end > k such that xs[k:end] all hold their sorted values and
+// none after is smaller. It is a quickselect with a median-of-three pivot
+// and a three-way partition, so the copies of a tied value settle in one
+// step and end covers them all; past 2·log2(n) rounds it sorts what is
+// left, which bounds the worst case at O(n log n).
+func selectRank(xs []float64, k int) (end int) {
+	off := 0 // xs is the part of the caller's slice from off on
+	for budget := 2 * bits.Len(uint(len(xs))); len(xs) > 1; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs)
+			return off + len(xs)
+		}
+		a, b, c := xs[0], xs[len(xs)/2], xs[len(xs)-1]
+		if less(b, a) {
+			a, b = b, a
+		}
+		if less(c, b) {
+			b = c
+			if less(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// xs[:lt] < pivot, xs[lt:i] == pivot, xs[gt:] > pivot.
+		lt, i, gt := 0, 0, len(xs)
+		for i < gt {
+			switch x := xs[i]; {
+			case less(x, pivot):
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case less(pivot, x):
+				gt--
+				xs[i], xs[gt] = xs[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			xs = xs[:lt]
+		case k >= gt:
+			xs, k, off = xs[gt:], k-gt, off+gt
+		default:
+			return off + gt
+		}
+	}
+	return off + k + 1
 }
 
 // CI95 returns the half-width of the 95% confidence interval for the mean

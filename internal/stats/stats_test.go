@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -305,11 +306,31 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-// TestSortedPercentilesMatchPercentile: the one-sort summary gives, bit for
-// bit, the copy-and-sort Percentile at every p, on random samples with heavy
-// ties, and a Mean read before it equals the untouched sample's.
-func TestSortedPercentilesMatchPercentile(t *testing.T) {
+// TestPercentilesMatchSortedCopy: the selected percentiles equal, bit for
+// bit, percentileSorted on a sorted copy at every p — on random samples with
+// heavy ties, on n = 1, 2 and 3, and at ranks that fall exactly on an
+// element — and a Mean read before them equals the untouched sample's.
+func TestPercentilesMatchSortedCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	check := func(name string, xs []float64, ps ...float64) {
+		t.Helper()
+		s := sampleOf(xs)
+		ref := sortedCopy(xs)
+		mean := s.Mean()
+		got := s.Percentiles(ps...)
+		if math.Float64bits(mean) != math.Float64bits(sampleOf(xs).Mean()) {
+			t.Fatalf("%s: mean read first %v, untouched sample %v", name, mean, sampleOf(xs).Mean())
+		}
+		if len(got) != len(ps) || s.N() != len(xs) {
+			t.Fatalf("%s: %d percentiles for %d ps, N %d for %d observations", name, len(got), len(ps), s.N(), len(xs))
+		}
+		for i, p := range ps {
+			if want := percentileSorted(ref, p); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s (n=%d): p%v = %v, sorted copy %v", name, len(xs), p, got[i], want)
+			}
+		}
+	}
+	// Random samples with heavy ties, in random and in reversed p order.
 	ps := []float64{0, 0.1, 50, 95, 99.9, 100}
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.Intn(300)
@@ -317,28 +338,83 @@ func TestSortedPercentilesMatchPercentile(t *testing.T) {
 		for i := range values {
 			values[i] = rng.ExpFloat64() * 1e-3
 		}
-		ref, s := NewSample(n), NewSample(n)
-		for i := 0; i < n; i++ {
-			x := values[rng.Intn(len(values))]
-			ref.Add(x)
-			s.Add(x)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = values[rng.Intn(len(values))]
 		}
-		mean := s.Mean()
-		got := s.SortedPercentiles(ps...)
-		if math.Float64bits(mean) != math.Float64bits(ref.Mean()) {
-			t.Fatalf("trial %d: mean read first %v, untouched sample %v", trial, mean, ref.Mean())
-		}
-		if len(got) != len(ps) || s.N() != n {
-			t.Fatalf("trial %d: %d percentiles for %d ps, N %d for %d observations", trial, len(got), len(ps), s.N(), n)
-		}
-		for i, p := range ps {
-			if want := ref.percentile(p); math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("trial %d (n=%d): p%v = %v, Percentile %v", trial, n, p, got[i], want)
+		check(fmt.Sprintf("trial %d", trial), xs, ps...)
+		check(fmt.Sprintf("trial %d reversed", trial), xs, 100, 95, 50, 0.1)
+		check(fmt.Sprintf("trial %d p50,p95", trial), xs, 50, 95)
+	}
+	// Distinct values, large enough for many partition rounds.
+	xs := make([]float64, 5000)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+	}
+	check("distinct", xs, 50, 95)
+	check("ascending", sortedCopy(xs), 50, 95)
+	// n = 1, 2, 3, every permutation of distinct and tied values.
+	for _, xs := range [][]float64{
+		{7}, {1, 2}, {2, 1}, {3, 3},
+		{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1}, {2, 2, 1}, {1, 2, 1},
+	} {
+		check(fmt.Sprint(xs), xs, 0, 25, 50, 75, 95, 100)
+	}
+	// Ranks exactly on an element: p50 of odd n, p25 and p75 of n = 5,
+	// p95 of n = 21 (rank 19).
+	check("exact odd median", []float64{5, 1, 4, 2, 3}, 25, 50, 75)
+	check("exact p95", []float64{20, 3, 19, 1, 18, 5, 17, 2, 16, 4, 15, 6, 14, 7, 13, 8, 12, 9, 11, 10, 0}, 95, 50)
+
+	if got := NewSample(0).Percentiles(50, 95); got[0] != 0 || got[1] != 0 {
+		t.Errorf("empty sample: %v, want zeros", got)
+	}
+}
+
+// sampleOf returns a sample holding xs, in order.
+func sampleOf(xs []float64) *Sample {
+	s := NewSample(len(xs))
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s
+}
+
+func sortedCopy(xs []float64) []float64 {
+	ys := slices.Clone(xs)
+	sort.Float64s(ys)
+	return ys
+}
+
+// TestSelectRankOrganPipe: on an organ-pipe sequence, a bad case for
+// median-of-three pivots, and on heavy ties, selectRank puts the sorted
+// value at every rank tried and at every rank up to the end it returns,
+// with no value on the wrong side of them.
+func TestSelectRankOrganPipe(t *testing.T) {
+	const n = 4096
+	pipe, ties := make([]float64, n), make([]float64, n)
+	for i := range pipe {
+		pipe[i] = float64(min(i, n-1-i))
+		ties[i] = float64(i * 7 % 5)
+	}
+	for _, xs := range [][]float64{pipe, ties} {
+		ref := sortedCopy(xs)
+		for _, k := range []int{0, 1, n / 2, n - 2, n - 1} {
+			ys := slices.Clone(xs)
+			end := selectRank(ys, k)
+			if end <= k || end > n {
+				t.Fatalf("rank %d: end %d", k, end)
+			}
+			for i := k; i < end; i++ {
+				if ys[i] != ref[i] {
+					t.Fatalf("rank %d (end %d): xs[%d] = %v, sorted %v", k, end, i, ys[i], ref[i])
+				}
+			}
+			for i := range ys {
+				if i < k && ys[i] > ys[k] || i >= end && ys[i] < ys[end-1] {
+					t.Fatalf("rank %d (end %d): xs[%d] = %v on the wrong side", k, end, i, ys[i])
+				}
 			}
 		}
-	}
-	if got := NewSample(0).SortedPercentiles(50, 95); got[0] != 0 || got[1] != 0 {
-		t.Errorf("empty sample: %v, want zeros", got)
 	}
 }
 

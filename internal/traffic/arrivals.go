@@ -9,6 +9,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"scream/internal/des"
@@ -22,6 +23,25 @@ type Arrival interface {
 	Next(now des.Time, rng *rand.Rand) des.Time
 }
 
+// toTime converts ns nanoseconds to a des.Time as a plain conversion does,
+// except that a value too large for one becomes the largest des.Time
+// instead of wrapping. That time (2^63 ns, about 292 years) lies past any
+// horizon, so a source whose draw saturates stops there.
+func toTime(ns float64) des.Time {
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return des.Time(ns)
+}
+
+// after returns now + d for d > 0, saturating like toTime.
+func after(now, d des.Time) des.Time {
+	if d > math.MaxInt64-now {
+		return math.MaxInt64
+	}
+	return now + d
+}
+
 // CBR is a constant-bit-rate source: one packet every Interval, jitter-free.
 type CBR struct {
 	Interval des.Time
@@ -32,7 +52,7 @@ func NewCBR(rate float64) (*CBR, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("traffic: CBR rate must be positive, got %v", rate)
 	}
-	return &CBR{Interval: des.FromSeconds(1 / rate)}, nil
+	return &CBR{Interval: toTime(1 / rate * float64(des.Second))}, nil
 }
 
 // Next implements Arrival.
@@ -40,7 +60,7 @@ func (c *CBR) Next(now des.Time, _ *rand.Rand) des.Time {
 	if c.Interval <= 0 {
 		return now + 1
 	}
-	return now + c.Interval
+	return after(now, c.Interval)
 }
 
 // Poisson is a memoryless source: exponential interarrivals at Rate packets
@@ -59,11 +79,11 @@ func NewPoisson(rate float64) (*Poisson, error) {
 
 // Next implements Arrival.
 func (p *Poisson) Next(now des.Time, rng *rand.Rand) des.Time {
-	dt := des.FromSeconds(rng.ExpFloat64() / p.Rate)
+	dt := toTime(rng.ExpFloat64() / p.Rate * float64(des.Second))
 	if dt <= 0 {
 		dt = 1
 	}
-	return now + dt
+	return after(now, dt)
 }
 
 // Bursty is a two-state on/off source (a Markov-modulated Poisson process):
@@ -93,7 +113,7 @@ func NewBursty(peakRate float64, meanOn, meanOff des.Time) (*Bursty, error) {
 }
 
 func expDuration(mean des.Time, rng *rand.Rand) des.Time {
-	d := des.Time(rng.ExpFloat64() * float64(mean))
+	d := toTime(rng.ExpFloat64() * float64(mean))
 	if d <= 0 {
 		d = 1
 	}
@@ -107,21 +127,25 @@ func (b *Bursty) Next(now des.Time, rng *rand.Rand) des.Time {
 	if !b.init {
 		b.init = true
 		b.on = false
-		b.stateEnd = now + expDuration(b.MeanOff, rng)
+		b.stateEnd = after(now, expDuration(b.MeanOff, rng))
 	}
 	t := now
 	for {
 		if b.on {
-			dt := des.FromSeconds(rng.ExpFloat64() / b.PeakRate)
+			dt := toTime(rng.ExpFloat64() / b.PeakRate * float64(des.Second))
 			if dt <= 0 {
 				dt = 1
 			}
-			if t+dt <= b.stateEnd {
-				return t + dt
+			// The ON time before the next arrival is exponential however
+			// it is split over ON periods (the process is memoryless), so
+			// a draw that reaches past the largest des.Time puts the
+			// arrival there, without stepping through every period.
+			if at := after(t, dt); at <= b.stateEnd || at == math.MaxInt64 {
+				return at
 			}
 			t = b.stateEnd
 			b.on = false
-			b.stateEnd = t + expDuration(b.MeanOff, rng)
+			b.stateEnd = after(t, expDuration(b.MeanOff, rng))
 		} else {
 			if b.stateEnd < t {
 				// The caller jumped past the OFF period's end (possible when
@@ -130,7 +154,7 @@ func (b *Bursty) Next(now des.Time, rng *rand.Rand) des.Time {
 			}
 			t = b.stateEnd
 			b.on = true
-			b.stateEnd = t + expDuration(b.MeanOn, rng)
+			b.stateEnd = after(t, expDuration(b.MeanOn, rng))
 		}
 	}
 }

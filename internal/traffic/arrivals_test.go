@@ -89,6 +89,46 @@ func TestCBR(t *testing.T) {
 	}
 }
 
+// TestDrawsSaturate: an arrival past the largest des.Time comes back as
+// the largest des.Time, never as a wrapped value, while an Interval: 0 CBR
+// keeps arriving every tick.
+func TestDrawsSaturate(t *testing.T) {
+	const maxTime = des.Time(math.MaxInt64)
+	rng := rand.New(rand.NewSource(1))
+	c, err := NewCBR(1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Interval != maxTime {
+		t.Errorf("NewCBR(1e-12).Interval = %d, want %d", c.Interval, maxTime)
+	}
+	if got := c.Next(5*des.Second, rng); got != maxTime {
+		t.Errorf("CBR past the end: Next = %d, want %d", got, maxTime)
+	}
+	if got := (&CBR{Interval: maxTime - 3}).Next(10, rng); got != maxTime {
+		t.Errorf("CBR now+Interval overflowing: Next = %d, want %d", got, maxTime)
+	}
+	if got := (&CBR{Interval: 0}).Next(5, rng); got != 6 {
+		t.Errorf("CBR Interval 0: Next = %d, want 6", got)
+	}
+	if got := (&Poisson{Rate: 1e-12}).Next(0, rng); got != maxTime {
+		t.Errorf("Poisson 1e-12: Next = %d, want %d", got, maxTime)
+	}
+	for _, now := range []des.Time{0, des.Second, maxTime - 1} {
+		b := &Bursty{PeakRate: 1e-12, MeanOn: des.Millisecond, MeanOff: des.Millisecond}
+		if got := b.Next(now, rng); got != maxTime {
+			t.Errorf("Bursty 1e-12 from %d: Next = %d, want %d", now, got, maxTime)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		// OFF periods that overrun the clock end it instead of wrapping.
+		b := &Bursty{PeakRate: 1e3, MeanOn: des.Millisecond, MeanOff: maxTime}
+		if now := maxTime / 2; b.Next(now, rng) <= now {
+			t.Fatalf("Bursty with MeanOff %d: Next(%d) wrapped", maxTime, now)
+		}
+	}
+}
+
 func TestPoissonRate(t *testing.T) {
 	if _, err := NewPoisson(0); err == nil {
 		t.Error("zero rate should fail")

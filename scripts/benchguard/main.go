@@ -2,12 +2,13 @@
 // baseline and guards CI against performance regressions.
 //
 // It reads benchmark output on stdin (or -in), extracts ns/op and, from
-// -benchmem runs, allocs/op per benchmark, and writes them as JSON (-out).
-// With -baseline it compares the fresh numbers against the committed file,
-// prints a Markdown delta table (also appended to -summary, e.g.
-// $GITHUB_STEP_SUMMARY), and exits non-zero when any baseline benchmark
-// disappeared, regressed by more than -max-regress in ns/op, or rose by
-// more than maxAllocRegress in allocs/op.
+// -benchmem runs, B/op and allocs/op per benchmark, and writes them as JSON
+// (-out). With -baseline it compares the fresh numbers against the
+// committed file, prints a Markdown delta table (also appended to -summary,
+// e.g. $GITHUB_STEP_SUMMARY), and exits non-zero when any baseline
+// benchmark disappeared, regressed by more than -max-regress in ns/op, or
+// rose by more than maxBytesRegress in B/op or maxAllocRegress in
+// allocs/op.
 //
 // Typical CI usage (scripts/bench_sweep.sh runs the tracked sweep a few
 // times; benchguard keeps each benchmark's minimum, which tames
@@ -36,19 +37,29 @@ import (
 // benchLine matches e.g. "BenchmarkGreedyPhysical64-8   123   456789 ns/op ..."
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-// allocsField matches the allocs/op column -benchmem appends.
-var allocsField = regexp.MustCompile(`\s([0-9]+) allocs/op`)
+// bytesField and allocsField match the B/op and allocs/op columns
+// -benchmem appends.
+var (
+	bytesField  = regexp.MustCompile(`\s([0-9]+) B/op`)
+	allocsField = regexp.MustCompile(`\s([0-9]+) allocs/op`)
+)
 
-// maxAllocRegress is the largest allowed fractional allocs/op rise.
-// Allocation counts are deterministic at -benchtime 1x, up to rare runtime
-// noise that the minimum over repeated sweeps removes, so this gate is tight
-// where the timing gate is a coarse tripwire.
-const maxAllocRegress = 0.01
+// maxAllocRegress and maxBytesRegress are the largest allowed fractional
+// allocs/op and B/op rises. Allocation counts and sizes are deterministic
+// at -benchtime 1x, up to rare runtime noise that the minimum over repeated
+// sweeps removes, so these gates are tight where the timing gate is a
+// coarse tripwire. 3% is the bound BENCHMARK.json puts on bytes_per_run.
+const (
+	maxAllocRegress = 0.01
+	maxBytesRegress = 0.03
+)
 
-// result is one benchmark's numbers. AllocsOp is nil when the input carried
-// no allocs/op column for it (a run without -benchmem).
+// result is one benchmark's numbers. BytesOp and AllocsOp are nil when the
+// input carried no B/op or allocs/op column for it (a run without
+// -benchmem).
 type result struct {
 	NsOp     float64 `json:"ns_op"`
+	BytesOp  *int64  `json:"bytes_op,omitempty"`
 	AllocsOp *int64  `json:"allocs_op,omitempty"`
 }
 
@@ -72,18 +83,32 @@ func parseBench(r io.Reader) (map[string]result, error) {
 		if !seen || ns < cur.NsOp {
 			cur.NsOp = ns
 		}
-		if a := allocsField.FindStringSubmatch(sc.Text()); a != nil {
-			allocs, err := strconv.ParseInt(a[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad allocs/op in %q: %w", sc.Text(), err)
-			}
-			if cur.AllocsOp == nil || allocs < *cur.AllocsOp {
-				cur.AllocsOp = &allocs
-			}
+		if cur.BytesOp, err = minField(bytesField, sc.Text(), cur.BytesOp); err != nil {
+			return nil, err
+		}
+		if cur.AllocsOp, err = minField(allocsField, sc.Text(), cur.AllocsOp); err != nil {
+			return nil, err
 		}
 		out[m[1]] = cur
 	}
 	return out, sc.Err()
+}
+
+// minField returns the smaller of cur and the count re finds in line (cur
+// when line has none).
+func minField(re *regexp.Regexp, line string, cur *int64) (*int64, error) {
+	m := re.FindStringSubmatch(line)
+	if m == nil {
+		return cur, nil
+	}
+	v, err := strconv.ParseInt(m[1], 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("bad count in %q: %w", line, err)
+	}
+	if cur == nil || v < *cur {
+		return &v, nil
+	}
+	return cur, nil
 }
 
 func readJSON(path string) (map[string]result, error) {
@@ -108,12 +133,12 @@ func writeJSON(path string, results map[string]result) error {
 
 // compare renders the delta table and returns the names of benchmarks that
 // vanished from the fresh results, regressed beyond maxRegress in ns/op, or
-// rose beyond maxAllocRegress in allocs/op (or lost the allocs/op column the
-// baseline has).
+// rose beyond maxBytesRegress in B/op or maxAllocRegress in allocs/op (or
+// lost a -benchmem column the baseline has).
 func compare(baseline, fresh map[string]result, maxRegress float64) (table string, failures []string) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "| benchmark | baseline ns/op | current ns/op | delta | baseline allocs/op | current allocs/op | delta |\n")
-	fmt.Fprintf(&b, "|---|---:|---:|---:|---:|---:|---:|\n")
+	fmt.Fprintf(&b, "| benchmark | baseline ns/op | current ns/op | delta | baseline B/op | current B/op | delta | baseline allocs/op | current allocs/op | delta |\n")
+	fmt.Fprintf(&b, "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
 		names = append(names, name)
@@ -123,7 +148,8 @@ func compare(baseline, fresh map[string]result, maxRegress float64) (table strin
 		base := baseline[name]
 		cur, ok := fresh[name]
 		if !ok {
-			fmt.Fprintf(&b, "| %s | %.0f | MISSING | — | %s | MISSING | — |\n", name, base.NsOp, allocs(base.AllocsOp))
+			fmt.Fprintf(&b, "| %s | %.0f | MISSING | — | %s | MISSING | — | %s | MISSING | — |\n",
+				name, base.NsOp, count(base.BytesOp), count(base.AllocsOp))
 			failures = append(failures, name+" (missing from results)")
 			continue
 		}
@@ -133,22 +159,18 @@ func compare(baseline, fresh map[string]result, maxRegress float64) (table strin
 			marker = " ❌"
 			failures = append(failures, fmt.Sprintf("%s (+%.1f%% > +%.0f%% allowed)", name, delta*100, maxRegress*100))
 		}
-		allocDelta := "—"
-		if base.AllocsOp != nil {
-			switch {
-			case cur.AllocsOp == nil:
-				allocDelta = "MISSING ❌"
-				failures = append(failures, name+" (no allocs/op: run with -benchmem)")
-			case float64(*cur.AllocsOp) > float64(*base.AllocsOp)*(1+maxAllocRegress):
-				allocDelta = fmt.Sprintf("%+d ❌", *cur.AllocsOp-*base.AllocsOp)
-				failures = append(failures, fmt.Sprintf("%s (allocs/op %d -> %d, more than +%g%% allowed)",
-					name, *base.AllocsOp, *cur.AllocsOp, maxAllocRegress*100))
-			default:
-				allocDelta = fmt.Sprintf("%+d", *cur.AllocsOp-*base.AllocsOp)
-			}
+		bytesDelta, fail := countGate(name, "B/op", base.BytesOp, cur.BytesOp, maxBytesRegress)
+		if fail != "" {
+			failures = append(failures, fail)
 		}
-		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %+.1f%%%s | %s | %s | %s |\n",
-			name, base.NsOp, cur.NsOp, delta*100, marker, allocs(base.AllocsOp), allocs(cur.AllocsOp), allocDelta)
+		allocDelta, fail := countGate(name, "allocs/op", base.AllocsOp, cur.AllocsOp, maxAllocRegress)
+		if fail != "" {
+			failures = append(failures, fail)
+		}
+		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %+.1f%%%s | %s | %s | %s | %s | %s | %s |\n",
+			name, base.NsOp, cur.NsOp, delta*100, marker,
+			count(base.BytesOp), count(cur.BytesOp), bytesDelta,
+			count(base.AllocsOp), count(cur.AllocsOp), allocDelta)
 	}
 	var extras []string
 	for name := range fresh {
@@ -158,13 +180,31 @@ func compare(baseline, fresh map[string]result, maxRegress float64) (table strin
 	}
 	sort.Strings(extras)
 	for _, name := range extras {
-		fmt.Fprintf(&b, "| %s | — | %.0f | new | — | %s | new |\n", name, fresh[name].NsOp, allocs(fresh[name].AllocsOp))
+		fmt.Fprintf(&b, "| %s | — | %.0f | new | — | %s | new | — | %s | new |\n",
+			name, fresh[name].NsOp, count(fresh[name].BytesOp), count(fresh[name].AllocsOp))
 	}
 	return b.String(), failures
 }
 
-// allocs renders an optional allocs/op count for the table.
-func allocs(n *int64) string {
+// countGate checks one -benchmem count of benchmark name against its
+// baseline: it fails when the count rose by more than the fraction bound,
+// or went missing where the baseline has it, and passes when the baseline
+// has none. It returns the table's delta cell and the failure, if any.
+func countGate(name, unit string, base, cur *int64, bound float64) (cell, failure string) {
+	switch {
+	case base == nil:
+		return "—", ""
+	case cur == nil:
+		return "MISSING ❌", fmt.Sprintf("%s (no %s: run with -benchmem)", name, unit)
+	case float64(*cur) > float64(*base)*(1+bound):
+		return fmt.Sprintf("%+d ❌", *cur-*base), fmt.Sprintf("%s (%s %d -> %d, more than +%g%% allowed)",
+			name, unit, *base, *cur, bound*100)
+	}
+	return fmt.Sprintf("%+d", *cur-*base), ""
+}
+
+// count renders an optional B/op or allocs/op count for the table.
+func count(n *int64) string {
 	if n == nil {
 		return "—"
 	}
@@ -228,8 +268,8 @@ func run() error {
 	if len(failures) > 0 {
 		return fmt.Errorf("benchmark regression: %s", strings.Join(failures, "; "))
 	}
-	fmt.Printf("all %d tracked benchmarks within +%.0f%% ns/op and +%g%% allocs/op of baseline\n",
-		len(base), *maxRegress*100, maxAllocRegress*100)
+	fmt.Printf("all %d tracked benchmarks within +%.0f%% ns/op, +%g%% B/op and +%g%% allocs/op of baseline\n",
+		len(base), *maxRegress*100, maxBytesRegress*100, maxAllocRegress*100)
 	return nil
 }
 
