@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"scream/internal/des"
+	"scream/internal/geom"
 	"scream/internal/graph"
 	"scream/internal/obs"
 	"scream/internal/phys"
-	"scream/internal/phys/spatial"
 	"scream/internal/route"
 	"scream/internal/topo"
 )
@@ -35,9 +35,9 @@ type World struct {
 	obs   *worldObs
 	trace *obs.Tracer
 
-	// Optional spatial interference index kept in lockstep with the
+	// Optional spatial interference engine kept in lockstep with the
 	// timeline, attached via AttachSpatial.
-	spatial *spatial.Index
+	spatial SpatialEngine
 
 	// scratch
 	changed     []int
@@ -122,14 +122,23 @@ func NewWorld(net *topo.Network, forest *route.Forest, cfg Config) (*World, erro
 	return w, nil
 }
 
-// AttachSpatial registers a spatial interference index the world keeps in
+// SpatialEngine is what a World updates in a spatial interference engine:
+// a *spatial.Index, or the *spatial.Memo a run wraps around one, which must
+// see every move to invalidate the moved node's cached gains.
+type SpatialEngine interface {
+	MoveNode(u int, p geom.Point) error
+	RemoveNode(u int) error
+	RestoreNode(u int) error
+}
+
+// AttachSpatial registers a spatial interference engine the world keeps in
 // lockstep with the deployment: every Fail, Recover and Move event is
-// forwarded as the index's bucket-local RemoveNode/RestoreNode/MoveNode
+// forwarded as the engine's bucket-local RemoveNode/RestoreNode/MoveNode
 // update, mirroring the channel's targeted row/column invalidation. The
-// index must describe the same deployment state the world currently holds
+// engine must describe the same deployment state the world currently holds
 // (topo.Network.SpatialEngine over the world's network does). Pass nil to
 // detach.
-func (w *World) AttachSpatial(idx *spatial.Index) { w.spatial = idx }
+func (w *World) AttachSpatial(e SpatialEngine) { w.spatial = e }
 
 // Alive returns the live aliveness view. The slice is owned by the world;
 // callers must treat it as read-only and must not retain it across

@@ -358,7 +358,7 @@ func (p *plane) arrive(u int, at des.Time) {
 // next draws the arrival that follows one at time at, at least one tick
 // later. ok is false at or beyond the horizon, where the source stops.
 func (s *source) next(at, horizon des.Time) (des.Time, bool) {
-	t := s.arr.Next(at, s.rng)
+	t := s.arr.Next(at, horizon, s.rng)
 	if t <= at {
 		t = at + 1
 	}

@@ -67,7 +67,7 @@ func refSchedule(eng *des.Engine, p *plane, arrivals []traffic.Arrival, seed int
 		rng := rand.New(rand.NewSource(DeriveSeed(seed, int64(u))))
 		var fire func()
 		schedule := func() {
-			t := a.Next(eng.Now(), rng)
+			t := a.Next(eng.Now(), horizon, rng)
 			if t <= eng.Now() {
 				t = eng.Now() + 1
 			}

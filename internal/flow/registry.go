@@ -93,7 +93,7 @@ func (e SchedulerEnv) engine() phys.Engine {
 
 // singleChannel builds a centralized scheduler that has no multi-channel
 // form, rejecting env.Channels > 1.
-func singleChannel(name string, build func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error)) func(SchedulerEnv) (Scheduler, error) {
+func singleChannel(name string, build func(b *sched.Builder, eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error)) func(SchedulerEnv) (Scheduler, error) {
 	return func(env SchedulerEnv) (Scheduler, error) {
 		if env.Channels > 1 {
 			return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", name)
@@ -124,7 +124,7 @@ var schedulerDefs = [...]SchedulerDef{
 			Display: "MaxWeight",
 			Doc:     "queue-aware greedy re-ranking links by backlog x Shannon-rate each build (arXiv:1106.1590)",
 		},
-		New: singleChannel("maxweight", sched.GreedyMaxWeight),
+		New: singleChannel("maxweight", (*sched.Builder).GreedyMaxWeight),
 	},
 	{
 		SchedulerInfo: SchedulerInfo{
@@ -132,7 +132,7 @@ var schedulerDefs = [...]SchedulerDef{
 			Display: "FanZhang",
 			Doc:     "Fan-Zhang length-class approximation: geometric classes first-fit on fresh slots, longest class first (arXiv:0910.5215)",
 		},
-		New: singleChannel("fanzhang", sched.ApproxFanZhang),
+		New: singleChannel("fanzhang", (*sched.Builder).ApproxFanZhang),
 	},
 	{
 		SchedulerInfo: SchedulerInfo{

@@ -47,19 +47,21 @@ func FrameTime(ch phys.Engine, forest *route.Forest, links []phys.Link, tm core.
 
 // NewCentralizedScheduler wraps a centralized schedule construction as an
 // epoch scheduler: every epoch runs build over eng, the current link set and
-// the backlog snapshot. Its control cost is idealized to zero — a genie
-// gathers the backlog and disseminates the schedule for free — which makes
-// the centralized disciplines the upper bound the distributed protocols are
-// judged against (their re-scheduling pays real SCREAM/election/handshake
-// time). It is adaptive under topology dynamics: Rebind re-targets it at the
-// repaired link set (the engine is the same object, mutated in place by the
-// dynamics world).
-func NewCentralizedScheduler(name string, eng phys.Engine, links []phys.Link, build func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error)) Scheduler {
+// the backlog snapshot, on a sched.Builder the scheduler owns for the whole
+// run, so each build reuses the slot states of the last. Its control cost
+// is idealized to zero — a genie gathers the backlog and disseminates the
+// schedule for free — which makes the centralized disciplines the upper
+// bound the distributed protocols are judged against (their re-scheduling
+// pays real SCREAM/election/handshake time). It is adaptive under topology
+// dynamics: Rebind re-targets it at the repaired link set (the engine is the
+// same object, mutated in place by the dynamics world).
+func NewCentralizedScheduler(name string, eng phys.Engine, links []phys.Link, build func(b *sched.Builder, eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error)) Scheduler {
 	cur := links
+	b := new(sched.Builder)
 	return Scheduler{
 		Name: name,
 		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := build(eng, cur, demands)
+			s, err := build(b, eng, cur, demands)
 			return s, 0, err
 		},
 		Rebind: func(t Topology) error {
@@ -80,8 +82,8 @@ func NewGreedyScheduler(eng phys.Engine, channels, numRadios int, links []phys.L
 		name, channels = fmt.Sprintf("greedy(%v)", ord), 1
 	}
 	return NewCentralizedScheduler(name, eng, links,
-		func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error) {
-			return sched.GreedyPhysicalMulti(eng, channels, numRadios, links, demands, ord)
+		func(b *sched.Builder, eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error) {
+			return b.GreedyPhysicalMulti(eng, channels, numRadios, links, demands, ord)
 		})
 }
 

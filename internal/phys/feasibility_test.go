@@ -400,10 +400,10 @@ func TestSlotStateLinksCopy(t *testing.T) {
 	ch := lineChannel(t, 10, 30, 20)
 	sc := NewSlotState(ch)
 	sc.Add(NewCandidate(ch, Link{0, 1}))
-	links := sc.Links()
+	links := sc.AppendLinks(nil)
 	links[0] = Link{5, 6}
-	if sc.Links()[0] != (Link{0, 1}) {
-		t.Error("Links must return a copy")
+	if sc.AppendLinks(nil)[0] != (Link{0, 1}) {
+		t.Error("AppendLinks must copy the slot's links")
 	}
 }
 

@@ -64,32 +64,50 @@ type MultiSlotState struct {
 	order     []Placement // admission order across channels
 }
 
-// NewMultiSlotState returns an empty slot over channels orthogonal copies of
-// engine e with the given per-node radio budget (numRadios <= 0 means 1).
-func NewMultiSlotState(e Engine, channels, numRadios int) *MultiSlotState {
-	s := &MultiSlotState{
-		numRadios: int32(max(numRadios, 1)),
-		states:    make([]SlotState, channels),
-		radios:    make([]int32, e.NumNodes()),
+// Init (re-)binds s to channels orthogonal copies of engine e as an empty
+// slot with the given per-node radio budget (numRadios <= 0 means 1),
+// reusing the storage of its previous life: a greedy builder re-initialises
+// its slots build after build instead of allocating new ones. The zero
+// MultiSlotState is ready for Init.
+func (s *MultiSlotState) Init(e Engine, channels, numRadios int) {
+	s.numRadios = int32(max(numRadios, 1))
+	if cap(s.states) < channels {
+		s.states = make([]SlotState, channels)
 	}
+	s.states = s.states[:channels]
 	for i := range s.states {
 		s.states[i].InitEngine(e)
 	}
-	return s
+	if n := e.NumNodes(); len(s.radios) == n {
+		// Only the placed endpoints' counts are nonzero.
+		for _, p := range s.order {
+			s.radios[p.Link.From]--
+			s.radios[p.Link.To]--
+		}
+	} else {
+		s.radios = make([]int32, n)
+	}
+	s.order = s.order[:0]
 }
 
-// Placements returns a copy of the slot's placements in admission order.
-func (s *MultiSlotState) Placements() []Placement {
-	out := make([]Placement, len(s.order))
-	copy(out, s.order)
-	return out
+// Len returns the number of placements in the slot.
+func (s *MultiSlotState) Len() int { return len(s.order) }
+
+// AppendPlacements appends the slot's placements, in admission order, to
+// links and their channels to chans, and returns both extended slices.
+func (s *MultiSlotState) AppendPlacements(links []Link, chans []int) ([]Link, []int) {
+	for _, p := range s.order {
+		links = append(links, p.Link)
+		chans = append(chans, p.Channel)
+	}
+	return links, chans
 }
 
 // CanAdd reports whether placing c on channel ch keeps the slot feasible:
 // both endpoints must have a free radio (fewer than numRadios placements in
 // this slot already touch them) and c must clear the single-channel CanAdd
 // against the links currently on ch. For a feasible current slot this is
-// exactly FeasibleAssignment(Placements() + {c.Link, ch}).
+// exactly FeasibleAssignment(placements + {c.Link, ch}).
 func (s *MultiSlotState) CanAdd(c Candidate, ch int) bool {
 	if s.radios[c.From] >= s.numRadios || s.radios[c.To] >= s.numRadios {
 		return false

@@ -13,17 +13,23 @@ import (
 
 // TestMultiSlotStateMatchesNaiveFuzz drives a MultiSlotState through random
 // CanAdd-gated adds and asserts at every step that CanAdd(l, ch) equals
-// FeasibleAssignment on the would-be union and that Placements lists the
+// FeasibleAssignment on the would-be union and that the state lists the
 // admitted placements in admission order, for both tight (1) and loose (2)
-// radio budgets.
+// radio budgets. Every other trial re-initialises one state the previous
+// odd trial filled, so reuse through Init must behave as a fresh state.
 func TestMultiSlotStateMatchesNaiveFuzz(t *testing.T) {
 	ch := lineChannel(t, 24, 35, 20)
 	const channels = 3
 	for _, radios := range []int{1, 2} {
 		rng := rand.New(rand.NewSource(int64(100 + radios)))
 		agreeAdds, agreeRejects := 0, 0
+		var reused MultiSlotState
 		for trial := 0; trial < 150; trial++ {
-			st := NewMultiSlotState(ch, channels, radios)
+			st := newMultiSlotState(ch, channels, radios)
+			if trial%2 == 1 {
+				st = &reused
+				st.Init(ch, channels, radios)
+			}
 			var mirror []Placement
 			for op := 0; op < 40; op++ {
 				l := randomLink(rng, 24)
@@ -41,7 +47,7 @@ func TestMultiSlotStateMatchesNaiveFuzz(t *testing.T) {
 				} else {
 					agreeRejects++
 				}
-				if ps := st.Placements(); !slices.Equal(ps, mirror) {
+				if ps := placements(st); !slices.Equal(ps, mirror) {
 					t.Fatalf("radios=%d trial %d op %d: Placements %v, admitted %v", radios, trial, op, ps, mirror)
 				}
 			}
@@ -62,7 +68,7 @@ func TestMultiSlotStateRadioSaturation(t *testing.T) {
 	up := NewCandidate(ch, Link{From: 11, To: 12})   // child -> relay
 	down := NewCandidate(ch, Link{From: 12, To: 13}) // relay -> parent
 
-	one := NewMultiSlotState(ch, 2, 1)
+	one := newMultiSlotState(ch, 2, 1)
 	if !one.CanAdd(up, 0) {
 		t.Fatal("singleton link rejected")
 	}
@@ -74,7 +80,7 @@ func TestMultiSlotStateRadioSaturation(t *testing.T) {
 		t.Fatal("relay with 1 radio admitted on a second channel")
 	}
 
-	two := NewMultiSlotState(ch, 2, 2)
+	two := newMultiSlotState(ch, 2, 2)
 	two.Add(up, 0)
 	if !two.CanAdd(down, 1) {
 		t.Fatal("relay with 2 radios rejected on a second channel")
@@ -83,10 +89,10 @@ func TestMultiSlotStateRadioSaturation(t *testing.T) {
 	if two.CanAdd(NewCandidate(ch, Link{From: 12, To: 11}), 0) || two.CanAdd(NewCandidate(ch, Link{From: 13, To: 12}), 1) {
 		t.Fatal("third placement at a 2-radio node admitted")
 	}
-	if !FeasibleAssignment(ch, 2, two.Placements(), 2) {
+	if !FeasibleAssignment(ch, 2, placements(two), 2) {
 		t.Fatal("naive reference rejects the 2-radio slot the engine built")
 	}
-	if FeasibleAssignment(ch, 2, two.Placements(), 1) {
+	if FeasibleAssignment(ch, 2, placements(two), 1) {
 		t.Fatal("naive reference accepts a 2-placement relay under 1 radio")
 	}
 }
@@ -98,7 +104,7 @@ func TestMultiSlotStateSingleChannelMatchesSlotState(t *testing.T) {
 	ch := lineChannel(t, 20, 35, 20)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
-		multi := NewMultiSlotState(ch, 1, 1)
+		multi := newMultiSlotState(ch, 1, 1)
 		single := NewSlotState(ch)
 		for op := 0; op < 25; op++ {
 			l := randomLink(rng, 20)
@@ -113,4 +119,16 @@ func TestMultiSlotStateSingleChannelMatchesSlotState(t *testing.T) {
 			}
 		}
 	}
+}
+
+// placements returns a copy of s's placements in admission order.
+func placements(s *MultiSlotState) []Placement {
+	return slices.Clone(s.order)
+}
+
+// newMultiSlotState returns an empty slot over channels copies of e.
+func newMultiSlotState(e Engine, channels, numRadios int) *MultiSlotState {
+	s := new(MultiSlotState)
+	s.Init(e, channels, numRadios)
+	return s
 }

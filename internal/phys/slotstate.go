@@ -122,31 +122,39 @@ func (s *SlotState) InitEngineDataOnly(e Engine) {
 }
 
 func (s *SlotState) initCommon(e Engine) {
+	var grown []slotLink
 	if s.eng != nil {
 		// Re-initialization: clear everything a previous life may have
 		// dirtied. Fresh (zero-value) states — e.g. slab-allocated slots in
-		// the greedy schedulers — skip this full-struct write.
+		// the greedy schedulers — skip this full-struct write. A links
+		// buffer a full slot grew on the heap is kept, so a greedy builder
+		// reusing its slots reallocates nothing.
+		if cap(s.links) > len(s.linksBuf) {
+			grown = s.links[:0]
+		}
 		*s = SlotState{}
+	}
+	s.links = s.linksBuf[:0]
+	if grown != nil {
+		s.links = grown
 	}
 	s.eng = e
 	s.n = e.NumNodes()
 	s.beta = e.Beta()
 	s.noise = e.NoiseMW()
 	s.marked = -1
-	s.links = s.linksBuf[:0]
 }
 
 // Len returns the number of links currently in the slot.
 func (s *SlotState) Len() int { return len(s.links) }
 
-// Links returns a copy of the links currently in the slot, in admission
-// order.
-func (s *SlotState) Links() []Link {
-	out := make([]Link, len(s.links))
+// AppendLinks appends the links currently in the slot, in admission order,
+// to dst and returns the extended slice.
+func (s *SlotState) AppendLinks(dst []Link) []Link {
 	for i := range s.links {
-		out[i] = s.links[i].Link
+		dst = append(dst, s.links[i].Link)
 	}
-	return out
+	return dst
 }
 
 // CanAdd reports whether adding c keeps the slot feasible: c must not share

@@ -172,7 +172,7 @@ func TestSlotStateMarkRollback(t *testing.T) {
 				st.Add(c)
 			}
 		}
-		wantLinks := st.Links()
+		wantLinks := st.AppendLinks(nil)
 		want := append([]slotLink(nil), st.links...)
 
 		st.Mark()
@@ -262,13 +262,13 @@ func TestSlotStateEnginePathMatchesDense(t *testing.T) {
 					got, want := iface.CanAdd(NewCandidate(opaque, l)), dense.CanAdd(NewCandidate(ch, l))
 					if got != want {
 						t.Fatalf("dataOnly=%v trial %d op %d: CanAdd(%v) = %v on the interface path, %v on the dense path (slot %v)",
-							dataOnly, trial, op, l, got, want, dense.Links())
+							dataOnly, trial, op, l, got, want, dense.AppendLinks(nil))
 					}
 					if got {
 						iface.Add(NewCandidate(opaque, l))
 						dense.Add(NewCandidate(ch, l))
 						admits++
-					} else if l.From != l.To && dense.Len() > 0 && !slices.ContainsFunc(dense.Links(), l.SharesEndpoint) {
+					} else if l.From != l.To && dense.Len() > 0 && !slices.ContainsFunc(dense.AppendLinks(nil), l.SharesEndpoint) {
 						sinrRejects++
 					}
 				case r < 14: // unvetted: conflicts, self loops and hopeless links welcome
@@ -288,7 +288,7 @@ func TestSlotStateEnginePathMatchesDense(t *testing.T) {
 					got, want := iface.Outcomes(), dense.Outcomes()
 					if !slices.Equal(got, want) {
 						t.Fatalf("dataOnly=%v trial %d op %d: Outcomes %v on the interface path, %v on the dense path (slot %v)",
-							dataOnly, trial, op, got, want, dense.Links())
+							dataOnly, trial, op, got, want, dense.AppendLinks(nil))
 					}
 					if slices.Contains(want, false) {
 						failedOutcomes++

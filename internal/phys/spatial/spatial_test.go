@@ -97,7 +97,7 @@ func checkConservative(t *testing.T, pos []geom.Point, pw []float64, cutoffM flo
 		if sSpat.CanAdd(cs) {
 			if !sDense.CanAdd(cd) {
 				t.Fatalf("cutoff=%g: spatial admitted %v into a slot the dense engine rejects (occupants %v)",
-					cutoffM, l, sDense.Links())
+					cutoffM, l, sDense.AppendLinks(nil))
 			}
 			sSpat.Add(cs)
 			sDense.Add(cd)

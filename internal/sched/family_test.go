@@ -39,7 +39,7 @@ func naiveFirstFit(ch *phys.Channel, links []phys.Link, demands []int, order []i
 // naiveFanZhang mirrors ApproxFanZhang with the naive admission pass:
 // length classes scheduled longest-first, each on fresh slots.
 func naiveFanZhang(ch *phys.Channel, links []phys.Link, demands []int) *Schedule {
-	classes := LengthClasses(ch, links)
+	classes := lengthClasses(ch, links, make([]int, len(links)))
 	byClass := make(map[int][]int)
 	for i := range links {
 		byClass[classes[i]] = append(byClass[classes[i]], i)
@@ -94,7 +94,7 @@ func TestFamilyMatchesNaiveReferenceFuzzed(t *testing.T) {
 			var want *Schedule
 			switch b.Name {
 			case "maxweight":
-				want = naiveFirstFit(net.Channel, links, demands, MaxWeightOrder(net.Channel, links, demands))
+				want = naiveFirstFit(net.Channel, links, demands, new(Builder).maxWeightOrder(net.Channel, links, demands))
 			case "fanzhang":
 				want = naiveFanZhang(net.Channel, links, demands)
 			default:
@@ -121,7 +121,7 @@ func TestMaxWeightOrderTieBreak(t *testing.T) {
 	// be exactly ascending link index.
 	links := []phys.Link{{From: 0, To: 1}, {From: 3, To: 4}, {From: 6, To: 7}, {From: 9, To: 10}}
 	demands := []int{2, 2, 2, 2}
-	order := MaxWeightOrder(net.Channel, links, demands)
+	order := new(Builder).maxWeightOrder(net.Channel, links, demands)
 	for i, ei := range order {
 		if ei != i {
 			t.Fatalf("all-tied weights must order by link index: got %v", order)
@@ -129,7 +129,7 @@ func TestMaxWeightOrderTieBreak(t *testing.T) {
 	}
 	// A heavier backlog must jump the queue, ties still by index.
 	demands = []int{2, 2, 5, 2}
-	order = MaxWeightOrder(net.Channel, links, demands)
+	order = new(Builder).maxWeightOrder(net.Channel, links, demands)
 	want := []int{2, 0, 1, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -185,7 +185,7 @@ func TestFanZhangClassStructure(t *testing.T) {
 	if err := s.Verify(net.Channel, links, demands); err != nil {
 		t.Fatal(err)
 	}
-	classes := LengthClasses(net.Channel, links)
+	classes := lengthClasses(net.Channel, links, make([]int, len(links)))
 	classOf := make(map[phys.Link]int, len(links))
 	for i, l := range links {
 		classOf[l] = classes[i]

@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"scream/internal/phys"
 )
@@ -20,24 +21,22 @@ import (
 // schedule can trail the unpartitioned greedy; the gap harness quantifies
 // exactly that trade.
 
-// LengthClasses returns the geometric length class of every link. Link
-// length is read off the channel's direct gain (longer link <=> smaller
-// gain; the same proxy ByLengthDesc uses): class k holds links whose gain is
-// within [2^-(k+1), 2^-k) of the strongest scheduled link's. Class 0 is the
+// lengthClasses returns the geometric length class of every link, in
+// classes, which has one entry per link. Link length is read off the
+// channel's direct gain (longer link <=> smaller gain; the same proxy
+// ByLengthDesc uses): class k holds links whose gain is within
+// [2^-(k+1), 2^-k) of the strongest scheduled link's. Class 0 is the
 // shortest class; higher classes are longer, more interference-fragile
 // links.
-func LengthClasses(ch phys.Engine, links []phys.Link) []int {
-	if len(links) == 0 {
-		return nil
-	}
+func lengthClasses(ch phys.Engine, links []phys.Link, classes []int) []int {
 	gmax := math.Inf(-1)
 	for _, l := range links {
 		if g := ch.Gain(l.From, l.To); g > gmax {
 			gmax = g
 		}
 	}
-	classes := make([]int, len(links))
 	for i, l := range links {
+		classes[i] = 0
 		g := ch.Gain(l.From, l.To)
 		if !(g > 0) || !(gmax > 0) {
 			// A zero-gain link can never carry data; leave it in class 0 and
@@ -50,7 +49,7 @@ func LengthClasses(ch phys.Engine, links []phys.Link) []int {
 }
 
 // ApproxFanZhang computes a feasible schedule by length-class partitioning:
-// links are split by LengthClasses, classes are scheduled longest-first
+// links are split by lengthClasses, classes are scheduled longest-first
 // (highest class first — the fragile links claim interference-free slots
 // before short links fill the spatial budget), each class runs the first-fit
 // greedy engine on fresh slots, and the per-class schedules concatenate.
@@ -58,29 +57,46 @@ func LengthClasses(ch phys.Engine, links []phys.Link) []int {
 // rule the determinism suite pins. The returned schedule always satisfies
 // Verify against the same inputs.
 func ApproxFanZhang(ch phys.Engine, links []phys.Link, demands []int) (*Schedule, error) {
+	return new(Builder).ApproxFanZhang(ch, links, demands)
+}
+
+// ApproxFanZhang is the package-level ApproxFanZhang on b's working set.
+func (b *Builder) ApproxFanZhang(ch phys.Engine, links []phys.Link, demands []int) (*Schedule, error) {
 	if len(links) != len(demands) {
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
-	classes := LengthClasses(ch, links)
-	byClass := make(map[int][]int)
-	for i := range links {
-		byClass[classes[i]] = append(byClass[classes[i]], i)
+	if cap(b.classes) < len(links) {
+		b.classes = make([]int, len(links))
 	}
-	order := make([]int, 0, len(byClass))
-	for c := range byClass {
-		order = append(order, c)
+	classes := lengthClasses(ch, links, b.classes[:len(links)])
+	if cap(b.order) < len(links) {
+		b.order = make([]int, len(links))
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(order)))
+	// Highest class first; a stable sort keeps each class in ascending
+	// link index.
+	order := b.order[:len(links)]
+	identity(order)
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(classes[j], classes[i]) })
 
-	s := &Schedule{}
-	for _, c := range order {
-		// byClass entries were appended in ascending link index — already the
-		// stable within-class order.
-		sub, err := greedyPhysicalOrdered(ch, links, demands, byClass[c], false)
-		if err != nil {
+	// Each class runs on fresh slots: the ones after the previous class's.
+	slots := 0
+	for start := 0; start < len(order); {
+		end := start + 1
+		for end < len(order) && classes[order[end]] == classes[order[start]] {
+			end++
+		}
+		first := slots
+		var err error
+		if slots, err = b.admit(ch, links, demands, order[start:end], false, first); err != nil {
 			return nil, err
 		}
-		s.slots = append(s.slots, sub.slots...)
+		recordBuild(b.slots[first:slots])
+		start = end
 	}
+	s := &Schedule{}
+	if slots > 0 {
+		s.slots = make([][]phys.Link, 0, slots)
+	}
+	b.appendSlots(s, slots)
 	return s, nil
 }

@@ -41,21 +41,56 @@ func (o Ordering) String() string {
 	}
 }
 
+// Builder is the working set of the greedy admission pass: the slot states
+// a build fills, the admission order and its sort counts. A scheduler that
+// rebuilds its schedule every epoch owns one Builder for the whole run, so
+// each build re-initialises the slots of the last one instead of allocating
+// them again, and a repeated build allocates only the schedule it returns.
+// The one-shot functions (GreedyPhysical, GreedyPhysicalMulti,
+// GreedyMaxWeight, ApproxFanZhang) run on a fresh Builder. The zero Builder
+// is ready to use; a Builder is not safe for concurrent use, and the
+// schedules it returns share no memory with it.
+type Builder struct {
+	// Slot states live in fixed-size slabs: a build touches tens to hundreds
+	// of slots, and one heap allocation per slot (or copying the states
+	// around as a flat slice grows) would dominate the incremental
+	// feasibility checks themselves. Slabs never move, which SlotState's
+	// inline small-slot storage requires.
+	slabs []*[slabSize]phys.SlotState
+	slots []*phys.SlotState      // slot i of every build: slabs[i/slabSize][i%slabSize]
+	multi []*phys.MultiSlotState // the multi-channel slots, for channels > 1
+
+	order   []int     // admission order: indices into links
+	counts  []int     // head-ID counting sort: links per head, then positions
+	weights []float64 // max-weight keys
+	classes []int     // Fan-Zhang length classes
+}
+
+const slabSize = 64
+
 // orderEdges returns the indices of links in scheduling order.
 func orderEdges(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) []int {
-	idx := make([]int, len(links))
-	for i := range idx {
-		idx[i] = i
+	return new(Builder).orderEdges(ch, links, demands, ord)
+}
+
+// orderEdges returns the indices of links in scheduling order, in the
+// builder's order buffer.
+func (b *Builder) orderEdges(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) []int {
+	if cap(b.order) < len(links) {
+		b.order = make([]int, len(links))
 	}
-	switch ord {
-	case ByDemandDesc:
+	idx := b.order[:len(links)]
+	switch n := ch.NumNodes(); {
+	case ord == ByDemandDesc:
+		identity(idx)
 		slices.SortStableFunc(idx, func(a, b int) int {
 			if c := cmp.Compare(demands[b], demands[a]); c != 0 {
 				return c
 			}
 			return cmp.Compare(links[b].From, links[a].From)
 		})
-	case ByLengthDesc:
+	case ord == ByLengthDesc:
+		identity(idx)
 		slices.SortStableFunc(idx, func(a, b int) int {
 			// Longer link <=> smaller direct gain.
 			ga := ch.Gain(links[a].From, links[a].To)
@@ -65,12 +100,43 @@ func orderEdges(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) 
 			}
 			return cmp.Compare(links[b].From, links[a].From)
 		})
-	default: // ByHeadIDDesc
+	case n > 2*len(links):
+		// ByHeadIDDesc over far fewer links than nodes — a link sample of a
+		// large deployment — where clearing a count per node would cost more
+		// than sorting the links.
+		identity(idx)
 		slices.SortStableFunc(idx, func(a, b int) int {
 			return cmp.Compare(links[b].From, links[a].From)
 		})
+	default: // ByHeadIDDesc
+		// A stable counting sort on the head ID, descending: the order the
+		// stable comparison sort above gives, ties in index order, in
+		// O(nodes + links).
+		if cap(b.counts) < n {
+			b.counts = make([]int, n)
+		}
+		counts := b.counts[:n]
+		clear(counts)
+		for _, l := range links {
+			counts[l.From]++
+		}
+		next := 0
+		for head := n - 1; head >= 0; head-- {
+			counts[head], next = next, next+counts[head]
+		}
+		for i, l := range links {
+			idx[counts[l.From]] = i
+			counts[l.From]++
+		}
 	}
 	return idx
+}
+
+// identity sets idx[i] = i.
+func identity(idx []int) {
+	for i := range idx {
+		idx[i] = i
+	}
 }
 
 // GreedyPhysical computes a feasible schedule with the centralized greedy
@@ -79,7 +145,7 @@ func orderEdges(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) 
 // it keeps the slot feasible, appending new slots when needed. The returned
 // schedule always satisfies Verify against the same inputs.
 func GreedyPhysical(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
-	return greedyPhysical(ch, links, demands, ord, false)
+	return new(Builder).greedy(ch, links, demands, ord, false)
 }
 
 // GreedyPhysicalDataOnly is GreedyPhysical with the ACK sub-slot inequality
@@ -87,14 +153,27 @@ func GreedyPhysical(ch phys.Engine, links []phys.Link, demands []int, ord Orderi
 // paper's link-layer-reliability extension). Its schedules may fail Verify
 // under the full model; CountInfeasibleSlots quantifies by how much.
 func GreedyPhysicalDataOnly(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
-	return greedyPhysical(ch, links, demands, ord, true)
+	return new(Builder).greedy(ch, links, demands, ord, true)
 }
 
-func greedyPhysical(ch phys.Engine, links []phys.Link, demands []int, ord Ordering, dataOnly bool) (*Schedule, error) {
+func (b *Builder) greedy(ch phys.Engine, links []phys.Link, demands []int, ord Ordering, dataOnly bool) (*Schedule, error) {
 	if len(links) != len(demands) {
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
-	return greedyPhysicalOrdered(ch, links, demands, orderEdges(ch, links, demands, ord), dataOnly)
+	return b.ordered(ch, links, demands, b.orderEdges(ch, links, demands, ord), dataOnly)
+}
+
+// ordered runs the admission pass over order and materializes its slots
+// as a new schedule.
+func (b *Builder) ordered(ch phys.Engine, links []phys.Link, demands []int, order []int, dataOnly bool) (*Schedule, error) {
+	k, err := b.admit(ch, links, demands, order, dataOnly, 0)
+	if err != nil {
+		return nil, err
+	}
+	recordBuild(b.slots[:k])
+	s := &Schedule{slots: make([][]phys.Link, 0, k)}
+	b.appendSlots(s, k)
+	return s, nil
 }
 
 // singletonFeasible reports whether c alone can occupy a slot: both the
@@ -108,59 +187,68 @@ func singletonFeasible(ch phys.Engine, c phys.Candidate) bool {
 	return c.DataMW >= floor && c.AckMW >= floor
 }
 
-// greedyPhysicalOrdered runs the first-fit greedy admission pass over the
-// links named by order (indices into links/demands), in that order. Links
-// absent from order are ignored — the Fan-Zhang class scheduler exploits
-// this to run the engine on one length class at a time.
-func greedyPhysicalOrdered(ch phys.Engine, links []phys.Link, demands []int, order []int, dataOnly bool) (*Schedule, error) {
-	// Slot states live in fixed-size slabs: constructing a schedule touches
-	// hundreds of slots, so one heap allocation per slot (or copying the
-	// states around as a flat slice grows) would dominate the incremental
-	// feasibility checks themselves. Slabs never move, which SlotState's
-	// inline small-slot storage requires.
-	const slabSize = 64
-	var slabs []*[slabSize]phys.SlotState
-	var slots []*phys.SlotState
+// admit runs the first-fit greedy admission pass over the links named by
+// order (indices into links/demands), in that order, on fresh slots from
+// b.slots[first] on, and returns the end of the slots it filled: they are
+// b.slots[first:end]. Links absent from order are ignored — the Fan-Zhang
+// class scheduler exploits this to run the engine on one length class at a
+// time, each class on the slots after the last class's.
+func (b *Builder) admit(ch phys.Engine, links []phys.Link, demands []int, order []int, dataOnly bool, first int) (int, error) {
+	used := first
 	for _, ei := range order {
 		// The link's exact signals, computed once per build: they decide its
 		// singleton feasibility here and every admission probe below. Links
 		// are checked in order, so invalid input fails on its first bad link.
 		c := phys.NewCandidate(ch, links[ei])
 		if !singletonFeasible(ch, c) {
-			return nil, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", c.Link)
+			return 0, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", c.Link)
 		}
 		remaining := demands[ei]
 		if remaining < 0 {
-			return nil, fmt.Errorf("sched: link %v has negative demand %d", c.Link, remaining)
+			return 0, fmt.Errorf("sched: link %v has negative demand %d", c.Link, remaining)
 		}
-		for slot := 0; remaining > 0; slot++ {
-			if slot == len(slots) {
-				if slot%slabSize == 0 {
-					slabs = append(slabs, new([slabSize]phys.SlotState))
+		for slot := first; remaining > 0; slot++ {
+			if slot == used {
+				// A new slot of this build: the next state of the working
+				// set, re-initialised, or a new slab's first.
+				if slot == len(b.slots) {
+					if slot%slabSize == 0 {
+						b.slabs = append(b.slabs, new([slabSize]phys.SlotState))
+					}
+					b.slots = append(b.slots, &b.slabs[slot/slabSize][slot%slabSize])
 				}
-				st := &slabs[len(slabs)-1][slot%slabSize]
 				if dataOnly {
-					st.InitEngineDataOnly(ch)
+					b.slots[slot].InitEngineDataOnly(ch)
 				} else {
-					st.InitEngine(ch)
+					b.slots[slot].InitEngine(ch)
 				}
-				slots = append(slots, st)
+				used++
 			}
-			if slots[slot].CanAdd(c) {
-				slots[slot].Add(c)
+			if st := b.slots[slot]; st.CanAdd(c) {
+				st.Add(c)
 				remaining--
 			}
 		}
 	}
-	// Materialize the schedule from the slot states; each holds its links
-	// in admission order. A slot is only ever created by a link that then
-	// joins it (singleton feasibility was pre-validated), so none is empty.
-	s := &Schedule{slots: make([][]phys.Link, len(slots))}
-	for i, st := range slots {
-		s.slots[i] = st.Links()
+	return used, nil
+}
+
+// appendSlots appends the first k slots of the last admission pass to s.
+// Their links, in admission order, are copied into one new array; each
+// slot's slice is capped at its own end, so appending to one slot can never
+// write into the next. A slot is only ever created by a link that then
+// joins it (singleton feasibility was pre-validated), so none is empty.
+func (b *Builder) appendSlots(s *Schedule, k int) {
+	total := 0
+	for _, st := range b.slots[:k] {
+		total += st.Len()
 	}
-	recordBuild(s.slots)
-	return s, nil
+	flat := make([]phys.Link, 0, total)
+	for _, st := range b.slots[:k] {
+		start := len(flat)
+		flat = st.AppendLinks(flat)
+		s.slots = append(s.slots, flat[start:len(flat):len(flat)])
+	}
 }
 
 // GreedyPhysicalMulti generalizes GreedyPhysical to channels orthogonal
@@ -175,12 +263,18 @@ func greedyPhysicalOrdered(ch phys.Engine, links []phys.Link, demands []int, ord
 // single-channel slot, so the budget cannot bind. The returned schedule
 // always satisfies VerifyMulti against the same inputs.
 func GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
+	return new(Builder).GreedyPhysicalMulti(eng, channels, numRadios, links, demands, ord)
+}
+
+// GreedyPhysicalMulti is the package-level GreedyPhysicalMulti on b's
+// working set.
+func (b *Builder) GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
 	if channels <= 0 {
 		return nil, fmt.Errorf("sched: channel count must be positive, got %d", channels)
 	}
 	if channels == 1 {
 		// The slab-allocated single-channel SlotState engine.
-		return greedyPhysical(eng, links, demands, ord, false)
+		return b.greedy(eng, links, demands, ord, false)
 	}
 	if len(links) != len(demands) {
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
@@ -193,17 +287,22 @@ func GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, links []phys.
 			return nil, fmt.Errorf("sched: link %v has negative demand %d", l, demands[i])
 		}
 	}
-	var slots []*phys.MultiSlotState
-	for _, ei := range orderEdges(eng, links, demands, ord) {
+	used := 0
+	for _, ei := range b.orderEdges(eng, links, demands, ord) {
 		c := phys.NewCandidate(eng, links[ei])
 		remaining := demands[ei]
 		for slot := 0; remaining > 0; slot++ {
-			if slot == len(slots) {
-				slots = append(slots, phys.NewMultiSlotState(eng, channels, numRadios))
+			if slot == used {
+				if slot == len(b.multi) {
+					b.multi = append(b.multi, new(phys.MultiSlotState))
+				}
+				b.multi[slot].Init(eng, channels, numRadios)
+				used++
 			}
+			st := b.multi[slot]
 			for ch := 0; ch < channels && remaining > 0; ch++ {
-				if slots[slot].CanAdd(c, ch) {
-					slots[slot].Add(c, ch)
+				if st.CanAdd(c, ch) {
+					st.Add(c, ch)
 					remaining--
 				}
 			}
@@ -211,19 +310,26 @@ func GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, links []phys.
 	}
 	// Materialize; a slot is only ever created by a link that then joins its
 	// channel 0 (the slot is empty and the link is singleton-feasible), so
-	// none is empty.
+	// none is empty. As in appendSlots, each slot's links and channels are
+	// capped slices of one array each.
+	recordBuild(b.multi[:used])
 	s := NewSchedule()
-	for _, st := range slots {
-		ps := st.Placements()
-		slotLinks := make([]phys.Link, len(ps))
-		slotChans := make([]int, len(ps))
-		for i, p := range ps {
-			slotLinks[i] = p.Link
-			slotChans[i] = p.Channel
-		}
-		s.AppendSlotAssigned(slotLinks, slotChans)
+	if used == 0 {
+		return s, nil
 	}
-	recordBuild(s.slots)
+	total := 0
+	for _, st := range b.multi[:used] {
+		total += st.Len()
+	}
+	flatLinks, flatChans := make([]phys.Link, 0, total), make([]int, 0, total)
+	s.slots, s.chans = make([][]phys.Link, 0, used), make([][]int, 0, used)
+	for _, st := range b.multi[:used] {
+		start := len(flatLinks)
+		flatLinks, flatChans = st.AppendPlacements(flatLinks, flatChans)
+		end := len(flatLinks)
+		s.slots = append(s.slots, flatLinks[start:end:end])
+		s.chans = append(s.chans, flatChans[start:end:end])
+	}
 	return s, nil
 }
 

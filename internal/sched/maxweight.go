@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"scream/internal/phys"
 )
@@ -26,36 +27,47 @@ func LinkRate(ch phys.Engine, l phys.Link) float64 {
 	return math.Log2(1 + ch.SignalMW(l.From, l.To)/ch.NoiseMW())
 }
 
-// MaxWeightOrder returns the indices of links in decreasing
-// demand×LinkRate weight. Equal weights break by ascending link index — a
-// stable, topology-independent tie rule, so schedules are byte-identical
-// across runs and worker counts (the determinism discipline of the
-// experiment engine; see TestMaxWeightOrderTieBreak).
-func MaxWeightOrder(ch phys.Engine, links []phys.Link, demands []int) []int {
-	w := make([]float64, len(links))
+// maxWeightOrder returns the indices of links in decreasing
+// demand×LinkRate weight, in b's order buffer. Equal weights break by
+// ascending link index — a stable, topology-independent tie rule, so
+// schedules are byte-identical across runs and worker counts (the
+// determinism discipline of the experiment engine; see
+// TestMaxWeightOrderTieBreak). Weight then index is a total order, so any
+// sort gives the one order it defines.
+func (b *Builder) maxWeightOrder(ch phys.Engine, links []phys.Link, demands []int) []int {
+	if cap(b.weights) < len(links) {
+		b.weights = make([]float64, len(links))
+	}
+	w := b.weights[:len(links)]
 	for i, l := range links {
 		w[i] = float64(demands[i]) * LinkRate(ch, l)
 	}
-	idx := make([]int, len(links))
-	for i := range idx {
-		idx[i] = i
+	if cap(b.order) < len(links) {
+		b.order = make([]int, len(links))
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if w[idx[a]] != w[idx[b]] {
-			return w[idx[a]] > w[idx[b]]
+	idx := b.order[:len(links)]
+	identity(idx)
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(w[b], w[a]); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 	return idx
 }
 
 // GreedyMaxWeight computes a feasible schedule with the same first-fit
-// admission engine as GreedyPhysical, but ordered by MaxWeightOrder: the
+// admission engine as GreedyPhysical, but ordered by maxWeightOrder: the
 // heaviest backlog×rate links claim the early slots. The returned schedule
 // always satisfies Verify against the same inputs.
 func GreedyMaxWeight(ch phys.Engine, links []phys.Link, demands []int) (*Schedule, error) {
+	return new(Builder).GreedyMaxWeight(ch, links, demands)
+}
+
+// GreedyMaxWeight is the package-level GreedyMaxWeight on b's working set.
+func (b *Builder) GreedyMaxWeight(ch phys.Engine, links []phys.Link, demands []int) (*Schedule, error) {
 	if len(links) != len(demands) {
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
-	return greedyPhysicalOrdered(ch, links, demands, MaxWeightOrder(ch, links, demands), false)
+	return b.ordered(ch, links, demands, b.maxWeightOrder(ch, links, demands), false)
 }

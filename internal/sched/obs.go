@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"scream/internal/obs"
-	"scream/internal/phys"
 )
 
 // Process-wide scheduler instrumentation, mirroring the phys package's
@@ -39,9 +38,9 @@ func SetObs(r *obs.Registry) {
 }
 
 // recordBuild publishes one finished greedy construction: the slot count and
-// per-slot fill distribution of the materialized schedule. Disabled, it is a
+// per-slot fill distribution of the slots it filled. Disabled, it is a
 // single pointer load — no allocation, no iteration.
-func recordBuild(slots [][]phys.Link) {
+func recordBuild[S interface{ Len() int }](slots []S) {
 	m := schedMetrics.Load()
 	if m == nil {
 		return
@@ -50,8 +49,8 @@ func recordBuild(slots [][]phys.Link) {
 	m.slots.Add(int64(len(slots)))
 	var admitted int64
 	for _, sl := range slots {
-		admitted += int64(len(sl))
-		m.slotFill.Observe(float64(len(sl)))
+		admitted += int64(sl.Len())
+		m.slotFill.Observe(float64(sl.Len()))
 	}
 	m.admissions.Add(admitted)
 }

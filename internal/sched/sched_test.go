@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scream/internal/phys"
@@ -188,6 +190,29 @@ func TestOrderEdges(t *testing.T) {
 	gotD := orderEdges(net.Channel, links, demands, ByDemandDesc)
 	if demands[gotD[0]] != 5 || demands[gotD[1]] != 3 || demands[gotD[2]] != 1 {
 		t.Errorf("demand order wrong: %v", gotD)
+	}
+}
+
+// TestHeadIDOrderMatchesStableSort: the head-ID counting sort gives the
+// order a stable comparison sort on descending head ID gives — ties in
+// index order — on random link lists with many repeated heads. The shortest
+// lists (under half the node count) take the comparison sort.
+func TestHeadIDOrderMatchesStableSort(t *testing.T) {
+	net, _, _ := testMesh(t, 4, 1)
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 200; trial++ {
+		links := make([]phys.Link, rng.Intn(40))
+		for i := range links {
+			links[i] = phys.Link{From: rng.Intn(16), To: rng.Intn(16)}
+		}
+		want := make([]int, len(links))
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(links[b].From, links[a].From) })
+		if got := orderEdges(net.Channel, links, make([]int, len(links)), ByHeadIDDesc); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: head-id order %v, stable sort %v (links %v)", trial, got, want, links)
+		}
 	}
 }
 

@@ -17,10 +17,14 @@ import (
 
 // Arrival is a pluggable packet arrival process. Next returns the absolute
 // simulated time of the process's next arrival strictly after now, drawing
-// any randomness from rng. Implementations may carry state (e.g. the on/off
-// phase of Bursty), so an Arrival value must not be shared between nodes.
+// any randomness from rng. horizon is where the caller stops taking
+// arrivals: once a process knows its next arrival lies at or past it, it may
+// stop drawing and return any time at or past horizon instead. The caller
+// must then not call Next again. Implementations may carry state (e.g. the
+// on/off phase of Bursty), so an Arrival value must not be shared between
+// nodes.
 type Arrival interface {
-	Next(now des.Time, rng *rand.Rand) des.Time
+	Next(now, horizon des.Time, rng *rand.Rand) des.Time
 }
 
 // toTime converts ns nanoseconds to a des.Time as a plain conversion does,
@@ -56,7 +60,7 @@ func NewCBR(rate float64) (*CBR, error) {
 }
 
 // Next implements Arrival.
-func (c *CBR) Next(now des.Time, _ *rand.Rand) des.Time {
+func (c *CBR) Next(now, _ des.Time, _ *rand.Rand) des.Time {
 	if c.Interval <= 0 {
 		return now + 1
 	}
@@ -78,7 +82,7 @@ func NewPoisson(rate float64) (*Poisson, error) {
 }
 
 // Next implements Arrival.
-func (p *Poisson) Next(now des.Time, rng *rand.Rand) des.Time {
+func (p *Poisson) Next(now, _ des.Time, rng *rand.Rand) des.Time {
 	dt := toTime(rng.ExpFloat64() / p.Rate * float64(des.Second))
 	if dt <= 0 {
 		dt = 1
@@ -122,8 +126,11 @@ func expDuration(mean des.Time, rng *rand.Rand) des.Time {
 
 // Next implements Arrival. Residual interarrival draws discarded at a state
 // flip cost nothing: exponential interarrivals are memoryless, so restarting
-// the Poisson clock at the next ON period leaves the process exact.
-func (b *Bursty) Next(now des.Time, rng *rand.Rand) des.Time {
+// the Poisson clock at the next ON period leaves the process exact. A period
+// that starts at or past horizon ends the walk: its start is returned, so a
+// sparse source whose next arrival lies many empty periods ahead steps only
+// through the periods before the horizon.
+func (b *Bursty) Next(now, horizon des.Time, rng *rand.Rand) des.Time {
 	if !b.init {
 		b.init = true
 		b.on = false
@@ -155,6 +162,9 @@ func (b *Bursty) Next(now des.Time, rng *rand.Rand) des.Time {
 			t = b.stateEnd
 			b.on = true
 			b.stateEnd = after(t, expDuration(b.MeanOn, rng))
+		}
+		if t >= horizon {
+			return t
 		}
 	}
 }

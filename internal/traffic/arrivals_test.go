@@ -11,6 +11,10 @@ import (
 // TestGeneratorEdgeCases is the table covering the static generators'
 // parameter validation: Uniform lo>hi, Zipf parameter rejection, and
 // Constant edge cases.
+// maxTime is the largest des.Time: the value saturating draws return, and
+// the horizon of a caller that takes every arrival.
+const maxTime = des.Time(math.MaxInt64)
+
 func TestGeneratorEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cases := []struct {
@@ -82,7 +86,7 @@ func TestCBR(t *testing.T) {
 	}
 	now := des.Time(0)
 	for i := 1; i <= 5; i++ {
-		now = c.Next(now, nil)
+		now = c.Next(now, maxTime, nil)
 		if now != des.Time(i)*des.Millisecond {
 			t.Fatalf("arrival %d at %v, want %v", i, now, des.Time(i)*des.Millisecond)
 		}
@@ -93,7 +97,6 @@ func TestCBR(t *testing.T) {
 // the largest des.Time, never as a wrapped value, while an Interval: 0 CBR
 // keeps arriving every tick.
 func TestDrawsSaturate(t *testing.T) {
-	const maxTime = des.Time(math.MaxInt64)
 	rng := rand.New(rand.NewSource(1))
 	c, err := NewCBR(1e-12)
 	if err != nil {
@@ -102,28 +105,28 @@ func TestDrawsSaturate(t *testing.T) {
 	if c.Interval != maxTime {
 		t.Errorf("NewCBR(1e-12).Interval = %d, want %d", c.Interval, maxTime)
 	}
-	if got := c.Next(5*des.Second, rng); got != maxTime {
+	if got := c.Next(5*des.Second, maxTime, rng); got != maxTime {
 		t.Errorf("CBR past the end: Next = %d, want %d", got, maxTime)
 	}
-	if got := (&CBR{Interval: maxTime - 3}).Next(10, rng); got != maxTime {
+	if got := (&CBR{Interval: maxTime - 3}).Next(10, maxTime, rng); got != maxTime {
 		t.Errorf("CBR now+Interval overflowing: Next = %d, want %d", got, maxTime)
 	}
-	if got := (&CBR{Interval: 0}).Next(5, rng); got != 6 {
+	if got := (&CBR{Interval: 0}).Next(5, maxTime, rng); got != 6 {
 		t.Errorf("CBR Interval 0: Next = %d, want 6", got)
 	}
-	if got := (&Poisson{Rate: 1e-12}).Next(0, rng); got != maxTime {
+	if got := (&Poisson{Rate: 1e-12}).Next(0, maxTime, rng); got != maxTime {
 		t.Errorf("Poisson 1e-12: Next = %d, want %d", got, maxTime)
 	}
 	for _, now := range []des.Time{0, des.Second, maxTime - 1} {
 		b := &Bursty{PeakRate: 1e-12, MeanOn: des.Millisecond, MeanOff: des.Millisecond}
-		if got := b.Next(now, rng); got != maxTime {
+		if got := b.Next(now, maxTime, rng); got != maxTime {
 			t.Errorf("Bursty 1e-12 from %d: Next = %d, want %d", now, got, maxTime)
 		}
 	}
 	for i := 0; i < 100; i++ {
 		// OFF periods that overrun the clock end it instead of wrapping.
 		b := &Bursty{PeakRate: 1e3, MeanOn: des.Millisecond, MeanOff: maxTime}
-		if now := maxTime / 2; b.Next(now, rng) <= now {
+		if now := maxTime / 2; b.Next(now, maxTime, rng) <= now {
 			t.Fatalf("Bursty with MeanOff %d: Next(%d) wrapped", maxTime, now)
 		}
 	}
@@ -141,7 +144,7 @@ func TestPoissonRate(t *testing.T) {
 	now := des.Time(0)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		next := p.Next(now, rng)
+		next := p.Next(now, maxTime, rng)
 		if next <= now {
 			t.Fatalf("non-increasing arrival: %v -> %v", now, next)
 		}
@@ -172,7 +175,7 @@ func TestBurstyMeanRate(t *testing.T) {
 	now := des.Time(0)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		next := b.Next(now, rng)
+		next := b.Next(now, maxTime, rng)
 		if next <= now {
 			t.Fatalf("non-increasing arrival: %v -> %v", now, next)
 		}
@@ -181,6 +184,22 @@ func TestBurstyMeanRate(t *testing.T) {
 	rate := float64(n) / now.Seconds()
 	if math.Abs(rate-want)/want > 0.1 {
 		t.Errorf("empirical rate %.1f, want ~%.1f", rate, want)
+	}
+}
+
+// TestBurstyStopsAtHorizon: a source whose next arrival lies far past the
+// horizon returns the first period start at or past it, having stepped only
+// through the periods before it.
+func TestBurstyStopsAtHorizon(t *testing.T) {
+	const horizon = 10 * des.Millisecond
+	rng := rand.New(rand.NewSource(3))
+	// About 1,000 s to the first arrival, in periods of 4 us on average.
+	b, err := NewBursty(4e-3, des.Microsecond, 3*des.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Next(0, horizon, rng); got < horizon {
+		t.Fatalf("Next = %v, want at or past the horizon %v", got, horizon)
 	}
 }
 
@@ -195,7 +214,7 @@ func TestBurstyIsBursty(t *testing.T) {
 	var sum, sumsq float64
 	prev := now
 	for i := 0; i < n; i++ {
-		next := b.Next(prev, rng)
+		next := b.Next(prev, maxTime, rng)
 		dt := (next - prev).Seconds()
 		sum += dt
 		sumsq += dt * dt

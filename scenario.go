@@ -23,6 +23,7 @@ import (
 	"scream/internal/flow"
 	"scream/internal/obs"
 	"scream/internal/phys"
+	"scream/internal/phys/spatial"
 	"scream/internal/topo"
 )
 
@@ -728,18 +729,21 @@ func RunWith(ctx context.Context, spec ScenarioSpec, o RunOptions) (*FlowResult,
 	// The interference engine the centralized schedulers build against: nil
 	// keeps the dense channel (the default, bit-identical to every run before
 	// engines existed). A spatial mesh gets a fresh index over the run's
-	// network view; under dynamics the world keeps it in lockstep with churn
-	// and mobility, and the epoch scheduler re-reads it on every build.
+	// network view, wrapped in the run's memo of exact near-field gains, so
+	// every epoch's build reuses the gains earlier builds computed. Under
+	// dynamics the world moves nodes through the memo, which keeps the index
+	// in lockstep with churn and mobility and drops the moved nodes' gains.
 	var engine phys.Engine
 	if m.EngineName() == EngineSpatial {
 		idx, err := net.SpatialEngine(m.interf.CutoffM, m.interf.BucketM)
 		if err != nil {
 			return nil, fmt.Errorf("scream: %w", err)
 		}
+		memo := spatial.NewMemo(idx)
 		if world != nil {
-			world.AttachSpatial(idx)
+			world.AttachSpatial(memo)
 		}
-		engine = idx
+		engine = memo
 	}
 	def, err := flow.SchedulerDefByName(spec.SchedulerName())
 	if err != nil {

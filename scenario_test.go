@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testSpec() ScenarioSpec {
@@ -169,6 +170,44 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
+// TestRunSparseBurstyEndsAtHorizon: a bursty source whose mean rate puts
+// its first arrival some 1,000 s out, behind ON and OFF periods of a few
+// microseconds, stops drawing at the horizon instead of stepping through
+// hundreds of millions of empty periods. The run ends at once and offers
+// nothing.
+func TestRunSparseBurstyEndsAtHorizon(t *testing.T) {
+	spec, err := ParseScenario([]byte(`{"topology":{"kind":"grid","rows":4,"cols":4,"step_m":30},
+		"traffic":{"kind":"bursty","rate_pps":1e-3,"mean_on_sec":1e-6,"mean_off_sec":3e-6},
+		"scheduler":"greedy","horizon_sec":0.01}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res *FlowResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	start := time.Now()
+	go func() {
+		res, err := Run(context.Background(), spec)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.res.Offered != 0 {
+			t.Errorf("offered %d packets, want 0", o.res.Offered)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("run took %v, want well under a second", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run still drawing arrivals after 10 s")
+	}
+}
+
 // TestRunTinySpatialBucket: a spatial bucket edge far below the
 // deployment's scale coarsens instead of overflowing the bucket grid, and the
 // run completes with every packet accounted for.
@@ -196,7 +235,7 @@ func TestRunTinySpatialBucket(t *testing.T) {
 // far-field interference branches.
 // Regenerate with: go test -run TestRunSpatialGolden -update
 func TestRunSpatialGolden(t *testing.T) {
-	spec := ScenarioSpec{
+	checkRunGolden(t, ScenarioSpec{
 		Name:           "greedy-spatial256",
 		Topology:       TopologySpec{Kind: "grid", Rows: 16, Cols: 16, StepMeters: 30},
 		Traffic:        TrafficSpec{Kind: "poisson", Load: 0.9},
@@ -206,7 +245,35 @@ func TestRunSpatialGolden(t *testing.T) {
 		FramesPerEpoch: 1,
 		MaxService:     16,
 		Interference:   &InterferenceSpec{Engine: "spatial"},
-	}
+	}, "run_greedy_spatial256.jsonl")
+}
+
+// TestRunSpatialDynamicsGolden pins a greedy run on the spatial engine under
+// churn and waypoint mobility the way TestRunSpatialGolden pins a static one:
+// every failure, recovery and move goes through the engine the schedulers
+// build against, so this is the output that stale near-field gains would
+// change.
+// Regenerate with: go test -run TestRunSpatialDynamicsGolden -update
+func TestRunSpatialDynamicsGolden(t *testing.T) {
+	checkRunGolden(t, ScenarioSpec{
+		Name:           "greedy-spatial-dynamics144",
+		Topology:       TopologySpec{Kind: "grid", Rows: 12, Cols: 12, StepMeters: 30},
+		Traffic:        TrafficSpec{Kind: "poisson", Load: 0.9},
+		Scheduler:      "greedy",
+		HorizonSec:     0.3,
+		Seed:           1,
+		FramesPerEpoch: 1,
+		MaxService:     16,
+		Interference:   &InterferenceSpec{Engine: "spatial"},
+		Dynamics: &DynamicsSpec{FailRate: 2, MeanDowntimeSec: 0.1,
+			Mobility: "waypoint", SpeedMps: 8, MoveIntervalSec: 0.05},
+	}, "run_greedy_spatial_dynamics.jsonl")
+}
+
+// checkRunGolden runs spec and compares every epoch's streamed schedule, one
+// JSON line each, then the JSON result, byte for byte with testdata/name.
+func checkRunGolden(t *testing.T, spec ScenarioSpec, name string) {
+	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	res, err := RunWith(context.Background(), spec, RunOptions{OnEpoch: func(u EpochUpdate) {
@@ -221,10 +288,10 @@ func TestRunSpatialGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Delivered == 0 {
-		t.Fatal("golden spatial run delivered nothing")
+		t.Fatalf("golden run %s delivered nothing", spec.Name)
 	}
 
-	golden := filepath.Join("testdata", "run_greedy_spatial256.jsonl")
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -235,7 +302,7 @@ func TestRunSpatialGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("spatial run diverges from %s (%d vs %d bytes); run with -update only after an intended change",
+		t.Fatalf("run diverges from %s (%d vs %d bytes); run with -update only after an intended change",
 			golden, buf.Len(), len(want))
 	}
 }
