@@ -65,16 +65,10 @@ func (b *Builder) ApproxFanZhang(ch phys.Engine, links []phys.Link, demands []in
 	if len(links) != len(demands) {
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
-	if cap(b.classes) < len(links) {
-		b.classes = make([]int, len(links))
-	}
-	classes := lengthClasses(ch, links, b.classes[:len(links)])
-	if cap(b.order) < len(links) {
-		b.order = make([]int, len(links))
-	}
+	classes := lengthClasses(ch, links, resized(&b.classes, len(links)))
 	// Highest class first; a stable sort keeps each class in ascending
 	// link index.
-	order := b.order[:len(links)]
+	order := resized(&b.order, len(links))
 	identity(order)
 	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(classes[j], classes[i]) })
 

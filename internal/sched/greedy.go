@@ -76,10 +76,7 @@ func orderEdges(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) 
 // orderEdges returns the indices of links in scheduling order, in the
 // builder's order buffer.
 func (b *Builder) orderEdges(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) []int {
-	if cap(b.order) < len(links) {
-		b.order = make([]int, len(links))
-	}
-	idx := b.order[:len(links)]
+	idx := resized(&b.order, len(links))
 	switch n := ch.NumNodes(); {
 	case ord == ByDemandDesc:
 		identity(idx)
@@ -112,10 +109,7 @@ func (b *Builder) orderEdges(ch phys.Engine, links []phys.Link, demands []int, o
 		// A stable counting sort on the head ID, descending: the order the
 		// stable comparison sort above gives, ties in index order, in
 		// O(nodes + links).
-		if cap(b.counts) < n {
-			b.counts = make([]int, n)
-		}
-		counts := b.counts[:n]
+		counts := resized(&b.counts, n)
 		clear(counts)
 		for _, l := range links {
 			counts[l.From]++
@@ -137,6 +131,14 @@ func identity(idx []int) {
 	for i := range idx {
 		idx[i] = i
 	}
+}
+
+// resized returns (*buf)[:n], first replacing *buf when it is too short.
+func resized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // GreedyPhysical computes a feasible schedule with the centralized greedy

@@ -35,17 +35,11 @@ func LinkRate(ch phys.Engine, l phys.Link) float64 {
 // TestMaxWeightOrderTieBreak). Weight then index is a total order, so any
 // sort gives the one order it defines.
 func (b *Builder) maxWeightOrder(ch phys.Engine, links []phys.Link, demands []int) []int {
-	if cap(b.weights) < len(links) {
-		b.weights = make([]float64, len(links))
-	}
-	w := b.weights[:len(links)]
+	w := resized(&b.weights, len(links))
 	for i, l := range links {
 		w[i] = float64(demands[i]) * LinkRate(ch, l)
 	}
-	if cap(b.order) < len(links) {
-		b.order = make([]int, len(links))
-	}
-	idx := b.order[:len(links)]
+	idx := resized(&b.order, len(links))
 	identity(idx)
 	slices.SortFunc(idx, func(a, b int) int {
 		if c := cmp.Compare(w[b], w[a]); c != 0 {
