@@ -394,6 +394,18 @@ func BenchmarkGreedyPhysical64(b *testing.B) {
 	}
 }
 
+// BenchmarkNewMeshGrid256 is the set-up of the 16x16 grid the
+// greedy-dense256 and greedy-spatial256 workloads run on: NewMesh builds the
+// dense channel, both graphs, the gateways and the routing forest.
+func BenchmarkNewMeshGrid256(b *testing.B) {
+	spec := TopologySpec{Kind: "grid", Rows: 16, Cols: 16, StepMeters: 30}
+	for i := 0; i < b.N; i++ {
+		if _, err := NewMesh(spec, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGreedyPhysicalSpatial256 is one greedy schedule build on the
 // 16x16 grid of the greedy-spatial256 workload, through the spatial engine:
 // the admissions go through the phys.Engine interface, with exact

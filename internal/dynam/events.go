@@ -14,7 +14,7 @@
 //     churn cells across workers with bit-identical output;
 //   - a World that applies events to an exclusively-owned topo.Network —
 //     targeted RX-power-matrix invalidation for moved or silenced nodes,
-//     graph refresh, and incremental routing-forest repair
+//     once per batch, graph refresh, and incremental routing-forest repair
 //     (route.Forest.Repair) with full-rebuild fallback on partition;
 //   - a Change report per applied batch, which the flow-level simulator
 //     consumes at epoch boundaries to drop dead queues, re-home routes and

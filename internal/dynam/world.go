@@ -192,9 +192,11 @@ func (w *World) markChanged(u int) {
 }
 
 // AdvanceTo applies every event with At <= t and returns the resulting
-// Change, or nil when no event was due. Events mutate the channel with
-// targeted row/column invalidation; the graphs are refreshed and the forest
-// repaired once per batch.
+// Change, or nil when no event was due. A failure zeroes the node's channel
+// row at once; moves and recoveries only record the new position or state.
+// Once per batch, RefreshGraphs recomputes each stale channel row once and
+// rebuilds the graphs, and the forest is repaired, so the channel is current
+// again when AdvanceTo returns.
 func (w *World) AdvanceTo(t des.Time) (*Change, error) {
 	if w.next >= len(w.timeline) || w.timeline[w.next].At > t {
 		return nil, nil

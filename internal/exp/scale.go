@@ -131,18 +131,7 @@ func admitAll(eng phys.Engine, sample []phys.Link) (slots int, nsPerAdm, bytesPe
 // the O(n^2) structure the spatial index replaces.
 func denseChannel(pos []geom.Point, pw []float64) (*phys.Channel, error) {
 	p := topo.DefaultParams()
-	n := len(pos)
-	gain := make([][]float64, n)
-	for u := range gain {
-		row := make([]float64, n)
-		for v := range row {
-			if u != v {
-				row[v] = p.PathLoss.Gain(pos[u].Dist(pos[v]))
-			}
-		}
-		gain[u] = row
-	}
-	return phys.NewChannel(pw, gain, p.NoiseMW, p.Beta)
+	return phys.NewChannel(pw, phys.BuildGainMatrix(pos, p.PathLoss, nil), p.NoiseMW, p.Beta)
 }
 
 // FigScale sweeps the node count to 50k and plots both engines' cost:

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"scream/internal/geom"
 )
 
 // Channel captures everything the interference model needs about a deployed
@@ -136,35 +138,52 @@ func (c *Channel) MoveNode(u int, g []float64) error {
 		c.gain[v][u] = g[v]
 	}
 	c.gain[u][u] = 0
-	if c.rxFlat == nil {
-		return nil // matrix not built yet; the lazy build will see the new gains
+	c.patchRx(u)
+	return nil
+}
+
+// RemoveNode silences node u: every gain to and from it becomes 0, so it
+// neither delivers power anywhere nor receives any — the channel of a
+// network where u's radio is off. The row is zeroed in place, and the
+// channel does not remember it, so reinstating the node means calling
+// MoveNode with a gain row recomputed from its position
+// (topo.Network.RefreshGraphs does exactly that for a node SetNodeUp
+// restored). Same exclusivity contract as MoveNode.
+func (c *Channel) RemoveNode(u int) error {
+	n := len(c.txPowerMW)
+	if u < 0 || u >= n {
+		return fmt.Errorf("phys: node %d out of range for %d nodes", u, n)
 	}
+	for v := 0; v < n; v++ {
+		c.gain[u][v] = 0
+		c.gain[v][u] = 0
+	}
+	c.patchRx(u)
+	return nil
+}
+
+// patchRx recomputes row u and column u of a built RX-power cache from the
+// current gains, with rxMatrix's expression.
+func (c *Channel) patchRx(u int) {
+	if c.rxFlat == nil {
+		return // matrix not built yet; the lazy build will see the new gains
+	}
+	n := len(c.txPowerMW)
 	row := c.rxFlat[u*n : (u+1)*n]
 	p := c.txPowerMW[u]
 	for v := 0; v < n; v++ {
 		row[v] = p * c.Gain(u, v)
 		c.rxFlat[v*n+u] = c.txPowerMW[v] * c.Gain(v, u)
 	}
-	return nil
-}
-
-// RemoveNode silences node u: every gain to and from it becomes 0, so it
-// neither delivers power anywhere nor receives any — the channel of a
-// network where u's radio is off. The channel does not remember the
-// silenced row, so reinstating the node means calling MoveNode with a gain
-// row recomputed from its position (topo.Network.SetNodeUp does exactly
-// that). Same exclusivity contract as MoveNode.
-func (c *Channel) RemoveNode(u int) error {
-	return c.MoveNode(u, make([]float64, len(c.txPowerMW)))
 }
 
 // Clone returns an independent deep copy of the channel (cold RX cache).
 // Mutating the clone never affects the original, which is how dynamics runs
 // avoid corrupting a shared deployment.
 func (c *Channel) Clone() *Channel {
-	gain := make([][]float64, len(c.gain))
+	gain := squareMatrix(len(c.gain))
 	for i, row := range c.gain {
-		gain[i] = append([]float64(nil), row...)
+		copy(gain[i], row)
 	}
 	return &Channel{
 		txPowerMW: append([]float64(nil), c.txPowerMW...),
@@ -186,25 +205,108 @@ func (c *Channel) LinkUp(u, v int) bool {
 	return c.SNR(u, v) >= c.beta
 }
 
-// BuildGainMatrix evaluates a path loss model over node positions given as
-// pairwise distances, producing the symmetric gain matrix. shadowDB, when
-// non-nil, supplies a symmetric per-pair shadowing term in dB that is added
-// to the path loss (log-normal shadowing); pass nil for pure log-distance.
-func BuildGainMatrix(dist [][]float64, pl PathLoss, shadowDB [][]float64) [][]float64 {
-	n := len(dist)
-	gain := make([][]float64, n)
-	for i := range gain {
-		gain[i] = make([]float64, n)
-	}
+// BuildGainMatrix evaluates a path loss model over node positions, producing
+// the symmetric gain matrix gain[i][j] = pl.Gain(pos[i].Dist(pos[j])), 0 on
+// the diagonal. shadowDB, when non-nil, supplies a symmetric per-pair
+// shadowing term in dB that Shadowed applies to each entry (log-normal
+// shadowing); pass nil for pure log-distance.
+//
+// One pass over the upper triangle fills both halves straight from the
+// positions, and pl.Gain runs once per distinct distance: a gainCache local
+// to the call hands later pairs at the same distance the gain the first one
+// computed.
+func BuildGainMatrix(pos []geom.Point, pl PathLoss, shadowDB [][]float64) [][]float64 {
+	n := len(pos)
+	gain := squareMatrix(n)
+	cache := newGainCache(pl, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g := pl.Gain(dist[i][j])
+			g := cache.gain(pos[i].Dist(pos[j]))
 			if shadowDB != nil {
-				g *= math.Pow(10, -shadowDB[i][j]/10)
+				g = Shadowed(g, shadowDB[i][j])
 			}
 			gain[i][j] = g
 			gain[j][i] = g
 		}
 	}
 	return gain
+}
+
+// Shadowed scales gain g by a shadowing loss of db dB: the per-pair factor
+// of log-normal shadowing.
+func Shadowed(g, db float64) float64 {
+	return g * math.Pow(10, -db/10)
+}
+
+// squareMatrix returns an n×n zero matrix whose rows share one backing
+// array.
+func squareMatrix(n int) [][]float64 {
+	flat := make([]float64, n*n)
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	return m
+}
+
+// gainCache memoizes pl.Gain for one matrix build, keyed by the exact bits
+// of the distance. pl.Gain is a pure function of its argument, so a hit
+// returns the very bits a fresh evaluation would: the cache changes how
+// often the model runs, never what it returns. A grid repeats a handful of
+// distances over and over (123 distinct among a 16×16 grid's 32,640 pairs),
+// while a uniform deployment repeats none and only ever misses.
+//
+// The table is open-addressed with linear probing over at least 2n slots,
+// where n is the node count. It stops taking new distances once half its
+// slots are full, which bounds every probe sequence (an empty slot always
+// ends it) and the table's size for deployments whose distances never
+// repeat; later distances are evaluated without being stored. A zero gain
+// marks an empty slot, so a distance whose gain underflows to 0 is never
+// stored and is evaluated each time it comes up.
+type gainCache struct {
+	pl    PathLoss
+	slots []gainSlot
+	shift uint // 64 - log2(len(slots)): keeps the hash's top bits
+	free  int  // distances the table still takes
+}
+
+type gainSlot struct {
+	dist uint64 // math.Float64bits of the distance
+	gain float64
+}
+
+func newGainCache(pl PathLoss, n int) *gainCache {
+	size, shift := 16, uint(60)
+	for size < 2*n {
+		size <<= 1
+		shift--
+	}
+	return &gainCache{pl: pl, slots: make([]gainSlot, size), shift: shift, free: size / 2}
+}
+
+// home returns the slot a key's probe sequence starts at. Fibonacci
+// hashing: the multiply spreads every key bit into the top bits, which pick
+// the slot.
+func (c *gainCache) home(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> c.shift)
+}
+
+// gain returns pl.Gain(d).
+func (c *gainCache) gain(d float64) float64 {
+	key := math.Float64bits(d)
+	mask := len(c.slots) - 1
+	for i := c.home(key); ; i = (i + 1) & mask {
+		s := &c.slots[i]
+		if s.gain == 0 {
+			g := c.pl.Gain(d)
+			if c.free > 0 && g != 0 {
+				*s = gainSlot{dist: key, gain: g}
+				c.free--
+			}
+			return g
+		}
+		if s.dist == key {
+			return s.gain
+		}
+	}
 }

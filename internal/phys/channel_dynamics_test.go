@@ -11,22 +11,18 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"scream/internal/geom"
 )
 
 // gridGains returns the symmetric gain matrix of n nodes at the given
 // positions under default log-distance propagation.
 func gridGains(pos [][2]float64) [][]float64 {
-	n := len(pos)
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			dx := pos[i][0] - pos[j][0]
-			dy := pos[i][1] - pos[j][1]
-			dist[i][j] = math.Sqrt(dx*dx + dy*dy)
-		}
+	pts := make([]geom.Point, len(pos))
+	for i, p := range pos {
+		pts[i] = geom.Point{X: p[0], Y: p[1]}
 	}
-	return BuildGainMatrix(dist, DefaultLogDistance(), nil)
+	return BuildGainMatrix(pts, DefaultLogDistance(), nil)
 }
 
 // copyMatrix deep-copies a gain matrix so that a fresh reference channel is

@@ -4,21 +4,19 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"scream/internal/geom"
 )
 
 // lineChannel builds a channel with n nodes evenly spaced step meters apart
 // on a line, homogeneous power, default propagation.
 func lineChannel(t testing.TB, n int, step float64, txDBm DBm) *Channel {
 	t.Helper()
-	pl := DefaultLogDistance()
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			dist[i][j] = math.Abs(float64(i-j)) * step
-		}
+	pos := make([]geom.Point, n)
+	for i := range pos {
+		pos[i] = geom.Point{X: float64(i) * step}
 	}
-	gain := BuildGainMatrix(dist, pl, nil)
+	gain := BuildGainMatrix(pos, DefaultLogDistance(), nil)
 	pw := make([]float64, n)
 	for i := range pw {
 		pw[i] = txDBm.MilliWatts()
@@ -253,16 +251,8 @@ func TestAckInterferenceMatters(t *testing.T) {
 	// receivers adjacent to each other, senders far on opposite sides.
 	// Layout: s1 --- r1  r2 --- s2 with r1, r2 close together.
 	pl := DefaultLogDistance()
-	pos := []float64{0, 95, 125, 220} // s1, r1, r2, s2 on a line
-	n := len(pos)
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			dist[i][j] = math.Abs(pos[i] - pos[j])
-		}
-	}
-	gain := BuildGainMatrix(dist, pl, nil)
+	pos := []geom.Point{{X: 0}, {X: 95}, {X: 125}, {X: 220}} // s1, r1, r2, s2 on a line
+	gain := BuildGainMatrix(pos, pl, nil)
 	pw := []float64{DBm(22).MilliWatts(), DBm(2).MilliWatts(), DBm(2).MilliWatts(), DBm(22).MilliWatts()}
 	ch, err := NewChannel(pw, gain, DBm(-96).MilliWatts(), DB(10).Linear())
 	if err != nil {
@@ -408,11 +398,11 @@ func TestSlotStateLinksCopy(t *testing.T) {
 }
 
 func TestBuildGainMatrixShadowing(t *testing.T) {
-	dist := [][]float64{{0, 10}, {10, 0}}
+	pos := []geom.Point{{}, {X: 10}}
 	pl := DefaultLogDistance()
 	shadow := [][]float64{{0, 6}, {6, 0}} // 6 dB extra loss
-	plain := BuildGainMatrix(dist, pl, nil)
-	shadowed := BuildGainMatrix(dist, pl, shadow)
+	plain := BuildGainMatrix(pos, pl, nil)
+	shadowed := BuildGainMatrix(pos, pl, shadow)
 	want := plain[0][1] * math.Pow(10, -0.6)
 	if math.Abs(shadowed[0][1]-want) > 1e-15 {
 		t.Errorf("shadowed gain = %v, want %v", shadowed[0][1], want)

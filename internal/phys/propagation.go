@@ -8,7 +8,9 @@ import (
 // PathLoss converts a transmitter-receiver distance into a linear channel
 // gain in (0, 1]. Received power is txPowerMW * Gain(d).
 type PathLoss interface {
-	// Gain returns the linear power gain at distance d meters.
+	// Gain returns the linear power gain at distance d meters. It must be a
+	// pure function of d: BuildGainMatrix evaluates it once per distinct
+	// distance and reuses the result.
 	Gain(d float64) float64
 }
 

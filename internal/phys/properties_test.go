@@ -5,6 +5,8 @@ package phys
 import (
 	"math/rand"
 	"testing"
+
+	"scream/internal/geom"
 )
 
 // TestFeasibilityDownwardClosed: removing links from a feasible set can only
@@ -48,24 +50,11 @@ func TestFeasibilityInterferenceMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
 		n := 12
-		dist := make([][]float64, n)
-		for i := range dist {
-			dist[i] = make([]float64, n)
-		}
-		pos := make([]float64, n)
+		pos := make([]geom.Point, n)
 		for i := range pos {
-			pos[i] = rng.Float64() * 300
+			pos[i] = geom.Point{X: rng.Float64() * 300}
 		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				d := pos[i] - pos[j]
-				if d < 0 {
-					d = -d
-				}
-				dist[i][j] = d
-			}
-		}
-		gain := BuildGainMatrix(dist, DefaultLogDistance(), nil)
+		gain := BuildGainMatrix(pos, DefaultLogDistance(), nil)
 		base := DBm(14).MilliWatts()
 		mk := func(boost int) *Channel {
 			pw := make([]float64, n)

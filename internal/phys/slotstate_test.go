@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"scream/internal/geom"
 )
 
 // gridChannel builds a channel with side*side nodes on a square grid, step
@@ -17,16 +19,11 @@ import (
 func gridChannel(tb testing.TB, side int, step float64, txDBm DBm) *Channel {
 	tb.Helper()
 	n := side * side
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			dx := float64(i%side-j%side) * step
-			dy := float64(i/side-j/side) * step
-			dist[i][j] = math.Hypot(dx, dy)
-		}
+	pos := make([]geom.Point, n)
+	for i := range pos {
+		pos[i] = geom.Point{X: float64(i%side) * step, Y: float64(i/side) * step}
 	}
-	gain := BuildGainMatrix(dist, DefaultLogDistance(), nil)
+	gain := BuildGainMatrix(pos, DefaultLogDistance(), nil)
 	pw := make([]float64, n)
 	for i := range pw {
 		pw[i] = txDBm.MilliWatts()

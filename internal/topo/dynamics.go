@@ -3,9 +3,12 @@ package topo
 // Topology dynamics: in-place network mutation for node mobility and churn.
 // The methods here keep the three derived views of a deployment — the
 // channel's RX-power matrix, the communication graph and the sensitivity
-// graph — consistent with the node positions and radio states, using the
-// channel's targeted row/column invalidation so a single node event never
-// pays a full matrix rebuild.
+// graph — consistent with the node positions and radio states. Events are
+// cheap to record: MoveNode and SetNodeUp only note the new position or
+// state, and SetNodeDown zeroes the node's channel row in place. The next
+// RefreshGraphs brings the channel up to date, recomputing each stale
+// node's row once however often the node moved, and each pair of stale
+// nodes once, before it derives the graphs.
 //
 // All mutation methods require exclusive access to the Network. Clone a
 // shared deployment (e.g. one handed out by the experiment engine) before
@@ -13,14 +16,35 @@ package topo
 
 import (
 	"fmt"
-	"math"
 
 	"scream/internal/geom"
 	"scream/internal/graph"
+	"scream/internal/phys"
 )
 
+// dynState is the per-node state topology dynamics add to a network.
+type dynState struct {
+	// down[u] marks node u's radio as off; its channel gains are zero and it
+	// holds no graph edges until SetNodeUp restores it.
+	down []bool
+	// stale[u] marks node u's channel row as out of date: the node moved or
+	// came back up since the last RefreshGraphs. A down node is never stale.
+	stale []bool
+	// row is RefreshGraphs' gain-row buffer.
+	row []float64
+}
+
+// dynamics returns the network's dynamics state, allocating it on first use.
+func (n *Network) dynamics() *dynState {
+	if n.dyn == nil {
+		n.dyn = &dynState{down: make([]bool, len(n.Nodes)), stale: make([]bool, len(n.Nodes))}
+	}
+	return n.dyn
+}
+
 // Clone returns a deep copy of the network that can be mutated freely
-// without affecting the original.
+// without affecting the original. Channel rows still pending a refresh stay
+// pending in the copy.
 func (n *Network) Clone() *Network {
 	c := &Network{
 		Nodes:   append([]Node(nil), n.Nodes...),
@@ -36,67 +60,63 @@ func (n *Network) Clone() *Network {
 			c.shadowDB[i] = append([]float64(nil), row...)
 		}
 	}
-	if n.down != nil {
-		c.down = append([]bool(nil), n.down...)
+	if n.dyn != nil {
+		c.dyn = &dynState{
+			down:  append([]bool(nil), n.dyn.down...),
+			stale: append([]bool(nil), n.dyn.stale...),
+		}
 	}
 	return c
 }
 
 // IsDown reports whether node u's radio is currently off.
 func (n *Network) IsDown(u int) bool {
-	return n.down != nil && n.down[u]
+	return n.dyn != nil && n.dyn.down[u]
 }
 
-// gainRowFor computes node u's current gain row from positions, path loss
-// and the static shadowing draw, zeroing entries to nodes that are down
-// (a silent radio neither delivers nor collects power).
-func (n *Network) gainRowFor(u int) []float64 {
-	row := make([]float64, len(n.Nodes))
-	pu := n.Nodes[u].Pos
-	for v := range n.Nodes {
-		if v == u || n.IsDown(v) {
-			continue
-		}
-		g := n.Params.PathLoss.Gain(pu.Dist(n.Nodes[v].Pos))
-		if n.shadowDB != nil {
-			g *= math.Pow(10, -n.shadowDB[u][v]/10)
-		}
-		row[v] = g
+// pairGain is the gain between nodes u and v at their current positions,
+// with the static shadowing draw: the expression phys.BuildGainMatrix
+// evaluates for the pair.
+func (n *Network) pairGain(u, v int) float64 {
+	g := n.Params.PathLoss.Gain(n.Nodes[u].Pos.Dist(n.Nodes[v].Pos))
+	if n.shadowDB != nil {
+		g = phys.Shadowed(g, n.shadowDB[u][v])
 	}
-	return row
+	return g
 }
 
-// MoveNode relocates node u to pos, recomputing only its row and column of
-// the channel's RX-power matrix. Call RefreshGraphs after a batch of moves
-// to bring the communication and sensitivity graphs up to date.
+// MoveNode relocates node u to pos. The channel keeps u's old gains until
+// the next RefreshGraphs recomputes its row, so a node moved several times
+// between refreshes is evaluated once, at its last position.
 func (n *Network) MoveNode(u int, pos geom.Point) error {
 	if u < 0 || u >= len(n.Nodes) {
 		return fmt.Errorf("topo: node %d out of range", u)
 	}
 	n.Nodes[u].Pos = pos
-	if n.IsDown(u) {
-		return nil // gains stay zeroed; SetNodeUp recomputes from the new position
+	// A down node's gains stay zero; SetNodeUp marks its row stale.
+	if !n.IsDown(u) {
+		n.dynamics().stale[u] = true
 	}
-	return n.Channel.MoveNode(u, n.gainRowFor(u))
+	return nil
 }
 
-// SetNodeDown switches node u's radio off: its channel gains are zeroed so
-// it neither transmits nor senses, exactly as if it were absent.
+// SetNodeDown switches node u's radio off: its channel gains are zeroed at
+// once, so it neither transmits nor senses, exactly as if it were absent.
 func (n *Network) SetNodeDown(u int) error {
 	if u < 0 || u >= len(n.Nodes) {
 		return fmt.Errorf("topo: node %d out of range", u)
 	}
-	if n.down == nil {
-		n.down = make([]bool, len(n.Nodes))
-	}
-	if n.down[u] {
+	d := n.dynamics()
+	if d.down[u] {
 		return nil
 	}
-	n.down[u] = true
+	d.down[u] = true
+	d.stale[u] = false // a zero row is what the refresh would compute
 	return n.Channel.RemoveNode(u)
 }
 
-// SetNodeUp switches node u's radio back on at its current position.
+// SetNodeUp switches node u's radio back on at its current position. Its
+// gains stay zero until the next RefreshGraphs recomputes its row.
 func (n *Network) SetNodeUp(u int) error {
 	if u < 0 || u >= len(n.Nodes) {
 		return fmt.Errorf("topo: node %d out of range", u)
@@ -104,16 +124,19 @@ func (n *Network) SetNodeUp(u int) error {
 	if !n.IsDown(u) {
 		return nil
 	}
-	n.down[u] = false
-	return n.Channel.MoveNode(u, n.gainRowFor(u))
+	n.dyn.down[u] = false
+	n.dyn.stale[u] = true
+	return nil
 }
 
-// RefreshGraphs rebuilds the communication and sensitivity graphs from the
-// channel's current state, using exactly the edge rules of Build. Down nodes
+// RefreshGraphs brings the channel up to date with the positions and radio
+// states MoveNode, SetNodeDown and SetNodeUp recorded since the last call,
+// then rebuilds the communication and sensitivity graphs from it. Down nodes
 // have zero gains and therefore no edges. Adjacency lists come out in
 // ascending node order, the canonical order route repair's tie-breaking
-// relies on.
+// relies on. Build derives a new network's graphs with the same call.
 func (n *Network) RefreshGraphs() {
+	n.refreshRows()
 	nn := len(n.Nodes)
 	comm := graph.New(nn)
 	sens := graph.New(nn)
@@ -132,4 +155,41 @@ func (n *Network) RefreshGraphs() {
 	}
 	n.Comm = comm
 	n.Sens = sens
+}
+
+// refreshRows recomputes the channel row of every stale node, in ascending
+// order, into one reused buffer. A pair of stale nodes is evaluated with the
+// lower-numbered node's row; the higher one's row copies it back from the
+// channel. Each pair's gain depends only on the two current positions and
+// radio states, so the channel ends bit-identical to a fresh Build of the
+// same state, whatever order the events came in.
+func (n *Network) refreshRows() {
+	d := n.dyn
+	if d == nil {
+		return
+	}
+	for u, stale := range d.stale {
+		if !stale {
+			continue
+		}
+		if d.row == nil {
+			d.row = make([]float64, len(n.Nodes))
+		}
+		for v := range d.row {
+			switch {
+			case v == u || d.down[v]:
+				d.row[v] = 0
+			case v < u && d.stale[v]:
+				d.row[v] = n.Channel.Gain(v, u)
+			default:
+				d.row[v] = n.pairGain(u, v)
+			}
+		}
+		if err := n.Channel.MoveNode(u, d.row); err != nil {
+			// The row has one entry per node and LogDistance gains are
+			// never negative, so the channel cannot refuse it.
+			panic(err)
+		}
+	}
+	clear(d.stale)
 }

@@ -1,16 +1,20 @@
 package topo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scream/internal/geom"
 )
 
 // buildFresh materializes a reference network from the mutated network's
-// current positions, powers and radio states.
-func buildFresh(t *testing.T, n *Network) *Network {
+// current positions, powers and radio states. shadowSeed seeds the rng the
+// mutated network was built with, so a shadowed reference draws the same
+// per-pair shadowing.
+func buildFresh(t *testing.T, n *Network, shadowSeed int64) *Network {
 	t.Helper()
 	pos := make([]geom.Point, len(n.Nodes))
 	pw := make([]float64, len(n.Nodes))
@@ -18,7 +22,7 @@ func buildFresh(t *testing.T, n *Network) *Network {
 		pos[i] = nd.Pos
 		pw[i] = nd.TxPowerMW
 	}
-	ref, err := Build(pos, pw, n.Region, n.Params, nil)
+	ref, err := Build(pos, pw, n.Region, n.Params, rand.New(rand.NewSource(shadowSeed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,34 +70,75 @@ func assertSameNetwork(t *testing.T, got, want *Network, what string) {
 	}
 }
 
-// TestNetworkDynamicsMatchFreshBuild drives a random move/fail/recover
-// sequence and asserts the mutated network stays identical (channel bits,
-// graph adjacency and order) to a network freshly built from the same state.
-func TestNetworkDynamicsMatchFreshBuild(t *testing.T) {
-	net, err := NewGrid(GridConfig{Rows: 4, Cols: 4, Step: 35, Params: DefaultParams()}, nil)
+// mutation is one topology-dynamics call: a move, a failure or a recovery.
+type mutation struct {
+	kind byte // 'm' move, 'd' down, 'u' up
+	u    int
+	pos  geom.Point
+}
+
+func (m mutation) apply(t *testing.T, n *Network) {
+	t.Helper()
+	var err error
+	switch m.kind {
+	case 'm':
+		err = n.MoveNode(m.u, m.pos)
+	case 'd':
+		err = n.SetNodeDown(m.u)
+	default:
+		err = n.SetNodeUp(m.u)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	for step := 0; step < 15; step++ {
-		u := rng.Intn(len(net.Nodes))
-		switch rng.Intn(3) {
-		case 0:
-			p := geom.Point{X: rng.Float64() * net.Region.MaxX, Y: rng.Float64() * net.Region.MaxY}
-			if err := net.MoveNode(u, p); err != nil {
-				t.Fatal(err)
-			}
-		case 1:
-			if err := net.SetNodeDown(u); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			if err := net.SetNodeUp(u); err != nil {
-				t.Fatal(err)
-			}
+}
+
+// TestNetworkDynamicsMatchFreshBuild applies batches of mixed move, fail and
+// recover mutations, refreshing once per batch as dynam.World does, and
+// asserts the network stays identical (channel bits, graph adjacency and
+// order) to a network freshly built from the same state. Scripted batches
+// come first: a node moved twice, a node moved while down that later
+// recovers where it went, a node moved then failed, and a node failed, moved
+// and recovered in one batch; random batches of 1-8 mutations follow. After
+// each batch a Clone taken before the refresh, with the rows still pending,
+// must refresh to the same network. It runs with and without shadowing.
+func TestNetworkDynamicsMatchFreshBuild(t *testing.T) {
+	const seed = 5
+	scripted := [][]mutation{
+		{{'m', 5, geom.Point{X: 10, Y: 20}}, {'m', 6, geom.Point{Y: 100}}, {'m', 5, geom.Point{X: 90, Y: 40}}},
+		{{kind: 'd', u: 3}, {'m', 3, geom.Point{X: 50, Y: 50}}},
+		{{kind: 'u', u: 3}, {'m', 9, geom.Point{X: 5, Y: 5}}, {kind: 'd', u: 9}},
+		{{kind: 'd', u: 7}, {'m', 7, geom.Point{X: 70}}, {kind: 'u', u: 7}, {'m', 12, geom.Point{X: 35, Y: 35}}},
+	}
+	for _, sigma := range []float64{0, 6} {
+		p := DefaultParams()
+		p.ShadowSigmaDB = sigma
+		net, err := NewGrid(GridConfig{Rows: 4, Cols: 4, Step: 35, Params: p}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		net.RefreshGraphs()
-		assertSameNetwork(t, net, buildFresh(t, net), "after mutation")
+		rng := rand.New(rand.NewSource(3))
+		batches := slices.Clone(scripted)
+		for k := 0; k < 40; k++ {
+			batch := make([]mutation, 1+rng.Intn(8))
+			for i := range batch {
+				batch[i] = mutation{kind: "mdu"[rng.Intn(3)], u: rng.Intn(len(net.Nodes)),
+					pos: geom.Point{X: rng.Float64() * net.Region.MaxX, Y: rng.Float64() * net.Region.MaxY}}
+			}
+			batches = append(batches, batch)
+		}
+		for b, batch := range batches {
+			for _, m := range batch {
+				m.apply(t, net)
+			}
+			pending := net.Clone()
+			net.RefreshGraphs()
+			want := buildFresh(t, net, seed)
+			what := fmt.Sprintf("sigma %v, batch %d %+v", sigma, b, batch)
+			assertSameNetwork(t, net, want, what)
+			pending.RefreshGraphs()
+			assertSameNetwork(t, pending, want, what+" (clone with rows pending)")
+		}
 	}
 }
 

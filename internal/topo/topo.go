@@ -53,7 +53,10 @@ func DefaultParams() Params {
 // dynamics.go (MoveNode, SetNodeDown, SetNodeUp, RefreshGraphs), which
 // require exclusive access. Clone a shared network before mutating it.
 type Network struct {
-	Nodes   []Node
+	Nodes []Node
+	// Channel holds the gains of the current positions and radio states
+	// once RefreshGraphs has run: MoveNode and SetNodeUp defer a node's
+	// channel row to the next refresh.
 	Channel *phys.Channel
 	Comm    *graph.Graph // bidirectional links only (paper ignores unidirectional)
 	Sens    *graph.Graph // directed sensitivity graph (Definition 1)
@@ -65,9 +68,9 @@ type Network struct {
 	// models obstructions tied to the node pair, the standard static-shadowing
 	// assumption.
 	shadowDB [][]float64
-	// down[u] marks node u's radio as off; its channel gains are zeroed and
-	// it holds no graph edges until SetNodeUp restores it.
-	down []bool
+	// dyn is the per-node state topology dynamics keep; nil until the first
+	// SetNodeDown or MoveNode.
+	dyn *dynState
 }
 
 // Build materializes a network from positions and per-node powers. When
@@ -88,13 +91,6 @@ func Build(positions []geom.Point, txPowerMW []float64, region geom.Rect, p Para
 		return nil, fmt.Errorf("topo: shadowing requires an rng")
 	}
 
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			dist[i][j] = positions[i].Dist(positions[j])
-		}
-	}
 	var shadow [][]float64
 	if p.ShadowSigmaDB > 0 {
 		shadow = make([][]float64, n)
@@ -109,7 +105,7 @@ func Build(positions []geom.Point, txPowerMW []float64, region geom.Rect, p Para
 			}
 		}
 	}
-	gain := phys.BuildGainMatrix(dist, p.PathLoss, shadow)
+	gain := phys.BuildGainMatrix(positions, p.PathLoss, shadow)
 	ch, err := phys.NewChannel(txPowerMW, gain, p.NoiseMW, p.Beta)
 	if err != nil {
 		return nil, err
@@ -119,31 +115,15 @@ func Build(positions []geom.Point, txPowerMW []float64, region geom.Rect, p Para
 	for i := range nodes {
 		nodes[i] = Node{ID: i, Pos: positions[i], TxPowerMW: txPowerMW[i]}
 	}
-
-	comm := graph.New(n)
-	sens := graph.New(n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
-			if ch.RxPowerMW(u, v) >= p.CSThresholdMW {
-				sens.AddEdge(u, v)
-			}
-			if u < v && ch.LinkUp(u, v) && ch.LinkUp(v, u) {
-				comm.AddUndirected(u, v)
-			}
-		}
-	}
-	return &Network{
+	net := &Network{
 		Nodes:    nodes,
 		Channel:  ch,
-		Comm:     comm,
-		Sens:     sens,
 		Region:   region,
 		Params:   p,
 		shadowDB: shadow,
-	}, nil
+	}
+	net.RefreshGraphs()
+	return net, nil
 }
 
 // NumNodes returns the number of nodes.

@@ -270,6 +270,27 @@ func TestRunSpatialDynamicsGolden(t *testing.T) {
 	}, "run_greedy_spatial_dynamics.jsonl")
 }
 
+// TestRunDenseDynamicsGolden pins a greedy run on the dense channel under
+// churn and waypoint mobility: every failure, recovery and move batch
+// patches the channel the schedules are admitted against, so this is the
+// output a stale or wrongly recomputed gain row would change.
+// Regenerate with: go test -run TestRunDenseDynamicsGolden -update
+func TestRunDenseDynamicsGolden(t *testing.T) {
+	checkRunGolden(t, ScenarioSpec{
+		Name:           "greedy-churn64",
+		Topology:       TopologySpec{Kind: "grid", Rows: 8, Cols: 8, StepMeters: 30},
+		Traffic:        TrafficSpec{Kind: "poisson", Load: 0.9},
+		Scheduler:      "greedy",
+		HorizonSec:     0.5,
+		Seed:           1,
+		FramesPerEpoch: 8,
+		MaxService:     8,
+		MaxQueue:       64,
+		Dynamics: &DynamicsSpec{FailRate: 0.2, MeanDowntimeSec: 0.5,
+			Mobility: "waypoint", SpeedMps: 2},
+	}, "run_greedy_dense_dynamics.jsonl")
+}
+
 // checkRunGolden runs spec and compares every epoch's streamed schedule, one
 // JSON line each, then the JSON result, byte for byte with testdata/name.
 func checkRunGolden(t *testing.T, spec ScenarioSpec, name string) {
@@ -368,7 +389,7 @@ func TestScenarioClone(t *testing.T) {
 // spec that decodes survives its own JSON: the re-encoded document decodes
 // again to the same bytes and validates alike. Bytes are compared rather
 // than specs because a decoded "gateways":[] re-encodes as an absent list.
-// The seed corpus is the golden document plus four hostile bodies that
+// The seed corpus is the golden document plus six hostile bodies that
 // validate today and would exhaust memory or time if run; the target never
 // runs a spec.
 func FuzzParseScenario(f *testing.F) {
@@ -377,12 +398,20 @@ func FuzzParseScenario(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(golden)
-	const grid = `"topology":{"kind":"grid","rows":4,"cols":4,"step_m":30},"horizon_sec":0.2`
+	const (
+		topo4x4 = `"topology":{"kind":"grid","rows":4,"cols":4,"step_m":30}`
+		grid    = topo4x4 + `,"horizon_sec":0.2`
+	)
 	for _, body := range []string{
 		`{` + grid + `,"traffic":{"kind":"poisson","rate_pps":1e18}}`,
 		`{` + grid + `,"traffic":{"kind":"poisson","load":0.5},"channels":1000000000}`,
 		`{"topology":{"kind":"uniform","nodes":200000,"side_m":100000},"traffic":{"kind":"poisson","load":0.5},"horizon_sec":0.2}`,
 		`{` + grid + `,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"waypoint","speed_mps":1e300}}`,
+		// Mobility samples (mobile nodes x horizon / move interval) exhaust
+		// memory in the timeline generator: 1e9 per mobile node here,
+		`{` + topo4x4 + `,"horizon_sec":1,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"drift","speed_mps":1,"move_interval_sec":1e-9}}`,
+		// and 1e10 per node at the default 100 ms interval here.
+		`{` + topo4x4 + `,"horizon_sec":1e9,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"waypoint","speed_mps":1}}`,
 	} {
 		f.Add([]byte(body))
 	}
