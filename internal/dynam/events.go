@@ -22,8 +22,9 @@
 package dynam
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"scream/internal/des"
 	"scream/internal/geom"
@@ -106,14 +107,14 @@ func deriveSeed(base int64, stream int64) int64 {
 // process and one mobility sampler per node, offset sampling grids), but
 // scripted timelines get a total order too.
 func sortEvents(ev []Event) {
-	sort.SliceStable(ev, func(i, j int) bool {
-		if ev[i].At != ev[j].At {
-			return ev[i].At < ev[j].At
+	slices.SortStableFunc(ev, func(a, b Event) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		if ev[i].Node != ev[j].Node {
-			return ev[i].Node < ev[j].Node
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
 		}
-		return ev[i].Kind < ev[j].Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
 }
 

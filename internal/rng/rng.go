@@ -5,10 +5,17 @@
 // from a Lehmer generator, x ← 48271·x mod (2³¹−1), run 1,841 steps from the
 // seed in one dependent chain. Register word i is three consecutive Lehmer
 // outputs, shifted and XORed together and with a constant rngCooked[i]. The
-// k-th output is seed·48271^k mod (2³¹−1), so New computes every word
-// directly from a table of powers: 1,821 independent products the CPU
-// overlaps, instead of a serial chain. The register is filled eagerly, since
-// every arrival process draws from it at once.
+// k-th output is seed·48271^k mod (2³¹−1), so rng computes any word directly
+// from a table of powers: three independent products the CPU overlaps,
+// instead of a serial chain.
+//
+// Most streams draw a few words, so a stream starts without a register.
+// Draw j adds tap word 606−j to feed word 333−j and writes the sum to the
+// feed word; before draw 273 neither word has been written, so a lazy draw
+// computes both from the seed. At draw 32 the stream materializes the
+// register: all 607 words, then the feed writes of the draws taken so far.
+// A stream that stays lazy is one small allocation, since the rand.Rand that
+// New returns lives inside it.
 //
 // rngCooked is not copied from math/rand. init recovers it from the first
 // 607 outputs of rand.NewSource(1): each output is the sum of two register
@@ -26,6 +33,9 @@ const (
 	warmup = 20        // Lehmer steps discarded before the first word
 	// zeroSeed replaces a seed that is 0 modulo mod, as math/rand does.
 	zeroSeed = 89482311
+	// window is the number of draws a stream takes before it materializes
+	// its register. It must not exceed tap: lazy's identity ends there.
+	window = 32
 )
 
 var (
@@ -67,9 +77,10 @@ func init() {
 		}
 		v[(2*length-tap-1-j)%length] = out[j] - t
 	}
-	// With cooked still zero, seeding leaves seed 1's Lehmer terms alone.
-	var one source
-	one.Seed(1)
+	// With cooked still zero, a register filled from seed 1 holds seed 1's
+	// Lehmer terms alone.
+	one := source{x: 1, feed: length - tap}
+	one.fill()
 	for i := range cooked {
 		cooked[i] = v[i] ^ one.vec[i]
 	}
@@ -85,35 +96,31 @@ func mulmod(x, y uint64) uint64 {
 	return p&mod + p>>31
 }
 
-// source is math/rand's rngSource with closed-form seeding. It implements
-// rand.Source64, so rand.Rand's Uint64 draws from it the way it draws from
-// the stdlib source.
+// source is math/rand's rngSource with closed-form seeding and a register
+// that exists only once the stream has drawn more than window words. It
+// keeps rngSource's feed index at every draw; rngSource's tap index always
+// equals feed+tap modulo length, since both start that far apart and step
+// together. It implements rand.Source64 and embeds the rand.Rand that New
+// returns, so a stream that stays lazy is one small allocation.
 type source struct {
-	tap, feed int
-	vec       [length]int64
+	r    rand.Rand
+	x    uint64 // normalized seed, in [1, 2³¹−2]
+	feed int
+	vec  *[length]int64 // nil while the stream is lazy
 }
 
 // New returns a generator whose every draw equals that of
 // rand.New(rand.NewSource(seed)).
 func New(seed int64) *rand.Rand {
-	return rand.New(newSource(seed))
-}
-
-// newSource returns a source seeded with seed. It stays out of line so that
-// New fits the inlining budget: a caller whose generator does not escape
-// then keeps the rand.Rand on its stack, as with rand.New(rand.NewSource(seed)),
-// and allocates no more than before.
-//
-//go:noinline
-func newSource(seed int64) rand.Source {
 	s := new(source)
 	s.Seed(seed)
-	return s
+	s.r = *rand.New(s)
+	return &s.r
 }
 
-// Seed implements rand.Source.
+// Seed implements rand.Source. A stream whose register exists re-seeds it
+// in place; any other stream starts lazy.
 func (s *source) Seed(seed int64) {
-	s.tap = 0
 	s.feed = length - tap
 	seed %= mod
 	if seed < 0 {
@@ -122,30 +129,81 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = zeroSeed
 	}
-	x := uint64(seed)
-	for i := range s.vec {
-		p := &pow[i]
-		s.vec[i] = int64(mulmod(x, p[0])<<40^mulmod(x, p[1])<<20^mulmod(x, p[2])) ^ cooked[i]
+	s.x = uint64(seed)
+	if s.vec != nil {
+		s.fill()
 	}
+}
+
+// fill materializes the register: every initial word, then the writes of
+// the draws taken so far, each of which added word i+tap to word i.
+func (s *source) fill() {
+	if s.vec == nil {
+		s.vec = new([length]int64)
+	}
+	v, x := s.vec, s.x
+	for i := range v {
+		p := &pow[i]
+		v[i] = int64(mulmod(x, p[0])<<40^mulmod(x, p[1])<<20^mulmod(x, p[2])) ^ cooked[i]
+	}
+	for i := s.feed; i < length-tap; i++ {
+		v[i] += v[i+tap]
+	}
+}
+
+// lazy takes a draw while the register does not exist. Before draw tap,
+// draw j adds initial words length−tap−1−j and length−1−j, which no earlier
+// draw wrote, so both come from the seed: 6 products against the fill's
+// 1,821, written out as in fill, since a call per word would cost more than
+// its products. At draw window the stream materializes the register
+// instead.
+func (s *source) lazy() uint64 {
+	if s.feed == length-tap-window {
+		s.fill()
+		return s.step(s.vec)
+	}
+	s.feed--
+	i, j := s.feed, s.feed+tap
+	x, f, t := s.x, &pow[i], &pow[j]
+	a := int64(mulmod(x, f[0])<<40^mulmod(x, f[1])<<20^mulmod(x, f[2])) ^ cooked[i]
+	b := int64(mulmod(x, t[0])<<40^mulmod(x, t[1])<<20^mulmod(x, t[2])) ^ cooked[j]
+	return uint64(a + b)
+}
+
+// step is rngSource's register step on the stream's register v: it adds
+// the tap word to the feed word, with both indices in registers and the
+// feed index stored once.
+func (s *source) step(v *[length]int64) uint64 {
+	feed := s.feed - 1
+	if feed < 0 {
+		feed += length
+	}
+	t := feed + tap
+	if t >= length {
+		t -= length
+	}
+	s.feed = feed
+	x := v[feed] + v[t]
+	v[feed] = x
+	return uint64(x)
 }
 
 // Uint64 implements rand.Source64.
 func (s *source) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += length
+	if v := s.vec; v != nil {
+		return s.step(v)
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += length
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return uint64(x)
+	return s.lazy()
 }
 
-// Int63 implements rand.Source.
-func (s *source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+// Int63 implements rand.Source. It repeats Uint64's body so that the step
+// is inlined here too.
+func (s *source) Int63() int64 {
+	if v := s.vec; v != nil {
+		return int64(s.step(v) &^ (1 << 63))
+	}
+	return int64(s.lazy() &^ (1 << 63))
+}
 
 // SplitMix64 is the SplitMix64 finalizer: a bijective mix of x whose output
 // bits each depend on every input bit, which decorrelates seeds derived from

@@ -13,7 +13,7 @@
 set -eu
 
 repeats=${1:-3}
-once='GreedyPhysical|FDDRun|PDDRun|Fig6GridImprovement|SlotState|ForestRepair|MaxWeight|FanZhang|Spatial|NewMeshGrid256|WorldAdvance64'
+once='GreedyPhysical|FDDRun|PDDRun|Fig6GridImprovement|SlotState|ForestRepair|MaxWeight|FanZhang|Spatial|NewMeshGrid256|WorldAdvance64|RNGStream'
 twenty='FlowEpoch|RunGoldenSpec'
 
 i=0
