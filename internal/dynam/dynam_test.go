@@ -33,36 +33,52 @@ func churnCfg(seed int64) Config {
 	}
 }
 
+// drain takes every event left on w's timeline, in order, without
+// applying any.
+func drain(w *World) []Event {
+	var out []Event
+	for _, ok := w.events.peek(); ok; _, ok = w.events.peek() {
+		out = append(out, w.events.pop())
+	}
+	return out
+}
+
+// trajectory samples a fresh stepper of m at the given times.
+func trajectory(m Mobility, start geom.Point, region geom.Rect, samples []des.Time, rng *rand.Rand) []geom.Point {
+	s := m.Start(start, region, rng)
+	out := make([]geom.Point, len(samples))
+	for i, t := range samples {
+		out[i], _ = s.Step(t)
+	}
+	return out
+}
+
 // TestTimelineDeterministic: identical seeds produce identical timelines;
 // different seeds do not.
 func TestTimelineDeterministic(t *testing.T) {
 	net, f := testNetwork(t)
-	a, err := NewWorld(net.Clone(), f, churnCfg(7))
-	if err != nil {
-		t.Fatal(err)
+	timeline := func(seed int64) []Event {
+		w, err := NewWorld(net.Clone(), f, churnCfg(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return drain(w)
 	}
-	b, err := NewWorld(net.Clone(), f, churnCfg(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewWorld(net.Clone(), f, churnCfg(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.timeline) == 0 {
+	a, b, c := timeline(7), timeline(7), timeline(8)
+	if len(a) == 0 {
 		t.Fatal("no churn events generated")
 	}
-	if len(a.timeline) != len(b.timeline) {
-		t.Fatalf("same seed, different timeline lengths: %d vs %d", len(a.timeline), len(b.timeline))
+	if len(a) != len(b) {
+		t.Fatalf("same seed, different timeline lengths: %d vs %d", len(a), len(b))
 	}
-	for i := range a.timeline {
-		if a.timeline[i] != b.timeline[i] {
-			t.Fatalf("same seed, event %d differs: %+v vs %+v", i, a.timeline[i], b.timeline[i])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed, event %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	diff := len(a.timeline) != len(c.timeline)
-	for i := 0; !diff && i < len(a.timeline); i++ {
-		diff = a.timeline[i] != c.timeline[i]
+	diff := len(a) != len(c)
+	for i := 0; !diff && i < len(a); i++ {
+		diff = a[i] != c[i]
 	}
 	if !diff {
 		t.Fatal("different seeds produced identical timelines")
@@ -78,7 +94,7 @@ func TestChurnAlternates(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := make(map[int]Kind)
-	for _, e := range w.timeline {
+	for _, e := range drain(w) {
 		if e.Node == 0 || e.Node == 15 {
 			t.Fatalf("gateway %d scheduled for churn without FailGateways", e.Node)
 		}
@@ -107,7 +123,7 @@ func TestMobilityStaysInRegion(t *testing.T) {
 		"drift":    Drift{SpeedMps: 20},
 	} {
 		rng := rand.New(rand.NewSource(5))
-		traj := m.Trajectory(start, region, samples, rng)
+		traj := trajectory(m, start, region, samples, rng)
 		moved := false
 		for i, p := range traj {
 			if p.X < region.MinX-1e-9 || p.X > region.MaxX+1e-9 || p.Y < region.MinY-1e-9 || p.Y > region.MaxY+1e-9 {
@@ -132,7 +148,7 @@ func TestDriftReflects(t *testing.T) {
 		samples[i] = des.Time(i+1) * 100 * des.Millisecond
 	}
 	rng := rand.New(rand.NewSource(2))
-	traj := Drift{SpeedMps: 30}.Trajectory(geom.Point{X: 50, Y: 50}, region, samples, rng)
+	traj := trajectory(Drift{SpeedMps: 30}, geom.Point{X: 50, Y: 50}, region, samples, rng)
 	prev := geom.Point{X: 50, Y: 50}
 	maxStep := 30*0.1 + 1e-6
 	for i, p := range traj {

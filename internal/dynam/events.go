@@ -9,9 +9,13 @@
 // *not* frozen — the evaluation style of the related work (Vieira et al.,
 // Halldórsson & Mitra). This package supplies the missing axis:
 //
-//   - a timeline of Fail/Recover/Move events, fully pre-generated from a
-//     seed so that runs are reproducible and the experiment engine can fan
-//     churn cells across workers with bit-identical output;
+//   - a timeline of Fail/Recover/Move events drawn from a seed, so that runs
+//     are reproducible and the experiment engine can fan churn cells across
+//     workers with bit-identical output. Each node's churn process and
+//     mobility sampler is a stream that draws its next event only when the
+//     previous one is consumed, and the World merges the streams in
+//     (At, Node, Kind) order, so a world holds O(nodes) timeline state
+//     however long the horizon;
 //   - a World that applies events to an exclusively-owned topo.Network —
 //     targeted RX-power-matrix invalidation for moved or silenced nodes,
 //     once per batch, graph refresh, and incremental routing-forest repair
@@ -24,6 +28,7 @@ package dynam
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"scream/internal/des"
@@ -102,74 +107,190 @@ func deriveSeed(base int64, stream int64) int64 {
 	return int64(rng.SplitMix64(uint64(base)*0xd1342543de82ef95 + uint64(stream)))
 }
 
-// sortEvents orders a timeline deterministically: by time, then node, then
-// kind. Ties on (time, node) cannot occur in generated timelines (one churn
-// process and one mobility sampler per node, offset sampling grids), but
-// scripted timelines get a total order too.
+// compareEvents orders events by time, then node, then kind. The key is
+// total on generated timelines: each node has one churn process and one
+// mobility sampler, each strictly increasing in time, and a node's churn
+// and move events differ in kind.
+func compareEvents(a, b Event) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Node, b.Node); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Kind, b.Kind)
+}
+
+// sortEvents orders a scripted timeline by compareEvents, keeping the
+// script's order among events with equal keys.
 func sortEvents(ev []Event) {
-	slices.SortStableFunc(ev, func(a, b Event) int {
-		if c := cmp.Compare(a.At, b.At); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Node, b.Node); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Kind, b.Kind)
-	})
+	slices.SortStableFunc(ev, compareEvents)
 }
 
-// generateChurn draws node u's alternating up/down process.
-func generateChurn(cfg Config, u int, out []Event) []Event {
-	rng := rng.New(deriveSeed(cfg.Seed, int64(2*u)))
-	t := des.Time(0)
-	for {
-		up := des.FromSeconds(rng.ExpFloat64() / cfg.FailRate)
-		if up < 1 {
-			up = 1
+// stream yields one source's events in compareEvents order, each drawn
+// when the previous one is taken: a node's churn process or mobility
+// samples (strictly increasing in time), or a sorted script.
+type stream interface {
+	// next returns the stream's next event, or false once it has none.
+	next() (Event, bool)
+}
+
+// churn is a node's alternating up/down process: exponential up times at
+// failRate, exponential down times of mean meanDowntime (none: a failure
+// is permanent).
+type churn struct {
+	node         int
+	failRate     float64
+	meanDowntime des.Time
+	horizon      des.Time
+	rng          *rand.Rand
+	t            des.Time // the last event's time
+	down         bool     // the last event was a failure
+}
+
+func newChurn(cfg Config, u int) churn {
+	return churn{node: u, failRate: cfg.FailRate, meanDowntime: cfg.MeanDowntime, horizon: cfg.Horizon,
+		rng: rng.New(deriveSeed(cfg.Seed, int64(2*u)))}
+}
+
+// next implements stream. A draw that lands at or past the horizon ends
+// the process; the comparison against the time left cannot overflow.
+func (c *churn) next() (Event, bool) {
+	var d des.Time
+	kind := Fail
+	if c.down {
+		if c.meanDowntime <= 0 {
+			return Event{}, false // permanent failure
 		}
-		t += up
-		if t >= cfg.Horizon {
-			return out
-		}
-		out = append(out, Event{At: t, Kind: Fail, Node: u})
-		if cfg.MeanDowntime <= 0 {
-			return out // permanent failure
-		}
-		down := des.FromSeconds(rng.ExpFloat64() * cfg.MeanDowntime.Seconds())
-		if down < 1 {
-			down = 1
-		}
-		t += down
-		if t >= cfg.Horizon {
-			return out
-		}
-		out = append(out, Event{At: t, Kind: Recover, Node: u})
+		d = des.FromSeconds(c.rng.ExpFloat64() * c.meanDowntime.Seconds())
+		kind = Recover
+	} else {
+		d = des.FromSeconds(c.rng.ExpFloat64() / c.failRate)
 	}
+	if d < 1 {
+		d = 1
+	}
+	if d >= c.horizon-c.t {
+		return Event{}, false
+	}
+	c.t += d
+	c.down = !c.down
+	return Event{At: c.t, Kind: kind, Node: c.node}, true
 }
 
-// generateMoves samples node u's mobility trajectory every MoveInterval,
-// emitting a Move event whenever the position actually changed (waypoint
+// moves samples a node's trajectory every interval before the horizon and
+// yields a Move event whenever the position actually changed (waypoint
 // pauses stay silent).
-func generateMoves(cfg Config, u int, start geom.Point, region geom.Rect, out []Event) []Event {
-	interval := cfg.MoveInterval
-	if interval <= 0 {
-		interval = 100 * des.Millisecond
-	}
-	var samples []des.Time
-	for t := interval; t < cfg.Horizon; t += interval {
-		samples = append(samples, t)
-	}
-	if len(samples) == 0 {
-		return out
-	}
-	rng := rng.New(deriveSeed(cfg.Seed, int64(2*u+1)))
-	traj := cfg.Mobility.Trajectory(start, region, samples, rng)
-	prev := start
-	for i, p := range traj {
-		if p != prev {
-			out = append(out, Event{At: samples[i], Kind: Move, Node: u, Pos: p})
-			prev = p
+type moves struct {
+	node              int
+	step              Stepper
+	interval, horizon des.Time
+	t                 des.Time   // the last sample's time
+	prev              geom.Point // the last position yielded
+}
+
+func newMoves(cfg Config, u int, interval des.Time, start geom.Point, region geom.Rect) moves {
+	step := cfg.Mobility.Start(start, region, rng.New(deriveSeed(cfg.Seed, int64(2*u+1))))
+	return moves{node: u, step: step, interval: interval, horizon: cfg.Horizon, prev: start}
+}
+
+// next implements stream.
+func (m *moves) next() (Event, bool) {
+	for m.interval < m.horizon-m.t {
+		m.t += m.interval
+		p, moving := m.step.Step(m.t)
+		if p != m.prev {
+			m.prev = p
+			return Event{At: m.t, Kind: Move, Node: m.node, Pos: p}, true
+		}
+		if !moving {
+			break
 		}
 	}
-	return out
+	return Event{}, false
+}
+
+// script yields a sorted scripted timeline.
+type script []Event
+
+// next implements stream.
+func (s *script) next() (Event, bool) {
+	if len(*s) == 0 {
+		return Event{}, false
+	}
+	e := (*s)[0]
+	*s = (*s)[1:]
+	return e, true
+}
+
+// timeline merges streams into one sequence in compareEvents order: a
+// binary min-heap of each stream's next event. Every stream is strictly
+// increasing and the key is total, so the heap's least head is the least
+// event left anywhere, and popping heads yields exactly the streams'
+// events sorted.
+type timeline struct {
+	heads []head
+}
+
+type head struct {
+	ev  Event
+	src stream
+}
+
+// newTimeline draws each stream's first event and heapifies them.
+func newTimeline(streams []stream) timeline {
+	q := timeline{heads: make([]head, 0, len(streams))}
+	for _, s := range streams {
+		if ev, ok := s.next(); ok {
+			q.heads = append(q.heads, head{ev, s})
+		}
+	}
+	for i := len(q.heads)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+	return q
+}
+
+// peek returns the earliest event left, or false when none is.
+func (q *timeline) peek() (Event, bool) {
+	if len(q.heads) == 0 {
+		return Event{}, false
+	}
+	return q.heads[0].ev, true
+}
+
+// pop removes the earliest event left, replacing it by its stream's next
+// one. The timeline must not be empty.
+func (q *timeline) pop() Event {
+	h := &q.heads[0]
+	ev := h.ev
+	if next, ok := h.src.next(); ok {
+		h.ev = next
+	} else {
+		last := len(q.heads) - 1
+		q.heads[0] = q.heads[last]
+		q.heads[last] = head{}
+		q.heads = q.heads[:last]
+	}
+	q.down(0)
+	return ev
+}
+
+// down restores the heap order below heads[i].
+func (q *timeline) down(i int) {
+	h := q.heads
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && compareEvents(h[r].ev, h[m].ev) < 0 {
+			m = r
+		}
+		if compareEvents(h[m].ev, h[i].ev) >= 0 {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

@@ -8,14 +8,22 @@ import (
 	"scream/internal/geom"
 )
 
-// Mobility produces a node's trajectory. Implementations must be pure
-// functions of their inputs (all randomness from rng) so that timelines are
-// reproducible and worker-count independent.
+// Mobility moves the nodes of a deployment, one Stepper per node.
+// Implementations must draw all randomness from the rng Start is given, so
+// that timelines are reproducible and worker-count independent.
 type Mobility interface {
-	// Trajectory returns the node's position at each sample time (samples
-	// are strictly increasing). The node starts at start at time 0 and must
+	// Start begins a node's trajectory at start at time 0. The node must
 	// stay inside region.
-	Trajectory(start geom.Point, region geom.Rect, samples []des.Time, rng *rand.Rand) []geom.Point
+	Start(start geom.Point, region geom.Rect, rng *rand.Rand) Stepper
+}
+
+// Stepper is one node's trajectory, kept as the state its next position
+// needs rather than as a list of samples.
+type Stepper interface {
+	// Step returns the node's position at time t, which must exceed the
+	// time of the previous call, and whether the node can still move after
+	// t: once moving is false, every later position equals p.
+	Step(t des.Time) (p geom.Point, moving bool)
 }
 
 // RandomWaypoint is the classical mobility model: pick a uniform waypoint in
@@ -27,51 +35,58 @@ type RandomWaypoint struct {
 	Pause des.Time
 }
 
-// Trajectory implements Mobility.
-func (m RandomWaypoint) Trajectory(start geom.Point, region geom.Rect, samples []des.Time, rng *rand.Rand) []geom.Point {
-	out := make([]geom.Point, len(samples))
-	if m.SpeedMps <= 0 {
-		for i := range out {
-			out[i] = start
-		}
-		return out
+// Start implements Mobility. The stepper keeps the current leg: the last
+// waypoint reached, the one it travels to, and when it left and arrives.
+func (m RandomWaypoint) Start(start geom.Point, region geom.Rect, rng *rand.Rand) Stepper {
+	w := &waypoint{m: m, region: region, rng: rng, pos: start, target: start}
+	if m.SpeedMps > 0 {
+		w.newLeg(0)
 	}
-	pos := start
-	legStart := des.Time(0) // current leg begins here...
-	target := pos
-	var legEnd des.Time // ...and arrives at the waypoint here
-	pausedUntil := des.Time(0)
+	return w
+}
 
-	newLeg := func(now des.Time) {
-		target = geom.Point{
-			X: region.MinX + rng.Float64()*region.Width(),
-			Y: region.MinY + rng.Float64()*region.Height(),
-		}
-		legStart = now
-		legEnd = now + des.FromSeconds(pos.Dist(target)/m.SpeedMps)
-		if legEnd <= legStart {
-			legEnd = legStart + 1 // zero-length leg: keep time advancing
-		}
+// waypoint is a RandomWaypoint node's leg state.
+type waypoint struct {
+	m      RandomWaypoint
+	region geom.Rect
+	rng    *rand.Rand
+
+	pos, target      geom.Point // the leg's start (the last waypoint) and end
+	legStart, legEnd des.Time   // the leg leaves pos and reaches target
+}
+
+// newLeg draws the next waypoint and leaves pos for it at now.
+func (w *waypoint) newLeg(now des.Time) {
+	w.target = geom.Point{
+		X: w.region.MinX + w.rng.Float64()*w.region.Width(),
+		Y: w.region.MinY + w.rng.Float64()*w.region.Height(),
 	}
-	newLeg(0)
-	for i, t := range samples {
-		// Advance legs until t falls inside the current leg or pause.
-		for t >= legEnd {
-			pos = target
-			pausedUntil = legEnd + m.Pause
-			if t < pausedUntil {
-				break
-			}
-			newLeg(pausedUntil)
-		}
-		if t < legEnd && t >= legStart {
-			frac := float64(t-legStart) / float64(legEnd-legStart)
-			out[i] = pos.Add(target.Sub(pos).Scale(frac))
-		} else {
-			out[i] = pos // pausing at the waypoint
-		}
+	w.legStart = now
+	w.legEnd = now + des.FromSeconds(w.pos.Dist(w.target)/w.m.SpeedMps)
+	if w.legEnd <= w.legStart {
+		w.legEnd = w.legStart + 1 // zero-length leg: keep time advancing
 	}
-	return out
+}
+
+// Step implements Stepper.
+func (w *waypoint) Step(t des.Time) (geom.Point, bool) {
+	if w.m.SpeedMps <= 0 {
+		return w.pos, false
+	}
+	// Advance legs until t falls inside the current leg or pause.
+	for t >= w.legEnd {
+		w.pos = w.target
+		pausedUntil := w.legEnd + w.m.Pause
+		if t < pausedUntil {
+			break
+		}
+		w.newLeg(pausedUntil)
+	}
+	if t < w.legEnd && t >= w.legStart {
+		frac := float64(t-w.legStart) / float64(w.legEnd-w.legStart)
+		return w.pos.Add(w.target.Sub(w.pos).Scale(frac)), true
+	}
+	return w.pos, true // pausing at the waypoint
 }
 
 // Drift moves each node with a constant per-node velocity (uniform random
@@ -83,20 +98,26 @@ type Drift struct {
 	SpeedMps float64
 }
 
-// Trajectory implements Mobility.
-func (m Drift) Trajectory(start geom.Point, region geom.Rect, samples []des.Time, rng *rand.Rand) []geom.Point {
-	out := make([]geom.Point, len(samples))
+// Start implements Mobility. The stepper keeps the node's velocity.
+func (m Drift) Start(start geom.Point, region geom.Rect, rng *rand.Rand) Stepper {
 	theta := rng.Float64() * 2 * math.Pi
-	vx := m.SpeedMps * math.Cos(theta)
-	vy := m.SpeedMps * math.Sin(theta)
-	for i, t := range samples {
-		s := t.Seconds()
-		out[i] = geom.Point{
-			X: reflect(start.X+vx*s, region.MinX, region.MaxX),
-			Y: reflect(start.Y+vy*s, region.MinY, region.MaxY),
-		}
-	}
-	return out
+	return &drift{start: start, region: region, vx: m.SpeedMps * math.Cos(theta), vy: m.SpeedMps * math.Sin(theta)}
+}
+
+// drift is a Drift node's velocity from its start.
+type drift struct {
+	start  geom.Point
+	region geom.Rect
+	vx, vy float64
+}
+
+// Step implements Stepper.
+func (d *drift) Step(t des.Time) (geom.Point, bool) {
+	s := t.Seconds()
+	return geom.Point{
+		X: reflect(d.start.X+d.vx*s, d.region.MinX, d.region.MaxX),
+		Y: reflect(d.start.Y+d.vy*s, d.region.MinY, d.region.MaxY),
+	}, d.vx != 0 || d.vy != 0
 }
 
 // reflect folds an unbounded coordinate into [lo, hi] as if the trajectory

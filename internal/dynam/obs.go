@@ -6,7 +6,8 @@ import (
 
 // worldObs is the dynamics metric bundle; all handles are nil-safe no-ops
 // when the world has no registry attached. Counters are write-only: the
-// event timeline is pre-generated, so observation cannot perturb it.
+// event streams draw from their own random streams, which observation
+// never touches, so it cannot perturb the timeline.
 type worldObs struct {
 	fails    *obs.Counter
 	recovers *obs.Counter

@@ -2,6 +2,7 @@ package dynam
 
 import (
 	"fmt"
+	"slices"
 
 	"scream/internal/des"
 	"scream/internal/geom"
@@ -28,8 +29,7 @@ type World struct {
 	alive    []bool
 	gateways []int // the configured gateway set
 
-	timeline []Event
-	next     int
+	events timeline
 
 	// Optional instrumentation, attached via SetObs.
 	obs   *worldObs
@@ -64,7 +64,9 @@ func (c *Change) Events() int {
 }
 
 // NewWorld builds a world over an exclusively-owned network and its routing
-// forest, pre-generating the full event timeline from cfg.
+// forest. The timeline is drawn from cfg as the world advances: NewWorld
+// starts one churn stream and one mobility stream per node and draws only
+// their first events.
 func NewWorld(net *topo.Network, forest *route.Forest, cfg Config) (*World, error) {
 	n := net.NumNodes()
 	if forest.NumNodes() != n {
@@ -87,15 +89,11 @@ func NewWorld(net *topo.Network, forest *route.Forest, cfg Config) (*World, erro
 	for i := range w.alive {
 		w.alive[i] = true
 	}
-	isGW := make([]bool, n)
-	for _, g := range w.gateways {
-		isGW[g] = true
-	}
 
 	if cfg.Script != nil {
-		w.timeline = append([]Event(nil), cfg.Script...)
-		sortEvents(w.timeline)
-		for _, e := range w.timeline {
+		ev := script(slices.Clone(cfg.Script))
+		sortEvents(ev)
+		for _, e := range ev {
 			if e.Node < 0 || e.Node >= n {
 				return nil, fmt.Errorf("dynam: scripted event for node %d out of range", e.Node)
 			}
@@ -105,20 +103,42 @@ func NewWorld(net *topo.Network, forest *route.Forest, cfg Config) (*World, erro
 				return nil, fmt.Errorf("dynam: scripted event for node %d has unknown kind %v", e.Node, e.Kind)
 			}
 		}
+		w.events = newTimeline([]stream{&ev})
 		return w, nil
 	}
 
-	var ev []Event
+	isGW := make([]bool, n)
+	for _, g := range w.gateways {
+		isGW[g] = true
+	}
+	interval := cfg.MoveInterval
+	if interval <= 0 {
+		interval = 100 * des.Millisecond
+	}
+	var churns []churn
+	var samplers []moves
+	if cfg.FailRate > 0 {
+		churns = make([]churn, 0, n)
+	}
+	if cfg.Mobility != nil {
+		samplers = make([]moves, 0, n)
+	}
 	for u := 0; u < n; u++ {
 		if cfg.FailRate > 0 && (cfg.FailGateways || !isGW[u]) {
-			ev = generateChurn(cfg, u, ev)
+			churns = append(churns, newChurn(cfg, u))
 		}
-		if cfg.Mobility != nil && !isGW[u] {
-			ev = generateMoves(cfg, u, net.Nodes[u].Pos, net.Region, ev)
+		if cfg.Mobility != nil && !isGW[u] && interval < cfg.Horizon {
+			samplers = append(samplers, newMoves(cfg, u, interval, net.Nodes[u].Pos, net.Region))
 		}
 	}
-	sortEvents(ev)
-	w.timeline = ev
+	streams := make([]stream, 0, len(churns)+len(samplers))
+	for i := range churns {
+		streams = append(streams, &churns[i])
+	}
+	for i := range samplers {
+		streams = append(streams, &samplers[i])
+	}
+	w.events = newTimeline(streams)
 	return w, nil
 }
 
@@ -170,10 +190,8 @@ func (w *World) AliveGateways() []int {
 
 // NextEventAt returns the timestamp of the next unapplied event.
 func (w *World) NextEventAt() (des.Time, bool) {
-	if w.next >= len(w.timeline) {
-		return 0, false
-	}
-	return w.timeline[w.next].At, true
+	e, ok := w.events.peek()
+	return e.At, ok
 }
 
 // markChanged records u and its current comm neighbors as
@@ -198,15 +216,14 @@ func (w *World) markChanged(u int) {
 // rebuilds the graphs, and the forest is repaired, so the channel is current
 // again when AdvanceTo returns.
 func (w *World) AdvanceTo(t des.Time) (*Change, error) {
-	if w.next >= len(w.timeline) || w.timeline[w.next].At > t {
+	if e, ok := w.events.peek(); !ok || e.At > t {
 		return nil, nil
 	}
 	ch := &Change{}
 	w.changed = w.changed[:0]
 	batch := make([]int, 0, 8) // event nodes; re-marked against the new graphs
-	for w.next < len(w.timeline) && w.timeline[w.next].At <= t {
-		e := w.timeline[w.next]
-		w.next++
+	for e, ok := w.events.peek(); ok && e.At <= t; e, ok = w.events.peek() {
+		w.events.pop()
 		switch e.Kind {
 		case Fail:
 			if !w.alive[e.Node] {

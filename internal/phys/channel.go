@@ -3,7 +3,6 @@ package phys
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"scream/internal/geom"
 )
@@ -14,22 +13,20 @@ import (
 // SINR threshold beta. The paper assumes fixed (but possibly heterogeneous)
 // transmit power and no power control (Section II).
 //
-// A Channel must not be copied after first use: it lazily caches the
-// pairwise RX-power matrix behind a sync.Once so that concurrent readers
-// (e.g. the experiment engine's workers sharing one deployment) are safe.
-//
-// Channels are immutable except through MoveNode and RemoveNode, the
-// topology-dynamics entry points. Those mutations require exclusive access
-// (no concurrent readers while a mutation runs); once a mutation returns,
-// any number of concurrent readers are safe again.
+// NewChannel fills the pairwise RX-power matrix before it returns, and
+// Clone copies it. Channels are immutable except through MoveNode and
+// RemoveNode, the topology-dynamics entry points, so any number of
+// goroutines (e.g. the experiment engine's workers sharing one deployment)
+// may read a channel at once. A mutation requires exclusive access (no
+// concurrent readers while it runs); once it returns, concurrent readers
+// are safe again.
 type Channel struct {
 	txPowerMW []float64
 	gain      [][]float64 // gain[i][j]: linear gain from node i to node j
 	noiseMW   float64
 	beta      float64 // linear SINR threshold
 
-	rxOnce sync.Once
-	rxFlat []float64 // row-major n*n cache of P_v(u) = txPowerMW[u]*Gain(u,v)
+	rx []float64 // row-major n*n matrix of P_v(u) = txPowerMW[u]*Gain(u,v)
 }
 
 // NewChannel builds a channel from per-node TX powers (mW), a gain matrix
@@ -55,7 +52,15 @@ func NewChannel(txPowerMW []float64, gain [][]float64, noiseMW, beta float64) (*
 			return nil, fmt.Errorf("phys: node %d has non-positive TX power %v", i, p)
 		}
 	}
-	return &Channel{txPowerMW: txPowerMW, gain: gain, noiseMW: noiseMW, beta: beta}, nil
+	c := &Channel{txPowerMW: txPowerMW, gain: gain, noiseMW: noiseMW, beta: beta, rx: make([]float64, n*n)}
+	for u := 0; u < n; u++ {
+		row := c.rx[u*n : (u+1)*n]
+		p := txPowerMW[u]
+		for v := range row {
+			row[v] = p * c.Gain(u, v)
+		}
+	}
+	return c, nil
 }
 
 // NumNodes returns the number of nodes the channel models.
@@ -76,40 +81,26 @@ func (c *Channel) Gain(u, v int) float64 {
 	return c.gain[u][v]
 }
 
-// rxMatrix returns the row-major n*n matrix of received powers, building it
-// on first use. The entries are exactly txPowerMW[u]*Gain(u,v) — the same
-// single multiplication RxPowerMW used to perform per call — so cached and
-// uncached reads are bit-identical. Safe for concurrent use.
-func (c *Channel) rxMatrix() []float64 {
-	c.rxOnce.Do(func() {
-		n := len(c.txPowerMW)
-		rx := make([]float64, n*n)
-		for u := 0; u < n; u++ {
-			row := rx[u*n : (u+1)*n]
-			p := c.txPowerMW[u]
-			for v := 0; v < n; v++ {
-				row[v] = p * c.Gain(u, v)
-			}
-		}
-		c.rxFlat = rx
-	})
-	return c.rxFlat
-}
-
 // RxPowerMW returns P_v(u): the power received at v when u transmits.
 func (c *Channel) RxPowerMW(u, v int) float64 {
-	return c.rxMatrix()[u*len(c.txPowerMW)+v]
+	return c.rx[u*len(c.txPowerMW)+v]
+}
+
+// RxRow returns the powers every node receives when u transmits: entry v is
+// RxPowerMW(u, v). The slice is owned by the channel and must not be
+// modified; a MoveNode or RemoveNode rewrites it in place.
+func (c *Channel) RxRow(u int) []float64 {
+	n := len(c.txPowerMW)
+	return c.rx[u*n : (u+1)*n : (u+1)*n]
 }
 
 // MoveNode replaces node u's symmetric gain row: after the call,
 // Gain(u, v) == Gain(v, u) == g[v] for every v != u (g[u] is ignored; the
-// self-gain stays 0). If the RX-power cache has been built, only row u and
-// column u of it are recomputed — with the same single multiplication
-// rxMatrix performs on a cold build, so the resulting matrix is
-// bit-identical to a freshly constructed channel over the updated gain
-// matrix; on an unbuilt cache there is nothing to patch and the lazy build
-// sees the new gains. On an invalid argument the error is returned before
-// anything is touched, leaving the channel unmodified.
+// self-gain stays 0). Only row u and column u of the RX-power matrix are
+// recomputed, with the single multiplication NewChannel fills every entry
+// with, so the resulting matrix is bit-identical to a freshly constructed
+// channel over the updated gain matrix. On an invalid argument the error is
+// returned before anything is touched, leaving the channel unmodified.
 //
 // MoveNode requires exclusive access: no reader may run concurrently with
 // it. The channel is safe for concurrent reads again once it returns. A
@@ -162,24 +153,22 @@ func (c *Channel) RemoveNode(u int) error {
 	return nil
 }
 
-// patchRx recomputes row u and column u of a built RX-power cache from the
-// current gains, with rxMatrix's expression.
+// patchRx recomputes row u and column u of the RX-power matrix from the
+// current gains: entry (u, v) is txPowerMW[u]*Gain(u, v), the one
+// multiplication every entry is computed with.
 func (c *Channel) patchRx(u int) {
-	if c.rxFlat == nil {
-		return // matrix not built yet; the lazy build will see the new gains
-	}
 	n := len(c.txPowerMW)
-	row := c.rxFlat[u*n : (u+1)*n]
+	row := c.rx[u*n : (u+1)*n]
 	p := c.txPowerMW[u]
 	for v := 0; v < n; v++ {
 		row[v] = p * c.Gain(u, v)
-		c.rxFlat[v*n+u] = c.txPowerMW[v] * c.Gain(v, u)
+		c.rx[v*n+u] = c.txPowerMW[v] * c.Gain(v, u)
 	}
 }
 
-// Clone returns an independent deep copy of the channel (cold RX cache).
-// Mutating the clone never affects the original, which is how dynamics runs
-// avoid corrupting a shared deployment.
+// Clone returns an independent deep copy of the channel, RX-power matrix
+// included. Mutating the clone never affects the original, which is how
+// dynamics runs avoid corrupting a shared deployment.
 func (c *Channel) Clone() *Channel {
 	gain := squareMatrix(len(c.gain))
 	for i, row := range c.gain {
@@ -190,6 +179,7 @@ func (c *Channel) Clone() *Channel {
 		gain:      gain,
 		noiseMW:   c.noiseMW,
 		beta:      c.beta,
+		rx:        append([]float64(nil), c.rx...),
 	}
 }
 

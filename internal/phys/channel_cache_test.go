@@ -1,9 +1,9 @@
 package phys
 
-// Tests for the lazily-built RX-power cache behind Channel.RxPowerMW — the
-// values must be bit-identical to the uncached product, and the lazy fill
-// must be safe when one Channel is shared across the experiment engine's
-// worker goroutines (run under -race).
+// Tests for the RX-power matrix behind Channel.RxPowerMW, which NewChannel
+// fills — the values must be bit-identical to the direct product, and a
+// Channel shared across the experiment engine's worker goroutines must be
+// safe to read concurrently (run under -race).
 
 import (
 	"math/rand"
@@ -28,15 +28,16 @@ func TestRxPowerCacheExact(t *testing.T) {
 	}
 }
 
-// TestRxPowerCacheConcurrent hammers a single cold Channel from many
+// TestRxPowerCacheConcurrent hammers a freshly built Channel from many
 // goroutines at once — the experiment engine's workers share one deployment
-// per cell batch — so the lazy fill races with readers unless properly
-// synchronized. Run under -race this proves the cache is data-race free; the
-// value checks prove every racer observes the fully-built matrix.
+// per cell batch. NewChannel fills the matrix before it returns, so the
+// readers need no synchronization: run under -race this proves reads and
+// SlotState bindings are data-race free, and the value checks prove every
+// reader observes the fully-built matrix.
 func TestRxPowerCacheConcurrent(t *testing.T) {
 	const workers = 16
 	for round := 0; round < 10; round++ {
-		ch := lineChannel(t, 24, 35, 20) // fresh cold cache each round
+		ch := lineChannel(t, 24, 35, 20) // a fresh channel each round
 		var wg sync.WaitGroup
 		errs := make(chan string, workers)
 		for w := 0; w < workers; w++ {

@@ -17,7 +17,7 @@ type Candidate struct {
 // directly, sparing two interface calls per link.
 func NewCandidate(e Engine, l Link) Candidate {
 	if c, ok := e.(*Channel); ok {
-		rx, n := c.rxMatrix(), len(c.txPowerMW)
+		rx, n := c.rx, len(c.txPowerMW)
 		return Candidate{Link: l, DataMW: rx[l.From*n+l.To], AckMW: rx[l.To*n+l.From]}
 	}
 	return Candidate{Link: l, DataMW: e.SignalMW(l.From, l.To), AckMW: e.SignalMW(l.To, l.From)}
@@ -101,7 +101,7 @@ func NewSlotState(c *Channel) *SlotState {
 // hold them in a flat []SlotState without a heap allocation per slot.
 func (s *SlotState) Init(c *Channel) {
 	s.initCommon(c)
-	s.rx = c.rxMatrix()
+	s.rx = c.rx
 }
 
 // InitEngine (re-)binds s to engine e as an empty slot. When e is the dense

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"scream/internal/graph"
 )
 
 func TestBalancedForestKeepsMinHopDepths(t *testing.T) {
@@ -130,9 +128,9 @@ func TestBalancedForestNilDemand(t *testing.T) {
 }
 
 func TestBalancedForestErrors(t *testing.T) {
-	disc := graph.New(3)
-	disc.AddUndirected(0, 1)
-	if _, err := BuildForestBalanced(disc, []int{0}, nil, nil); err == nil {
+	disc := make(arcs, 3)
+	disc.undirected(0, 1)
+	if _, err := BuildForestBalanced(disc.graph(), []int{0}, nil, nil); err == nil {
 		t.Error("unreachable node should fail")
 	}
 	g := gridGraph(2, 2)

@@ -17,34 +17,34 @@ import (
 // come out in ascending node order — the canonical order the builders'
 // tie-breaking assumes.
 func latticeGraph(rows, cols int) *graph.Graph {
-	g := graph.New(rows * cols)
+	g := make(arcs, rows*cols)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if r+1 < rows {
-				g.AddUndirected(id(r, c), id(r+1, c))
+				g.undirected(id(r, c), id(r+1, c))
 			}
 			if c+1 < cols {
-				g.AddUndirected(id(r, c), id(r, c+1))
+				g.undirected(id(r, c), id(r, c+1))
 			}
 		}
 	}
-	return sortedClone(g)
+	return sortedClone(g.graph())
 }
 
 // sortedClone rebuilds g with every adjacency list in ascending order,
 // matching topo's edge-construction order.
 func sortedClone(g *graph.Graph) *graph.Graph {
 	n := g.NumNodes()
-	out := graph.New(n)
+	out := make(arcs, n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u != v && slices.Contains(g.Neighbors(u), v) {
-				out.AddEdge(u, v)
+				out.add(u, v)
 			}
 		}
 	}
-	return out
+	return out.graph()
 }
 
 // induced returns the subgraph of g restricted to alive nodes, preserving
@@ -52,18 +52,18 @@ func sortedClone(g *graph.Graph) *graph.Graph {
 // like a silenced radio in the rebuilt topo graphs.
 func induced(g *graph.Graph, alive []bool) *graph.Graph {
 	n := g.NumNodes()
-	out := graph.New(n)
+	out := make(arcs, n)
 	for u := 0; u < n; u++ {
 		if !alive[u] {
 			continue
 		}
 		for _, v := range g.Neighbors(u) {
 			if alive[v] {
-				out.AddEdge(u, v)
+				out.add(u, v)
 			}
 		}
 	}
-	return out
+	return out.graph()
 }
 
 func assertForestsEqual(t *testing.T, got, want *Forest, what string) {
@@ -114,19 +114,19 @@ func TestRepairMatchesRebuildFuzzed(t *testing.T) {
 		full := latticeGraph(rows, cols)
 		// Sprinkle chords to create tie-break-rich neighborhoods.
 		n := rows * cols
-		base := graph.New(n)
+		chords := make(arcs, n)
 		for u := 0; u < n; u++ {
 			for _, v := range full.Neighbors(u) {
-				base.AddEdge(u, v)
+				chords.add(u, v)
 			}
 		}
 		for i := 0; i < 12; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				base.AddUndirected(u, v)
+				chords.undirected(u, v)
 			}
 		}
-		base = sortedClone(base)
+		base := sortedClone(chords.graph())
 		gws := []int{0, n - 1}
 
 		alive := make([]bool, n)

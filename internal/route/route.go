@@ -74,6 +74,7 @@ func buildForest(comm *graph.Graph, gateways []int, rng *rand.Rand, partial bool
 	for _, g := range gateways {
 		f.depth[g] = 0
 	}
+	var candidates []int // one node's parent candidates, reused
 	for u := 0; u < n; u++ {
 		if isGW[u] {
 			continue
@@ -84,7 +85,7 @@ func buildForest(comm *graph.Graph, gateways []int, rng *rand.Rand, partial bool
 			}
 			return nil, fmt.Errorf("route: node %d cannot reach any gateway", u)
 		}
-		var candidates []int
+		candidates = candidates[:0]
 		for _, v := range comm.Neighbors(u) {
 			if dist[v] == dist[u]-1 {
 				candidates = append(candidates, v)

@@ -9,21 +9,48 @@ import (
 	"scream/internal/phys"
 )
 
+// arcs assembles a test graph's adjacency rows in insertion order.
+type arcs [][]int
+
+// add inserts u -> v unless it is already there.
+func (a arcs) add(u, v int) {
+	if !slices.Contains(a[u], v) {
+		a[u] = append(a[u], v)
+	}
+}
+
+// undirected inserts u -> v and v -> u.
+func (a arcs) undirected(u, v int) {
+	a.add(u, v)
+	a.add(v, u)
+}
+
+// graph flattens the rows into a graph.Graph.
+func (a arcs) graph() *graph.Graph {
+	off := make([]int, 1, len(a)+1)
+	var nbr []int
+	for _, row := range a {
+		nbr = append(nbr, row...)
+		off = append(off, len(nbr))
+	}
+	return graph.FromCSR(off, nbr)
+}
+
 // gridGraph builds an r x c undirected grid communication graph.
 func gridGraph(r, c int) *graph.Graph {
-	g := graph.New(r * c)
+	g := make(arcs, r*c)
 	id := func(i, j int) int { return i*c + j }
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
 			if j+1 < c {
-				g.AddUndirected(id(i, j), id(i, j+1))
+				g.undirected(id(i, j), id(i, j+1))
 			}
 			if i+1 < r {
-				g.AddUndirected(id(i, j), id(i+1, j))
+				g.undirected(id(i, j), id(i+1, j))
 			}
 		}
 	}
-	return g
+	return g.graph()
 }
 
 // gatewayOf returns the root gateway of u's tree, or -1 when u is detached.
@@ -119,9 +146,9 @@ func TestBuildForestErrors(t *testing.T) {
 	if _, err := BuildForest(g, []int{0, 0}, nil); err == nil {
 		t.Error("duplicate gateway should fail")
 	}
-	disc := graph.New(3)
-	disc.AddUndirected(0, 1)
-	if _, err := BuildForest(disc, []int{0}, nil); err == nil {
+	disc := make(arcs, 3)
+	disc.undirected(0, 1)
+	if _, err := BuildForest(disc.graph(), []int{0}, nil); err == nil {
 		t.Error("unreachable node should fail")
 	}
 }
@@ -238,11 +265,11 @@ func TestAggregateDemandPath(t *testing.T) {
 
 func TestAggregateDemandTree(t *testing.T) {
 	// Star around gateway: every edge carries exactly its own demand.
-	g := graph.New(5)
+	g := make(arcs, 5)
 	for u := 1; u < 5; u++ {
-		g.AddUndirected(0, u)
+		g.undirected(0, u)
 	}
-	f, err := BuildForest(g, []int{0}, nil)
+	f, err := BuildForest(g.graph(), []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,30 +131,71 @@ func (n *Network) SetNodeUp(u int) error {
 
 // RefreshGraphs brings the channel up to date with the positions and radio
 // states MoveNode, SetNodeDown and SetNodeUp recorded since the last call,
-// then rebuilds the communication and sensitivity graphs from it. Down nodes
-// have zero gains and therefore no edges. Adjacency lists come out in
-// ascending node order, the canonical order route repair's tie-breaking
-// relies on. Build derives a new network's graphs with the same call.
+// then derives the communication and sensitivity graphs from its RX-power
+// rows. Down nodes have zero gains and therefore no edges. Adjacency lists
+// come out in ascending node order, the canonical order route repair's
+// tie-breaking relies on. Build derives a new network's graphs with the
+// same call.
+//
+// u -> v is a sensitivity edge when v senses u's transmission
+// (RxPowerMW(u, v) >= CSThresholdMW), and u - v a communication link when
+// both directions are up without interference (LinkUp's SNR >= beta, the
+// same division and comparison). A first pass counts each node's edges so
+// that each graph's array is sized exactly; a second pass fills the rows.
 func (n *Network) RefreshGraphs() {
 	n.refreshRows()
 	nn := len(n.Nodes)
-	comm := graph.New(nn)
-	sens := graph.New(nn)
+	ch := n.Channel
+	cs, noise, beta := n.Params.CSThresholdMW, ch.NoiseMW(), ch.Beta()
+	sensOff := make([]int, nn+1)
+	commOff := make([]int, nn+1)
 	for u := 0; u < nn; u++ {
-		for v := 0; v < nn; v++ {
-			if u == v {
-				continue
+		row := ch.RxRow(u)
+		for v, p := range row {
+			if v != u && p >= cs {
+				sensOff[u+1]++
 			}
-			if n.Channel.RxPowerMW(u, v) >= n.Params.CSThresholdMW {
-				sens.AddEdge(u, v)
-			}
-			if u < v && n.Channel.LinkUp(u, v) && n.Channel.LinkUp(v, u) {
-				comm.AddUndirected(u, v)
+		}
+		for v := u + 1; v < nn; v++ {
+			if row[v]/noise >= beta && ch.RxRow(v)[u]/noise >= beta {
+				commOff[u+1]++
+				commOff[v+1]++
 			}
 		}
 	}
-	n.Comm = comm
-	n.Sens = sens
+	for u := 0; u < nn; u++ {
+		sensOff[u+1] += sensOff[u]
+		commOff[u+1] += commOff[u]
+	}
+	sens := make([]int, sensOff[nn])
+	comm := make([]int, commOff[nn])
+	// Sensitivity rows fill in order. A communication link lands in both of
+	// its rows at their cursors commOff[u] and commOff[v]: row w gets its
+	// lower neighbors while the lower rows fill, then its higher ones, so
+	// each row ascends. The cursors end at the next row's start, and
+	// shifting them up one restores the offsets.
+	k := 0
+	for u := 0; u < nn; u++ {
+		row := ch.RxRow(u)
+		for v, p := range row {
+			if v != u && p >= cs {
+				sens[k] = v
+				k++
+			}
+		}
+		for v := u + 1; v < nn; v++ {
+			if row[v]/noise >= beta && ch.RxRow(v)[u]/noise >= beta {
+				comm[commOff[u]] = v
+				commOff[u]++
+				comm[commOff[v]] = u
+				commOff[v]++
+			}
+		}
+	}
+	copy(commOff[1:], commOff[:nn])
+	commOff[0] = 0
+	n.Sens = graph.FromCSR(sensOff, sens)
+	n.Comm = graph.FromCSR(commOff, comm)
 }
 
 // refreshRows recomputes the channel row of every stale node, in ascending

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"scream/internal/geom"
+	"scream/internal/phys"
 )
 
 // buildFresh materializes a reference network from the mutated network's
@@ -70,6 +71,86 @@ func assertSameNetwork(t *testing.T, got, want *Network, what string) {
 	}
 }
 
+// perPairGraphs derives the communication and sensitivity rows the way
+// RefreshGraphs did before it read the channel's RX rows: every ordered
+// pair through RxPowerMW and LinkUp, each edge appended on its own.
+func perPairGraphs(n *Network) (comm, sens [][]int) {
+	nn := len(n.Nodes)
+	comm, sens = make([][]int, nn), make([][]int, nn)
+	for u := 0; u < nn; u++ {
+		for v := 0; v < nn; v++ {
+			if u == v {
+				continue
+			}
+			if n.Channel.RxPowerMW(u, v) >= n.Params.CSThresholdMW {
+				sens[u] = append(sens[u], v)
+			}
+			if u < v && n.Channel.LinkUp(u, v) && n.Channel.LinkUp(v, u) {
+				comm[u] = append(comm[u], v)
+				comm[v] = append(comm[v], u)
+			}
+		}
+	}
+	return comm, sens
+}
+
+// assertPerPairGraphs checks n's graphs against perPairGraphs edge for
+// edge, every row in ascending order.
+func assertPerPairGraphs(t *testing.T, n *Network, what string) {
+	t.Helper()
+	comm, sens := perPairGraphs(n)
+	edges := [2]int{}
+	for u := range n.Nodes {
+		for i, g := range []struct {
+			name      string
+			got, want []int
+		}{{"comm", n.Comm.Neighbors(u), comm[u]}, {"sens", n.Sens.Neighbors(u), sens[u]}} {
+			if !slices.Equal(g.got, g.want) {
+				t.Fatalf("%s: %s row %d = %v, per-pair rule %v", what, g.name, u, g.got, g.want)
+			}
+			if !slices.IsSorted(g.got) {
+				t.Fatalf("%s: %s row %d = %v is not ascending", what, g.name, u, g.got)
+			}
+			edges[i] += len(g.want)
+		}
+	}
+	if n.Comm.NumEdges() != edges[0] || n.Sens.NumEdges() != edges[1] {
+		t.Fatalf("%s: %d comm and %d sens edges, per-pair rule %v", what, n.Comm.NumEdges(), n.Sens.NumEdges(), edges)
+	}
+}
+
+// TestGraphsMatchPerPairRule: freshly built grid, uniform and line
+// deployments, with and without shadowing, derive exactly the per-pair
+// graphs.
+func TestGraphsMatchPerPairRule(t *testing.T) {
+	for _, sigma := range []float64{0, 8} {
+		p := DefaultParams()
+		p.ShadowSigmaDB = sigma
+		grid, err := NewGrid(GridConfig{Rows: 6, Cols: 7, Step: 30, Params: p}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(2))
+		uniform, err := Build(UniformPositions(40, geom.Square(250), rng),
+			HeterogeneousPower(40, 0, 15, rng), geom.Square(250), p, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := Build(LinePositions(12, 25), HomogeneousPower(12, phys.DBm(5).MilliWatts()),
+			geom.Rect{MaxX: 11 * 25}, p, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, net := range map[string]*Network{"grid": grid, "uniform": uniform, "line": line} {
+			what := fmt.Sprintf("%s, sigma %v", name, sigma)
+			if net.Comm.NumEdges() == 0 || net.Sens.NumEdges() < net.Comm.NumEdges() {
+				t.Fatalf("%s: degenerate graphs (%d comm, %d sens edges)", what, net.Comm.NumEdges(), net.Sens.NumEdges())
+			}
+			assertPerPairGraphs(t, net, what)
+		}
+	}
+}
+
 // mutation is one topology-dynamics call: a move, a failure or a recovery.
 type mutation struct {
 	kind byte // 'm' move, 'd' down, 'u' up
@@ -101,7 +182,8 @@ func (m mutation) apply(t *testing.T, n *Network) {
 // recovers where it went, a node moved then failed, and a node failed, moved
 // and recovered in one batch; random batches of 1-8 mutations follow. After
 // each batch a Clone taken before the refresh, with the rows still pending,
-// must refresh to the same network. It runs with and without shadowing.
+// must refresh to the same network, and both networks' graphs must equal
+// the per-pair derivation. It runs with and without shadowing.
 func TestNetworkDynamicsMatchFreshBuild(t *testing.T) {
 	const seed = 5
 	scripted := [][]mutation{
@@ -136,8 +218,10 @@ func TestNetworkDynamicsMatchFreshBuild(t *testing.T) {
 			want := buildFresh(t, net, seed)
 			what := fmt.Sprintf("sigma %v, batch %d %+v", sigma, b, batch)
 			assertSameNetwork(t, net, want, what)
+			assertPerPairGraphs(t, net, what)
 			pending.RefreshGraphs()
 			assertSameNetwork(t, pending, want, what+" (clone with rows pending)")
+			assertPerPairGraphs(t, pending, what+" (clone with rows pending)")
 		}
 	}
 }

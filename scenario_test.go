@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"scream/internal/dynam"
 )
 
 func testSpec() ScenarioSpec {
@@ -385,6 +387,61 @@ func TestScenarioClone(t *testing.T) {
 	}
 }
 
+// Two mobility bodies that pass Validate and, while every sample time was
+// generated up front, exhausted memory before a run's first cancellation
+// check: drift sampled every nanosecond for a second, and waypoint over 1e9
+// seconds at the default 100 ms interval.
+const (
+	fineDriftBody    = `{"topology":{"kind":"grid","rows":4,"cols":4,"step_m":30},"horizon_sec":1,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"drift","speed_mps":1,"move_interval_sec":1e-9}}`
+	longWaypointBody = `{"topology":{"kind":"grid","rows":4,"cols":4,"step_m":30},"horizon_sec":1e9,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"waypoint","speed_mps":1}}`
+)
+
+// TestMobilityTimelineBounded: dynam.NewWorld holds O(nodes) timeline
+// state, so for each of the two mobility bodies it allocates exactly what
+// it allocates for the same spec with 1e8 times fewer samples: the drift
+// body at the default 100 ms interval, and the waypoint body over a 1 s
+// horizon.
+func TestMobilityTimelineBounded(t *testing.T) {
+	allocs := func(body string, edit func(*ScenarioSpec)) float64 {
+		t.Helper()
+		spec, err := ParseScenario([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&spec)
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := spec.Mesh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, ok := spec.Dynamics.config(secsToSim(spec.HorizonSec), spec.Seed)
+		if !ok {
+			t.Fatal("no dynamics")
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := dynam.NewWorld(m.Network, m.Forest, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	keep := func(*ScenarioSpec) {}
+	for _, c := range []struct {
+		name string
+		body string
+		tame func(*ScenarioSpec)
+	}{
+		{"drift every nanosecond", fineDriftBody, func(s *ScenarioSpec) { s.Dynamics.MoveIntervalSec = 0.1 }},
+		{"waypoint over 1e9 s", longWaypointBody, func(s *ScenarioSpec) { s.HorizonSec = 1 }},
+	} {
+		got, want := allocs(c.body, keep), allocs(c.body, c.tame)
+		if got != want || want == 0 {
+			t.Errorf("%s: NewWorld allocates %v, %v with fewer samples", c.name, got, want)
+		}
+	}
+}
+
 // FuzzParseScenario: decoding and Validate never panic on any body, and a
 // spec that decodes survives its own JSON: the re-encoded document decodes
 // again to the same bytes and validates alike. Bytes are compared rather
@@ -407,11 +464,11 @@ func FuzzParseScenario(f *testing.F) {
 		`{` + grid + `,"traffic":{"kind":"poisson","load":0.5},"channels":1000000000}`,
 		`{"topology":{"kind":"uniform","nodes":200000,"side_m":100000},"traffic":{"kind":"poisson","load":0.5},"horizon_sec":0.2}`,
 		`{` + grid + `,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"waypoint","speed_mps":1e300}}`,
-		// Mobility samples (mobile nodes x horizon / move interval) exhaust
-		// memory in the timeline generator: 1e9 per mobile node here,
-		`{` + topo4x4 + `,"horizon_sec":1,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"drift","speed_mps":1,"move_interval_sec":1e-9}}`,
-		// and 1e10 per node at the default 100 ms interval here.
-		`{` + topo4x4 + `,"horizon_sec":1e9,"traffic":{"kind":"poisson","load":0.5},"dynamics":{"mobility":"waypoint","speed_mps":1}}`,
+		// Mobility samples (mobile nodes x horizon / move interval): 1e9
+		// per mobile node in the first, and 1e10 per node at the default
+		// 100 ms interval in the second (TestMobilityTimelineBounded).
+		fineDriftBody,
+		longWaypointBody,
 	} {
 		f.Add([]byte(body))
 	}
