@@ -64,9 +64,8 @@ func RunScreamSlots(k int, vars []bool, slot func(screamers []bool) []bool) []bo
 // and SCREAM detection via aggregate-energy carrier sensing over the
 // sensitivity graph. In Fast mode (the default), the SCREAM result is
 // computed as the plain OR of the inputs, which is exact whenever
-// K >= ID(G_S) — the precondition the constructor enforces — and
-// LeaderElect settles elections in one pass; strict mode runs the
-// slot-by-slot relay flood and the bitwise election instead.
+// K >= ID(G_S) — the precondition the constructor enforces; strict mode
+// runs the slot-by-slot relay flood instead.
 type IdealBackend struct {
 	ch      *phys.Channel
 	sensAdj [][]int // sensitivity-graph in-neighbors: who node v can hear
@@ -220,10 +219,10 @@ func (b *IdealBackend) Scream(vars []bool) []bool {
 	})
 }
 
-// bill charges m SCREAM primitives. The fast paths — Scream itself, the
-// one-pass election and the protocol loop's word-tested SCREAMs — settle
-// SCREAMs without flooding and bill them here, at the k slots each flood
-// would take.
+// bill charges m SCREAM primitives. The fast paths — Scream itself and the
+// protocol loop's word-tested SCREAMs and elections — settle SCREAMs
+// without flooding and bill them here, at the k slots each flood would
+// take.
 func (b *IdealBackend) bill(m int) {
 	b.screams += m
 	b.elapsed += des.Time(m) * b.screamCost

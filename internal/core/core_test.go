@@ -361,60 +361,14 @@ func TestLeaderElectStrictBackend(t *testing.T) {
 	}
 }
 
-// bitwiseBackend forwards the four Backend methods to an IdealBackend. It
-// hides the concrete type, so LeaderElect runs the bitwise loop over the
-// same fast SCREAMs its one-pass election stands in for.
+// bitwiseBackend forwards the four Backend methods to an IdealBackend,
+// hiding the concrete type as a wrapping backend does.
 type bitwiseBackend struct{ b *IdealBackend }
 
 func (w bitwiseBackend) NumNodes() int                          { return w.b.NumNodes() }
 func (w bitwiseBackend) Scream(vars []bool) []bool              { return w.b.Scream(vars) }
 func (w bitwiseBackend) HandshakeSlot(links []phys.Link) []bool { return w.b.HandshakeSlot(links) }
 func (w bitwiseBackend) Elapsed() des.Time                      { return w.b.Elapsed() }
-
-func TestLeaderElectFastMatchesBitwise(t *testing.T) {
-	fx := gridFixture(t, 4, 21)
-	fast, loop := fx.backend(t, 0, false), fx.backend(t, 0, false)
-	n := fast.NumNodes()
-	rng := rand.New(rand.NewSource(22))
-	idKinds := []struct {
-		name string
-		id   func(i int) uint64
-	}{
-		{"unique", func(i int) uint64 { return uint64(i) }},
-		{"duplicate", func(int) uint64 { return uint64(rng.Intn(4)) }},
-		// Wider than idBits: the masked low bits decide the election, the
-		// full ID only breaks ties among them.
-		{"wide", func(int) uint64 { return rng.Uint64() }},
-		{"wide_ties", func(int) uint64 { return uint64(rng.Intn(8))<<40 | uint64(rng.Intn(2)) }},
-	}
-	for _, idBits := range []int{-1, 0, 1, IDBitsFor(n), 64} {
-		for _, kind := range idKinds {
-			for trial := 0; trial < 40; trial++ {
-				ids := make([]uint64, n)
-				part := make([]bool, n)
-				density := rng.Float64()
-				for i := range ids {
-					ids[i] = kind.id(i)
-					// Trial 0 is the empty set, trial 1 everyone.
-					part[i] = trial == 1 || (trial > 1 && rng.Float64() < density)
-				}
-				want := LeaderElect(bitwiseBackend{loop}, idBits, ids, part)
-				got := LeaderElect(fast, idBits, ids, part)
-				if got != want {
-					t.Fatalf("idBits=%d %s trial %d: one-pass winner %d, bitwise winner %d (ids %v, part %v)",
-						idBits, kind.name, trial, got, want, ids, part)
-				}
-				if trial == 0 && got != -1 {
-					t.Fatalf("idBits=%d %s: empty election won by %d", idBits, kind.name, got)
-				}
-				if fast.ScreamCount() != loop.ScreamCount() || fast.Elapsed() != loop.Elapsed() {
-					t.Fatalf("idBits=%d %s trial %d: one-pass billed %d screams / %v, bitwise %d / %v",
-						idBits, kind.name, trial, fast.ScreamCount(), fast.Elapsed(), loop.ScreamCount(), loop.Elapsed())
-				}
-			}
-		}
-	}
-}
 
 // TestLeaderElectTieBreak pins the documented outcome on hand-built IDs:
 // the largest low idBits bits win, then the highest full ID, then the
@@ -463,19 +417,12 @@ func TestFastPathsAllocateNothing(t *testing.T) {
 	n := b.NumNodes()
 	none, one := make([]bool, n), make([]bool, n)
 	one[n/2] = true
-	ids := make([]uint64, n)
-	part := make([]bool, n)
-	for i := range ids {
-		ids[i] = uint64(i)
-		part[i] = i%3 != 0
-	}
 	for _, c := range []struct {
 		name string
 		f    func()
 	}{
 		{"Scream(all false)", func() { b.Scream(none) }},
 		{"Scream(one true)", func() { b.Scream(one) }},
-		{"LeaderElect", func() { LeaderElect(b, IDBitsFor(n), ids, part) }},
 	} {
 		if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, allocs)
@@ -748,7 +695,7 @@ func TestExecTimeGrowsWithKAndSMBytes(t *testing.T) {
 }
 
 // TestStrictBackendFullProtocol runs whole protocols in lockstep on a fast
-// backend (OR shortcut, one-pass elections) and on a strict one (every
+// backend (OR shortcut, top-bit elections) and on a strict one (every
 // SCREAM flooded slot by slot, every election bit by bit). The two runs must
 // be indistinguishable: the same Result and the same backend accounting.
 func TestStrictBackendFullProtocol(t *testing.T) {
@@ -821,7 +768,7 @@ func TestKTooSmallBreaksProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(Config{Variant: FDD, Links: links, Demands: demands, Backend: b, MaxRounds: 500})
+	_, err = Run(Config{Variant: FDD, Links: links, Demands: demands, Backend: b})
 	if err == nil {
 		t.Fatal("K far below ID should break the protocol detectably")
 	}

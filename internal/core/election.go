@@ -13,16 +13,7 @@ package core
 // there are no participants. The paper's pseudocode returns `votedout`; the
 // accompanying text makes clear the intended return is "am I the leader",
 // i.e. NOT votedout — which is what this implementation reports.
-//
-// On a fast-mode IdealBackend every SCREAM is the exact network-wide OR, so
-// the outcome is fixed in advance: the participant with the largest low
-// idBits of its ID stands. LeaderElect then settles the election in one
-// pass and bills the idBits SCREAMs without running them; every other
-// backend runs the bitwise loop.
 func LeaderElect(b Backend, idBits int, ids []uint64, participating []bool) int {
-	if ib, ok := b.(*IdealBackend); ok && !ib.strict {
-		return ib.elect(idBits, ids, participating)
-	}
 	n := b.NumNodes()
 	votedout := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -48,43 +39,19 @@ func LeaderElect(b Backend, idBits int, ids []uint64, participating []bool) int 
 		vars[i] = participating[i] && !votedout[i]
 	}
 	// Everyone left standing holds the same low idBits bits.
-	return highest(ids, 0, vars)
+	return highest(ids, vars)
 }
 
-// elect is LeaderElect's one-pass form for a fast-mode backend. The bitwise
-// loop leaves standing exactly the participants whose ID is largest in its
-// low idBits bits (the higher bits are never screamed), and both forms
-// break ties among those with highest. The pass charges idBits SCREAMs, as
-// the loop would.
-func (b *IdealBackend) elect(idBits int, ids []uint64, participating []bool) int {
-	var mask uint64
-	if idBits > 0 {
-		mask = ^uint64(0)
-		if idBits < 64 {
-			mask = 1<<uint(idBits) - 1
-		}
-		b.bill(idBits)
-	}
-	return highest(ids, mask, participating[:len(b.sensAdj)])
-}
-
-// highest returns the i with standing[i] that is largest by
-// (ids[i]&mask, ids[i], i), or -1 when nobody stands. The full ID and
-// then the node index break ties, so duplicate IDs among participants
-// still yield one deterministic leader and the run goes on.
-func highest(ids []uint64, mask uint64, standing []bool) int {
+// highest returns the i with standing[i] that is largest by (ids[i], i),
+// or -1 when nobody stands. The full ID and then the node index break
+// ties, so duplicate IDs among participants still yield one deterministic
+// leader and the run goes on.
+func highest(ids []uint64, standing []bool) int {
 	winner := -1
 	for i, s := range standing {
-		if !s {
-			continue
+		if s && (winner < 0 || ids[i] >= ids[winner]) {
+			winner = i
 		}
-		if winner >= 0 {
-			mi, mw := ids[i]&mask, ids[winner]&mask
-			if mi < mw || (mi == mw && ids[i] < ids[winner]) {
-				continue
-			}
-		}
-		winner = i
 	}
 	return winner
 }

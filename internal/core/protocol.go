@@ -86,8 +86,6 @@ type Config struct {
 	Probability float64
 	// RNG drives PDD's coin flips; required for PDD.
 	RNG *rand.Rand
-	// MaxRounds aborts pathological runs; 0 means 10*TD + 100.
-	MaxRounds int
 	// ASAPSeal is an extension ablation (not in the paper): seal the slot
 	// as soon as no dormant nodes remain instead of running the final
 	// empty selection step.
@@ -143,7 +141,7 @@ type protoRun struct {
 	totalDemand int
 	idBits      int      // leader-election ID width, the paper's id_bits = ln n
 	ids         []uint64 // node IDs; nil when elections take the top set bit
-	maxRounds   int
+	maxRounds   int      // aborts pathological runs: 10*TD + 100
 
 	// fast is the backend when it is a fast-mode IdealBackend, whose every
 	// SCREAM is the exact network-wide OR: a SCREAM over a node set is then
@@ -202,13 +200,9 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 		totalDemand += cfg.Demands[i]
 	}
 
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 10*totalDemand + 100
-	}
 	p := &protoRun{
 		cfg: cfg, n: n, linkOf: linkOf, totalDemand: totalDemand,
-		idBits: IDBitsFor(n), maxRounds: maxRounds,
+		idBits: IDBitsFor(n), maxRounds: 10*totalDemand + 100,
 		res:       &Result{Schedule: sched.NewSchedule()},
 		state:     make([]State, n),
 		remaining: remaining,

@@ -248,7 +248,7 @@ func TestWorldGatewayOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ch.Repair.Rebuilt {
+	if !ch.Rebuilt {
 		t.Fatal("gateway outage did not trigger the rebuild fallback")
 	}
 	if got := w.AliveGateways(); len(got) != 1 || got[0] != 15 {

@@ -42,7 +42,7 @@ func (w *World) publishChange(ch *Change) {
 		m.recovers.Add(int64(len(ch.Recovered)))
 		m.moves.Add(int64(len(ch.Moved)))
 		m.repairs.Inc()
-		if ch.Repair.Rebuilt {
+		if ch.Rebuilt {
 			m.rebuilds.Inc()
 		}
 	}
@@ -53,6 +53,6 @@ func (w *World) publishChange(ch *Change) {
 			obs.N("moved", len(ch.Moved)))
 		w.trace.Emit("repair",
 			obs.I("t", int64(ch.At)),
-			obs.B("rebuilt", ch.Repair.Rebuilt), obs.N("detached", ch.Detached))
+			obs.B("rebuilt", ch.Rebuilt), obs.N("detached", ch.Detached))
 	}
 }

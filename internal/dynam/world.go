@@ -51,8 +51,10 @@ type Change struct {
 	// Failed, Recovered and Moved list the affected nodes (Moved may repeat
 	// a node when the batch spans several sampling instants).
 	Failed, Recovered, Moved []int
-	// Repair describes what the forest repair had to do.
-	Repair route.RepairStats
+	// Rebuilt reports that every node chose its parent again: the gateway
+	// set changed, the network partitioned or most nodes were dirty
+	// (route.Forest.Repair).
+	Rebuilt bool
 	// Detached is the number of nodes currently attached to no gateway tree
 	// (dead nodes included).
 	Detached int
@@ -295,7 +297,7 @@ func (w *World) AdvanceTo(t des.Time) (*Change, error) {
 		w.markChanged(u) // neighbors at the new position / after recovery
 	}
 
-	forest, stats, err := w.forest.Repair(w.net.Comm, w.AliveGateways(), w.alive, w.changed, nil)
+	forest, rebuilt, err := w.forest.Repair(w.net.Comm, w.AliveGateways(), w.alive, w.changed)
 	if err != nil {
 		return nil, fmt.Errorf("dynam: route repair: %w", err)
 	}
@@ -304,7 +306,7 @@ func (w *World) AdvanceTo(t des.Time) (*Change, error) {
 	}
 	w.forest = forest
 	w.links = forest.Links()
-	ch.Repair = stats
+	ch.Rebuilt = rebuilt
 	ch.Detached = forest.NumDetached()
 	w.publishChange(ch)
 	return ch, nil

@@ -38,7 +38,7 @@ func AblationBalancedRouting(opts Options) (*stats.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		gws := forestGateways(s)
+		gws := s.Forest.Gateways()
 		vals := make([]float64, 4)
 		for _, balanced := range []bool{false, true} {
 			var f *route.Forest
@@ -73,22 +73,6 @@ func AblationBalancedRouting(opts Options) (*stats.Figure, error) {
 		return nil, err
 	}
 	return fig, nil
-}
-
-// forestGateways recovers the gateway set of a scenario (nodes without a
-// link of their own).
-func forestGateways(s *Scenario) []int {
-	owns := make(map[int]bool, len(s.Links))
-	for _, l := range s.Links {
-		owns[l.From] = true
-	}
-	var gws []int
-	for u := 0; u < s.Net.NumNodes(); u++ {
-		if !owns[u] {
-			gws = append(gws, u)
-		}
-	}
-	return gws
 }
 
 // AblationMoteRelays sweeps the number of relays in the mote experiment at a

@@ -579,7 +579,7 @@ func Run(cfg Config) (*Result, error) {
 	)
 	applyChange := func(chg *dynam.Change) {
 		res.Repairs++
-		if chg.Repair.Rebuilt {
+		if chg.Rebuilt {
 			res.Rebuilds++
 		}
 		res.FailEvents += len(chg.Failed)

@@ -61,63 +61,42 @@ func (g *Graph) AvgDegree() float64 {
 // BFS returns the hop distance from src to every node, with -1 for
 // unreachable nodes.
 func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.NumNodes())
-	g.bfs(src, dist, make([]int, 0, len(dist)))
-	return dist
-}
-
-// bfs fills dist with the hop distance from src to every node (-1 when
-// unreachable). queue is the FIFO's storage: with capacity for every node
-// it never grows, so callers running many searches pass the same one.
-func (g *Graph) bfs(src int, dist, queue []int) {
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue = append(queue[:0], src)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
+	return g.MultiSourceBFS([]int{src})
 }
 
 // MultiSourceBFS returns, for every node, the hop distance to the nearest
-// source and the index (into srcs) of that source. Ties are broken in favor
-// of the source appearing earlier in the BFS expansion, i.e. earlier in
-// srcs for equal distances. Unreachable nodes get distance -1, source -1.
-func (g *Graph) MultiSourceBFS(srcs []int) (dist, nearest []int) {
-	n := g.NumNodes()
-	dist = make([]int, n)
-	nearest = make([]int, n)
+// of srcs, with -1 for nodes no source reaches. A source listed twice is
+// searched from once.
+func (g *Graph) MultiSourceBFS(srcs []int) []int {
+	dist := make([]int, g.NumNodes())
+	g.bfs(srcs, dist, make([]int, 0, len(dist)))
+	return dist
+}
+
+// bfs fills dist with the hop distance from the nearest of srcs to every
+// node (-1 when unreachable). queue is the FIFO's storage: every node
+// enters it at most once, so with capacity for every node it never grows,
+// and callers running many searches pass the same one.
+func (g *Graph) bfs(srcs, dist, queue []int) {
 	for i := range dist {
 		dist[i] = -1
-		nearest[i] = -1
 	}
-	queue := make([]int, 0, n)
-	for i, s := range srcs {
-		if dist[s] == 0 && nearest[s] >= 0 {
-			continue // duplicate source
+	queue = queue[:0]
+	for _, s := range srcs {
+		if dist[s] < 0 {
+			dist[s] = 0
+			queue = append(queue, s)
 		}
-		dist[s] = 0
-		nearest[s] = i
-		queue = append(queue, s)
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, v := range g.nbr[g.off[u]:g.off[u+1]] {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
-				nearest[v] = nearest[u]
 				queue = append(queue, v)
 			}
 		}
 	}
-	return dist, nearest
 }
 
 // Diameter returns the maximum finite hop distance between any ordered node
@@ -144,7 +123,7 @@ func (g *Graph) DiameterAmong(active []bool) int {
 		if active != nil && !active[u] {
 			continue
 		}
-		g.bfs(u, dist, queue)
+		g.bfs([]int{u}, dist, queue)
 		for v, d := range dist {
 			if u == v || active != nil && !active[v] {
 				continue

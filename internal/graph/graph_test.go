@@ -201,27 +201,20 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestMultiSourceBFS(t *testing.T) {
 	g := path(7)
-	dist, nearest := g.MultiSourceBFS([]int{0, 6})
+	dist := g.MultiSourceBFS([]int{0, 6})
 	wantDist := []int{0, 1, 2, 3, 2, 1, 0}
 	for i := range wantDist {
 		if dist[i] != wantDist[i] {
 			t.Errorf("dist[%d] = %d, want %d", i, dist[i], wantDist[i])
 		}
 	}
-	if nearest[1] != 0 || nearest[5] != 1 {
-		t.Errorf("nearest wrong: %v", nearest)
-	}
-	// Node 3 is equidistant; either source is acceptable but it must be set.
-	if nearest[3] < 0 {
-		t.Error("equidistant node must still be assigned")
-	}
 }
 
 func TestMultiSourceBFSDuplicateSources(t *testing.T) {
 	g := path(3)
-	dist, nearest := g.MultiSourceBFS([]int{0, 0})
-	if dist[0] != 0 || nearest[0] != 0 {
-		t.Errorf("duplicate sources mishandled: dist=%v nearest=%v", dist, nearest)
+	dist := g.MultiSourceBFS([]int{0, 0})
+	if dist[0] != 0 || dist[1] != 1 {
+		t.Errorf("duplicate sources mishandled: dist=%v", dist)
 	}
 }
 
@@ -229,9 +222,9 @@ func TestMultiSourceBFSUnreachable(t *testing.T) {
 	l := make(lists, 4)
 	l.edge(0, 1)
 	g := l.graph()
-	dist, nearest := g.MultiSourceBFS([]int{0})
-	if dist[3] != -1 || nearest[3] != -1 {
-		t.Error("unreachable node should have -1 markers")
+	dist := g.MultiSourceBFS([]int{0})
+	if dist[3] != -1 {
+		t.Error("unreachable node should have a -1 marker")
 	}
 }
 
@@ -348,6 +341,50 @@ func TestLinkHopDistance(t *testing.T) {
 		}
 		if got := LinkHopDistance(g, tt.b, tt.a); got != tt.want {
 			t.Errorf("LinkHopDistance not symmetric for %v, %v", tt.a, tt.b)
+		}
+	}
+}
+
+// TestLinkDistancesMatchPerEndpointBFS: LinkHopDistance and
+// LinkKNeighborhood, which search once from both endpoints of a link, agree
+// with the least of the four endpoint-to-endpoint distances of one BFS per
+// endpoint, on random directed graphs.
+func TestLinkDistancesMatchPerEndpointBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(11)
+		l := make(lists, n)
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				l.arc(u, v)
+			}
+		}
+		g := l.graph()
+		links := make([]Edge, 1+rng.Intn(6))
+		for i := range links {
+			links[i] = Edge{rng.Intn(n), rng.Intn(n)}
+		}
+		k := rng.Intn(4)
+		for i, a := range links {
+			distU, distV := g.BFS(a.U), g.BFS(a.V)
+			var want []int
+			for j, b := range links {
+				d := -1
+				for _, x := range []int{distU[b.U], distU[b.V], distV[b.U], distV[b.V]} {
+					if x >= 0 && (d < 0 || x < d) {
+						d = x
+					}
+				}
+				if got := LinkHopDistance(g, a, b); got != d {
+					t.Fatalf("trial %d: LinkHopDistance(%v, %v) = %d, per-endpoint BFS %d (%v)", trial, a, b, got, d, l)
+				}
+				if d >= 0 && d <= k {
+					want = append(want, j)
+				}
+			}
+			if got := LinkKNeighborhood(g, links, i, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: LinkKNeighborhood(%d, k=%d) = %v, per-endpoint BFS %v (%v)", trial, i, k, got, want, l)
+			}
 		}
 	}
 }

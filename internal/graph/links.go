@@ -10,48 +10,29 @@ type Edge struct {
 // communication graph g (treated as given; pass an undirected graph for the
 // paper's setting). It returns -1 if no endpoint pair is connected.
 func LinkHopDistance(g *Graph, a, b Edge) int {
-	best := -1
-	for _, src := range []int{a.U, a.V} {
-		dist := g.BFS(src)
-		for _, dst := range []int{b.U, b.V} {
-			d := dist[dst]
-			if d < 0 {
-				continue
-			}
-			if best < 0 || d < best {
-				best = d
-			}
-		}
-	}
-	return best
+	dist := g.MultiSourceBFS([]int{a.U, a.V})
+	return nearer(dist[b.U], dist[b.V])
 }
 
 // LinkKNeighborhood returns the set of links (indices into links) at hop
 // distance at most k from links[i], per Definition 4. The link itself is
 // included (distance 0).
 func LinkKNeighborhood(g *Graph, links []Edge, i, k int) []int {
-	a := links[i]
-	distU := g.BFS(a.U)
-	distV := g.BFS(a.V)
+	dist := g.MultiSourceBFS([]int{links[i].U, links[i].V})
 	var out []int
 	for j, b := range links {
-		d := minNonNeg(distU[b.U], distU[b.V], distV[b.U], distV[b.V])
-		if d >= 0 && d <= k {
+		if d := nearer(dist[b.U], dist[b.V]); d >= 0 && d <= k {
 			out = append(out, j)
 		}
 	}
 	return out
 }
 
-func minNonNeg(vals ...int) int {
-	best := -1
-	for _, v := range vals {
-		if v < 0 {
-			continue
-		}
-		if best < 0 || v < best {
-			best = v
-		}
+// nearer returns the smaller of two hop distances, where -1 (unreachable)
+// is farther than any.
+func nearer(a, b int) int {
+	if a < 0 || (b >= 0 && b < a) {
+		return b
 	}
-	return best
+	return a
 }

@@ -22,47 +22,28 @@ func BuildForestBalanced(comm *graph.Graph, gateways []int, nodeDemand []int, rn
 	if len(nodeDemand) != n {
 		nodeDemand = make([]int, n) // treat missing demands as uniform zero
 	}
-	// First build an arbitrary min-hop forest to validate inputs and get
-	// distances.
-	base, err := BuildForest(comm, gateways, rng)
+	// An arbitrary min-hop forest validates the inputs and fixes every
+	// node's depth, its hop distance to the gateways; its parents are
+	// rewritten level by level below.
+	f, err := BuildForest(comm, gateways, rng)
 	if err != nil {
 		return nil, err
 	}
-	dist, _ := comm.MultiSourceBFS(gateways)
 
-	f := &Forest{
-		parent:   make([]int, n),
-		depth:    make([]int, n),
-		isGW:     make([]bool, n),
-		gateways: append([]int(nil), gateways...),
+	// Counting sort by depth: parents attach before children.
+	maxD := 0
+	for _, d := range f.depth {
+		maxD = max(maxD, d)
 	}
-	for u := 0; u < n; u++ {
-		f.parent[u] = -1
+	buckets := make([][]int, maxD+1)
+	for u, d := range f.depth {
+		if d > 0 {
+			buckets[d] = append(buckets[d], u)
+		}
 	}
-	for _, g := range gateways {
-		f.isGW[g] = true
-	}
-
 	// load[u]: demand currently routed through u (its own plus attached
 	// descendants'). Updated as nodes attach, walking up to the root.
 	load := make([]int, n)
-	order := make([]int, 0, n)
-	for u := 0; u < n; u++ {
-		if dist[u] > 0 {
-			order = append(order, u)
-		}
-	}
-	// Counting sort by distance: parents attach before children.
-	maxD := 0
-	for _, u := range order {
-		if dist[u] > maxD {
-			maxD = dist[u]
-		}
-	}
-	buckets := make([][]int, maxD+1)
-	for _, u := range order {
-		buckets[dist[u]] = append(buckets[dist[u]], u)
-	}
 	for d := 1; d <= maxD; d++ {
 		level := buckets[d]
 		if rng != nil {
@@ -71,20 +52,16 @@ func BuildForestBalanced(comm *graph.Graph, gateways []int, nodeDemand []int, rn
 		for _, u := range level {
 			best, bestLoad := -1, 0
 			for _, v := range comm.Neighbors(u) {
-				if dist[v] != d-1 {
+				if f.depth[v] != d-1 {
 					continue
 				}
 				if best < 0 || load[v] < bestLoad || (load[v] == bestLoad && v < best) {
 					best, bestLoad = v, load[v]
 				}
 			}
-			if best < 0 {
-				// Unreachable should have been caught by BuildForest.
-				return base, nil
-			}
 			f.parent[u] = best
-			f.depth[u] = d
-			// Propagate u's demand up the chosen chain.
+			// Propagate u's demand up the chosen chain, whose nodes are
+			// all shallower and so already rewritten.
 			for w := u; w >= 0; w = f.parent[w] {
 				load[w] += nodeDemand[u]
 			}

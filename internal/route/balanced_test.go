@@ -17,7 +17,7 @@ func TestBalancedForestKeepsMinHopDepths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, _ := g.MultiSourceBFS([]int{0, 35})
+	dist := g.MultiSourceBFS([]int{0, 35})
 	for u := 0; u < 36; u++ {
 		if f.IsGateway(u) {
 			continue

@@ -2,10 +2,12 @@ package route
 
 // Property tests for incremental forest repair: across fuzzed fail/recover
 // sequences, Repair must produce bit-identical forests to the canonical
-// full rebuild (BuildForestPartial with nil rng), and the partition /
+// full rebuild (BuildForestPartial with nil rng), it must equal the
+// reference repair below from random-tie-break forests, and the partition /
 // gateway-change fallbacks must engage exactly when they should.
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -103,6 +105,104 @@ func changedSet(full *graph.Graph, u int) []int {
 	return out
 }
 
+// chordedLattice returns the rows x cols lattice plus up to chords random
+// undirected chords, which create tie-break-rich neighborhoods and
+// multi-path repairs.
+func chordedLattice(rows, cols, chords int, rng *rand.Rand) arcs {
+	full := latticeGraph(rows, cols)
+	n := rows * cols
+	a := make(arcs, n)
+	for u := 0; u < n; u++ {
+		for _, v := range full.Neighbors(u) {
+			a.add(u, v)
+		}
+	}
+	for i := 0; i < chords; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			a.undirected(u, v)
+		}
+	}
+	return a
+}
+
+// referenceRepair is Repair as it stood before it shared the builders'
+// parent pass: it takes its own BFS, copies the forest and re-attaches the
+// dirty nodes to their first min-hop neighbor, and on a gateway change, a
+// partition or a dirty majority it returns BuildForestPartial's forest.
+func referenceRepair(f *Forest, comm *graph.Graph, gateways []int, alive []bool, changed []int) (*Forest, bool, error) {
+	n := comm.NumNodes()
+	up := func(u int) bool { return alive == nil || alive[u] }
+	rebuild := func() (*Forest, bool, error) {
+		out, err := BuildForestPartial(comm, gateways, nil)
+		return out, true, err
+	}
+	if !slices.Equal(f.gateways, gateways) {
+		return rebuild()
+	}
+	dist := comm.MultiSourceBFS(gateways)
+	for u := 0; u < n; u++ {
+		if !f.isGW[u] && f.depth[u] >= 0 && dist[u] < 0 && up(u) {
+			return rebuild()
+		}
+	}
+	dirty := make([]bool, n)
+	nDirty := 0
+	mark := func(u int) {
+		if !dirty[u] {
+			dirty[u] = true
+			nDirty++
+		}
+	}
+	for _, u := range changed {
+		mark(u)
+	}
+	for u := 0; u < n; u++ {
+		if dist[u] != f.depth[u] {
+			mark(u)
+			for _, v := range comm.Neighbors(u) {
+				mark(v)
+			}
+		}
+	}
+	if nDirty > n/2 {
+		return rebuild()
+	}
+	out := &Forest{
+		parent:   append([]int(nil), f.parent...),
+		depth:    append([]int(nil), f.depth...),
+		isGW:     append([]bool(nil), f.isGW...),
+		gateways: append([]int(nil), f.gateways...),
+	}
+	for u := 0; u < n; u++ {
+		if out.isGW[u] {
+			out.depth[u] = 0
+			out.parent[u] = -1
+			continue
+		}
+		if dist[u] < 0 {
+			out.parent[u], out.depth[u] = -1, -1
+			continue
+		}
+		if !dirty[u] {
+			out.depth[u] = dist[u]
+			continue
+		}
+		var candidates []int
+		for _, v := range comm.Neighbors(u) {
+			if dist[v] == dist[u]-1 {
+				candidates = append(candidates, v)
+			}
+		}
+		if len(candidates) == 0 {
+			return nil, false, fmt.Errorf("route: node %d at depth %d has no parent candidate", u, dist[u])
+		}
+		out.parent[u] = candidates[0]
+		out.depth[u] = dist[u]
+	}
+	return out, false, nil
+}
+
 // TestRepairMatchesRebuildFuzzed drives a long random fail/recover sequence
 // over a lattice (plus chords, so tie-breaks and multi-path repairs really
 // occur) and asserts after every event that the incrementally repaired
@@ -110,23 +210,8 @@ func changedSet(full *graph.Graph, u int) []int {
 func TestRepairMatchesRebuildFuzzed(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
-		rows, cols := 6, 6
-		full := latticeGraph(rows, cols)
-		// Sprinkle chords to create tie-break-rich neighborhoods.
-		n := rows * cols
-		chords := make(arcs, n)
-		for u := 0; u < n; u++ {
-			for _, v := range full.Neighbors(u) {
-				chords.add(u, v)
-			}
-		}
-		for i := 0; i < 12; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				chords.undirected(u, v)
-			}
-		}
-		base := sortedClone(chords.graph())
+		base := sortedClone(chordedLattice(6, 6, 12, rng).graph())
+		n := base.NumNodes()
 		gws := []int{0, n - 1}
 
 		alive := make([]bool, n)
@@ -148,15 +233,12 @@ func TestRepairMatchesRebuildFuzzed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: rebuild: %v", seed, step, err)
 			}
-			got, stats, err := cur.Repair(comm, agws, alive, changedSet(base, u), nil)
+			got, rebuilt, err := cur.Repair(comm, agws, alive, changedSet(base, u))
 			if err != nil {
 				t.Fatalf("seed %d step %d: repair: %v", seed, step, err)
 			}
 			assertForestsEqual(t, got, want, "repair vs rebuild")
-			if stats.Detached != want.NumDetached() && !stats.Rebuilt {
-				t.Fatalf("seed %d step %d: stats.Detached=%d, forest has %d", seed, step, stats.Detached, want.NumDetached())
-			}
-			if stats.Rebuilt {
+			if rebuilt {
 				rebuilds++
 			}
 			if want.NumDetached() > 0 {
@@ -173,61 +255,74 @@ func TestRepairMatchesRebuildFuzzed(t *testing.T) {
 	}
 }
 
-// TestRepairRandomTieBreaksStayMinHop checks the rng-mode contract: depths
-// and the detached set still match the canonical rebuild, every parent is a
-// valid min-hop choice, and surviving parents are kept (route churn is
-// limited to genuinely dirty nodes).
-func TestRepairRandomTieBreaksStayMinHop(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	full := latticeGraph(7, 7)
-	n := 49
-	gws := []int{0, 24, 48}
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	cur, err := BuildForest(induced(full, alive), gws, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 40; step++ {
-		u := rng.Intn(n)
-		alive[u] = !alive[u]
-		comm := induced(full, alive)
-		agws := aliveGateways(gws, alive)
-		want, err := BuildForestPartial(comm, agws, nil)
+// TestRepairMatchesReferenceFromRandomTieBreaks starts where production
+// starts, from a forest with random tie-breaks (NewMesh draws one), and
+// drives fail/recover toggles and moves (a node drops its links and joins
+// two random nodes) over chorded lattices. After every step Repair must
+// equal referenceRepair on the same input: parents, depths, gateway marks
+// and the rebuilt bit. Clean nodes keep their drawn parents, so the result
+// is not the canonical rebuild.
+func TestRepairMatchesReferenceFromRandomTieBreaks(t *testing.T) {
+	incremental, rebuilds := 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		adj := chordedLattice(6, 6, 12, rng)
+		n := len(adj)
+		gws := []int{0, n - 1}
+		alive := make([]bool, n)
+		for i := range alive {
+			alive[i] = true
+		}
+		base := sortedClone(adj.graph())
+		cur, err := BuildForest(base, gws, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := cur.Repair(comm, agws, alive, changedSet(full, u), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reparented := 0
-		for v := 0; v < n; v++ {
-			if got.Depth(v) != want.Depth(v) {
-				t.Fatalf("step %d: depth of %d: %d, rebuild %d", step, v, got.Depth(v), want.Depth(v))
-			}
-			if (got.Depth(v) < 0) != (want.Depth(v) < 0) {
-				t.Fatalf("step %d: detachment of %d differs from rebuild", step, v)
-			}
-			if p := got.parent[v]; p >= 0 {
-				if !slices.Contains(comm.Neighbors(v), p) {
-					t.Fatalf("step %d: parent %d of %d is not a neighbor", step, p, v)
+		for step := 0; step < 60; step++ {
+			u := rng.Intn(n)
+			changed := append([]int{u}, adj[u]...)
+			if rng.Intn(2) == 0 {
+				alive[u] = !alive[u]
+			} else {
+				for _, v := range adj[u] {
+					adj[v] = slices.DeleteFunc(adj[v], func(w int) bool { return w == u })
 				}
-				if got.Depth(p) != got.Depth(v)-1 {
-					t.Fatalf("step %d: parent %d of %d is not one hop closer", step, p, v)
+				adj[u] = nil
+				for len(adj[u]) < 2 {
+					if v := rng.Intn(n); v != u {
+						adj.undirected(u, v)
+					}
 				}
+				changed = append(changed, adj[u]...)
+				base = sortedClone(adj.graph())
 			}
-			if got.parent[v] != cur.parent[v] {
-				reparented++
+			comm := induced(base, alive)
+			agws := aliveGateways(gws, alive)
+			want, wantRebuilt, err := referenceRepair(cur, comm, agws, alive, changed)
+			if err != nil {
+				t.Fatalf("seed %d step %d: reference: %v", seed, step, err)
 			}
+			got, rebuilt, err := cur.Repair(comm, agws, alive, changed)
+			if err != nil {
+				t.Fatalf("seed %d step %d: repair: %v", seed, step, err)
+			}
+			what := fmt.Sprintf("seed %d step %d", seed, step)
+			assertForestsEqual(t, got, want, what)
+			if rebuilt != wantRebuilt {
+				t.Fatalf("%s: rebuilt %v, reference %v", what, rebuilt, wantRebuilt)
+			}
+			if rebuilt {
+				rebuilds++
+			} else {
+				incremental++
+			}
+			cur = got
 		}
-		if !stats.Rebuilt && reparented > stats.Dirty {
-			t.Fatalf("step %d: %d nodes reparented but only %d dirty", step, reparented, stats.Dirty)
-		}
-		cur = got
 	}
+	if incremental == 0 || rebuilds == 0 {
+		t.Fatalf("%d incremental repairs and %d rebuilds: both outcomes must occur", incremental, rebuilds)
+	}
+	t.Logf("%d incremental repairs, %d rebuilds", incremental, rebuilds)
 }
 
 // TestRepairPartitionFallback carves a corner subtree off a lattice and
@@ -250,12 +345,12 @@ func TestRepairPartitionFallback(t *testing.T) {
 	for _, u := range []int{1, 5} {
 		alive[u] = false
 		comm := induced(full, alive)
-		got, stats, err := cur.Repair(comm, gws, alive, changedSet(full, u), nil)
+		got, rebuilt, err := cur.Repair(comm, gws, alive, changedSet(full, u))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if u == 5 { // second cut: node 0 is now stranded
-			if !stats.Rebuilt {
+			if !rebuilt {
 				t.Fatal("partition did not trigger the rebuild fallback")
 			}
 			if got.Depth(0) >= 0 {
@@ -286,11 +381,11 @@ func TestRepairGatewayChangeFallsBack(t *testing.T) {
 	alive[0] = false
 	comm := induced(full, alive)
 	agws := aliveGateways(gws, alive)
-	got, stats, err := cur.Repair(comm, agws, alive, changedSet(full, 0), nil)
+	got, rebuilt, err := cur.Repair(comm, agws, alive, changedSet(full, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Rebuilt {
+	if !rebuilt {
 		t.Fatal("gateway death did not trigger the rebuild fallback")
 	}
 	want, err := BuildForestPartial(comm, agws, nil)
@@ -330,7 +425,7 @@ func BenchmarkForestRepair(b *testing.B) {
 	changed := changedSet(full, victim)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := base.Repair(comm, gws, alive, changed, nil); err != nil {
+		if _, _, err := base.Repair(comm, gws, alive, changed); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,7 +33,8 @@ type Forest struct {
 // non-nil and toward the lowest node ID otherwise. An error is returned when
 // some node cannot reach any gateway.
 func BuildForest(comm *graph.Graph, gateways []int, rng *rand.Rand) (*Forest, error) {
-	return buildForest(comm, gateways, rng, false)
+	f, _, err := build(comm, gateways, rng, false, nil, nil, nil)
+	return f, err
 }
 
 // BuildForestPartial is BuildForest for networks that may be partitioned:
@@ -41,67 +42,75 @@ func BuildForest(comm *graph.Graph, gateways []int, rng *rand.Rand) (*Forest, er
 // empty gateway list) are left detached instead of failing the build. It is
 // the full-rebuild reference the incremental Repair is checked against.
 func BuildForestPartial(comm *graph.Graph, gateways []int, rng *rand.Rand) (*Forest, error) {
-	return buildForest(comm, gateways, rng, true)
+	f, _, err := build(comm, gateways, rng, true, nil, nil, nil)
+	return f, err
 }
 
-func buildForest(comm *graph.Graph, gateways []int, rng *rand.Rand, partial bool) (*Forest, error) {
+// build is the one forest construction: it checks the gateways, takes the
+// multi-source BFS from them once and gives every node at a finite distance
+// a parent among its neighbors one hop closer to the gateways: the first
+// such neighbor in adjacency order, or a uniform draw when rng is non-nil.
+// Nodes no gateway reaches are detached when partial and fail the build
+// otherwise. Given the forest prev of the previous topology (Repair), a
+// node that prev.dirty leaves clean keeps its parent in prev; when
+// prev.dirty returns nil, every node chooses and build reports the forest
+// as rebuilt.
+func build(comm *graph.Graph, gateways []int, rng *rand.Rand, partial bool, prev *Forest, alive []bool, changed []int) (*Forest, bool, error) {
 	n := comm.NumNodes()
 	if len(gateways) == 0 && !partial {
-		return nil, fmt.Errorf("route: need at least one gateway")
+		return nil, false, fmt.Errorf("route: need at least one gateway")
 	}
 	isGW := make([]bool, n)
 	for _, g := range gateways {
 		if g < 0 || g >= n {
-			return nil, fmt.Errorf("route: gateway %d out of range", g)
+			return nil, false, fmt.Errorf("route: gateway %d out of range", g)
 		}
 		if isGW[g] {
-			return nil, fmt.Errorf("route: duplicate gateway %d", g)
+			return nil, false, fmt.Errorf("route: duplicate gateway %d", g)
 		}
 		isGW[g] = true
 	}
 
-	dist, _ := comm.MultiSourceBFS(gateways)
+	dist := comm.MultiSourceBFS(gateways)
+	var redo []bool
+	if prev != nil {
+		redo = prev.dirty(comm, gateways, dist, alive, changed)
+	}
 	f := &Forest{
 		parent:   make([]int, n),
 		depth:    make([]int, n),
 		isGW:     isGW,
 		gateways: append([]int(nil), gateways...),
 	}
-	for u := 0; u < n; u++ {
-		f.parent[u] = -1
-		f.depth[u] = -1
-	}
-	for _, g := range gateways {
-		f.depth[g] = 0
-	}
 	var candidates []int // one node's parent candidates, reused
 	for u := 0; u < n; u++ {
-		if isGW[u] {
-			continue
-		}
-		if dist[u] < 0 {
-			if partial {
-				continue // detached: unreachable under the current topology
+		f.parent[u], f.depth[u] = -1, dist[u]
+		switch {
+		case isGW[u]:
+		case dist[u] < 0:
+			if !partial {
+				return nil, false, fmt.Errorf("route: node %d cannot reach any gateway", u)
 			}
-			return nil, fmt.Errorf("route: node %d cannot reach any gateway", u)
-		}
-		candidates = candidates[:0]
-		for _, v := range comm.Neighbors(u) {
-			if dist[v] == dist[u]-1 {
-				candidates = append(candidates, v)
+		case redo != nil && !redo[u]:
+			f.parent[u] = prev.parent[u]
+		default:
+			candidates = candidates[:0]
+			for _, v := range comm.Neighbors(u) {
+				if dist[v] == dist[u]-1 {
+					candidates = append(candidates, v)
+				}
 			}
+			if len(candidates) == 0 {
+				return nil, false, fmt.Errorf("route: node %d has no parent candidate", u)
+			}
+			pick := candidates[0]
+			if rng != nil {
+				pick = candidates[rng.Intn(len(candidates))]
+			}
+			f.parent[u] = pick
 		}
-		if len(candidates) == 0 {
-			return nil, fmt.Errorf("route: node %d has no parent candidate", u)
-		}
-		pick := candidates[0]
-		if rng != nil {
-			pick = candidates[rng.Intn(len(candidates))]
-		}
-		f.parent[u] = pick
-		f.depth[u] = dist[u]
 	}
-	return f, nil
+	return f, prev != nil && redo == nil, nil
 }
 
 // NumNodes returns the number of nodes in the forest.
@@ -114,12 +123,7 @@ func (f *Forest) Depth(u int) int { return f.depth[u] }
 func (f *Forest) Gateways() []int { return append([]int(nil), f.gateways...) }
 
 // IsGateway reports whether u is a gateway.
-func (f *Forest) IsGateway(u int) bool {
-	if f.isGW != nil {
-		return f.isGW[u]
-	}
-	return f.parent[u] == -1
-}
+func (f *Forest) IsGateway(u int) bool { return f.isGW[u] }
 
 // NumDetached returns the number of detached nodes.
 func (f *Forest) NumDetached() int {

@@ -278,16 +278,8 @@ func (b *Builder) GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, 
 		// The slab-allocated single-channel SlotState engine.
 		return b.greedy(eng, links, demands, ord, false)
 	}
-	if len(links) != len(demands) {
-		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
-	}
-	for i, l := range links {
-		if !singletonFeasible(eng, phys.NewCandidate(eng, l)) {
-			return nil, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", l)
-		}
-		if demands[i] < 0 {
-			return nil, fmt.Errorf("sched: link %v has negative demand %d", l, demands[i])
-		}
+	if err := checkLinks(eng, links, demands); err != nil {
+		return nil, err
 	}
 	used := 0
 	for _, ei := range b.orderEdges(eng, links, demands, ord) {
@@ -335,6 +327,24 @@ func (b *Builder) GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, 
 	return s, nil
 }
 
+// checkLinks rejects the inputs no schedule serves, with GreedyPhysical's
+// errors: a demand count that differs from the link count, a link that is
+// infeasible alone, or a negative demand.
+func checkLinks(eng phys.Engine, links []phys.Link, demands []int) error {
+	if len(links) != len(demands) {
+		return fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
+	}
+	for i, l := range links {
+		if !singletonFeasible(eng, phys.NewCandidate(eng, l)) {
+			return fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", l)
+		}
+		if demands[i] < 0 {
+			return fmt.Errorf("sched: link %v has negative demand %d", l, demands[i])
+		}
+	}
+	return nil
+}
+
 // LocalizedGreedy is GreedyPhysical restricted to k-hop-local information:
 // when deciding whether edge e fits a slot, it only accounts for the
 // interference of already-scheduled links within the k-hop neighborhood of e
@@ -342,8 +352,8 @@ func (b *Builder) GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, 
 // always produce feasible schedules. It exists to demonstrate the theorem:
 // its output may fail Verify.
 func LocalizedGreedy(ch *phys.Channel, comm *graph.Graph, links []phys.Link, demands []int, k int, ord Ordering) (*Schedule, error) {
-	if len(links) != len(demands) {
-		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
+	if err := checkLinks(ch, links, demands); err != nil {
+		return nil, err
 	}
 	edges := make([]graph.Edge, len(links))
 	for i, l := range links {

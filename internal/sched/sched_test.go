@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"scream/internal/phys"
 	"scream/internal/route"
@@ -332,6 +334,39 @@ func TestLocalizedGreedyLargeKMatchesGlobal(t *testing.T) {
 	}
 	if !s.Equal(g) {
 		t.Error("full-information localized greedy should equal global greedy")
+	}
+}
+
+// TestLocalizedGreedyRejectsUnschedulableLinks: a link infeasible alone
+// and a negative demand fail with GreedyPhysical's errors instead of
+// opening empty slots forever. The calls run under a deadline, so a hang
+// fails the test instead of the package.
+func TestLocalizedGreedyRejectsUnschedulableLinks(t *testing.T) {
+	net, err := topo.NewLine(4, 30, topo.DefaultParams(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		links   []phys.Link
+		demands []int
+		want    string
+	}{
+		{[]phys.Link{{From: 0, To: 3}}, []int{1}, "alone is infeasible"},
+		{[]phys.Link{{From: 0, To: 1}}, []int{-1}, "negative demand"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := LocalizedGreedy(net.Channel, net.Comm, c.links, c.demands, 1, ByHeadIDDesc)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("links %v, demands %v: error %v, want one saying %q", c.links, c.demands, err, c.want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("links %v, demands %v: LocalizedGreedy still running after 2 s", c.links, c.demands)
+		}
 	}
 }
 

@@ -213,13 +213,16 @@ func HeterogeneousPower(n int, minDBm, maxDBm phys.DBm, rng *rand.Rand) []float6
 	return pw
 }
 
+// rangeSlack is the communication range, in grid steps, of a grid or line
+// whose power is derived from its step.
+const rangeSlack = 1.05
+
 // GridConfig describes a planned square-grid deployment (the paper's
 // "planned" scenario with homogeneous transmission power).
 type GridConfig struct {
 	Rows, Cols int
 	Step       float64 // grid step in meters
-	TxPowerMW  float64 // homogeneous power; 0 means "derive from Step"
-	RangeSlack float64 // when deriving power: range = Step * RangeSlack (default 1.05)
+	TxPowerMW  float64 // homogeneous power; 0 means "derive from Step": range = Step * rangeSlack
 	Params     Params
 }
 
@@ -234,11 +237,7 @@ func NewGrid(cfg GridConfig, rng *rand.Rand) (*Network, error) {
 	p := cfg.Params
 	power := cfg.TxPowerMW
 	if power == 0 {
-		slack := cfg.RangeSlack
-		if slack == 0 {
-			slack = 1.05
-		}
-		power = p.PathLoss.PowerForRange(cfg.Step*slack, p.NoiseMW, p.Beta)
+		power = p.PathLoss.PowerForRange(cfg.Step*rangeSlack, p.NoiseMW, p.Beta)
 	}
 	pts := GridPositions(cfg.Rows, cfg.Cols, cfg.Step)
 	region := geom.Rect{
@@ -253,17 +252,19 @@ func NewGrid(cfg GridConfig, rng *rand.Rand) (*Network, error) {
 // UniformConfig describes an unplanned uniform deployment with (optionally)
 // heterogeneous transmit power.
 type UniformConfig struct {
-	N          int
-	Side       float64 // square region side in meters
-	MinTxDBm   phys.DBm
-	MaxTxDBm   phys.DBm
-	Params     Params
-	MaxRetries int // connectivity retries (default 20)
+	N        int
+	Side     float64 // square region side in meters
+	MinTxDBm phys.DBm
+	MaxTxDBm phys.DBm
+	Params   Params
 }
 
+// uniformTries is how many placements NewUniform draws at most.
+const uniformTries = 20
+
 // NewUniform builds an unplanned uniform network, re-drawing positions until
-// the communication graph is connected (or retries are exhausted, returning
-// the last draw with an error).
+// the communication graph is connected (or uniformTries draws are spent,
+// returning the last draw with an error).
 func NewUniform(cfg UniformConfig, rng *rand.Rand) (*Network, error) {
 	if cfg.N <= 0 || cfg.Side <= 0 {
 		return nil, fmt.Errorf("topo: uniform needs n>0 and side>0")
@@ -271,14 +272,10 @@ func NewUniform(cfg UniformConfig, rng *rand.Rand) (*Network, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("topo: uniform placement requires an rng")
 	}
-	retries := cfg.MaxRetries
-	if retries == 0 {
-		retries = 20
-	}
 	region := geom.Square(cfg.Side)
 	var last *Network
 	var err error
-	for i := 0; i < retries; i++ {
+	for i := 0; i < uniformTries; i++ {
 		pts := UniformPositions(cfg.N, region, rng)
 		var pw []float64
 		if cfg.MinTxDBm == cfg.MaxTxDBm {
@@ -294,7 +291,7 @@ func NewUniform(cfg UniformConfig, rng *rand.Rand) (*Network, error) {
 			return last, nil
 		}
 	}
-	return last, fmt.Errorf("topo: could not draw a connected uniform network in %d tries (n=%d side=%v)", retries, cfg.N, cfg.Side)
+	return last, fmt.Errorf("topo: could not draw a connected uniform network in %d tries (n=%d side=%v)", uniformTries, cfg.N, cfg.Side)
 }
 
 // NewLine builds a line network with the given spacing and homogeneous
@@ -304,7 +301,7 @@ func NewLine(n int, step float64, p Params, slack float64) (*Network, error) {
 		return nil, fmt.Errorf("topo: line needs n>0 and step>0")
 	}
 	if slack == 0 {
-		slack = 1.05
+		slack = rangeSlack
 	}
 	power := p.PathLoss.PowerForRange(step*slack, p.NoiseMW, p.Beta)
 	pts := LinePositions(n, step)

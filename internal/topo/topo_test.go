@@ -238,7 +238,7 @@ func TestNewUniformImpossibleConnectivity(t *testing.T) {
 	// best-effort network.
 	rng := rand.New(rand.NewSource(2))
 	net, err := NewUniform(UniformConfig{
-		N: 10, Side: 100000, MinTxDBm: -30, MaxTxDBm: -30, Params: DefaultParams(), MaxRetries: 3,
+		N: 10, Side: 100000, MinTxDBm: -30, MaxTxDBm: -30, Params: DefaultParams(),
 	}, rng)
 	if err == nil {
 		t.Fatal("expected connectivity failure")
