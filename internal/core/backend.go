@@ -58,19 +58,20 @@ func RunScreamSlots(k int, vars []bool, slot func(screamers []bool) []bool) []bo
 }
 
 // IdealBackend evaluates the primitives directly against the physical
-// interference model: handshakes via the incremental phys.SlotState engine
-// (equivalent to phys.Channel.HandshakeOutcome, which stays as the reference
-// implementation and is what the packet-level radio backend approximates)
-// and SCREAM detection via aggregate-energy carrier sensing over the
-// sensitivity graph. In Fast mode (the default), the SCREAM result is
-// computed as the plain OR of the inputs, which is exact whenever
+// interference model: handshakes via the reference
+// phys.Channel.HandshakeOutcome (what the packet-level radio backend
+// approximates) and SCREAM detection via aggregate-energy carrier sensing
+// over the sensitivity graph. In Fast mode (the default), the SCREAM result
+// is computed as the plain OR of the inputs, which is exact whenever
 // K >= ID(G_S) — the precondition the constructor enforces; strict mode
-// runs the slot-by-slot relay flood instead.
+// runs the slot-by-slot relay flood instead. On a fast-mode backend the
+// protocol loop settles SCREAMs, elections and handshakes itself and bills
+// them here (bill, billHandshake), so HandshakeSlot is what strict mode and
+// every wrapper run: an implementation independent of the loop's.
 type IdealBackend struct {
 	ch      *phys.Channel
 	sensAdj [][]int // sensitivity-graph in-neighbors: who node v can hear
 	k       int
-	timing  Timing
 	strict  bool
 	elapsed des.Time
 	// screamCost is what one SCREAM primitive bills: k slots; hsCost is
@@ -84,27 +85,6 @@ type IdealBackend struct {
 	// Scream returns one of these two read-only length-n slices. They are
 	// never written after construction, so clones share them.
 	allFalse, allTrue []bool
-
-	// Incremental handshake engine. The protocols build each slot by
-	// repeatedly handshaking a slowly-mutating link set (the allocated
-	// links persist, each step tentatively admits a few actives and evicts
-	// the ones that failed), so the backend diffs each request against the
-	// previous one and replays only the difference on a phys.SlotState:
-	// O(k·Δ) per step instead of HandshakeOutcome's O(k²). Every protocol
-	// link is owned by its From node (one link per owner), so all engine
-	// bookkeeping is indexed by From; requests that violate that invariant
-	// fall back to the reference Channel.HandshakeOutcome.
-	slot       *phys.SlotState
-	prev       []phys.Link // link set of the previous HandshakeSlot call
-	lastAdds   []phys.Link // links tentatively added by that call
-	isLastAdd  []bool      // by From: link was tentatively added by that call
-	member     []bool      // by From: owner's link is currently in the slot
-	memberLink []phys.Link // by From: the member link itself
-	posIdx     []int       // by From: the member link's slot admission index
-	wantCall   []int       // by From: stamp marking membership in the current request
-	wantLink   []phys.Link // by From: the requested link for this call
-	call       int         // HandshakeSlot invocation counter for the stamps
-	outBuf     []bool      // result scratch, valid until the next HandshakeSlot call
 }
 
 // NewIdealBackend builds an ideal backend. sens is the sensitivity graph
@@ -130,21 +110,7 @@ func NewIdealBackend(ch *phys.Channel, sens *graph.Graph, k int, timing Timing, 
 	if k < id {
 		return nil, fmt.Errorf("core: k = %d is below the interference diameter %d; use strict mode to observe the failure", k, id)
 	}
-	// In-neighbors: v detects activity when any u with edge u->v screams.
-	n := ch.NumNodes()
-	adj := make([][]int, n)
-	for u := 0; u < n; u++ {
-		for _, v := range sens.Neighbors(u) {
-			adj[v] = append(adj[v], u)
-		}
-	}
-	outs := make([]bool, 2*n)
-	for i := n; i < 2*n; i++ {
-		outs[i] = true
-	}
-	return &IdealBackend{ch: ch, sensAdj: adj, k: k, timing: timing, strict: strict,
-		screamCost: des.Time(k) * timing.ScreamSlot(), hsCost: timing.HandshakeSlot(),
-		allFalse: outs[:n:n], allTrue: outs[n:]}, nil
+	return newIdealBackend(ch, sens, k, timing, strict), nil
 }
 
 // NewIdealBackendAmong builds an ideal backend for a network where only the
@@ -168,19 +134,28 @@ func NewIdealBackendAmong(ch *phys.Channel, sens *graph.Graph, alive []bool, kFl
 	if id < 0 {
 		return nil, ErrSensDisconnected
 	}
-	k := kFloor
-	if k < id {
-		k = id
+	// Degenerate single-participant networks still pay one slot.
+	return newIdealBackend(ch, sens, max(kFloor, id, 1), timing, false), nil
+}
+
+// newIdealBackend builds a backend over a SCREAM length k its caller has
+// validated.
+func newIdealBackend(ch *phys.Channel, sens *graph.Graph, k int, timing Timing, strict bool) *IdealBackend {
+	// In-neighbors: v detects activity when any u with edge u->v screams.
+	n := ch.NumNodes()
+	adj := make([][]int, n)
+	for u := 0; u < n; u++ {
+		for _, v := range sens.Neighbors(u) {
+			adj[v] = append(adj[v], u)
+		}
 	}
-	if k < 1 {
-		k = 1 // degenerate single-participant networks still pay one slot
+	outs := make([]bool, 2*n)
+	for i := n; i < 2*n; i++ {
+		outs[i] = true
 	}
-	b, err := NewIdealBackend(ch, sens, k, timing, true)
-	if err != nil {
-		return nil, err
-	}
-	b.strict = false // fast OR is exact: k covers the alive diameter
-	return b, nil
+	return &IdealBackend{ch: ch, sensAdj: adj, k: k, strict: strict,
+		screamCost: des.Time(k) * timing.ScreamSlot(), hsCost: timing.HandshakeSlot(),
+		allFalse: outs[:n:n], allTrue: outs[n:]}
 }
 
 // NumNodes implements Backend.
@@ -228,152 +203,29 @@ func (b *IdealBackend) bill(m int) {
 	b.elapsed += des.Time(m) * b.screamCost
 }
 
-// Clone returns a fresh backend sharing the immutable channel, sensitivity
-// adjacency and timing but with zeroed counters, elapsed time and engine
-// state. It lets callers that run many protocol instances over one
-// deployment (the flow-epoch schedulers) skip re-validating the sensitivity
-// graph on every run.
-func (b *IdealBackend) Clone() *IdealBackend {
-	return &IdealBackend{ch: b.ch, sensAdj: b.sensAdj, k: b.k, timing: b.timing, strict: b.strict,
-		screamCost: b.screamCost, hsCost: b.hsCost, allFalse: b.allFalse, allTrue: b.allTrue}
-}
-
-// HandshakeSlot implements Backend.
-func (b *IdealBackend) HandshakeSlot(links []phys.Link) []bool {
+// billHandshake charges one handshake slot: HandshakeSlot's, and the
+// protocol loop's when it settles a fast-mode step on its own slot state.
+func (b *IdealBackend) billHandshake() {
 	b.handshakes++
 	b.elapsed += b.hsCost
-	return b.incrementalOutcome(links)
 }
 
-// resetEngine discards all incremental handshake state; the next call
-// rebuilds from scratch.
-func (b *IdealBackend) resetEngine() {
-	if b.slot != nil {
-		b.slot.Reset()
-	}
-	for _, l := range b.prev {
-		b.member[l.From] = false
-	}
-	// Links admitted by a partially-completed call are tracked in lastAdds
-	// but possibly not yet in prev, so clear member for them too.
-	for _, l := range b.lastAdds {
-		b.member[l.From] = false
-		b.isLastAdd[l.From] = false
-	}
-	b.prev = b.prev[:0]
-	b.lastAdds = b.lastAdds[:0]
+// Clone returns a fresh backend sharing the immutable channel, sensitivity
+// adjacency and costs but with zeroed counters and elapsed time. It lets
+// callers that run many protocol instances over one deployment (the
+// flow-epoch schedulers) skip re-validating the sensitivity graph on every
+// run.
+func (b *IdealBackend) Clone() *IdealBackend {
+	c := *b
+	c.elapsed, c.screams, c.handshakes = 0, 0, 0
+	return &c
 }
 
-// wanted reports whether l is part of the current request.
-func (b *IdealBackend) wanted(l phys.Link) bool {
-	return b.wantCall[l.From] == b.call && b.wantLink[l.From] == l
-}
-
-// incrementalOutcome evaluates one handshake slot through the SlotState
-// engine. Decisions are identical to phys.Channel.HandshakeOutcome on the
-// same set (see TestIdealBackendHandshakeMatchesNaive): the engine only
-// changes how the interference sums are accumulated, not the inequalities.
-func (b *IdealBackend) incrementalOutcome(links []phys.Link) []bool {
-	if b.slot == nil {
-		n := b.ch.NumNodes()
-		b.slot = phys.NewSlotState(b.ch)
-		b.isLastAdd = make([]bool, n)
-		b.member = make([]bool, n)
-		b.memberLink = make([]phys.Link, n)
-		b.posIdx = make([]int, n)
-		b.wantCall = make([]int, n)
-		b.wantLink = make([]phys.Link, n)
-	}
-	b.call++
-	for _, l := range links {
-		if b.wantCall[l.From] == b.call {
-			// Two links with one owner cannot occur in a protocol run; for
-			// such requests fall back to the reference implementation
-			// rather than complicating the engine.
-			b.resetEngine()
-			return b.ch.HandshakeOutcome(links)
-		}
-		b.wantCall[l.From] = b.call
-		b.wantLink[l.From] = l
-	}
-
-	// Diff against the previous request.
-	removed := 0
-	removedOnlyTentative := true
-	for _, l := range b.prev {
-		if b.wanted(l) {
-			continue
-		}
-		removed++
-		if !b.isLastAdd[l.From] {
-			removedOnlyTentative = false
-		}
-	}
-	switch {
-	case removed == 0:
-		// Pure growth: keep the slot as is.
-	case removedOnlyTentative:
-		// Every evicted link was tentatively admitted by the previous call
-		// (a discarded active): roll the tentative batch back exactly and
-		// re-admit the batch members that were kept.
-		b.slot.Rollback()
-		for _, l := range b.lastAdds {
-			b.member[l.From] = false
-		}
-		for _, l := range links {
-			if b.isLastAdd[l.From] && b.memberLink[l.From] == l {
-				b.admit(l)
-			}
-		}
-	default:
-		// A sealed slot or another wholesale change: rebuild from scratch,
-		// which also keeps rounding drift bounded to a single round.
-		b.slot.Reset()
-		for _, l := range b.prev {
-			b.member[l.From] = false
-		}
-	}
-
-	// Tentatively admit the newcomers; they form the batch the next call
-	// may roll back.
-	for _, l := range b.lastAdds {
-		b.isLastAdd[l.From] = false
-	}
-	b.lastAdds = b.lastAdds[:0]
-	b.slot.Mark()
-	for _, l := range links {
-		if b.member[l.From] {
-			if b.memberLink[l.From] == l {
-				continue
-			}
-			// The owner's link changed identity between calls — not a
-			// protocol access pattern; use the reference implementation.
-			b.resetEngine()
-			return b.ch.HandshakeOutcome(links)
-		}
-		b.admit(l)
-		b.lastAdds = append(b.lastAdds, l)
-		b.isLastAdd[l.From] = true
-	}
-	b.prev = append(b.prev[:0], links...)
-
-	slotOut := b.slot.Outcomes()
-	if cap(b.outBuf) < len(links) {
-		b.outBuf = make([]bool, len(links))
-	}
-	out := b.outBuf[:len(links)]
-	for i, l := range links {
-		out[i] = slotOut[b.posIdx[l.From]]
-	}
-	return out
-}
-
-// admit adds l to the slot and records its owner-indexed bookkeeping.
-func (b *IdealBackend) admit(l phys.Link) {
-	b.member[l.From] = true
-	b.memberLink[l.From] = l
-	b.posIdx[l.From] = b.slot.Len()
-	b.slot.Add(phys.NewCandidate(b.ch, l))
+// HandshakeSlot implements Backend with the reference
+// phys.Channel.HandshakeOutcome.
+func (b *IdealBackend) HandshakeSlot(links []phys.Link) []bool {
+	b.billHandshake()
+	return b.ch.HandshakeOutcome(links)
 }
 
 // Elapsed implements Backend.

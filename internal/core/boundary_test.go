@@ -1,10 +1,12 @@
 package core
 
-// The protocol loop is one loop with two SCREAM boundaries: on a fast-mode
-// IdealBackend it settles SCREAMs as word tests on node sets and elections
-// as a set's top bit; every other backend gets []bool SCREAMs and bitwise
-// elections. These tests pin the two boundaries to each other, and
-// pin the loop's allocations.
+// The protocol loop is one loop with two boundaries: on a fast-mode
+// IdealBackend it settles SCREAMs as word tests on node sets, elections as
+// a set's top bit and handshakes on its own slot state; every other backend
+// gets []bool SCREAMs, bitwise elections and link-list handshakes, which an
+// IdealBackend evaluates with the reference Channel.HandshakeOutcome. These
+// tests pin the two boundaries to each other, and pin the loop's
+// allocations; FuzzProtocol pins them on generated deployments.
 
 import (
 	"bytes"
@@ -18,7 +20,8 @@ import (
 )
 
 // forwarding is a plain Backend wrapper: it forwards every call to an
-// IdealBackend without being one, which forces the []bool boundary.
+// IdealBackend without being one, which forces the []bool boundary and the
+// reference handshake.
 type forwarding struct{ *IdealBackend }
 
 // protoEvent is one Observer callback, in the order the run made it.
@@ -40,7 +43,7 @@ type observedRun struct {
 	elapsed    int64
 }
 
-func observe(t *testing.T, cfg Config, b *IdealBackend, wrap bool) observedRun {
+func observe(t testing.TB, cfg Config, b *IdealBackend, wrap bool) observedRun {
 	t.Helper()
 	var out observedRun
 	var buf bytes.Buffer
@@ -99,27 +102,36 @@ func TestOneLoopTwoBoundaries(t *testing.T) {
 							}
 							return observe(t, cfg, fx.backend(t, k, false), wrap)
 						}
-						fast, wrapped := run(false), run(true)
-						if !reflect.DeepEqual(fast.res, wrapped.res) {
-							t.Errorf("results differ: fast %d rounds, %d steps, %d elections, %d screams, %v; wrapped %d, %d, %d, %d, %v",
-								fast.res.Rounds, fast.res.Steps, fast.res.Elections, fast.res.Screams, fast.res.ExecTime,
-								wrapped.res.Rounds, wrapped.res.Steps, wrapped.res.Elections, wrapped.res.Screams, wrapped.res.ExecTime)
-						}
-						if !reflect.DeepEqual(fast.events, wrapped.events) {
-							t.Errorf("Observer events differ: %d fast, %d wrapped", len(fast.events), len(wrapped.events))
-						}
-						if !bytes.Equal(fast.trace, wrapped.trace) {
-							t.Errorf("traces differ: %d bytes fast, %d wrapped", len(fast.trace), len(wrapped.trace))
-						}
-						if fast.screams != wrapped.screams || fast.handshakes != wrapped.handshakes || fast.elapsed != wrapped.elapsed {
-							t.Errorf("accounting differs: fast %d screams, %d handshakes, %d ticks; wrapped %d, %d, %d",
-								fast.screams, fast.handshakes, fast.elapsed, wrapped.screams, wrapped.handshakes, wrapped.elapsed)
-						}
+						fast := run(false)
+						sameRun(t, fast, "wrapped", run(true))
 						checkActivationsAscend(t, fast.events)
 					})
 				}
 			}
 		}
+	}
+}
+
+// sameRun requires other, a run of the same configuration on another
+// backend, to be indistinguishable from fast, the run on a bare fast-mode
+// IdealBackend: equal results, the same Observer events in the same order,
+// byte-identical traces and equal backend accounting.
+func sameRun(t testing.TB, fast observedRun, name string, other observedRun) {
+	t.Helper()
+	if !reflect.DeepEqual(fast.res, other.res) {
+		t.Errorf("results differ: fast %d rounds, %d steps, %d elections, %d screams, %v; %s %d, %d, %d, %d, %v",
+			fast.res.Rounds, fast.res.Steps, fast.res.Elections, fast.res.Screams, fast.res.ExecTime, name,
+			other.res.Rounds, other.res.Steps, other.res.Elections, other.res.Screams, other.res.ExecTime)
+	}
+	if !reflect.DeepEqual(fast.events, other.events) {
+		t.Errorf("Observer events differ: %d fast, %d %s", len(fast.events), len(other.events), name)
+	}
+	if !bytes.Equal(fast.trace, other.trace) {
+		t.Errorf("traces differ: %d bytes fast, %d %s", len(fast.trace), len(other.trace), name)
+	}
+	if fast.screams != other.screams || fast.handshakes != other.handshakes || fast.elapsed != other.elapsed {
+		t.Errorf("accounting differs: fast %d screams, %d handshakes, %d ticks; %s %d, %d, %d",
+			fast.screams, fast.handshakes, fast.elapsed, name, other.screams, other.handshakes, other.elapsed)
 	}
 }
 
@@ -151,8 +163,8 @@ func TestRunAllocations(t *testing.T) {
 		variant Variant
 		max     float64
 	}{
-		{FDD, 1634},
-		{PDD, 1734},
+		{FDD, 1617},
+		{PDD, 1705},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			cfg := Config{Variant: c.variant, Links: fx.links, Demands: fx.demands, Backend: proto.Clone()}

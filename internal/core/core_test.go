@@ -50,20 +50,30 @@ func uniformFixture(t testing.TB, seed int64) *fixture {
 // demands in [1, 10] onto the forest links.
 func forestFixture(t testing.TB, net *topo.Network, gateways []int, rng *rand.Rand) *fixture {
 	t.Helper()
-	f, err := route.BuildForest(net.Comm, gateways, rng)
+	fx, err := routeFixture(net, gateways, 10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodeDemand, err := traffic.Uniform(net.NumNodes(), 1, 10, rng)
+	return fx
+}
+
+// routeFixture is forestFixture with per-node demands in [1, maxDemand],
+// returning the error of a deployment it cannot route.
+func routeFixture(net *topo.Network, gateways []int, maxDemand int, rng *rand.Rand) (*fixture, error) {
+	f, err := route.BuildForest(net.Comm, gateways, rng)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
+	}
+	nodeDemand, err := traffic.Uniform(net.NumNodes(), 1, maxDemand, rng)
+	if err != nil {
+		return nil, err
 	}
 	links := f.Links()
 	demands, err := f.LinkDemands(links, nodeDemand)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return &fixture{net: net, links: links, demands: demands}
+	return &fixture{net: net, links: links, demands: demands}, nil
 }
 
 func (fx *fixture) backend(t testing.TB, k int, strict bool) *IdealBackend {
@@ -129,6 +139,38 @@ func TestIdealBackendConstruction(t *testing.T) {
 	}
 	if _, err := NewIdealBackend(fx.net.Channel, fx.net.Sens, -1, DefaultTiming(), true); err == nil {
 		t.Error("k < 0 must be rejected")
+	}
+}
+
+// TestCloneSharesTopologyNotState: a cloned backend starts with fresh time
+// accounting and produces identical results.
+func TestCloneSharesTopologyNotState(t *testing.T) {
+	fx := gridFixture(t, 4, 3)
+	b := fx.backend(t, 0, false)
+	vars := make([]bool, b.NumNodes())
+	vars[1] = true
+	b.Scream(vars)
+	b.HandshakeSlot(fx.links[:1])
+	c := b.Clone()
+	if c.Elapsed() != 0 || c.ScreamCount() != 0 || c.HandshakeCount() != 0 {
+		t.Fatal("clone must start with zeroed accounting")
+	}
+	if c.K() != b.K() || c.NumNodes() != b.NumNodes() {
+		t.Fatal("clone must share the deployment parameters")
+	}
+	var tm des.Time
+	for i := 0; i < 3; i++ {
+		out := c.HandshakeSlot(fx.links)
+		ref := fx.net.Channel.HandshakeOutcome(fx.links)
+		for j := range ref {
+			if out[j] != ref[j] {
+				t.Fatalf("clone outcome[%d] diverges from reference", j)
+			}
+		}
+		if c.Elapsed() <= tm {
+			t.Fatal("clone must bill time")
+		}
+		tm = c.Elapsed()
 	}
 }
 

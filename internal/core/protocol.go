@@ -146,10 +146,15 @@ type protoRun struct {
 	// fast is the backend when it is a fast-mode IdealBackend, whose every
 	// SCREAM is the exact network-wide OR: a SCREAM over a node set is then
 	// a word test, and an election over the node indices takes the set's
-	// top bit. Every other backend gets the set as a []bool in flags at this
-	// one boundary.
+	// top bit. The loop also settles each step's handshake itself, on slot
+	// (see handshake); mark is the slot's length at its last Mark, where
+	// the step's tentative batch begins. Every other backend gets the set as
+	// a []bool in flags at this one boundary, and each handshake as a link
+	// list.
 	fast  *IdealBackend
 	flags []bool
+	slot  phys.SlotState
+	mark  int
 
 	res       *Result
 	state     []State
@@ -160,12 +165,13 @@ type protoRun struct {
 	// Step scratch. chanSets holds one node set per channel: the nodes
 	// whose link rides that channel in the slot under construction (the
 	// controller on channel 0, each allocated node on its own). radios
-	// counts the slot's placements with endpoint u. scratch serves one
+	// counts the slot's placements with endpoint u. pos maps an owner to
+	// its link's index in the step's handshake outcome. scratch serves one
 	// short-lived set at a time. A step's links and owners, and a seal's
 	// links and channels, are never more than n, so they fill the n-slot
 	// buffers cut for them without regrowing; the schedule copies the seal's.
 	chanSets, scratch nodeSet
-	radios            []int
+	radios, pos       []int
 	links             []phys.Link
 	owners            []int
 }
@@ -178,9 +184,10 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 	n := cfg.Backend.NumNodes()
 	m := len(cfg.Demands)
 	channels := max(cfg.NumChannels, 1)
-	ints := make([]int, 3*n+m)
+	ints := make([]int, 4*n+m)
 	linkOf, remaining := ints[:n], ints[n:n+m]
 	radios, owners := ints[n+m:2*n+m], ints[2*n+m:2*n+m:3*n+m]
+	pos := ints[3*n+m:]
 	copy(remaining, cfg.Demands)
 	for i := range linkOf {
 		linkOf[i] = -1
@@ -206,10 +213,11 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 		res:       &Result{Schedule: sched.NewSchedule()},
 		state:     make([]State, n),
 		remaining: remaining,
-		radios:    radios, links: make([]phys.Link, 0, n), owners: owners,
+		radios:    radios, pos: pos, links: make([]phys.Link, 0, n), owners: owners,
 	}
 	if ib, ok := cfg.Backend.(*IdealBackend); ok && !ib.strict {
 		p.fast = ib
+		p.slot.Init(ib.ch)
 	} else {
 		p.ids = make([]uint64, n)
 		for i := range p.ids {
@@ -335,6 +343,52 @@ func (p *protoRun) elect(part nodeSet) int {
 	return LeaderElect(p.cfg.Backend, p.idBits, p.ids, part.bools(p.flags))
 }
 
+// handshake runs one step's handshake slot over the links of owners, which
+// ascend, and returns the outcomes, indexed through pos. Every backend but
+// the fast one evaluates the link list. On the fast one the slot holds one
+// channel phase: its first step resets it and tentatively admits every
+// owner; each later step rolls the last batch back, re-admits the batch
+// members the step before placed on the channel, and tentatively admits the
+// step's actives, each group in ascending order. The slot's sums add their
+// terms in admission order, so they may differ from the reference's in the
+// last ulp, never in a decision (DESIGN.md, "Incremental feasibility").
+func (p *protoRun) handshake(first bool, onCh nodeSet, owners []int) []bool {
+	if p.fast == nil {
+		links := p.links[:0]
+		for i, u := range owners {
+			p.pos[u] = i
+			links = append(links, p.cfg.Links[p.linkOf[u]])
+		}
+		return p.cfg.Backend.HandshakeSlot(links)
+	}
+	p.fast.billHandshake()
+	s := &p.slot
+	if first {
+		s.Reset()
+	} else {
+		s.Rollback()
+		for u := onCh.next(0); u >= 0; u = onCh.next(u + 1) {
+			if p.pos[u] >= p.mark {
+				p.admit(u)
+			}
+		}
+	}
+	p.mark = s.Len()
+	s.Mark()
+	for _, u := range owners {
+		if first || !onCh.has(u) {
+			p.admit(u)
+		}
+	}
+	return s.Outcomes()
+}
+
+// admit adds u's link to the fast path's slot.
+func (p *protoRun) admit(u int) {
+	p.pos[u] = p.slot.Len()
+	p.slot.Add(phys.NewCandidate(p.fast.ch, p.cfg.Links[p.linkOf[u]]))
+}
+
 // Run executes the distributed protocol to completion and returns the
 // computed schedule with execution statistics. The run is a faithful
 // lock-step simulation of all nodes: every SCREAM, election and handshake
@@ -385,8 +439,8 @@ func Run(cfg Config) (*Result, error) {
 // data placements during data phases like any other channel. The
 // controller's own link rides channel 0 from the start of the slot. All
 // channels share one physical propagation environment (interference is
-// per-channel only), so the backend's HandshakeSlot evaluates each phase's
-// links unchanged: a handshake slot never contains links from two channels.
+// per-channel only), so a phase's handshakes are evaluated unchanged on the
+// one channel model: a handshake slot never holds links from two channels.
 //
 // With C > 1 the per-node radio budget gates activation: an active node whose
 // own or whose parent's radios are all committed to other channels of this
@@ -463,7 +517,7 @@ func (p *protoRun) run() (*Result, error) {
 				}
 			}
 
-			for {
+			for first := true; ; first = false {
 				// SelectActive.
 				switch cfg.Variant {
 				case PDD:
@@ -494,22 +548,21 @@ func (p *protoRun) run() (*Result, error) {
 				// trying it plus the links already allocated on it.
 				members := p.scratch
 				members.union(active, onCh)
-				hsLinks, hsOwners := p.links[:0], p.owners[:0]
+				hsOwners := p.owners[:0]
 				for u := members.next(0); u >= 0; u = members.next(u + 1) {
-					hsLinks = append(hsLinks, cfg.Links[linkOf[u]])
 					hsOwners = append(hsOwners, u)
 				}
 				res.Steps++
-				outcome := b.HandshakeSlot(hsLinks)
+				outcome := p.handshake(first, onCh, hsOwners)
 
 				// Verification SCREAM: edges scheduled on this channel veto
 				// when the newcomers' interference broke their handshake.
 				vetoes := p.scratch
 				clear(vetoes)
 				okCount := 0
-				for i, u := range hsOwners {
+				for _, u := range hsOwners {
 					switch {
-					case outcome[i]:
+					case outcome[p.pos[u]]:
 						okCount++
 					case state[u] == Allocated || state[u] == Control:
 						vetoes.add(u)
@@ -521,17 +574,17 @@ func (p *protoRun) run() (*Result, error) {
 				}
 				if cfg.Trace != nil {
 					p.traceEmit("handshake",
-						obs.N("links", len(hsLinks)), obs.N("ok", okCount), obs.B("veto", veto))
+						obs.N("links", len(hsOwners)), obs.N("ok", okCount), obs.B("veto", veto))
 				}
 
 				// Actives join this channel or are discarded. The step's
 				// owners ascend and include every active, so this visits the
 				// actives in ascending order.
-				for i, u := range hsOwners {
+				for _, u := range hsOwners {
 					if state[u] != Active {
 						continue
 					}
-					if !veto && outcome[i] {
+					if !veto && outcome[p.pos[u]] {
 						p.setState(u, Allocated)
 						onCh.add(u)
 						l := cfg.Links[linkOf[u]]

@@ -144,15 +144,22 @@ func (s *Schedule) Verify(ch *phys.Channel, links []phys.Link, demands []int) er
 			return fmt.Errorf("sched: slot %d is infeasible under the physical interference model: %v", i, slot)
 		}
 	}
-	want := make(map[phys.Link]int, len(links))
-	for i, l := range links {
-		want[l] += demands[i]
-	}
 	got := make(map[phys.Link]int)
 	for _, slot := range s.slots {
 		for _, l := range slot {
 			got[l]++
 		}
+	}
+	return checkDemands(got, links, demands)
+}
+
+// checkDemands is Verify's and VerifyMulti's demand ledger: got counts the
+// placements of each link, and every link must be placed exactly as often
+// as its demands add up to, with no placement of a link without demand.
+func checkDemands(got map[phys.Link]int, links []phys.Link, demands []int) error {
+	want := make(map[phys.Link]int, len(links))
+	for i, l := range links {
+		want[l] += demands[i]
 	}
 	for l, w := range want {
 		if got[l] != w {
@@ -203,21 +210,7 @@ func (s *Schedule) VerifyMulti(ch *phys.Channel, channels, numRadios int, links 
 			return fmt.Errorf("sched: slot %d is infeasible under the multi-channel model (%d radios): %v", i, numRadios, placements)
 		}
 	}
-	want := make(map[phys.Link]int, len(links))
-	for i, l := range links {
-		want[l] += demands[i]
-	}
-	for l, w := range want {
-		if got[l] != w {
-			return fmt.Errorf("sched: link %v scheduled %d times, demand is %d", l, got[l], w)
-		}
-	}
-	for l := range got {
-		if _, ok := want[l]; !ok {
-			return fmt.Errorf("sched: link %v scheduled but has no demand", l)
-		}
-	}
-	return nil
+	return checkDemands(got, links, demands)
 }
 
 // CountInfeasibleSlots returns how many slots of s violate the full
