@@ -70,7 +70,7 @@ func RunScreamSlots(k int, vars []bool, slot func(screamers []bool) []bool) []bo
 // every wrapper run: an implementation independent of the loop's.
 type IdealBackend struct {
 	ch      *phys.Channel
-	sensAdj [][]int // sensitivity-graph in-neighbors: who node v can hear
+	sens    *graph.Graph // the sensitivity graph: who hears whom
 	k       int
 	strict  bool
 	elapsed des.Time
@@ -141,25 +141,18 @@ func NewIdealBackendAmong(ch *phys.Channel, sens *graph.Graph, alive []bool, kFl
 // newIdealBackend builds a backend over a SCREAM length k its caller has
 // validated.
 func newIdealBackend(ch *phys.Channel, sens *graph.Graph, k int, timing Timing, strict bool) *IdealBackend {
-	// In-neighbors: v detects activity when any u with edge u->v screams.
 	n := ch.NumNodes()
-	adj := make([][]int, n)
-	for u := 0; u < n; u++ {
-		for _, v := range sens.Neighbors(u) {
-			adj[v] = append(adj[v], u)
-		}
-	}
 	outs := make([]bool, 2*n)
 	for i := n; i < 2*n; i++ {
 		outs[i] = true
 	}
-	return &IdealBackend{ch: ch, sensAdj: adj, k: k, strict: strict,
+	return &IdealBackend{ch: ch, sens: sens, k: k, strict: strict,
 		screamCost: des.Time(k) * timing.ScreamSlot(), hsCost: timing.HandshakeSlot(),
 		allFalse: outs[:n:n], allTrue: outs[n:]}
 }
 
 // NumNodes implements Backend.
-func (b *IdealBackend) NumNodes() int { return len(b.sensAdj) }
+func (b *IdealBackend) NumNodes() int { return b.ch.NumNodes() }
 
 // K returns the SCREAM length in slots.
 func (b *IdealBackend) K() int { return b.k }
@@ -178,15 +171,12 @@ func (b *IdealBackend) Scream(vars []bool) []bool {
 		return b.allFalse
 	}
 	return RunScreamSlots(b.k, vars, func(screamers []bool) []bool {
+		// v detects activity when any u with edge u->v screams.
 		det := make([]bool, len(screamers))
-		for v := range det {
-			if screamers[v] {
-				continue
-			}
-			for _, u := range b.sensAdj[v] {
-				if screamers[u] {
+		for u, screams := range screamers {
+			if screams {
+				for _, v := range b.sens.Neighbors(u) {
 					det[v] = true
-					break
 				}
 			}
 		}
@@ -211,7 +201,7 @@ func (b *IdealBackend) billHandshake() {
 }
 
 // Clone returns a fresh backend sharing the immutable channel, sensitivity
-// adjacency and costs but with zeroed counters and elapsed time. It lets
+// graph and costs but with zeroed counters and elapsed time. It lets
 // callers that run many protocol instances over one deployment (the
 // flow-epoch schedulers) skip re-validating the sensitivity graph on every
 // run.

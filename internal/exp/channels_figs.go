@@ -64,13 +64,11 @@ func channelsCurveNames() []string {
 
 // channelsScheduleLengths runs each scheduler once against the scenario's
 // static demand vector and returns the four schedule lengths, verifying
-// every multi-channel schedule against the naive per-channel model.
+// every schedule against the naive per-channel model.
 func channelsScheduleLengths(s *Scenario, tm core.Timing, channels int, seed int64) ([]float64, error) {
 	verify := func(name string, sc *sched.Schedule) error {
-		if channels > 1 {
-			if err := sc.VerifyMulti(s.Net.Channel, channels, channelsRadios, s.Links, s.Demands); err != nil {
-				return fmt.Errorf("%s C=%d: %w", name, channels, err)
-			}
+		if err := sc.VerifyMulti(s.Net.Channel, channels, channelsRadios, s.Links, s.Demands); err != nil {
+			return fmt.Errorf("%s C=%d: %w", name, channels, err)
 		}
 		return nil
 	}

@@ -59,7 +59,7 @@ func TestRxPowerCacheConcurrent(t *testing.T) {
 				}
 				// SlotStates bind to the shared matrix too; exercise the
 				// same path the concurrent schedulers take.
-				st := NewSlotState(ch)
+				st := newSlotState(ch)
 				a := rng.Intn(ch.NumNodes() - 1)
 				if c := NewCandidate(ch, Link{a, a + 1}); st.CanAdd(c) {
 					st.Add(c)

@@ -1,7 +1,7 @@
 package phys
 
 // Engine is the interference-model abstraction the feasibility machinery
-// (SlotState, MultiSlotState, the greedy scheduler family) runs against. Two
+// (SlotState and the greedy scheduler family) runs against. Two
 // implementations exist: the dense *Channel, whose cached n*n RX-power
 // matrix answers every query exactly, and the spatial grid-bucket index
 // (internal/phys/spatial), which answers signal queries exactly but may

@@ -336,7 +336,7 @@ func TestSlotStateMatchesFeasibleSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ch := lineChannel(t, 20, 35, 20)
 	for trial := 0; trial < 500; trial++ {
-		sc := NewSlotState(ch)
+		sc := newSlotState(ch)
 		var accepted []Link
 		for k := 0; k < 6; k++ {
 			a := rng.Intn(19)
@@ -360,7 +360,7 @@ func TestSlotStateMatchesFeasibleSet(t *testing.T) {
 
 func TestSlotStateRejectsConflict(t *testing.T) {
 	ch := lineChannel(t, 10, 30, 20)
-	sc := NewSlotState(ch)
+	sc := newSlotState(ch)
 	if !sc.CanAdd(NewCandidate(ch, Link{0, 1})) {
 		t.Fatal("first link should be addable")
 	}
@@ -375,7 +375,7 @@ func TestSlotStateRejectsConflict(t *testing.T) {
 
 func TestSlotStateReset(t *testing.T) {
 	ch := lineChannel(t, 10, 30, 20)
-	sc := NewSlotState(ch)
+	sc := newSlotState(ch)
 	sc.Add(NewCandidate(ch, Link{0, 1}))
 	sc.Reset()
 	if sc.Len() != 0 {
@@ -388,7 +388,7 @@ func TestSlotStateReset(t *testing.T) {
 
 func TestSlotStateLinksCopy(t *testing.T) {
 	ch := lineChannel(t, 10, 30, 20)
-	sc := NewSlotState(ch)
+	sc := newSlotState(ch)
 	sc.Add(NewCandidate(ch, Link{0, 1}))
 	links := sc.AppendLinks(nil)
 	links[0] = Link{5, 6}

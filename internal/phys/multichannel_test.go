@@ -1,134 +1,90 @@
 package phys
 
-// Property tests for the multi-channel slot engine: MultiSlotState must
-// agree decision-for-decision with the naive per-channel FeasibleSet
-// reference (FeasibleAssignment) over randomized add sequences, and the
-// radio budget must bind exactly.
-
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
-// TestMultiSlotStateMatchesNaiveFuzz drives a MultiSlotState through random
-// CanAdd-gated adds and asserts at every step that CanAdd(l, ch) equals
-// FeasibleAssignment on the would-be union and that the state lists the
-// admitted placements in admission order, for both tight (1) and loose (2)
-// radio budgets. Every other trial re-initialises one state the previous
-// odd trial filled, so reuse through Init must behave as a fresh state.
-func TestMultiSlotStateMatchesNaiveFuzz(t *testing.T) {
+// mapAssignment is FeasibleAssignment as the per-channel model states it,
+// with no care for allocations: a radio count per node in a map and one
+// link list per channel index.
+func mapAssignment(base *Channel, channels int, placements []Placement, numRadios int) bool {
+	radios := make(map[int]int)
+	perChan := make([][]Link, channels)
+	for _, p := range placements {
+		if p.Channel < 0 || p.Channel >= channels {
+			return false
+		}
+		perChan[p.Channel] = append(perChan[p.Channel], p.Link)
+		radios[p.Link.From]++
+		radios[p.Link.To]++
+	}
+	for _, used := range radios {
+		if used > max(numRadios, 1) {
+			return false
+		}
+	}
+	for _, links := range perChan {
+		if len(links) > 0 && !base.FeasibleSet(links) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFeasibleAssignment pins the radio budget at a relay, then compares
+// FeasibleAssignment with mapAssignment on random placements — arbitrary
+// links, shared endpoints and self loops, channel indices one past either
+// end of the range, radio budgets 0 to 3 — and requires that it allocates
+// nothing.
+func TestFeasibleAssignment(t *testing.T) {
 	ch := lineChannel(t, 24, 35, 20)
-	const channels = 3
-	for _, radios := range []int{1, 2} {
-		rng := rand.New(rand.NewSource(int64(100 + radios)))
-		agreeAdds, agreeRejects := 0, 0
-		var reused MultiSlotState
-		for trial := 0; trial < 150; trial++ {
-			st := newMultiSlotState(ch, channels, radios)
-			if trial%2 == 1 {
-				st = &reused
-				st.Init(ch, channels, radios)
-			}
-			var mirror []Placement
-			for op := 0; op < 40; op++ {
-				l := randomLink(rng, 24)
-				c := rng.Intn(channels)
-				want := FeasibleAssignment(ch, channels, append(slices.Clone(mirror), Placement{l, c}), radios)
-				got := st.CanAdd(NewCandidate(ch, l), c)
-				if got != want {
-					t.Fatalf("radios=%d trial %d op %d: CanAdd(%v, ch%d) = %v, naive reference = %v (slot %v)",
-						radios, trial, op, l, c, got, want, mirror)
-				}
-				if got {
-					st.Add(NewCandidate(ch, l), c)
-					mirror = append(mirror, Placement{l, c})
-					agreeAdds++
-				} else {
-					agreeRejects++
-				}
-				if ps := placements(st); !slices.Equal(ps, mirror) {
-					t.Fatalf("radios=%d trial %d op %d: Placements %v, admitted %v", radios, trial, op, ps, mirror)
-				}
-			}
-		}
-		if agreeAdds == 0 || agreeRejects == 0 {
-			t.Fatalf("radios=%d: fuzz did not exercise both outcomes (adds %d, rejects %d)", radios, agreeAdds, agreeRejects)
-		}
-		t.Logf("radios=%d: %d adds, %d rejects agreed with the naive reference", radios, agreeAdds, agreeRejects)
-	}
-}
-
-// TestMultiSlotStateRadioSaturation pins the multi-radio constraint at a
-// relay: two far-apart links sharing relay node r cannot ride two channels
-// of one slot with a single radio at r, and can with two.
-func TestMultiSlotStateRadioSaturation(t *testing.T) {
-	// Nodes 0..23 on a line; links into/out of node 12 share that endpoint.
-	ch := lineChannel(t, 24, 35, 20)
-	up := NewCandidate(ch, Link{From: 11, To: 12})   // child -> relay
-	down := NewCandidate(ch, Link{From: 12, To: 13}) // relay -> parent
-
-	one := newMultiSlotState(ch, 2, 1)
-	if !one.CanAdd(up, 0) {
-		t.Fatal("singleton link rejected")
-	}
-	one.Add(up, 0)
-	if one.CanAdd(down, 0) {
-		t.Fatal("primary conflict admitted on the same channel")
-	}
-	if one.CanAdd(down, 1) {
-		t.Fatal("relay with 1 radio admitted on a second channel")
-	}
-
-	two := newMultiSlotState(ch, 2, 2)
-	two.Add(up, 0)
-	if !two.CanAdd(down, 1) {
-		t.Fatal("relay with 2 radios rejected on a second channel")
-	}
-	two.Add(down, 1)
-	if two.CanAdd(NewCandidate(ch, Link{From: 12, To: 11}), 0) || two.CanAdd(NewCandidate(ch, Link{From: 13, To: 12}), 1) {
-		t.Fatal("third placement at a 2-radio node admitted")
-	}
-	if !FeasibleAssignment(ch, 2, placements(two), 2) {
-		t.Fatal("naive reference rejects the 2-radio slot the engine built")
-	}
-	if FeasibleAssignment(ch, 2, placements(two), 1) {
-		t.Fatal("naive reference accepts a 2-placement relay under 1 radio")
-	}
-}
-
-// TestMultiSlotStateSingleChannelMatchesSlotState: with one channel and one
-// radio the multi engine must take exactly the single-channel engine's
-// decisions (the fast path the single-channel figures stay on).
-func TestMultiSlotStateSingleChannelMatchesSlotState(t *testing.T) {
-	ch := lineChannel(t, 20, 35, 20)
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		multi := newMultiSlotState(ch, 1, 1)
-		single := NewSlotState(ch)
-		for op := 0; op < 25; op++ {
-			l := randomLink(rng, 20)
-			c := NewCandidate(ch, l)
-			gm, gs := multi.CanAdd(c, 0), single.CanAdd(c)
-			if gm != gs {
-				t.Fatalf("trial %d: multi CanAdd %v, single %v for %v", trial, gm, gs, l)
-			}
-			if gm {
-				multi.Add(c, 0)
-				single.Add(c)
-			}
+	// Two links through relay node 12, on one channel or on two.
+	up, down := Link{From: 11, To: 12}, Link{From: 12, To: 13}
+	two := []Placement{{up, 0}, {down, 1}}
+	for _, c := range []struct {
+		name     string
+		channels int
+		ps       []Placement
+		radios   int
+		want     bool
+	}{
+		{"two channels, one radio", 2, two, 1, false},
+		{"two channels, two radios", 2, two, 2, true},
+		{"one channel, two radios", 2, []Placement{{up, 0}, {down, 0}}, 2, false},
+		{"three placements, two radios", 3, append(two, Placement{Link{From: 12, To: 11}, 2}), 2, false},
+	} {
+		if got := FeasibleAssignment(ch, c.channels, c.ps, c.radios); got != c.want {
+			t.Errorf("%s: FeasibleAssignment = %v, want %v", c.name, got, c.want)
 		}
 	}
-}
 
-// placements returns a copy of s's placements in admission order.
-func placements(s *MultiSlotState) []Placement {
-	return slices.Clone(s.order)
-}
-
-// newMultiSlotState returns an empty slot over channels copies of e.
-func newMultiSlotState(e Engine, channels, numRadios int) *MultiSlotState {
-	s := new(MultiSlotState)
-	s.Init(e, channels, numRadios)
-	return s
+	rng := rand.New(rand.NewSource(19))
+	accepts, rejects := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		channels, radios := 1+rng.Intn(4), rng.Intn(4)
+		ps := make([]Placement, rng.Intn(7))
+		for i := range ps {
+			ps[i] = Placement{Link: randomLink(rng, 24), Channel: rng.Intn(channels+2) - 1}
+			if rng.Intn(4) > 0 {
+				// Mostly in range, so the SINR and radio checks decide.
+				ps[i].Channel = rng.Intn(channels)
+			}
+		}
+		got, want := FeasibleAssignment(ch, channels, ps, radios), mapAssignment(ch, channels, ps, radios)
+		if got != want {
+			t.Fatalf("trial %d: FeasibleAssignment(C=%d, R=%d, %v) = %v, per-channel sets say %v", trial, channels, radios, ps, got, want)
+		}
+		if got {
+			accepts++
+		} else {
+			rejects++
+		}
+	}
+	if accepts < 100 || rejects < 100 {
+		t.Fatalf("too few of each outcome: %d accepted, %d rejected", accepts, rejects)
+	}
+	if n := testing.AllocsPerRun(20, func() { FeasibleAssignment(ch, 3, two, 2) }); n != 0 {
+		t.Fatalf("FeasibleAssignment allocates %v times per call", n)
+	}
 }

@@ -149,7 +149,7 @@ func TestSlotStateOrderIndependence(t *testing.T) {
 					order[i], order[j] = order[j], order[i]
 				}
 			}
-			sc := NewSlotState(ch)
+			sc := newSlotState(ch)
 			acceptedAll := true
 			for _, i := range order {
 				if c := NewCandidate(ch, links[i]); sc.CanAdd(c) {

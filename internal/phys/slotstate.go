@@ -89,39 +89,12 @@ type SlotState struct {
 	linksBuf [4]slotLink
 }
 
-// NewSlotState returns an empty slot bound to channel c.
-func NewSlotState(c *Channel) *SlotState {
-	s := new(SlotState)
-	s.Init(c)
-	return s
-}
-
-// Init (re-)binds s to channel c as an empty slot. It exists so callers that
-// build many slots (greedy schedulers construct one per schedule slot) can
-// hold them in a flat []SlotState without a heap allocation per slot.
-func (s *SlotState) Init(c *Channel) {
-	s.initCommon(c)
-	s.rx = c.rx
-}
-
-// InitEngine (re-)binds s to engine e as an empty slot. When e is the dense
-// *Channel the matrix fast path is selected automatically.
-func (s *SlotState) InitEngine(e Engine) {
-	if c, ok := e.(*Channel); ok {
-		s.Init(c)
-		return
-	}
-	s.initCommon(e)
-}
-
-// InitEngineDataOnly is InitEngine with the ACK sub-slot inequality
-// disabled.
-func (s *SlotState) InitEngineDataOnly(e Engine) {
-	s.InitEngine(e)
-	s.ignoreAck = true
-}
-
-func (s *SlotState) initCommon(e Engine) {
+// Init (re-)binds s to engine e as an empty slot; when e is the dense
+// *Channel the matrix fast path is selected. The zero SlotState is ready
+// for Init, so callers that build many slots (greedy schedulers construct
+// one per schedule slot) can hold them in slabs without a heap allocation
+// per slot.
+func (s *SlotState) Init(e Engine) {
 	var grown []slotLink
 	if s.eng != nil {
 		// Re-initialization: clear everything a previous life may have
@@ -139,10 +112,19 @@ func (s *SlotState) initCommon(e Engine) {
 		s.links = grown
 	}
 	s.eng = e
+	if c, ok := e.(*Channel); ok {
+		s.rx = c.rx
+	}
 	s.n = e.NumNodes()
 	s.beta = e.Beta()
 	s.noise = e.NoiseMW()
 	s.marked = -1
+}
+
+// InitDataOnly is Init with the ACK sub-slot inequality disabled.
+func (s *SlotState) InitDataOnly(e Engine) {
+	s.Init(e)
+	s.ignoreAck = true
 }
 
 // Len returns the number of links currently in the slot.

@@ -35,6 +35,13 @@ func gridChannel(tb testing.TB, side int, step float64, txDBm DBm) *Channel {
 	return ch
 }
 
+// newSlotState returns an empty slot bound to channel c.
+func newSlotState(c *Channel) *SlotState {
+	s := new(SlotState)
+	s.Init(c)
+	return s
+}
+
 // randomLink draws a link with arbitrary endpoints — including self loops
 // and endpoints shared with existing links — so the fuzz covers primary
 // conflicts and infeasible members, not just greedy-style admissible sets.
@@ -52,7 +59,7 @@ func TestSlotStateAddRemoveMatchesFeasibleSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	agreeAdds, agreeRejects, removes := 0, 0, 0
 	for trial := 0; trial < 200; trial++ {
-		st := NewSlotState(ch)
+		st := newSlotState(ch)
 		var mirror []Link
 		marked := -1 // len(mirror) at the outstanding Mark
 		for op := 0; op < 30; op++ {
@@ -106,7 +113,7 @@ func TestSlotStateOutcomesMatchHandshake(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	removes := 0
 	for trial := 0; trial < 150; trial++ {
-		st := NewSlotState(ch)
+		st := newSlotState(ch)
 		var mirror []Link
 		marked := -1 // len(mirror) at the outstanding Mark
 		for op := 0; op < 25; op++ {
@@ -162,7 +169,7 @@ func TestSlotStateMarkRollback(t *testing.T) {
 	ch := lineChannel(t, 24, 35, 20)
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 100; trial++ {
-		st := NewSlotState(ch)
+		st := newSlotState(ch)
 		for op := 0; op < 6; op++ {
 			a := rng.Intn(23)
 			if c := NewCandidate(ch, Link{a, a + 1}); st.CanAdd(c) {
@@ -233,11 +240,11 @@ func TestSlotStateEnginePathMatchesDense(t *testing.T) {
 		admits, sinrRejects, rollbacks, failedOutcomes := 0, 0, 0, 0
 		for trial := 0; trial < 400; trial++ {
 			if dataOnly {
-				dense.InitEngineDataOnly(ch)
-				iface.InitEngineDataOnly(opaque)
+				dense.InitDataOnly(ch)
+				iface.InitDataOnly(opaque)
 			} else {
-				dense.InitEngine(ch)
-				iface.InitEngine(opaque)
+				dense.Init(ch)
+				iface.Init(opaque)
 			}
 			if dense.rx == nil || iface.rx != nil {
 				t.Fatal("the states do not take the two different paths")
@@ -327,7 +334,7 @@ func sameRecord(a, b slotLink) bool {
 // TestSlotStateRollbackWithoutMarkPanics documents the API contract.
 func TestSlotStateRollbackWithoutMarkPanics(t *testing.T) {
 	ch := lineChannel(t, 4, 35, 20)
-	st := NewSlotState(ch)
+	st := newSlotState(ch)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Rollback without Mark should panic")
@@ -339,7 +346,7 @@ func TestSlotStateRollbackWithoutMarkPanics(t *testing.T) {
 // buildSlotIncremental greedily fills one slot from candidates with the
 // SlotState engine.
 func buildSlotIncremental(ch *Channel, candidates []Link) int {
-	st := NewSlotState(ch)
+	st := newSlotState(ch)
 	for _, l := range candidates {
 		if c := NewCandidate(ch, l); st.CanAdd(c) {
 			st.Add(c)

@@ -48,7 +48,7 @@ func BenchmarkSpatialCanAdd10k(b *testing.B) {
 	const n = 10000
 	idx := benchIndex(b, n)
 	var st phys.SlotState
-	st.InitEngine(idx)
+	st.Init(idx)
 	for u := 64; u < n; u += 64 {
 		if c := phys.NewCandidate(idx, phys.Link{From: u, To: u - 1}); st.CanAdd(c) {
 			st.Add(c)

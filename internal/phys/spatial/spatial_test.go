@@ -90,8 +90,8 @@ func checkConservative(t *testing.T, pos []geom.Point, pw []float64, cutoffM flo
 	// keeping both slot states on the identical occupancy. Any link the
 	// spatial state admits must be admissible to the dense state too.
 	var sSpat, sDense phys.SlotState
-	sSpat.InitEngine(idx)
-	sDense.InitEngine(ch)
+	sSpat.Init(idx)
+	sDense.Init(ch)
 	for _, l := range links {
 		cs, cd := phys.NewCandidate(idx, l), phys.NewCandidate(ch, l)
 		if sSpat.CanAdd(cs) {
@@ -235,7 +235,7 @@ func TestSpatialConcurrentReaders(t *testing.T) {
 				}
 			}
 			var st phys.SlotState
-			st.InitEngine(idx)
+			st.Init(idx)
 			for u := 1; u < n; u++ {
 				if c := phys.NewCandidate(idx, phys.Link{From: u, To: u - 1}); st.CanAdd(c) {
 					st.Add(c)

@@ -71,11 +71,11 @@ func TestBuilderMatchesOneShot(t *testing.T) {
 		switch rng.Intn(6) {
 		case 0, 1:
 			kind = "greedy/" + ord.String()
-			got, gerr = b.greedy(e.eng, fl, fd, ord, false)
+			got, gerr = b.greedy(pass{eng: e.eng, channels: 1}, fl, fd, ord)
 			want, werr = GreedyPhysical(e.ref, fl, fd, ord)
 		case 2:
 			kind = "data-only/" + ord.String()
-			got, gerr = b.greedy(e.eng, fl, fd, ord, true)
+			got, gerr = b.greedy(pass{eng: e.eng, channels: 1, dataOnly: true}, fl, fd, ord)
 			want, werr = GreedyPhysicalDataOnly(e.ref, fl, fd, ord)
 		case 3:
 			kind = "maxweight"
@@ -124,19 +124,19 @@ func TestBuilderRepeatAllocatesOnlySchedule(t *testing.T) {
 		build func(b *Builder) (*Schedule, error)
 	}{
 		{"greedy/dense", 3, func(b *Builder) (*Schedule, error) {
-			return b.greedy(dense, links, demands, ByHeadIDDesc, false)
+			return b.greedy(pass{eng: dense, channels: 1}, links, demands, ByHeadIDDesc)
 		}},
 		{"greedy/spatial", 3, func(b *Builder) (*Schedule, error) {
-			return b.greedy(idx, links, demands, ByHeadIDDesc, false)
+			return b.greedy(pass{eng: idx, channels: 1}, links, demands, ByHeadIDDesc)
 		}},
 		{"greedy/memo", 3, func(b *Builder) (*Schedule, error) {
-			return b.greedy(memo, links, demands, ByHeadIDDesc, false)
+			return b.greedy(pass{eng: memo, channels: 1}, links, demands, ByHeadIDDesc)
 		}},
 		{"greedy/demand-desc", 3, func(b *Builder) (*Schedule, error) {
-			return b.greedy(dense, links, demands, ByDemandDesc, false)
+			return b.greedy(pass{eng: dense, channels: 1}, links, demands, ByDemandDesc)
 		}},
 		{"greedy/length-desc", 3, func(b *Builder) (*Schedule, error) {
-			return b.greedy(dense, links, demands, ByLengthDesc, false)
+			return b.greedy(pass{eng: dense, channels: 1}, links, demands, ByLengthDesc)
 		}},
 		{"maxweight", 3, func(b *Builder) (*Schedule, error) {
 			return b.GreedyMaxWeight(dense, links, demands)

@@ -73,24 +73,18 @@ func (b *Builder) ApproxFanZhang(ch phys.Engine, links []phys.Link, demands []in
 	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(classes[j], classes[i]) })
 
 	// Each class runs on fresh slots: the ones after the previous class's.
+	p := pass{eng: ch, channels: 1}
 	slots := 0
 	for start := 0; start < len(order); {
 		end := start + 1
 		for end < len(order) && classes[order[end]] == classes[order[start]] {
 			end++
 		}
-		first := slots
 		var err error
-		if slots, err = b.admit(ch, links, demands, order[start:end], false, first); err != nil {
+		if slots, err = b.admit(p, links, demands, order[start:end], slots); err != nil {
 			return nil, err
 		}
-		recordBuild(b.slots[first:slots])
 		start = end
 	}
-	s := &Schedule{}
-	if slots > 0 {
-		s.slots = make([][]phys.Link, 0, slots)
-	}
-	b.appendSlots(s, slots)
-	return s, nil
+	return b.schedule(links, 1, slots), nil
 }

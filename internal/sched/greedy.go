@@ -55,10 +55,13 @@ type Builder struct {
 	// of slots, and one heap allocation per slot (or copying the states
 	// around as a flat slice grows) would dominate the incremental
 	// feasibility checks themselves. Slabs never move, which SlotState's
-	// inline small-slot storage requires.
+	// inline small-slot storage requires. Over C channels, channel c of
+	// slot i is state i·C + c.
 	slabs []*[slabSize]phys.SlotState
-	slots []*phys.SlotState      // slot i of every build: slabs[i/slabSize][i%slabSize]
-	multi []*phys.MultiSlotState // the multi-channel slots, for channels > 1
+	// radios, over more than one channel, holds one row of n radio counts
+	// per slot: radios[i·n + u] is the placements of slot i at node u.
+	radios []int32
+	placed []placement // over more than one channel, the build's admissions in order
 
 	order   []int     // admission order: indices into links
 	counts  []int     // head-ID counting sort: links per head, then positions
@@ -66,12 +69,21 @@ type Builder struct {
 	classes []int     // Fan-Zhang length classes
 }
 
-const slabSize = 64
+// placement is one admission of a build: links[link] on channel ch of slot
+// slot.
+type placement struct{ link, slot, ch int32 }
 
-// orderEdges returns the indices of links in scheduling order.
-func orderEdges(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) []int {
-	return new(Builder).orderEdges(ch, links, demands, ord)
+// pass is what one build admits over: the engine, C >= 1 orthogonal
+// channels of it with a per-node radio budget (only more than one channel
+// can bind it), and whether the ACK inequality is checked.
+type pass struct {
+	eng      phys.Engine
+	channels int
+	radios   int32
+	dataOnly bool
 }
+
+const slabSize = 64
 
 // orderEdges returns the indices of links in scheduling order, in the
 // builder's order buffer.
@@ -147,7 +159,7 @@ func resized[T any](buf *[]T, n int) []T {
 // it keeps the slot feasible, appending new slots when needed. The returned
 // schedule always satisfies Verify against the same inputs.
 func GreedyPhysical(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
-	return new(Builder).greedy(ch, links, demands, ord, false)
+	return new(Builder).greedy(pass{eng: ch, channels: 1}, links, demands, ord)
 }
 
 // GreedyPhysicalDataOnly is GreedyPhysical with the ACK sub-slot inequality
@@ -155,102 +167,7 @@ func GreedyPhysical(ch phys.Engine, links []phys.Link, demands []int, ord Orderi
 // paper's link-layer-reliability extension). Its schedules may fail Verify
 // under the full model; CountInfeasibleSlots quantifies by how much.
 func GreedyPhysicalDataOnly(ch phys.Engine, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
-	return new(Builder).greedy(ch, links, demands, ord, true)
-}
-
-func (b *Builder) greedy(ch phys.Engine, links []phys.Link, demands []int, ord Ordering, dataOnly bool) (*Schedule, error) {
-	if len(links) != len(demands) {
-		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
-	}
-	return b.ordered(ch, links, demands, b.orderEdges(ch, links, demands, ord), dataOnly)
-}
-
-// ordered runs the admission pass over order and materializes its slots
-// as a new schedule.
-func (b *Builder) ordered(ch phys.Engine, links []phys.Link, demands []int, order []int, dataOnly bool) (*Schedule, error) {
-	k, err := b.admit(ch, links, demands, order, dataOnly, 0)
-	if err != nil {
-		return nil, err
-	}
-	recordBuild(b.slots[:k])
-	s := &Schedule{slots: make([][]phys.Link, 0, k)}
-	b.appendSlots(s, k)
-	return s, nil
-}
-
-// singletonFeasible reports whether c alone can occupy a slot: both the
-// data and the ACK transmission must clear beta against noise with no
-// interference. This is exactly Channel.FeasibleSet on a one-link set
-// (self-loops fail through their zero self-gain), phrased over the Engine
-// interface so any engine can answer it — and since SignalMW is exact on
-// every engine, all engines agree on it.
-func singletonFeasible(ch phys.Engine, c phys.Candidate) bool {
-	floor := ch.Beta() * ch.NoiseMW()
-	return c.DataMW >= floor && c.AckMW >= floor
-}
-
-// admit runs the first-fit greedy admission pass over the links named by
-// order (indices into links/demands), in that order, on fresh slots from
-// b.slots[first] on, and returns the end of the slots it filled: they are
-// b.slots[first:end]. Links absent from order are ignored — the Fan-Zhang
-// class scheduler exploits this to run the engine on one length class at a
-// time, each class on the slots after the last class's.
-func (b *Builder) admit(ch phys.Engine, links []phys.Link, demands []int, order []int, dataOnly bool, first int) (int, error) {
-	used := first
-	for _, ei := range order {
-		// The link's exact signals, computed once per build: they decide its
-		// singleton feasibility here and every admission probe below. Links
-		// are checked in order, so invalid input fails on its first bad link.
-		c := phys.NewCandidate(ch, links[ei])
-		if !singletonFeasible(ch, c) {
-			return 0, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", c.Link)
-		}
-		remaining := demands[ei]
-		if remaining < 0 {
-			return 0, fmt.Errorf("sched: link %v has negative demand %d", c.Link, remaining)
-		}
-		for slot := first; remaining > 0; slot++ {
-			if slot == used {
-				// A new slot of this build: the next state of the working
-				// set, re-initialised, or a new slab's first.
-				if slot == len(b.slots) {
-					if slot%slabSize == 0 {
-						b.slabs = append(b.slabs, new([slabSize]phys.SlotState))
-					}
-					b.slots = append(b.slots, &b.slabs[slot/slabSize][slot%slabSize])
-				}
-				if dataOnly {
-					b.slots[slot].InitEngineDataOnly(ch)
-				} else {
-					b.slots[slot].InitEngine(ch)
-				}
-				used++
-			}
-			if st := b.slots[slot]; st.CanAdd(c) {
-				st.Add(c)
-				remaining--
-			}
-		}
-	}
-	return used, nil
-}
-
-// appendSlots appends the first k slots of the last admission pass to s.
-// Their links, in admission order, are copied into one new array; each
-// slot's slice is capped at its own end, so appending to one slot can never
-// write into the next. A slot is only ever created by a link that then
-// joins it (singleton feasibility was pre-validated), so none is empty.
-func (b *Builder) appendSlots(s *Schedule, k int) {
-	total := 0
-	for _, st := range b.slots[:k] {
-		total += st.Len()
-	}
-	flat := make([]phys.Link, 0, total)
-	for _, st := range b.slots[:k] {
-		start := len(flat)
-		flat = st.AppendLinks(flat)
-		s.slots = append(s.slots, flat[start:len(flat):len(flat)])
-	}
+	return new(Builder).greedy(pass{eng: ch, channels: 1, dataOnly: true}, links, demands, ord)
 }
 
 // GreedyPhysicalMulti generalizes GreedyPhysical to channels orthogonal
@@ -274,75 +191,167 @@ func (b *Builder) GreedyPhysicalMulti(eng phys.Engine, channels, numRadios int, 
 	if channels <= 0 {
 		return nil, fmt.Errorf("sched: channel count must be positive, got %d", channels)
 	}
-	if channels == 1 {
-		// The slab-allocated single-channel SlotState engine.
-		return b.greedy(eng, links, demands, ord, false)
+	return b.greedy(pass{eng: eng, channels: channels, radios: int32(max(numRadios, 1))}, links, demands, ord)
+}
+
+func (b *Builder) greedy(p pass, links []phys.Link, demands []int, ord Ordering) (*Schedule, error) {
+	if len(links) != len(demands) {
+		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
-	if err := checkLinks(eng, links, demands); err != nil {
+	return b.ordered(p, links, demands, b.orderEdges(p.eng, links, demands, ord))
+}
+
+// ordered runs the admission pass over order and materializes its slots
+// as a new schedule.
+func (b *Builder) ordered(p pass, links []phys.Link, demands []int, order []int) (*Schedule, error) {
+	b.placed = b.placed[:0]
+	k, err := b.admit(p, links, demands, order, 0)
+	if err != nil {
 		return nil, err
 	}
-	used := 0
-	for _, ei := range b.orderEdges(eng, links, demands, ord) {
-		c := phys.NewCandidate(eng, links[ei])
+	return b.schedule(links, p.channels, k), nil
+}
+
+// singletonFeasible reports whether c alone can occupy a slot: both the
+// data and the ACK transmission must clear beta against noise with no
+// interference. This is exactly Channel.FeasibleSet on a one-link set
+// (self-loops fail through their zero self-gain), phrased over the Engine
+// interface so any engine can answer it — and since SignalMW is exact on
+// every engine, all engines agree on it.
+func singletonFeasible(ch phys.Engine, c phys.Candidate) bool {
+	floor := ch.Beta() * ch.NoiseMW()
+	return c.DataMW >= floor && c.AckMW >= floor
+}
+
+// admit runs the first-fit greedy admission pass over the links named by
+// order (indices into links/demands), in that order, on fresh slots from
+// slot first on, and returns the end of the slots it filled: they are
+// [first, end). Each link takes the first demands[i] (slot, channel) pairs
+// where it fits, slots in order and each slot's channels in ascending
+// order. Over more than one channel a pair is probed only while both
+// endpoints have a free radio in the slot, and each admission is logged in
+// b.placed, which ordered empties. Links absent from order are ignored —
+// the Fan-Zhang class scheduler exploits this to run the pass on one length
+// class at a time, each class on the slots after the last class's.
+func (b *Builder) admit(p pass, links []phys.Link, demands []int, order []int, first int) (int, error) {
+	n, C := p.eng.NumNodes(), p.channels
+	used := first
+	for _, ei := range order {
+		// The link's exact signals, computed once per build: they decide its
+		// singleton feasibility here and every admission probe below. Links
+		// are checked in order, so invalid input fails on its first bad link.
+		c := phys.NewCandidate(p.eng, links[ei])
+		if !singletonFeasible(p.eng, c) {
+			return 0, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", c.Link)
+		}
 		remaining := demands[ei]
-		for slot := 0; remaining > 0; slot++ {
+		if remaining < 0 {
+			return 0, fmt.Errorf("sched: link %v has negative demand %d", c.Link, remaining)
+		}
+		for slot := first; remaining > 0; slot++ {
 			if slot == used {
-				if slot == len(b.multi) {
-					b.multi = append(b.multi, new(phys.MultiSlotState))
+				// A new slot of this build: its channels take the working
+				// set's next states, re-initialised or in a new slab.
+				for j := slot * C; j < (slot+1)*C; j++ {
+					if j/slabSize == len(b.slabs) {
+						b.slabs = append(b.slabs, new([slabSize]phys.SlotState))
+					}
+					if st := b.state(j); p.dataOnly {
+						st.InitDataOnly(p.eng)
+					} else {
+						st.Init(p.eng)
+					}
 				}
-				b.multi[slot].Init(eng, channels, numRadios)
+				if C > 1 {
+					if cap(b.radios) < (slot+1)*n {
+						b.radios = slices.Grow(b.radios[:slot*n], slabSize*n)
+					}
+					b.radios = b.radios[:(slot+1)*n]
+					clear(b.radios[slot*n:])
+				}
 				used++
 			}
-			st := b.multi[slot]
-			for ch := 0; ch < channels && remaining > 0; ch++ {
-				if st.CanAdd(c, ch) {
-					st.Add(c, ch)
+			if C == 1 {
+				// The slot's one state decides: the radio budget cannot bind
+				// and the state keeps the admission order. A single walk
+				// over all (slot, channel) states with the radio check and
+				// the log inline measured 1.16× this probe's time on the
+				// probe-bound BenchmarkGreedyPhysical64 (2-vCPU VM).
+				if st := b.state(slot); st.CanAdd(c) {
+					st.Add(c)
+					remaining--
+				}
+				continue
+			}
+			radios := b.radios[slot*n : (slot+1)*n]
+			for ch := 0; ch < C && remaining > 0 && radios[c.From] < p.radios && radios[c.To] < p.radios; ch++ {
+				if st := b.state(slot*C + ch); st.CanAdd(c) {
+					st.Add(c)
+					radios[c.From]++
+					radios[c.To]++
+					b.placed = append(b.placed, placement{int32(ei), int32(slot), int32(ch)})
 					remaining--
 				}
 			}
 		}
 	}
-	// Materialize; a slot is only ever created by a link that then joins its
-	// channel 0 (the slot is empty and the link is singleton-feasible), so
-	// none is empty. As in appendSlots, each slot's links and channels are
-	// capped slices of one array each.
-	recordBuild(b.multi[:used])
-	s := NewSchedule()
-	if used == 0 {
-		return s, nil
-	}
-	total := 0
-	for _, st := range b.multi[:used] {
-		total += st.Len()
-	}
-	flatLinks, flatChans := make([]phys.Link, 0, total), make([]int, 0, total)
-	s.slots, s.chans = make([][]phys.Link, 0, used), make([][]int, 0, used)
-	for _, st := range b.multi[:used] {
-		start := len(flatLinks)
-		flatLinks, flatChans = st.AppendPlacements(flatLinks, flatChans)
-		end := len(flatLinks)
-		s.slots = append(s.slots, flatLinks[start:end:end])
-		s.chans = append(s.chans, flatChans[start:end:end])
-	}
-	return s, nil
+	b.recordBuild(C, first, used)
+	return used, nil
 }
 
-// checkLinks rejects the inputs no schedule serves, with GreedyPhysical's
-// errors: a demand count that differs from the link count, a link that is
-// infeasible alone, or a negative demand.
-func checkLinks(eng phys.Engine, links []phys.Link, demands []int) error {
-	if len(links) != len(demands) {
-		return fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
+// state returns state j of the working set.
+func (b *Builder) state(j int) *phys.SlotState { return &b.slabs[uint(j)/slabSize][uint(j)%slabSize] }
+
+// fill returns the placements in slot i of a build over channels channels.
+func (b *Builder) fill(channels, i int) int {
+	n := 0
+	for j := i * channels; j < (i+1)*channels; j++ {
+		n += b.state(j).Len()
 	}
-	for i, l := range links {
-		if !singletonFeasible(eng, phys.NewCandidate(eng, l)) {
-			return fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", l)
-		}
-		if demands[i] < 0 {
-			return fmt.Errorf("sched: link %v has negative demand %d", l, demands[i])
-		}
+	return n
+}
+
+// schedule materializes the first k slots of the last build as a new
+// schedule. Each slot lists its placements in admission order: on one
+// channel its state holds them so, and over more channels a stable counting
+// sort of the admission log by slot gives the order across its channels.
+// The links, and over more than one channel their channels, are copied into
+// one new array each; each slot's slice is capped at its own end, so
+// appending to one slot can never write into the next. A slot is only ever
+// created by a link that then joins it (the slot is empty and the link
+// singleton-feasible), so none is empty.
+func (b *Builder) schedule(links []phys.Link, channels, k int) *Schedule {
+	s := &Schedule{}
+	if k == 0 {
+		return s
 	}
-	return nil
+	next := resized(&b.counts, k) // each slot's start, then, over several channels, its end
+	total := 0
+	for i := range next {
+		next[i], total = total, total+b.fill(channels, i)
+	}
+	flat := make([]phys.Link, 0, total)
+	s.slots = make([][]phys.Link, k)
+	if channels == 1 {
+		for i := range s.slots {
+			flat = b.state(i).AppendLinks(flat)
+			s.slots[i] = flat[next[i]:len(flat):len(flat)]
+		}
+		return s
+	}
+	flat, flatChans := flat[:total], make([]int, total)
+	s.chans = make([][]int, k)
+	for _, p := range b.placed {
+		i := next[p.slot]
+		next[p.slot]++
+		flat[i], flatChans[i] = links[p.link], int(p.ch)
+	}
+	start := 0
+	for i, end := range next {
+		s.slots[i], s.chans[i] = flat[start:end:end], flatChans[start:end:end]
+		start = end
+	}
+	return s
 }
 
 // LocalizedGreedy is GreedyPhysical restricted to k-hop-local information:
@@ -352,8 +361,17 @@ func checkLinks(eng phys.Engine, links []phys.Link, demands []int) error {
 // always produce feasible schedules. It exists to demonstrate the theorem:
 // its output may fail Verify.
 func LocalizedGreedy(ch *phys.Channel, comm *graph.Graph, links []phys.Link, demands []int, k int, ord Ordering) (*Schedule, error) {
-	if err := checkLinks(ch, links, demands); err != nil {
-		return nil, err
+	// The inputs no schedule serves fail with GreedyPhysical's errors.
+	if len(links) != len(demands) {
+		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
+	}
+	for i, l := range links {
+		if !singletonFeasible(ch, phys.NewCandidate(ch, l)) {
+			return nil, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", l)
+		}
+		if demands[i] < 0 {
+			return nil, fmt.Errorf("sched: link %v has negative demand %d", l, demands[i])
+		}
 	}
 	edges := make([]graph.Edge, len(links))
 	for i, l := range links {
@@ -370,26 +388,24 @@ func LocalizedGreedy(ch *phys.Channel, comm *graph.Graph, links []phys.Link, dem
 		neighborhood[i] = set
 	}
 
-	s := NewSchedule()
-	// For each slot, remember which link indices it holds.
+	// For each slot, remember which link indices it holds, and the links.
+	// Every link is feasible alone, so the slot a link opens admits it.
 	var slotLinks [][]int
-	for _, ei := range orderEdges(ch, links, demands, ord) {
+	var slots [][]phys.Link
+	for _, ei := range new(Builder).orderEdges(ch, links, demands, ord) {
 		remaining := demands[ei]
 		for slot := 0; remaining > 0; slot++ {
 			if slot == len(slotLinks) {
-				slotLinks = append(slotLinks, nil)
+				slotLinks, slots = append(slotLinks, nil), append(slots, nil)
 			}
 			if localFits(ch, links, neighborhood, slotLinks[slot], ei) {
 				slotLinks[slot] = append(slotLinks[slot], ei)
-				s.AddToSlot(slot, links[ei])
+				slots[slot] = append(slots[slot], links[ei])
 				remaining--
 			}
 		}
 	}
-	for s.Length() > 0 && len(s.slots[s.Length()-1]) == 0 {
-		s.slots = s.slots[:s.Length()-1]
-	}
-	return s, nil
+	return &Schedule{slots: slots}, nil
 }
 
 // localFits checks slot feasibility seen through ei's k-hop keyhole: only

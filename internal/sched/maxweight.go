@@ -63,5 +63,5 @@ func (b *Builder) GreedyMaxWeight(ch phys.Engine, links []phys.Link, demands []i
 	if len(links) != len(demands) {
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
-	return b.ordered(ch, links, demands, b.maxWeightOrder(ch, links, demands), false)
+	return b.ordered(pass{eng: ch, channels: 1}, links, demands, b.maxWeightOrder(ch, links, demands))
 }

@@ -37,20 +37,22 @@ func SetObs(r *obs.Registry) {
 	})
 }
 
-// recordBuild publishes one finished greedy construction: the slot count and
-// per-slot fill distribution of the slots it filled. Disabled, it is a
-// single pointer load — no allocation, no iteration.
-func recordBuild[S interface{ Len() int }](slots []S) {
+// recordBuild publishes one finished admission pass: the slot count and
+// per-slot fill distribution of the slots [first, end) it filled over
+// channels channels. Disabled, it is a single pointer load — no
+// allocation, no iteration.
+func (b *Builder) recordBuild(channels, first, end int) {
 	m := schedMetrics.Load()
 	if m == nil {
 		return
 	}
 	m.builds.Inc()
-	m.slots.Add(int64(len(slots)))
+	m.slots.Add(int64(end - first))
 	var admitted int64
-	for _, sl := range slots {
-		admitted += int64(sl.Len())
-		m.slotFill.Observe(float64(sl.Len()))
+	for i := first; i < end; i++ {
+		fill := b.fill(channels, i)
+		admitted += int64(fill)
+		m.slotFill.Observe(float64(fill))
 	}
 	m.admissions.Add(admitted)
 }

@@ -24,24 +24,23 @@ func GreedyProtocol(pm *phys.ProtocolModel, links []phys.Link, demands []int, or
 			return nil, fmt.Errorf("sched: link %v has negative demand %d", l, demands[i])
 		}
 	}
-	s := NewSchedule()
+	// One checker and one link list per slot. Every link is feasible alone,
+	// so the slot a link opens admits it.
 	var checkers []*phys.ProtocolSlotChecker
-	for _, ei := range orderEdges(ch, links, demands, ord) {
+	var slots [][]phys.Link
+	for _, ei := range new(Builder).orderEdges(ch, links, demands, ord) {
 		l := links[ei]
 		remaining := demands[ei]
 		for slot := 0; remaining > 0; slot++ {
 			if slot == len(checkers) {
-				checkers = append(checkers, phys.NewProtocolSlotChecker(pm))
+				checkers, slots = append(checkers, phys.NewProtocolSlotChecker(pm)), append(slots, nil)
 			}
 			if checkers[slot].CanAdd(l) {
 				checkers[slot].Add(l)
-				s.AddToSlot(slot, l)
+				slots[slot] = append(slots[slot], l)
 				remaining--
 			}
 		}
 	}
-	for s.Length() > 0 && len(s.slots[s.Length()-1]) == 0 {
-		s.slots = s.slots[:s.Length()-1]
-	}
-	return s, nil
+	return &Schedule{slots: slots}, nil
 }

@@ -46,12 +46,16 @@ func TestScheduleBasics(t *testing.T) {
 		t.Fatal("new schedule should be empty")
 	}
 	s.AppendSlot([]phys.Link{{From: 0, To: 1}})
-	s.AddToSlot(2, phys.Link{From: 2, To: 3})
+	s.AppendSlot(nil)
+	s.AppendSlot([]phys.Link{{From: 2, To: 3}, {From: 4, To: 5}})
 	if s.Length() != 3 {
 		t.Errorf("Length = %d, want 3", s.Length())
 	}
 	if len(s.Slot(1)) != 0 {
 		t.Error("middle slot should be empty")
+	}
+	if got := s.Slot(2); len(got) != 2 || got[1] != (phys.Link{From: 4, To: 5}) {
+		t.Errorf("Slot(2) = %v, want [2->3 4->5]", got)
 	}
 }
 
@@ -185,11 +189,11 @@ func TestOrderEdges(t *testing.T) {
 	net, _, _ := testMesh(t, 4, 1)
 	links := []phys.Link{{From: 1, To: 0}, {From: 3, To: 0}, {From: 2, To: 0}}
 	demands := []int{5, 1, 3}
-	gotID := orderEdges(net.Channel, links, demands, ByHeadIDDesc)
+	gotID := new(Builder).orderEdges(net.Channel, links, demands, ByHeadIDDesc)
 	if links[gotID[0]].From != 3 || links[gotID[1]].From != 2 || links[gotID[2]].From != 1 {
 		t.Errorf("head-id order wrong: %v", gotID)
 	}
-	gotD := orderEdges(net.Channel, links, demands, ByDemandDesc)
+	gotD := new(Builder).orderEdges(net.Channel, links, demands, ByDemandDesc)
 	if demands[gotD[0]] != 5 || demands[gotD[1]] != 3 || demands[gotD[2]] != 1 {
 		t.Errorf("demand order wrong: %v", gotD)
 	}
@@ -212,7 +216,7 @@ func TestHeadIDOrderMatchesStableSort(t *testing.T) {
 			want[i] = i
 		}
 		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(links[b].From, links[a].From) })
-		if got := orderEdges(net.Channel, links, make([]int, len(links)), ByHeadIDDesc); !slices.Equal(got, want) {
+		if got := new(Builder).orderEdges(net.Channel, links, make([]int, len(links)), ByHeadIDDesc); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: head-id order %v, stable sort %v (links %v)", trial, got, want, links)
 		}
 	}

@@ -45,20 +45,6 @@ func (s *Schedule) AppendSlot(links []phys.Link) {
 	}
 }
 
-// AddToSlot places l in slot i, growing the schedule as needed.
-func (s *Schedule) AddToSlot(i int, l phys.Link) {
-	for len(s.slots) <= i {
-		s.slots = append(s.slots, nil)
-	}
-	s.slots[i] = append(s.slots[i], l)
-	if s.chans != nil {
-		for len(s.chans) < len(s.slots) {
-			s.chans = append(s.chans, nil)
-		}
-		s.chans[i] = append(s.chans[i], 0)
-	}
-}
-
 // AppendSlotAssigned adds a slot holding the given links with their channel
 // assignment (both copied). It panics if the two slices disagree in length.
 func (s *Schedule) AppendSlotAssigned(links []phys.Link, channels []int) {
@@ -131,32 +117,61 @@ func (s *Schedule) Equal(o *Schedule) bool {
 // Verify checks that the schedule is feasible under the physical
 // interference model of channel ch and that it delivers exactly the given
 // demands: links[i] appears in exactly demands[i] slots. It returns nil on
-// success and a descriptive error on the first violation.
+// success and a descriptive error on the first violation. It is VerifyMulti
+// on one channel with one radio per node.
 func (s *Schedule) Verify(ch *phys.Channel, links []phys.Link, demands []int) error {
+	return s.VerifyMulti(ch, 1, 1, links, demands)
+}
+
+// VerifyMulti checks a multi-channel schedule against channels orthogonal
+// copies of ch: every slot's channel assignment must be feasible (per-channel
+// SINR inequalities and primary conflicts, plus the per-node radio budget —
+// see phys.FeasibleAssignment) and the schedule must deliver exactly the
+// given demands, each placement serving one demand unit (a link may ride
+// several channels of one slot when radios allow). Slots without a recorded
+// assignment are taken as all-channel-0. Every slot's placements go through
+// one buffer, so the check allocates per schedule, not per slot; it decides
+// with FeasibleSet's arithmetic, independent of the slot states that built
+// the schedule.
+func (s *Schedule) VerifyMulti(ch *phys.Channel, channels, numRadios int, links []phys.Link, demands []int) error {
+	if channels <= 0 {
+		return fmt.Errorf("sched: channel count must be positive, got %d", channels)
+	}
 	if len(links) != len(demands) {
 		return fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
+	longest := 0
+	for _, slot := range s.slots {
+		longest = max(longest, len(slot))
+	}
+	placements := make([]phys.Placement, 0, longest)
+	got := make(map[phys.Link]int, len(links))
 	for i, slot := range s.slots {
 		if len(slot) == 0 {
 			return fmt.Errorf("sched: slot %d is empty", i)
 		}
-		if !ch.FeasibleSet(slot) {
-			return fmt.Errorf("sched: slot %d is infeasible under the physical interference model: %v", i, slot)
-		}
-	}
-	got := make(map[phys.Link]int)
-	for _, slot := range s.slots {
-		for _, l := range slot {
+		chans := s.SlotChannels(i)
+		placements = placements[:0]
+		for j, l := range slot {
+			c := 0
+			if chans != nil {
+				c = chans[j]
+			}
+			if c < 0 || c >= channels {
+				return fmt.Errorf("sched: slot %d assigns %v to channel %d of %d", i, l, c, channels)
+			}
+			placements = append(placements, phys.Placement{Link: l, Channel: c})
 			got[l]++
 		}
+		if !phys.FeasibleAssignment(ch, channels, placements, numRadios) {
+			if channels == 1 {
+				return fmt.Errorf("sched: slot %d is infeasible under the physical interference model: %v", i, slot)
+			}
+			return fmt.Errorf("sched: slot %d is infeasible under the multi-channel model (%d radios): %v", i, numRadios, placements)
+		}
 	}
-	return checkDemands(got, links, demands)
-}
-
-// checkDemands is Verify's and VerifyMulti's demand ledger: got counts the
-// placements of each link, and every link must be placed exactly as often
-// as its demands add up to, with no placement of a link without demand.
-func checkDemands(got map[phys.Link]int, links []phys.Link, demands []int) error {
+	// Every link must be placed exactly as often as its demands add up to,
+	// with no placement of a link without demand.
 	want := make(map[phys.Link]int, len(links))
 	for i, l := range links {
 		want[l] += demands[i]
@@ -172,45 +187,6 @@ func checkDemands(got map[phys.Link]int, links []phys.Link, demands []int) error
 		}
 	}
 	return nil
-}
-
-// VerifyMulti checks a multi-channel schedule against channels orthogonal
-// copies of ch: every slot's channel assignment must be feasible (per-channel
-// SINR inequalities and primary conflicts, plus the per-node radio budget —
-// see phys.FeasibleAssignment) and the schedule must deliver exactly the
-// given demands, each placement serving one demand unit (a link may ride
-// several channels of one slot when radios allow). Slots without a recorded
-// assignment are taken as all-channel-0.
-func (s *Schedule) VerifyMulti(ch *phys.Channel, channels, numRadios int, links []phys.Link, demands []int) error {
-	if channels <= 0 {
-		return fmt.Errorf("sched: channel count must be positive, got %d", channels)
-	}
-	if len(links) != len(demands) {
-		return fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
-	}
-	got := make(map[phys.Link]int)
-	for i, slot := range s.slots {
-		if len(slot) == 0 {
-			return fmt.Errorf("sched: slot %d is empty", i)
-		}
-		chans := s.SlotChannels(i)
-		placements := make([]phys.Placement, len(slot))
-		for j, l := range slot {
-			c := 0
-			if chans != nil {
-				c = chans[j]
-			}
-			if c < 0 || c >= channels {
-				return fmt.Errorf("sched: slot %d assigns %v to channel %d of %d", i, l, c, channels)
-			}
-			placements[j] = phys.Placement{Link: l, Channel: c}
-			got[l]++
-		}
-		if !phys.FeasibleAssignment(ch, channels, placements, numRadios) {
-			return fmt.Errorf("sched: slot %d is infeasible under the multi-channel model (%d radios): %v", i, numRadios, placements)
-		}
-	}
-	return checkDemands(got, links, demands)
 }
 
 // CountInfeasibleSlots returns how many slots of s violate the full

@@ -191,11 +191,7 @@ func (m *Mesh) NumRadios() int { return m.radios }
 // GreedySchedule runs the centralized GreedyPhysical baseline over the
 // mesh's selected interference engine (see UseEngine; dense by default).
 func (m *Mesh) GreedySchedule(ord Ordering) (*Schedule, error) {
-	eng, err := m.engine()
-	if err != nil {
-		return nil, err
-	}
-	return sched.GreedyPhysical(eng, m.Links, m.Demands, ord)
+	return m.GreedyScheduleChannels(1, ord)
 }
 
 // GreedyScheduleChannels runs the multi-channel centralized greedy over the

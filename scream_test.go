@@ -103,6 +103,39 @@ func TestMeshMultiChannelSchedule(t *testing.T) {
 	}
 }
 
+// TestVerifyAllocatesPerSchedule pins the verifier's allocations on a 6×6
+// grid's greedy schedules: the 178-slot one on one channel and the 62-slot
+// one over 3 channels and 2 radios. The verifier cuts its buffers once per
+// call, so each check costs the demand ledger's two maps and one placement
+// buffer, however many slots the schedule has.
+func TestVerifyAllocatesPerSchedule(t *testing.T) {
+	for _, c := range []struct{ channels, radios, slots int }{{1, 1, 178}, {3, 2, 62}} {
+		m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 6, Cols: 6, StepMeters: 30, Radio: &RadioSpec{NumRadios: c.radios}}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.GreedyScheduleChannels(c.channels, ByHeadIDDesc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Length() != c.slots {
+			t.Fatalf("C=%d R=%d: %d slots, want %d", c.channels, c.radios, s.Length(), c.slots)
+		}
+		checks := map[string]func() error{"VerifyChannels": func() error { return m.VerifyChannels(s, c.channels) }}
+		if c.channels == 1 {
+			checks["Verify"] = func() error { return m.Verify(s) }
+		}
+		for name, check := range checks {
+			if err := check(); err != nil {
+				t.Fatalf("C=%d R=%d: %s: %v", c.channels, c.radios, name, err)
+			}
+			if n := testing.AllocsPerRun(10, func() { _ = check() }); n > 12 {
+				t.Errorf("C=%d R=%d: %s allocates %v times on %d slots, want at most 12", c.channels, c.radios, name, n, c.slots)
+			}
+		}
+	}
+}
+
 func TestNewGridMeshExplicitGateway(t *testing.T) {
 	m, err := NewMesh(TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}}, 2)
 	if err != nil {
