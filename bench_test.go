@@ -233,6 +233,20 @@ func BenchmarkFigEngineSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkFigChannelsQuick regenerates the quick channels figure on one
+// worker. Its flow runs at 4x the static capacity carry most of its bytes,
+// and the one worker's flow.Runner sees every cell in the same order each
+// time, so B/op and allocs/op repeat exactly: they track what reusing the
+// data plane across runs saves.
+func BenchmarkFigChannelsQuick(b *testing.B) {
+	opts := ExperimentOptions{Quick: true, Workers: 1}
+	for i := 0; i < b.N; i++ {
+		if _, err := FigChannels(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFlowEpoch exercises the flow-level dynamic traffic simulator: a
 // 16-node mesh at 1.0x offered load, greedy epoch re-scheduling with an
 // 8-packet quota and 8-frame schedule reuse, 200 ms of simulated time per

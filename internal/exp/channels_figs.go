@@ -126,9 +126,9 @@ func channelsScheduleLengths(s *Scenario, tm core.Timing, channels int, seed int
 }
 
 // RunChannelsCell runs one (channel-count, seed) cell: the four flow runs
-// (delivered goodput under saturating load) followed by the four one-shot
-// schedule lengths, aligned with channelsCurveNames.
-func RunChannelsCell(channels int, seed int64, quick bool) ([]float64, error) {
+// on runner (delivered goodput under saturating load) followed by the four
+// one-shot schedule lengths, aligned with channelsCurveNames.
+func RunChannelsCell(runner *flow.Runner, channels int, seed int64, quick bool) ([]float64, error) {
 	s, err := GridScenario(flowDensity, 4600+seed)
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func RunChannelsCell(channels int, seed int64, quick bool) ([]float64, error) {
 	// The C=1 column builds the single-channel schedulers whatever the radio
 	// count, so it reproduces FigFlowLoad's code path exactly.
 	run := flowRun{
-		s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed,
+		runner: runner, s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed,
 		channels: channels, radios: channelsRadios, framesPerEpoch: channelsFramesPerEpoch,
 		rate: func(int) float64 { return rate },
 	}
@@ -183,8 +183,8 @@ func FigChannels(opts Options) (*stats.Figure, error) {
 		xs[i] = float64(c)
 	}
 	names := channelsCurveNames()
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
-		return RunChannelsCell(counts[xi], int64(si), opts.Quick)
+	err := runGridWith(fig, xs, names, opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
+		return RunChannelsCell(r, counts[xi], int64(si), opts.Quick)
 	})
 	if err != nil {
 		return nil, err

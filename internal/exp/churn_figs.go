@@ -50,8 +50,8 @@ func churnCurveNames() []string {
 // FigFlowLoad's convention, so cross-curve deltas average out over seeds
 // rather than being arrival-paired. failures is the expected number of
 // failures per node over the run; the returned values are delivered goodput
-// in packets per second.
-func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
+// in packets per second. Every curve runs on runner.
+func RunChurnCell(runner *flow.Runner, failures float64, seed int64, quick bool) ([]float64, error) {
 	horizonFrames := 1200
 	if quick {
 		horizonFrames = 300
@@ -81,7 +81,7 @@ func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 		}
 		rate := churnLoad / frame.Seconds()
 		run := flowRun{
-			s: s, tm: tm, horizon: horizon, seed: seed,
+			runner: runner, s: s, tm: tm, horizon: horizon, seed: seed,
 			channels: 1, radios: 1, framesPerEpoch: flowFramesPerEpoch,
 			rate: func(int) float64 { return rate }, world: world,
 		}
@@ -105,8 +105,8 @@ func FigChurn(opts Options) (*stats.Figure, error) {
 		"expected failures per node per run", "delivered goodput (pkt/s)")
 	xs := ChurnRates(opts.Quick)
 	names := churnCurveNames()
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
-		return RunChurnCell(xs[xi], int64(si), opts.Quick)
+	err := runGridWith(fig, xs, names, opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
+		return RunChurnCell(r, xs[xi], int64(si), opts.Quick)
 	})
 	if err != nil {
 		return nil, err

@@ -30,6 +30,18 @@ type cellFunc func(xi, si int) ([]float64, error)
 // after the first failure depends on scheduling, but successful output never
 // does.
 func runCells(opts Options, nx, ncurves int, cell cellFunc) ([][]float64, error) {
+	return runCellsWith(opts, nx, ncurves, func(_ *struct{}, xi, si int) ([]float64, error) {
+		return cell(xi, si)
+	})
+}
+
+// runCellsWith is runCells with per-worker state: each worker goroutine
+// owns one zero S and hands it to every cell it runs, so a cell may reuse
+// what the worker's previous cell left in it (a flow.Runner's data plane),
+// and no two goroutines share one. A cell's values must not depend on the
+// state it is handed, or they would depend on which cells its worker ran
+// before it.
+func runCellsWith[S any](opts Options, nx, ncurves int, cell func(st *S, xi, si int) ([]float64, error)) ([][]float64, error) {
 	seeds := opts.seeds()
 	n := nx * seeds
 	vals := make([][]float64, n)
@@ -46,11 +58,12 @@ func runCells(opts Options, nx, ncurves int, cell cellFunc) ([][]float64, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var st S
 			for j := range jobs {
 				if failed.Load() {
 					continue // drain: no point finishing a doomed figure
 				}
-				v, err := cell(j/seeds, j%seeds)
+				v, err := cell(&st, j/seeds, j%seeds)
 				switch {
 				case err != nil:
 					errs[j] = err
@@ -83,8 +96,15 @@ func runCells(opts Options, nx, ncurves int, cell cellFunc) ([][]float64, error)
 // stats.Sample in seed order, and appends one series per curve name to fig
 // with the mean and 95% CI at every x.
 func runGrid(fig *stats.Figure, xs []float64, names []string, opts Options, cell cellFunc) error {
+	return runGridWith(fig, xs, names, opts, func(_ *struct{}, xi, si int) ([]float64, error) {
+		return cell(xi, si)
+	})
+}
+
+// runGridWith is runGrid over runCellsWith: every cell gets its worker's S.
+func runGridWith[S any](fig *stats.Figure, xs []float64, names []string, opts Options, cell func(st *S, xi, si int) ([]float64, error)) error {
 	seeds := opts.seeds()
-	vals, err := runCells(opts, len(xs), len(names), cell)
+	vals, err := runCellsWith(opts, len(xs), len(names), cell)
 	if err != nil {
 		return err
 	}

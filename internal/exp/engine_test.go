@@ -39,7 +39,10 @@ func figuresEqual(t *testing.T, name string, a, b *stats.Figure) {
 // bit-for-bit, for any worker count. One runner per cell shape: the shared
 // improvement figures (Fig6/Fig7), the per-curve timing grids (Fig8), the
 // mote grid (Fig4), and the in-cell sequential-RNG ablation
-// (AblationBalancedRouting).
+// (AblationBalancedRouting). The four flow figures run every cell of a
+// worker on that worker's flow.Runner, and one worker runs all cells in
+// order where eight split them, so any state a run leaks into the next
+// shows up here as a difference.
 func TestEngineDeterminism(t *testing.T) {
 	runners := []struct {
 		name string
@@ -60,6 +63,10 @@ func TestEngineDeterminism(t *testing.T) {
 		// engine, channel-assigned schedules and the per-channel protocol
 		// phases.
 		{"FigChannels", FigChannels},
+		// The sched figure additionally covers the queue-aware and
+		// length-class schedulers, Zipf hotspot rates and the uniform
+		// deployment.
+		{"FigSched", FigSched},
 	}
 	for _, r := range runners {
 		r := r

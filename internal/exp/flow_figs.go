@@ -55,6 +55,8 @@ func flowCurveNames() []string {
 
 // flowRun is one cell of a flow figure: what all of its curves share.
 type flowRun struct {
+	// runner is the worker's data plane, which every curve's run reuses.
+	runner  *flow.Runner
 	s       *Scenario
 	tm      core.Timing
 	horizon des.Time
@@ -120,7 +122,7 @@ func (r flowRun) goodput(name string, stream int64) (float64, error) {
 	if r.world != nil {
 		cfg.RepairCost = r.tm.RepairCost(s.Net.InterferenceDiameter())
 	}
-	res, err := flow.Run(cfg)
+	res, err := r.runner.Run(cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -128,8 +130,8 @@ func (r flowRun) goodput(name string, stream int64) (float64, error) {
 }
 
 // RunFlowCell runs one (load, seed) cell of the flow figure for every curve
-// and returns delivered goodput in packets per second per curve.
-func RunFlowCell(load float64, seed int64, quick bool) ([]float64, error) {
+// on runner and returns delivered goodput in packets per second per curve.
+func RunFlowCell(runner *flow.Runner, load float64, seed int64, quick bool) ([]float64, error) {
 	s, err := GridScenario(flowDensity, 4200+seed)
 	if err != nil {
 		return nil, err
@@ -145,7 +147,7 @@ func RunFlowCell(load float64, seed int64, quick bool) ([]float64, error) {
 		horizonFrames = 400
 	}
 	run := flowRun{
-		s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed,
+		runner: runner, s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed,
 		channels: 1, radios: 1, framesPerEpoch: flowFramesPerEpoch,
 		rate: func(int) float64 { return rate },
 	}
@@ -172,8 +174,8 @@ func FigFlowLoad(opts Options) (*stats.Figure, error) {
 		"offered load (x static capacity)", "delivered goodput (pkt/s)")
 	xs := FlowLoads(opts.Quick)
 	names := flowCurveNames()
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
-		return RunFlowCell(xs[xi], int64(si), opts.Quick)
+	err := runGridWith(fig, xs, names, opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
+		return RunFlowCell(r, xs[xi], int64(si), opts.Quick)
 	})
 	if err != nil {
 		return nil, err

@@ -74,10 +74,10 @@ func schedCurveNames() []string {
 	return names
 }
 
-// RunSchedCell runs one (load, seed) cell of the sched figure: for each
-// topology, the four schedulers against the same Zipf hotspot arrival
+// RunSchedCell runs one (load, seed) cell of the sched figure on runner: for
+// each topology, the four schedulers against the same Zipf hotspot arrival
 // pattern, returning delivered goodput per (topology, scheduler) curve.
-func RunSchedCell(load float64, seed int64, quick bool) ([]float64, error) {
+func RunSchedCell(runner *flow.Runner, load float64, seed int64, quick bool) ([]float64, error) {
 	tm := core.DefaultTiming()
 	horizonFrames := 800
 	if quick {
@@ -106,7 +106,7 @@ func RunSchedCell(load float64, seed int64, quick bool) ([]float64, error) {
 			return nil, err
 		}
 		run := flowRun{
-			s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed, framesPerEpoch: schedFramesPerEpoch,
+			runner: runner, s: s, tm: tm, horizon: des.Time(horizonFrames) * frame, seed: seed, framesPerEpoch: schedFramesPerEpoch,
 			rate: func(u int) float64 { return meanRate * mult[u] },
 		}
 		for ci, d := range schedFamily() {
@@ -135,8 +135,8 @@ func FigSched(opts Options) (*stats.Figure, error) {
 		"offered load (x static capacity)", "delivered goodput (pkt/s)")
 	xs := SchedLoads(opts.Quick)
 	names := schedCurveNames()
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
-		return RunSchedCell(xs[xi], int64(si), opts.Quick)
+	err := runGridWith(fig, xs, names, opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
+		return RunSchedCell(r, xs[xi], int64(si), opts.Quick)
 	})
 	if err != nil {
 		return nil, err

@@ -3,9 +3,11 @@ package exp
 // Shape and headline pins for the scheduler-family figure: every
 // scheduler × topology curve must be present with one point per load, all
 // goodput must be positive, and on both topologies every reuse scheduler
-// must beat the TDMA floor at the saturating end of the sweep (worker
-// determinism is covered by TestEngineDeterminism and the nightly
-// check_determinism.sh run over -fig sched).
+// must beat the TDMA floor at the saturating end of the sweep. Worker
+// determinism is covered by TestEngineDeterminism (quick) and by CI's smoke
+// job, which runs scripts/check_determinism.sh over -fig sched at full
+// fidelity on every pull request and push to main; the nightly workflow
+// runs it again over -fig all.
 
 import (
 	"fmt"

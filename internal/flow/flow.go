@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"scream/internal/core"
 	"scream/internal/des"
@@ -288,9 +289,10 @@ type Result struct {
 	PeakBacklogDuringOutage int
 }
 
-// plane is one run's data plane: a FIFO per node with the pool its blocks
+// plane is a run's data plane: a FIFO per node with the pool its blocks
 // come from, the totals every admission updates, and the arrival calendar
-// that feeds the source queues.
+// that feeds the source queues. A Runner keeps one plane for all its runs,
+// and reset readies it for the next.
 type plane struct {
 	queues   []queue
 	blocks   pool
@@ -298,13 +300,15 @@ type plane struct {
 	// alive is the aliveness vector arrivals consult (nil: every node is
 	// up). It changes only at epoch boundaries, never inside an advance.
 	alive []bool
-	m     *flowObs
+	m     flowObs
 
 	backlog, peak    int
 	offered, dropped int
 
 	// The calendar: one record per source and a binary min-heap on
-	// (next arrival, source index) over them.
+	// (next arrival, source index) over them. The records past len(srcs),
+	// up to its capacity, keep the streams of earlier runs for schedule to
+	// re-seed.
 	srcs    []source
 	due     []due
 	horizon des.Time
@@ -325,8 +329,21 @@ type due struct {
 
 func (a due) before(b due) bool { return a.at < b.at || a.at == b.at && a.src < b.src }
 
-func newPlane(n, maxQueue int, m *flowObs) *plane {
-	return &plane{queues: make([]queue, n), maxQueue: maxQueue, m: m}
+// reset readies p for a run over n nodes: every queue the last run left
+// gives its blocks back to the pool, and the totals start from zero. The
+// queues past len(p.queues), up to its capacity, are always empty: the
+// reset that shortened the slice emptied them.
+func (p *plane) reset(n, maxQueue int, m flowObs) {
+	for i := range p.queues {
+		p.queues[i].drop(&p.blocks)
+	}
+	if cap(p.queues) < n {
+		p.queues = make([]queue, n)
+	} else {
+		p.queues = p.queues[:n]
+	}
+	p.maxQueue, p.alive, p.m = maxQueue, nil, m
+	p.backlog, p.peak, p.offered, p.dropped = 0, 0, 0, 0
 }
 
 // enqueue admits pk to node u's queue, or drops it at a full queue.
@@ -367,17 +384,30 @@ func (s *source) next(at, horizon des.Time) (des.Time, bool) {
 
 // schedule puts every non-nil arrival process on the calendar, each with
 // its own RNG stream seeded DeriveSeed(seed, node), and draws its first
-// arrival from time zero.
+// arrival from time zero. A source takes the next record and re-seeds the
+// stream an earlier run left there, which then draws exactly what a new
+// stream would. A source whose first arrival lies past the horizon gives
+// its record back.
 func (p *plane) schedule(arrivals []traffic.Arrival, seed int64, horizon des.Time) {
 	p.horizon = horizon
+	p.srcs, p.due = p.srcs[:0], p.due[:0]
 	for u, a := range arrivals {
 		if a == nil {
 			continue
 		}
-		s := source{node: u, arr: a, rng: rng.New(DeriveSeed(seed, int64(u)))}
+		i := len(p.srcs)
+		p.srcs = slices.Grow(p.srcs, 1)[:i+1]
+		s := &p.srcs[i]
+		s.node, s.arr = u, a
+		if s.rng == nil {
+			s.rng = rng.New(DeriveSeed(seed, int64(u)))
+		} else {
+			s.rng.Seed(DeriveSeed(seed, int64(u)))
+		}
 		if at, ok := s.next(0, horizon); ok {
-			p.srcs = append(p.srcs, s)
-			p.due = append(p.due, due{at: at, src: len(p.srcs) - 1})
+			p.due = append(p.due, due{at: at, src: i})
+		} else {
+			p.srcs = p.srcs[:i]
 		}
 	}
 	for i := len(p.due)/2 - 1; i >= 0; i-- {
@@ -467,8 +497,30 @@ func buildOwner(forest *route.Forest, links []phys.Link, n int) ([]int, error) {
 	return owner, nil
 }
 
-// Run executes the dynamic traffic simulation to the horizon.
+// Runner is the data plane of a sequence of runs: the node queues with
+// their block pool, the arrival calendar with its sources' random streams,
+// and the delay sample. Each run resets what the last one left instead of
+// allocating it again, and overwrites reused storage before reading it
+// (queues through their read and write indices, streams by re-seeding, the
+// sample through its length), so a run's outputs depend on its Config
+// alone; its Result, trace and epoch updates share no memory with the
+// runner. The zero Runner is ready to use; a Runner is not safe for
+// concurrent use.
+type Runner struct {
+	pl    plane
+	delay stats.Sample
+}
+
+// Run executes the dynamic traffic simulation to the horizon on a fresh
+// Runner.
 func Run(cfg Config) (*Result, error) {
+	var r Runner
+	return r.Run(cfg)
+}
+
+// Run executes the dynamic traffic simulation to the horizon, on the data
+// plane of the runner's previous run.
+func (r *Runner) Run(cfg Config) (*Result, error) {
 	if cfg.Forest == nil {
 		return nil, fmt.Errorf("flow: nil forest")
 	}
@@ -507,7 +559,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	delay := stats.NewSample(1024)
+	delay := &r.delay
+	delay.Reset(1024)
 
 	// Per-run registry wins (test isolation); otherwise the process default
 	// installed by the CLI's observability opt-in, which is nil by default.
@@ -515,8 +568,9 @@ func Run(cfg Config) (*Result, error) {
 	if mreg == nil {
 		mreg = obs.Default()
 	}
-	m := newFlowObs(mreg)
-	pl := newPlane(n, cfg.MaxQueue, &m)
+	pl := &r.pl
+	pl.reset(n, cfg.MaxQueue, newFlowObs(mreg))
+	m := &pl.m
 	// The run span is the root of the trace. Its begin line carries the
 	// static run parameters plus the per-primitive slot costs
 	// (scream_slot, hs_slot) — the constants `screamtrace validate` needs to

@@ -46,6 +46,14 @@ func queued(q *queue) []packet {
 	return out
 }
 
+// newPlane returns a plane for n nodes with no metrics, as a new Runner's
+// first reset leaves it.
+func newPlane(n, maxQueue int) *plane {
+	p := new(plane)
+	p.reset(n, maxQueue, newFlowObs(nil))
+	return p
+}
+
 // freeBlocks counts the blocks on p's free list.
 func (p *pool) freeBlocks() int {
 	n := 0
@@ -150,10 +158,9 @@ func TestCalendarMatchesEventDriver(t *testing.T) {
 }
 
 func checkCalendar(t *testing.T, mix arrivalMix, n, maxQueue int, seed int64, horizon des.Time) {
-	m := newFlowObs(nil)
-	cal := newPlane(n, maxQueue, &m)
+	cal := newPlane(n, maxQueue)
 	cal.schedule(mix(n), seed, horizon)
-	ref := newPlane(n, maxQueue, &m)
+	ref := newPlane(n, maxQueue)
 	eng := des.New()
 	refSchedule(eng, ref, mix(n), seed, horizon)
 
@@ -256,8 +263,7 @@ func TestTinyRatesOfferNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newFlowObs(nil)
-	p := newPlane(4, 0, &m)
+	p := newPlane(4, 0)
 	p.schedule([]traffic.Arrival{nil, cbr, poisson, bursty}, 1, des.Millisecond)
 	p.advance(des.Millisecond)
 	if p.offered != 0 || len(p.due) != 0 {
@@ -442,8 +448,7 @@ func TestQueueAllocatesNothing(t *testing.T) {
 // advances far enough for every source to refill its queue past the cap.
 func TestAdvanceAllocatesNothing(t *testing.T) {
 	const n, maxQueue = 9, 16
-	m := newFlowObs(nil)
-	p := newPlane(n, maxQueue, &m)
+	p := newPlane(n, maxQueue)
 	p.schedule(poissonMix(n), 1, des.Second)
 	now := 2 * des.Millisecond
 	p.advance(now)

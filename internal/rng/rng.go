@@ -15,7 +15,10 @@
 // computes both from the seed. At draw 32 the stream materializes the
 // register: all 607 words, then the feed writes of the draws taken so far.
 // A stream that stays lazy is one small allocation, since the rand.Rand that
-// New returns lives inside it.
+// New returns lives inside it. A re-seed restarts the stream lazy, as New
+// does, but keeps a register it already has: the next draw 32 fills that
+// one in place instead of allocating another, so a stream re-seeded run
+// after run allocates nothing, and does the same work as a new one.
 //
 // rngCooked is not copied from math/rand. init recovers it from the first
 // 607 outputs of rand.NewSource(1): each output is the sum of two register
@@ -97,16 +100,18 @@ func mulmod(x, y uint64) uint64 {
 }
 
 // source is math/rand's rngSource with closed-form seeding and a register
-// that exists only once the stream has drawn more than window words. It
-// keeps rngSource's feed index at every draw; rngSource's tap index always
-// equals feed+tap modulo length, since both start that far apart and step
-// together. It implements rand.Source64 and embeds the rand.Rand that New
-// returns, so a stream that stays lazy is one small allocation.
+// that is live only once the stream has drawn more than window words since
+// its last seeding. It keeps rngSource's feed index at every draw;
+// rngSource's tap index always equals feed+tap modulo length, since both
+// start that far apart and step together. It implements rand.Source64 and
+// embeds the rand.Rand that New returns, so a stream that stays lazy is one
+// small allocation.
 type source struct {
 	r    rand.Rand
 	x    uint64 // normalized seed, in [1, 2³¹−2]
 	feed int
-	vec  *[length]int64 // nil while the stream is lazy
+	vec  *[length]int64 // the live register; nil while the stream is lazy
+	reg  *[length]int64 // the register's storage once allocated, kept across re-seeds
 }
 
 // New returns a generator whose every draw equals that of
@@ -118,8 +123,8 @@ func New(seed int64) *rand.Rand {
 	return &s.r
 }
 
-// Seed implements rand.Source. A stream whose register exists re-seeds it
-// in place; any other stream starts lazy.
+// Seed implements rand.Source. The stream restarts lazy; a register it
+// already has stays allocated for its next fill.
 func (s *source) Seed(seed int64) {
 	s.feed = length - tap
 	seed %= mod
@@ -130,17 +135,17 @@ func (s *source) Seed(seed int64) {
 		seed = zeroSeed
 	}
 	s.x = uint64(seed)
-	if s.vec != nil {
-		s.fill()
-	}
+	s.vec = nil
 }
 
-// fill materializes the register: every initial word, then the writes of
-// the draws taken so far, each of which added word i+tap to word i.
+// fill materializes the register, in the storage a previous seeding left
+// if there is one: every initial word, then the writes of the draws taken
+// so far, each of which added word i+tap to word i.
 func (s *source) fill() {
-	if s.vec == nil {
-		s.vec = new([length]int64)
+	if s.reg == nil {
+		s.reg = new([length]int64)
 	}
+	s.vec = s.reg
 	v, x := s.vec, s.x
 	for i := range v {
 		p := &pow[i]

@@ -211,7 +211,8 @@ var held holder
 // TestStreamAllocations pins what a stream costs: New plus up to window
 // draws is one allocation, and a longer stream adds its register. A
 // rand.New that did not inline would add one more. A stream re-seeded after
-// its register exists keeps it.
+// its register exists keeps it: re-seeded and drawn well past window again,
+// run after run, it allocates nothing.
 func TestStreamAllocations(t *testing.T) {
 	for _, c := range []struct {
 		draws int
@@ -232,13 +233,43 @@ func TestStreamAllocations(t *testing.T) {
 	for i := 0; i <= window; i++ {
 		r.Int63()
 	}
+	seed := int64(1)
 	if got := testing.AllocsPerRun(50, func() {
-		r.Seed(2)
-		for i := 0; i <= window; i++ {
+		seed++
+		r.Seed(seed)
+		for i := 0; i < 2*length; i++ {
 			r.Int63()
 		}
 	}); got != 0 {
-		t.Errorf("re-seeding a stream whose register exists: %v allocations, want 0", got)
+		t.Errorf("re-seeding a stream whose register exists and drawing %d words: %v allocations, want 0", 2*length, got)
+	}
+}
+
+// TestReseedRestartsLazy: a re-seed leaves the stream without a live
+// register until draw window, as New does, and the fill at that draw
+// writes the register the stream already had instead of a new one.
+func TestReseedRestartsLazy(t *testing.T) {
+	s := new(source)
+	s.Seed(7)
+	for i := 0; i <= window; i++ {
+		s.Uint64()
+	}
+	reg := s.vec
+	if reg == nil {
+		t.Fatalf("no register after %d draws", window+1)
+	}
+	for _, seed := range []int64{8, 9, 8} {
+		s.Seed(seed)
+		for i := 0; i < window; i++ {
+			if s.vec != nil {
+				t.Fatalf("re-seeded with %d: register live after %d draws, want lazy until draw %d", seed, i, window)
+			}
+			s.Int63()
+		}
+		s.Uint64()
+		if s.vec != reg {
+			t.Fatalf("re-seeded with %d: draw %d filled register %p, want the kept %p", seed, window, s.vec, reg)
+		}
 	}
 }
 

@@ -20,6 +20,16 @@ func NewSample(n int) *Sample {
 	return &Sample{xs: make([]float64, 0, n)}
 }
 
+// Reset empties the sample and makes room for n observations, keeping the
+// storage it has when that holds n.
+func (s *Sample) Reset(n int) {
+	if cap(s.xs) < n {
+		s.xs = make([]float64, 0, n)
+		return
+	}
+	s.xs = s.xs[:0]
+}
+
 // Add records one observation.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
