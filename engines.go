@@ -30,8 +30,8 @@ type EngineInfo struct {
 
 // Engine registry names.
 const (
-	// EngineDense is the exact dense n x n RX-power matrix — the reference
-	// model and the default everywhere an engine is not named.
+	// EngineDense is the exact dense n x n gain matrix — the reference model
+	// and the default everywhere an engine is not named.
 	EngineDense = "dense"
 	// EngineSpatial is the grid-bucket spatial index: exact near-field
 	// queries within a cutoff radius, a conservative per-bucket far-field
@@ -44,7 +44,7 @@ const (
 var engines = [...]EngineInfo{
 	{
 		Name:  EngineDense,
-		Doc:   "exact dense n*n RX-power matrix; the reference model (O(n^2) memory)",
+		Doc:   "exact dense n*n gain matrix; the reference model (O(n^2) memory)",
 		Exact: true,
 	},
 	{

@@ -153,7 +153,7 @@ type protoRun struct {
 	// list.
 	fast  *IdealBackend
 	flags []bool
-	slot  phys.SlotState
+	slot  phys.TentativeSlot
 	mark  int
 
 	res       *Result
@@ -217,7 +217,7 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 	}
 	if ib, ok := cfg.Backend.(*IdealBackend); ok && !ib.strict {
 		p.fast = ib
-		p.slot.Init(ib.ch)
+		p.slot.Init(ib.ch, false)
 	} else {
 		p.ids = make([]uint64, n)
 		for i := range p.ids {
@@ -365,6 +365,7 @@ func (p *protoRun) handshake(first bool, onCh nodeSet, owners []int) []bool {
 	s := &p.slot
 	if first {
 		s.Reset()
+		s.Grow(len(owners))
 	} else {
 		s.Rollback()
 		for u := onCh.next(0); u >= 0; u = onCh.next(u + 1) {

@@ -17,7 +17,7 @@
 //     (At, Node, Kind) order, so a world holds O(nodes) timeline state
 //     however long the horizon;
 //   - a World that applies events to an exclusively-owned topo.Network —
-//     targeted RX-power-matrix invalidation for moved or silenced nodes,
+//     targeted gain-row updates for moved or silenced nodes,
 //     once per batch, graph refresh, and incremental routing-forest repair
 //     (route.Forest.Repair) with full-rebuild fallback on partition;
 //   - a Change report per applied batch, which the flow-level simulator

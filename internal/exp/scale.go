@@ -1,7 +1,7 @@
 package exp
 
 // The scalability figure: node count swept to 50k, comparing the spatial
-// grid-bucket interference engine against the dense n*n RX-power matrix on
+// grid-bucket interference engine against the dense n*n gain matrix on
 // memory footprint and per-admission cost. Unlike the paper figures this one
 // measures the simulator itself, so it mixes deterministic series (schedule
 // length, engine memory) with wall-clock series (build time, ns per
@@ -46,7 +46,7 @@ func ScaleSizes(quick bool) []int {
 }
 
 // scaleDenseCap bounds the node count at which the dense engine is actually
-// built and measured: the n*n matrix at 50k nodes is 20 GB, which is the
+// built and measured: the n*n gain matrix at 50k nodes is 20 GB, which is the
 // point of the figure, not something to allocate. Beyond the cap the dense
 // wall-clock series reports the 0 sentinel (its analytic memory series keeps
 // growing).
@@ -128,7 +128,8 @@ func admitAll(eng phys.Engine, sample []phys.Link) (slots int, nsPerAdm, bytesPe
 }
 
 // denseChannel builds the exact dense engine over the synthetic deployment —
-// the O(n^2) structure the spatial index replaces.
+// the O(n^2) structure the spatial index replaces: one n×n gain matrix,
+// which the channel adopts, so the "dense matrix MB" series is its size.
 func denseChannel(pos []geom.Point, pw []float64) (*phys.Channel, error) {
 	p := topo.DefaultParams()
 	return phys.NewChannel(pw, phys.BuildGainMatrix(pos, p.PathLoss, nil), p.NoiseMW, p.Beta)

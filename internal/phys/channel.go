@@ -13,32 +13,47 @@ import (
 // SINR threshold beta. The paper assumes fixed (but possibly heterogeneous)
 // transmit power and no power control (Section II).
 //
-// NewChannel fills the pairwise RX-power matrix before it returns, and
-// Clone copies it. Channels are immutable except through MoveNode and
-// RemoveNode, the topology-dynamics entry points, so any number of
-// goroutines (e.g. the experiment engine's workers sharing one deployment)
-// may read a channel at once. A mutation requires exclusive access (no
-// concurrent readers while it runs); once it returns, concurrent readers
-// are safe again.
+// The channel keeps one n×n array, the gains, and computes every received
+// power at the read as float64(txPowerMW[u]*gain[u*n+v]). The conversion
+// rounds the product on its own, so no compiler may fuse it into the sum or
+// comparison that follows: a received power is the same float64 on every
+// platform, and the same one whichever reader takes it (RxPowerMW,
+// NewCandidate, SlotState, FeasibleSet, HandshakeOutcome). The gains, not
+// their products with the powers, are the matrix to keep: orderings and
+// length classes read Gain, and dividing a received power by the sender's
+// power does not give the gain back bit for bit.
+//
+// Channels are immutable except through MoveNode and RemoveNode, the
+// topology-dynamics entry points, so any number of goroutines (e.g. the
+// experiment engine's workers sharing one deployment) may read a channel at
+// once. A mutation requires exclusive access (no concurrent readers while it
+// runs); once it returns, concurrent readers are safe again.
 type Channel struct {
 	txPowerMW []float64
-	gain      [][]float64 // gain[i][j]: linear gain from node i to node j
+	gain      []float64 // row-major n×n: gain[u*n+v] is the linear gain from u to v, 0 on the diagonal
 	noiseMW   float64
 	beta      float64 // linear SINR threshold
-
-	rx []float64 // row-major n*n matrix of P_v(u) = txPowerMW[u]*Gain(u,v)
 }
 
-// NewChannel builds a channel from per-node TX powers (mW), a gain matrix
-// and scalar noise (mW) and linear SINR threshold beta.
-func NewChannel(txPowerMW []float64, gain [][]float64, noiseMW, beta float64) (*Channel, error) {
+// NewChannel builds a channel from per-node TX powers (mW), a symmetric
+// row-major n×n gain matrix (entry u*n+v is the gain from node u to node v,
+// as BuildGainMatrix returns it) and scalar noise (mW) and linear SINR
+// threshold beta. The channel adopts gain without copying it and zeroes its
+// diagonal: the caller hands the matrix over and must not use it again.
+//
+// The gains must be symmetric, as path loss over a distance and a per-pair
+// shadowing draw are: SlotState reads both directions of a pair from one
+// row, so an asymmetric matrix is rejected.
+func NewChannel(txPowerMW []float64, gain []float64, noiseMW, beta float64) (*Channel, error) {
 	n := len(txPowerMW)
-	if len(gain) != n {
-		return nil, fmt.Errorf("phys: gain matrix has %d rows for %d nodes", len(gain), n)
+	if len(gain) != n*n {
+		return nil, fmt.Errorf("phys: gain matrix has %d entries for %d nodes, want %d", len(gain), n, n*n)
 	}
-	for i, row := range gain {
-		if len(row) != n {
-			return nil, fmt.Errorf("phys: gain row %d has %d entries for %d nodes", i, len(row), n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if gain[u*n+v] != gain[v*n+u] {
+				return nil, fmt.Errorf("phys: gain matrix is not symmetric: %v from node %d to %d, %v back", gain[u*n+v], u, v, gain[v*n+u])
+			}
 		}
 	}
 	if noiseMW <= 0 {
@@ -52,15 +67,10 @@ func NewChannel(txPowerMW []float64, gain [][]float64, noiseMW, beta float64) (*
 			return nil, fmt.Errorf("phys: node %d has non-positive TX power %v", i, p)
 		}
 	}
-	c := &Channel{txPowerMW: txPowerMW, gain: gain, noiseMW: noiseMW, beta: beta, rx: make([]float64, n*n)}
 	for u := 0; u < n; u++ {
-		row := c.rx[u*n : (u+1)*n]
-		p := txPowerMW[u]
-		for v := range row {
-			row[v] = p * c.Gain(u, v)
-		}
+		gain[u*n+u] = 0
 	}
-	return c, nil
+	return &Channel{txPowerMW: txPowerMW, gain: gain, noiseMW: noiseMW, beta: beta}, nil
 }
 
 // NumNodes returns the number of nodes the channel models.
@@ -73,34 +83,23 @@ func (c *Channel) NoiseMW() float64 { return c.noiseMW }
 func (c *Channel) Beta() float64 { return c.beta }
 
 // Gain returns the linear gain from node u to node v. The gain from a node
-// to itself is not meaningful and returns 0.
+// to itself is not meaningful and is 0.
 func (c *Channel) Gain(u, v int) float64 {
-	if u == v {
-		return 0
-	}
-	return c.gain[u][v]
+	return c.gain[u*len(c.txPowerMW)+v]
 }
 
 // RxPowerMW returns P_v(u): the power received at v when u transmits.
 func (c *Channel) RxPowerMW(u, v int) float64 {
-	return c.rx[u*len(c.txPowerMW)+v]
-}
-
-// RxRow returns the powers every node receives when u transmits: entry v is
-// RxPowerMW(u, v). The slice is owned by the channel and must not be
-// modified; a MoveNode or RemoveNode rewrites it in place.
-func (c *Channel) RxRow(u int) []float64 {
-	n := len(c.txPowerMW)
-	return c.rx[u*n : (u+1)*n : (u+1)*n]
+	return float64(c.txPowerMW[u] * c.gain[u*len(c.txPowerMW)+v])
 }
 
 // MoveNode replaces node u's symmetric gain row: after the call,
 // Gain(u, v) == Gain(v, u) == g[v] for every v != u (g[u] is ignored; the
-// self-gain stays 0). Only row u and column u of the RX-power matrix are
-// recomputed, with the single multiplication NewChannel fills every entry
-// with, so the resulting matrix is bit-identical to a freshly constructed
-// channel over the updated gain matrix. On an invalid argument the error is
-// returned before anything is touched, leaving the channel unmodified.
+// self-gain stays 0). Received powers are computed from the gains at every
+// read, so the channel then answers every query bit-identically to a
+// freshly constructed channel over the updated gain matrix. On an invalid
+// argument the error is returned before anything is touched, leaving the
+// channel unmodified.
 //
 // MoveNode requires exclusive access: no reader may run concurrently with
 // it. The channel is safe for concurrent reads again once it returns. A
@@ -121,15 +120,14 @@ func (c *Channel) MoveNode(u int, g []float64) error {
 			return fmt.Errorf("phys: negative gain %v between nodes %d and %d", gv, u, v)
 		}
 	}
-	for v := 0; v < n; v++ {
+	row := c.gain[u*n : (u+1)*n]
+	for v := range row {
 		if v == u {
 			continue
 		}
-		c.gain[u][v] = g[v]
-		c.gain[v][u] = g[v]
+		row[v] = g[v]
+		c.gain[v*n+u] = g[v]
 	}
-	c.gain[u][u] = 0
-	c.patchRx(u)
 	return nil
 }
 
@@ -145,41 +143,22 @@ func (c *Channel) RemoveNode(u int) error {
 	if u < 0 || u >= n {
 		return fmt.Errorf("phys: node %d out of range for %d nodes", u, n)
 	}
+	clear(c.gain[u*n : (u+1)*n])
 	for v := 0; v < n; v++ {
-		c.gain[u][v] = 0
-		c.gain[v][u] = 0
+		c.gain[v*n+u] = 0
 	}
-	c.patchRx(u)
 	return nil
 }
 
-// patchRx recomputes row u and column u of the RX-power matrix from the
-// current gains: entry (u, v) is txPowerMW[u]*Gain(u, v), the one
-// multiplication every entry is computed with.
-func (c *Channel) patchRx(u int) {
-	n := len(c.txPowerMW)
-	row := c.rx[u*n : (u+1)*n]
-	p := c.txPowerMW[u]
-	for v := 0; v < n; v++ {
-		row[v] = p * c.Gain(u, v)
-		c.rx[v*n+u] = c.txPowerMW[v] * c.Gain(v, u)
-	}
-}
-
-// Clone returns an independent deep copy of the channel, RX-power matrix
-// included. Mutating the clone never affects the original, which is how
-// dynamics runs avoid corrupting a shared deployment.
+// Clone returns an independent deep copy of the channel. Mutating the clone
+// never affects the original, which is how dynamics runs avoid corrupting a
+// shared deployment.
 func (c *Channel) Clone() *Channel {
-	gain := squareMatrix(len(c.gain))
-	for i, row := range c.gain {
-		copy(gain[i], row)
-	}
 	return &Channel{
 		txPowerMW: append([]float64(nil), c.txPowerMW...),
-		gain:      gain,
+		gain:      append([]float64(nil), c.gain...),
 		noiseMW:   c.noiseMW,
 		beta:      c.beta,
-		rx:        append([]float64(nil), c.rx...),
 	}
 }
 
@@ -196,18 +175,19 @@ func (c *Channel) LinkUp(u, v int) bool {
 }
 
 // BuildGainMatrix evaluates a path loss model over node positions, producing
-// the symmetric gain matrix gain[i][j] = pl.Gain(pos[i].Dist(pos[j])), 0 on
-// the diagonal. shadowDB, when non-nil, supplies a symmetric per-pair
-// shadowing term in dB that Shadowed applies to each entry (log-normal
-// shadowing); pass nil for pure log-distance.
+// the symmetric row-major n×n gain matrix whose entry i*n+j is
+// pl.Gain(pos[i].Dist(pos[j])), 0 on the diagonal: the matrix NewChannel
+// adopts. shadowDB, when non-nil, supplies a symmetric per-pair shadowing
+// term in dB that Shadowed applies to each entry (log-normal shadowing);
+// pass nil for pure log-distance.
 //
 // One pass over the upper triangle fills both halves straight from the
 // positions, and pl.Gain runs once per distinct distance: a gainCache local
 // to the call hands later pairs at the same distance the gain the first one
 // computed.
-func BuildGainMatrix(pos []geom.Point, pl PathLoss, shadowDB [][]float64) [][]float64 {
+func BuildGainMatrix(pos []geom.Point, pl PathLoss, shadowDB [][]float64) []float64 {
 	n := len(pos)
-	gain := squareMatrix(n)
+	gain := make([]float64, n*n)
 	cache := newGainCache(pl, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -215,8 +195,8 @@ func BuildGainMatrix(pos []geom.Point, pl PathLoss, shadowDB [][]float64) [][]fl
 			if shadowDB != nil {
 				g = Shadowed(g, shadowDB[i][j])
 			}
-			gain[i][j] = g
-			gain[j][i] = g
+			gain[i*n+j] = g
+			gain[j*n+i] = g
 		}
 	}
 	return gain
@@ -226,17 +206,6 @@ func BuildGainMatrix(pos []geom.Point, pl PathLoss, shadowDB [][]float64) [][]fl
 // of log-normal shadowing.
 func Shadowed(g, db float64) float64 {
 	return g * math.Pow(10, -db/10)
-}
-
-// squareMatrix returns an n×n zero matrix whose rows share one backing
-// array.
-func squareMatrix(n int) [][]float64 {
-	flat := make([]float64, n*n)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = flat[i*n : (i+1)*n : (i+1)*n]
-	}
-	return m
 }
 
 // gainCache memoizes pl.Gain for one matrix build, keyed by the exact bits

@@ -1,14 +1,15 @@
 package phys
 
-// Tests for the targeted RX-power-matrix invalidation behind MoveNode and
-// RemoveNode: after any mutation sequence the cached matrix must be
-// bit-identical to the matrix of a channel freshly built from the mutated
-// gain matrix, and the channel must remain safe for concurrent readers once
-// the mutation returns (run under -race).
+// Tests for MoveNode, RemoveNode and Clone, which touch only gains: after
+// any mutation sequence the channel must answer every query bit-identically
+// to a channel freshly built over the same deployment state, and it must
+// remain safe for concurrent readers once the mutation returns (run under
+// -race).
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 
 // gridGains returns the symmetric gain matrix of n nodes at the given
 // positions under default log-distance propagation.
-func gridGains(pos [][2]float64) [][]float64 {
+func gridGains(pos [][2]float64) []float64 {
 	pts := make([]geom.Point, len(pos))
 	for i, p := range pos {
 		pts[i] = geom.Point{X: p[0], Y: p[1]}
@@ -25,14 +26,10 @@ func gridGains(pos [][2]float64) [][]float64 {
 	return BuildGainMatrix(pts, DefaultLogDistance(), nil)
 }
 
-// copyMatrix deep-copies a gain matrix so that a fresh reference channel is
-// not aliased to the mutated one.
-func copyMatrix(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = append([]float64(nil), row...)
-	}
-	return out
+// gainRow returns row u of a row-major square matrix.
+func gainRow(m []float64, u int) []float64 {
+	n := int(math.Sqrt(float64(len(m))))
+	return m[u*n : (u+1)*n]
 }
 
 // freshChannel builds a reference channel from the mutated channel's current
@@ -40,29 +37,29 @@ func copyMatrix(m [][]float64) [][]float64 {
 func freshChannel(t *testing.T, ch *Channel) *Channel {
 	t.Helper()
 	n := ch.NumNodes()
-	gain := make([][]float64, n)
-	pw := make([]float64, n)
+	gain := make([]float64, n*n)
 	for u := 0; u < n; u++ {
-		gain[u] = make([]float64, n)
-		for v := range gain[u] {
-			gain[u][v] = ch.Gain(u, v)
+		for v := 0; v < n; v++ {
+			gain[u*n+v] = ch.Gain(u, v)
 		}
-		pw[u] = ch.txPowerMW[u]
 	}
-	ref, err := NewChannel(pw, gain, ch.NoiseMW(), ch.Beta())
+	ref, err := NewChannel(slices.Clone(ch.txPowerMW), gain, ch.NoiseMW(), ch.Beta())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ref
 }
 
-// assertMatrixIdentical compares every RX-power entry of the two channels
-// bit for bit.
+// assertMatrixIdentical compares every gain and RX-power entry of the two
+// channels bit for bit.
 func assertMatrixIdentical(t *testing.T, got, want *Channel, what string) {
 	t.Helper()
 	n := got.NumNodes()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
+			if g, w := got.Gain(u, v), want.Gain(u, v); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: Gain(%d,%d) = %v, fresh channel has %v", what, u, v, g, w)
+			}
 			g, w := got.RxPowerMW(u, v), want.RxPowerMW(u, v)
 			if math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%s: RxPowerMW(%d,%d) = %v, fresh channel has %v", what, u, v, g, w)
@@ -71,51 +68,98 @@ func assertMatrixIdentical(t *testing.T, got, want *Channel, what string) {
 	}
 }
 
-// TestMoveNodeMatrixIdentical mutates a channel through a random
-// sequence of moves and removals and asserts the cached matrix stays
-// bit-identical to a fresh build at every step.
-func TestMoveNodeMatrixIdentical(t *testing.T) {
-	const n = 12
-	rng := rand.New(rand.NewSource(7))
-	pos := make([][2]float64, n)
-	for i := range pos {
-		pos[i] = [2]float64{rng.Float64() * 300, rng.Float64() * 300}
-	}
-	gains := gridGains(pos)
-	pw := make([]float64, n)
-	for i := range pw {
-		pw[i] = DBm(4 + 3*rng.Float64()).MilliWatts()
-	}
-	ch, err := NewChannel(pw, copyMatrix(gains), DBm(-96).MilliWatts(), DB(10).Linear())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for step := 0; step < 25; step++ {
-		u := rng.Intn(n)
-		switch rng.Intn(3) {
-		case 0: // move
-			pos[u] = [2]float64{rng.Float64() * 300, rng.Float64() * 300}
-			row := gridGains(pos)[u]
-			if err := ch.MoveNode(u, row); err != nil {
-				t.Fatal(err)
-			}
-		case 1: // remove
+// built returns the channel a fresh build gives for d's current positions
+// with the nodes in down silenced.
+func built(t *testing.T, d deployment, down []bool) *Channel {
+	t.Helper()
+	ch := d.channel(t)
+	for u, off := range down {
+		if off {
 			if err := ch.RemoveNode(u); err != nil {
 				t.Fatal(err)
 			}
-		default: // restore at the current position
-			row := gridGains(pos)[u]
-			if err := ch.MoveNode(u, row); err != nil {
-				t.Fatal(err)
-			}
 		}
-		assertMatrixIdentical(t, ch, freshChannel(t, ch), "after mutation")
+	}
+	return ch
+}
+
+// TestMoveNodeMatrixIdentical mutates grid, heterogeneous-power and
+// shadowed channels through random sequences of moves, removals, restores
+// and clones, and asserts after every step that the channel equals a fresh
+// channel over its own gains and a fresh build of the deployment state, and
+// that a clone and its original never see each other's mutations.
+func TestMoveNodeMatrixIdentical(t *testing.T) {
+	const n = 16
+	rng := rand.New(rand.NewSource(7))
+	for _, d := range testDeployments(n, 3) {
+		d.pos = slices.Clone(d.pos)
+		ch := d.channel(t)
+		down := make([]bool, n)
+		// liveRow is u's gain row with the down nodes silenced, the row
+		// topology dynamics hand MoveNode.
+		liveRow := func(u int) []float64 {
+			row := d.row(u)
+			for v, off := range down {
+				if off {
+					row[v] = 0
+				}
+			}
+			return row
+		}
+		moves, removals, restores, clones := 0, 0, 0, 0
+		for step := 0; step < 40; step++ {
+			u := rng.Intn(n)
+			switch rng.Intn(4) {
+			case 0: // move
+				d.pos[u] = geom.Point{X: rng.Float64() * 250, Y: rng.Float64() * 250}
+				if down[u] {
+					continue // a down node's gains stay zero until it is restored
+				}
+				if err := ch.MoveNode(u, liveRow(u)); err != nil {
+					t.Fatal(err)
+				}
+				moves++
+			case 1: // remove
+				if err := ch.RemoveNode(u); err != nil {
+					t.Fatal(err)
+				}
+				down[u] = true
+				removals++
+			case 2: // restore at the current position
+				down[u] = false
+				if err := ch.MoveNode(u, liveRow(u)); err != nil {
+					t.Fatal(err)
+				}
+				restores++
+			default: // a clone mutated apart from its original
+				c := ch.Clone()
+				v := (u + 1) % n
+				if err := c.RemoveNode(u); err != nil {
+					t.Fatal(err)
+				}
+				assertMatrixIdentical(t, ch, built(t, d, down), d.name+": original after its clone's removal")
+				cdown := slices.Clone(down)
+				cdown[u] = true
+				assertMatrixIdentical(t, c, built(t, d, cdown), d.name+": clone after its removal")
+				if err := ch.RemoveNode(v); err != nil {
+					t.Fatal(err)
+				}
+				down[v] = true
+				assertMatrixIdentical(t, c, built(t, d, cdown), d.name+": clone after its original's removal")
+				clones++
+			}
+			assertMatrixIdentical(t, ch, freshChannel(t, ch), d.name+": after mutation")
+			assertMatrixIdentical(t, ch, built(t, d, down), d.name+": against a fresh build")
+			assertExactProducts(t, ch, d.name+": after mutation")
+		}
+		if moves == 0 || removals == 0 || restores == 0 || clones == 0 {
+			t.Fatalf("%s: %d moves, %d removals, %d restores, %d clones; every kind must run", d.name, moves, removals, restores, clones)
+		}
 	}
 }
 
 // TestMoveNodeColdCache removes a node from a channel nobody has read yet:
-// the matrix NewChannel filled must be patched like a read one.
+// its first reads must already see the node silenced.
 func TestMoveNodeColdCache(t *testing.T) {
 	ch := lineChannel(t, 8, 40, 17)
 	if err := ch.RemoveNode(3); err != nil {
@@ -168,7 +212,7 @@ func TestMoveNodeConcurrentReaders(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		u := rng.Intn(n)
 		pos[u] = [2]float64{rng.Float64() * 400, rng.Float64() * 400}
-		if err := ch.MoveNode(u, gridGains(pos)[u]); err != nil {
+		if err := ch.MoveNode(u, gainRow(gridGains(pos), u)); err != nil {
 			t.Fatal(err)
 		}
 		ref := freshChannel(t, ch)

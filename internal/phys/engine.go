@@ -2,8 +2,8 @@ package phys
 
 // Engine is the interference-model abstraction the feasibility machinery
 // (SlotState and the greedy scheduler family) runs against. Two
-// implementations exist: the dense *Channel, whose cached n*n RX-power
-// matrix answers every query exactly, and the spatial grid-bucket index
+// implementations exist: the dense *Channel, whose n*n gain matrix answers
+// every query exactly, and the spatial grid-bucket index
 // (internal/phys/spatial), which answers signal queries exactly but may
 // over-estimate interference beyond its cutoff radius.
 //

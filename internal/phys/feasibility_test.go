@@ -29,22 +29,23 @@ func lineChannel(t testing.TB, n int, step float64, txDBm DBm) *Channel {
 }
 
 func TestNewChannelValidation(t *testing.T) {
-	good := [][]float64{{0, 1}, {1, 0}}
+	good := []float64{0, 1, 1, 0}
 	if _, err := NewChannel([]float64{1, 1}, good, 1, 1); err != nil {
 		t.Errorf("valid channel rejected: %v", err)
 	}
 	cases := []struct {
 		name  string
 		pw    []float64
-		gain  [][]float64
+		gain  []float64
 		noise float64
 		beta  float64
 	}{
-		{"bad rows", []float64{1, 1}, [][]float64{{0, 1}}, 1, 1},
-		{"bad cols", []float64{1, 1}, [][]float64{{0}, {1, 0}}, 1, 1},
+		{"bad rows", []float64{1, 1}, []float64{0, 1}, 1, 1},             // one row of two
+		{"bad cols", []float64{1, 1}, []float64{0, 1, 1, 0, 1, 1}, 1, 1}, // two rows of three
 		{"zero noise", []float64{1, 1}, good, 0, 1},
 		{"zero beta", []float64{1, 1}, good, 1, 0},
 		{"zero power", []float64{1, 0}, good, 1, 1},
+		{"asymmetric", []float64{1, 1}, []float64{0, 1, 2, 0}, 1, 1},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -403,11 +404,11 @@ func TestBuildGainMatrixShadowing(t *testing.T) {
 	shadow := [][]float64{{0, 6}, {6, 0}} // 6 dB extra loss
 	plain := BuildGainMatrix(pos, pl, nil)
 	shadowed := BuildGainMatrix(pos, pl, shadow)
-	want := plain[0][1] * math.Pow(10, -0.6)
-	if math.Abs(shadowed[0][1]-want) > 1e-15 {
-		t.Errorf("shadowed gain = %v, want %v", shadowed[0][1], want)
+	want := float64(plain[0*2+1] * math.Pow(10, -0.6))
+	if math.Abs(shadowed[0*2+1]-want) > 1e-15 {
+		t.Errorf("shadowed gain = %v, want %v", shadowed[0*2+1], want)
 	}
-	if shadowed[0][1] != shadowed[1][0] {
+	if shadowed[0*2+1] != shadowed[1*2+0] {
 		t.Error("shadowed gain must stay symmetric")
 	}
 }

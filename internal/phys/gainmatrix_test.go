@@ -73,10 +73,14 @@ func TestBuildGainMatrixExact(t *testing.T) {
 	for _, tc := range cases {
 		evals := 0
 		gain := BuildGainMatrix(tc.pos, countingPathLoss{pl, &evals}, tc.shadow)
+		n := len(tc.pos)
+		if len(gain) != n*n {
+			t.Fatalf("%s: %d entries for %d nodes", tc.name, len(gain), n)
+		}
 		distinct := map[uint64]bool{}
 		for i, pi := range tc.pos {
-			if gain[i][i] != 0 {
-				t.Fatalf("%s: gain[%d][%d] = %v, want 0", tc.name, i, i, gain[i][i])
+			if gain[i*n+i] != 0 {
+				t.Fatalf("%s: gain[%d][%d] = %v, want 0", tc.name, i, i, gain[i*n+i])
 			}
 			for j, pj := range tc.pos {
 				if i == j {
@@ -88,12 +92,11 @@ func TestBuildGainMatrixExact(t *testing.T) {
 				if tc.shadow != nil {
 					want *= math.Pow(10, -tc.shadow[i][j]/10)
 				}
-				if math.Float64bits(gain[i][j]) != math.Float64bits(want) {
-					t.Fatalf("%s: gain[%d][%d] = %v, want %v", tc.name, i, j, gain[i][j], want)
+				if math.Float64bits(gain[i*n+j]) != math.Float64bits(want) {
+					t.Fatalf("%s: gain[%d][%d] = %v, want %v", tc.name, i, j, gain[i*n+j], want)
 				}
 			}
 		}
-		n := len(tc.pos)
 		if len(distinct) <= n && evals != len(distinct) {
 			t.Errorf("%s: %d path-loss evaluations for %d distinct distances", tc.name, evals, len(distinct))
 		}

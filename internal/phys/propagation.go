@@ -40,7 +40,9 @@ func (l LogDistance) Gain(d float64) float64 {
 	if d < l.RefDist {
 		d = l.RefDist
 	}
-	lossDB := l.RefLossDB + 10*l.Exponent*math.Log10(d/l.RefDist)
+	// The conversion rounds the product on its own, so no compiler fuses it
+	// into the add (amd64 never does, arm64 would): scripts/check_fma.sh.
+	lossDB := l.RefLossDB + float64(10*l.Exponent*math.Log10(d/l.RefDist))
 	return math.Pow(10, -lossDB/10)
 }
 
@@ -52,7 +54,7 @@ func (l LogDistance) MaxRange(txPowerMW, noiseMW, betaLinear float64) float64 {
 		return 0
 	}
 	// Need txPowerMW * Gain(d) >= betaLinear*noiseMW.
-	budgetDB := 10 * math.Log10(txPowerMW/(betaLinear*noiseMW))
+	budgetDB := float64(10 * math.Log10(txPowerMW/(betaLinear*noiseMW))) // rounded before the subtraction, as in Gain
 	exceedDB := budgetDB - l.RefLossDB
 	if exceedDB < 0 {
 		return 0

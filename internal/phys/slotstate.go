@@ -13,40 +13,56 @@ type Candidate struct {
 }
 
 // NewCandidate returns l with its exact signal powers under e. On the dense
-// *Channel it reads the two RX-matrix entries SignalMW would return
-// directly, sparing two interface calls per link.
+// *Channel it computes the two received powers SignalMW would return
+// directly, from the one gain the symmetric matrix holds for the pair,
+// sparing two interface calls per link.
 func NewCandidate(e Engine, l Link) Candidate {
 	if c, ok := e.(*Channel); ok {
-		rx, n := c.rx, len(c.txPowerMW)
-		return Candidate{Link: l, DataMW: rx[l.From*n+l.To], AckMW: rx[l.To*n+l.From]}
+		g := c.Gain(l.From, l.To)
+		return Candidate{Link: l, DataMW: float64(c.txPowerMW[l.From] * g), AckMW: float64(c.txPowerMW[l.To] * g)}
 	}
 	return Candidate{Link: l, DataMW: e.SignalMW(l.From, l.To), AckMW: e.SignalMW(l.To, l.From)}
 }
 
-// slotLink is the record SlotState keeps per admitted link: the candidate
-// and the running interference sums at its two receivers.
+// slotLink is the record SlotState keeps per admitted link, 56 bytes: the
+// candidate with its endpoints narrowed to int32, the endpoints' TX powers,
+// and the running interference sums at its two receivers. The powers are
+// the factors of the terms the link's data and ACK senders add at other
+// receivers; the dense path keeps them beside the endpoints it reads anyway
+// (other engines leave them 0), so a term costs a gain load and a
+// multiplication, not a power load as well. An endpoint that reaches a
+// record indexed its engine already, and no engine holds 2^31 nodes (the
+// dense one would need 2^65 bytes), so int32 loses nothing.
 type slotLink struct {
-	Candidate
-	dataSum float64 // interference at To from the other data senders
-	ackSum  float64 // interference at From from the other ACK senders
+	from, to int32
+	dataMW   float64 // the candidate's DataMW
+	ackMW    float64 // the candidate's AckMW
+	fromMW   float64 // TX power of from (dense path)
+	toMW     float64 // TX power of to (dense path)
+	dataSum  float64 // interference at to from the other data senders
+	ackSum   float64 // interference at from from the other ACK senders
 }
+
+// link returns the record's link.
+func (m *slotLink) link() Link { return Link{From: int(m.from), To: int(m.to)} }
 
 // SlotState is the incremental SINR feasibility engine: it maintains, for
 // one slot under construction, the running data-sub-slot and ACK-sub-slot
-// interference sums of every admitted link plus an endpoint-occupancy count
-// per node, over an interference Engine. CanAdd and Add are O(k) for a slot
-// holding k links, against the O(k^2) of re-running Channel.FeasibleSet (and
-// O(k^2) per handshake evaluation via Channel.HandshakeOutcome) from
-// scratch; those naive routines remain the reference implementations the
-// property tests compare against.
+// interference sums of every admitted link, over an interference Engine.
+// CanAdd and Add are O(k) for a slot holding k links, against the O(k^2) of
+// re-running Channel.FeasibleSet from scratch; that naive routine remains
+// the reference implementation the property tests compare against.
+// TentativeSlot adds what only the protocols' handshake slot needs:
+// Mark/Rollback and the handshake outcomes.
 //
 // Two code paths serve the two engine families. When the engine is the
-// dense *Channel, every interference term is read from the channel's flat
-// cached RX-power matrix directly (the rx field) — the original hot path,
-// preserved for both determinism and the benchmark gate. Any other Engine
-// goes through InterfMW for interference terms, so a conservative engine
-// (one that over-estimates InterfMW) only ever rejects more than the dense
-// path. On both paths the signal sides come from the candidates.
+// dense *Channel, every interference term is computed from the channel's
+// gain matrix directly (the ch field), as the product RxPowerMW takes: the
+// original hot path, preserved for both determinism and the benchmark gate.
+// Any other Engine goes through InterfMW for interference terms, so a
+// conservative engine (one that over-estimates InterfMW) only ever rejects
+// more than the dense path. On both paths the signal sides come from the
+// candidates.
 //
 // The sums are accumulated incrementally (in admission order) rather than
 // recomputed per query (in index order), so individual float64 sums may
@@ -57,30 +73,14 @@ type slotLink struct {
 // A SlotState is not safe for concurrent use.
 type SlotState struct {
 	eng Engine
-	rx  []float64 // dense fast path: the channel's flat n*n RX matrix; nil for non-dense engines
-	n   int
+	ch  *Channel // dense fast path: the engine as a *Channel; nil for other engines
 
 	beta  float64
 	noise float64
 
 	links []slotLink // the admitted links in admission order
 
-	// busy[u] counts slot links with u as an endpoint. Only Outcomes needs
-	// it (conflict detection over sets that may hold conflicting links), so
-	// it is allocated lazily: greedy schedulers create thousands of
-	// CanAdd/Add-only slots and never pay for it.
-	busy []int32
-
 	ignoreAck bool
-
-	// Single-level undo support (Mark/Rollback).
-	marked int
-	saved  []slotLink
-
-	// Scratch buffers for Outcomes.
-	dataOK []bool
-	out    []bool
-	failed []int
 
 	// Inline storage backing links while the slot is small: greedy
 	// schedulers build hundreds of mostly 1-4 link slots per schedule, which
@@ -90,11 +90,11 @@ type SlotState struct {
 }
 
 // Init (re-)binds s to engine e as an empty slot; when e is the dense
-// *Channel the matrix fast path is selected. The zero SlotState is ready
-// for Init, so callers that build many slots (greedy schedulers construct
-// one per schedule slot) can hold them in slabs without a heap allocation
-// per slot.
-func (s *SlotState) Init(e Engine) {
+// *Channel the matrix fast path is selected. dataOnly disables CanAdd's
+// ACK sub-slot inequality. The zero SlotState is ready for Init, so
+// callers that build many slots (greedy schedulers construct one per
+// schedule slot) can hold them in slabs without a heap allocation per slot.
+func (s *SlotState) Init(e Engine, dataOnly bool) {
 	var grown []slotLink
 	if s.eng != nil {
 		// Re-initialization: clear everything a previous life may have
@@ -112,19 +112,10 @@ func (s *SlotState) Init(e Engine) {
 		s.links = grown
 	}
 	s.eng = e
-	if c, ok := e.(*Channel); ok {
-		s.rx = c.rx
-	}
-	s.n = e.NumNodes()
+	s.ch, _ = e.(*Channel)
 	s.beta = e.Beta()
 	s.noise = e.NoiseMW()
-	s.marked = -1
-}
-
-// InitDataOnly is Init with the ACK sub-slot inequality disabled.
-func (s *SlotState) InitDataOnly(e Engine) {
-	s.Init(e)
-	s.ignoreAck = true
+	s.ignoreAck = dataOnly
 }
 
 // Len returns the number of links currently in the slot.
@@ -134,7 +125,7 @@ func (s *SlotState) Len() int { return len(s.links) }
 // to dst and returns the extended slice.
 func (s *SlotState) AppendLinks(dst []Link) []Link {
 	for i := range s.links {
-		dst = append(dst, s.links[i].Link)
+		dst = append(dst, s.links[i].link())
 	}
 	return dst
 }
@@ -153,19 +144,22 @@ func (s *SlotState) CanAdd(c Candidate) bool {
 		return false
 	}
 	beta, noise := s.beta, s.noise
-	if rx := s.rx; rx != nil {
-		n := s.n
+	if ch := s.ch; ch != nil {
+		// The gains are symmetric, so every term reads row c.From or row
+		// c.To (see Add).
+		g, n := ch.gain, len(ch.txPowerMW)
+		fromRow, toRow := c.From*n, c.To*n
 		// The new link's own inequalities (and primary conflicts), first: on
 		// the dominant path — a greedy scheduler probing successive full slots
-		// — this rejects after 2 loads per admitted link.
+		// — this rejects after 2 terms per admitted link.
 		dataInterf, ackInterf := 0.0, 0.0
 		for i := range s.links {
 			m := &s.links[i]
-			if c.From == m.From || c.From == m.To || c.To == m.From || c.To == m.To {
+			if c.From == int(m.from) || c.From == int(m.to) || c.To == int(m.from) || c.To == int(m.to) {
 				return false
 			}
-			dataInterf += rx[m.From*n+c.To]
-			ackInterf += rx[m.To*n+c.From]
+			dataInterf += float64(m.fromMW * g[toRow+int(m.from)])
+			ackInterf += float64(m.toMW * g[fromRow+int(m.to)])
 		}
 		if c.DataMW < beta*(noise+dataInterf) {
 			return false
@@ -174,12 +168,13 @@ func (s *SlotState) CanAdd(c Candidate) bool {
 			return false
 		}
 		// Existing links under the extra interference from c.
+		fromMW, toMW := ch.txPowerMW[c.From], ch.txPowerMW[c.To]
 		for i := range s.links {
 			m := &s.links[i]
-			if m.DataMW < beta*(noise+m.dataSum+rx[c.From*n+m.To]) {
+			if m.dataMW < beta*(noise+m.dataSum+float64(fromMW*g[fromRow+int(m.to)])) {
 				return false
 			}
-			if !s.ignoreAck && m.AckMW < beta*(noise+m.ackSum+rx[c.To*n+m.From]) {
+			if !s.ignoreAck && m.ackMW < beta*(noise+m.ackSum+float64(toMW*g[toRow+int(m.from)])) {
 				return false
 			}
 		}
@@ -191,7 +186,8 @@ func (s *SlotState) CanAdd(c Candidate) bool {
 	// clears), then the members.
 	for i := range s.links {
 		m := &s.links[i]
-		if c.From == m.From || c.From == m.To || c.To == m.From || c.To == m.To {
+		from, to := int(m.from), int(m.to)
+		if c.From == from || c.From == to || c.To == from || c.To == to {
 			return false
 		}
 	}
@@ -204,10 +200,10 @@ func (s *SlotState) CanAdd(c Candidate) bool {
 	eng := s.eng
 	for i := range s.links {
 		m := &s.links[i]
-		if m.DataMW < beta*(noise+m.dataSum+eng.InterfMW(c.From, m.To)) {
+		if m.dataMW < beta*(noise+m.dataSum+eng.InterfMW(c.From, int(m.to))) {
 			return false
 		}
-		if !s.ignoreAck && m.AckMW < beta*(noise+m.ackSum+eng.InterfMW(c.To, m.From)) {
+		if !s.ignoreAck && m.ackMW < beta*(noise+m.ackSum+eng.InterfMW(c.To, int(m.from))) {
 			return false
 		}
 	}
@@ -229,9 +225,9 @@ func (s *SlotState) clears(signal float64, at int, ack bool) bool {
 	}
 	interf := 0.0
 	for i := range s.links {
-		src := s.links[i].From
+		src := int(s.links[i].from)
 		if ack {
-			src = s.links[i].To
+			src = int(s.links[i].to)
 		}
 		interf += eng.InterfMW(src, at)
 		if signal < beta*(noise+interf) {
@@ -243,78 +239,151 @@ func (s *SlotState) clears(signal float64, at int, ack bool) bool {
 
 // Add inserts c into the slot, updating every running sum in O(k). Unlike
 // CanAdd, Add never rejects: the protocols tentatively admit links that may
-// conflict or fail their handshake (Outcomes reports which), and greedy
-// callers are expected to gate on CanAdd themselves.
+// conflict or fail their handshake (TentativeSlot.Outcomes reports which),
+// and greedy callers are expected to gate on CanAdd themselves.
 func (s *SlotState) Add(c Candidate) {
 	if m := slotMetrics.Load(); m != nil {
 		m.adds.Inc()
 	}
-	dataInterf, ackInterf := 0.0, 0.0
-	if rx := s.rx; rx != nil {
-		n := s.n
+	rec := slotLink{from: int32(c.From), to: int32(c.To), dataMW: c.DataMW, ackMW: c.AckMW}
+	if ch := s.ch; ch != nil {
+		// Each member m and c exchange four terms, and by symmetry they
+		// share two gains: g(c.From, m.To) carries c's data to m.To and
+		// m's ACK to c.From, and g(c.To, m.From) carries c's ACK to m.From
+		// and m's data to c.To. Both sit in c's two rows, so a member costs
+		// two gain loads from rows already in cache.
+		g, n := ch.gain, len(ch.txPowerMW)
+		fromRow, toRow := c.From*n, c.To*n
+		rec.fromMW, rec.toMW = ch.txPowerMW[c.From], ch.txPowerMW[c.To]
 		for i := range s.links {
 			m := &s.links[i]
-			m.dataSum += rx[c.From*n+m.To]
-			m.ackSum += rx[c.To*n+m.From]
-			dataInterf += rx[m.From*n+c.To]
-			ackInterf += rx[m.To*n+c.From]
+			gFrom, gTo := g[fromRow+int(m.to)], g[toRow+int(m.from)]
+			m.dataSum += float64(rec.fromMW * gFrom)
+			m.ackSum += float64(rec.toMW * gTo)
+			rec.dataSum += float64(m.fromMW * gTo)
+			rec.ackSum += float64(m.toMW * gFrom)
 		}
 	} else {
 		eng := s.eng
 		for i := range s.links {
 			m := &s.links[i]
-			m.dataSum += eng.InterfMW(c.From, m.To)
-			m.ackSum += eng.InterfMW(c.To, m.From)
-			dataInterf += eng.InterfMW(m.From, c.To)
-			ackInterf += eng.InterfMW(m.To, c.From)
+			from, to := int(m.from), int(m.to)
+			m.dataSum += eng.InterfMW(c.From, to)
+			m.ackSum += eng.InterfMW(c.To, from)
+			rec.dataSum += eng.InterfMW(from, c.To)
+			rec.ackSum += eng.InterfMW(to, c.From)
 		}
 	}
-	s.links = append(s.links, slotLink{Candidate: c, dataSum: dataInterf, ackSum: ackInterf})
-	if s.busy != nil {
-		s.busy[c.From]++
-		s.busy[c.To]++
+	s.links = append(s.links, rec)
+}
+
+// Reset empties the slot for reuse.
+func (s *SlotState) Reset() { s.links = s.links[:0] }
+
+// TentativeSlot is a SlotState with the protocols' tentative admission:
+// mark the slot, admit a step's active links whatever they conflict with,
+// evaluate their concurrent handshakes with Outcomes, and roll the batch
+// back. The protocol loop holds one for its handshake slot; greedy
+// schedulers fill plain SlotStates and carry none of this state. Init, Add
+// and Reset replace SlotState's, which must not be called on a
+// TentativeSlot directly.
+//
+// A TentativeSlot is not safe for concurrent use.
+type TentativeSlot struct {
+	SlotState
+
+	// busy[u] counts slot links with u as an endpoint. Only Outcomes needs
+	// it (conflict detection over sets that may hold conflicting links), so
+	// its first call allocates it.
+	busy []int32
+
+	// Single-level undo support (Mark/Rollback). Between a Mark and its
+	// Rollback, Adds append records and raise the sums of the records
+	// before them, and nothing else changes: a mark keeps the slot's length
+	// and those records' sums, dataSum and ackSum in turn.
+	marked int
+	saved  []float64
+
+	// Scratch buffers for Outcomes.
+	dataOK []bool
+	out    []bool
+	failed []int
+}
+
+// Init (re-)binds t to engine e as an empty slot with no Mark outstanding
+// (see SlotState.Init).
+func (t *TentativeSlot) Init(e Engine, dataOnly bool) {
+	t.SlotState.Init(e, dataOnly)
+	t.busy = nil // e may model another node count; Outcomes sizes it anew
+	t.marked = -1
+}
+
+// Add inserts c into the slot (see SlotState.Add) and counts its endpoints.
+func (t *TentativeSlot) Add(c Candidate) {
+	t.SlotState.Add(c)
+	if t.busy != nil {
+		t.busy[c.From]++
+		t.busy[c.To]++
+	}
+}
+
+// Grow makes room for k more links, so that the next k Adds do not
+// reallocate. The protocol loop calls it with a channel phase's first
+// batch, which admits every owner at once.
+func (t *TentativeSlot) Grow(k int) {
+	if cap(t.links)-len(t.links) < k {
+		t.links = append(make([]slotLink, 0, len(t.links)+k), t.links...)
 	}
 }
 
 // Mark snapshots the current slot so a later Rollback can undo any Adds
 // performed after it — the protocols' tentative handshake pattern: mark,
 // admit the step's active links, evaluate Outcomes, and roll back if the
-// slot vetoes. Restoration is exact (the records are copied, not
-// re-derived). Only one mark is outstanding at a time; a new Mark replaces
-// the previous one, and Reset invalidates it.
-func (s *SlotState) Mark() {
-	s.marked = len(s.links)
-	s.saved = append(s.saved[:0], s.links...)
+// slot vetoes. Restoration is exact (the sums are copied, not re-derived).
+// Only one mark is outstanding at a time; a new Mark replaces the previous
+// one, and Reset invalidates it.
+func (t *TentativeSlot) Mark() {
+	t.marked = len(t.links)
+	if need := 2 * len(t.links); cap(t.saved) < need {
+		t.saved = make([]float64, 0, max(need, 2*cap(t.saved)))
+	}
+	t.saved = t.saved[:0]
+	for i := range t.links {
+		t.saved = append(t.saved, t.links[i].dataSum, t.links[i].ackSum)
+	}
 }
 
 // Rollback restores the slot to the state captured by the last Mark. It
 // panics if no valid mark is outstanding.
-func (s *SlotState) Rollback() {
-	if s.marked < 0 || s.marked > len(s.links) {
-		panic("phys: SlotState.Rollback without a valid Mark")
+func (t *TentativeSlot) Rollback() {
+	if t.marked < 0 || t.marked > len(t.links) {
+		panic("phys: TentativeSlot.Rollback without a valid Mark")
 	}
 	if m := slotMetrics.Load(); m != nil {
 		m.rollbacks.Inc()
 	}
-	if s.busy != nil {
-		for _, l := range s.links[s.marked:] {
-			s.busy[l.From]--
-			s.busy[l.To]--
+	if t.busy != nil {
+		for _, l := range t.links[t.marked:] {
+			t.busy[l.from]--
+			t.busy[l.to]--
 		}
 	}
-	s.links = append(s.links[:0], s.saved...)
+	t.links = t.links[:t.marked]
+	for i := range t.links {
+		t.links[i].dataSum, t.links[i].ackSum = t.saved[2*i], t.saved[2*i+1]
+	}
 }
 
 // Reset empties the slot for reuse and invalidates any outstanding Mark.
-func (s *SlotState) Reset() {
-	if s.busy != nil {
-		for _, l := range s.links {
-			s.busy[l.From]--
-			s.busy[l.To]--
+func (t *TentativeSlot) Reset() {
+	if t.busy != nil {
+		for _, l := range t.links {
+			t.busy[l.from]--
+			t.busy[l.to]--
 		}
 	}
-	s.links = s.links[:0]
-	s.marked = -1
+	t.SlotState.Reset()
+	t.marked = -1
 }
 
 // Outcomes evaluates the two-way handshake of every link currently in the
@@ -328,53 +397,58 @@ func (s *SlotState) Reset() {
 // When every link decodes its data (the common case for slots built by
 // CanAdd-gated admission), the evaluation is O(k) straight off the records;
 // each data failure costs one O(k) correction pass for the silent ACK.
-func (s *SlotState) Outcomes() []bool {
-	k := len(s.links)
-	if cap(s.out) < k {
-		s.out = make([]bool, k)
-		s.dataOK = make([]bool, k)
+func (t *TentativeSlot) Outcomes() []bool {
+	k := len(t.links)
+	if cap(t.out) < k {
+		t.out = make([]bool, k)
+		t.dataOK = make([]bool, k)
 	}
-	out := s.out[:k]
-	dataOK := s.dataOK[:k]
-	s.failed = s.failed[:0]
-	beta, noise := s.beta, s.noise
-	if s.busy == nil {
-		s.busy = make([]int32, s.n)
-		for _, l := range s.links {
-			s.busy[l.From]++
-			s.busy[l.To]++
+	out := t.out[:k]
+	dataOK := t.dataOK[:k]
+	t.failed = t.failed[:0]
+	beta, noise := t.beta, t.noise
+	if t.busy == nil {
+		t.busy = make([]int32, t.eng.NumNodes())
+		for _, l := range t.links {
+			t.busy[l.from]++
+			t.busy[l.to]++
 		}
 	}
 
 	// Data sub-slot. A primary-conflicted link never completes its
 	// handshake (but its sender still radiates, which the running sums
 	// already account for).
-	for i := range s.links {
-		l := &s.links[i]
-		dataOK[i] = s.busy[l.From] <= 1 && s.busy[l.To] <= 1 && l.DataMW >= beta*(noise+l.dataSum)
+	for i := range t.links {
+		l := &t.links[i]
+		dataOK[i] = t.busy[l.from] <= 1 && t.busy[l.to] <= 1 && l.dataMW >= beta*(noise+l.dataSum)
 		if !dataOK[i] {
-			s.failed = append(s.failed, i)
+			t.failed = append(t.failed, i)
 		}
 	}
 
 	// ACK sub-slot: links whose data was not decoded stay silent, so their
 	// contribution is deducted from the running all-receivers sums.
-	rx, n, eng := s.rx, s.n, s.eng
-	for i := range s.links {
-		l := &s.links[i]
+	ch, eng := t.ch, t.eng
+	for i := range t.links {
+		l := &t.links[i]
 		if !dataOK[i] {
 			out[i] = false
 			continue
 		}
 		ackInterf := l.ackSum
-		for _, j := range s.failed {
-			if rx != nil {
-				ackInterf -= rx[s.links[j].To*n+l.From]
-			} else {
-				ackInterf -= eng.InterfMW(s.links[j].To, l.From)
+		if ch != nil {
+			// g(f.To, l.From) is, by symmetry, in row l.From.
+			g, fromRow := ch.gain, int(l.from)*len(ch.txPowerMW)
+			for _, j := range t.failed {
+				f := &t.links[j]
+				ackInterf -= float64(f.toMW * g[fromRow+int(f.to)])
+			}
+		} else {
+			for _, j := range t.failed {
+				ackInterf -= eng.InterfMW(int(t.links[j].to), int(l.from))
 			}
 		}
-		out[i] = l.AckMW >= beta*(noise+ackInterf)
+		out[i] = l.ackMW >= beta*(noise+ackInterf)
 	}
 	return out
 }

@@ -1,15 +1,16 @@
 package phys
 
-// Property tests for the incremental SINR feasibility engine: SlotState must
-// agree decision-for-decision with the naive reference implementations
-// (FeasibleSet, HandshakeOutcome) over randomized add/rollback sequences,
-// and Mark/Rollback must restore state exactly.
+// Property tests for the incremental SINR feasibility engine: SlotState and
+// TentativeSlot must agree decision-for-decision with the naive reference
+// implementations (FeasibleSet, HandshakeOutcome) over randomized
+// add/rollback sequences, and Mark/Rollback must restore state exactly.
 
 import (
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"scream/internal/geom"
 )
@@ -38,8 +39,25 @@ func gridChannel(tb testing.TB, side int, step float64, txDBm DBm) *Channel {
 // newSlotState returns an empty slot bound to channel c.
 func newSlotState(c *Channel) *SlotState {
 	s := new(SlotState)
-	s.Init(c)
+	s.Init(c, false)
 	return s
+}
+
+// newTentativeSlot returns an empty tentative slot bound to channel c.
+func newTentativeSlot(c *Channel) *TentativeSlot {
+	s := new(TentativeSlot)
+	s.Init(c, false)
+	return s
+}
+
+// TestSlotStateSize pins the size of the state greedy builders keep one of
+// per (slot, channel): the protocols' Mark/Rollback/Outcomes scratch lives
+// in TentativeSlot, and the dense path holds the channel, not matrix
+// headers.
+func TestSlotStateSize(t *testing.T) {
+	if size := unsafe.Sizeof(SlotState{}); size >= 416 {
+		t.Fatalf("SlotState is %d bytes, want under 416", size)
+	}
 }
 
 // randomLink draws a link with arbitrary endpoints — including self loops
@@ -59,7 +77,7 @@ func TestSlotStateAddRemoveMatchesFeasibleSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	agreeAdds, agreeRejects, removes := 0, 0, 0
 	for trial := 0; trial < 200; trial++ {
-		st := newSlotState(ch)
+		st := newTentativeSlot(ch)
 		var mirror []Link
 		marked := -1 // len(mirror) at the outstanding Mark
 		for op := 0; op < 30; op++ {
@@ -113,7 +131,7 @@ func TestSlotStateOutcomesMatchHandshake(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	removes := 0
 	for trial := 0; trial < 150; trial++ {
-		st := newSlotState(ch)
+		st := newTentativeSlot(ch)
 		var mirror []Link
 		marked := -1 // len(mirror) at the outstanding Mark
 		for op := 0; op < 25; op++ {
@@ -169,7 +187,7 @@ func TestSlotStateMarkRollback(t *testing.T) {
 	ch := lineChannel(t, 24, 35, 20)
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 100; trial++ {
-		st := newSlotState(ch)
+		st := newTentativeSlot(ch)
 		for op := 0; op < 6; op++ {
 			a := rng.Intn(23)
 			if c := NewCandidate(ch, Link{a, a + 1}); st.CanAdd(c) {
@@ -236,17 +254,12 @@ func TestSlotStateEnginePathMatchesDense(t *testing.T) {
 	opaque := opaqueEngine{ch}
 	for _, dataOnly := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(61))
-		var dense, iface SlotState
+		var dense, iface TentativeSlot
 		admits, sinrRejects, rollbacks, failedOutcomes := 0, 0, 0, 0
 		for trial := 0; trial < 400; trial++ {
-			if dataOnly {
-				dense.InitDataOnly(ch)
-				iface.InitDataOnly(opaque)
-			} else {
-				dense.Init(ch)
-				iface.Init(opaque)
-			}
-			if dense.rx == nil || iface.rx != nil {
+			dense.Init(ch, dataOnly)
+			iface.Init(opaque, dataOnly)
+			if dense.ch == nil || iface.ch != nil {
 				t.Fatal("the states do not take the two different paths")
 			}
 			marked := -1 // Len at the outstanding Mark
@@ -323,18 +336,85 @@ func TestSlotStateEnginePathMatchesDense(t *testing.T) {
 	}
 }
 
+// TestSlotStateDenseMatchesEngineDeployments drives a dense-path and an
+// interface-path TentativeSlot through the same random CanAdd, unvetted
+// Add, Mark/Rollback and Outcomes sequences on grid, heterogeneous-power
+// and shadowed deployments. The dense path reads both directions of a pair
+// from the candidate's gain rows and the members' powers from their
+// records; with unequal powers a swapped power or a transposed read changes
+// a sum, which the bit-for-bit record comparison catches.
+func TestSlotStateDenseMatchesEngineDeployments(t *testing.T) {
+	const n = 25
+	rng := rand.New(rand.NewSource(67))
+	for _, d := range testDeployments(n, 5) {
+		ch := d.channel(t)
+		opaque := opaqueEngine{ch}
+		var dense, iface TentativeSlot
+		admits, failed := 0, 0
+		for trial := 0; trial < 150; trial++ {
+			dense.Init(ch, false)
+			iface.Init(opaque, false)
+			marked := false
+			for op := 0; op < 30; op++ {
+				l := randomLink(rng, n)
+				switch r := rng.Intn(10); {
+				case r < 5:
+					got, want := iface.CanAdd(NewCandidate(opaque, l)), dense.CanAdd(NewCandidate(ch, l))
+					if got != want {
+						t.Fatalf("%s trial %d op %d: CanAdd(%v) = %v on the interface path, %v dense", d.name, trial, op, l, got, want)
+					}
+					if got {
+						iface.Add(NewCandidate(opaque, l))
+						dense.Add(NewCandidate(ch, l))
+						admits++
+					}
+				case r < 7:
+					iface.Add(NewCandidate(opaque, l))
+					dense.Add(NewCandidate(ch, l))
+				case r < 8:
+					iface.Mark()
+					dense.Mark()
+					marked = true
+				case r < 9:
+					if marked {
+						iface.Rollback()
+						dense.Rollback()
+					}
+				default:
+					got, want := iface.Outcomes(), dense.Outcomes()
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s trial %d op %d: Outcomes %v on the interface path, %v dense", d.name, trial, op, got, want)
+					}
+					if slices.Contains(want, false) {
+						failed++
+					}
+				}
+				for i := range dense.links {
+					if !sameRecord(iface.links[i], dense.links[i]) {
+						t.Fatalf("%s trial %d op %d: record[%d] = %+v on the interface path, %+v dense",
+							d.name, trial, op, i, iface.links[i], dense.links[i])
+					}
+				}
+			}
+		}
+		if admits == 0 || failed == 0 {
+			t.Fatalf("%s: %d admits, %d failing outcomes; the fuzz must exercise both", d.name, admits, failed)
+		}
+	}
+}
+
 // sameRecord reports whether two slot records are identical, with every
 // float compared bit for bit.
 func sameRecord(a, b slotLink) bool {
 	bits := math.Float64bits
-	return a.Link == b.Link && bits(a.DataMW) == bits(b.DataMW) && bits(a.AckMW) == bits(b.AckMW) &&
+	return a.link() == b.link() && bits(a.dataMW) == bits(b.dataMW) && bits(a.ackMW) == bits(b.ackMW) &&
 		bits(a.dataSum) == bits(b.dataSum) && bits(a.ackSum) == bits(b.ackSum)
 }
 
 // TestSlotStateRollbackWithoutMarkPanics documents the API contract.
 func TestSlotStateRollbackWithoutMarkPanics(t *testing.T) {
 	ch := lineChannel(t, 4, 35, 20)
-	st := newSlotState(ch)
+	st := newTentativeSlot(ch)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Rollback without Mark should panic")

@@ -1,6 +1,6 @@
 // Package spatial implements the grid-bucket interference engine: a
-// phys.Engine over node positions that replaces the dense n*n RX-power
-// matrix with O(n) state — per-node positions and powers, a bucket grid,
+// phys.Engine over node positions that replaces the dense n*n gain matrix
+// with O(n) state — per-node positions and powers, a bucket grid,
 // and a per-bucket-delta gain upper-bound table.
 //
 // Queries split by distance. Signal terms (the favorable side of each SINR
@@ -345,7 +345,7 @@ func (x *Index) RestoreNode(u int) error {
 // MemoryBytes returns the index's resident size: every slice's backing
 // array plus the struct itself. Deterministic (derived from lengths, not
 // the allocator), which is what lets FigScale plot it as a reproducible
-// series against the dense engine's 16*n*n-byte matrices.
+// series against the dense engine's 8*n*n-byte gain matrix.
 func (x *Index) MemoryBytes() int {
 	return 2*8 + // struct overhead approximation: region + scalars live inline
 		len(x.pos)*16 + // positions

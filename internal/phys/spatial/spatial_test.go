@@ -39,15 +39,13 @@ func buildPair(t testing.TB, pos []geom.Point, pw []float64, cutoffM float64) (*
 		t.Fatalf("spatial.New: %v", err)
 	}
 	n := len(pos)
-	gain := make([][]float64, n)
-	for u := range gain {
-		row := make([]float64, n)
-		for v := range row {
+	gain := make([]float64, n*n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
 			if u != v {
-				row[v] = pl.Gain(pos[u].Dist(pos[v]))
+				gain[u*n+v] = pl.Gain(pos[u].Dist(pos[v]))
 			}
 		}
-		gain[u] = row
 	}
 	ch, err := phys.NewChannel(pw, gain, testNoiseMW, testBeta)
 	if err != nil {
@@ -90,8 +88,8 @@ func checkConservative(t *testing.T, pos []geom.Point, pw []float64, cutoffM flo
 	// keeping both slot states on the identical occupancy. Any link the
 	// spatial state admits must be admissible to the dense state too.
 	var sSpat, sDense phys.SlotState
-	sSpat.Init(idx)
-	sDense.Init(ch)
+	sSpat.Init(idx, false)
+	sDense.Init(ch, false)
 	for _, l := range links {
 		cs, cd := phys.NewCandidate(idx, l), phys.NewCandidate(ch, l)
 		if sSpat.CanAdd(cs) {
@@ -235,7 +233,7 @@ func TestSpatialConcurrentReaders(t *testing.T) {
 				}
 			}
 			var st phys.SlotState
-			st.Init(idx)
+			st.Init(idx, false)
 			for u := 1; u < n; u++ {
 				if c := phys.NewCandidate(idx, phys.Link{From: u, To: u - 1}); st.CanAdd(c) {
 					st.Add(c)

@@ -256,11 +256,7 @@ func (b *Builder) admit(p pass, links []phys.Link, demands []int, order []int, f
 					if j/slabSize == len(b.slabs) {
 						b.slabs = append(b.slabs, new([slabSize]phys.SlotState))
 					}
-					if st := b.state(j); p.dataOnly {
-						st.InitDataOnly(p.eng)
-					} else {
-						st.Init(p.eng)
-					}
+					b.state(j).Init(p.eng, p.dataOnly)
 				}
 				if C > 1 {
 					if cap(b.radios) < (slot+1)*n {

@@ -30,8 +30,16 @@ func (s *Sample) Reset(n int) {
 	s.xs = s.xs[:0]
 }
 
-// Add records one observation.
-func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
+// Add records one observation. A full sample grows to twice its length (16
+// at least), so n adds to a fresh sample take O(log n) allocations and copy
+// O(n) observations; append alone grows a slice this large by about 1.25×
+// a step.
+func (s *Sample) Add(x float64) {
+	if len(s.xs) == cap(s.xs) {
+		s.xs = append(make([]float64, 0, max(2*len(s.xs), 16)), s.xs...)
+	}
+	s.xs = append(s.xs, x)
+}
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }

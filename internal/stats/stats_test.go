@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -26,6 +27,27 @@ func TestSampleBasics(t *testing.T) {
 	// Known dataset: population variance 4, sample variance 32/7.
 	if got, want := s.Variance(), 32.0/7.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Variance = %v, want %v", got, want)
+	}
+}
+
+// TestSampleAddAllocations pins the allocations of n adds to a fresh
+// sample: a full sample at least doubles, so there are at most
+// bits.Len(n)+1 of them (append's own growth takes 12 for n = 1,000 and
+// 28 for n = 100,000).
+func TestSampleAddAllocations(t *testing.T) {
+	for _, n := range []int{1, 10, 1000, 100000} {
+		allocs := testing.AllocsPerRun(3, func() {
+			var s Sample
+			for i := 0; i < n; i++ {
+				s.Add(float64(i))
+			}
+			if s.N() != n {
+				t.Fatalf("N = %d after %d adds", s.N(), n)
+			}
+		})
+		if limit := bits.Len(uint(n)) + 1; allocs > float64(limit) {
+			t.Errorf("%d adds to a fresh sample: %v allocations, want at most %d", n, allocs, limit)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package topo
 
 // Topology dynamics: in-place network mutation for node mobility and churn.
 // The methods here keep the three derived views of a deployment — the
-// channel's RX-power matrix, the communication graph and the sensitivity
+// channel's gain matrix, the communication graph and the sensitivity
 // graph — consistent with the node positions and radio states. Events are
 // cheap to record: MoveNode and SetNodeUp only note the new position or
 // state, and SetNodeDown zeroes the node's channel row in place. The next
@@ -131,33 +131,32 @@ func (n *Network) SetNodeUp(u int) error {
 
 // RefreshGraphs brings the channel up to date with the positions and radio
 // states MoveNode, SetNodeDown and SetNodeUp recorded since the last call,
-// then derives the communication and sensitivity graphs from its RX-power
-// rows. Down nodes have zero gains and therefore no edges. Adjacency lists
+// then derives the communication and sensitivity graphs from its received
+// powers. Down nodes have zero gains and therefore no edges. Adjacency lists
 // come out in ascending node order, the canonical order route repair's
 // tie-breaking relies on. Build derives a new network's graphs with the
 // same call.
 //
 // u -> v is a sensitivity edge when v senses u's transmission
 // (RxPowerMW(u, v) >= CSThresholdMW), and u - v a communication link when
-// both directions are up without interference (LinkUp's SNR >= beta, the
-// same division and comparison). A first pass counts each node's edges so
-// that each graph's array is sized exactly; a second pass fills the rows.
+// both directions are up without interference (LinkUp). A first pass
+// counts each node's edges so that each graph's array is sized exactly; a
+// second pass fills the rows.
 func (n *Network) RefreshGraphs() {
 	n.refreshRows()
 	nn := len(n.Nodes)
 	ch := n.Channel
-	cs, noise, beta := n.Params.CSThresholdMW, ch.NoiseMW(), ch.Beta()
+	cs := n.Params.CSThresholdMW
 	sensOff := make([]int, nn+1)
 	commOff := make([]int, nn+1)
 	for u := 0; u < nn; u++ {
-		row := ch.RxRow(u)
-		for v, p := range row {
-			if v != u && p >= cs {
+		for v := 0; v < nn; v++ {
+			if v != u && ch.RxPowerMW(u, v) >= cs {
 				sensOff[u+1]++
 			}
 		}
 		for v := u + 1; v < nn; v++ {
-			if row[v]/noise >= beta && ch.RxRow(v)[u]/noise >= beta {
+			if ch.LinkUp(u, v) && ch.LinkUp(v, u) {
 				commOff[u+1]++
 				commOff[v+1]++
 			}
@@ -176,15 +175,14 @@ func (n *Network) RefreshGraphs() {
 	// shifting them up one restores the offsets.
 	k := 0
 	for u := 0; u < nn; u++ {
-		row := ch.RxRow(u)
-		for v, p := range row {
-			if v != u && p >= cs {
+		for v := 0; v < nn; v++ {
+			if v != u && ch.RxPowerMW(u, v) >= cs {
 				sens[k] = v
 				k++
 			}
 		}
 		for v := u + 1; v < nn; v++ {
-			if row[v]/noise >= beta && ch.RxRow(v)[u]/noise >= beta {
+			if ch.LinkUp(u, v) && ch.LinkUp(v, u) {
 				comm[commOff[u]] = v
 				commOff[u]++
 				comm[commOff[v]] = u

@@ -37,6 +37,28 @@ func TestUniformPositionsInRegion(t *testing.T) {
 	}
 }
 
+// TestBuildAllocatesOneMatrix: building a 16×16 grid allocates one n×n
+// array, the channel's gains, and O(n) besides (positions, powers, the gain
+// cache and the graphs): at most 8n² bytes plus 96 KB per build. Keeping
+// the received powers as a second matrix took 16n².
+func TestBuildAllocatesOneMatrix(t *testing.T) {
+	const side, n = 16, 16 * 16
+	cfg := GridConfig{Rows: side, Cols: side, Step: 30, Params: DefaultParams()}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewGrid(cfg, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got, limit := res.AllocedBytesPerOp(), int64(8*n*n+96<<10); got > limit {
+		t.Fatalf("NewGrid(%dx%d) allocates %d B per build, want at most %d (8n² + 96 KB)", side, side, got, limit)
+	} else {
+		t.Logf("NewGrid(%dx%d): %d B per build, 8n² = %d", side, side, got, 8*n*n)
+	}
+}
+
 func TestNewGridBasics(t *testing.T) {
 	net, err := NewGrid(GridConfig{Rows: 4, Cols: 4, Step: 30, Params: DefaultParams()}, nil)
 	if err != nil {

@@ -157,8 +157,8 @@ type DynamicsSpec struct {
 // schedulers build against. Omitting the block (or the engine name) keeps the
 // exact dense engine, so existing scenarios run bit-identically.
 type InterferenceSpec struct {
-	// Engine is a registry name from Engines(): "dense" (exact n x n
-	// RX-power matrix, the default) or "spatial" (grid-bucket index — exact
+	// Engine is a registry name from Engines(): "dense" (exact n x n gain
+	// matrix, the default) or "spatial" (grid-bucket index — exact
 	// near-field, conservative far-field bound, O(n) memory).
 	Engine string `json:"engine,omitempty"`
 	// CutoffM is the spatial engine's exact-evaluation radius in meters
