@@ -217,7 +217,7 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 	}
 	if ib, ok := cfg.Backend.(*IdealBackend); ok && !ib.strict {
 		p.fast = ib
-		p.slot.Init(ib.ch, false)
+		p.slot.Init(ib.ch)
 	} else {
 		p.ids = make([]uint64, n)
 		for i := range p.ids {
@@ -387,7 +387,7 @@ func (p *protoRun) handshake(first bool, onCh nodeSet, owners []int) []bool {
 // admit adds u's link to the fast path's slot.
 func (p *protoRun) admit(u int) {
 	p.pos[u] = p.slot.Len()
-	p.slot.Add(phys.NewCandidate(p.fast.ch, p.cfg.Links[p.linkOf[u]]))
+	p.slot.Add(p.cfg.Links[p.linkOf[u]])
 }
 
 // Run executes the distributed protocol to completion and returns the

@@ -58,8 +58,8 @@ type waypoint struct {
 // newLeg draws the next waypoint and leaves pos for it at now.
 func (w *waypoint) newLeg(now des.Time) {
 	w.target = geom.Point{
-		X: w.region.MinX + w.rng.Float64()*w.region.Width(),
-		Y: w.region.MinY + w.rng.Float64()*w.region.Height(),
+		X: w.region.MinX + float64(w.rng.Float64()*w.region.Width()),
+		Y: w.region.MinY + float64(w.rng.Float64()*w.region.Height()),
 	}
 	w.legStart = now
 	w.legEnd = now + des.FromSeconds(w.pos.Dist(w.target)/w.m.SpeedMps)
@@ -100,7 +100,7 @@ type Drift struct {
 
 // Start implements Mobility. The stepper keeps the node's velocity.
 func (m Drift) Start(start geom.Point, region geom.Rect, rng *rand.Rand) Stepper {
-	theta := rng.Float64() * 2 * math.Pi
+	theta := float64(rng.Float64()) * 2 * math.Pi
 	return &drift{start: start, region: region, vx: m.SpeedMps * math.Cos(theta), vy: m.SpeedMps * math.Sin(theta)}
 }
 
@@ -115,8 +115,8 @@ type drift struct {
 func (d *drift) Step(t des.Time) (geom.Point, bool) {
 	s := t.Seconds()
 	return geom.Point{
-		X: reflect(d.start.X+d.vx*s, d.region.MinX, d.region.MaxX),
-		Y: reflect(d.start.Y+d.vy*s, d.region.MinY, d.region.MaxY),
+		X: reflect(d.start.X+float64(d.vx*s), d.region.MinX, d.region.MaxX),
+		Y: reflect(d.start.Y+float64(d.vy*s), d.region.MinY, d.region.MaxY),
 	}, d.vx != 0 || d.vy != 0
 }
 

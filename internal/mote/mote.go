@@ -156,7 +156,7 @@ func Run(cfg Config) (*Result, error) {
 		return total
 	}
 	rssiDBm := func(monitor bool) float64 {
-		return float64(phys.MilliWattsToDBm(powerAt(monitor))) + rng.NormFloat64()*cfg.NoiseSigmaDB
+		return float64(phys.MilliWattsToDBm(powerAt(monitor))) + float64(rng.NormFloat64()*cfg.NoiseSigmaDB)
 	}
 	// Periodically prune expired spans so the active list stays small.
 	prune := func() {

@@ -177,15 +177,15 @@ func (c *Channel) LinkUp(u, v int) bool {
 // BuildGainMatrix evaluates a path loss model over node positions, producing
 // the symmetric row-major n×n gain matrix whose entry i*n+j is
 // pl.Gain(pos[i].Dist(pos[j])), 0 on the diagonal: the matrix NewChannel
-// adopts. shadowDB, when non-nil, supplies a symmetric per-pair shadowing
-// term in dB that Shadowed applies to each entry (log-normal shadowing);
-// pass nil for pure log-distance.
+// adopts. shadowDB, when non-nil, is a symmetric row-major n×n matrix of
+// per-pair shadowing terms in dB that Shadowed applies to each entry
+// (log-normal shadowing); pass nil for pure log-distance.
 //
 // One pass over the upper triangle fills both halves straight from the
 // positions, and pl.Gain runs once per distinct distance: a gainCache local
 // to the call hands later pairs at the same distance the gain the first one
 // computed.
-func BuildGainMatrix(pos []geom.Point, pl PathLoss, shadowDB [][]float64) []float64 {
+func BuildGainMatrix(pos []geom.Point, pl PathLoss, shadowDB []float64) []float64 {
 	n := len(pos)
 	gain := make([]float64, n*n)
 	cache := newGainCache(pl, n)
@@ -193,7 +193,7 @@ func BuildGainMatrix(pos []geom.Point, pl PathLoss, shadowDB [][]float64) []floa
 		for j := i + 1; j < n; j++ {
 			g := cache.gain(pos[i].Dist(pos[j]))
 			if shadowDB != nil {
-				g = Shadowed(g, shadowDB[i][j])
+				g = Shadowed(g, shadowDB[i*n+j])
 			}
 			gain[i*n+j] = g
 			gain[j*n+i] = g

@@ -22,7 +22,7 @@ type deployment struct {
 	name   string
 	pos    []geom.Point
 	pw     []float64
-	shadow [][]float64 // symmetric dB draw; nil without shadowing
+	shadow []float64 // symmetric row-major dB draw; nil without shadowing
 }
 
 // testDeployments returns the three kinds of deployment the channel must be
@@ -36,18 +36,17 @@ func testDeployments(n int, seed int64) []deployment {
 	uniform := make([]geom.Point, n)
 	flat := make([]float64, n)
 	hetero := make([]float64, n)
-	shadow := make([][]float64, n)
+	shadow := make([]float64, n*n)
 	for i := range grid {
 		grid[i] = geom.Point{X: float64(i%side) * 35, Y: float64(i/side) * 35}
 		uniform[i] = geom.Point{X: rng.Float64() * 250, Y: rng.Float64() * 250}
 		flat[i] = DBm(17).MilliWatts()
 		hetero[i] = DBm(4 + float64(16*rng.Float64())).MilliWatts()
-		shadow[i] = make([]float64, n)
 	}
-	for i := range shadow {
+	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			s := rng.NormFloat64() * 6
-			shadow[i][j], shadow[j][i] = s, s
+			shadow[i*n+j], shadow[j*n+i] = s, s
 		}
 	}
 	return []deployment{
@@ -79,15 +78,16 @@ func (d deployment) row(u int) []float64 {
 		}
 		row[v] = pl.Gain(d.pos[u].Dist(d.pos[v]))
 		if d.shadow != nil {
-			row[v] = Shadowed(row[v], d.shadow[u][v])
+			row[v] = Shadowed(row[v], d.shadow[u*len(d.pos)+v])
 		}
 	}
 	return row
 }
 
 // assertExactProducts checks every received power of ch against
-// float64(P_u·Gain(u, v)) bit for bit, through RxPowerMW, the Engine
-// methods and NewCandidate, and that no node receives itself.
+// float64(P_u·Gain(u, v)) bit for bit, through RxPowerMW and NewCandidate;
+// that the Engine methods answer the channel's own powers and gains, each
+// gain the same bits in both directions; and that no node receives itself.
 func assertExactProducts(t *testing.T, ch *Channel, what string) {
 	t.Helper()
 	bits := math.Float64bits
@@ -96,13 +96,18 @@ func assertExactProducts(t *testing.T, ch *Channel, what string) {
 		if ch.Gain(u, u) != 0 || ch.RxPowerMW(u, u) != 0 {
 			t.Fatalf("%s: node %d has self-gain %v, self-reception %v", what, u, ch.Gain(u, u), ch.RxPowerMW(u, u))
 		}
+		if bits(ch.TxPowerMW(u)) != bits(ch.txPowerMW[u]) {
+			t.Fatalf("%s: TxPowerMW(%d) = %v, want %v", what, u, ch.TxPowerMW(u), ch.txPowerMW[u])
+		}
 		for v := 0; v < n; v++ {
 			want := float64(ch.txPowerMW[u] * ch.Gain(u, v))
 			if got := ch.RxPowerMW(u, v); bits(got) != bits(want) {
 				t.Fatalf("%s: RxPowerMW(%d,%d) = %v, want exactly %v", what, u, v, got, want)
 			}
-			if bits(ch.SignalMW(u, v)) != bits(want) || bits(ch.InterfMW(u, v)) != bits(want) {
-				t.Fatalf("%s: SignalMW/InterfMW(%d,%d) differ from %v", what, u, v, want)
+			g := ch.Gain(u, v)
+			if bits(ch.Gain(v, u)) != bits(g) || bits(ch.InterfGain(u, v)) != bits(g) || bits(ch.InterfGain(v, u)) != bits(g) {
+				t.Fatalf("%s: Gain(%d,%d) = %v, but Gain back %v, InterfGain %v and %v back", what, u, v, g,
+					ch.Gain(v, u), ch.InterfGain(u, v), ch.InterfGain(v, u))
 			}
 			c := NewCandidate(ch, Link{From: u, To: v})
 			if bits(c.DataMW) != bits(want) || bits(c.AckMW) != bits(ch.RxPowerMW(v, u)) {

@@ -401,7 +401,7 @@ func TestSlotStateLinksCopy(t *testing.T) {
 func TestBuildGainMatrixShadowing(t *testing.T) {
 	pos := []geom.Point{{}, {X: 10}}
 	pl := DefaultLogDistance()
-	shadow := [][]float64{{0, 6}, {6, 0}} // 6 dB extra loss
+	shadow := []float64{0, 6, 6, 0} // 6 dB extra loss
 	plain := BuildGainMatrix(pos, pl, nil)
 	shadowed := BuildGainMatrix(pos, pl, shadow)
 	want := float64(plain[0*2+1] * math.Pow(10, -0.6))

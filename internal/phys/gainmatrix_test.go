@@ -48,20 +48,18 @@ func TestBuildGainMatrixExact(t *testing.T) {
 			colliding = append(colliding, geom.Point{X: x})
 		}
 	}
-	shadow := make([][]float64, len(uniform))
-	for i := range shadow {
-		shadow[i] = make([]float64, len(uniform))
-	}
-	for i := range shadow {
-		for j := i + 1; j < len(shadow); j++ {
+	m := len(uniform)
+	shadow := make([]float64, m*m)
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
 			s := rng.NormFloat64() * 8
-			shadow[i][j], shadow[j][i] = s, s
+			shadow[i*m+j], shadow[j*m+i] = s, s
 		}
 	}
 	cases := []struct {
 		name   string
 		pos    []geom.Point
-		shadow [][]float64
+		shadow []float64
 	}{
 		{"grid", grid, nil},
 		{"uniform", uniform, nil},
@@ -90,7 +88,7 @@ func TestBuildGainMatrixExact(t *testing.T) {
 				distinct[math.Float64bits(d)] = true
 				want := pl.Gain(d)
 				if tc.shadow != nil {
-					want *= math.Pow(10, -tc.shadow[i][j]/10)
+					want *= math.Pow(10, -tc.shadow[i*n+j]/10)
 				}
 				if math.Float64bits(gain[i*n+j]) != math.Float64bits(want) {
 					t.Fatalf("%s: gain[%d][%d] = %v, want %v", tc.name, i, j, gain[i*n+j], want)

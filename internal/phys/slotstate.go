@@ -4,41 +4,37 @@ package phys
 // favorable sides of its two SINR inequalities. A schedule build computes
 // each link's candidate once, with NewCandidate, and probes every slot with
 // it, so no admission test recomputes a signal (on a non-dense engine each
-// SignalMW is a path-loss evaluation). A SlotState must only be given
+// exact gain is a path-loss evaluation). A SlotState must only be given
 // candidates built on the engine it is bound to.
 type Candidate struct {
 	Link
-	DataMW float64 // SignalMW(From, To): the data transmission at its receiver
-	AckMW  float64 // SignalMW(To, From): the ACK at the data sender
+	DataMW float64 // float64(TxPowerMW(From) * Gain(From, To)): the data transmission at its receiver
+	AckMW  float64 // float64(TxPowerMW(To) * Gain(From, To)): the ACK at the data sender
 }
 
-// NewCandidate returns l with its exact signal powers under e. On the dense
-// *Channel it computes the two received powers SignalMW would return
-// directly, from the one gain the symmetric matrix holds for the pair,
-// sparing two interface calls per link.
+// NewCandidate returns l with its exact signal powers under e. The pair has
+// one exact gain in both directions, so the two powers are the two
+// endpoints' TX powers times that one gain, each product rounded on its own.
 func NewCandidate(e Engine, l Link) Candidate {
-	if c, ok := e.(*Channel); ok {
-		g := c.Gain(l.From, l.To)
-		return Candidate{Link: l, DataMW: float64(c.txPowerMW[l.From] * g), AckMW: float64(c.txPowerMW[l.To] * g)}
-	}
-	return Candidate{Link: l, DataMW: e.SignalMW(l.From, l.To), AckMW: e.SignalMW(l.To, l.From)}
+	g := e.Gain(l.From, l.To)
+	return Candidate{Link: l, DataMW: float64(e.TxPowerMW(l.From) * g), AckMW: float64(e.TxPowerMW(l.To) * g)}
 }
 
 // slotLink is the record SlotState keeps per admitted link, 56 bytes: the
 // candidate with its endpoints narrowed to int32, the endpoints' TX powers,
 // and the running interference sums at its two receivers. The powers are
 // the factors of the terms the link's data and ACK senders add at other
-// receivers; the dense path keeps them beside the endpoints it reads anyway
-// (other engines leave them 0), so a term costs a gain load and a
-// multiplication, not a power load as well. An endpoint that reaches a
-// record indexed its engine already, and no engine holds 2^31 nodes (the
-// dense one would need 2^65 bytes), so int32 loses nothing.
+// receivers; keeping them beside the endpoints a member's terms read anyway
+// makes a term a gain read and a multiplication, not a power read as well.
+// An endpoint that reaches a record indexed its engine already, and no
+// engine holds 2^31 nodes (the dense one would need 2^65 bytes), so int32
+// loses nothing.
 type slotLink struct {
 	from, to int32
 	dataMW   float64 // the candidate's DataMW
 	ackMW    float64 // the candidate's AckMW
-	fromMW   float64 // TX power of from (dense path)
-	toMW     float64 // TX power of to (dense path)
+	fromMW   float64 // TX power of from
+	toMW     float64 // TX power of to
 	dataSum  float64 // interference at to from the other data senders
 	ackSum   float64 // interference at from from the other ACK senders
 }
@@ -55,14 +51,14 @@ func (m *slotLink) link() Link { return Link{From: int(m.from), To: int(m.to)} }
 // TentativeSlot adds what only the protocols' handshake slot needs:
 // Mark/Rollback and the handshake outcomes.
 //
-// Two code paths serve the two engine families. When the engine is the
-// dense *Channel, every interference term is computed from the channel's
-// gain matrix directly (the ch field), as the product RxPowerMW takes: the
-// original hot path, preserved for both determinism and the benchmark gate.
-// Any other Engine goes through InterfMW for interference terms, so a
-// conservative engine (one that over-estimates InterfMW) only ever rejects
-// more than the dense path. On both paths the signal sides come from the
-// candidates.
+// Two code paths serve the two engine families, and both compute every
+// interference term as float64(power * gain), the power from a record or
+// the candidate's engine and the gain symmetric in its pair. When the
+// engine is the dense *Channel, the gains come from the channel's matrix
+// directly (the ch field): the hot path, kept apart for the benchmark gate.
+// Any other Engine answers them through InterfGain, so a conservative engine
+// (one that over-estimates InterfGain) only ever rejects more than the dense
+// path. On both paths the signal sides come from the candidates.
 //
 // The sums are accumulated incrementally (in admission order) rather than
 // recomputed per query (in index order), so individual float64 sums may
@@ -180,57 +176,43 @@ func (s *SlotState) CanAdd(c Candidate) bool {
 		}
 		return true
 	}
-	// Through the interface every term costs a call, so the cheapest exact
-	// test runs first: the integer primary-conflict scan, then the new link's
-	// data and ACK sums, each rejected as soon as a prefix fails (see
-	// clears), then the members.
+	// Through the interface every gain costs a call, so one pass tests each
+	// inequality as soon as its terms are in and reads a gain only while
+	// every test before it passed. g(c.To, m.from) carries m's data to c.To
+	// and c's ACK to m.from; g(c.From, m.to) carries m's ACK to c.From and
+	// c's data to m.to. The new link's sums are tested on every prefix: each
+	// term is finite and non-negative and rounded float addition is
+	// monotone, so a signal below beta times the noise plus a prefix is
+	// below beta times the noise plus the whole, and the answer is the dense
+	// path's.
+	if c.DataMW < beta*noise || (!s.ignoreAck && c.AckMW < beta*noise) {
+		return false
+	}
+	eng := s.eng
+	fromMW, toMW := eng.TxPowerMW(c.From), eng.TxPowerMW(c.To)
+	dataInterf, ackInterf := 0.0, 0.0
 	for i := range s.links {
 		m := &s.links[i]
 		from, to := int(m.from), int(m.to)
 		if c.From == from || c.From == to || c.To == from || c.To == to {
 			return false
 		}
-	}
-	if !s.clears(c.DataMW, c.To, false) {
-		return false
-	}
-	if !s.ignoreAck && !s.clears(c.AckMW, c.From, true) {
-		return false
-	}
-	eng := s.eng
-	for i := range s.links {
-		m := &s.links[i]
-		if m.dataMW < beta*(noise+m.dataSum+eng.InterfMW(c.From, int(m.to))) {
+		gTo := eng.InterfGain(c.To, from)
+		dataInterf += float64(m.fromMW * gTo)
+		if c.DataMW < beta*(noise+dataInterf) {
 			return false
 		}
-		if !s.ignoreAck && m.ackMW < beta*(noise+m.ackSum+eng.InterfMW(c.To, int(m.from))) {
+		if !s.ignoreAck && m.ackMW < beta*(noise+m.ackSum+float64(toMW*gTo)) {
 			return false
 		}
-	}
-	return true
-}
-
-// clears reports whether signal at node at clears beta against the noise
-// plus the interference of the members' data senders (ack false) or ACK
-// senders (ack true), summed in admission order exactly as Add sums it. The
-// test runs after every term, and a failing prefix settles the answer:
-// every term is finite and non-negative and rounded float addition is
-// monotone, so each partial sum is at most the full sum, and a signal below
-// beta times the noise plus a prefix is below beta times the noise plus the
-// whole.
-func (s *SlotState) clears(signal float64, at int, ack bool) bool {
-	eng, beta, noise := s.eng, s.beta, s.noise
-	if signal < beta*noise {
-		return false
-	}
-	interf := 0.0
-	for i := range s.links {
-		src := int(s.links[i].from)
-		if ack {
-			src = int(s.links[i].to)
+		gFrom := eng.InterfGain(c.From, to)
+		if !s.ignoreAck {
+			ackInterf += float64(m.toMW * gFrom)
+			if c.AckMW < beta*(noise+ackInterf) {
+				return false
+			}
 		}
-		interf += eng.InterfMW(src, at)
-		if signal < beta*(noise+interf) {
+		if m.dataMW < beta*(noise+m.dataSum+float64(fromMW*gFrom)) {
 			return false
 		}
 	}
@@ -264,14 +246,16 @@ func (s *SlotState) Add(c Candidate) {
 			rec.ackSum += float64(m.toMW * gFrom)
 		}
 	} else {
+		// The same four terms from the same two gains, each one call.
 		eng := s.eng
+		rec.fromMW, rec.toMW = eng.TxPowerMW(c.From), eng.TxPowerMW(c.To)
 		for i := range s.links {
 			m := &s.links[i]
-			from, to := int(m.from), int(m.to)
-			m.dataSum += eng.InterfMW(c.From, to)
-			m.ackSum += eng.InterfMW(c.To, from)
-			rec.dataSum += eng.InterfMW(from, c.To)
-			rec.ackSum += eng.InterfMW(to, c.From)
+			gFrom, gTo := eng.InterfGain(c.From, int(m.to)), eng.InterfGain(c.To, int(m.from))
+			m.dataSum += float64(rec.fromMW * gFrom)
+			m.ackSum += float64(rec.toMW * gTo)
+			rec.dataSum += float64(m.fromMW * gTo)
+			rec.ackSum += float64(m.toMW * gFrom)
 		}
 	}
 	s.links = append(s.links, rec)
@@ -310,20 +294,26 @@ type TentativeSlot struct {
 	failed []int
 }
 
-// Init (re-)binds t to engine e as an empty slot with no Mark outstanding
-// (see SlotState.Init).
-func (t *TentativeSlot) Init(e Engine, dataOnly bool) {
-	t.SlotState.Init(e, dataOnly)
-	t.busy = nil // e may model another node count; Outcomes sizes it anew
+// Init (re-)binds t to the dense channel ch as an empty slot with no Mark
+// outstanding (see SlotState.Init). A handshake slot always tests both
+// sub-slots.
+func (t *TentativeSlot) Init(ch *Channel) {
+	t.SlotState.Init(ch, false)
+	t.busy = nil // ch may model another node count; Outcomes sizes it anew
 	t.marked = -1
 }
 
-// Add inserts c into the slot (see SlotState.Add) and counts its endpoints.
-func (t *TentativeSlot) Add(c Candidate) {
-	t.SlotState.Add(c)
+// Add inserts l into the slot (see SlotState.Add) and counts its endpoints.
+// The slot holds the dense channel, so it computes l's candidate from the
+// matrix directly, the products NewCandidate takes through the Engine
+// interface: the protocol loop re-admits a link at every step of a phase.
+func (t *TentativeSlot) Add(l Link) {
+	ch := t.ch
+	g := ch.Gain(l.From, l.To)
+	t.SlotState.Add(Candidate{Link: l, DataMW: float64(ch.txPowerMW[l.From] * g), AckMW: float64(ch.txPowerMW[l.To] * g)})
 	if t.busy != nil {
-		t.busy[c.From]++
-		t.busy[c.To]++
+		t.busy[l.From]++
+		t.busy[l.To]++
 	}
 }
 
@@ -406,9 +396,9 @@ func (t *TentativeSlot) Outcomes() []bool {
 	out := t.out[:k]
 	dataOK := t.dataOK[:k]
 	t.failed = t.failed[:0]
-	beta, noise := t.beta, t.noise
+	beta, noise, ch := t.beta, t.noise, t.ch
 	if t.busy == nil {
-		t.busy = make([]int32, t.eng.NumNodes())
+		t.busy = make([]int32, ch.NumNodes())
 		for _, l := range t.links {
 			t.busy[l.from]++
 			t.busy[l.to]++
@@ -428,7 +418,7 @@ func (t *TentativeSlot) Outcomes() []bool {
 
 	// ACK sub-slot: links whose data was not decoded stay silent, so their
 	// contribution is deducted from the running all-receivers sums.
-	ch, eng := t.ch, t.eng
+	g, n := ch.gain, len(ch.txPowerMW)
 	for i := range t.links {
 		l := &t.links[i]
 		if !dataOK[i] {
@@ -436,17 +426,11 @@ func (t *TentativeSlot) Outcomes() []bool {
 			continue
 		}
 		ackInterf := l.ackSum
-		if ch != nil {
-			// g(f.To, l.From) is, by symmetry, in row l.From.
-			g, fromRow := ch.gain, int(l.from)*len(ch.txPowerMW)
-			for _, j := range t.failed {
-				f := &t.links[j]
-				ackInterf -= float64(f.toMW * g[fromRow+int(f.to)])
-			}
-		} else {
-			for _, j := range t.failed {
-				ackInterf -= eng.InterfMW(int(t.links[j].to), int(l.from))
-			}
+		// g(f.To, l.From) is, by symmetry, in row l.From.
+		fromRow := int(l.from) * n
+		for _, j := range t.failed {
+			f := &t.links[j]
+			ackInterf -= float64(f.toMW * g[fromRow+int(f.to)])
 		}
 		out[i] = l.ackMW >= beta*(noise+ackInterf)
 	}

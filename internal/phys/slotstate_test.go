@@ -6,6 +6,7 @@ package phys
 // add/rollback sequences, and Mark/Rollback must restore state exactly.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -46,7 +47,7 @@ func newSlotState(c *Channel) *SlotState {
 // newTentativeSlot returns an empty tentative slot bound to channel c.
 func newTentativeSlot(c *Channel) *TentativeSlot {
 	s := new(TentativeSlot)
-	s.Init(c, false)
+	s.Init(c)
 	return s
 }
 
@@ -104,7 +105,7 @@ func TestSlotStateAddRemoveMatchesFeasibleSet(t *testing.T) {
 					trial, op, l, got, mirror, want)
 			}
 			if got {
-				st.Add(NewCandidate(ch, l))
+				st.Add(l)
 				mirror = append(mirror, l)
 				agreeAdds++
 			} else {
@@ -158,7 +159,7 @@ func TestSlotStateOutcomesMatchHandshake(t *testing.T) {
 					a := rng.Intn(19)
 					l = Link{a, a + 1}
 				}
-				st.Add(NewCandidate(ch, l))
+				st.Add(l)
 				mirror = append(mirror, l)
 			}
 			got := st.Outcomes()
@@ -190,8 +191,8 @@ func TestSlotStateMarkRollback(t *testing.T) {
 		st := newTentativeSlot(ch)
 		for op := 0; op < 6; op++ {
 			a := rng.Intn(23)
-			if c := NewCandidate(ch, Link{a, a + 1}); st.CanAdd(c) {
-				st.Add(c)
+			if l := (Link{a, a + 1}); st.CanAdd(NewCandidate(ch, l)) {
+				st.Add(l)
 			}
 		}
 		wantLinks := st.AppendLinks(nil)
@@ -199,7 +200,7 @@ func TestSlotStateMarkRollback(t *testing.T) {
 
 		st.Mark()
 		for op := 0; op < 5; op++ {
-			st.Add(NewCandidate(ch, randomLink(rng, 24))) // unvetted: conflicts welcome
+			st.Add(randomLink(rng, 24)) // unvetted: conflicts welcome
 		}
 		st.Outcomes() // force lazy conflict-count state into existence
 		st.Rollback()
@@ -242,27 +243,94 @@ func TestSlotStateMarkRollback(t *testing.T) {
 // returns the dense engine's exact values.
 type opaqueEngine struct{ Engine }
 
+// slotPair is a dense-path and an interface-path SlotState over the same
+// exact values, driven through the same operations.
+type slotPair struct {
+	ch           *Channel
+	opaque       opaqueEngine
+	dense, iface SlotState
+
+	admits, rejects, unvetted, resets int // what the fuzz exercised
+}
+
+func newSlotPair(ch *Channel) *slotPair {
+	return &slotPair{ch: ch, opaque: opaqueEngine{ch}}
+}
+
+// init binds both states afresh.
+func (p *slotPair) init(t *testing.T, dataOnly bool) {
+	t.Helper()
+	p.dense.Init(p.ch, dataOnly)
+	p.iface.Init(p.opaque, dataOnly)
+	if p.dense.ch == nil || p.iface.ch != nil {
+		t.Fatal("the states do not take the two different paths")
+	}
+}
+
+// step applies one operation to both states, picked by r in [0, 16): a
+// CanAdd-gated Add when r < 12, an unvetted Add when r < 14 and a Reset
+// otherwise. It fails unless their answers agree and their records are identical, bit
+// for bit: the interface path's one-pass early exits may skip work, never
+// change an answer or a sum.
+func (p *slotPair) step(t *testing.T, what string, l Link, r int) {
+	t.Helper()
+	switch {
+	case r < 12:
+		got, want := p.iface.CanAdd(NewCandidate(p.opaque, l)), p.dense.CanAdd(NewCandidate(p.ch, l))
+		if got != want {
+			t.Fatalf("%s: CanAdd(%v) = %v on the interface path, %v on the dense path (slot %v)",
+				what, l, got, want, p.dense.AppendLinks(nil))
+		}
+		if got {
+			p.iface.Add(NewCandidate(p.opaque, l))
+			p.dense.Add(NewCandidate(p.ch, l))
+			p.admits++
+		} else if l.From != l.To && p.dense.Len() > 0 && !slices.ContainsFunc(p.dense.AppendLinks(nil), l.SharesEndpoint) {
+			p.rejects++
+		}
+	case r < 14: // unvetted: conflicts, self loops and hopeless links welcome
+		p.iface.Add(NewCandidate(p.opaque, l))
+		p.dense.Add(NewCandidate(p.ch, l))
+		p.unvetted++
+	default:
+		p.iface.Reset()
+		p.dense.Reset()
+		p.resets++
+	}
+	if len(p.iface.links) != len(p.dense.links) {
+		t.Fatalf("%s: %d links on the interface path, %d on the dense path", what, len(p.iface.links), len(p.dense.links))
+	}
+	for i := range p.dense.links {
+		if !sameRecord(p.iface.links[i], p.dense.links[i]) {
+			t.Fatalf("%s: record[%d] = %+v on the interface path, %+v on the dense path",
+				what, i, p.iface.links[i], p.dense.links[i])
+		}
+	}
+}
+
+// exercised fails unless the fuzz admitted, rejected on SINR alone, added
+// unvetted and reset.
+func (p *slotPair) exercised(t *testing.T, what string) {
+	t.Helper()
+	if p.admits == 0 || p.rejects == 0 || p.unvetted == 0 || p.resets == 0 {
+		t.Fatalf("%s: fuzz did not exercise every path: %d admits, %d SINR rejects, %d unvetted adds, %d resets",
+			what, p.admits, p.rejects, p.unvetted, p.resets)
+	}
+	t.Logf("%s: %d admits, %d SINR rejects, %d unvetted adds, %d resets agreed", what, p.admits, p.rejects, p.unvetted, p.resets)
+}
+
 // TestSlotStateEnginePathMatchesDense drives a dense-path and an
 // interface-path SlotState over the same exact values through the same
-// random sequences of CanAdd, unvetted Add, Mark, Rollback, Outcomes and
-// Reset, with and without the ACK inequality. The two must give the same
-// CanAdd answers and Outcomes vectors and hold bit-identical records after
-// every step: the interface path's reordered tests and prefix early exits
-// may skip work, never change an answer or a sum.
+// random sequences of CanAdd, unvetted Add and Reset on a line, with and
+// without the ACK inequality. The two must give the same CanAdd answers and
+// hold bit-identical records after every step.
 func TestSlotStateEnginePathMatchesDense(t *testing.T) {
 	ch := lineChannel(t, 24, 35, 20)
-	opaque := opaqueEngine{ch}
 	for _, dataOnly := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(61))
-		var dense, iface TentativeSlot
-		admits, sinrRejects, rollbacks, failedOutcomes := 0, 0, 0, 0
+		p := newSlotPair(ch)
 		for trial := 0; trial < 400; trial++ {
-			dense.Init(ch, dataOnly)
-			iface.Init(opaque, dataOnly)
-			if dense.ch == nil || iface.ch != nil {
-				t.Fatal("the states do not take the two different paths")
-			}
-			marked := -1 // Len at the outstanding Mark
+			p.init(t, dataOnly)
 			for op := 0; op < 40; op++ {
 				var l Link
 				if rng.Intn(3) > 0 {
@@ -274,132 +342,32 @@ func TestSlotStateEnginePathMatchesDense(t *testing.T) {
 				} else {
 					l = randomLink(rng, 24)
 				}
-				switch r := rng.Intn(20); {
-				case r < 12:
-					got, want := iface.CanAdd(NewCandidate(opaque, l)), dense.CanAdd(NewCandidate(ch, l))
-					if got != want {
-						t.Fatalf("dataOnly=%v trial %d op %d: CanAdd(%v) = %v on the interface path, %v on the dense path (slot %v)",
-							dataOnly, trial, op, l, got, want, dense.AppendLinks(nil))
-					}
-					if got {
-						iface.Add(NewCandidate(opaque, l))
-						dense.Add(NewCandidate(ch, l))
-						admits++
-					} else if l.From != l.To && dense.Len() > 0 && !slices.ContainsFunc(dense.AppendLinks(nil), l.SharesEndpoint) {
-						sinrRejects++
-					}
-				case r < 14: // unvetted: conflicts, self loops and hopeless links welcome
-					iface.Add(NewCandidate(opaque, l))
-					dense.Add(NewCandidate(ch, l))
-				case r < 16:
-					iface.Mark()
-					dense.Mark()
-					marked = dense.Len()
-				case r < 18:
-					if marked >= 0 {
-						iface.Rollback()
-						dense.Rollback()
-						rollbacks++
-					}
-				case r < 19:
-					got, want := iface.Outcomes(), dense.Outcomes()
-					if !slices.Equal(got, want) {
-						t.Fatalf("dataOnly=%v trial %d op %d: Outcomes %v on the interface path, %v on the dense path (slot %v)",
-							dataOnly, trial, op, got, want, dense.AppendLinks(nil))
-					}
-					if slices.Contains(want, false) {
-						failedOutcomes++
-					}
-				default:
-					iface.Reset()
-					dense.Reset()
-					marked = -1
-				}
-				if len(iface.links) != len(dense.links) {
-					t.Fatalf("dataOnly=%v trial %d op %d: %d links on the interface path, %d on the dense path",
-						dataOnly, trial, op, len(iface.links), len(dense.links))
-				}
-				for i := range dense.links {
-					if !sameRecord(iface.links[i], dense.links[i]) {
-						t.Fatalf("dataOnly=%v trial %d op %d: record[%d] = %+v on the interface path, %+v on the dense path",
-							dataOnly, trial, op, i, iface.links[i], dense.links[i])
-					}
-				}
+				p.step(t, fmt.Sprintf("dataOnly=%v trial %d op %d", dataOnly, trial, op), l, rng.Intn(16))
 			}
 		}
-		if admits == 0 || sinrRejects == 0 || rollbacks == 0 || failedOutcomes == 0 {
-			t.Fatalf("dataOnly=%v: fuzz did not exercise every path: %d admits, %d SINR rejects, %d rollbacks, %d failing outcomes",
-				dataOnly, admits, sinrRejects, rollbacks, failedOutcomes)
-		}
-		t.Logf("dataOnly=%v: %d admits, %d SINR rejects, %d rollbacks, %d failing outcomes agreed",
-			dataOnly, admits, sinrRejects, rollbacks, failedOutcomes)
+		p.exercised(t, fmt.Sprintf("dataOnly=%v", dataOnly))
 	}
 }
 
 // TestSlotStateDenseMatchesEngineDeployments drives a dense-path and an
-// interface-path TentativeSlot through the same random CanAdd, unvetted
-// Add, Mark/Rollback and Outcomes sequences on grid, heterogeneous-power
-// and shadowed deployments. The dense path reads both directions of a pair
-// from the candidate's gain rows and the members' powers from their
-// records; with unequal powers a swapped power or a transposed read changes
-// a sum, which the bit-for-bit record comparison catches.
+// interface-path SlotState through the same random CanAdd, unvetted Add and
+// Reset sequences on grid, heterogeneous-power and shadowed deployments. The
+// dense path reads both directions of a pair from the candidate's gain rows
+// and the interface path asks for two gains per member; both take the
+// members' powers from their records. With unequal powers a swapped power
+// or gain changes a sum, which the bit-for-bit record comparison catches.
 func TestSlotStateDenseMatchesEngineDeployments(t *testing.T) {
 	const n = 25
 	rng := rand.New(rand.NewSource(67))
 	for _, d := range testDeployments(n, 5) {
-		ch := d.channel(t)
-		opaque := opaqueEngine{ch}
-		var dense, iface TentativeSlot
-		admits, failed := 0, 0
+		p := newSlotPair(d.channel(t))
 		for trial := 0; trial < 150; trial++ {
-			dense.Init(ch, false)
-			iface.Init(opaque, false)
-			marked := false
+			p.init(t, false)
 			for op := 0; op < 30; op++ {
-				l := randomLink(rng, n)
-				switch r := rng.Intn(10); {
-				case r < 5:
-					got, want := iface.CanAdd(NewCandidate(opaque, l)), dense.CanAdd(NewCandidate(ch, l))
-					if got != want {
-						t.Fatalf("%s trial %d op %d: CanAdd(%v) = %v on the interface path, %v dense", d.name, trial, op, l, got, want)
-					}
-					if got {
-						iface.Add(NewCandidate(opaque, l))
-						dense.Add(NewCandidate(ch, l))
-						admits++
-					}
-				case r < 7:
-					iface.Add(NewCandidate(opaque, l))
-					dense.Add(NewCandidate(ch, l))
-				case r < 8:
-					iface.Mark()
-					dense.Mark()
-					marked = true
-				case r < 9:
-					if marked {
-						iface.Rollback()
-						dense.Rollback()
-					}
-				default:
-					got, want := iface.Outcomes(), dense.Outcomes()
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s trial %d op %d: Outcomes %v on the interface path, %v dense", d.name, trial, op, got, want)
-					}
-					if slices.Contains(want, false) {
-						failed++
-					}
-				}
-				for i := range dense.links {
-					if !sameRecord(iface.links[i], dense.links[i]) {
-						t.Fatalf("%s trial %d op %d: record[%d] = %+v on the interface path, %+v dense",
-							d.name, trial, op, i, iface.links[i], dense.links[i])
-					}
-				}
+				p.step(t, fmt.Sprintf("%s trial %d op %d", d.name, trial, op), randomLink(rng, n), rng.Intn(16))
 			}
 		}
-		if admits == 0 || failed == 0 {
-			t.Fatalf("%s: %d admits, %d failing outcomes; the fuzz must exercise both", d.name, admits, failed)
-		}
+		p.exercised(t, d.name)
 	}
 }
 
@@ -408,6 +376,7 @@ func TestSlotStateDenseMatchesEngineDeployments(t *testing.T) {
 func sameRecord(a, b slotLink) bool {
 	bits := math.Float64bits
 	return a.link() == b.link() && bits(a.dataMW) == bits(b.dataMW) && bits(a.ackMW) == bits(b.ackMW) &&
+		bits(a.fromMW) == bits(b.fromMW) && bits(a.toMW) == bits(b.toMW) &&
 		bits(a.dataSum) == bits(b.dataSum) && bits(a.ackSum) == bits(b.ackSum)
 }
 

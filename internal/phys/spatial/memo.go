@@ -12,9 +12,9 @@ import (
 // and a log-distance gain — although a run's schedule builds ask for the
 // same few thousand node pairs over and over on a deployment that rarely
 // changes. A Memo computes each unordered pair's gain once, stores it, and
-// answers SignalMW, InterfMW and Gain as txPowerMW[u] times the stored gain:
-// the very expression the Index evaluates, so every answer is bit-identical
-// to the Index's own.
+// answers Gain and InterfGain from the stored gain: the very expression the
+// Index evaluates, so every answer is bit-identical to the Index's own and,
+// like it, the same for both orders of a pair.
 //
 // The Memo owns the gains, not the Index: the Index keeps no lazy state, so
 // its concurrent-reader contract and its MemoryBytes are unchanged, while a
@@ -87,6 +87,9 @@ func (m *Memo) NoiseMW() float64 { return m.x.noiseMW }
 // Beta implements phys.Engine.
 func (m *Memo) Beta() float64 { return m.x.beta }
 
+// TxPowerMW implements phys.Engine.
+func (m *Memo) TxPowerMW(u int) float64 { return m.x.txPowerMW[u] }
+
 // Gain implements phys.Engine: Index.Gain, from the cache.
 func (m *Memo) Gain(u, v int) float64 {
 	x := m.x
@@ -99,22 +102,10 @@ func (m *Memo) Gain(u, v int) float64 {
 	return x.Gain(u, v)
 }
 
-// SignalMW implements phys.Engine: Index.SignalMW, from the cache.
-func (m *Memo) SignalMW(u, v int) float64 {
-	x := m.x
-	if u == v || x.removed[u] || x.removed[v] {
-		return 0
-	}
-	if g := m.gain(u, v); g != beyondCutoff {
-		return x.txPowerMW[u] * g
-	}
-	return x.SignalMW(u, v)
-}
-
-// InterfMW implements phys.Engine: Index.InterfMW, with the near-field
+// InterfGain implements phys.Engine: Index.InterfGain, with the near-field
 // branch's hypot and gain read from the cache. Far-field pairs take the
 // bucket cap as before and are never cached.
-func (m *Memo) InterfMW(u, v int) float64 {
+func (m *Memo) InterfGain(u, v int) float64 {
 	x := m.x
 	if u == v || x.removed[u] || x.removed[v] {
 		return 0
@@ -128,13 +119,12 @@ func (m *Memo) InterfMW(u, v int) float64 {
 		dy = -dy
 	}
 	if ub := x.gainUB[int(dy)*x.nx+int(dx)]; ub != nearSentinel {
-		return x.txPowerMW[u] * ub
+		return ub
 	}
-	g := m.gain(u, v)
-	if g == beyondCutoff {
-		return x.txPowerMW[u] * x.gainAtCutoff
+	if g := m.gain(u, v); g != beyondCutoff {
+		return g
 	}
-	return x.txPowerMW[u] * g
+	return x.gainAtCutoff
 }
 
 // MoveNode moves node u in the Index and invalidates every cached gain of

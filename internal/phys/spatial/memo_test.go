@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,9 +12,10 @@ import (
 
 // TestMemoMatchesIndex runs a memo and a bare Index over the same random
 // deployment through one random sequence of moves, removals, restorations
-// and queries. Every SignalMW, InterfMW and Gain must agree bit for bit,
-// queried in both orders of each pair: the memo's gains are the Index's own,
-// and a move must leave no stale one behind. The queries favour a few hot
+// and queries. Every Gain and InterfGain must agree bit for bit, queried in
+// both orders of each pair: the memo's gains are the Index's own, a move
+// must leave no stale one behind, and on both engines each pair's gains are
+// symmetric with InterfGain >= Gain (assertPairSymmetric). The queries favour a few hot
 // nodes, so most of them hit the cache, and the deployment is dense enough
 // that the table grows (dropping stale entries) and the stamp clock wraps.
 func TestMemoMatchesIndex(t *testing.T) {
@@ -49,17 +51,17 @@ func TestMemoMatchesIndex(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	check := func(step, u, v int) {
 		t.Helper()
-		for _, p := range [2][2]int{{u, v}, {v, u}} {
-			a, b := p[0], p[1]
-			if g, w := m.Gain(a, b), bare.Gain(a, b); !same(g, w) {
-				t.Fatalf("step %d: Gain(%d, %d) = %v, index %v", step, a, b, g, w)
-			}
-			if g, w := m.SignalMW(a, b), bare.SignalMW(a, b); !same(g, w) {
-				t.Fatalf("step %d: SignalMW(%d, %d) = %v, index %v", step, a, b, g, w)
-			}
-			if g, w := m.InterfMW(a, b), bare.InterfMW(a, b); !same(g, w) {
-				t.Fatalf("step %d: InterfMW(%d, %d) = %v, index %v", step, a, b, g, w)
-			}
+		what := fmt.Sprintf("step %d", step)
+		assertPairSymmetric(t, what, m, u, v)
+		assertPairSymmetric(t, what, bare, u, v)
+		if g, w := m.Gain(u, v), bare.Gain(u, v); !same(g, w) {
+			t.Fatalf("step %d: Gain(%d, %d) = %v, index %v", step, u, v, g, w)
+		}
+		if g, w := m.InterfGain(u, v), bare.InterfGain(u, v); !same(g, w) {
+			t.Fatalf("step %d: InterfGain(%d, %d) = %v, index %v", step, u, v, g, w)
+		}
+		if g, w := m.TxPowerMW(u), bare.TxPowerMW(u); !same(g, w) {
+			t.Fatalf("step %d: TxPowerMW(%d) = %v, index %v", step, u, g, w)
 		}
 	}
 	node := func() int {
@@ -173,9 +175,9 @@ func TestMemoHoldsLivePairs(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				g, w := m.InterfMW(u, v), bare.InterfMW(u, v)
+				g, w := m.InterfGain(u, v), bare.InterfGain(u, v)
 				if math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("round %d: InterfMW(%d, %d) = %v, index %v", round, u, v, g, w)
+					t.Fatalf("round %d: InterfGain(%d, %d) = %v, index %v", round, u, v, g, w)
 				}
 				if cu, cv := m.cell[u], m.cell[v]; u < v && bare.gainUB[int(abs32(cu.y-cv.y))*bare.nx+int(abs32(cu.x-cv.x))] == nearSentinel {
 					seen[[2]int{u, v}] = true

@@ -3,24 +3,25 @@
 // with O(n) state — per-node positions and powers, a bucket grid,
 // and a per-bucket-delta gain upper-bound table.
 //
-// Queries split by distance. Signal terms (the favorable side of each SINR
-// inequality) are always computed exactly from the path-loss model, so the
-// engine never flatters a link. Interference terms are exact for pairs
+// Gain queries split by use. Gain, which gives the signal terms (the
+// favorable side of each SINR inequality), is always computed exactly from
+// the path-loss model, so the engine never flatters a link. InterfGain,
+// which a sender's power takes into an interference sum, is exact for pairs
 // whose buckets can lie within the cutoff radius, and conservatively
-// over-estimated beyond it: the contribution of a transmitter at bucket
-// delta (dx, dy) is capped by the path-loss gain at the minimum possible
-// distance between the two buckets. Gain is monotone decreasing in
-// distance, so the cap is an upper bound — the engine may reject a slot the
-// exact model would admit, but every slot it admits is feasible under the
-// exact model (the conservativeness property TestSpatialConservativeVsDense
-// fuzzes).
+// over-estimated beyond it: the gain between buckets at delta (dx, dy) is
+// capped by the path-loss gain at the minimum possible distance between
+// them. Gain is monotone decreasing in distance, so the cap is an upper
+// bound — the engine may reject a slot the exact model would admit, but
+// every slot it admits is feasible under the exact model (the
+// conservativeness property TestSpatialConservativeVsDense fuzzes). Both
+// answers depend on the pair only, not its order.
 //
 // The far-field cap is what the decomposition results justify:
 // Halldórsson–Mitra (arXiv:1104.5200) show SINR scheduling decomposes
 // spatially, and Zhou et al. (arXiv:1208.0902) bound aggregate far-field
 // interference by distance rings — the bucket-delta table is exactly such a
-// ring bound, evaluated per pair as one table lookup and one multiply
-// instead of a hypot+pow.
+// ring bound, evaluated per pair as one table lookup instead of a
+// hypot+pow.
 //
 // An Index follows the Channel concurrency contract: no lazy state, so any
 // number of concurrent readers are safe; MoveNode/RemoveNode/RestoreNode
@@ -252,9 +253,13 @@ func (x *Index) NoiseMW() float64 { return x.noiseMW }
 // Beta implements phys.Engine.
 func (x *Index) Beta() float64 { return x.beta }
 
+// TxPowerMW implements phys.Engine.
+func (x *Index) TxPowerMW(u int) float64 { return x.txPowerMW[u] }
+
 // Gain implements phys.Engine: the exact path-loss gain between u and v
 // (0 for u == v and for silenced nodes, matching the dense channel after
-// RemoveNode).
+// RemoveNode), computed on demand. Signal terms are never approximated —
+// that is what keeps the engine's admissions feasible under the exact model.
 func (x *Index) Gain(u, v int) float64 {
 	if u == v || x.removed[u] || x.removed[v] {
 		return 0
@@ -262,23 +267,13 @@ func (x *Index) Gain(u, v int) float64 {
 	return x.pl.Gain(x.pos[u].Dist(x.pos[v]))
 }
 
-// SignalMW implements phys.Engine: the exact received power P_v(u),
-// computed on demand from the path-loss model. Signal terms are never
-// approximated — that is what keeps the engine's admissions feasible under
-// the exact model.
-func (x *Index) SignalMW(u, v int) float64 {
-	if u == v || x.removed[u] || x.removed[v] {
-		return 0
-	}
-	return x.txPowerMW[u] * x.pl.Gain(x.pos[u].Dist(x.pos[v]))
-}
-
-// InterfMW implements phys.Engine: an upper bound on node u's interference
-// contribution at node v. Pairs whose bucket delta can lie within the
-// cutoff radius are resolved exactly (capped at the cutoff gain when the
-// actual distance lands beyond it); farther pairs pay one table lookup —
-// the gain at the minimum distance their buckets allow.
-func (x *Index) InterfMW(u, v int) float64 {
+// InterfGain implements phys.Engine: an upper bound on the gain between u
+// and v, symmetric because both the bucket delta and the distance are.
+// Pairs whose bucket delta can lie within the cutoff radius are resolved
+// exactly (capped at the cutoff gain when the actual distance lands beyond
+// it); farther pairs pay one table lookup — the gain at the minimum
+// distance their buckets allow.
+func (x *Index) InterfGain(u, v int) float64 {
 	if u == v || x.removed[u] || x.removed[v] {
 		return 0
 	}
@@ -291,15 +286,14 @@ func (x *Index) InterfMW(u, v int) float64 {
 	if dy < 0 {
 		dy = -dy
 	}
-	ub := x.gainUB[dy*x.nx+dx]
-	if ub != nearSentinel {
-		return x.txPowerMW[u] * ub
+	if ub := x.gainUB[dy*x.nx+dx]; ub != nearSentinel {
+		return ub
 	}
 	d := x.pos[u].Dist(x.pos[v])
 	if d > x.cutoffM {
-		return x.txPowerMW[u] * x.gainAtCutoff
+		return x.gainAtCutoff
 	}
-	return x.txPowerMW[u] * x.pl.Gain(d)
+	return x.pl.Gain(d)
 }
 
 // MoveNode updates node u's position, rehashing it into its new bucket:
@@ -314,7 +308,7 @@ func (x *Index) MoveNode(u int, p geom.Point) error {
 	return nil
 }
 
-// RemoveNode silences node u: its gain, signal and interference all become
+// RemoveNode silences node u: its gains, exact and interference, all become
 // 0 — the spatial counterpart of Channel.RemoveNode. Idempotent. Requires
 // exclusive access.
 func (x *Index) RemoveNode(u int) error {

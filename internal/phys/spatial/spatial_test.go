@@ -229,7 +229,7 @@ func TestSpatialConcurrentReaders(t *testing.T) {
 			sink := 0.0
 			for u := 0; u < n; u++ {
 				for v := 0; v < n; v++ {
-					sink += idx.SignalMW(u, v) + idx.InterfMW(u, v) + idx.Gain(u, v)
+					sink += idx.TxPowerMW(u) + idx.InterfGain(u, v) + idx.Gain(u, v)
 				}
 			}
 			var st phys.SlotState
@@ -240,7 +240,7 @@ func TestSpatialConcurrentReaders(t *testing.T) {
 				}
 			}
 			if sink < 0 {
-				t.Errorf("reader %d: negative power sum %g", g, sink)
+				t.Errorf("reader %d: negative sum %g", g, sink)
 			}
 		}(g)
 	}

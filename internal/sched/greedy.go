@@ -216,8 +216,8 @@ func (b *Builder) ordered(p pass, links []phys.Link, demands []int, order []int)
 // data and the ACK transmission must clear beta against noise with no
 // interference. This is exactly Channel.FeasibleSet on a one-link set
 // (self-loops fail through their zero self-gain), phrased over the Engine
-// interface so any engine can answer it — and since SignalMW is exact on
-// every engine, all engines agree on it.
+// interface so any engine can answer it — and since a candidate's powers
+// come from the exact Gain on every engine, all engines agree on it.
 func singletonFeasible(ch phys.Engine, c phys.Candidate) bool {
 	floor := ch.Beta() * ch.NoiseMW()
 	return c.DataMW >= floor && c.AckMW >= floor

@@ -22,9 +22,10 @@ import (
 // The flow layer's slots carry one packet regardless of SNR, so the proxy
 // acts purely as a quality prior — at equal backlog, links with more SINR
 // headroom (which pack better into slots) are served first. SNR comes off
-// the engine's exact signal query, so every engine agrees on it.
+// the sender's power times the engine's exact gain, the link's candidate
+// DataMW, so every engine agrees on it.
 func LinkRate(ch phys.Engine, l phys.Link) float64 {
-	return math.Log2(1 + ch.SignalMW(l.From, l.To)/ch.NoiseMW())
+	return math.Log2(1 + float64(ch.TxPowerMW(l.From)*ch.Gain(l.From, l.To))/ch.NoiseMW())
 }
 
 // maxWeightOrder returns the indices of links in decreasing

@@ -66,7 +66,7 @@ func (s *Sample) Variance() float64 {
 	sum := 0.0
 	for _, x := range s.xs {
 		d := x - m
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(n-1)
 }
@@ -120,7 +120,7 @@ func ranks(p float64, n int) (lo, hi int, frac float64) {
 	if p >= 100 {
 		return n - 1, n - 1, 0
 	}
-	rank := p / 100 * float64(n-1)
+	rank := float64(p / 100 * float64(n-1))
 	lo = int(math.Floor(rank))
 	return lo, int(math.Ceil(rank)), rank - float64(lo)
 }
@@ -132,7 +132,7 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // less is sort.Float64s's order: ascending, NaNs first.

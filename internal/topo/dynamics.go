@@ -44,21 +44,17 @@ func (n *Network) dynamics() *dynState {
 
 // Clone returns a deep copy of the network that can be mutated freely
 // without affecting the original. Channel rows still pending a refresh stay
-// pending in the copy.
+// pending in the copy. The shadowing draw, which nothing writes after
+// Build, is shared.
 func (n *Network) Clone() *Network {
 	c := &Network{
-		Nodes:   append([]Node(nil), n.Nodes...),
-		Channel: n.Channel.Clone(),
-		Comm:    n.Comm.Clone(),
-		Sens:    n.Sens.Clone(),
-		Region:  n.Region,
-		Params:  n.Params,
-	}
-	if n.shadowDB != nil {
-		c.shadowDB = make([][]float64, len(n.shadowDB))
-		for i, row := range n.shadowDB {
-			c.shadowDB[i] = append([]float64(nil), row...)
-		}
+		Nodes:    append([]Node(nil), n.Nodes...),
+		Channel:  n.Channel.Clone(),
+		Comm:     n.Comm.Clone(),
+		Sens:     n.Sens.Clone(),
+		Region:   n.Region,
+		Params:   n.Params,
+		shadowDB: n.shadowDB,
 	}
 	if n.dyn != nil {
 		c.dyn = &dynState{
@@ -80,7 +76,7 @@ func (n *Network) IsDown(u int) bool {
 func (n *Network) pairGain(u, v int) float64 {
 	g := n.Params.PathLoss.Gain(n.Nodes[u].Pos.Dist(n.Nodes[v].Pos))
 	if n.shadowDB != nil {
-		g = phys.Shadowed(g, n.shadowDB[u][v])
+		g = phys.Shadowed(g, n.shadowDB[u*len(n.Nodes)+v])
 	}
 	return g
 }

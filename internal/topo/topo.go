@@ -64,10 +64,11 @@ type Network struct {
 	Params  Params
 
 	// shadowDB is the static symmetric per-pair log-normal shadowing draw in
-	// dB (nil without shadowing). It persists across node moves: shadowing
-	// models obstructions tied to the node pair, the standard static-shadowing
-	// assumption.
-	shadowDB [][]float64
+	// dB, row-major n×n (nil without shadowing). It persists across node
+	// moves: shadowing models obstructions tied to the node pair, the
+	// standard static-shadowing assumption. Nothing writes it after Build, so
+	// clones share it.
+	shadowDB []float64
 	// dyn is the per-node state topology dynamics keep; nil until the first
 	// SetNodeDown or MoveNode.
 	dyn *dynState
@@ -91,17 +92,14 @@ func Build(positions []geom.Point, txPowerMW []float64, region geom.Rect, p Para
 		return nil, fmt.Errorf("topo: shadowing requires an rng")
 	}
 
-	var shadow [][]float64
+	var shadow []float64
 	if p.ShadowSigmaDB > 0 {
-		shadow = make([][]float64, n)
-		for i := range shadow {
-			shadow[i] = make([]float64, n)
-		}
+		shadow = make([]float64, n*n)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				s := rng.NormFloat64() * p.ShadowSigmaDB
-				shadow[i][j] = s
-				shadow[j][i] = s
+				shadow[i*n+j] = s
+				shadow[j*n+i] = s
 			}
 		}
 	}
@@ -176,8 +174,8 @@ func UniformPositions(n int, region geom.Rect, rng *rand.Rand) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i] = geom.Point{
-			X: region.MinX + rng.Float64()*region.Width(),
-			Y: region.MinY + rng.Float64()*region.Height(),
+			X: region.MinX + float64(rng.Float64()*region.Width()),
+			Y: region.MinY + float64(rng.Float64()*region.Height()),
 		}
 	}
 	return pts
@@ -208,7 +206,7 @@ func HeterogeneousPower(n int, minDBm, maxDBm phys.DBm, rng *rand.Rand) []float6
 	pw := make([]float64, n)
 	span := float64(maxDBm - minDBm)
 	for i := range pw {
-		pw[i] = phys.DBm(float64(minDBm) + rng.Float64()*span).MilliWatts()
+		pw[i] = phys.DBm(float64(minDBm) + float64(rng.Float64()*span)).MilliWatts()
 	}
 	return pw
 }

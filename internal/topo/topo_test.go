@@ -59,6 +59,40 @@ func TestBuildAllocatesOneMatrix(t *testing.T) {
 	}
 }
 
+// TestCloneShadowedAllocatesOneMatrix: cloning a shadowed 16×16 grid copies
+// one n×n array, the channel's gains, and O(n) besides. The shadowing draw,
+// which nothing writes after Build, is shared, so the bound is
+// TestBuildAllocatesOneMatrix's: at most 8n² bytes plus 96 KB per clone.
+// Copying the draw row by row took 16n² and a row header each.
+func TestCloneShadowedAllocatesOneMatrix(t *testing.T) {
+	const side, n = 16, 16 * 16
+	p := DefaultParams()
+	p.ShadowSigmaDB = 6
+	net, err := NewGrid(GridConfig{Rows: side, Cols: side, Step: 30, Params: p}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.shadowDB == nil {
+		t.Fatal("the grid drew no shadowing")
+	}
+	var clone *Network
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			clone = net.Clone()
+		}
+	})
+	if clone.pairGain(0, 1) != net.pairGain(0, 1) {
+		t.Fatal("the clone's shadowed gain differs from its original's")
+	}
+	if got, limit := res.AllocedBytesPerOp(), int64(8*n*n+96<<10); got > limit {
+		t.Fatalf("Clone of a shadowed %dx%d grid allocates %d B in %d allocations, want at most %d (8n² + 96 KB)",
+			side, side, got, res.AllocsPerOp(), limit)
+	} else {
+		t.Logf("Clone of a shadowed %dx%d grid: %d B in %d allocations, 8n² = %d", side, side, got, res.AllocsPerOp(), 8*n*n)
+	}
+}
+
 func TestNewGridBasics(t *testing.T) {
 	net, err := NewGrid(GridConfig{Rows: 4, Cols: 4, Step: 30, Params: DefaultParams()}, nil)
 	if err != nil {

@@ -1,15 +1,21 @@
 #!/bin/sh
-# check_fma.sh — fail if the arm64 compiler fuses a multiply with an add or
-# subtract anywhere in scream/internal/phys. The Go spec lets a compiler
-# compute x*y + z with one rounding; amd64 never does, arm64 does, and a
-# fused site would let a received power, a gain or an admission sum differ
-# in the last bit from the amd64 value every reference output rests on. An
-# explicit float64(x*y) rounds the product on its own and keeps it unfused.
+# check_fma.sh — fail if a compiler fuses a multiply with an add or subtract
+# anywhere in the repo's own code. The Go spec lets a compiler compute
+# x*y + z with one rounding; amd64 never does, arm64, ppc64le, riscv64 and
+# s390x do, and a fused site would let a received power, a position, a
+# percentile or an admission sum differ in the last bit from the amd64 value
+# every reference output rests on. An explicit float64(x*y) rounds the
+# product on its own and keeps it unfused.
 #
-# It cross-compiles ./cmd/flowsim and the internal/phys test binary for
-# linux/arm64 with the local toolchain (nothing is downloaded) and searches
-# their disassembly for FMADD, FMSUB, FNMADD and FNMSUB in functions whose
-# symbol starts with scream/internal/phys (its subpackages included).
+# For each of those four architectures it cross-compiles the commands
+# (./cmd/...) and the internal/phys test binary for linux with the local
+# toolchain (nothing is downloaded), and searches the disassembly of every
+# function whose symbol starts with scream/ for the fused instructions:
+# FMADD, FMSUB, FNMADD and FNMSUB, with or without a D or S suffix, and on
+# s390x, whose disassembly names them in the machine's own syntax, MADBR,
+# MSDBR, MAEBR and MSEBR (and their storage-operand forms). The standard
+# library's own fused instructions (math.Log, math.Pow, ...) are outside the
+# search.
 #
 # Usage: scripts/check_fma.sh
 set -eu
@@ -17,24 +23,28 @@ set -eu
 out=$(mktemp -d) || exit 1
 trap 'rm -rf "$out"' EXIT
 
-GOOS=linux GOARCH=arm64 go build -o "$out/flowsim" ./cmd/flowsim
-GOOS=linux GOARCH=arm64 go test -c -o "$out/phys.test" ./internal/phys
-
 status=0
-for bin in "$out/flowsim" "$out/phys.test"; do
-    go tool objdump -s '^scream/internal/phys' "$bin" > "$out/dis"
-    if ! grep -q '^TEXT scream/internal/phys' "$out/dis"; then
-        echo "check_fma: no scream/internal/phys function in $(basename "$bin")" >&2
-        exit 1
-    fi
-    if ! awk '
-        /^TEXT/ { fn = $2 }
-        /[[:space:]](FMADD|FMSUB|FNMADD|FNMSUB)[DS]?[[:space:]]/ { print fn ": " $0; bad = 1 }
-        END { exit bad }
-    ' "$out/dis"; then
-        echo "check_fma: fused multiply-add in scream/internal/phys ($(basename "$bin")); round the product with float64(...)" >&2
-        status=1
-    fi
+for arch in arm64 ppc64le riscv64 s390x; do
+    mkdir "$out/$arch"
+    GOOS=linux GOARCH=$arch go build -o "$out/$arch/" ./cmd/...
+    GOOS=linux GOARCH=$arch go test -c -o "$out/$arch/phys.test" ./internal/phys
+    for bin in "$out/$arch"/*; do
+        name="$arch $(basename "$bin")"
+        go tool objdump -s '^scream/' "$bin" > "$out/dis"
+        if ! grep -q '^TEXT scream/' "$out/dis"; then
+            echo "check_fma: no scream/ function in $name" >&2
+            exit 1
+        fi
+        if ! awk -v name="$name" '
+            /^TEXT/ { fn = $2 }
+            /[[:space:]](FMADD|FMSUB|FNMADD|FNMSUB)[DS]?[[:space:]]/ ||
+            /[[:space:]](MADB|MSDB|MAEB|MSEB)R?[[:space:]]/ { print name ": " fn ": " $0; bad = 1 }
+            END { exit bad }
+        ' "$out/dis"; then
+            echo "check_fma: fused multiply-add in $name; round the product with float64(...)" >&2
+            status=1
+        fi
+    done
 done
-[ "$status" -eq 0 ] && echo "check_fma: no fused multiply-add in scream/internal/phys (arm64)"
+[ "$status" -eq 0 ] && echo "check_fma: no fused multiply-add in any scream/ function (arm64, ppc64le, riscv64, s390x)"
 exit "$status"
