@@ -58,9 +58,11 @@ func (r Rect) Diameter() float64 {
 	return math.Hypot(r.Width(), r.Height())
 }
 
-// Center returns the center point of r.
+// Center returns the center point of r. Halving compiles to a product with
+// 0.5, so each coordinate is rounded on its own: a caller that adds to it
+// gets the same bits on every architecture.
 func (r Rect) Center() Point {
-	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
+	return Point{float64((r.MinX + r.MaxX) / 2), float64((r.MinY + r.MaxY) / 2)}
 }
 
 // LatticePathHops returns the hop length of the upper/lower lattice paths

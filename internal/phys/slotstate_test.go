@@ -122,117 +122,189 @@ func TestSlotStateAddRemoveMatchesFeasibleSet(t *testing.T) {
 	}
 }
 
-// TestSlotStateOutcomesMatchHandshake fuzzes unconstrained adds —
-// conflicting, duplicate, self-loop and hopeless links included, the
-// protocol's tentative-admission pattern — with removals by Mark/Rollback,
-// and asserts Outcomes equals the naive HandshakeOutcome on the same set
-// after every mutation.
-func TestSlotStateOutcomesMatchHandshake(t *testing.T) {
-	ch := lineChannel(t, 20, 35, 20)
-	rng := rand.New(rand.NewSource(43))
-	removes := 0
-	for trial := 0; trial < 150; trial++ {
-		st := newTentativeSlot(ch)
-		var mirror []Link
-		marked := -1 // len(mirror) at the outstanding Mark
-		for op := 0; op < 25; op++ {
-			switch r := rng.Intn(6); {
-			case r == 0:
-				st.Mark()
-				marked = len(mirror)
-			case r == 1 && marked >= 0:
-				st.Rollback()
-				removes += len(mirror) - marked
-				mirror = mirror[:marked]
-			default:
-				var l Link
-				switch rng.Intn(5) {
-				case 0: // arbitrary, possibly hopeless or a self loop
-					l = randomLink(rng, 20)
-				case 1: // duplicate an existing member
-					if len(mirror) > 0 {
-						l = mirror[rng.Intn(len(mirror))]
-					} else {
-						l = randomLink(rng, 20)
-					}
-				default: // a plausible short link
-					a := rng.Intn(19)
-					l = Link{a, a + 1}
-				}
-				st.Add(l)
-				mirror = append(mirror, l)
-			}
-			got := st.Outcomes()
-			want := ch.HandshakeOutcome(mirror)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d op %d: %d outcomes for %d links", trial, op, len(got), len(mirror))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d op %d: outcome[%d] = %v, naive = %v, links = %v",
-						trial, op, i, got[i], want[i], mirror)
+// tentativeCase is a channel a TentativeSlot fuzz runs on, with the links it
+// draws as plausible: on the line, neighbours; on a deployment, every link
+// whose handshake succeeds alone.
+type tentativeCase struct {
+	name  string
+	ch    *Channel
+	short []Link
+}
+
+// tentativeCases returns a line of n nodes 35 m apart at 20 dBm, whose
+// endpoints all transmit at one power, and the grid, heterogeneous-power and
+// shadowed deployments of testDeployments, where a swapped power or a
+// member's wrong endpoint changes a sum.
+func tentativeCases(t *testing.T, n int) []tentativeCase {
+	t.Helper()
+	line := tentativeCase{name: "line", ch: lineChannel(t, n, 35, 20)}
+	for a := 0; a+1 < n; a++ {
+		line.short = append(line.short, Link{a, a + 1})
+	}
+	cases := []tentativeCase{line}
+	const m = 25
+	for _, d := range testDeployments(m, 5) {
+		c := tentativeCase{name: d.name, ch: d.channel(t)}
+		for u := 0; u < m; u++ {
+			for v := 0; v < m; v++ {
+				if l := (Link{u, v}); u != v && c.ch.HandshakeOutcome([]Link{l})[0] {
+					c.short = append(c.short, l)
 				}
 			}
 		}
+		if len(c.short) == 0 {
+			t.Fatalf("%s: no link succeeds alone", d.name)
+		}
+		cases = append(cases, c)
 	}
-	if removes == 0 {
-		t.Fatal("fuzz never rolled back an admitted link")
+	return cases
+}
+
+// assertSlotRecords fails unless st holds, bit for bit, the records a plain
+// SlotState builds from links with NewCandidate, added in the same order:
+// TentativeSlot.Add computes a candidate from the matrix itself, and a
+// rolled-back slot must hold the sums its remaining adds produced.
+func assertSlotRecords(t *testing.T, what string, ch *Channel, st *TentativeSlot, links []Link) {
+	t.Helper()
+	ref := newSlotState(ch)
+	for _, l := range links {
+		ref.Add(NewCandidate(ch, l))
+	}
+	if len(st.links) != len(ref.links) {
+		t.Fatalf("%s: %d records, want %d", what, len(st.links), len(ref.links))
+	}
+	for i := range ref.links {
+		if !sameRecord(st.links[i], ref.links[i]) {
+			t.Fatalf("%s: record[%d] = %+v, SlotState.Add(NewCandidate) writes %+v", what, i, st.links[i], ref.links[i])
+		}
+	}
+}
+
+// TestSlotStateOutcomesMatchHandshake fuzzes unconstrained adds —
+// conflicting, duplicate, self-loop and hopeless links included, the
+// protocol's tentative-admission pattern — with removals by Mark/Rollback,
+// on a line and on grid, heterogeneous-power and shadowed deployments. After
+// every mutation Outcomes must equal the naive HandshakeOutcome on the same
+// set, and the records must be the ones SlotState.Add(NewCandidate) writes.
+func TestSlotStateOutcomesMatchHandshake(t *testing.T) {
+	for _, tc := range tentativeCases(t, 20) {
+		ch, n := tc.ch, tc.ch.NumNodes()
+		rng := rand.New(rand.NewSource(43))
+		removes, succeeded, failed := 0, 0, 0
+		for trial := 0; trial < 150; trial++ {
+			st := newTentativeSlot(ch)
+			var mirror []Link
+			marked := -1 // len(mirror) at the outstanding Mark
+			for op := 0; op < 25; op++ {
+				switch r := rng.Intn(6); {
+				case r == 0:
+					st.Mark()
+					marked = len(mirror)
+				case r == 1 && marked >= 0:
+					st.Rollback()
+					removes += len(mirror) - marked
+					mirror = mirror[:marked]
+				default:
+					var l Link
+					switch rng.Intn(5) {
+					case 0: // arbitrary, possibly hopeless or a self loop
+						l = randomLink(rng, n)
+					case 1: // duplicate an existing member
+						if len(mirror) > 0 {
+							l = mirror[rng.Intn(len(mirror))]
+						} else {
+							l = randomLink(rng, n)
+						}
+					default: // a plausible link
+						l = tc.short[rng.Intn(len(tc.short))]
+					}
+					st.Add(l)
+					mirror = append(mirror, l)
+				}
+				what := fmt.Sprintf("%s trial %d op %d", tc.name, trial, op)
+				assertSlotRecords(t, what, ch, st, mirror)
+				got := st.Outcomes()
+				want := ch.HandshakeOutcome(mirror)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d outcomes for %d links", what, len(got), len(mirror))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: outcome[%d] = %v, naive = %v, links = %v",
+							what, i, got[i], want[i], mirror)
+					}
+					if want[i] {
+						succeeded++
+					} else {
+						failed++
+					}
+				}
+			}
+		}
+		if removes == 0 || succeeded == 0 || failed == 0 {
+			t.Fatalf("%s: fuzz did not exercise every path: %d removes, %d successes, %d failures",
+				tc.name, removes, succeeded, failed)
+		}
 	}
 }
 
 // TestSlotStateMarkRollback: Rollback must restore the exact pre-Mark state
 // — the link records with their signals and bit-identical interference
 // sums, and endpoint occupancy — no matter what was tentatively admitted in
-// between.
+// between, on a line and on grid, heterogeneous-power and shadowed
+// deployments.
 func TestSlotStateMarkRollback(t *testing.T) {
-	ch := lineChannel(t, 24, 35, 20)
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 100; trial++ {
-		st := newTentativeSlot(ch)
-		for op := 0; op < 6; op++ {
-			a := rng.Intn(23)
-			if l := (Link{a, a + 1}); st.CanAdd(NewCandidate(ch, l)) {
-				st.Add(l)
-			}
-		}
-		wantLinks := st.AppendLinks(nil)
-		want := append([]slotLink(nil), st.links...)
-
-		st.Mark()
-		for op := 0; op < 5; op++ {
-			st.Add(randomLink(rng, 24)) // unvetted: conflicts welcome
-		}
-		st.Outcomes() // force lazy conflict-count state into existence
-		st.Rollback()
-
-		if len(st.links) != len(want) {
-			t.Fatalf("trial %d: %d links after rollback, want %d", trial, len(st.links), len(want))
-		}
-		for i, w := range want {
-			if got := st.links[i]; !sameRecord(got, w) {
-				t.Fatalf("trial %d: record[%d] = %+v after rollback, want exactly %+v", trial, i, got, w)
-			}
-		}
-		for u, c := range st.busy {
-			want := int32(0)
-			for _, l := range wantLinks {
-				if l.From == u {
-					want++
-				}
-				if l.To == u {
-					want++
+	for _, tc := range tentativeCases(t, 24) {
+		ch, n := tc.ch, tc.ch.NumNodes()
+		rng := rand.New(rand.NewSource(53))
+		for trial := 0; trial < 100; trial++ {
+			what := fmt.Sprintf("%s trial %d", tc.name, trial)
+			st := newTentativeSlot(ch)
+			for op := 0; op < 6; op++ {
+				if l := tc.short[rng.Intn(len(tc.short))]; st.CanAdd(NewCandidate(ch, l)) {
+					st.Add(l)
 				}
 			}
-			if c != want {
-				t.Fatalf("trial %d: busy[%d] = %d after rollback, want %d", trial, u, c, want)
+			wantLinks := st.AppendLinks(nil)
+			assertSlotRecords(t, what, ch, st, wantLinks)
+			want := append([]slotLink(nil), st.links...)
+
+			st.Mark()
+			for op := 0; op < 5; op++ {
+				st.Add(randomLink(rng, n)) // unvetted: conflicts welcome
 			}
-		}
-		// And the rolled-back state keeps agreeing with the reference.
-		out := st.Outcomes()
-		naive := ch.HandshakeOutcome(wantLinks)
-		for i := range naive {
-			if out[i] != naive[i] {
-				t.Fatalf("trial %d: outcome[%d] diverged after rollback", trial, i)
+			st.Outcomes() // force lazy conflict-count state into existence
+			st.Rollback()
+
+			if len(st.links) != len(want) {
+				t.Fatalf("%s: %d links after rollback, want %d", what, len(st.links), len(want))
+			}
+			for i, w := range want {
+				if got := st.links[i]; !sameRecord(got, w) {
+					t.Fatalf("%s: record[%d] = %+v after rollback, want exactly %+v", what, i, got, w)
+				}
+			}
+			for u, c := range st.busy {
+				want := int32(0)
+				for _, l := range wantLinks {
+					if l.From == u {
+						want++
+					}
+					if l.To == u {
+						want++
+					}
+				}
+				if c != want {
+					t.Fatalf("%s: busy[%d] = %d after rollback, want %d", what, u, c, want)
+				}
+			}
+			// And the rolled-back state keeps agreeing with the reference.
+			out := st.Outcomes()
+			naive := ch.HandshakeOutcome(wantLinks)
+			for i := range naive {
+				if out[i] != naive[i] {
+					t.Fatalf("%s: outcome[%d] diverged after rollback", what, i)
+				}
 			}
 		}
 	}

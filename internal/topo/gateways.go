@@ -40,9 +40,7 @@ func GatewaysNearPoints(net *Network, targets []geom.Point) ([]int, error) {
 // (64 nodes, 4 gateways, Section VI-A).
 func QuadrantGateways(net *Network) ([]int, error) {
 	r := net.Region
-	// Halving compiles to a product with 0.5: round the center on its own,
-	// so no compiler fuses it into the sums below.
-	cx, cy := float64(r.Center().X), float64(r.Center().Y)
+	cx, cy := r.Center().X, r.Center().Y
 	qx1, qx2 := (r.MinX+cx)/2, (cx+r.MaxX)/2
 	qy1, qy2 := (r.MinY+cy)/2, (cy+r.MaxY)/2
 	return GatewaysNearPoints(net, []geom.Point{
