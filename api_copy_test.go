@@ -9,6 +9,7 @@ package scream
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -154,5 +155,50 @@ func TestMeshCloneRunEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("clone run diverged:\n got %+v\nwant %+v", b, a)
+	}
+}
+
+// TestConcurrentRunsShareMesh runs RunWith concurrently on one shared mesh,
+// the daemon's preloaded-scenario path, with specs that differ in scheduler
+// (greedy, FDD, TDMA) and in dynamics (static, or churn plus waypoint
+// mobility). Each result must equal the same spec's run on a private mesh:
+// a run writes nothing it shares. Under -race the test also catches a
+// shared write that no result happens to show.
+func TestConcurrentRunsShareMesh(t *testing.T) {
+	var specs []ScenarioSpec
+	for _, sched := range []string{"greedy", "fdd", "tdma"} {
+		spec := flowTestSpec(sched)
+		specs = append(specs, spec)
+		spec.Dynamics = &DynamicsSpec{FailRate: 2, MeanDowntimeSec: 0.1,
+			Mobility: "waypoint", SpeedMps: 8, MoveIntervalSec: 0.05}
+		specs = append(specs, spec)
+	}
+	want := make([]*FlowResult, len(specs))
+	for i, spec := range specs {
+		var err error
+		if want[i], err = RunWith(context.Background(), spec, RunOptions{Mesh: flowTestMesh(t)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := flowTestMesh(t)
+	got := make([]*FlowResult, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = RunWith(context.Background(), spec, RunOptions{Mesh: shared})
+		}()
+	}
+	wg.Wait()
+	for i, spec := range specs {
+		if errs[i] != nil {
+			t.Fatalf("%s (dynamics %v): %v", spec.Scheduler, spec.Dynamics != nil, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s (dynamics %v): run on the shared mesh diverged from a private one:\n got %+v\nwant %+v",
+				spec.Scheduler, spec.Dynamics != nil, got[i], want[i])
+		}
 	}
 }

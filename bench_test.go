@@ -464,7 +464,7 @@ func BenchmarkMaxWeightSchedule64(b *testing.B) {
 	demands := benchDemands64(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.GreedyMaxWeight(m.Network.Channel, m.Links, demands); err != nil {
+		if _, err := new(sched.Builder).GreedyMaxWeight(m.Network.Channel, m.Links, demands); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -481,7 +481,7 @@ func BenchmarkFanZhangSchedule64(b *testing.B) {
 	demands := benchDemands64(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.ApproxFanZhang(m.Network.Channel, m.Links, demands); err != nil {
+		if _, err := new(sched.Builder).ApproxFanZhang(m.Network.Channel, m.Links, demands); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func AblationPDDProbability(opts Options) (*stats.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		imp, res, err := RunProtocol(s, core.PDD, ps[xi], tm, 0, int64(si))
+		imp, res, err := RunProtocol(s, core.Config{Variant: core.PDD, Probability: ps[xi]}, tm, 0, int64(si))
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +91,7 @@ func AblationScreamK(opts Options) (*stats.Figure, error) {
 		if k < id {
 			k = id
 		}
-		_, res, err := RunProtocol(s, core.FDD, 0, tm, k, int64(si))
+		_, res, err := RunProtocol(s, core.Config{Variant: core.FDD}, tm, k, int64(si))
 		if err != nil {
 			return nil, err
 		}
@@ -156,14 +156,8 @@ func AblationFDDSeal(opts Options) (*stats.Figure, error) {
 			return nil, err
 		}
 		run := func(asapSeal bool) (*core.Result, error) {
-			b, err := core.NewIdealBackend(s.Net.Channel, s.Net.Sens, 0, tm, false)
-			if err != nil {
-				return nil, err
-			}
-			return core.Run(core.Config{
-				Variant: core.FDD, Links: s.Links, Demands: s.Demands,
-				Backend: b, ASAPSeal: asapSeal,
-			})
+			_, res, err := RunProtocol(s, core.Config{Variant: core.FDD, ASAPSeal: asapSeal}, tm, 0, int64(si))
+			return res, err
 		}
 		rn, err := run(false)
 		if err != nil {

@@ -16,7 +16,6 @@ import (
 	"scream/internal/core"
 	"scream/internal/des"
 	"scream/internal/flow"
-	"scream/internal/rng"
 	"scream/internal/sched"
 	"scream/internal/stats"
 )
@@ -79,37 +78,21 @@ func channelsScheduleLengths(s *Scenario, tm core.Timing, channels int, seed int
 	if err := verify("greedy", greedy); err != nil {
 		return nil, err
 	}
-	proto := func(variant core.Variant, p float64, protoSeed int64) (*sched.Schedule, error) {
-		b, err := core.NewIdealBackend(s.Net.Channel, s.Net.Sens, 0, tm, false)
+	proto := func(variant core.Variant, p float64) (*sched.Schedule, error) {
+		_, res, err := RunProtocol(s, core.Config{
+			Variant: variant, Probability: p, NumChannels: channels, NumRadios: channelsRadios,
+		}, tm, 0, seed)
 		if err != nil {
-			return nil, err
-		}
-		cfg := core.Config{
-			Variant: variant, Links: s.Links, Demands: s.Demands, Backend: b,
-			NumChannels: channels, NumRadios: channelsRadios,
-		}
-		if variant == core.PDD {
-			cfg.Probability = p
-			cfg.RNG = rng.New(protoSeed)
-		}
-		res, err := core.Run(cfg)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%v C=%d: %w", variant, channels, err)
 		}
 		return res.Schedule, nil
 	}
-	fdd, err := proto(core.FDD, 0, seed)
+	fdd, err := proto(core.FDD, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := verify("FDD", fdd); err != nil {
-		return nil, err
-	}
-	pdd, err := proto(core.PDD, 0.8, seed)
+	pdd, err := proto(core.PDD, 0.8)
 	if err != nil {
-		return nil, err
-	}
-	if err := verify("PDD", pdd); err != nil {
 		return nil, err
 	}
 	tdma, _, err := flow.NewTDMAScheduler(s.Links, channels, channelsRadios).Build(s.Demands, 0)

@@ -127,29 +127,26 @@ func RunCentralized(s *Scenario) (float64, error) {
 	return sched.ImprovementOverLinear(sc.Length(), s.TotalDemand()), nil
 }
 
-// RunProtocol runs FDD or PDD on the scenario over an ideal backend of
-// SCREAM length k (0 derives the interference diameter) and returns
+// RunProtocol runs the protocol cfg selects — its variant, PDD
+// probability, ASAPSeal, channels and radios — on the scenario's links and
+// demands over an ideal backend of SCREAM length k (0 derives the
+// interference diameter), with seed driving PDD's coin flips. It verifies
+// the schedule against cfg's channels and radios and returns its
 // improvement over linear plus the full protocol result.
-func RunProtocol(s *Scenario, variant core.Variant, p float64, timing core.Timing, k int, seed int64) (float64, *core.Result, error) {
+func RunProtocol(s *Scenario, cfg core.Config, timing core.Timing, k int, seed int64) (float64, *core.Result, error) {
 	b, err := core.NewIdealBackend(s.Net.Channel, s.Net.Sens, k, timing, false)
 	if err != nil {
 		return 0, nil, err
 	}
-	cfg := core.Config{
-		Variant: variant,
-		Links:   s.Links,
-		Demands: s.Demands,
-		Backend: b,
-	}
-	if variant == core.PDD {
-		cfg.Probability = p
+	cfg.Links, cfg.Demands, cfg.Backend = s.Links, s.Demands, b
+	if cfg.Variant == core.PDD {
 		cfg.RNG = rng.New(seed)
 	}
 	res, err := core.Run(cfg)
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := res.Schedule.Verify(s.Net.Channel, s.Links, s.Demands); err != nil {
+	if err := res.Schedule.VerifyMulti(s.Net.Channel, max(cfg.NumChannels, 1), max(cfg.NumRadios, 1), s.Links, s.Demands); err != nil {
 		return 0, nil, fmt.Errorf("protocol produced invalid schedule: %w", err)
 	}
 	return sched.ImprovementOverLinear(res.Schedule.Length(), s.TotalDemand()), res, nil
@@ -204,7 +201,7 @@ func Fig6(opts Options) (*stats.Figure, error) {
 	curves := []improvementCurve{
 		{"Centralized", func(s *Scenario, _ int64) (float64, error) { return RunCentralized(s) }},
 		{"FDD", func(s *Scenario, seed int64) (float64, error) {
-			imp, _, err := RunProtocol(s, core.FDD, 0, tm, 0, seed)
+			imp, _, err := RunProtocol(s, core.Config{Variant: core.FDD}, tm, 0, seed)
 			return imp, err
 		}},
 	}
@@ -213,7 +210,7 @@ func Fig6(opts Options) (*stats.Figure, error) {
 		curves = append(curves, improvementCurve{
 			fmt.Sprintf("PDD p=%.1f", p),
 			func(s *Scenario, seed int64) (float64, error) {
-				imp, _, err := RunProtocol(s, core.PDD, p, tm, 0, seed)
+				imp, _, err := RunProtocol(s, core.Config{Variant: core.PDD, Probability: p}, tm, 0, seed)
 				return imp, err
 			},
 		})
@@ -228,11 +225,11 @@ func Fig7(opts Options) (*stats.Figure, error) {
 	curves := []improvementCurve{
 		{"Centralized", func(s *Scenario, _ int64) (float64, error) { return RunCentralized(s) }},
 		{"FDD", func(s *Scenario, seed int64) (float64, error) {
-			imp, _, err := RunProtocol(s, core.FDD, 0, tm, 0, seed)
+			imp, _, err := RunProtocol(s, core.Config{Variant: core.FDD}, tm, 0, seed)
 			return imp, err
 		}},
 		{"PDD p=0.8", func(s *Scenario, seed int64) (float64, error) {
-			imp, _, err := RunProtocol(s, core.PDD, 0.8, tm, 0, seed)
+			imp, _, err := RunProtocol(s, core.Config{Variant: core.PDD, Probability: 0.8}, tm, 0, seed)
 			return imp, err
 		}},
 	}
@@ -289,7 +286,7 @@ func Fig8(opts Options) (*stats.Figure, error) {
 					return nil, fmt.Errorf("fig8: K=%d below ID=%d; raise fig8Density", k, id)
 				}
 			}
-			_, res, err := RunProtocol(s, c.variant, c.p, tm, k, int64(si))
+			_, res, err := RunProtocol(s, core.Config{Variant: c.variant, Probability: c.p}, tm, k, int64(si))
 			if err != nil {
 				return nil, err
 			}
@@ -337,7 +334,7 @@ func Fig9(opts Options) (*stats.Figure, error) {
 		for i, c := range curves {
 			tm := core.DefaultTiming()
 			tm.SkewBound = skews[xi]
-			_, res, err := RunProtocol(s, c.variant, c.p, tm, 0, int64(si))
+			_, res, err := RunProtocol(s, core.Config{Variant: c.variant, Probability: c.p}, tm, 0, int64(si))
 			if err != nil {
 				return nil, err
 			}

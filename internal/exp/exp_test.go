@@ -76,7 +76,7 @@ func TestRunCentralizedAndProtocolAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := RunProtocol(s, core.FDD, 0, core.DefaultTiming(), 0, 1)
+	f, _, err := RunProtocol(s, core.Config{Variant: core.FDD}, core.DefaultTiming(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func verifyShadowedPipeline(sigma float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	imp, res, err := RunProtocol(s, core.FDD, 0, core.DefaultTiming(), 0, seed)
+	imp, res, err := RunProtocol(s, core.Config{Variant: core.FDD}, core.DefaultTiming(), 0, seed)
 	if err != nil {
 		return err
 	}

@@ -54,40 +54,3 @@ func (p *ProtocolModel) FeasibleSet(links []Link) bool {
 	}
 	return true
 }
-
-// ProtocolSlotChecker incrementally maintains protocol-model slot
-// feasibility, mirroring SlotState so greedy schedulers can swap models.
-type ProtocolSlotChecker struct {
-	p     *ProtocolModel
-	links []Link
-	busy  []bool // by node: is an endpoint of a slot link
-}
-
-// NewProtocolSlotChecker returns an empty protocol-model slot.
-func NewProtocolSlotChecker(p *ProtocolModel) *ProtocolSlotChecker {
-	return &ProtocolSlotChecker{p: p, busy: make([]bool, p.ch.NumNodes())}
-}
-
-// CanAdd reports whether l can join the slot under the protocol model.
-func (s *ProtocolSlotChecker) CanAdd(l Link) bool {
-	if l.From == l.To || s.busy[l.From] || s.busy[l.To] {
-		return false
-	}
-	if !s.p.ch.LinkUp(l.From, l.To) || !s.p.ch.LinkUp(l.To, l.From) {
-		return false
-	}
-	for _, m := range s.links {
-		if p := s.p; p.Interferes(m.From, l.To) || p.Interferes(l.From, m.To) ||
-			p.Interferes(m.To, l.From) || p.Interferes(l.To, m.From) {
-			return false
-		}
-	}
-	return true
-}
-
-// Add inserts l (callers must have checked CanAdd).
-func (s *ProtocolSlotChecker) Add(l Link) {
-	s.links = append(s.links, l)
-	s.busy[l.From] = true
-	s.busy[l.To] = true
-}

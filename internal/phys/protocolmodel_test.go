@@ -82,46 +82,3 @@ func TestProtocolModelMoreConservativeThanPhysical(t *testing.T) {
 	}
 	t.Logf("protocol-feasible %d, physical-only %d of 400 trials", protoFeasible, physOnly)
 }
-
-func TestProtocolSlotCheckerMatchesFeasibleSet(t *testing.T) {
-	ch := lineChannel(t, 30, 30, 20)
-	pm := protoModel(t, ch)
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 300; trial++ {
-		sc := NewProtocolSlotChecker(pm)
-		var accepted []Link
-		for k := 0; k < 6; k++ {
-			a := rng.Intn(29)
-			l := Link{a, a + 1}
-			if sc.CanAdd(l) {
-				sc.Add(l)
-				accepted = append(accepted, l)
-				if !pm.FeasibleSet(accepted) {
-					t.Fatalf("checker accepted protocol-infeasible set %v", accepted)
-				}
-			}
-		}
-		if len(sc.links) != len(accepted) {
-			t.Fatalf("Len mismatch")
-		}
-	}
-}
-
-func TestProtocolSlotCheckerRejects(t *testing.T) {
-	ch := lineChannel(t, 10, 30, 20)
-	pm := protoModel(t, ch)
-	sc := NewProtocolSlotChecker(pm)
-	if !sc.CanAdd(Link{0, 1}) {
-		t.Fatal("first link should fit")
-	}
-	sc.Add(Link{0, 1})
-	if sc.CanAdd(Link{1, 2}) {
-		t.Error("endpoint conflict must be rejected")
-	}
-	if sc.CanAdd(Link{0, 0}) {
-		t.Error("self loop must be rejected")
-	}
-	if sc.CanAdd(Link{3, 4}) {
-		t.Error("link inside exclusion region must be rejected")
-	}
-}

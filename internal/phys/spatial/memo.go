@@ -11,23 +11,30 @@ import (
 // Index computes every near-field interference term from scratch — a hypot
 // and a log-distance gain — although a run's schedule builds ask for the
 // same few thousand node pairs over and over on a deployment that rarely
-// changes. A Memo computes each unordered pair's gain once, stores it, and
-// answers Gain and InterfGain from the stored gain: the very expression the
-// Index evaluates, so every answer is bit-identical to the Index's own and,
-// like it, the same for both orders of a pair.
+// changes. A Memo computes each unordered pair's nearGain once and stores
+// it; InterfGain then runs the index's farCap on bucket cells the memo keeps
+// and takes the near-field gain from the cache, and Gain reads the cache
+// for pairs within the cutoff. Both rules are the Index's own, so every
+// answer is bit-identical to the Index's and, like it, the same for both
+// orders of a pair.
 //
 // The Memo owns the gains, not the Index: the Index keeps no lazy state, so
 // its concurrent-reader contract and its MemoryBytes are unchanged, while a
 // Memo fills as it is read and is not safe for concurrent use. A run wraps
 // its Index once and hands the Memo to every scheduler as its engine and to
 // the dynamics world as the engine to move: MoveNode invalidates the moved
-// node's pairs, and RemoveNode and RestoreNode pass through, since they
-// change no gain (a silenced node answers 0 before the cache is consulted).
+// node's pairs.
 type Memo struct {
-	x *Index
+	// The index answers for the memo wherever no gain is cached: NumNodes,
+	// NoiseMW, Beta, TxPowerMW, RemoveNode and RestoreNode (a silenced node
+	// answers 0 before the cache is consulted, so neither changes a cached
+	// gain); MemoryBytes, promoted with them, counts the index alone. It is
+	// embedded under an unexported name, so no caller can reach it and move a
+	// node past the memo's invalidation.
+	*index
 
-	// cell[u] is node u's bucket coordinates, kept with x.bucketOf: the
-	// near-field test reads them without dividing by the grid width.
+	// cell[u] is node u's bucket coordinates, kept with bucketOf: the
+	// far-field test reads them without dividing by the grid width.
 	cell []cell
 
 	// Invalidation by stamps: clock counts moves, moved[u] is the clock
@@ -41,19 +48,15 @@ type Memo struct {
 	used  int         // occupied slots
 }
 
-type cell struct{ x, y int32 }
+// index is Index under an unexported name, for embedding in Memo.
+type index = Index
 
-// memoEntry is one unordered pair's exact gain.
+// memoEntry is one unordered pair's nearGain.
 type memoEntry struct {
 	key   uint64  // lo<<32 | hi for the pair lo < hi; 0 (never a pair) marks a free slot
-	gain  float64 // pl.Gain(Dist(lo, hi)) as the Index computes it, or beyondCutoff
+	gain  float64 // nearGain(lo, hi): the exact gain, or beyondCutoff
 	stamp uint32  // clock when gain was computed
 }
-
-// beyondCutoff is the gain a memo entry records for a pair farther apart
-// than the cutoff: its interference takes the cutoff gain, so its exact
-// gain is left uncomputed. No gain is negative.
-const beyondCutoff = -1
 
 var _ phys.Engine = (*Memo)(nil)
 
@@ -61,7 +64,7 @@ var _ phys.Engine = (*Memo)(nil)
 // from here on, move nodes through the memo, never through x directly.
 func NewMemo(x *Index) *Memo {
 	n := len(x.pos)
-	m := &Memo{x: x, cell: make([]cell, n), moved: make([]uint32, n)}
+	m := &Memo{index: x, cell: make([]cell, n), moved: make([]uint32, n)}
 	for u := range m.cell {
 		m.cell[u] = x.cellOf(u)
 	}
@@ -72,65 +75,38 @@ func NewMemo(x *Index) *Memo {
 	return m
 }
 
-// cellOf returns node u's bucket coordinates.
-func (x *Index) cellOf(u int) cell {
-	b := int(x.bucketOf[u])
-	return cell{int32(b % x.nx), int32(b / x.nx)}
-}
-
-// NumNodes implements phys.Engine.
-func (m *Memo) NumNodes() int { return m.x.NumNodes() }
-
-// NoiseMW implements phys.Engine.
-func (m *Memo) NoiseMW() float64 { return m.x.noiseMW }
-
-// Beta implements phys.Engine.
-func (m *Memo) Beta() float64 { return m.x.beta }
-
-// TxPowerMW implements phys.Engine.
-func (m *Memo) TxPowerMW(u int) float64 { return m.x.txPowerMW[u] }
-
 // Gain implements phys.Engine: Index.Gain, from the cache.
 func (m *Memo) Gain(u, v int) float64 {
-	x := m.x
-	if u == v || x.removed[u] || x.removed[v] {
+	if u == v || m.removed[u] || m.removed[v] {
 		return 0
 	}
 	if g := m.gain(u, v); g != beyondCutoff {
 		return g
 	}
-	return x.Gain(u, v)
+	return m.index.Gain(u, v)
 }
 
-// InterfGain implements phys.Engine: Index.InterfGain, with the near-field
-// branch's hypot and gain read from the cache. Far-field pairs take the
-// bucket cap as before and are never cached.
+// InterfGain implements phys.Engine: Index.InterfGain through the index's
+// own far-field and near-field rules, with the bucket cells read from the
+// memo and the near-field gain from the cache. Far-field pairs are never
+// cached.
 func (m *Memo) InterfGain(u, v int) float64 {
-	x := m.x
-	if u == v || x.removed[u] || x.removed[v] {
+	if u == v || m.removed[u] || m.removed[v] {
 		return 0
 	}
-	cu, cv := m.cell[u], m.cell[v]
-	dx, dy := cu.x-cv.x, cu.y-cv.y
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	if ub := x.gainUB[int(dy)*x.nx+int(dx)]; ub != nearSentinel {
+	if ub := m.farCap(m.cell[u], m.cell[v]); ub != nearSentinel {
 		return ub
 	}
 	if g := m.gain(u, v); g != beyondCutoff {
 		return g
 	}
-	return x.gainAtCutoff
+	return m.gainAtCutoff
 }
 
 // MoveNode moves node u in the Index and invalidates every cached gain of
 // a pair that holds u. Requires exclusive access, like Index.MoveNode.
 func (m *Memo) MoveNode(u int, p geom.Point) error {
-	if err := m.x.MoveNode(u, p); err != nil {
+	if err := m.index.MoveNode(u, p); err != nil {
 		return err
 	}
 	if m.clock == math.MaxUint32 {
@@ -141,15 +117,9 @@ func (m *Memo) MoveNode(u int, p geom.Point) error {
 	}
 	m.clock++
 	m.moved[u] = m.clock
-	m.cell[u] = m.x.cellOf(u)
+	m.cell[u] = m.cellOf(u)
 	return nil
 }
-
-// RemoveNode silences node u in the Index. No gain changes.
-func (m *Memo) RemoveNode(u int) error { return m.x.RemoveNode(u) }
-
-// RestoreNode reinstates node u in the Index. No gain changes.
-func (m *Memo) RestoreNode(u int) error { return m.x.RestoreNode(u) }
 
 // memoHash is the 64-bit Fibonacci hashing multiplier, 2^64 / phi.
 const memoHash = 0x9E3779B97F4A7C15
@@ -184,14 +154,9 @@ func (m *Memo) gain(u, v int) float64 {
 	}
 }
 
-// fill computes the pair's gain exactly as the Index does.
+// fill computes the pair's gain with the Index's near-field rule.
 func (m *Memo) fill(e *memoEntry, lo, hi int) {
-	x := m.x
-	e.gain = beyondCutoff
-	if d := x.pos[lo].Dist(x.pos[hi]); d <= x.cutoffM {
-		e.gain = x.pl.Gain(d)
-	}
-	e.stamp = m.clock
+	e.gain, e.stamp = m.nearGain(lo, hi), m.clock
 }
 
 // stale reports whether e was computed before either endpoint's last move.

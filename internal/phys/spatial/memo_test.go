@@ -179,7 +179,7 @@ func TestMemoHoldsLivePairs(t *testing.T) {
 				if math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("round %d: InterfGain(%d, %d) = %v, index %v", round, u, v, g, w)
 				}
-				if cu, cv := m.cell[u], m.cell[v]; u < v && bare.gainUB[int(abs32(cu.y-cv.y))*bare.nx+int(abs32(cu.x-cv.x))] == nearSentinel {
+				if u < v && bare.farCap(m.cell[u], m.cell[v]) == nearSentinel {
 					seen[[2]int{u, v}] = true
 				}
 			}
@@ -191,11 +191,4 @@ func TestMemoHoldsLivePairs(t *testing.T) {
 	if len(m.table) != initial {
 		t.Errorf("table grew from %d to %d slots although each round's live pairs fit", initial, len(m.table))
 	}
-}
-
-func abs32(x int32) int32 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

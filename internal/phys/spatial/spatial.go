@@ -96,6 +96,14 @@ type Index struct {
 // cutoff: those pairs take the exact-distance branch.
 const nearSentinel = -1
 
+// beyondCutoff is what nearGain answers for a pair farther apart than the
+// cutoff: its interference takes the cutoff gain, so its exact gain is left
+// uncomputed. No gain is negative.
+const beyondCutoff = -1
+
+// cell is a bucket's grid coordinates.
+type cell struct{ x, y int32 }
+
 var _ phys.Engine = (*Index)(nil)
 
 // New builds the spatial index over the deployment in cfg.
@@ -277,23 +285,43 @@ func (x *Index) InterfGain(u, v int) float64 {
 	if u == v || x.removed[u] || x.removed[v] {
 		return 0
 	}
-	bu, bv := int(x.bucketOf[u]), int(x.bucketOf[v])
-	dx := bu%x.nx - bv%x.nx
+	if ub := x.farCap(x.cellOf(u), x.cellOf(v)); ub != nearSentinel {
+		return ub
+	}
+	if g := x.nearGain(u, v); g != beyondCutoff {
+		return g
+	}
+	return x.gainAtCutoff
+}
+
+// cellOf returns node u's bucket coordinates.
+func (x *Index) cellOf(u int) cell {
+	b := int(x.bucketOf[u])
+	return cell{int32(b % x.nx), int32(b / x.nx)}
+}
+
+// farCap is InterfGain's far-field rule for nodes in buckets a and b: the
+// path-loss gain at the least distance the two buckets allow, or
+// nearSentinel when that distance is within the cutoff. It reads the bucket
+// delta's magnitude only, so it is the same both ways round.
+func (x *Index) farCap(a, b cell) float64 {
+	dx, dy := a.x-b.x, a.y-b.y
 	if dx < 0 {
 		dx = -dx
 	}
-	dy := bu/x.nx - bv/x.nx
 	if dy < 0 {
 		dy = -dy
 	}
-	if ub := x.gainUB[dy*x.nx+dx]; ub != nearSentinel {
-		return ub
+	return x.gainUB[int(dy)*x.nx+int(dx)]
+}
+
+// nearGain is InterfGain's near-field rule: the exact gain between u and v,
+// or beyondCutoff when they lie farther apart than the cutoff.
+func (x *Index) nearGain(u, v int) float64 {
+	if d := x.pos[u].Dist(x.pos[v]); d <= x.cutoffM {
+		return x.pl.Gain(d)
 	}
-	d := x.pos[u].Dist(x.pos[v])
-	if d > x.cutoffM {
-		return x.gainAtCutoff
-	}
-	return x.pl.Gain(d)
+	return beyondCutoff
 }
 
 // MoveNode updates node u's position, rehashing it into its new bucket:

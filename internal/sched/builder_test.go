@@ -80,11 +80,11 @@ func TestBuilderMatchesOneShot(t *testing.T) {
 		case 3:
 			kind = "maxweight"
 			got, gerr = b.GreedyMaxWeight(e.eng, fl, fd)
-			want, werr = GreedyMaxWeight(e.ref, fl, fd)
+			want, werr = new(Builder).GreedyMaxWeight(e.ref, fl, fd)
 		case 4:
 			kind = "fanzhang"
 			got, gerr = b.ApproxFanZhang(e.eng, fl, fd)
-			want, werr = ApproxFanZhang(e.ref, fl, fd)
+			want, werr = new(Builder).ApproxFanZhang(e.ref, fl, fd)
 		default:
 			kind = fmt.Sprintf("multi/C=%d,R=%d", channels, radios)
 			got, gerr = b.GreedyPhysicalMulti(e.eng, channels, radios, fl, fd, ord)

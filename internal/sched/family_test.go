@@ -166,7 +166,7 @@ func TestMaxWeightPrefersBackloggedLinks(t *testing.T) {
 		demands[i] = 1
 	}
 	demands[hot] = 12
-	mw, err := GreedyMaxWeight(net.Channel, links, demands)
+	mw, err := new(Builder).GreedyMaxWeight(net.Channel, links, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMaxWeightPrefersBackloggedLinks(t *testing.T) {
 // different length classes.
 func TestFanZhangClassStructure(t *testing.T) {
 	net, links, demands := testMesh(t, 5, 7)
-	s, err := ApproxFanZhang(net.Channel, links, demands)
+	s, err := new(Builder).ApproxFanZhang(net.Channel, links, demands)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,11 +56,6 @@ func lengthClasses(ch phys.Engine, links []phys.Link, classes []int) []int {
 // Within a class, links go in ascending link-index order — the stable tie
 // rule the determinism suite pins. The returned schedule always satisfies
 // Verify against the same inputs.
-func ApproxFanZhang(ch phys.Engine, links []phys.Link, demands []int) (*Schedule, error) {
-	return new(Builder).ApproxFanZhang(ch, links, demands)
-}
-
-// ApproxFanZhang is the package-level ApproxFanZhang on b's working set.
 func (b *Builder) ApproxFanZhang(ch phys.Engine, links []phys.Link, demands []int) (*Schedule, error) {
 	if len(links) != len(demands) {
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))

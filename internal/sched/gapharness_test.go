@@ -47,8 +47,8 @@ func backends() []backend {
 		{Name: "greedy(head-id-desc)", Build: ordered(ByHeadIDDesc)},
 		{Name: "greedy(demand-desc)", Build: ordered(ByDemandDesc)},
 		{Name: "greedy(length-desc)", Build: ordered(ByLengthDesc)},
-		{Name: "maxweight", Build: GreedyMaxWeight},
-		{Name: "fanzhang", Build: ApproxFanZhang},
+		{Name: "maxweight", Build: new(Builder).GreedyMaxWeight},
+		{Name: "fanzhang", Build: new(Builder).ApproxFanZhang},
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"scream/internal/graph"
 	"scream/internal/phys"
 )
 
@@ -46,8 +45,8 @@ func (o Ordering) String() string {
 // rebuilds its schedule every epoch owns one Builder for the whole run, so
 // each build re-initialises the slots of the last one instead of allocating
 // them again, and a repeated build allocates only the schedule it returns.
-// The one-shot functions (GreedyPhysical, GreedyPhysicalMulti,
-// GreedyMaxWeight, ApproxFanZhang) run on a fresh Builder. The zero Builder
+// The one-shot functions (GreedyPhysical, GreedyPhysicalDataOnly,
+// GreedyPhysicalMulti) run on a fresh Builder. The zero Builder
 // is ready to use; a Builder is not safe for concurrent use, and the
 // schedules it returns share no memory with it.
 type Builder struct {
@@ -348,75 +347,4 @@ func (b *Builder) schedule(links []phys.Link, channels, k int) *Schedule {
 		start = end
 	}
 	return s
-}
-
-// LocalizedGreedy is GreedyPhysical restricted to k-hop-local information:
-// when deciding whether edge e fits a slot, it only accounts for the
-// interference of already-scheduled links within the k-hop neighborhood of e
-// (Definition 5), exactly the class of algorithms Theorem 1 proves cannot
-// always produce feasible schedules. It exists to demonstrate the theorem:
-// its output may fail Verify.
-func LocalizedGreedy(ch *phys.Channel, comm *graph.Graph, links []phys.Link, demands []int, k int, ord Ordering) (*Schedule, error) {
-	// The inputs no schedule serves fail with GreedyPhysical's errors.
-	if len(links) != len(demands) {
-		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
-	}
-	for i, l := range links {
-		if !singletonFeasible(ch, phys.NewCandidate(ch, l)) {
-			return nil, fmt.Errorf("sched: link %v alone is infeasible; no schedule exists", l)
-		}
-		if demands[i] < 0 {
-			return nil, fmt.Errorf("sched: link %v has negative demand %d", l, demands[i])
-		}
-	}
-	edges := make([]graph.Edge, len(links))
-	for i, l := range links {
-		edges[i] = graph.Edge{U: l.From, V: l.To}
-	}
-	// Precompute each link's k-neighborhood as a set of link indices.
-	neighborhood := make([]map[int]bool, len(links))
-	for i := range links {
-		nb := graph.LinkKNeighborhood(comm, edges, i, k)
-		set := make(map[int]bool, len(nb))
-		for _, j := range nb {
-			set[j] = true
-		}
-		neighborhood[i] = set
-	}
-
-	// For each slot, remember which link indices it holds, and the links.
-	// Every link is feasible alone, so the slot a link opens admits it.
-	var slotLinks [][]int
-	var slots [][]phys.Link
-	for _, ei := range new(Builder).orderEdges(ch, links, demands, ord) {
-		remaining := demands[ei]
-		for slot := 0; remaining > 0; slot++ {
-			if slot == len(slotLinks) {
-				slotLinks, slots = append(slotLinks, nil), append(slots, nil)
-			}
-			if localFits(ch, links, neighborhood, slotLinks[slot], ei) {
-				slotLinks[slot] = append(slotLinks[slot], ei)
-				slots[slot] = append(slots[slot], links[ei])
-				remaining--
-			}
-		}
-	}
-	return &Schedule{slots: slots}, nil
-}
-
-// localFits checks slot feasibility seen through ei's k-hop keyhole: only
-// in-neighborhood occupants are visible, both for ei's own SINR and for the
-// occupants' re-check.
-func localFits(ch *phys.Channel, links []phys.Link, neighborhood []map[int]bool, occupants []int, ei int) bool {
-	visible := make([]phys.Link, 0, len(occupants)+1)
-	for _, oi := range occupants {
-		if neighborhood[ei][oi] {
-			visible = append(visible, links[oi])
-		} else if links[ei].SharesEndpoint(links[oi]) {
-			// Primary conflicts are always local knowledge.
-			return false
-		}
-	}
-	visible = append(visible, links[ei])
-	return ch.FeasibleSet(visible)
 }

@@ -55,11 +55,6 @@ func (b *Builder) maxWeightOrder(ch phys.Engine, links []phys.Link, demands []in
 // admission engine as GreedyPhysical, but ordered by maxWeightOrder: the
 // heaviest backlog×rate links claim the early slots. The returned schedule
 // always satisfies Verify against the same inputs.
-func GreedyMaxWeight(ch phys.Engine, links []phys.Link, demands []int) (*Schedule, error) {
-	return new(Builder).GreedyMaxWeight(ch, links, demands)
-}
-
-// GreedyMaxWeight is the package-level GreedyMaxWeight on b's working set.
 func (b *Builder) GreedyMaxWeight(ch phys.Engine, links []phys.Link, demands []int) (*Schedule, error) {
 	if len(links) != len(demands) {
 		return nil, fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))

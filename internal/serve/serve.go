@@ -5,14 +5,15 @@
 // server-sent events when requested — terminated by the full FlowResult.
 //
 // Every run is a session: admission-controlled (MaxSessions concurrent, 429
-// beyond), sandboxed (preloaded scenarios are cloned per session, so
-// concurrent runs never share mutable state), and individually cancelable
-// (client disconnect or server drain aborts the run via its context). A
-// panic inside a run ends that session's stream with an error event and
-// counts the session as failed. The daemon's own scream_serve_* metrics
-// land in the same registry as the simulation's flow/core/sched families
-// and are exposed on /metrics (Prometheus text) and /api/v1/metrics (JSON
-// snapshot).
+// beyond), isolated (sessions of a preloaded scenario share its deployment,
+// which a static run only reads and a run under dynamics clones before it
+// mutates, so concurrent runs never share mutable state), and individually
+// cancelable (client disconnect or server drain aborts the run via its
+// context). A panic inside a run ends that session's stream with an error
+// event and counts the session as failed. The daemon's own scream_serve_*
+// metrics land in the same registry as the simulation's flow/core/sched
+// families and are exposed on /metrics (Prometheus text) and /api/v1/metrics
+// (JSON snapshot).
 //
 // Each session's schema-v2 trace is captured in a bounded in-memory ring
 // (Config.TraceBytes per session, never disk) and served at
@@ -46,8 +47,10 @@ import (
 // Config parameterizes New.
 type Config struct {
 	// Scenarios preloads named scenarios: their meshes are built once at
-	// startup and cloned per session, so repeated runs skip deployment
-	// construction and concurrent runs stay isolated. Specs must validate
+	// startup and shared by every session that names them, so repeated runs
+	// skip deployment construction. A session copies nothing before it is
+	// admitted: a static run only reads the mesh, and a run under dynamics
+	// clones the network it mutates (scream.RunWith). Specs must validate
 	// and carry distinct, non-empty names.
 	Scenarios []scream.ScenarioSpec
 	// MaxSessions caps concurrently running simulations; further /api/v1/run
@@ -332,9 +335,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("unknown scenario %q (preloaded: %s)", name, strings.Join(s.names, ", ")))
 			return
 		}
-		// Per-session sandbox: the shared prebuilt deployment is cloned, so
-		// this run can never observe (or disturb) a concurrent one.
-		spec, mesh, label = sc.spec.Clone(), sc.mesh.Clone(), name
+		// The shared prebuilt deployment, as is: RunWith only reads the spec
+		// and the mesh, and clones the network when dynamics mutate it.
+		spec, mesh, label = sc.spec, sc.mesh, name
 	} else {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		if err != nil {

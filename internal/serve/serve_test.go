@@ -199,7 +199,7 @@ func TestRunStream(t *testing.T) {
 }
 
 // TestRunPreloadedScenario runs a preloaded scenario by name twice: both
-// sessions run on clones of the shared mesh and must equal the in-process
+// sessions run on the shared mesh itself and must equal the in-process
 // result.
 func TestRunPreloadedScenario(t *testing.T) {
 	spec := testSpec(7)
@@ -227,6 +227,36 @@ func TestRunPreloadedScenario(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown scenario: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRefusedRequestCopiesNoMesh: a request for a preloaded scenario that
+// the server refuses, here because it is draining, must not copy the
+// deployment first. A 16×16 grid's gain matrix alone is 8·256² = 524,288
+// B, and the whole refusal must allocate less than that.
+func TestRefusedRequestCopiesNoMesh(t *testing.T) {
+	spec := testSpec(7)
+	spec.Name = "grid16"
+	spec.Topology = scream.TopologySpec{Kind: "grid", Rows: 16, Cols: 16, StepMeters: 30}
+	s, err := New(Config{Scenarios: []scream.ScenarioSpec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.CancelSessions() // draining: every run request is refused
+	code := 0
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/run?scenario=grid16", nil))
+			code = rec.Code
+		}
+	})
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("draining server answered %d, want 429", code)
+	}
+	if got, limit := res.AllocedBytesPerOp(), int64(8*256*256); got >= limit {
+		t.Errorf("a refused request allocates %d B, at least a gain matrix (%d B)", got, limit)
 	}
 }
 

@@ -665,8 +665,10 @@ type RunOptions struct {
 	// golden-trace comparisons must keep this off.
 	Perf bool
 	// Mesh, when non-nil, skips building spec.Topology and runs on the given
-	// mesh instead — the daemon's preloaded-scenario path, where each session
-	// runs on its own clone of a shared deployment.
+	// mesh instead — the daemon's preloaded-scenario path, where every
+	// session runs on one shared deployment. The run never writes to the
+	// mesh: a static run only reads it, and a run under dynamics clones its
+	// network first, so concurrent runs may share one mesh.
 	Mesh *Mesh
 }
 
