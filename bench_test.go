@@ -367,7 +367,7 @@ func benchFlowEpochObs(b *testing.B, enabled bool) {
 		o.Metrics = reg
 		o.Trace = NewObsTracer(io.Discard)
 		EnableRuntimeMetrics(reg)
-		defer EnableRuntimeMetrics(nil) // detach the process globals for the other benchmarks
+		defer EnableRuntimeMetrics(nil) // detach the process default for the other benchmarks
 	}
 	var last *FlowResult
 	b.ResetTimer()

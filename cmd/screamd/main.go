@@ -3,8 +3,9 @@
 // progress. Clients POST a scenario document (see scream.ScenarioSpec) to
 // /api/v1/run and receive per-epoch events as NDJSON (or server-sent events
 // with Accept: text/event-stream), terminated by the full result. Preloaded
-// scenarios (-scenarios) build their deployment once at startup; each run
-// then gets a private clone, so concurrent sessions are fully isolated.
+// scenarios (-scenarios) build their deployment once at startup; their
+// sessions share it and none writes to it, so concurrent sessions are fully
+// isolated.
 //
 // Endpoints:
 //
@@ -60,7 +61,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		maxSessions = flag.Int("max-sessions", serve.DefaultMaxSessions, "concurrent simulation sessions (further runs get 429)")
-		scenarios   = flag.String("scenarios", "", "comma-separated scenario JSON files to preload (each run then clones the prebuilt mesh)")
+		scenarios   = flag.String("scenarios", "", "comma-separated scenario JSON files to preload (their sessions share the prebuilt mesh)")
 		traceBytes  = flag.Int("trace-bytes", 0, "per-session trace capture budget in bytes for /api/v1/sessions/{id}/trace (0 = 1 MiB default, -1 disables capture)")
 		drain       = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget before running sessions are canceled")
 		version     = flag.Bool("version", false, "print version and exit")
@@ -78,8 +79,8 @@ func main() {
 
 func run(addr string, maxSessions int, scenarioFiles string, traceBytes int, drain time.Duration) error {
 	// One registry for everything: the daemon's serve_* session metrics,
-	// per-run flow counters, and the process-global phys/sched
-	// instrumentation points.
+	// every session's per-layer counters, and, as the process default, what
+	// no session owns, such as a preloaded mesh's capacity frame.
 	reg := scream.NewObsRegistry()
 	scream.EnableRuntimeMetrics(reg)
 

@@ -53,14 +53,19 @@ func HotspotRates(n int, s, v float64, max uint64, seed int64) ([]float64, error
 // greedy frame delivering one end-to-end packet per non-gateway node. A
 // per-node arrival rate of x/FlowFrameTime offers x times the static
 // schedule's sustainable load (the x axis of FigFlowLoad, and the unit of
-// TrafficSpec.Load).
+// TrafficSpec.Load). The mesh builds the frame once and keeps its length in
+// handshake slots. The build is the mesh's, not a run's: it publishes into
+// the process default registry.
 func (m *Mesh) FlowFrameTime(tm Timing) (SimTime, error) {
 	if tm == (Timing{}) {
 		tm = DefaultTiming()
 	}
-	frame, err := flow.FrameTime(m.Network.Channel, m.Forest, m.Links, tm)
-	if err != nil {
-		return 0, fmt.Errorf("scream: %w", err)
+	if m.frameSlots.Load() == 0 { // concurrent first calls store one deterministic length
+		slots, err := flow.FrameSlots(m.Network.Channel, m.Forest, m.Links)
+		if err != nil {
+			return 0, fmt.Errorf("scream: %w", err)
+		}
+		m.frameSlots.Store(int64(slots))
 	}
-	return frame, nil
+	return SimTime(m.frameSlots.Load()) * tm.HandshakeSlot(), nil
 }

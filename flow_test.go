@@ -142,3 +142,36 @@ func TestRadioSpecCSThreshold(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowFrameTimeComputedOnce: the capacity frame is a constant of the
+// deployment. A second FlowFrameTime on one mesh returns the first call's
+// value and allocates nothing; another Timing scales the kept slot count as
+// a fresh mesh computes it; and a clone computes its own frame, equal to
+// the original's.
+func TestFlowFrameTimeComputedOnce(t *testing.T) {
+	m := flowTestMesh(t)
+	first, err := m.FlowFrameTime(Timing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again SimTime
+	if allocs := testing.AllocsPerRun(10, func() { again, _ = m.FlowFrameTime(Timing{}) }); allocs != 0 || again != first {
+		t.Fatalf("second FlowFrameTime: %v in %v allocations, want %v in none", again, allocs, first)
+	}
+	slow := DefaultTiming()
+	slow.BitRateBps /= 4
+	want, err := flowTestMesh(t).FlowFrameTime(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := m.FlowFrameTime(slow); got != want || got <= first {
+		t.Fatalf("FlowFrameTime at a quarter of the bit rate: %v, a fresh mesh computes %v (default timing %v)", got, want, first)
+	}
+	c := m.Clone()
+	if c.frameSlots.Load() != 0 {
+		t.Fatal("a clone starts with its original's frame")
+	}
+	if got, _ := c.FlowFrameTime(Timing{}); got != first {
+		t.Fatalf("clone's frame %v, want %v", got, first)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"scream/internal/obs"
+	"scream/internal/sched"
 )
 
 // MeasuredBackend is the optional backend interface exposing what the
@@ -28,7 +29,6 @@ type backendSnapshot struct {
 	ok         bool
 	screams    int
 	handshakes int
-	elapsed    int64
 }
 
 func snapshotBackend(b Backend) backendSnapshot {
@@ -40,23 +40,18 @@ func snapshotBackend(b Backend) backendSnapshot {
 		ok:         true,
 		screams:    mb.ScreamCount(),
 		handshakes: mb.HandshakeCount(),
-		elapsed:    int64(b.Elapsed()),
 	}
 }
 
-// publishRun records one completed protocol run into cfg.Metrics (a no-op
-// when nil). Counters are split into the protocol layer's analytic view
-// (what Result accounts) and the backend's measured view (what was actually
-// executed and billed); both are exact int64 event counts, so tests assert
-// equality rather than tolerance. Registry lookups here are get-or-create on
-// a cold path — Run executes once per epoch, not per slot.
-func publishRun(cfg *Config, res *Result, before backendSnapshot) {
-	r := cfg.Metrics
-	if r == nil {
-		// Fall back to the process default installed by a CLI's
-		// observability opt-in (nil by default — publish is then skipped).
-		r = obs.Default()
-	}
+// publish records the completed run into obs.Resolve(cfg.Metrics). Counters
+// are split into the protocol layer's analytic view (what Result accounts,
+// plus its slot's adds and rollbacks) and the backend's measured view (what
+// was actually executed and billed); both are exact int64 event counts, so
+// tests assert equality rather than tolerance. Registry lookups here are
+// get-or-create on a cold path — Run executes once per epoch, not per slot.
+func (p *protoRun) publish(before backendSnapshot) {
+	cfg, res := &p.cfg, p.res
+	r := obs.Resolve(cfg.Metrics)
 	if r == nil {
 		return
 	}
@@ -67,6 +62,9 @@ func publishRun(cfg *Config, res *Result, before backendSnapshot) {
 	r.Counter("scream_core_elections_total", "leader elections across runs").Add(int64(res.Elections))
 	r.Counter("scream_core_screams_total", "SCREAM primitives charged by the protocol layer (analytic)").Add(int64(res.Screams))
 	r.Counter("scream_core_exec_ticks_total", "simulated protocol execution time in des.Time ticks").Add(int64(res.ExecTime))
+	slot := sched.NewSlotCounters(r)
+	slot.Adds.Add(p.adds)
+	slot.Rollbacks.Add(p.rollbacks)
 
 	if before.ok {
 		mb := cfg.Backend.(MeasuredBackend)

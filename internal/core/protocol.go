@@ -92,9 +92,9 @@ type Config struct {
 	ASAPSeal bool
 	// Observer receives protocol events; zero value disables tracing.
 	Observer Observer
-	// Metrics, when non-nil, receives per-run counters (rounds, steps,
-	// elections, analytic and backend-measured SCREAM/handshake counts,
-	// execution ticks). Metrics are write-only: no protocol decision ever
+	// Metrics (nil: the process default) receives per-run counters (rounds,
+	// steps, elections, SCREAM/handshake counts, execution ticks, slot adds
+	// and rollbacks). Metrics are write-only: no protocol decision ever
 	// reads them, so enabling them cannot change any result.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives structured protocol events
@@ -155,6 +155,9 @@ type protoRun struct {
 	flags []bool
 	slot  phys.TentativeSlot
 	mark  int
+	// adds and rollbacks are the slot's calls, which publish reports as
+	// the slot engine's counters: internal/phys keeps none.
+	adds, rollbacks int64
 
 	res       *Result
 	state     []State
@@ -368,6 +371,7 @@ func (p *protoRun) handshake(first bool, onCh nodeSet, owners []int) []bool {
 		s.Grow(len(owners))
 	} else {
 		s.Rollback()
+		p.rollbacks++
 		for u := onCh.next(0); u >= 0; u = onCh.next(u + 1) {
 			if p.pos[u] >= p.mark {
 				p.admit(u)
@@ -388,6 +392,7 @@ func (p *protoRun) handshake(first bool, onCh nodeSet, owners []int) []bool {
 func (p *protoRun) admit(u int) {
 	p.pos[u] = p.slot.Len()
 	p.slot.Add(p.cfg.Links[p.linkOf[u]])
+	p.adds++
 }
 
 // Run executes the distributed protocol to completion and returns the
@@ -421,7 +426,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	publishRun(&cfg, res, before)
+	p.publish(before)
 	traceProtocol(&cfg, res, before)
 	return res, nil
 }

@@ -153,10 +153,10 @@ type Config struct {
 	// repair.
 	RepairCost des.Time
 
-	// Metrics, when non-nil, receives live flow-level counters and gauges
-	// (offered/delivered/dropped packets, time split in ticks, backlog,
-	// delay histogram). Metrics are write-only: the simulation never reads
-	// them, so enabling them cannot change any result.
+	// Metrics (nil: the process default) receives live flow-level counters
+	// and gauges (offered/delivered/dropped packets, time split in ticks,
+	// backlog, delay histogram). Metrics are write-only: the simulation
+	// never reads them, so enabling them cannot change any result.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives the structured run ▸ epoch ▸
 	// schedule_build ▸ slot span hierarchy (plus point events) timestamped in
@@ -562,14 +562,8 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	delay := &r.delay
 	delay.Reset(1024)
 
-	// Per-run registry wins (test isolation); otherwise the process default
-	// installed by the CLI's observability opt-in, which is nil by default.
-	mreg := cfg.Metrics
-	if mreg == nil {
-		mreg = obs.Default()
-	}
 	pl := &r.pl
-	pl.reset(n, cfg.MaxQueue, newFlowObs(mreg))
+	pl.reset(n, cfg.MaxQueue, newFlowObs(obs.Resolve(cfg.Metrics)))
 	m := &pl.m
 	// The run span is the root of the trace. Its begin line carries the
 	// static run parameters plus the per-primitive slot costs

@@ -94,7 +94,7 @@ func (tb *testbed) cbrAt(t testing.TB, rate float64) []traffic.Arrival {
 }
 
 func (tb *testbed) greedy() Scheduler {
-	return NewGreedyScheduler(tb.net.Channel, 1, 1, tb.links)
+	return NewGreedyScheduler(SchedulerEnv{Channel: tb.net.Channel, Links: tb.links})
 }
 
 func runAtLoad(t testing.TB, tb *testbed, s Scheduler, load float64, horizon des.Time, seed int64) *Result {

@@ -36,7 +36,7 @@ func (tb *testbed) zipfArrivals(t testing.TB, meanRate float64, seed int64) []tr
 
 // maxWeight is the testbed's max-weight epoch scheduler.
 func (tb *testbed) maxWeight() Scheduler {
-	return NewCentralizedScheduler("maxweight", tb.net.Channel, tb.links, (*sched.Builder).GreedyMaxWeight)
+	return NewCentralizedScheduler("maxweight", SchedulerEnv{Channel: tb.net.Channel, Links: tb.links}, (*sched.Builder).GreedyMaxWeight)
 }
 
 // TestMaxWeightBeatsStaticGreedyUnderZipfBacklog pins the queue-aware
@@ -111,7 +111,7 @@ func TestFanZhangSchedulerRunsAndBeatsTDMA(t *testing.T) {
 		}
 		return res.GoodputPps
 	}
-	fz := run(NewCentralizedScheduler("fanzhang", tb.net.Channel, tb.links, (*sched.Builder).ApproxFanZhang))
+	fz := run(NewCentralizedScheduler("fanzhang", SchedulerEnv{Channel: tb.net.Channel, Links: tb.links}, (*sched.Builder).ApproxFanZhang))
 	tdma := run(NewTDMAScheduler(tb.links, 1, 1))
 	t.Logf("fanzhang %.1f pkt/s, tdma %.1f pkt/s", fz, tdma)
 	if fz <= tdma {

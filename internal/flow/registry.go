@@ -50,8 +50,8 @@ type SchedulerEnv struct {
 	// packing.
 	Channels int
 	Radios   int
-	// Metrics and Trace are forwarded into the distributed protocols' epoch
-	// runs (write-only observability).
+	// Metrics receives the scheduler's builds or protocol runs (nil: the
+	// process default); Trace is forwarded into the protocols' epoch runs.
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
 }
@@ -98,7 +98,7 @@ func singleChannel(name string, build func(b *sched.Builder, eng phys.Engine, li
 		if env.Channels > 1 {
 			return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", name)
 		}
-		return NewCentralizedScheduler(name, env.engine(), env.Links, build), nil
+		return NewCentralizedScheduler(name, env, build), nil
 	}
 }
 
@@ -115,7 +115,7 @@ var schedulerDefs = [...]SchedulerDef{
 			MultiChannel: true,
 		},
 		New: func(env SchedulerEnv) (Scheduler, error) {
-			return NewGreedyScheduler(env.engine(), env.Channels, env.Radios, env.Links), nil
+			return NewGreedyScheduler(env), nil
 		},
 	},
 	{

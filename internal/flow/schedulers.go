@@ -27,6 +27,13 @@ var ErrControlUnavailable = errors.New("flow: distributed control unavailable on
 // per schedule slot). A per-node arrival rate of x/FrameTime offers x times
 // the static schedule's sustainable load — the x axis of the load sweeps.
 func FrameTime(ch phys.Engine, forest *route.Forest, links []phys.Link, tm core.Timing) (des.Time, error) {
+	slots, err := FrameSlots(ch, forest, links)
+	return des.Time(slots) * tm.HandshakeSlot(), err
+}
+
+// FrameSlots returns FrameTime's frame length in slots. The build publishes
+// into the process default registry.
+func FrameSlots(ch phys.Engine, forest *route.Forest, links []phys.Link) (int, error) {
 	ones := make([]int, forest.NumNodes())
 	for i := range ones {
 		ones[i] = 1
@@ -42,22 +49,22 @@ func FrameTime(ch phys.Engine, forest *route.Forest, links []phys.Link, tm core.
 	if err != nil {
 		return 0, err
 	}
-	return des.Time(s.Length()) * tm.HandshakeSlot(), nil
+	return s.Length(), nil
 }
 
 // NewCentralizedScheduler wraps a centralized schedule construction as an
-// epoch scheduler: every epoch runs build over eng, the current link set and
-// the backlog snapshot, on a sched.Builder the scheduler owns for the whole
-// run, so each build reuses the slot states of the last. Its control cost
-// is idealized to zero — a genie gathers the backlog and disseminates the
-// schedule for free — which makes the centralized disciplines the upper
-// bound the distributed protocols are judged against (their re-scheduling
-// pays real SCREAM/election/handshake time). It is adaptive under topology
-// dynamics: Rebind re-targets it at the repaired link set (the engine is the
-// same object, mutated in place by the dynamics world).
-func NewCentralizedScheduler(name string, eng phys.Engine, links []phys.Link, build func(b *sched.Builder, eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error)) Scheduler {
-	cur := links
-	b := new(sched.Builder)
+// epoch scheduler: every epoch runs build over env's engine, the current
+// link set and the backlog snapshot, on a sched.Builder the scheduler owns
+// for the whole run and binds to env.Metrics, so each build reuses the slot
+// states of the last. Its control cost is idealized to zero — a genie
+// gathers the backlog and disseminates the schedule for free — which makes
+// the centralized disciplines the upper bound the distributed protocols are
+// judged against (their re-scheduling pays real SCREAM/election/handshake
+// time). It is adaptive under topology dynamics: Rebind re-targets it at the
+// repaired link set (the engine is mutated in place by the dynamics world).
+func NewCentralizedScheduler(name string, env SchedulerEnv, build func(b *sched.Builder, eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error)) Scheduler {
+	eng, cur := env.engine(), env.Links
+	b := &sched.Builder{Metrics: env.Metrics}
 	return Scheduler{
 		Name: name,
 		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
@@ -72,18 +79,18 @@ func NewCentralizedScheduler(name string, eng phys.Engine, links []phys.Link, bu
 }
 
 // NewGreedyScheduler returns the GreedyPhysical baseline (head-ID order, the
-// order FDD emulates) as a centralized epoch scheduler over channels
-// orthogonal copies of eng with numRadios radios per node. One channel (or
-// fewer) is GreedyPhysical whatever the radio count.
-func NewGreedyScheduler(eng phys.Engine, channels, numRadios int, links []phys.Link) Scheduler {
-	ord := sched.ByHeadIDDesc
+// order FDD emulates) as a centralized epoch scheduler over env.Channels
+// orthogonal copies of env's engine with env.Radios radios per node. One
+// channel (or fewer) is GreedyPhysical whatever the radio count.
+func NewGreedyScheduler(env SchedulerEnv) Scheduler {
+	ord, channels, radios := sched.ByHeadIDDesc, env.Channels, env.Radios
 	name := fmt.Sprintf("greedy(%v,C=%d)", ord, channels)
 	if channels <= 1 {
 		name, channels = fmt.Sprintf("greedy(%v)", ord), 1
 	}
-	return NewCentralizedScheduler(name, eng, links,
+	return NewCentralizedScheduler(name, env,
 		func(b *sched.Builder, eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error) {
-			return b.GreedyPhysicalMulti(eng, channels, numRadios, links, demands, ord)
+			return b.GreedyPhysicalMulti(eng, channels, radios, links, demands, ord)
 		})
 }
 

@@ -139,11 +139,6 @@ func (g *Graph) DiameterAmong(active []bool) int {
 	return max
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	return &Graph{off: append([]int(nil), g.off...), nbr: append([]int(nil), g.nbr...)}
-}
-
 // StronglyConnected reports whether every node can reach every other node.
 // It uses the standard two-pass (Kosaraju-style) reachability check from
 // node 0 in g and in the transpose of g.

@@ -85,25 +85,18 @@ func TestFromCSRValidates(t *testing.T) {
 }
 
 // TestRowsAreIsolated: the rows share one array, yet appending to a
-// returned row never writes into the next one, and a Clone or a Transpose
-// shares no memory with the original.
+// returned row never writes into the next one, and a Transpose shares no
+// memory with the original.
 func TestRowsAreIsolated(t *testing.T) {
 	g := path(4) // rows [1] [0 2] [1 3] [2]
 	_ = append(g.Neighbors(0), 99)
 	if !slices.Equal(g.Neighbors(1), []int{0, 2}) {
 		t.Fatalf("append to row 0 overwrote row 1: %v", g.Neighbors(1))
 	}
-	c, tr := g.Clone(), g.Transpose()
-	for u := 0; u < 4; u++ {
-		if !slices.Equal(c.Neighbors(u), g.Neighbors(u)) {
-			t.Fatalf("clone row %d = %v, want %v", u, c.Neighbors(u), g.Neighbors(u))
-		}
-	}
-	for _, h := range []*Graph{c, tr} {
-		h.nbr[0], h.off[1] = 3, 0
-	}
+	tr := g.Transpose()
+	tr.nbr[0], tr.off[1] = 3, 0
 	if !slices.Equal(g.Neighbors(0), []int{1}) || !slices.Equal(g.Neighbors(1), []int{0, 2}) {
-		t.Fatalf("writing a copy changed the original: %v %v", g.Neighbors(0), g.Neighbors(1))
+		t.Fatalf("writing the transpose changed the original: %v %v", g.Neighbors(0), g.Neighbors(1))
 	}
 }
 

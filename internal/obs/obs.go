@@ -3,7 +3,7 @@
 // bucket layouts) plus a structured JSONL event tracer (trace.go) and a
 // Prometheus-text-format / pprof HTTP exposition surface (http.go).
 //
-// The design contract, enforced across every instrumented layer (core, phys,
+// The design contract, enforced across every instrumented layer (core,
 // sched, flow, dynam), is that the *disabled* path costs nothing: every
 // metric handle type has nil-receiver no-op methods, so code holds plain
 // `*obs.Counter` fields that are nil when observability is off and the hot
@@ -287,9 +287,9 @@ func (r *Registry) snapshot() []*metric {
 }
 
 // The process-default registry: nil until a CLI enables observability
-// (flowsim/figgen -obs). Layers that are not reached by per-run Config
-// plumbing fall back to it, so one SetDefault at process start lights up
-// every instrumented layer.
+// (flowsim/figgen -obs). A layer whose owner handed it no registry, such as
+// a figure runner's or a mesh's own build, publishes into it; Resolve is
+// its one reader.
 var defaultReg atomic.Pointer[Registry]
 
 // SetDefault installs r as the process-default registry (nil uninstalls).
@@ -297,8 +297,11 @@ func SetDefault(r *Registry) {
 	defaultReg.Store(r)
 }
 
-// Default returns the process-default registry, or nil when observability
-// is disabled (the default).
-func Default() *Registry {
+// Resolve returns r, or the process default when r is nil: the registry a
+// layer publishes into (nil disables it).
+func Resolve(r *Registry) *Registry {
+	if r != nil {
+		return r
+	}
 	return defaultReg.Load()
 }

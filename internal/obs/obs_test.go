@@ -254,14 +254,17 @@ func TestHistogramBucketsConformance(t *testing.T) {
 }
 
 func TestDefaultRegistry(t *testing.T) {
-	if Default() != nil {
+	if Resolve(nil) != nil {
 		t.Fatal("default registry must start nil")
 	}
-	r := NewRegistry()
+	r, own := NewRegistry(), NewRegistry()
 	SetDefault(r)
 	defer SetDefault(nil)
-	if Default() != r {
+	if Resolve(nil) != r {
 		t.Fatal("SetDefault did not install")
+	}
+	if Resolve(own) != own {
+		t.Fatal("Resolve must prefer the registry it is given")
 	}
 }
 

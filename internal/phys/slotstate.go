@@ -133,9 +133,6 @@ func (s *SlotState) AppendLinks(dst []Link) []Link {
 // this is exactly FeasibleSet(Links() + c.Link) on the dense engine, and a
 // conservative under-approximation of it on an over-estimating engine. O(k).
 func (s *SlotState) CanAdd(c Candidate) bool {
-	if m := slotMetrics.Load(); m != nil {
-		m.canAdd.Inc()
-	}
 	if c.From == c.To {
 		return false
 	}
@@ -224,9 +221,6 @@ func (s *SlotState) CanAdd(c Candidate) bool {
 // conflict or fail their handshake (TentativeSlot.Outcomes reports which),
 // and greedy callers are expected to gate on CanAdd themselves.
 func (s *SlotState) Add(c Candidate) {
-	if m := slotMetrics.Load(); m != nil {
-		m.adds.Inc()
-	}
 	rec := slotLink{from: int32(c.From), to: int32(c.To), dataMW: c.DataMW, ackMW: c.AckMW}
 	if ch := s.ch; ch != nil {
 		// Each member m and c exchange four terms, and by symmetry they
@@ -348,9 +342,6 @@ func (t *TentativeSlot) Mark() {
 func (t *TentativeSlot) Rollback() {
 	if t.marked < 0 || t.marked > len(t.links) {
 		panic("phys: TentativeSlot.Rollback without a valid Mark")
-	}
-	if m := slotMetrics.Load(); m != nil {
-		m.rollbacks.Inc()
 	}
 	if t.busy != nil {
 		for _, l := range t.links[t.marked:] {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"scream/internal/obs"
 	"scream/internal/phys"
 )
 
@@ -50,6 +51,9 @@ func (o Ordering) String() string {
 // is ready to use; a Builder is not safe for concurrent use, and the
 // schedules it returns share no memory with it.
 type Builder struct {
+	// Metrics (nil: the process default) receives each build's counts.
+	Metrics *obs.Registry
+	handles builderObs // the handles in the registry last published into
 	// Slot states live in fixed-size slabs: a build touches tens to hundreds
 	// of slots, and one heap allocation per slot (or copying the states
 	// around as a flat slice grows) would dominate the incremental
@@ -235,6 +239,7 @@ func singletonFeasible(ch phys.Engine, c phys.Candidate) bool {
 func (b *Builder) admit(p pass, links []phys.Link, demands []int, order []int, first int) (int, error) {
 	n, C := p.eng.NumNodes(), p.channels
 	used := first
+	var probes int64 // CanAdd calls, published with the build
 	for _, ei := range order {
 		// The link's exact signals, computed once per build: they decide its
 		// singleton feasibility here and every admission probe below. Links
@@ -272,6 +277,7 @@ func (b *Builder) admit(p pass, links []phys.Link, demands []int, order []int, f
 				// over all (slot, channel) states with the radio check and
 				// the log inline measured 1.16× this probe's time on the
 				// probe-bound BenchmarkGreedyPhysical64 (2-vCPU VM).
+				probes++
 				if st := b.state(slot); st.CanAdd(c) {
 					st.Add(c)
 					remaining--
@@ -280,6 +286,7 @@ func (b *Builder) admit(p pass, links []phys.Link, demands []int, order []int, f
 			}
 			radios := b.radios[slot*n : (slot+1)*n]
 			for ch := 0; ch < C && remaining > 0 && radios[c.From] < p.radios && radios[c.To] < p.radios; ch++ {
+				probes++
 				if st := b.state(slot*C + ch); st.CanAdd(c) {
 					st.Add(c)
 					radios[c.From]++
@@ -290,7 +297,7 @@ func (b *Builder) admit(p pass, links []phys.Link, demands []int, order []int, f
 			}
 		}
 	}
-	b.recordBuild(C, first, used)
+	b.recordBuild(C, first, used, probes)
 	return used, nil
 }
 

@@ -11,9 +11,9 @@
 // cancelable (client disconnect or server drain aborts the run via its
 // context). A panic inside a run ends that session's stream with an error
 // event and counts the session as failed. The daemon's own scream_serve_*
-// metrics land in the same registry as the simulation's flow/core/sched
-// families and are exposed on /metrics (Prometheus text) and /api/v1/metrics
-// (JSON snapshot).
+// metrics land in the same registry as the simulation's flow, core, sched
+// and phys families and are exposed on /metrics (Prometheus text) and
+// /api/v1/metrics (JSON snapshot).
 //
 // Each session's schema-v2 trace is captured in a bounded in-memory ring
 // (Config.TraceBytes per session, never disk) and served at

@@ -260,6 +260,36 @@ func TestRefusedRequestCopiesNoMesh(t *testing.T) {
 	}
 }
 
+// TestSessionMetricsReachEveryLayer: a server whose process never enabled
+// runtime metrics still publishes every layer of its sessions into its own
+// registry: a greedy session's schedule builds and slot-engine probes, and
+// an FDD session's protocol runs and handshake-slot rollbacks.
+func TestSessionMetricsReachEveryLayer(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	greedy, fdd := testSpec(7), testSpec(7)
+	fdd.Scheduler = "fdd"
+	postRun(t, ts.URL, greedy)
+	postRun(t, ts.URL, fdd)
+	resp, err := http.Get(ts.URL + "/api/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"scream_sched_builds_total", "scream_sched_admissions_total",
+		"scream_phys_canadd_total", "scream_phys_slot_adds_total", "scream_phys_rollbacks_total",
+		"scream_core_rounds_total", "scream_flow_delivered_total",
+	} {
+		if snap.Counters[name] == 0 {
+			t.Errorf("%s = %d after a greedy and an FDD session, want > 0", name, snap.Counters[name])
+		}
+	}
+}
+
 // TestRunSSE asks for server-sent events and checks the framing.
 func TestRunSSE(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

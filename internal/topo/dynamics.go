@@ -42,16 +42,16 @@ func (n *Network) dynamics() *dynState {
 	return n.dyn
 }
 
-// Clone returns a deep copy of the network that can be mutated freely
-// without affecting the original. Channel rows still pending a refresh stay
-// pending in the copy. The shadowing draw, which nothing writes after
-// Build, is shared.
+// Clone returns a copy of the network that can be mutated freely without
+// affecting the original. Channel rows still pending a refresh stay pending
+// in the copy. The shadowing draw and the graphs, which nothing writes
+// (RefreshGraphs replaces the graphs whole), are shared.
 func (n *Network) Clone() *Network {
 	c := &Network{
 		Nodes:    append([]Node(nil), n.Nodes...),
 		Channel:  n.Channel.Clone(),
-		Comm:     n.Comm.Clone(),
-		Sens:     n.Sens.Clone(),
+		Comm:     n.Comm,
+		Sens:     n.Sens,
 		Region:   n.Region,
 		Params:   n.Params,
 		shadowDB: n.shadowDB,

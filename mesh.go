@@ -3,6 +3,7 @@ package scream
 import (
 	"cmp"
 	"fmt"
+	"sync/atomic"
 
 	"scream/internal/core"
 	"scream/internal/phys"
@@ -28,7 +29,8 @@ type Mesh struct {
 	// the exact dense engine). Engines are built on demand from the network's
 	// current state — never cached — so topology dynamics and clones always
 	// see fresh geometry.
-	interf InterferenceSpec
+	interf     InterferenceSpec
+	frameSlots atomic.Int64 // FlowFrameTime's frame in handshake slots; 0 until built
 }
 
 // The per-node static demand range a zero DemandLo or DemandHi selects.
@@ -114,8 +116,8 @@ func NewMesh(t TopologySpec, seed int64) (*Mesh, error) {
 // Clone returns a deep copy of the mesh: a cloned network (positions, powers,
 // liveness), fresh link/demand/gateway slices, and the shared routing forest
 // (immutable after construction — repairs build new forests, see
-// route.Forest). Clones are how concurrent sessions sandbox a common
-// deployment: runs on a clone never observe each other.
+// route.Forest); it builds its own capacity frame. Runs need no clone: a run
+// never writes to the mesh it is given (RunOptions.Mesh).
 func (m *Mesh) Clone() *Mesh {
 	return &Mesh{
 		Network:  m.Network.Clone(),

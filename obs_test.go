@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"scream/internal/tracecheck"
@@ -193,5 +196,122 @@ func TestObsTraceGolden(t *testing.T) {
 					golden, len(got), len(want))
 			}
 		})
+	}
+}
+
+// goldenSpec is the checked-in golden scenario (testdata/scenario_grid.json,
+// greedy on a 4×4 grid) with the given scheduler.
+func goldenSpec(t *testing.T, scheduler string) ScenarioSpec {
+	t.Helper()
+	spec, err := LoadScenario("testdata/scenario_grid.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scheduler = scheduler
+	return spec
+}
+
+// layerCounters returns r's counters of the simulation layers whose names
+// start with one of prefixes.
+func layerCounters(r *ObsRegistry, prefixes ...string) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range r.TakeSnapshot().Counters {
+		for _, p := range prefixes {
+			if strings.HasPrefix(name, p) {
+				out[name] = v
+			}
+		}
+	}
+	return out
+}
+
+// TestRunMetricsPerRun runs a greedy and an FDD session of the golden
+// scenario concurrently through RunWith, each with its own registry. Every
+// layer publishes into the registry of the run it serves, so each registry
+// must hold exactly a solo run's phys, sched, core and flow counters: the
+// greedy run's schedule builds with their slot-engine probes, and the FDD
+// run's protocol counts with its handshake slot's tentative adds and
+// rollbacks, and neither the other's. The capacity frame that sets the
+// arrival rate is the mesh's build and lands in neither.
+func TestRunMetricsPerRun(t *testing.T) {
+	layers := []string{"scream_phys_", "scream_sched_", "scream_core_", "scream_flow_"}
+	specs := []ScenarioSpec{goldenSpec(t, "greedy"), goldenSpec(t, "fdd")}
+	solo := make([]map[string]int64, len(specs))
+	for i, spec := range specs {
+		reg := NewObsRegistry()
+		if _, err := RunWith(context.Background(), spec, RunOptions{Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = layerCounters(reg, layers...)
+	}
+	greedy, fdd := solo[0], solo[1]
+	if greedy["scream_sched_builds_total"] == 0 || greedy["scream_phys_canadd_total"] == 0 || greedy["scream_phys_rollbacks_total"] != 0 {
+		t.Fatalf("greedy run's registry: %v", greedy)
+	}
+	if fdd["scream_phys_rollbacks_total"] == 0 || fdd["scream_phys_slot_adds_total"] == 0 || fdd["scream_sched_builds_total"] != 0 {
+		t.Fatalf("FDD run's registry: %v", fdd)
+	}
+	for round := 0; round < 4; round++ {
+		regs := make([]*ObsRegistry, len(specs))
+		errs := make([]error, len(specs))
+		var wg sync.WaitGroup
+		for i, spec := range specs {
+			regs[i] = NewObsRegistry()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = RunWith(context.Background(), spec, RunOptions{Metrics: regs[i]})
+			}()
+		}
+		wg.Wait()
+		for i, spec := range specs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if got := layerCounters(regs[i], layers...); !maps.Equal(got, solo[i]) {
+				t.Fatalf("round %d, %s: concurrent run's counters\n%v\nwant a solo run's\n%v", round, spec.Scheduler, got, solo[i])
+			}
+		}
+	}
+}
+
+// TestRuntimeMetricsTotals pins the process-wide schedule-build and
+// slot-engine counts of the golden scenario under EnableRuntimeMetrics, for
+// greedy and FDD: the run's own counts plus the mesh's capacity-frame
+// build. The values were recorded when internal/phys and internal/sched
+// published through process-global hooks; a registry per run must not move
+// the process totals.
+func TestRuntimeMetricsTotals(t *testing.T) {
+	for _, tc := range []struct {
+		scheduler string
+		want      map[string]int64
+	}{
+		{"greedy", map[string]int64{
+			"scream_phys_canadd_total":      1380,
+			"scream_phys_slot_adds_total":   315,
+			"scream_phys_rollbacks_total":   0,
+			"scream_sched_builds_total":     11,
+			"scream_sched_admissions_total": 315,
+			"scream_sched_slots_total":      315,
+		}},
+		{"fdd", map[string]int64{
+			"scream_phys_canadd_total":      104,
+			"scream_phys_slot_adds_total":   883,
+			"scream_phys_rollbacks_total":   459,
+			"scream_sched_builds_total":     1,
+			"scream_sched_admissions_total": 16,
+			"scream_sched_slots_total":      16,
+		}},
+	} {
+		reg := NewObsRegistry()
+		EnableRuntimeMetrics(reg)
+		_, err := Run(context.Background(), goldenSpec(t, tc.scheduler))
+		EnableRuntimeMetrics(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := layerCounters(reg, "scream_phys_", "scream_sched_"); !maps.Equal(got, tc.want) {
+			t.Errorf("%s: process totals %v, want %v", tc.scheduler, got, tc.want)
+		}
 	}
 }

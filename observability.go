@@ -14,7 +14,6 @@ import (
 	"net/http"
 
 	"scream/internal/obs"
-	"scream/internal/phys"
 	"scream/internal/sched"
 )
 
@@ -37,16 +36,15 @@ func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
 // Call Flush before reading the output.
 func NewObsTracer(w io.Writer) *ObsTracer { return obs.NewTracer(w) }
 
-// EnableRuntimeMetrics wires the process-global instrumentation points into
-// r: the phys slot-engine counters, the sched construction counters, and
-// the process-default registry that Run and RunWith fall back to when
-// RunOptions.Metrics is unset. Pass nil to detach everything. Intended to be
+// EnableRuntimeMetrics installs r as the process-default registry, which
+// runs without RunOptions.Metrics and builds no run owns (the figures, a
+// mesh's FlowFrameTime) publish into, and registers the scream_sched_* and
+// scream_phys_* series in it at zero. Pass nil to detach. Intended to be
 // called once at startup by a CLI enabling observability; tests that need
 // isolation pass a private registry via RunOptions.Metrics instead.
 func EnableRuntimeMetrics(r *ObsRegistry) {
-	phys.SetObs(r)
-	sched.SetObs(r)
 	obs.SetDefault(r)
+	sched.RegisterMetrics(r)
 }
 
 // ServeObs binds addr (e.g. ":9090" or "127.0.0.1:0") and serves /metrics

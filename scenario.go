@@ -647,10 +647,11 @@ type RunOptions struct {
 	// result.
 	OnEpoch func(EpochUpdate)
 	// Metrics, when non-nil, receives live counters from every layer the run
-	// touches (core protocol, flow driver, dynamics). When nil, the run falls
-	// back to the process-default registry installed by
-	// EnableRuntimeMetrics — still nil by default, costing nothing. Metrics
-	// are write-only; enabling them never changes a result.
+	// touches (flow, scheduler, protocol, slot engine, dynamics), but not the
+	// mesh's FlowFrameTime build. When nil, the run falls back to the
+	// process-default registry installed by EnableRuntimeMetrics — still
+	// nil by default, costing nothing. Metrics are write-only; enabling them
+	// never changes a result.
 	Metrics *ObsRegistry
 	// Trace, when non-nil, receives structured JSONL events — the schema-v2
 	// span hierarchy (run ▸ epoch ▸ schedule_build ▸ slot) plus point events
@@ -666,9 +667,10 @@ type RunOptions struct {
 	Perf bool
 	// Mesh, when non-nil, skips building spec.Topology and runs on the given
 	// mesh instead — the daemon's preloaded-scenario path, where every
-	// session runs on one shared deployment. The run never writes to the
-	// mesh: a static run only reads it, and a run under dynamics clones its
-	// network first, so concurrent runs may share one mesh.
+	// session runs on one shared deployment. Only the topology comes from
+	// the mesh; the interference engine is the spec's. The run never writes
+	// to the mesh: a static run only reads it, and a run under dynamics
+	// clones its network first, so concurrent runs may share one mesh.
 	Mesh *Mesh
 }
 
@@ -699,13 +701,9 @@ func RunWith(ctx context.Context, spec ScenarioSpec, o RunOptions) (*FlowResult,
 	if err != nil {
 		return nil, err
 	}
-	// Effective observability sinks: an explicit per-run registry wins
-	// (test isolation); otherwise the process default installed by
-	// EnableRuntimeMetrics, which is nil unless a CLI opted in.
-	metrics := o.Metrics
-	if metrics == nil {
-		metrics = obs.Default()
-	}
+	// The run's registry, handed to every layer: the per-run one, or the
+	// process default installed by EnableRuntimeMetrics (nil by default).
+	metrics := obs.Resolve(o.Metrics)
 	horizon := secsToSim(spec.HorizonSec)
 	// The network view the run operates on: the mesh's own for static runs,
 	// an exclusively-owned clone when dynamics mutate it. Schedulers must be
@@ -728,16 +726,17 @@ func RunWith(ctx context.Context, spec ScenarioSpec, o RunOptions) (*FlowResult,
 		}
 		repairCost = tm.RepairCost(k)
 	}
-	// The interference engine the centralized schedulers build against: nil
-	// keeps the dense channel (the default, bit-identical to every run before
-	// engines existed). A spatial mesh gets a fresh index over the run's
-	// network view, wrapped in the run's memo of exact near-field gains, so
-	// every epoch's build reuses the gains earlier builds computed. Under
-	// dynamics the world moves nodes through the memo, which keeps the index
-	// in lockstep with churn and mobility and drops the moved nodes' gains.
+	// The interference engine the spec selects for the centralized
+	// schedulers: nil keeps the dense channel (the default, bit-identical to
+	// every run before engines existed). The spatial engine is a fresh index
+	// over the run's network view, wrapped in the run's memo of exact
+	// near-field gains, so every epoch's build reuses the gains earlier
+	// builds computed. Under dynamics the world moves nodes through the memo,
+	// which keeps the index in lockstep with churn and mobility and drops
+	// the moved nodes' gains.
 	var engine phys.Engine
-	if m.EngineName() == EngineSpatial {
-		idx, err := net.SpatialEngine(m.interf.CutoffM, m.interf.BucketM)
+	if i := spec.Interference; i != nil && i.engineName() == EngineSpatial {
+		idx, err := net.SpatialEngine(i.CutoffM, i.BucketM)
 		if err != nil {
 			return nil, fmt.Errorf("scream: %w", err)
 		}

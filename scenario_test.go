@@ -293,6 +293,57 @@ func TestRunDenseDynamicsGolden(t *testing.T) {
 	}, "run_greedy_dense_dynamics.jsonl")
 }
 
+// TestRunWithMeshTakesSpecEngine: a mesh handed to RunWith supplies the
+// deployment, not the interference engine, which is the spec's whatever the
+// mesh selected. The greedy-spatial256 spec over 0.2 s on a dense mesh of
+// the same deployment must run as Run(spec) does, on the spatial engine;
+// and the golden scenario's FDD, which needs the dense channel, must run on
+// a mesh that selected the spatial engine as Run(spec) does.
+func TestRunWithMeshTakesSpecEngine(t *testing.T) {
+	ctx := context.Background()
+	run := func(spec ScenarioSpec, o RunOptions) *FlowResult {
+		t.Helper()
+		res, err := RunWith(ctx, spec, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	spatial := ScenarioSpec{
+		Topology:       TopologySpec{Kind: "grid", Rows: 16, Cols: 16, StepMeters: 30},
+		Traffic:        TrafficSpec{Kind: "poisson", Load: 0.9},
+		Scheduler:      "greedy",
+		HorizonSec:     0.2,
+		FramesPerEpoch: 1,
+		MaxService:     16,
+		Interference:   &InterferenceSpec{Engine: "spatial"},
+	}
+	dense := spatial
+	dense.Interference = nil
+	denseMesh, err := dense.Mesh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(spatial, RunOptions{})
+	if reflect.DeepEqual(want, run(dense, RunOptions{Mesh: denseMesh})) {
+		t.Fatal("the spatial and the dense engine give one result: the test cannot tell them apart")
+	}
+	if got := run(spatial, RunOptions{Mesh: denseMesh}); !reflect.DeepEqual(got, want) {
+		t.Errorf("spatial spec on a dense mesh:\n got %+v\nwant %+v", got, want)
+	}
+
+	spatialGolden := goldenSpec(t, "greedy")
+	spatialGolden.Interference = &InterferenceSpec{Engine: "spatial"}
+	spatialMesh, err := spatialGolden.Mesh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdd := goldenSpec(t, "fdd")
+	if got, want := run(fdd, RunOptions{Mesh: spatialMesh}), run(fdd, RunOptions{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("dense FDD spec on a spatial mesh:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // checkRunGolden runs spec and compares every epoch's streamed schedule, one
 // JSON line each, then the JSON result, byte for byte with testdata/name.
 func checkRunGolden(t *testing.T, spec ScenarioSpec, name string) {
