@@ -16,14 +16,13 @@ const ablationDensity = 10000
 // than Figure 6, quantifying the paper's observation that small p packs
 // slots slightly better (fewer mutually-interfering simultaneous trials).
 func AblationPDDProbability(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Ablation: PDD activation probability", "p", "% improvement over linear")
 	ps := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	if opts.Quick {
 		ps = []float64{0.2, 0.5, 0.8}
 	}
 	tm := core.DefaultTiming()
 	names := []string{"PDD improvement", "PDD exec time (s)"}
-	err := runGrid(fig, ps, names, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Ablation: PDD activation probability", "p", "% improvement over linear", ps, names, opts, func(xi, si int) ([]float64, error) {
 		s, err := GridScenario(ablationDensity, 33+int64(si))
 		if err != nil {
 			return nil, err
@@ -34,23 +33,18 @@ func AblationPDDProbability(opts Options) (*stats.Figure, error) {
 		}
 		return []float64{imp, res.ExecTime.Seconds()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // AblationGreedyOrdering compares GreedyPhysical's edge orderings: the
 // head-ID order FDD emulates vs demand-descending vs length-descending.
 func AblationGreedyOrdering(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Ablation: GreedyPhysical edge ordering", "density (nodes/km^2)", "% improvement over linear")
 	orders := []sched.Ordering{sched.ByHeadIDDesc, sched.ByDemandDesc, sched.ByLengthDesc}
 	names := make([]string, len(orders))
 	for i, o := range orders {
 		names[i] = o.String()
 	}
 	xs := Densities(opts.Quick)
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Ablation: GreedyPhysical edge ordering", "density (nodes/km^2)", "% improvement over linear", xs, names, opts, func(xi, si int) ([]float64, error) {
 		s, err := GridScenario(xs[xi], 55+int64(si))
 		if err != nil {
 			return nil, err
@@ -65,23 +59,18 @@ func AblationGreedyOrdering(opts Options) (*stats.Figure, error) {
 		}
 		return vals, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // AblationScreamK quantifies the cost of over-provisioning K beyond the true
 // interference diameter: schedules are identical, execution time grows
 // linearly (correctness only needs K >= ID; Section IV-B).
 func AblationScreamK(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Ablation: SCREAM length K vs interference diameter", "K / ID(G_S)", "FDD execution time (s)")
 	multipliers := []float64{1, 1.5, 2, 3, 4, 6}
 	if opts.Quick {
 		multipliers = []float64{1, 2, 4}
 	}
 	tm := core.DefaultTiming()
-	err := runGrid(fig, multipliers, []string{"FDD exec time"}, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Ablation: SCREAM length K vs interference diameter", "K / ID(G_S)", "FDD execution time (s)", multipliers, []string{"FDD exec time"}, opts, func(xi, si int) ([]float64, error) {
 		s, err := GridScenario(ablationDensity, 66+int64(si))
 		if err != nil {
 			return nil, err
@@ -97,10 +86,6 @@ func AblationScreamK(opts Options) (*stats.Figure, error) {
 		}
 		return []float64{res.ExecTime.Seconds()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // AblationAckModel compares the paper's interference model (data + ACK
@@ -108,14 +93,13 @@ func AblationScreamK(opts Options) (*stats.Figure, error) {
 // greedy packs slots tighter but a fraction of its slots are infeasible once
 // ACK interference is accounted for.
 func AblationAckModel(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Ablation: ACK sub-slot modelling", "density (nodes/km^2)", "value")
 	names := []string{
 		"schedule length (full model)",
 		"schedule length (data-only)",
 		"% data-only slots infeasible under full model",
 	}
 	xs := Densities(opts.Quick)
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Ablation: ACK sub-slot modelling", "density (nodes/km^2)", "value", xs, names, opts, func(xi, si int) ([]float64, error) {
 		s, err := GridScenario(xs[xi], 88+int64(si))
 		if err != nil {
 			return nil, err
@@ -138,19 +122,14 @@ func AblationAckModel(opts Options) (*stats.Figure, error) {
 			100 * float64(bad) / float64(dataOnly.Length()),
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // AblationFDDSeal measures the ASAP-seal extension: identical schedules,
 // strictly less execution time.
 func AblationFDDSeal(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Ablation: FDD slot sealing", "density (nodes/km^2)", "FDD execution time (s)")
 	tm := core.DefaultTiming()
 	xs := Densities(opts.Quick)
-	err := runGrid(fig, xs, []string{"paper seal", "ASAP seal"}, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Ablation: FDD slot sealing", "density (nodes/km^2)", "FDD execution time (s)", xs, []string{"paper seal", "ASAP seal"}, opts, func(xi, si int) ([]float64, error) {
 		s, err := GridScenario(xs[xi], 44+int64(si))
 		if err != nil {
 			return nil, err
@@ -172,8 +151,4 @@ func AblationFDDSeal(opts Options) (*stats.Figure, error) {
 		}
 		return []float64{rn.ExecTime.Seconds(), ra.ExecTime.Seconds()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }

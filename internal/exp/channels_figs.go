@@ -157,20 +157,12 @@ func RunChannelsCell(runner *flow.Runner, channels int, seed int64, quick bool) 
 // the distributed protocols additionally pay the extra control rounds of the
 // per-channel slot phases.
 func FigChannels(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure(
-		"Channels: Goodput and Schedule Length vs Channel Count (multi-channel)",
-		"orthogonal channels", "goodput (pkt/s) / schedule slots")
 	counts := ChannelCounts(opts.Quick)
 	xs := make([]float64, len(counts))
 	for i, c := range counts {
 		xs[i] = float64(c)
 	}
-	names := channelsCurveNames()
-	err := runGridWith(fig, xs, names, opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
+	return runGridWith("Channels: Goodput and Schedule Length vs Channel Count (multi-channel)", "orthogonal channels", "goodput (pkt/s) / schedule slots", xs, channelsCurveNames(), opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
 		return RunChannelsCell(r, counts[xi], int64(si), opts.Quick)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }

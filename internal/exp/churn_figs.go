@@ -44,33 +44,43 @@ func churnCurveNames() []string {
 	return []string{"Centralized", "FDD", "PDD p=0.8", "TDMA (static)"}
 }
 
-// RunChurnCell runs one (failure-rate, seed) cell: every curve gets a fresh
-// copy of the same scenario and the same churn timeline (the world seed
-// derives from the cell seed only); arrival streams are seeded per curve,
-// FigFlowLoad's convention, so cross-curve deltas average out over seeds
-// rather than being arrival-paired. failures is the expected number of
-// failures per node over the run; the returned values are delivered goodput
-// in packets per second. Every curve runs on runner.
+// RunChurnCell runs one (failure-rate, seed) cell: it deploys the cell's
+// grid and derives its capacity frame, horizon and arrival rate once, and
+// every curve runs on its own clone of that network under the same churn
+// timeline (the world seed derives from the cell seed only); arrival streams
+// are seeded per curve, FigFlowLoad's convention, so cross-curve deltas
+// average out over seeds rather than being arrival-paired. failures is the
+// expected number of failures per node over the run; the returned values are
+// delivered goodput in packets per second. Every curve runs on runner.
 func RunChurnCell(runner *flow.Runner, failures float64, seed int64, quick bool) ([]float64, error) {
+	s, err := GridScenario(flowDensity, 5300+seed)
+	if err != nil {
+		return nil, err
+	}
+	tm := core.DefaultTiming()
+	frame, err := flow.FrameTime(s.Net.Channel, s.Forest, s.Links, tm)
+	if err != nil {
+		return nil, err
+	}
 	horizonFrames := 1200
 	if quick {
 		horizonFrames = 300
 	}
+	horizon := des.Time(horizonFrames) * frame
+	rate := churnLoad / frame.Seconds()
+	run := flowRun{
+		runner: runner, tm: tm, horizon: horizon, seed: seed,
+		channels: 1, radios: 1, framesPerEpoch: flowFramesPerEpoch,
+		rate: func(int) float64 { return rate },
+	}
 	vals := make([]float64, len(flowCurves))
 	for ci, name := range flowCurves {
-		// Every curve rebuilds the scenario from the cell seed: the dynamics
-		// world mutates the network in place, so curves must not share one.
-		s, err := GridScenario(flowDensity, 5300+seed)
-		if err != nil {
-			return nil, err
-		}
-		tm := core.DefaultTiming()
-		frame, err := flow.FrameTime(s.Net.Channel, s.Forest, s.Links, tm)
-		if err != nil {
-			return nil, err
-		}
-		horizon := des.Time(horizonFrames) * frame
-		world, err := dynam.NewWorld(s.Net, s.Forest, dynam.Config{
+		// The dynamics world mutates the network it is given, so every curve
+		// starts from its own clone of the cell's; the forest, links and
+		// demands, which nothing writes, are shared.
+		cs := *s
+		cs.Net = s.Net.Clone()
+		world, err := dynam.NewWorld(cs.Net, cs.Forest, dynam.Config{
 			FailRate:     failures / horizon.Seconds(),
 			MeanDowntime: des.Time(float64(horizon) * churnDowntimeFrac),
 			Horizon:      horizon,
@@ -79,12 +89,7 @@ func RunChurnCell(runner *flow.Runner, failures float64, seed int64, quick bool)
 		if err != nil {
 			return nil, err
 		}
-		rate := churnLoad / frame.Seconds()
-		run := flowRun{
-			runner: runner, s: s, tm: tm, horizon: horizon, seed: seed,
-			channels: 1, radios: 1, framesPerEpoch: flowFramesPerEpoch,
-			rate: func(int) float64 { return rate }, world: world,
-		}
+		run.s, run.world = &cs, world
 		if vals[ci], err = run.goodput(name, int64(ci)); err != nil {
 			return nil, fmt.Errorf("churn cell failures=%g seed=%d curve=%s: %w", failures, seed, name, err)
 		}
@@ -100,16 +105,8 @@ func RunChurnCell(runner *flow.Runner, failures float64, seed int64, quick bool)
 // offered load and pay repair floods — while the static TDMA frame also
 // strands every subtree behind a dead relay until it recovers.
 func FigChurn(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure(
-		"Churn: Delivered Goodput vs Node Failure Rate (topology dynamics)",
-		"expected failures per node per run", "delivered goodput (pkt/s)")
 	xs := ChurnRates(opts.Quick)
-	names := churnCurveNames()
-	err := runGridWith(fig, xs, names, opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
+	return runGridWith("Churn: Delivered Goodput vs Node Failure Rate (topology dynamics)", "expected failures per node per run", "delivered goodput (pkt/s)", xs, churnCurveNames(), opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
 		return RunChurnCell(r, xs[xi], int64(si), opts.Quick)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }

@@ -6,9 +6,10 @@ package exp
 // — never from shared state — evaluates every curve of the figure on it
 // (curves share the scenario, exactly as the paper's evaluation does), and
 // returns one value per curve. Cells fan out across Options.Workers
-// goroutines; the reduction into per-(x, curve) samples happens after all
-// cells complete, in (xi, si) order. The output is therefore bit-for-bit
-// identical for any worker count, which TestEngineDeterminism enforces.
+// goroutines; the reduction into per-(x, curve) samples, and the figure the
+// engine builds from them, happen after all cells complete, in (xi, si)
+// order. The output is therefore bit-for-bit identical for any worker
+// count, which TestEngineDeterminism enforces.
 
 import (
 	"fmt"
@@ -24,23 +25,15 @@ import (
 // randomness from (xi, si) so the cell is a pure function of its position.
 type cellFunc func(xi, si int) ([]float64, error)
 
-// runCells evaluates the nx x opts.seeds() cell grid across opts.workers()
-// goroutines and returns vals[xi*seeds+si][ci]. On failure the error of the
-// lowest-indexed failing cell that actually ran is returned; which cells ran
-// after the first failure depends on scheduling, but successful output never
-// does.
-func runCells(opts Options, nx, ncurves int, cell cellFunc) ([][]float64, error) {
-	return runCellsWith(opts, nx, ncurves, func(_ *struct{}, xi, si int) ([]float64, error) {
-		return cell(xi, si)
-	})
-}
-
-// runCellsWith is runCells with per-worker state: each worker goroutine
-// owns one zero S and hands it to every cell it runs, so a cell may reuse
-// what the worker's previous cell left in it (a flow.Runner's data plane),
-// and no two goroutines share one. A cell's values must not depend on the
-// state it is handed, or they would depend on which cells its worker ran
-// before it.
+// runCellsWith evaluates the nx x opts.seeds() cell grid across
+// opts.workers() goroutines and returns vals[xi*seeds+si][ci]. Each worker
+// goroutine owns one zero S and hands it to every cell it runs, so a cell
+// may reuse what the worker's previous cell left in it (a flow.Runner's data
+// plane), and no two goroutines share one. A cell's values must not depend
+// on the state it is handed, or they would depend on which cells its worker
+// ran before it. On failure the error of the lowest-indexed failing cell
+// that actually ran is returned; which cells ran after the first failure
+// depends on scheduling, but successful output never does.
 func runCellsWith[S any](opts Options, nx, ncurves int, cell func(st *S, xi, si int) ([]float64, error)) ([][]float64, error) {
 	seeds := opts.seeds()
 	n := nx * seeds
@@ -93,35 +86,34 @@ func runCellsWith[S any](opts Options, nx, ncurves int, cell func(st *S, xi, si 
 
 // runGrid is the engine's front door: it evaluates the cell grid over the
 // given x values, reduces each (x, curve) column of cell results into a
-// stats.Sample in seed order, and appends one series per curve name to fig
-// with the mean and 95% CI at every x.
-func runGrid(fig *stats.Figure, xs []float64, names []string, opts Options, cell cellFunc) error {
-	return runGridWith(fig, xs, names, opts, func(_ *struct{}, xi, si int) ([]float64, error) {
+// stats.Sample in seed order, and returns the figure titled title over the
+// axes xlabel and ylabel, with one series per curve name carrying the mean
+// and 95% CI at every x. On failure it returns nil and runCellsWith's error.
+func runGrid(title, xlabel, ylabel string, xs []float64, names []string, opts Options, cell cellFunc) (*stats.Figure, error) {
+	return runGridWith(title, xlabel, ylabel, xs, names, opts, func(_ *struct{}, xi, si int) ([]float64, error) {
 		return cell(xi, si)
 	})
 }
 
 // runGridWith is runGrid over runCellsWith: every cell gets its worker's S.
-func runGridWith[S any](fig *stats.Figure, xs []float64, names []string, opts Options, cell func(st *S, xi, si int) ([]float64, error)) error {
+func runGridWith[S any](title, xlabel, ylabel string, xs []float64, names []string, opts Options, cell func(st *S, xi, si int) ([]float64, error)) (*stats.Figure, error) {
 	seeds := opts.seeds()
 	vals, err := runCellsWith(opts, len(xs), len(names), cell)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	series := make([]*stats.Series, len(names))
-	for i, name := range names {
-		series[i] = fig.AddSeries(name)
-	}
-	for xi, x := range xs {
-		for ci := range names {
+	fig := stats.NewFigure(title, xlabel, ylabel)
+	for ci, name := range names {
+		series := fig.AddSeries(name)
+		for xi, x := range xs {
 			sample := stats.NewSample(seeds)
 			for si := 0; si < seeds; si++ {
 				sample.Add(vals[xi*seeds+si][ci])
 			}
-			series[ci].Append(x, sample.Mean(), sample.CI95())
+			series.Append(x, sample.Mean(), sample.CI95())
 		}
 	}
-	return nil
+	return fig, nil
 }
 
 func (o Options) workers() int {

@@ -88,7 +88,7 @@ func TestEngineDeterminism(t *testing.T) {
 func TestRunCellsErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
-		_, err := runCells(Options{Seeds: 3, Workers: workers}, 4, 1, func(xi, si int) ([]float64, error) {
+		_, err := runCellsWith(Options{Seeds: 3, Workers: workers}, 4, 1, func(_ *struct{}, xi, si int) ([]float64, error) {
 			if xi == 2 && si == 1 {
 				return nil, boom
 			}
@@ -100,8 +100,44 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestRunGridErrorPropagation: the engine builds a figure only when every
+// cell succeeds; otherwise the runner gets no figure and the failing cell's
+// error.
+func TestRunGridErrorPropagation(t *testing.T) {
+	boom := errors.New("boom")
+	xs := []float64{10, 20, 30, 40}
+	for _, workers := range []int{1, 8} {
+		fig, err := runGrid("t", "x", "y", xs, []string{"c"}, Options{Seeds: 3, Workers: workers}, func(xi, si int) ([]float64, error) {
+			if xi == 2 && si == 1 {
+				return nil, boom
+			}
+			return []float64{0}, nil
+		})
+		if fig != nil || !errors.Is(err, boom) {
+			t.Errorf("workers=%d: want a nil figure and boom, got %v and %v", workers, fig, err)
+		}
+	}
+	fig, err := runGrid("t", "x", "y", xs, []string{"xi", "si"}, Options{Seeds: 3, Workers: 4}, func(xi, si int) ([]float64, error) {
+		return []float64{float64(xi), float64(si)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig.Title != "t" || fig.XLabel != "x" || fig.YLabel != "y" || len(fig.Series) != 2 {
+		t.Fatalf("figure %q (%q, %q) with %d series", fig.Title, fig.XLabel, fig.YLabel, len(fig.Series))
+	}
+	for xi, x := range xs {
+		if p := fig.Series[0].Points[xi]; p.X != x || p.Y != float64(xi) || p.Err != 0 {
+			t.Errorf("series xi point %d = %+v, want x=%g mean=%d ci=0", xi, p, x, xi)
+		}
+		if p := fig.Series[1].Points[xi]; p.X != x || p.Y != 1 {
+			t.Errorf("series si point %d = %+v, want x=%g mean=1", xi, p, x)
+		}
+	}
+}
+
 func TestRunCellsValueCountMismatch(t *testing.T) {
-	_, err := runCells(Options{Seeds: 1, Workers: 2}, 2, 3, func(xi, si int) ([]float64, error) {
+	_, err := runCellsWith(Options{Seeds: 1, Workers: 2}, 2, 3, func(_ *struct{}, xi, si int) ([]float64, error) {
 		return []float64{1}, nil // 1 value, 3 curves
 	})
 	if err == nil {
@@ -113,7 +149,7 @@ func TestRunCellsIndexing(t *testing.T) {
 	// Cell values must land at vals[xi*seeds+si] no matter which worker
 	// computed them.
 	opts := Options{Seeds: 3, Workers: 4}
-	vals, err := runCells(opts, 5, 2, func(xi, si int) ([]float64, error) {
+	vals, err := runCellsWith(opts, 5, 2, func(_ *struct{}, xi, si int) ([]float64, error) {
 		return []float64{float64(xi), float64(si)}, nil
 	})
 	if err != nil {

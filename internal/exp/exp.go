@@ -166,13 +166,12 @@ type improvementCurve struct {
 }
 
 func improvementFigure(title string, build func(density float64, seed int64) (*Scenario, error), curves []improvementCurve, opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure(title, "density (nodes/km^2)", "% improvement over linear")
 	xs := Densities(opts.Quick)
 	names := make([]string, len(curves))
 	for i, c := range curves {
 		names[i] = c.name
 	}
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
+	return runGrid(title, "density (nodes/km^2)", "% improvement over linear", xs, names, opts, func(xi, si int) ([]float64, error) {
 		density := xs[xi]
 		s, err := build(density, int64(1000*density)+int64(si))
 		if err != nil {
@@ -188,10 +187,6 @@ func improvementFigure(title string, build func(density float64, seed int64) (*S
 		}
 		return vals, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // Fig6 regenerates Figure 6: schedule-length improvement over linear vs
@@ -243,7 +238,6 @@ const fig8Density = 15000
 // Fig8 regenerates Figure 8: protocol execution time vs SCREAM size (bytes)
 // and vs interference diameter bound K, for FDD and PDD (p=0.2).
 func Fig8(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Fig 8: Execution Time vs SCREAM size and Interference Diameter", "size (bytes) / diameter (slots)", "running time (s)")
 	sweep := []int{5, 10, 20, 30, 40, 50, 60}
 	if opts.Quick {
 		sweep = []int{5, 30, 60}
@@ -268,7 +262,7 @@ func Fig8(opts Options) (*stats.Figure, error) {
 	for i, c := range curves {
 		names[i] = c.name
 	}
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Fig 8: Execution Time vs SCREAM size and Interference Diameter", "size (bytes) / diameter (slots)", "running time (s)", xs, names, opts, func(xi, si int) ([]float64, error) {
 		x := sweep[xi]
 		s, err := GridScenario(fig8Density, 77+int64(si))
 		if err != nil {
@@ -294,16 +288,11 @@ func Fig8(opts Options) (*stats.Figure, error) {
 		}
 		return vals, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // Fig9 regenerates Figure 9: execution time vs clock-skew bound (log-log in
 // the paper), for FDD and PDD p=0.2.
 func Fig9(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Fig 9: Execution Time vs Clock Skew", "clock skew (s)", "running time (s)")
 	skews := []des.Time{
 		des.Microsecond, 10 * des.Microsecond, 100 * des.Microsecond,
 		des.Millisecond, 10 * des.Millisecond, 100 * des.Millisecond, des.Second,
@@ -325,7 +314,7 @@ func Fig9(opts Options) (*stats.Figure, error) {
 	for i, c := range curves {
 		names[i] = c.name
 	}
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Fig 9: Execution Time vs Clock Skew", "clock skew (s)", "running time (s)", xs, names, opts, func(xi, si int) ([]float64, error) {
 		s, err := GridScenario(fig8Density, 99+int64(si))
 		if err != nil {
 			return nil, err
@@ -342,8 +331,4 @@ func Fig9(opts Options) (*stats.Figure, error) {
 		}
 		return vals, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }

@@ -17,7 +17,6 @@ import (
 // GreedyPhysical schedule length. This probes the Section IV-D observation
 // that balanced trees reduce the aggregated traffic term of the complexity.
 func AblationBalancedRouting(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Ablation: routing-forest balancing", "density (nodes/km^2)", "slots")
 	names := []string{
 		"TD (random tie-break)",
 		"TD (balanced)",
@@ -25,7 +24,7 @@ func AblationBalancedRouting(opts Options) (*stats.Figure, error) {
 		"greedy length (balanced)",
 	}
 	xs := Densities(opts.Quick)
-	err := runGrid(fig, xs, names, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Ablation: routing-forest balancing", "density (nodes/km^2)", "slots", xs, names, opts, func(xi, si int) ([]float64, error) {
 		s, err := GridScenario(xs[xi], 111+int64(si))
 		if err != nil {
 			return nil, err
@@ -69,10 +68,6 @@ func AblationBalancedRouting(opts Options) (*stats.Figure, error) {
 		}
 		return vals, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // AblationMoteRelays sweeps the number of relays in the mote experiment at a
@@ -80,7 +75,6 @@ func AblationBalancedRouting(opts Options) (*stats.Figure, error) {
 // COLLISION-RESILIENT, so detection error must stay negligible as more
 // relays scream on top of each other.
 func AblationMoteRelays(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Ablation: SCREAM collision resilience vs relay count", "relays", "% error")
 	relays := []int{1, 2, 4, 6, 9, 12}
 	screams := 600
 	if opts.Quick {
@@ -91,7 +85,7 @@ func AblationMoteRelays(opts Options) (*stats.Figure, error) {
 	for i, r := range relays {
 		xs[i] = float64(r)
 	}
-	err := runGrid(fig, xs, []string{"detection error (24-byte screams)"}, opts, func(xi, si int) ([]float64, error) {
+	fig, err := runGrid("Ablation: SCREAM collision resilience vs relay count", "relays", "% error", xs, []string{"detection error (24-byte screams)"}, opts, func(xi, si int) ([]float64, error) {
 		cfg := mote.DefaultConfig(24)
 		cfg.NumRelays = relays[xi]
 		cfg.Screams = screams

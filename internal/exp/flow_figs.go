@@ -169,16 +169,8 @@ func RunFlowCell(runner *flow.Runner, load float64, seed int64, quick bool) ([]f
 // reuse separates Centralized from TDMA, and control overhead separates the
 // distributed protocols from Centralized.
 func FigFlowLoad(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure(
-		"FlowLoad: Delivered Goodput vs Offered Load (dynamic traffic)",
-		"offered load (x static capacity)", "delivered goodput (pkt/s)")
 	xs := FlowLoads(opts.Quick)
-	names := flowCurveNames()
-	err := runGridWith(fig, xs, names, opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
+	return runGridWith("FlowLoad: Delivered Goodput vs Offered Load (dynamic traffic)", "offered load (x static capacity)", "delivered goodput (pkt/s)", xs, flowCurveNames(), opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
 		return RunFlowCell(r, xs[xi], int64(si), opts.Quick)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }

@@ -9,7 +9,6 @@ import (
 // size in bytes, on the mote experiment (8 motes, 6 relays in a clique,
 // initiator two hops from the monitor, 2000 screams at 100 ms).
 func Fig4(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Fig 4: Percentage Error in SCREAM detection vs SCREAM size (bytes)", "SCREAM size (bytes)", "% error")
 	sizes := []int{2, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32}
 	screams := 2000
 	if opts.Quick {
@@ -20,7 +19,7 @@ func Fig4(opts Options) (*stats.Figure, error) {
 	for i, b := range sizes {
 		xs[i] = float64(b)
 	}
-	err := runGrid(fig, xs, []string{"detection error"}, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Fig 4: Percentage Error in SCREAM detection vs SCREAM size (bytes)", "SCREAM size (bytes)", "% error", xs, []string{"detection error"}, opts, func(xi, si int) ([]float64, error) {
 		cfg := mote.DefaultConfig(sizes[xi])
 		cfg.Screams = screams
 		cfg.Seed = int64(si + 1)
@@ -30,10 +29,6 @@ func Fig4(opts Options) (*stats.Figure, error) {
 		}
 		return []float64{res.ErrorPercent}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // Fig5 regenerates Figure 5: a snapshot of the monitor's moving-average RSSI

@@ -130,16 +130,8 @@ func RunSchedCell(runner *flow.Runner, load float64, seed int64, quick bool) ([]
 // premium, and TDMA floors the figure. The companion exact-gap numbers for
 // the same family are produced by the gap harness tests (see DESIGN.md).
 func FigSched(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure(
-		"Sched: Scheduler Family Goodput vs Offered Load (Zipf hotspot arrivals)",
-		"offered load (x static capacity)", "delivered goodput (pkt/s)")
 	xs := SchedLoads(opts.Quick)
-	names := schedCurveNames()
-	err := runGridWith(fig, xs, names, opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
+	return runGridWith("Sched: Scheduler Family Goodput vs Offered Load (Zipf hotspot arrivals)", "offered load (x static capacity)", "delivered goodput (pkt/s)", xs, schedCurveNames(), opts, func(r *flow.Runner, xi, si int) ([]float64, error) {
 		return RunSchedCell(r, xs[xi], int64(si), opts.Quick)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }

@@ -17,13 +17,12 @@ import (
 // machinery never assumed geometry), and how does irregularity move the
 // schedule-length improvement.
 func AblationShadowing(opts Options) (*stats.Figure, error) {
-	fig := stats.NewFigure("Ablation: log-normal shadowing", "shadowing sigma (dB)", "% improvement over linear")
 	sigmas := []float64{0, 2, 4, 6, 8}
 	if opts.Quick {
 		sigmas = []float64{0, 4, 8}
 	}
 	names := []string{"GreedyPhysical improvement", "interference diameter"}
-	err := runGrid(fig, sigmas, names, opts, func(xi, si int) ([]float64, error) {
+	return runGrid("Ablation: log-normal shadowing", "shadowing sigma (dB)", "% improvement over linear", sigmas, names, opts, func(xi, si int) ([]float64, error) {
 		sigma := sigmas[xi]
 		s, err := shadowedGridScenario(5000, sigma, 137+int64(si))
 		if err != nil {
@@ -35,10 +34,6 @@ func AblationShadowing(opts Options) (*stats.Figure, error) {
 		}
 		return []float64{imp, float64(s.Net.InterferenceDiameter())}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
 }
 
 // shadowedGridScenario is GridScenario with log-normal shadowing; draws are
